@@ -81,3 +81,7 @@ class DimensionSumMismatch(InternalCheckError):
 
 class DiscSquareInconsistency(InternalCheckError):
     """Square discriminant together with an odd observed cycle type."""
+
+
+class PatternReplayMismatch(InternalCheckError):
+    """A certificate's stored factor-degree pattern does not recompute."""

@@ -42,7 +42,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DiscSquareInconsistency, InvalidInput, NotSquarefree
+from .errors import (
+    DiscSquareInconsistency,
+    InvalidInput,
+    NotSquarefree,
+    PatternReplayMismatch,
+)
 from .exact_poly import (
     UniPoly,
     discriminant,
@@ -319,7 +324,8 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     """Re-run the rule engine on the stored observations.
 
     With deep=True every stored pattern is also recomputed from the
-    polynomial, turning the replay into a full independent re-derivation.
+    polynomial, turning the replay into a full independent re-derivation;
+    a pattern that does not recompute raises ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
@@ -331,7 +337,7 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
         for obs in cert.observations:
             fresh = degree_pattern(reduce_mod_p(model, obs.p))
             if fresh != obs.pattern:
-                raise DiscSquareInconsistency(
+                raise PatternReplayMismatch(
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)

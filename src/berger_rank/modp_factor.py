@@ -14,10 +14,20 @@ part is its degree divided by i.  Repeated factors are a caller error, not a
 fallback: p dividing disc(f) must be excluded upstream, so a non-squarefree
 input raises ``NotSquarefree``.
 
+The powers x^(p^i) mod f come from the Frobenius matrix (Berlekamp's
+Q-matrix): its rows x^(p*j) mod f, j < deg f, are built once per (f, p), and
+since h^p = h(x^p) over F_p, each step h -> h^p is a linear combination of
+the rows (von zur Gathen and Shoup, Comput. Complexity 2, 1992).  All
+products mod f go through one kernel, ``_ModRing``: an element is packed
+into a single int by Kronecker substitution with slots wide enough that
+sums of products never carry, so a product is one big-int multiplication
+plus one reduction pass against a packed table of x^(n+k) mod f.
+
 ``factor_squarefree`` goes on to split every distinct-degree component into
 the actual irreducible factors (Cantor-Zassenhaus for odd p, the trace-map
-variant for p = 2).  The splitting randomness comes from a ``random.Random``
-seeded with the input polynomial, so runs are reproducible.
+variant for p = 2), on the same kernel.  The splitting randomness comes from
+a ``random.Random`` seeded with the input polynomial, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -106,30 +116,11 @@ def _trim(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _add(a: tuple, b: tuple, p: int) -> tuple:
-    n = max(len(a), len(b))
-    return _trim(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    )
-
-
 def _sub(a: tuple, b: tuple, p: int) -> tuple:
     n = max(len(a), len(b))
     return _trim(
         [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
     )
-
-
-def _mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
@@ -167,19 +158,79 @@ def _gcd(a: tuple, b: tuple, p: int) -> tuple:
     return _monic(a, p)
 
 
-def _powmod(base: tuple, exp: int, mod: tuple, p: int) -> tuple:
-    result = (1,)
-    base = _mod(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _mod(_mul(result, base, p), mod, p)
-        base = _mod(_mul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
 def _derivative(a: tuple, p: int) -> tuple:
     return _trim([k * a[k] % p for k in range(1, len(a))])
+
+
+# -- packed multiplication mod a fixed monic f ----------------------------------
+# The one multiplication kernel.  An element of F_p[x]/(f), deg f = n, is one
+# int: coefficient i sits in bits [i*w, (i+1)*w) (Kronecker substitution).
+# With 2**w > 2n(p-1)**2 no slot of a product of two reduced elements, nor of
+# a sum of up to 2n products of residues, carries into its neighbour, so one
+# big-int operation does the whole convolution and each slot is read back and
+# reduced mod p on its own.
+
+
+class _ModRing:
+    """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints."""
+
+    __slots__ = ("p", "n", "w", "mask", "low", "table")
+
+    def __init__(self, f: tuple, p: int):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.w = (n * (p - 1) ** 2).bit_length() + 1
+        self.mask = (1 << self.w) - 1
+        self.low = (1 << (self.w * n)) - 1
+        # table[k] = x^(n+k) mod f, k < n - 1: where a product's high slots go
+        row = [-c % p for c in f[:-1]]
+        self.table = []
+        for _ in range(n - 1):
+            self.table.append(self.pack(row))
+            top = row[-1]
+            row = [(s - top * c) % p for s, c in zip([0] + row[:-1], f)]
+
+    def pack(self, cs) -> int:
+        w, v = self.w, 0
+        for c in reversed(cs):
+            v = (v << w) | c
+        return v
+
+    def unpack(self, v: int, count: int) -> list[int]:
+        """The first count slots of v, each reduced mod p."""
+        w, mask, p = self.w, self.mask, self.p
+        return [((v >> (w * i)) & mask) % p for i in range(count)]
+
+    def mul(self, a: int, b: int) -> int:
+        """a * b mod f for packed reduced a, b."""
+        prod = a * b
+        acc = prod & self.low
+        high = self.unpack(prod >> (self.w * self.n), self.n - 1)
+        for c, t in zip(high, self.table):
+            if c:
+                acc += c * t
+        return self.pack(self.unpack(acc, self.n))
+
+    def pow(self, base: int, exp: int) -> int:
+        result = 1
+        while exp:
+            if exp & 1:
+                result = self.mul(result, base)
+            exp >>= 1
+            if exp:
+                base = self.mul(base, base)
+        return result
+
+    def frobenius_rows(self) -> list[int]:
+        """Packed x^(p*j) mod f for j < n (the Berlekamp Q-matrix rows).
+
+        Over F_p, h(x)^p = h(x^p), so h^p mod f = sum_j h_j * rows[j].
+        """
+        xp = self.pow(self.pack((0, 1)), self.p)
+        rows = [1, xp]
+        for _ in range(self.n - 2):
+            rows.append(self.mul(rows[-1], xp))
+        return rows
 
 
 def _check_squarefree(a: PrimePoly) -> tuple:
@@ -199,19 +250,25 @@ def distinct_degree_components(a: PrimePoly) -> list[tuple[int, PrimePoly]]:
     """[(d, product of all irreducible factors of degree d)], d ascending."""
     p = a.p
     rest = _check_squarefree(a)
+    n = len(rest) - 1
+    if n == 1:
+        return [(1, PrimePoly(p, rest))]
+    # h = x^(p^d) stays reduced mod the original f; since rest divides f,
+    # gcd(h - x, rest) is the same as with h reduced mod rest
+    ring = _ModRing(rest, p)
+    rows = ring.frobenius_rows()
     x = (0, 1)
-    h = _mod(x, rest, p)
+    h = list(x)
     out = []
     d = 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, rest, p)
+        h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), n)
         g = _gcd(_sub(h, x, p), rest, p)
         if len(g) > 1:
             out.append((d, PrimePoly(p, g)))
             rest, r = _divmod(rest, g, p)
             assert not r
-            h = _mod(h, rest, p)
     if len(rest) > 1:
         out.append((len(rest) - 1, PrimePoly(p, rest)))
     return out
@@ -231,19 +288,22 @@ def _split_component(u: tuple, d: int, p: int, rng: random.Random) -> list[tuple
     """Split a monic product of degree-d irreducibles into its factors."""
     if len(u) - 1 == d:
         return [u]
+    ring = _ModRing(u, p)
+    n = ring.n
     while True:
-        r = _trim([rng.randrange(p) for _ in range(len(u) - 1)])
+        r = _trim([rng.randrange(p) for _ in range(n)])
         if len(r) < 2:  # constants never split anything
             continue
         if p == 2:
-            # trace map r + r^2 + ... + r^(2^(d-1)) mod u
-            acc, total = r, r
+            # trace map r + r^2 + ... + r^(2^(d-1)) mod u; d <= n terms of
+            # 0/1 slots cannot carry
+            acc = total = ring.pack(r)
             for _ in range(d - 1):
-                acc = _mod(_mul(acc, acc, p), u, p)
-                total = _add(total, acc, p)
-            g = _gcd(total, u, p)
+                acc = ring.mul(acc, acc)
+                total += acc
+            g = _gcd(_trim(ring.unpack(total, n)), u, p)
         else:
-            w = _powmod(r, (p ** d - 1) // 2, u, p)
+            w = ring.unpack(ring.pow(ring.pack(r), (p ** d - 1) // 2), n)
             g = _gcd(_sub(w, (1,), p), u, p)
         if 0 < len(g) - 1 < len(u) - 1:
             quotient, rem = _divmod(u, g, p)

@@ -33,16 +33,6 @@ from berger_rank import (
 )
 from berger_rank.galois_cert import _certify_cached
 
-_HARVESTED = []
-
-
-def _collect_certificates(verdict):
-    for h in verdict.hypotheses:
-        cert = h.evidence.get("certificate")
-        if cert is not None and cert.verdict is not GaloisVerdict.INCONCLUSIVE:
-            _HARVESTED.append(cert)
-
-
 def _best_of_3(fn, cold=False):
     best = float("inf")
     result = None
@@ -89,7 +79,6 @@ def test_criterion_01_discriminant_anchors():
 def test_criterion_02_quartic_certificate_at_tiny_bound():
     f = parse_poly("x^4 - x + 2")
     cert, took = _best_of_3(lambda: certify_galois(f, prime_bound=5), cold=True)
-    _HARVESTED.append(cert)
     obs = {(ob.p, ob.pattern) for ob in cert.observations}
     want = {(2, (1, 1, 2)), (3, (4,)), (5, (1, 3))}
     ok = cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC and obs == want and took < 0.010
@@ -110,8 +99,6 @@ def test_criterion_03_quartic_exclusion_battery():
         return out
 
     verdicts, took = _best_of_3(battery, cold=True)
-    for v in verdicts:
-        _collect_certificates(v)
     excluded, *odd = verdicts
     st = {h.name: h.status for h in excluded.hypotheses}
     ok = (
@@ -144,8 +131,6 @@ def test_criterion_04_hyperelliptic_tower_table():
         return out
 
     rows, took = _best_of_3(table, cold=True)
-    for _, v in rows:
-        _collect_certificates(v)
     ok = (
         len(rows) == 60
         and all(
@@ -174,8 +159,6 @@ def test_criterion_05_cubic_side_tower_table():
         return out
 
     rows, took = _best_of_3(table, cold=True)
-    for _, _, v in rows:
-        _collect_certificates(v)
     ok = took < 5.0
     by_key = {}
     for m, q, v in rows:
@@ -314,13 +297,26 @@ def test_criterion_11_resultant_laws():
 
 
 def test_criterion_12_certificate_replay_audit():
-    assert _HARVESTED, "criteria 2-5 must run first and emit certificates"
+    # its own certificates, so the criterion passes alone and in any order:
+    # the quartic at bound 5 and every decided Galois certificate behind a
+    # quartic, two hyperelliptic and one cubic-side rank verdict
+    g2, g3 = parse_poly("y^2 - 1"), parse_poly("y^3 - 1")
+    verdicts = [rank_verdict(parse_poly("x^4 - x - 1"), g2, 3, 1)]
+    for m, g in ((5, g2), (7, g2), (9, g3)):
+        verdicts.append(rank_verdict(parse_poly(f"x^{m} - x - 1"), g, 5, 1))
+    certs = [certify_galois(parse_poly("x^4 - x + 2"), prime_bound=5)]
+    for v in verdicts:
+        for h in v.hypotheses:
+            cert = h.evidence.get("certificate")
+            if cert is not None and cert.verdict is not GaloisVerdict.INCONCLUSIVE:
+                certs.append(cert)
+    assert len(certs) >= 5  # at least one per rank verdict
     replayed = 0
-    for cert in _HARVESTED:
+    for cert in certs:
         assert replay_certificate(cert) is cert.verdict, cert.polynomial
         replayed += 1
-    for cert in _HARVESTED[:3]:
+    for cert in certs[:3]:
         assert replay_certificate(cert, deep=True) is cert.verdict
-    ok = replayed == len(_HARVESTED)
+    ok = replayed == len(certs)
     _line(12, f"certificate replay audit ({replayed} certificates)", ok)
     assert ok

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from berger_rank import (
     DiscSquareInconsistency,
     GaloisVerdict,
+    InternalCheckError,
     InvalidInput,
     NotSquarefree,
+    PatternReplayMismatch,
     UniPoly,
     certify_galois,
     galois_over_function_field,
@@ -150,6 +152,20 @@ class TestReplay:
         kept = tuple(ob for ob in cert.observations if ob.pattern != (1, 1, 2))
         tampered = replace(cert, observations=kept)
         assert replay_certificate(tampered) is not GaloisVerdict.PROVEN_SYMMETRIC
+
+    def test_deep_replay_rejects_tampered_pattern(self):
+        from dataclasses import replace
+
+        cert = certify_galois(parse_poly("x^4 - x + 2"), prime_bound=5)
+        # x^4 - x + 2 is irreducible mod 3; claim a 1 + 3 split there instead
+        swapped = tuple(
+            replace(ob, pattern=(1, 3)) if ob.p == 3 else ob for ob in cert.observations
+        )
+        assert swapped != cert.observations
+        tampered = replace(cert, observations=swapped)
+        with pytest.raises(PatternReplayMismatch) as info:
+            replay_certificate(tampered, deep=True)
+        assert isinstance(info.value, InternalCheckError)  # CLI exit code 2
 
 
 class TestFunctionField:

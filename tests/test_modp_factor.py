@@ -5,6 +5,7 @@ factors by trial division over an enumerated irreducible table, sharing no
 code with the module under test.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from berger_rank import (
     parse_poly,
     reduce_mod_p,
 )
+from berger_rank.modp_factor import _ModRing
 
 # -- independent oracle ----------------------------------------------------------
 
@@ -248,3 +250,121 @@ class TestIrreducible:
             for coeffs in _monics(p, d):
                 a = PrimePoly(p, coeffs)
                 assert is_irreducible_mod_p(a) == (coeffs in members), (p, coeffs)
+
+
+# -- differential oracle: sympy's mod-p factorization ----------------------------
+# Independent of the in-file oracle above, which is exhaustive only up to
+# degree 4 over tiny fields; this one reaches degree 40 and word-size primes,
+# where the packed kernel's slot width is widest.
+
+_ORACLE_PRIMES = [
+    2,
+    3,  # degrees mostly above p
+    43,  # above every degree drawn
+    197,
+    2**31 - 1,
+    2**61 - 1,
+]
+
+
+def _random_input(rng, p, sparse, max_deg=40):
+    deg = rng.randint(1, max_deg)
+    lead = rng.randrange(1, p)
+    if sparse:
+        low = [0] * deg
+        for k in rng.sample(range(deg), min(deg, rng.randint(1, 3))):
+            low[k] = rng.randrange(1, p)
+    else:
+        low = [rng.randrange(p) for _ in range(deg)]
+    return tuple(low) + (lead,)
+
+
+def _sympy_factors(coeffs, p):
+    """[(monic factor as ascending tuple, multiplicity)] from sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+    out = []
+    for fac, mult in factors:
+        cs = [int(c) % p for c in reversed(fac.all_coeffs())]
+        inv = pow(cs[-1], -1, p)
+        out.append((tuple(c * inv % p for c in cs), mult))
+    return out
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("p", _ORACLE_PRIMES)
+    def test_degree_pattern_and_components(self, p):
+        rng = random.Random(f"oracle:{p}")
+        checked = attempts = 0
+        while checked < 10 and attempts < 60:
+            coeffs = _random_input(rng, p, sparse=attempts % 2 == 0)
+            attempts += 1
+            a = PrimePoly(p, coeffs)
+            factors = _sympy_factors(coeffs, p)
+            if any(mult > 1 for _, mult in factors):
+                with pytest.raises(NotSquarefree):
+                    degree_pattern(a)
+                continue
+            expected = tuple(sorted(len(fac) - 1 for fac, _ in factors))
+            assert degree_pattern(a) == expected, (p, coeffs)
+            prod = (1,)
+            for d, comp in distinct_degree_components(a):
+                assert comp.coeffs[-1] == 1
+                assert (len(comp.coeffs) - 1) == d * expected.count(d)
+                prod = _omul(prod, comp.coeffs, p)
+            inv = pow(coeffs[-1], -1, p)
+            assert prod == tuple(c * inv % p for c in coeffs), (p, coeffs)
+            checked += 1
+        assert checked == 10
+
+    @pytest.mark.parametrize(
+        "text, p",
+        [("x^6 + x + 1", p) for p in (2, 3, 5, 7)]
+        + [("x^4 + x^3 + x^2 + x + 1", 2), ("x^6 + x^5 + x^3 + x^2 + 1", 2)],
+    )
+    def test_factor_squarefree_matches(self, text, p):
+        a = reduce_mod_p(parse_poly(text), p)
+        factors = _sympy_factors(a.coeffs, p)
+        if any(mult > 1 for _, mult in factors):
+            pytest.skip(f"{text} is not squarefree mod {p}")
+        expected = sorted((fac for fac, _ in factors), key=lambda f: (len(f), f))
+        assert [fac.coeffs for fac in factor_squarefree(a)] == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 197, 2**61 - 1])
+    def test_factor_squarefree_random(self, p):
+        rng = random.Random(f"split:{p}")
+        for i in range(6):
+            coeffs = _random_input(rng, p, sparse=i % 2 == 0, max_deg=12)
+            factors = _sympy_factors(coeffs, p)
+            if any(mult > 1 for _, mult in factors):
+                continue
+            expected = sorted((fac for fac, _ in factors), key=lambda f: (len(f), f))
+            got = factor_squarefree(PrimePoly(p, coeffs))
+            assert [fac.coeffs for fac in got] == expected, (p, coeffs)
+
+
+class TestPackedKernel:
+    """The packed product against schoolbook arithmetic, at slot extremes.
+
+    With every coefficient p - 1 the unreduced low slots of a product reach
+    n(p-1)^2, and the reduction pass adds up to (n-1)(p-1)^2 more; where
+    n(p-1)^2 sits just below a power of two (n = 32 for the Mersenne
+    primes, n = 31 for p = 2) a slot one bit narrower would carry.
+    """
+
+    @pytest.mark.parametrize(
+        "p, n",
+        [(2, 31), (3, 40), (197, 40), (2**31 - 1, 32), (2**61 - 1, 32), (2**61 - 1, 1)],
+    )
+    def test_mul_matches_schoolbook(self, p, n):
+        rng = random.Random(f"kernel:{p}:{n}")
+        for _ in range(4):
+            f = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+            ring = _ModRing(f, p)
+            full = (p - 1,) * n
+            rand = tuple(rng.randrange(p) for _ in range(n))
+            for a, b in ((full, full), (full, rand), (rand, rand)):
+                got = _trim(tuple(ring.unpack(ring.mul(ring.pack(a), ring.pack(b)), n)))
+                _, want = _odivmod(_omul(_trim(a), _trim(b), p), f, p)
+                assert got == want, (p, n, a, b, f)
