@@ -320,10 +320,30 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _ParseState:
+    # Recursive descent spends a few interpreter frames per open parenthesis,
+    # so nesting is capped well below Python's recursion limit; deeper input
+    # raises PolySyntaxError instead of RecursionError.
+    MAX_NESTING = 100
+
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
         self.var: str | None = None
+        self.depth = 0
+
+    def open_paren(self) -> None:
+        self.next()
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise PolySyntaxError(
+                f"parentheses nested deeper than {self.MAX_NESTING} levels"
+            )
+
+    def close_paren(self, message: str) -> None:
+        if self.peek() != ")":
+            raise PolySyntaxError(message)
+        self.next()
+        self.depth -= 1
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -384,11 +404,9 @@ class _ParseState:
     def exponent(self) -> int:
         nxt = self.peek()
         if nxt == "(":
-            self.next()
+            self.open_paren()
             e = self.exponent()
-            if self.peek() != ")":
-                raise PolySyntaxError("expected ')' after exponent")
-            self.next()
+            self.close_paren("expected ')' after exponent")
             return e
         if nxt == "+":
             self.next()
@@ -421,11 +439,9 @@ class _ParseState:
                 )
             return UniPoly.variable(name)
         if nxt == "(":
-            self.next()
+            self.open_paren()
             inner = self.expr()
-            if self.peek() != ")":
-                raise PolySyntaxError("missing ')'")
-            self.next()
+            self.close_paren("missing ')'")
             return inner
         raise PolySyntaxError(
             "unexpected end of input" if nxt is None else f"unexpected token {nxt!r}"
@@ -433,7 +449,10 @@ class _ParseState:
 
 
 def parse_poly(text: str) -> UniPoly:
-    """Parse one-variable polynomial text into a canonical UniPoly."""
+    """Parse one-variable polynomial text into a canonical UniPoly.
+
+    Parentheses may nest at most ``_ParseState.MAX_NESTING`` (100) levels.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise PolySyntaxError("empty polynomial text")

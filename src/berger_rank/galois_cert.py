@@ -3,9 +3,11 @@
 For a squarefree f over Q of degree m >= 2, reducing mod a prime p that
 divides neither disc(f) nor the leading coefficient gives a factor-degree
 pattern equal to the cycle type of a Frobenius element of Gal(f) acting on
-the roots (Dedekind).  ``sample_cycle_types`` collects those observations
-for all usable p up to a bound; ``certify_galois`` then runs a fixed set of
-classical permutation-group rules over them:
+the roots (Dedekind).  Observations are taken at the usable primes in
+ascending order.  ``sample_cycle_types`` collects them for every usable p up
+to a bound; ``certify_galois`` runs a fixed set of classical
+permutation-group rules over them as they come and stops at the first prime
+where the observations so far prove a verdict, so the bound is only a cap:
 
   R-trans    some pattern is {m}, so the group is transitive.
   R-trans2   the subset-sum degree sets of all patterns intersect in {0, m},
@@ -25,9 +27,11 @@ classical permutation-group rules over them:
 
 The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
-strengthen it.  A square discriminant together with an odd observed pattern
-is mathematically impossible, so that combination raises
-``DiscSquareInconsistency`` and aborts rather than returning anything.
+strengthen it.  The rules only ask whether a pattern has been observed, so
+stopping at the first proof is sound; an ``Inconclusive`` certificate holds
+every usable prime up to the bound.  A square discriminant together with an
+odd observed pattern is mathematically impossible, so that combination
+raises ``DiscSquareInconsistency`` and aborts rather than returning anything.
 
 A ``GaloisCertificate`` stores the observations and fired rules, and
 ``replay_certificate`` re-runs the rule engine on the stored observations
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     DiscSquareInconsistency,
@@ -116,20 +121,28 @@ def sample_cycle_types(
     """
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
+    model, model_disc = _model_and_disc(f)
+    return tuple(_cycle_types(model, model_disc, prime_bound))
+
+
+def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction]:
+    """The primitive integer model of f and its (integer) discriminant."""
     model = integer_model(f)
     disc = discriminant(model)
     if disc == 0:
         raise NotSquarefree(f"{f} has a repeated root")
     assert disc.denominator == 1
-    bad = abs(disc.numerator) * abs(int(model.leading_coefficient))
-    observations = []
+    return model, disc
+
+
+def _cycle_types(
+    model: UniPoly, model_disc: Fraction, prime_bound: int
+) -> Iterator[CycleTypeObservation]:
+    """Observations at the good primes <= bound, ascending, one at a time."""
+    bad = abs(model_disc.numerator) * abs(int(model.leading_coefficient))
     for p in primes_up_to(prime_bound):
-        if bad % p == 0:
-            continue
-        observations.append(
-            CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p)))
-        )
-    return tuple(observations)
+        if bad % p:
+            yield CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p)))
 
 
 # -- rule engine -----------------------------------------------------------
@@ -296,16 +309,42 @@ def _evaluate_rules(
 
 @lru_cache(maxsize=512)
 def _certify_cached(f: UniPoly, prime_bound: int) -> GaloisCertificate:
-    observations = sample_cycle_types(f, prime_bound)
-    disc = discriminant(f)
-    disc_is_square = rational_is_square(disc)
     m: int = f.degree  # type: ignore[assignment]
-    verdict, fired = _evaluate_rules(m, disc_is_square, observations)
+    model, model_disc = _model_and_disc(f)
+    # f = scale * model, and disc(c * f) = c^(2m - 2) * disc(f)
+    scale = f.leading_coefficient / model.leading_coefficient
+    disc = model_disc * scale ** (2 * m - 2)
+    disc_is_square = rational_is_square(disc)
+
+    # The verdict depends only on the set of patterns observed, and no proven
+    # verdict fires without a transposition source or a Jordan prime part,
+    # so the rules are re-run on one observation per distinct pattern, and
+    # only once such a pattern has been seen.
+    observations: list[CycleTypeObservation] = []
+    first_seen: dict[DegreePattern, CycleTypeObservation] = {}
+    may_prove = False
+    for obs in _cycle_types(model, model_disc, prime_bound):
+        observations.append(obs)
+        if obs.pattern in first_seen:
+            continue
+        first_seen[obs.pattern] = obs
+        may_prove = may_prove or (
+            _is_transposition_source(obs.pattern)
+            or _jordan_length(obs.pattern, m) is not None
+        )
+        if may_prove:
+            verdict, _ = _evaluate_rules(
+                m, disc_is_square, tuple(first_seen.values())
+            )
+            if verdict is not GaloisVerdict.INCONCLUSIVE:
+                break
+
+    verdict, fired = _evaluate_rules(m, disc_is_square, tuple(observations))
     return GaloisCertificate(
         polynomial=f,
         disc=disc,
         disc_is_square=disc_is_square,
-        observations=observations,
+        observations=tuple(observations),
         rules_fired=fired,
         verdict=verdict,
     )

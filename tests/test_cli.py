@@ -155,6 +155,12 @@ class TestExitCodes:
         assert out == ""
         assert "PolySyntaxError" in err
 
+    def test_deep_nesting_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "poly-disc", "(" * 3000 + "x" + ")" * 3000)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: PolySyntaxError")
+
     def test_internal_failure_exits_2(self, capsys, monkeypatch):
         def broken(m, n):
             raise ParityBug("injected")

@@ -82,6 +82,19 @@ class TestParseRender:
         with pytest.raises(NonRationalCoefficient):
             parse_poly("1/0")
 
+    def test_nesting_cap(self):
+        cap = 100  # _ParseState.MAX_NESTING, documented in parse_poly
+        assert parse_poly("(" * cap + "x" + ")" * cap) == X
+        assert parse_poly("x^" + "(" * cap + "2" + ")" * cap) == X**2
+        assert parse_poly("(x)" * 3 * cap) == X ** (3 * cap)  # siblings do not nest
+        for text in (
+            "(" * (cap + 1) + "x" + ")" * (cap + 1),
+            "x^" + "(" * (cap + 1) + "2" + ")" * (cap + 1),
+            "(" * cap + "x^(2)" + ")" * cap,  # both kinds count together
+        ):
+            with pytest.raises(PolySyntaxError, match="nested deeper"):
+                parse_poly(text)
+
     @given(polys())
     @settings(max_examples=150)
     def test_parse_render_roundtrip(self, a):

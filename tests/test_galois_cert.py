@@ -1,5 +1,7 @@
 """Galois-group certification: verdicts, rule soundness, replayability."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,9 @@ from berger_rank import (
     PatternReplayMismatch,
     UniPoly,
     certify_galois,
+    discriminant,
     galois_over_function_field,
+    integer_model,
     parse_poly,
     rational_is_square,
     replay_certificate,
@@ -166,6 +170,86 @@ class TestReplay:
         with pytest.raises(PatternReplayMismatch) as info:
             replay_certificate(tampered, deep=True)
         assert isinstance(info.value, InternalCheckError)  # CLI exit code 2
+
+
+X = UniPoly((0, 1))
+
+
+def _chebyshev(n):
+    prev, cur = UniPoly((1,)), X
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * X * cur - prev
+    return cur
+
+
+def _cyclotomic(n):
+    out = X**n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            out = out // _cyclotomic(d)
+    return out
+
+
+# Degree 7-12 polynomials whose Galois group does not contain Alt(m): it
+# lies in a wreath product, an affine group, a dihedral or an abelian group.
+UNPROVABLE = [
+    parse_poly("x^8 - 3x^6 + x^4 + 2x^2 - 5"),  # f(x^2)
+    parse_poly("x^10 + 4x^8 - x^2 + 7"),
+    parse_poly("x^12 - x^10 + 2x^4 - 3"),
+    parse_poly("x^7 - 3"),  # x^n - a
+    parse_poly("x^9 + 5"),
+    parse_poly("x^11 - 12"),
+    _chebyshev(7) - 3,  # T_n - c
+    _chebyshev(10) + 5,
+    _chebyshev(12) - 2,
+    _cyclotomic(15),  # Phi_n, degree 8
+    _cyclotomic(11),  # degree 10
+    _cyclotomic(13),  # degree 12
+]
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("f", UNPROVABLE, ids=lambda f: f.render())
+    def test_unprovable_families_sample_in_full(self, f):
+        cert = certify_galois(f)
+        assert 7 <= f.degree <= 12
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.observations == sample_cycle_types(f, 200)
+
+    @pytest.mark.parametrize("m", range(7, 13))
+    def test_trinomial_stops_at_first_proof(self, m):
+        # Gal(x^m - x - 1) = Sym(m) (Osada)
+        f = parse_poly(f"x^{m} - x - 1")
+        cert = certify_galois(f)
+        assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        obs = cert.observations
+        assert obs == sample_cycle_types(f, obs[-1].p)
+        assert replay_certificate(cert, deep=True) is cert.verdict
+        shorter = replace(cert, observations=obs[:-1])
+        assert replay_certificate(shorter) is GaloisVerdict.INCONCLUSIVE
+
+    @given(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=9),
+        st.integers(1, 3),
+        st.integers(2, 200),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_equals_full_sampling(self, low, lead, bound):
+        f = UniPoly(tuple(low) + (lead,))
+        if discriminant(f) == 0:
+            return
+        cert = certify_galois(f, prime_bound=bound)
+        full = sample_cycle_types(f, bound)
+        verdict, _ = _evaluate_rules(f.degree, cert.disc_is_square, full)
+        assert cert.verdict is verdict
+        assert cert.observations == full[: len(cert.observations)]
+
+    def test_discriminant_of_rational_polynomial(self):
+        # the stored discriminant is rescaled from the integer model's
+        f = parse_poly("x^5/6 - 2x^2/3 + 5/4")
+        cert = certify_galois(f)
+        assert cert.disc == discriminant(f)
+        assert cert.disc != discriminant(integer_model(f))
 
 
 class TestFunctionField:
