@@ -32,6 +32,8 @@ stopping at the first proof is sound; an ``Inconclusive`` certificate holds
 every usable prime up to the bound.  A square discriminant together with an
 odd observed pattern is mathematically impossible, so that combination
 raises ``DiscSquareInconsistency`` and aborts rather than returning anything.
+The guard sees only the observations a certificate holds, so on a proven
+certificate it covers the primes up to the proving prime, not the bound.
 
 A ``GaloisCertificate`` stores the observations and fired rules, and
 ``replay_certificate`` re-runs the rule engine on the stored observations

@@ -1,6 +1,8 @@
 """Galois-group certification: verdicts, rule soundness, replayability."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,11 @@ def _cyclotomic(n):
     return out
 
 
+def _truncated_exp(n):
+    # sum of x^k / k! for k <= n; its Galois group is Alt(n) when 4 | n
+    return UniPoly(tuple(Fraction(1, math.factorial(k)) for k in range(n + 1)))
+
+
 # Degree 7-12 polynomials whose Galois group does not contain Alt(m): it
 # lies in a wreath product, an affine group, a dihedral or an abelian group.
 UNPROVABLE = [
@@ -243,6 +250,31 @@ class TestEarlyStop:
         verdict, _ = _evaluate_rules(f.degree, cert.disc_is_square, full)
         assert cert.verdict is verdict
         assert cert.observations == full[: len(cert.observations)]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            parse_poly("x^3 - 3x - 1"),  # Alt(3)
+            parse_poly("x^5 + 20x + 16"),  # Alt(5)
+            _truncated_exp(8),  # Alt(8) (Schur)
+            _truncated_exp(12),  # Alt(12)
+        ],
+        ids=lambda f: f"m={f.degree}",
+    )
+    def test_square_disc_guard_sees_every_prime(self, f):
+        # a proven certificate's guard covers only its prefix, so the parity
+        # and degree-sum checks are run here over the full sample
+        m = f.degree
+        assert rational_is_square(discriminant(f))
+        full = sample_cycle_types(f, 200)
+        assert len(full) >= 40
+        verdict, _ = _evaluate_rules(m, True, full)
+        cert = certify_galois(f)
+        assert verdict is cert.verdict
+        assert cert.observations == full[: len(cert.observations)]
+        if m >= 8:
+            assert verdict is GaloisVerdict.PROVEN_ALTERNATING
+            assert len(cert.observations) < len(full)
 
     def test_discriminant_of_rational_polynomial(self):
         # the stored discriminant is rescaled from the integer model's
