@@ -56,33 +56,19 @@ from .galois_cert import (
     DEFAULT_PRIME_BOUND,
     GaloisCertificate,
     certify_galois,
-    replay_certificate,
 )
 from .jacobian_invariants import (
     berger_genus,
-    c2,
     decomposition_table,
     dim_new_part,
     dim_superelliptic,
 )
 from .morse_scan import disjointness_filter, is_morse, scan_A_h
-from .rank_engine import RankVerdict, VerdictKind, rank_table, rank_verdict
+from .rank_engine import RankVerdict, rank_table, rank_verdict
 
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = "1"
-
-_VISIBLE_COMMANDS = (
-    "poly-disc",
-    "galois",
-    "genus",
-    "dims",
-    "decomp",
-    "rank",
-    "rank-table",
-    "morse",
-    "scan",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -404,152 +390,6 @@ def _cmd_scan(args) -> tuple[dict, list[str], list[str], list[str]]:
     return _envelope("scan", result, warning_texts), human, warning_texts, []
 
 
-# -- regression suite ------------------------------------------------------------
-
-
-def _regression_checks():
-    """Yield (label, passed, detail) for the bundled example computations."""
-    x4a = parse_poly("x^4 - x - 1")
-    x4b = parse_poly("x^4 - x + 2")
-    g2 = parse_poly("y^2 - 1")
-    certs: list[GaloisCertificate] = []
-
-    d1 = discriminant(x4a)
-    yield "disc(x^4-x-1) = -283", d1 == -283, f"got {d1}"
-    d2 = discriminant(x4b)
-    yield "disc(x^4-x+2) = 2021", d2 == 2021, f"got {d2}"
-    yield (
-        "squarefree part of 2021",
-        int_squarefree_part(2021) == 2021,
-        f"got {int_squarefree_part(2021)}",
-    )
-    fac = factor_int(2021)
-    yield "2021 = 43 * 47", fac == {43: 1, 47: 1}, f"got {fac}"
-
-    cert_b = certify_galois(x4b, prime_bound=5)
-    certs.append(cert_b)
-    obs = {(ob.p, ob.pattern) for ob in cert_b.observations}
-    want = {(2, (1, 1, 2)), (3, (4,)), (5, (1, 3))}
-    yield (
-        "galois x^4-x+2 at bound 5: ProvenSymmetric",
-        cert_b.verdict.value == "ProvenSymmetric",
-        f"got {cert_b.verdict.value}",
-    )
-    yield "cycle types at p = 2, 3, 5", obs == want, f"got {sorted(obs)}"
-
-    cert_a = certify_galois(x4a)
-    certs.append(cert_a)
-    yield (
-        "galois x^4-x-1: ProvenSymmetric",
-        cert_a.verdict.value == "ProvenSymmetric",
-        f"got {cert_a.verdict.value}",
-    )
-
-    v = rank_verdict(parse_poly("x^5 - x - 1"), g2, 7, 2)
-    yield (
-        "rank x^5-x-1 / y^2-1 at p=7 r=2: ExactRank 4",
-        v.kind is VerdictKind.EXACT_RANK and v.rank == 4,
-        f"got {v.kind.value} {v.rank}",
-    )
-
-    for m in (5, 7, 9):
-        f = parse_poly(f"x^{m} - x - 1")
-        ok = True
-        detail = ""
-        for p in (2, 7):
-            for r in (0, 2):
-                w = rank_verdict(f, g2, p, r)
-                if not (w.kind is VerdictKind.EXACT_RANK and w.rank == m - 1):
-                    ok = False
-                    detail = f"p={p} r={r} gave {w.kind.value} {w.rank}"
-                for h in w.hypotheses:
-                    cert = h.evidence.get("certificate")
-                    if cert is not None:
-                        certs.append(cert)
-        yield f"hyperelliptic tower m={m}: rank {m - 1} at all layers", ok, detail
-
-    g3 = parse_poly("y^3 - 1")
-    v = rank_verdict(parse_poly("x^5 - x - 1"), g3, 5, 1)
-    yield (
-        "superelliptic (5,3) at q=5: ExactRank 8",
-        v.kind is VerdictKind.EXACT_RANK and v.rank == 8,
-        f"got {v.kind.value} {v.rank}",
-    )
-    v = rank_verdict(parse_poly("x^9 - x - 1"), g3, 3, 1)
-    yield (
-        "superelliptic (9,3) at q=3: ExactRank 18",
-        v.kind is VerdictKind.EXACT_RANK and v.rank == 18,
-        f"got {v.kind.value} {v.rank}",
-    )
-
-    f5 = parse_poly("x^5 - x - 1")
-    g5 = parse_poly("y^5 - 1")
-    tbl = rank_table(f5, g5, 5, 1)
-    got = [(w.layer.r, w.rank) for w in tbl]
-    yield (
-        "matched degrees (5,5): rank 16 then 20",
-        got == [(0, 16), (1, 20)],
-        f"got {got}",
-    )
-
-    v = rank_verdict(parse_poly("x^6 - x - 1"), g2, 3, 1)
-    yield (
-        "even-degree tower m=6: ExactRank 5 with constant note",
-        v.kind is VerdictKind.EXACT_RANK
-        and v.rank == 5
-        and any("2g_X+gcd(q,2)-1" in note for note in v.notes),
-        f"got {v.kind.value} {v.rank}",
-    )
-
-    v = rank_verdict(x4a, g2, 283, 1)
-    yield (
-        "quartic exclusion p=283: Inconclusive",
-        v.kind is VerdictKind.INCONCLUSIVE,
-        f"got {v.kind.value}",
-    )
-    v = rank_verdict(x4a, g2, 3, 1)
-    yield (
-        "quartic p=3: ExactRank 3",
-        v.kind is VerdictKind.EXACT_RANK and v.rank == 3,
-        f"got {v.kind.value} {v.rank}",
-    )
-
-    morse_ok = all(is_morse(parse_poly(f"x^{m} - x")).is_morse for m in range(2, 10))
-    yield "x^m - x is Morse for m = 2..9", morse_ok, ""
-    yield "x^3 is not Morse", not is_morse(parse_poly("x^3")).is_morse, ""
-    yield (
-        "x^4 - 2x^2 is not Morse",
-        not is_morse(parse_poly("x^4 - 2x^2")).is_morse,
-        "",
-    )
-
-    replay_ok = True
-    detail = ""
-    seen = 0
-    for cert in certs:
-        if replay_certificate(cert) is not cert.verdict:
-            replay_ok = False
-            detail = f"certificate for {cert.polynomial.render()} did not replay"
-            break
-        seen += 1
-    yield f"certificate replay ({seen} certificates)", replay_ok, detail
-
-
-def _cmd_examples(_args) -> int:
-    passed = 0
-    failed = 0
-    for label, ok, detail in _regression_checks():
-        if ok:
-            passed += 1
-            print(f"PASS  {label}")
-        else:
-            failed += 1
-            suffix = f"  [{detail}]" if detail else ""
-            print(f"FAIL  {label}{suffix}")
-    print(f"{passed + failed} checks: {passed} passed, {failed} failed")
-    return 0 if failed == 0 else 2
-
-
 # -- argument parsing and dispatch ----------------------------------------------
 
 
@@ -567,15 +407,10 @@ def _build_parser() -> _Parser:
         description="Certified rank verdicts for Jacobians of the curves "
         "f(x) = t g(y) along prime-power towers k(t^(1/p^r)).",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        metavar="{" + ",".join(_VISIBLE_COMMANDS) + "}",
-        required=True,
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text=None, hidden=False):
-        kwargs = {} if hidden else {"help": help_text}
-        p = sub.add_parser(name, description=help_text, **kwargs)
+    def add(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
         return p
@@ -644,7 +479,6 @@ def _build_parser() -> _Parser:
         help="parallel certification workers (default BERGER_RANK_JOBS or 1)",
     )
 
-    add("paper-examples", _cmd_examples, hidden=True)
     return parser
 
 
@@ -652,8 +486,6 @@ def run(argv: list[str]) -> int:
     """Parse argv, dispatch, print the output, and return the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.func is _cmd_examples:
-        return _cmd_examples(args)
     envelope, human, warning_texts, _notes = args.func(args)
     if args.json:
         print(json.dumps(envelope, indent=2))

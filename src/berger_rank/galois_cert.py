@@ -20,8 +20,6 @@ where the observations so far prove a verdict, so the bound is only a cap:
              m/2 < L < m - 2 forces the group to contain Alt(m).
   R-prime-deg  m prime + transitive + transposition proves Sym(m).
   R-classic  transitive + transposition + (m-1)-cycle proves Sym(m).
-  R-s4       m = 4: a 4-cycle and a transposition generate Sym(4) or a
-             dihedral group of order 8; a 3-cycle rules the latter out.
   R-sign     once Alt(m) is inside: nonsquare disc proves Sym(m), square
              disc proves Alt(m).
 
@@ -29,9 +27,11 @@ The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
 stopping at the first proof is sound; an ``Inconclusive`` certificate holds
-every usable prime up to the bound.  A square discriminant together with an
-odd observed pattern is mathematically impossible, so that combination
-raises ``DiscSquareInconsistency`` and aborts rather than returning anything.
+every usable prime up to the bound.  Bounds above ``MAX_PRIME_BOUND`` raise
+``InvalidInput`` before the prime sieve is allocated.  A square discriminant
+together with an odd observed pattern is mathematically impossible, so that
+combination raises ``DiscSquareInconsistency`` and aborts rather than
+returning anything.
 The guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
@@ -73,17 +73,19 @@ __all__ = [
     "sample_cycle_types",
     "certify_galois",
     "replay_certificate",
-    "galois_over_function_field",
     "DEFAULT_PRIME_BOUND",
+    "MAX_PRIME_BOUND",
 ]
 
 DEFAULT_PRIME_BOUND = 200
+# The prime sieve allocates prime_bound + 1 bytes, so larger bounds are
+# rejected before any work is done.
+MAX_PRIME_BOUND = 10**6
 
 
 class GaloisVerdict(Enum):
     PROVEN_SYMMETRIC = "ProvenSymmetric"
     PROVEN_ALTERNATING = "ProvenAlternating"
-    PROVEN_CONTAINS_ALTERNATING = "ProvenContainsAlternating"
     INCONCLUSIVE = "Inconclusive"
 
 
@@ -121,6 +123,8 @@ def sample_cycle_types(
     coefficient of the primitive integer model of f, so the pattern mod p is
     squarefree and has full degree.
     """
+    if prime_bound > MAX_PRIME_BOUND:
+        raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
     model, model_disc = _model_and_disc(f)
@@ -229,9 +233,8 @@ def _evaluate_rules(
             )
         )
 
-    m_cycle = full_obs
-    if m_cycle is not None:
-        fired.append(RuleFiring("R-mcycle", (m_cycle.p,), f"{m}-cycle"))
+    if full_obs is not None:
+        fired.append(RuleFiring("R-mcycle", (full_obs.p,), f"{m}-cycle"))
     m1_cycle = None
     if m >= 3:
         m1_cycle = next(
@@ -249,17 +252,7 @@ def _evaluate_rules(
                 break
 
     verdict = GaloisVerdict.INCONCLUSIVE
-    if m == 4 and transitive and transpo and m_cycle and m1_cycle:
-        fired.append(
-            RuleFiring(
-                "R-s4",
-                tuple(sorted({transpo.p, m_cycle.p, m1_cycle.p})),
-                "4-cycle + transposition give Sym(4) or dihedral; 3-cycle "
-                "excludes dihedral",
-            )
-        )
-        verdict = GaloisVerdict.PROVEN_SYMMETRIC
-    elif is_prime(m) and transitive and transpo:
+    if is_prime(m) and transitive and transpo:
         fired.append(
             RuleFiring(
                 "R-prime-deg",
@@ -358,6 +351,8 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
         raise InvalidInput("Galois certification needs degree >= 2")
     if prime_bound < 2:
         raise InvalidInput("prime_bound must be >= 2")
+    if prime_bound > MAX_PRIME_BOUND:
+        raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
     return _certify_cached(f, prime_bound)
 
 
@@ -384,18 +379,3 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
     return verdict
 
-
-def galois_over_function_field(h: UniPoly) -> GaloisVerdict:
-    """Verdict for Gal(h(x) - t) over the rational function field in t.
-
-    A Morse polynomial of degree m has the full symmetric group there; that
-    is the only criterion mechanized here, so the answer is ProvenSymmetric
-    or Inconclusive.
-    """
-    from .morse_scan import is_morse  # deferred, morse_scan imports this module
-
-    return (
-        GaloisVerdict.PROVEN_SYMMETRIC
-        if is_morse(h).is_morse
-        else GaloisVerdict.INCONCLUSIVE
-    )

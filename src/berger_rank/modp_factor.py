@@ -22,19 +22,11 @@ products mod f go through one kernel, ``_ModRing``: an element is packed
 into a single int by Kronecker substitution with slots wide enough that
 sums of products never carry, so a product is one big-int multiplication
 plus one reduction pass against a packed table of x^(n+k) mod f.
-
-``factor_squarefree`` goes on to split every distinct-degree component into
-the actual irreducible factors (Cantor-Zassenhaus for odd p, the trace-map
-variant for p = 2), on the same kernel.  The splitting randomness comes from
-a ``random.Random`` seeded with the input polynomial, so runs are
-reproducible.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DenominatorDivisibleByP, NotSquarefree
 from .exact_poly import UniPoly, is_prime
@@ -45,8 +37,6 @@ __all__ = [
     "reduce_mod_p",
     "degree_pattern",
     "distinct_degree_components",
-    "factor_squarefree",
-    "is_irreducible_mod_p",
 ]
 
 DegreePattern = tuple[int, ...]  # sorted ascending, sums to the degree
@@ -282,57 +272,3 @@ def degree_pattern(a: PrimePoly) -> DegreePattern:
         assert deg % d == 0
         pattern.extend([d] * (deg // d))
     return tuple(sorted(pattern))
-
-
-def _split_component(u: tuple, d: int, p: int, rng: random.Random) -> list[tuple]:
-    """Split a monic product of degree-d irreducibles into its factors."""
-    if len(u) - 1 == d:
-        return [u]
-    ring = _ModRing(u, p)
-    n = ring.n
-    while True:
-        r = _trim([rng.randrange(p) for _ in range(n)])
-        if len(r) < 2:  # constants never split anything
-            continue
-        if p == 2:
-            # trace map r + r^2 + ... + r^(2^(d-1)) mod u; d <= n terms of
-            # 0/1 slots cannot carry
-            acc = total = ring.pack(r)
-            for _ in range(d - 1):
-                acc = ring.mul(acc, acc)
-                total += acc
-            g = _gcd(_trim(ring.unpack(total, n)), u, p)
-        else:
-            w = ring.unpack(ring.pow(ring.pack(r), (p ** d - 1) // 2), n)
-            g = _gcd(_sub(w, (1,), p), u, p)
-        if 0 < len(g) - 1 < len(u) - 1:
-            quotient, rem = _divmod(u, g, p)
-            assert not rem
-            return _split_component(g, d, p, rng) + _split_component(
-                quotient, d, p, rng
-            )
-
-
-def factor_squarefree(a: PrimePoly) -> list[PrimePoly]:
-    """Monic irreducible factors of squarefree a, deterministic order."""
-    p = a.p
-    factors: list[tuple] = []
-    rng = random.Random(f"{p}:{a.coeffs}")
-    for d, comp in distinct_degree_components(a):
-        factors.extend(_split_component(comp.coeffs, d, p, rng))
-    factors.sort(key=lambda f: (len(f), f))
-    return [PrimePoly(p, f) for f in factors]
-
-
-def is_irreducible_mod_p(a: PrimePoly) -> bool:
-    """True iff a is irreducible over F_p (degree >= 1 required)."""
-    if a.degree is None or a.degree < 1:
-        raise ValueError("irreducibility needs degree >= 1")
-    if a.degree == 1:
-        return True
-    cs = _monic(a.coeffs, a.p)
-    d = _derivative(cs, a.p)
-    # repeated factor means reducible at degree >= 2
-    if not d or len(_gcd(cs, d, a.p)) > 1:
-        return False
-    return degree_pattern(a) == (a.degree,)

@@ -9,9 +9,11 @@ Both halves reduce to exact squarefreeness checks:
   polynomial of degree m - 1 in t, and they are pairwise distinct (given
   simple critical points) iff D is squarefree, i.e. disc(D) != 0.
 
-D is computed by a subresultant PRS whose coefficients are exact
-polynomials in t (only the constant x-coefficient of h(x) - t involves t),
-so no general multivariate stack is needed.
+D is computed by evaluation and interpolation: D(i) = Res_x(h(x) - i, h'(x))
+for i = 0 .. m - 1 by the integer subresultant ``resultant``, then Newton
+interpolation over Q.  This is exact because the leading x-coefficient of
+h(x) - t does not depend on t, so evaluating at t = i commutes with taking
+the resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.
 
 ``scan_A_h`` walks an integer range of constants c and reports, for each,
 whether Gal(h - c) is provably the full symmetric group.  True only ever
@@ -38,8 +40,8 @@ from .exact_poly import (
     int_squarefree_part,
     integer_model,
     factor_int,
-    poly_divmod,
     poly_gcd,
+    resultant,
 )
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
@@ -81,83 +83,24 @@ class ScanResult:
     reason: str
 
 
-# -- bivariate resultant with UniPoly coefficients ------------------------------
-
-
-def _bi_trim(A: list[UniPoly]) -> list[UniPoly]:
-    while A and A[-1].is_zero:
-        A.pop()
-    return A
-
-
-def _bi_exact_div(c: UniPoly, d: UniPoly) -> UniPoly:
-    q, r = poly_divmod(c, d)
-    assert r.is_zero, "subresultant division was not exact"
-    return q
-
-
-def _bi_prem(A: list[UniPoly], B: list[UniPoly]) -> list[UniPoly]:
-    """Pseudo-remainder over Q[t][x]: lc(B)^(dA-dB+1) A mod B."""
-    dB = len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    e = len(A) - 1 - dB + 1
-    while R and len(R) - 1 >= dB:
-        lr = R[-1]
-        shift = len(R) - 1 - dB
-        R = [lb * c for c in R]
-        for i, bc in enumerate(B):
-            R[shift + i] = R[shift + i] - lr * bc
-        _bi_trim(R)
-        e -= 1
-    if e > 0:
-        scale = lb ** e
-        R = [scale * c for c in R]
-    return R
-
-
-def _bi_resultant(A: list[UniPoly], B: list[UniPoly]) -> UniPoly:
-    """Res_x of two nonzero polynomials in x with Q[t] coefficients."""
-    one = UniPoly.constant(1, A[0].var if A else "t")
-    s = 1
-    if len(A) < len(B):
-        if (len(A) - 1) % 2 == 1 and (len(B) - 1) % 2 == 1:
-            s = -s
-        A, B = B, A
-    g = h = one
-    while len(B) - 1 > 0:
-        delta = (len(A) - 1) - (len(B) - 1)
-        if (len(A) - 1) % 2 == 1 and (len(B) - 1) % 2 == 1:
-            s = -s
-        R = _bi_prem(A, B)
-        A = B
-        if not R:
-            return UniPoly((), one.var)
-        divisor = g * h ** delta
-        B = [_bi_exact_div(c, divisor) for c in R]
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _bi_exact_div(g ** delta, h ** (delta - 1))
-    if len(A) - 1 == 0:
-        return one if s > 0 else -one
-    dA = len(A) - 1
-    res = _bi_exact_div(B[0] ** dA, h ** (dA - 1))
-    return res if s > 0 else -res
-
-
 def critical_value_resultant(h: UniPoly) -> UniPoly:
     """D(t) = Res_x(h(x) - t, h'(x)), whose roots are the critical values."""
     if h.degree is None or h.degree < 2:
         raise InvalidInput("critical values need degree >= 2")
     tvar = "t" if h.var != "t" else "u"
-    A = [UniPoly((c,), tvar) for c in h.coeffs]
-    A[0] = UniPoly((h.coeffs[0], -1), tvar)  # constant coefficient h0 - t
-    B = [UniPoly((c,), tvar) for c in derivative(h).coeffs]
-    D = _bi_resultant(A, B)
+    m = h.degree
+    hp = derivative(h)
+    # Newton divided differences of D at the nodes 0 .. m - 1
+    newton = [resultant(h - i, hp) for i in range(m)]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / j
+    t = UniPoly.variable(tvar)
+    D = UniPoly.constant(newton[-1], tvar)
+    for k in range(m - 2, -1, -1):
+        D = D * (t - k) + newton[k]
     # one linear-in-t factor per critical point, counted with multiplicity
-    assert D.degree == h.degree - 1, "critical-value polynomial has wrong degree"
+    assert D.degree == m - 1, "critical-value polynomial has wrong degree"
     return D
 
 

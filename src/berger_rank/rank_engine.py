@@ -76,17 +76,25 @@ __all__ = [
     "rank_table",
 ]
 
-_PROVEN_CONTAINS_ALT = (
-    GaloisVerdict.PROVEN_SYMMETRIC,
-    GaloisVerdict.PROVEN_ALTERNATING,
-    GaloisVerdict.PROVEN_CONTAINS_ALTERNATING,
-)
-
 
 class Status(Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
     UNKNOWN = "Unknown"
+
+
+def _kleene(*statuses: Status, any_of: bool = False) -> Status:
+    """Three-valued AND of the statuses, or OR with any_of (Kleene logic).
+
+    One Fails (for OR, one Holds) decides; otherwise any Unknown leaves the
+    result Unknown.
+    """
+    decisive = Status.HOLDS if any_of else Status.FAILS
+    if decisive in statuses:
+        return decisive
+    if Status.UNKNOWN in statuses:
+        return Status.UNKNOWN
+    return Status.FAILS if any_of else Status.HOLDS
 
 
 class VerdictKind(Enum):
@@ -147,7 +155,8 @@ def _galois_status(verdict: GaloisVerdict, need_symmetric: bool) -> Status:
         if verdict is GaloisVerdict.PROVEN_ALTERNATING:
             return Status.FAILS
         return Status.UNKNOWN
-    return Status.HOLDS if verdict in _PROVEN_CONTAINS_ALT else Status.UNKNOWN
+    # every proven verdict is Sym(m) or Alt(m), both of which contain Alt(m)
+    return Status.UNKNOWN if verdict is GaloisVerdict.INCONCLUSIVE else Status.HOLDS
 
 
 def _galois_record(name: str, cert: GaloisCertificate, need_symmetric: bool) -> HypothesisRecord:
@@ -222,14 +231,11 @@ def _quartic_side_conditions(
     f: UniPoly, p: int
 ) -> tuple[list[HypothesisRecord], Status]:
     """p odd plus ((i) or (ii)) for a quartic; shared by both routes."""
-    records = []
     p_odd = p != 2
-    records.append(
-        HypothesisRecord(
-            "p-odd",
-            Status.HOLDS if p_odd else Status.FAILS,
-            {"p": p},
-        )
+    rec_odd = HypothesisRecord(
+        "p-odd",
+        Status.HOLDS if p_odd else Status.FAILS,
+        {"p": p},
     )
     if p_odd:
         rec_i = quadratic_disjoint(f, p)
@@ -238,16 +244,8 @@ def _quartic_side_conditions(
         reason = {"reason": "not evaluated, p = 2 already fails the route"}
         rec_i = HypothesisRecord("quadratic-disjoint", Status.UNKNOWN, reason)
         rec_ii = HypothesisRecord("unramified", Status.UNKNOWN, reason)
-    records += [rec_i, rec_ii]
-    if rec_i.status is Status.HOLDS or rec_ii.status is Status.HOLDS:
-        disjunction = Status.HOLDS
-    elif rec_i.status is Status.FAILS and rec_ii.status is Status.FAILS:
-        disjunction = Status.FAILS
-    else:
-        disjunction = Status.UNKNOWN
-    if not p_odd:
-        disjunction = Status.FAILS
-    return records, disjunction
+    side = _kleene(rec_odd.status, _kleene(rec_i.status, rec_ii.status, any_of=True))
+    return [rec_odd, rec_i, rec_ii], side
 
 
 def check_hom_vanishing_cm(
@@ -285,16 +283,10 @@ def check_hom_vanishing_cm(
     records.append(galois_rec)
     side_records, disjunction = _quartic_side_conditions(f, p)
     records += side_records
-    if galois_rec.status is Status.HOLDS and disjunction is Status.HOLDS:
-        overall = Status.HOLDS
-    elif galois_rec.status is Status.FAILS or disjunction is Status.FAILS:
-        overall = Status.FAILS
-    else:
-        overall = Status.UNKNOWN
     records.append(
         HypothesisRecord(
             "hom-vanishing-cm",
-            overall,
+            _kleene(galois_rec.status, disjunction),
             {
                 "argument": (
                     "deg f = 4 needs p odd, Gal(f) = Sym(4), and a quadratic "
@@ -332,18 +324,8 @@ def check_hom_mgtn(
         records.append(rec_g)
         side_records, disjunction = _quartic_side_conditions(g, p)
         records += side_records
-        if rec_g.status is Status.HOLDS and disjunction is Status.HOLDS:
-            g_side = Status.HOLDS
-        elif rec_g.status is Status.FAILS or disjunction is Status.FAILS:
-            g_side = Status.FAILS
-        else:
-            g_side = Status.UNKNOWN
-    if rec_f.status is Status.HOLDS and g_side is Status.HOLDS:
-        bounded = Status.HOLDS
-    elif rec_f.status is Status.FAILS or g_side is Status.FAILS:
-        bounded = Status.FAILS
-    else:
-        bounded = Status.UNKNOWN
+        g_side = _kleene(rec_g.status, disjunction)
+    bounded = _kleene(rec_f.status, g_side)
     records.append(
         HypothesisRecord(
             "hom-bounded",

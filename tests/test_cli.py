@@ -1,10 +1,12 @@
 """Command-line behavior: envelopes, exit codes, mode parity, fault injection."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import berger_rank.cli as cli
+from berger_rank import MAX_PRIME_BOUND
 from berger_rank.errors import ParityBug
 
 
@@ -137,6 +139,9 @@ class TestExitCodes:
             ("dims", "1", "2"),
             ("scan", "x^5-x", "--c-range", "oops"),
             ("scan", "x^5-x", "--c-range=2..-2"),
+            ("galois", "x^4-x+2", "--prime-bound", str(MAX_PRIME_BOUND + 1)),
+            ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "1",
+             "--prime-bound", str(MAX_PRIME_BOUND + 1)),
         ]
         for argv in cases:
             code, out, err = run_cli(capsys, *argv)
@@ -181,22 +186,31 @@ class TestExitCodes:
 
 
 class TestRegressionSuite:
-    def test_bundled_examples_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "paper-examples")
-        assert code == 0
-        lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert lines
-        assert all(line.startswith("PASS") for line in lines)
-        assert "0 failed" in out
-
     def test_hidden_from_help(self, capsys):
         code, out, err = run_cli(capsys, "--help")
         # argparse --help raises SystemExit(0); the listing must show every
-        # public command and keep the regression command out of sight
+        # public command and no removed one
         assert code == 0
         assert "paper-examples" not in out + err
         for name in ("poly-disc", "galois", "rank-table", "scan"):
             assert name in out
+        # the former hidden regression command is now an unknown command
+        code, out, err = run_cli(capsys, "paper-examples")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'paper-examples'" in err
+
+    def test_readme_galois_example(self, capsys):
+        # the fenced galois example in README.md is this command's output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        prompt = '$ berger-rank galois "x^4 - x + 2" --prime-bound 5\n'
+        block = readme[readme.index(prompt) + len(prompt):]
+        expected = block[: block.index("```")]
+        code, out, err = run_cli(
+            capsys, "galois", "x^4 - x + 2", "--prime-bound", "5"
+        )
+        assert code == 0, err
+        assert out == expected
 
 
 class TestJobsFlag:

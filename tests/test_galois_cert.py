@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berger_rank import (
+    MAX_PRIME_BOUND,
     DiscSquareInconsistency,
     GaloisVerdict,
     InternalCheckError,
@@ -18,7 +19,6 @@ from berger_rank import (
     UniPoly,
     certify_galois,
     discriminant,
-    galois_over_function_field,
     integer_model,
     parse_poly,
     rational_is_square,
@@ -27,11 +27,7 @@ from berger_rank import (
 )
 from berger_rank.galois_cert import CycleTypeObservation, _evaluate_rules
 
-PROVEN = {
-    GaloisVerdict.PROVEN_SYMMETRIC,
-    GaloisVerdict.PROVEN_ALTERNATING,
-    GaloisVerdict.PROVEN_CONTAINS_ALTERNATING,
-}
+PROVEN = {GaloisVerdict.PROVEN_SYMMETRIC, GaloisVerdict.PROVEN_ALTERNATING}
 
 
 class TestSampling:
@@ -94,11 +90,21 @@ class TestVerdicts:
         cert = certify_galois(parse_poly("x^2 + 1"))
         assert cert.verdict in PROVEN | {GaloisVerdict.INCONCLUSIVE}
 
-    def test_inputs_rejected(self):
+    def test_inputs_rejected(self, monkeypatch):
         with pytest.raises(InvalidInput):
             certify_galois(parse_poly("x - 1"))
         with pytest.raises(InvalidInput):
             certify_galois(parse_poly("x^4 - x - 1"), prime_bound=1)
+        # the prime-bound cap is checked before the sieve is allocated
+        import berger_rank.galois_cert as gc
+
+        def no_sieve(n):
+            raise AssertionError(f"sieve allocated for bound {n}")
+
+        monkeypatch.setattr(gc, "primes_up_to", no_sieve)
+        for call in (certify_galois, sample_cycle_types):
+            with pytest.raises(InvalidInput, match="prime_bound"):
+                call(parse_poly("x^4 - x - 1"), MAX_PRIME_BOUND + 1)
 
 
 class TestSoundness:
@@ -283,20 +289,3 @@ class TestEarlyStop:
         assert cert.disc == discriminant(f)
         assert cert.disc != discriminant(integer_model(f))
 
-
-class TestFunctionField:
-    def test_morse_gives_symmetric(self):
-        assert galois_over_function_field(parse_poly("x^5 - x")) is (
-            GaloisVerdict.PROVEN_SYMMETRIC
-        )
-        assert galois_over_function_field(parse_poly("x^2 - 1")) is (
-            GaloisVerdict.PROVEN_SYMMETRIC
-        )
-
-    def test_non_morse_inconclusive(self):
-        assert galois_over_function_field(parse_poly("x^3")) is (
-            GaloisVerdict.INCONCLUSIVE
-        )
-        assert galois_over_function_field(parse_poly("x^4 - 2x^2")) is (
-            GaloisVerdict.INCONCLUSIVE
-        )

@@ -16,8 +16,6 @@ from berger_rank import (
     PrimePoly,
     degree_pattern,
     distinct_degree_components,
-    factor_squarefree,
-    is_irreducible_mod_p,
     parse_poly,
     reduce_mod_p,
 )
@@ -153,6 +151,11 @@ class TestPatterns:
         h = parse_poly("x^4 - x - 1")
         for p in (2, 3, 5):
             assert degree_pattern(reduce_mod_p(h, p)) == (4,)
+        # 5th cyclotomic mod 2 is irreducible (2 has order 4 mod 5)
+        a = reduce_mod_p(parse_poly("x^4 + x^3 + x^2 + x + 1"), 2)
+        assert degree_pattern(a) == (4,)
+        b = reduce_mod_p(parse_poly("x^6 + x^5 + x^3 + x^2 + 1"), 2)
+        assert degree_pattern(b) == (6,)  # irreducible mod 2, as sympy agrees
 
     def test_not_squarefree_is_an_error(self):
         a = PrimePoly(3, (0, 0, 1))  # x^2
@@ -175,38 +178,6 @@ class TestPatterns:
                     sorted(len(irr) - 1 for irr, _ in _oracle_factor(coeffs, p, irr_table))
                 )
                 assert degree_pattern(a) == expected, (p, coeffs)
-
-
-class TestFactorSquarefree:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_factors_multiply_back(self, p):
-        f = parse_poly("x^6 + x + 1")
-        a = reduce_mod_p(f, p)
-        d = _oderiv(a.coeffs, p)
-        if not d or len(_ogcd(a.coeffs, d, p)) != 1:
-            pytest.skip(f"x^6 + x + 1 is not squarefree mod {p}")
-        factors = factor_squarefree(a)
-        prod = (a.coeffs[-1] % p,)
-        for fac in factors:
-            assert fac.coeffs[-1] == 1  # monic
-            assert is_irreducible_mod_p(fac)
-            prod = _omul(prod, fac.coeffs, p)
-        assert prod == a.coeffs
-
-    def test_deterministic(self):
-        a = reduce_mod_p(parse_poly("x^6 + x + 1"), 5)
-        assert factor_squarefree(a) == factor_squarefree(a)
-
-    def test_splitting_p2(self):
-        # trace-map splitting branch: needs equal-degree splitting at p = 2
-        a = reduce_mod_p(parse_poly("x^4 + x^3 + x^2 + x + 1"), 2)
-        # irreducible mod 2 (5th cyclotomic; 2 has order 4 mod 5)
-        assert is_irreducible_mod_p(a)
-        b = reduce_mod_p(parse_poly("x^6 + x^5 + x^3 + x^2 + 1"), 2)
-        pattern = degree_pattern(b)
-        assert sum(pattern) == 6
-        for fac in factor_squarefree(b):
-            assert is_irreducible_mod_p(fac)
 
 
 class TestDistinctDegree:
@@ -236,20 +207,27 @@ def discriminant_is_zero_mod(a, p):
 
 
 class TestIrreducible:
+    """A squarefree a of degree d is irreducible iff its pattern is (d,)."""
+
     def test_known(self):
-        assert is_irreducible_mod_p(reduce_mod_p(parse_poly("x^4 - x + 2"), 3))
-        assert not is_irreducible_mod_p(reduce_mod_p(parse_poly("x^4 + x"), 2))
-        assert not is_irreducible_mod_p(reduce_mod_p(parse_poly("x^2 + 1"), 5))
-        assert is_irreducible_mod_p(PrimePoly(7, (3, 1)))  # degree 1
+        assert degree_pattern(reduce_mod_p(parse_poly("x^4 - x + 2"), 3)) == (4,)
+        assert degree_pattern(reduce_mod_p(parse_poly("x^4 + x"), 2)) == (1, 1, 2)
+        assert degree_pattern(reduce_mod_p(parse_poly("x^2 + 1"), 5)) == (1, 1)
+        assert degree_pattern(PrimePoly(7, (3, 1))) == (1,)  # degree 1
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_exhaustive_against_trial_division(self, p):
         irr_table = _irreducibles(p, 4)
+        checked = 0
         for d in range(2, 5):
             members = set(irr_table[d])
             for coeffs in _monics(p, d):
+                if not _osquarefree(coeffs, p):
+                    continue
                 a = PrimePoly(p, coeffs)
-                assert is_irreducible_mod_p(a) == (coeffs in members), (p, coeffs)
+                assert (degree_pattern(a) == (d,)) == (coeffs in members), (p, coeffs)
+                checked += 1
+        assert checked > len(irr_table[2]) + len(irr_table[3]) + len(irr_table[4])
 
 
 # -- differential oracle: sympy's mod-p factorization ----------------------------
@@ -317,31 +295,6 @@ class TestSympyOracle:
             assert prod == tuple(c * inv % p for c in coeffs), (p, coeffs)
             checked += 1
         assert checked == 10
-
-    @pytest.mark.parametrize(
-        "text, p",
-        [("x^6 + x + 1", p) for p in (2, 3, 5, 7)]
-        + [("x^4 + x^3 + x^2 + x + 1", 2), ("x^6 + x^5 + x^3 + x^2 + 1", 2)],
-    )
-    def test_factor_squarefree_matches(self, text, p):
-        a = reduce_mod_p(parse_poly(text), p)
-        factors = _sympy_factors(a.coeffs, p)
-        if any(mult > 1 for _, mult in factors):
-            pytest.skip(f"{text} is not squarefree mod {p}")
-        expected = sorted((fac for fac, _ in factors), key=lambda f: (len(f), f))
-        assert [fac.coeffs for fac in factor_squarefree(a)] == expected
-
-    @pytest.mark.parametrize("p", [2, 3, 197, 2**61 - 1])
-    def test_factor_squarefree_random(self, p):
-        rng = random.Random(f"split:{p}")
-        for i in range(6):
-            coeffs = _random_input(rng, p, sparse=i % 2 == 0, max_deg=12)
-            factors = _sympy_factors(coeffs, p)
-            if any(mult > 1 for _, mult in factors):
-                continue
-            expected = sorted((fac for fac, _ in factors), key=lambda f: (len(f), f))
-            got = factor_squarefree(PrimePoly(p, coeffs))
-            assert [fac.coeffs for fac in got] == expected, (p, coeffs)
 
 
 class TestPackedKernel:

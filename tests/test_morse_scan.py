@@ -1,12 +1,15 @@
 """Morse tests, critical-value resultants, and constant scans."""
 
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from berger_rank import (
     GaloisVerdict,
     InvalidInput,
+    UniPoly,
     UnknownTagWarning,
     critical_value_resultant,
     disjointness_filter,
@@ -42,10 +45,33 @@ class TestCriticalValues:
     def test_roots_are_critical_values(self):
         h = parse_poly("x^3 - 3x")  # h'(x) = 3x^2 - 3, critical points +-1
         d = critical_value_resultant(h)
-        from fractions import Fraction
-
         assert d(Fraction(2)) == 0  # h(1) = -2... sign convention below
         assert d(Fraction(-2)) == 0
+
+    def test_sympy_resultant_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("critical-values")
+        cases = []
+        for m in range(2, 10):
+            for sparse in (False, True):
+                lead = rng.choice([1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3)])
+                if sparse:
+                    low = [0] * m
+                    for k in rng.sample(range(m), rng.randint(1, 2)):
+                        low[k] = rng.randint(-20, 20)
+                else:
+                    low = [rng.randint(-9, 9) for _ in range(m)]
+                cases.append(UniPoly(low + [lead], "x"))
+        cases.append(UniPoly([rng.randint(-9, 9) for _ in range(5)] + [-4], "t"))
+        for h in cases:
+            d = critical_value_resultant(h)
+            x = sympy.Symbol(h.var)
+            t = sympy.Symbol(d.var)
+            hs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                     for k, c in enumerate(h.coeffs))
+            want = sympy.Poly(sympy.resultant(hs - t, sympy.diff(hs, x), x), t)
+            got = [sympy.Rational(c.numerator, c.denominator) for c in d.coeffs]
+            assert got == list(reversed(want.all_coeffs())), h
 
 
 class TestMorse:

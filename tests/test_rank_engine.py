@@ -90,6 +90,19 @@ class TestSideConditions:
         assert rec.status is Status.UNKNOWN
 
 
+class TestKleene:
+    def test_truth_tables(self):
+        from berger_rank.rank_engine import _kleene
+
+        H, F, U = Status.HOLDS, Status.FAILS, Status.UNKNOWN
+        rank = {F: 0, U: 1, H: 2}  # Kleene AND is min, OR is max
+        for a in Status:
+            for b in Status:
+                assert _kleene(a, b) is min(a, b, key=rank.get), (a, b)
+                assert _kleene(a, b, any_of=True) is max(a, b, key=rank.get), (a, b)
+        assert _kleene(H, H, U) is U and _kleene(H, U, F) is F
+
+
 class TestCmRoute:
     def test_quintic_exact(self):
         v = rank_verdict(F5, G2, 7, 2)
@@ -122,6 +135,8 @@ class TestCmRoute:
         for p in (3, 5, 7, 11, 281):
             v = rank_verdict(F4, G2, p, 1)
             assert v.kind is VerdictKind.EXACT_RANK and v.rank == 3, p
+            # Gal(x^4 - x - 1) is certified Sym(4) at the default bound
+            assert statuses(v)["galois-f"] is Status.HOLDS
 
     def test_quartic_excluded_prime(self):
         v = rank_verdict(F4, G2, 283, 1)
