@@ -29,8 +29,9 @@ bounded.  ``resultant`` follows the convention
 so Res(x - 2, x - 3) = -1 and Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
 
 Integer utilities (perfect squares, primality, squarefree parts) live here
-too; ``int_squarefree_part`` factors by trial division up to 10^6 and then
-Pollard rho with a deterministic iteration budget, raising
+too; ``int_squarefree_part`` factors by trial division by the primes below
+2^10, then Miller-Rabin (a proof below 3.3e24), a perfect-power test and
+Brent rho with a deterministic iteration budget, raising
 ``FactorizationIncomplete`` instead of ever guessing.
 
 Text grammar
@@ -324,6 +325,9 @@ class _ParseState:
     # so nesting is capped well below Python's recursion limit; deeper input
     # raises PolySyntaxError instead of RecursionError.
     MAX_NESTING = 100
+    # Degrees are capped too, checked before each power or product is built,
+    # so "x^<huge>" raises PolySyntaxError instead of allocating without bound.
+    MAX_DEGREE = 10_000
 
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
@@ -344,6 +348,14 @@ class _ParseState:
             raise PolySyntaxError(message)
         self.next()
         self.depth -= 1
+
+    def check_degree(self, degree: int) -> None:
+        if degree > self.MAX_DEGREE:
+            raise PolySyntaxError(f"degree above {self.MAX_DEGREE}")
+
+    def times(self, a: UniPoly, b: UniPoly) -> UniPoly:
+        self.check_degree((a.degree or 0) + (b.degree or 0))
+        return a * b
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -369,7 +381,7 @@ class _ParseState:
                 op, _ = self.next()
                 rhs = self.unary()
                 if op == "*":
-                    acc = acc * rhs
+                    acc = self.times(acc, rhs)
                 else:
                     if rhs.is_zero:
                         raise NonRationalCoefficient("division by zero constant")
@@ -381,7 +393,7 @@ class _ParseState:
                         Fraction(1) / rhs.coefficient(0), acc.var
                     )
             elif nxt in ("name", "("):
-                acc = acc * self.unary()  # juxtaposition, e.g. "2x"
+                acc = self.times(acc, self.unary())  # juxtaposition, e.g. "2x"
             else:
                 return acc
 
@@ -398,7 +410,10 @@ class _ParseState:
         base = self.atom()
         if self.peek() == "^":
             self.next()
-            return base ** self.exponent()
+            e = self.exponent()
+            # max(.., 1) also bounds the size of constants such as 2^e
+            self.check_degree(max(base.degree or 0, 1) * e)
+            return base ** e
         return base
 
     def exponent(self) -> int:
@@ -418,6 +433,9 @@ class _ParseState:
         _, text = self.next()
         if "." in text:
             raise PolySyntaxError("exponent must be an integer")
+        if len(text.lstrip("0")) > len(str(self.MAX_DEGREE)):
+            # over the cap whatever the base; rejected before int() of it
+            raise PolySyntaxError(f"degree above {self.MAX_DEGREE}")
         return int(text)
 
     def atom(self) -> UniPoly:
@@ -451,7 +469,9 @@ class _ParseState:
 def parse_poly(text: str) -> UniPoly:
     """Parse one-variable polynomial text into a canonical UniPoly.
 
-    Parentheses may nest at most ``_ParseState.MAX_NESTING`` (100) levels.
+    Parentheses may nest at most ``_ParseState.MAX_NESTING`` (100) levels,
+    and no power or product may exceed degree ``_ParseState.MAX_DEGREE``
+    (10,000); a constant's exponent counts as its degree.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -672,11 +692,12 @@ def rational_is_square(q: Fraction) -> bool:
     return q >= 0 and is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
-# Deterministic Miller-Rabin: this base set decides primality exactly for
-# n < 3.317e24 (Sorenson-Webster).  Above that we add more fixed bases; no
-# input in this package's working range gets near the certified bound.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# Miller-Rabin with the first thirteen prime bases, 2 .. 41, decides
+# primality exactly for n < psi_13 = 3.317e24 (Sorenson-Webster; the twelve
+# bases up to 37 decide only n < psi_12 = 3.187e23).  At or above psi_13 the
+# test is a strong-probable-prime test to more fixed bases, not a proof.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_CERTIFIED = 3317044064679887385961981
 
 
@@ -761,7 +782,11 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
     return None
 
 
-_TRIAL_BOUND = 10 ** 6
+# Trial division stops below 2^10: a cofactor below 2^20 left by it is
+# prime, and anything larger goes to is_prime, the perfect-power test and
+# Brent rho, which find a factor p in about sqrt(p) steps.
+_TRIAL_LIMIT = 1 << 10
+_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
 _RHO_TRIES = 24
 _RHO_ITER_CAP = 1 << 18
 
@@ -769,36 +794,29 @@ _RHO_ITER_CAP = 1 << 18
 def _factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1; FactorizationIncomplete on budget."""
     factors: dict[int, int] = {}
-
-    def record(p: int, e: int = 1) -> None:
-        factors[p] = factors.get(p, 0) + e
-
-    for p in (2, 3, 5):
-        while n % p == 0:
-            record(p)
-            n //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            record(d)
-            n //= d
-        d += 2
-    if n == 1:
-        return factors
-    if d * d > n:  # trial division ran to the square root, cofactor is prime
-        record(n)
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:  # no prime factor below its square root
+        if n > 1:
+            factors[n] = 1
         return factors
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
-            record(m)
+            factors[m] = factors.get(m, 0) + 1
             continue
-        for k in range(2, m.bit_length() + 1):
+        # every prime factor of m exceeds 2^10, so m = r^k forces 10k < bits
+        for k in range(2, m.bit_length() // 10 + 1):
             root = _int_nth_root(m, k)
-            if root > 1 and root ** k == m:
+            if root ** k == m:
                 stack.extend([root] * k)
                 break
         else:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product as _iter_product
+from fractions import Fraction
 
 from .errors import FactorizationIncomplete, InvalidInput
 from .exact_poly import (
@@ -133,8 +133,7 @@ def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
 
 def _rational_root(f: UniPoly):
     """Some rational root of f, or None if none exists (or none provable)."""
-    model = integer_model(f)
-    coeffs = [int(c) for c in model.coeffs]
+    coeffs = [int(c) for c in integer_model(f).coeffs]
     if not coeffs:
         return None
     if coeffs[0] == 0:
@@ -144,12 +143,25 @@ def _rational_root(f: UniPoly):
         dens = _divisors_from_factorization(factor_int(coeffs[-1]))
     except FactorizationIncomplete:
         return None  # cannot enumerate candidates, let the certifier decide
-    from fractions import Fraction
-
-    for num, den in _iter_product(nums, dens):
-        for cand in (Fraction(num, den), Fraction(-num, den)):
-            if model(cand) == 0:
-                return cand
+    # den^d f(num/den) = sum a_i num^i den^(d-i): precompute a_i den^(d-i)
+    # for i = d-1 .. 0 per denominator and test each candidate by integer
+    # Horner, in the order nums x dens x (+, -)
+    top = coeffs[-1]
+    scaled_by_den = []
+    for den in dens:
+        scaled, dk = [], 1
+        for a in reversed(coeffs[:-1]):
+            dk *= den
+            scaled.append(a * dk)
+        scaled_by_den.append((den, scaled))
+    for num in nums:
+        for den, scaled in scaled_by_den:
+            for cand in (num, -num):
+                acc = top
+                for a in scaled:
+                    acc = acc * cand + a
+                if acc == 0:
+                    return Fraction(cand, den)
     return None
 
 

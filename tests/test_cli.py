@@ -166,6 +166,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: PolySyntaxError")
 
+    def test_degree_cap_exits_1(self, capsys):
+        for text in ("x^10001", "(x^100)^101", "x^5000*x^5001"):
+            code, out, err = run_cli(capsys, "poly-disc", text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: PolySyntaxError: degree above 10000")
+
     def test_internal_failure_exits_2(self, capsys, monkeypatch):
         def broken(m, n):
             raise ParityBug("injected")

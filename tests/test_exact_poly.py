@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic: parsing, division, gcd, resultants, integers."""
 
 import math
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,14 @@ class TestParseRender:
             "(" * cap + "x^(2)" + ")" * cap,  # both kinds count together
         ):
             with pytest.raises(PolySyntaxError, match="nested deeper"):
+                parse_poly(text)
+
+    def test_degree_cap(self):
+        # _ParseState.MAX_DEGREE is 10,000; only cap + 1 is exercised, so
+        # no large polynomial is ever built
+        for text in ("x^10001", "(x^100)^101", "x^5000*x^5001", "x^5000 x^5001",
+                     "2^10001", "x^" + "9" * 5000):
+            with pytest.raises(PolySyntaxError, match="degree above 10000"):
                 parse_poly(text)
 
     @given(polys())
@@ -281,6 +291,17 @@ class TestIntegers:
         assert not rational_is_square(Fraction(-4))
         assert not rational_is_square(Fraction(49, 8))
 
+    def test_psi12_is_not_prime(self):
+        # psi_12, the least strong pseudoprime to the prime bases 2 .. 37,
+        # passes a Miller-Rabin test that stops at base 37
+        p, q = 399165290221, 798330580441
+        psi12 = 318665857834031151167461
+        assert p * q == psi12
+        assert is_prime(p) and is_prime(q)
+        assert not is_prime(psi12)
+        assert factor_int(psi12) == {p: 1, q: 1}
+        assert not is_prime(3317044064679887385961981)  # psi_13 needs base 41
+
     def test_factoring_budget_is_reported(self, monkeypatch):
         # a prime pair beyond the deterministic budget is not silently
         # mis-factored: exhaustion raises the dedicated error.  The budget is
@@ -292,3 +313,48 @@ class TestIntegers:
         hard = (2 ** 89 - 1) * (2 ** 107 - 1)
         with pytest.raises(FactorizationIncomplete):
             factor_int(hard)
+
+
+def _planted_integers():
+    """Products of primes from both sides of 2^10 and 10^6, and other traps."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240517)
+
+    def prime_near(lo, hi):
+        return int(sympy.nextprime(rng.randrange(lo, hi)))
+
+    ranges = {
+        "small": (2, 1 << 10),
+        "edge": (1000, 1100),  # straddles 2^10
+        "mid": ((1 << 10) + 1, 10 ** 6),
+        "edge6": (10 ** 6 - 200, 10 ** 6 + 200),  # straddles 10^6
+        "large": (10 ** 6, 10 ** 9),
+    }
+    kinds = list(ranges)
+    out = [1, 2, 3, 1021, 1031, 1021 * 1031, 1031 ** 2, 999983 * 1000003]
+    for _ in range(40):
+        a, b = rng.choice(kinds), rng.choice(kinds)
+        out.append(prime_near(*ranges[a]) * prime_near(*ranges[b]))
+    for _ in range(30):
+        out.append(prod(prime_near(*ranges[rng.choice(kinds)]) for _ in range(3)))
+    for _ in range(15):
+        p = prime_near(*ranges[rng.choice(["edge", "mid", "edge6", "large"])])
+        out.append(p ** rng.randint(2, 4))
+    for _ in range(15):
+        p = prime_near(*ranges[rng.choice(kinds)])
+        q = prime_near(*ranges[rng.choice(["mid", "edge6", "large"])])
+        out.append((p * q) ** 2 * rng.choice([1, 2, 3 * 1031]))
+    out += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+            5394826801, 232250619601, 9746347772161]  # Carmichael numbers
+    return out
+
+
+class TestFactorOracle:
+    def test_factor_int_and_squarefree_part_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for i, n in enumerate(_planted_integers()):
+            want = {int(p): e for p, e in sympy.factorint(n).items()}
+            sign = -1 if i % 2 else 1
+            assert factor_int(sign * n) == want, n
+            part = prod(p for p, e in want.items() if e % 2)
+            assert int_squarefree_part(sign * n) == sign * part, n

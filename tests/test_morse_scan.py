@@ -1,5 +1,6 @@
 """Morse tests, critical-value resultants, and constant scans."""
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -13,10 +14,12 @@ from berger_rank import (
     UnknownTagWarning,
     critical_value_resultant,
     disjointness_filter,
+    integer_model,
     is_morse,
     parse_poly,
     scan_A_h,
 )
+from berger_rank.morse_scan import _rational_root
 
 
 class TestCriticalValues:
@@ -137,6 +140,82 @@ class TestScan:
         rows = scan_A_h(parse_poly("x^2"), 0, 0)
         assert not rows[0].in_A_h
         assert "squarefree" in rows[0].reason
+
+
+def _parent_rational_root(f):
+    """The Fraction enumeration that _rational_root replaced, kept as oracle."""
+    coeffs = [int(c) for c in integer_model(f).coeffs]
+    if not coeffs:
+        return None
+    if coeffs[0] == 0:
+        return 0
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    for num in divisors(coeffs[0]):
+        for den in divisors(coeffs[-1]):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if f(cand) == 0:
+                    return cand
+    return None
+
+
+def _random_polys(count=200, seed=7):
+    """Integer polynomials of degree 2-9, many non-monic, some with planted
+    rational roots and constant terms with many divisors."""
+    rng = random.Random(seed)
+    rich = [720, -5040, 720720, 2520, -360360, 1]
+    out = []
+    for _ in range(count):
+        poly = UniPoly([1])
+        planted = rng.randint(0, 3)
+        for _ in range(planted):
+            num = rng.choice([0, 1, -1, 2, -3, 5, 7, -12, 30])
+            den = rng.choice([1, 1, 2, 3, -4, 6])
+            poly = poly * UniPoly([-num, den])
+        rest = rng.randint(max(2 - planted, 0), 9 - planted)
+        coeffs = [rng.randint(-40, 40) for _ in range(rest)]
+        coeffs.append(rng.choice([1, -1, 2, 6, -12, 30, 36]))
+        if coeffs and rng.random() < 0.4:
+            coeffs[0] = rng.choice(rich)
+        poly = poly * UniPoly(coeffs)
+        if 2 <= poly.degree <= 9:
+            out.append(poly)
+    return out
+
+
+class TestRationalRoot:
+    def test_matches_parent_enumeration(self):
+        polys = _random_polys()
+        assert len(polys) > 150
+        found = 0
+        for f in polys:
+            root = _rational_root(f)
+            want = _parent_rational_root(f)
+            # same first root, same type, same text in the scan's reason
+            assert (root, type(root), str(root)) == (want, type(want), str(want)), f
+            found += root is not None
+        assert 50 < found < len(polys)
+
+    def test_matches_sympy_linear_factors(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for f in _random_polys(count=120, seed=11):
+            coeffs = [int(c) for c in integer_model(f).coeffs]
+            _, factors = sympy.factor_list(sympy.Poly(coeffs[::-1], x))
+            roots = {
+                Fraction(-int(fac.nth(0)), int(fac.nth(1)))
+                for fac, _ in factors
+                if fac.degree() == 1
+            }
+            root = _rational_root(f)
+            if roots:
+                assert root in roots, f
+            else:
+                assert root is None, f
 
 
 class TestDisjointness:
