@@ -38,6 +38,7 @@ from .errors import DimensionSumMismatch, InvalidInput, MultiVariableError, Pari
 from .exact_poly import UniPoly, discriminant, is_prime
 
 __all__ = [
+    "MAX_LAYER_BITS",
     "TowerLayer",
     "CurvePair",
     "DecompositionTable",
@@ -48,6 +49,19 @@ __all__ = [
     "c2",
     "decomposition_table",
 ]
+
+# Cap on r * bit_length(p), checked before any layer q = p^r is built: it
+# bounds the size of q (about 1,233 decimal digits, under Python's 4,300-digit
+# limit on int-to-str conversion) and the cost of a table over its layers.
+MAX_LAYER_BITS = 4096
+
+
+def _check_layer_bits(p: int, r: int) -> None:
+    if r * p.bit_length() > MAX_LAYER_BITS:
+        raise InvalidInput(
+            f"layer {p}^{r} is too large: r * bit_length(p) = "
+            f"{r * p.bit_length()} exceeds {MAX_LAYER_BITS}"
+        )
 
 
 def euler_phi(q: int) -> int:
@@ -141,6 +155,7 @@ class TowerLayer:
             raise InvalidInput(f"{self.p} is not prime")
         if self.r < 0:
             raise InvalidInput("tower exponent r must be >= 0")
+        _check_layer_bits(self.p, self.r)
         object.__setattr__(self, "q", self.p ** self.r)
 
 
@@ -195,6 +210,7 @@ def decomposition_table(m: int, p: int, r: int) -> DecompositionTable:
         raise InvalidInput(f"{p} is not prime")
     if r < 0:
         raise InvalidInput("decomposition_table needs r >= 0")
+    _check_layer_bits(p, r)
     rows = tuple((i, p ** i, dim_new_part(m, p ** i)) for i in range(1, r + 1))
     total = dim_superelliptic(m, p ** r)
     if sum(row[2] for row in rows) != total:

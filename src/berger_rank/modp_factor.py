@@ -21,7 +21,9 @@ the rows (von zur Gathen and Shoup, Comput. Complexity 2, 1992).  All
 products mod f go through one kernel, ``_ModRing``: an element is packed
 into a single int by Kronecker substitution with slots wide enough that
 sums of products never carry, so a product is one big-int multiplication
-plus one reduction pass against a packed table of x^(n+k) mod f.
+plus a long division by f, one big-int multiply-add per high slot.  x^p
+itself starts from a monomial, so for p < deg f it costs no product.  The
+gcds of Euclid's algorithm compute remainders only, on lists in place.
 """
 
 from __future__ import annotations
@@ -106,13 +108,6 @@ def _trim(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-def _sub(a: tuple, b: tuple, p: int) -> tuple:
-    n = max(len(a), len(b))
-    return _trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    )
-
-
 def _divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -131,10 +126,6 @@ def _divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
     return _trim(quot), _trim(rem[:db])
 
 
-def _mod(a: tuple, b: tuple, p: int) -> tuple:
-    return _divmod(a, b, p)[1]
-
-
 def _monic(a: tuple, p: int) -> tuple:
     if not a or a[-1] == 1:
         return a
@@ -143,9 +134,28 @@ def _monic(a: tuple, p: int) -> tuple:
 
 
 def _gcd(a: tuple, b: tuple, p: int) -> tuple:
+    """Monic gcd by Euclid on remainders only: no quotient is built."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _mod(a, b, p)
-    return _monic(a, p)
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+        # a <- a mod b in place: b is monic, so slot k is cleared by
+        # subtracting a[k] * x^(k-db) * b; slots >= db are dropped after
+        db = len(b) - 1
+        tail = b[:db]
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k]
+            if c:
+                i = k - db
+                for bj in tail:
+                    a[i] = (a[i] - c * bj) % p
+                    i += 1
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return _monic(tuple(a), p)
 
 
 def _derivative(a: tuple, p: int) -> tuple:
@@ -155,16 +165,20 @@ def _derivative(a: tuple, p: int) -> tuple:
 # -- packed multiplication mod a fixed monic f ----------------------------------
 # The one multiplication kernel.  An element of F_p[x]/(f), deg f = n, is one
 # int: coefficient i sits in bits [i*w, (i+1)*w) (Kronecker substitution).
-# With 2**w > 2n(p-1)**2 no slot of a product of two reduced elements, nor of
-# a sum of up to 2n products of residues, carries into its neighbour, so one
-# big-int operation does the whole convolution and each slot is read back and
-# reduced mod p on its own.
+# A product of two reduced elements is reduced by long division from the top:
+# for k = 2n-2 .. n, the top slot c = slot k mod p is cleared and c times
+# x^(k-n) * (x^n mod f) is added, from a precomputed shifted copy of -f.
+# Every slot starts below n(p-1)**2 and gains at most (n-1)(p-1)**2 from the
+# division, so with 2**w > 2n(p-1)**2 no slot carries into its neighbour:
+# one big-int operation does each convolution or subtraction, and each slot
+# is read back and reduced mod p on its own.  The same bound covers a sum of
+# up to 2n products of residues.
 
 
 class _ModRing:
     """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints."""
 
-    __slots__ = ("p", "n", "w", "mask", "low", "table")
+    __slots__ = ("p", "n", "w", "mask", "low", "negf")
 
     def __init__(self, f: tuple, p: int):
         n = len(f) - 1
@@ -172,13 +186,10 @@ class _ModRing:
         self.w = (n * (p - 1) ** 2).bit_length() + 1
         self.mask = (1 << self.w) - 1
         self.low = (1 << (self.w * n)) - 1
-        # table[k] = x^(n+k) mod f, k < n - 1: where a product's high slots go
-        row = [-c % p for c in f[:-1]]
-        self.table = []
-        for _ in range(n - 1):
-            self.table.append(self.pack(row))
-            top = row[-1]
-            row = [(s - top * c) % p for s, c in zip([0] + row[:-1], f)]
+        # negf[j] = x^j * (x^n mod f): what x^(n+j) reduces to, for the slots
+        # n .. 2n-2 of a product and slot n of an element shifted by x
+        top = self.pack([-c % p for c in f[:-1]])
+        self.negf = [top << (self.w * j) for j in range(max(n - 1, 1))]
 
     def pack(self, cs) -> int:
         w, v = self.w, 0
@@ -193,30 +204,43 @@ class _ModRing:
 
     def mul(self, a: int, b: int) -> int:
         """a * b mod f for packed reduced a, b."""
-        prod = a * b
-        acc = prod & self.low
-        high = self.unpack(prod >> (self.w * self.n), self.n - 1)
-        for c, t in zip(high, self.table):
-            if c:
-                acc += c * t
-        return self.pack(self.unpack(acc, self.n))
+        acc = a * b
+        w, n, p, negf = self.w, self.n, self.p, self.negf
+        for k in range(2 * n - 2, n - 1, -1):
+            kw = k * w
+            top = acc >> kw  # slot k; the slots above it are already clear
+            if top:
+                acc = (acc & ((1 << kw) - 1)) + (top % p) * negf[k - n]
+        return self.pack(self.unpack(acc, n))
 
-    def pow(self, base: int, exp: int) -> int:
-        result = 1
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            exp >>= 1
-            if exp:
-                base = self.mul(base, base)
-        return result
+    def x_pow(self, e: int) -> int:
+        """Packed x^e mod f for e >= 0.
+
+        Starts from the monomial x^e0, e0 the longest prefix of e's bits
+        whose value is below n, so e < n costs no product; each remaining
+        bit squares, and a set bit then shifts by one slot and reduces the
+        top slot against x^n mod f.
+        """
+        n, w = self.n, self.w
+        j = e.bit_length()
+        while j and e >> (j - 1) < n:
+            j -= 1
+        h = 1 << (w * (e >> j))
+        for i in range(j - 1, -1, -1):
+            h = self.mul(h, h)
+            if e >> i & 1:
+                h <<= w
+                top = h >> (w * n)  # a reduced slot, so already below p
+                if top:
+                    h = self.pack(self.unpack((h & self.low) + top * self.negf[0], n))
+        return h
 
     def frobenius_rows(self) -> list[int]:
         """Packed x^(p*j) mod f for j < n (the Berlekamp Q-matrix rows).
 
         Over F_p, h(x)^p = h(x^p), so h^p mod f = sum_j h_j * rows[j].
         """
-        xp = self.pow(self.pack((0, 1)), self.p)
+        xp = self.x_pow(self.p)
         rows = [1, xp]
         for _ in range(self.n - 2):
             rows.append(self.mul(rows[-1], xp))
@@ -236,39 +260,43 @@ def _check_squarefree(a: PrimePoly) -> tuple:
     return cs
 
 
-def distinct_degree_components(a: PrimePoly) -> list[tuple[int, PrimePoly]]:
-    """[(d, product of all irreducible factors of degree d)], d ascending."""
+def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
+    """[(d, monic coefficient tuple of the degree-d part)], d ascending."""
     p = a.p
     rest = _check_squarefree(a)
     n = len(rest) - 1
     if n == 1:
-        return [(1, PrimePoly(p, rest))]
+        return [(1, rest)]
     # h = x^(p^d) stays reduced mod the original f; since rest divides f,
     # gcd(h - x, rest) is the same as with h reduced mod rest
     ring = _ModRing(rest, p)
     rows = ring.frobenius_rows()
-    x = (0, 1)
-    h = list(x)
+    h = [0, 1]
     out = []
     d = 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), n)
-        g = _gcd(_sub(h, x, p), rest, p)
+        g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
         if len(g) > 1:
-            out.append((d, PrimePoly(p, g)))
+            out.append((d, g))
             rest, r = _divmod(rest, g, p)
             assert not r
     if len(rest) > 1:
-        out.append((len(rest) - 1, PrimePoly(p, rest)))
+        out.append((len(rest) - 1, rest))
     return out
+
+
+def distinct_degree_components(a: PrimePoly) -> list[tuple[int, PrimePoly]]:
+    """[(d, product of all irreducible factors of degree d)], d ascending."""
+    return [(d, PrimePoly(a.p, g)) for d, g in _components(a)]
 
 
 def degree_pattern(a: PrimePoly) -> DegreePattern:
     """Sorted multiset of irreducible factor degrees of squarefree a."""
     pattern: list[int] = []
-    for d, comp in distinct_degree_components(a):
-        deg = comp.degree or 0
+    for d, g in _components(a):
+        deg = len(g) - 1
         assert deg % d == 0
         pattern.extend([d] * (deg // d))
     return tuple(sorted(pattern))

@@ -60,7 +60,7 @@ from .galois_cert import (
     GaloisVerdict,
     certify_galois,
 )
-from .jacobian_invariants import CurvePair, TowerLayer, berger_genus, c2
+from .jacobian_invariants import CurvePair, TowerLayer, _check_layer_bits, berger_genus, c2
 
 __all__ = [
     "Status",
@@ -578,5 +578,6 @@ def rank_table(
     """Verdicts for r = 0 .. r_max; certification work is done once."""
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
+    _check_layer_bits(p, r_max)
     analysis = _analyze(f, g, p, prime_bound)
     return [_assemble(analysis, p, r) for r in range(r_max + 1)]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import berger_rank.cli as cli
-from berger_rank import MAX_PRIME_BOUND
+from berger_rank import MAX_LAYER_BITS, MAX_PRIME_BOUND
 from berger_rank.errors import ParityBug
 
 
@@ -172,6 +172,22 @@ class TestExitCodes:
             assert code == 1
             assert out == ""
             assert err.startswith("error: PolySyntaxError: degree above 10000")
+
+    def test_layer_cap_exits_1(self, capsys):
+        # 65537 has 17 bits, and r * 17 = MAX_LAYER_BITS + 1 exactly
+        r = (MAX_LAYER_BITS + 1) // 17
+        assert r * 17 == MAX_LAYER_BITS + 1
+        pair = ("-f", "x^5-x-1", "-g", "y^2-3", "-p", "65537")
+        for argv in (
+            ("rank", *pair, "-r", str(r)),
+            ("rank", *pair, "-r", str(r), "--json"),
+            ("rank-table", *pair, "--max-r", str(r)),
+            ("decomp", "5", "65537", str(r)),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert out == "", argv
+            assert err.startswith("error: InvalidInput: layer 65537^241"), argv
 
     def test_internal_failure_exits_2(self, capsys, monkeypatch):
         def broken(m, n):

@@ -19,7 +19,7 @@ from berger_rank import (
     parse_poly,
     reduce_mod_p,
 )
-from berger_rank.modp_factor import _ModRing
+from berger_rank.modp_factor import _gcd, _ModRing
 
 # -- independent oracle ----------------------------------------------------------
 
@@ -296,6 +296,27 @@ class TestSympyOracle:
             checked += 1
         assert checked == 10
 
+    @pytest.mark.parametrize("p, n", [(2, 31), (2, 40), (3, 31), (3, 40)])
+    def test_primes_below_degree(self, p, n):
+        # p < n: x^p mod f is a monomial, so the Frobenius rows start from it
+        rng = random.Random(f"small-p:{p}:{n}")
+        checked = 0
+        for attempt in range(40):
+            low = [0] * n
+            if attempt % 2:
+                low = [rng.randrange(p) for _ in range(n)]
+            else:
+                for k in rng.sample(range(n), 3):
+                    low[k] = rng.randrange(1, p)
+            coeffs = tuple(low) + (1,)
+            factors = _sympy_factors(coeffs, p)
+            if any(mult > 1 for _, mult in factors):
+                continue
+            expected = tuple(sorted(len(fac) - 1 for fac, _ in factors))
+            assert degree_pattern(PrimePoly(p, coeffs)) == expected, (p, coeffs)
+            checked += 1
+        assert checked >= 5
+
 
 class TestPackedKernel:
     """The packed product against schoolbook arithmetic, at slot extremes.
@@ -321,3 +342,68 @@ class TestPackedKernel:
                 got = _trim(tuple(ring.unpack(ring.mul(ring.pack(a), ring.pack(b)), n)))
                 _, want = _odivmod(_omul(_trim(a), _trim(b), p), f, p)
                 assert got == want, (p, n, a, b, f)
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 40])
+    @pytest.mark.parametrize("p", [2, 3, 197, 2**61 - 1])
+    def test_x_pow_matches_schoolbook(self, p, n):
+        rng = random.Random(f"xpow:{p}:{n}")
+        f = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+        ring = _ModRing(f, p)
+        exps = {0, 1, n // 2, n - 1, n, n + 1, p, 2 * n + 3}
+        for e in sorted(exps):
+            got = _trim(tuple(ring.unpack(ring.x_pow(e), n)))
+            assert got == _ox_pow(e, f, p), (p, n, e)
+
+
+def _ox_pow(e, f, p):
+    """x^e mod f by schoolbook square-and-multiply."""
+    result, base = (1,), _odivmod((0, 1), f, p)[1]
+    while e:
+        if e & 1:
+            result = _odivmod(_omul(result, base, p), f, p)[1]
+        base = _odivmod(_omul(base, base, p), f, p)[1]
+        e >>= 1
+    return result
+
+
+def _omonic(a, p):
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return tuple(c * inv % p for c in a)
+
+
+class TestGcd:
+    """The remainder-only Euclid against the quotient-building one above."""
+
+    @pytest.mark.parametrize("p", [2, 3, 197, 2**61 - 1])
+    def test_random_pairs(self, p):
+        rng = random.Random(f"gcd:{p}")
+        for _ in range(30):
+            common = _random_input(rng, p, sparse=False, max_deg=6)
+            a = _omul(_random_input(rng, p, sparse=False, max_deg=20), common, p)
+            b = _omul(_random_input(rng, p, sparse=rng.random() < 0.5, max_deg=20), common, p)
+            assert _gcd(a, b, p) == _omonic(_ogcd(a, b, p), p), (p, a, b)
+            assert _gcd(b, a, p) == _gcd(a, b, p)
+            # an unplanted pair, usually coprime
+            c = _random_input(rng, p, sparse=False, max_deg=20)
+            assert _gcd(a, c, p) == _omonic(_ogcd(a, c, p), p), (p, a, c)
+
+    def test_edge_cases(self):
+        p = 7
+        a = (3, 0, 2, 5)  # non-monic
+        b = (1, 4)
+        assert _gcd(a, (), p) == _omonic(a, p)
+        assert _gcd((), a, p) == _omonic(a, p)
+        assert _gcd((), (), p) == ()
+        # a | ab with a non-monic, in either order
+        ab = _omul(a, (2, 3), p)
+        assert _gcd(ab, a, p) == _omonic(a, p)
+        assert _gcd(a, ab, p) == _omonic(a, p)
+        # equal degrees, sharing exactly the factor b
+        c, d = _omul(b, (1, 1), p), _omul(b, (2, 5), p)
+        assert len(c) == len(d)
+        assert _gcd(c, d, p) == _omonic(b, p)
+        # non-monic divisor of a monic dividend: x^2 - 1 and 3x + 3 share x + 1
+        assert _gcd((6, 0, 1), (3, 3), p) == (1, 1)
+        assert _gcd((5,), (3, 3), p) == (1,)
