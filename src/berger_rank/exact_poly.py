@@ -2,11 +2,16 @@
 
 Representation
 --------------
-A polynomial is a ``UniPoly``: a variable symbol plus a tuple of
-``fractions.Fraction`` coefficients in ascending power order with no trailing
-zeros.  The zero polynomial has an empty coefficient tuple and ``degree``
-``None`` (the "no degree" marker); every formula in this package guards on
-it explicitly instead of inventing a numeric degree for zero.
+A polynomial is a ``UniPoly``: a variable symbol plus a tuple of exact
+coefficients in ascending power order with no trailing zeros.  A coefficient
+is an ``int`` when it is integral and a ``fractions.Fraction`` (denominator
+> 1) otherwise, so integer polynomials, the common case, never pay for
+Fraction arithmetic.  An integral Fraction and the equal int compare and hash
+equal, so this choice never changes equality, hashing or ``render``.  Every
+true division of coefficients goes through ``Fraction``: ``/`` on two ints
+would give a float.  The zero polynomial has an empty coefficient tuple and
+``degree`` ``None`` (the "no degree" marker); every formula in this package
+guards on it explicitly instead of inventing a numeric degree for zero.
 
 The exact scalar types are the stdlib ones and are re-exported under the
 names the rest of the package uses:
@@ -91,13 +96,24 @@ __all__ = [
 ]
 
 
+def _exact(c) -> int | Fraction:
+    """c as an int when integral, else as a reduced Fraction."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class UniPoly:
-    """Immutable dense univariate polynomial with Fraction coefficients."""
+    """Immutable dense univariate polynomial over Q.
+
+    Coefficients are ints where integral and Fractions elsewhere; the
+    constructor accepts anything ``Fraction`` accepts and normalizes it.
+    """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, coeffs: Iterable = (), var: str = "x"):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -108,11 +124,11 @@ class UniPoly:
 
     @classmethod
     def constant(cls, c, var: str = "x") -> "UniPoly":
-        return cls((Fraction(c),), var)
+        return cls((c,), var)
 
     @classmethod
     def variable(cls, name: str) -> "UniPoly":
-        return cls((Fraction(0), Fraction(1)), name)
+        return cls((0, 1), name)
 
     @property
     def degree(self) -> int | None:
@@ -128,19 +144,17 @@ class UniPoly:
         return len(self.coeffs) <= 1
 
     @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def leading_coefficient(self) -> int | Fraction:
+        return self.coeffs[-1] if self.coeffs else 0
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coefficient(self, k: int) -> int | Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def monic(self) -> "UniPoly":
         if self.is_zero or self.leading_coefficient == 1:
             return self
-        lc = self.leading_coefficient
-        return UniPoly((c / lc for c in self.coeffs), self.var)
+        inv = 1 / Fraction(self.leading_coefficient)
+        return UniPoly((c * inv for c in self.coeffs), self.var)
 
     # -- ring structure -----------------------------------------------------
 
@@ -148,7 +162,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly((Fraction(other),), self.var)
+            return UniPoly((other,), self.var)
         return None
 
     def _join_var(self, other: "UniPoly") -> str:
@@ -167,10 +181,9 @@ class UniPoly:
         if other is None:
             return NotImplemented
         var = self._join_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n)), var
-        )
+        a, b = self.coeffs, other.coeffs
+        tail = list(a[len(b):] or b[len(a):])  # the longer operand's top terms
+        return UniPoly([x + y for x, y in zip(a, b)] + tail, var)
 
     __radd__ = __add__
 
@@ -181,13 +194,16 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        var = self._join_var(other)
+        a, b = self.coeffs, other.coeffs
+        tail = list(a[len(b):]) or [-y for y in b[len(a):]]
+        return UniPoly([x - y for x, y in zip(a, b)] + tail, var)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -196,7 +212,7 @@ class UniPoly:
         var = self._join_var(other)
         if self.is_zero or other.is_zero:
             return UniPoly((), var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -496,18 +512,18 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     var = a._join_var(b)
     if a.is_zero or (a.degree or 0) < (b.degree or 0):
         if b.is_constant:
-            inv = Fraction(1) / b.coefficient(0)
+            inv = 1 / Fraction(b.coefficient(0))
             return UniPoly((c * inv for c in a.coeffs), var), UniPoly((), var)
         return UniPoly((), var), a
     rem = list(a.coeffs)
     db = len(b.coeffs) - 1
     lb = b.coeffs[-1]
-    quot = [Fraction(0)] * (len(rem) - db)
+    quot = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k]
         if c == 0:
             continue
-        q = c / lb
+        q = c if lb == 1 else _exact(Fraction(c, lb))
         quot[k - db] = q
         for j, bc in enumerate(b.coeffs):
             rem[k - db + j] -= q * bc
@@ -518,18 +534,17 @@ def derivative(a: UniPoly) -> UniPoly:
     return UniPoly((k * a.coeffs[k] for k in range(1, len(a.coeffs))), a.var)
 
 
-def _rational_split(a: UniPoly) -> tuple[Fraction, list[int]]:
+def _rational_split(a: UniPoly) -> tuple[int | Fraction, list[int]]:
     """Write a = scale * A with scale > 0 rational and A primitive integers."""
-    den_lcm = 1
-    for c in a.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in a.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+    cs = a.coeffs
+    den = math.lcm(*[c.denominator for c in cs])
+    # den == 1 means every coefficient is already an int
+    ints = list(cs) if den == 1 else [c.numerator * (den // c.denominator) for c in cs]
+    g = _int_content(ints)
     if g == 0:
-        return Fraction(0), []
-    return Fraction(g, den_lcm), [c // g for c in ints]
+        return 0, []
+    scale = g if den == 1 else Fraction(g, den)
+    return scale, ints if g == 1 else [c // g for c in ints]
 
 
 def integer_model(a: UniPoly) -> UniPoly:
@@ -554,12 +569,12 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     lb = B[-1]
     R = list(A)
     e = _int_deg(A) - dB + 1
-    while R and _int_deg(R) >= dB:
-        lr = R[-1]
-        shift = _int_deg(R) - dB
+    while len(R) > dB:
+        lr = R.pop()  # the top term cancels: lb * lr - lr * lb
+        shift = len(R) - dB
         R = [lb * c for c in R]
-        for i, bc in enumerate(B):
-            R[shift + i] -= lr * bc
+        for i in range(dB):
+            R[shift + i] -= lr * B[i]
         _int_trim(R)
         e -= 1
     if e > 0:
@@ -569,10 +584,7 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 
 def _int_content(A: Sequence[int]) -> int:
-    g = 0
-    for c in A:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*A)
 
 
 def _subresultant_gcd(A: list[int], B: list[int]) -> list[int]:
@@ -661,11 +673,8 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
         raise ZeroPolynomialError("resultant with a zero polynomial")
     ca, A = _rational_split(a)
     cb, B = _rational_split(b)
-    return (
-        ca ** _int_deg(B)
-        * cb ** _int_deg(A)
-        * Fraction(_subresultant_resultant(A, B))
-    )
+    res = ca ** _int_deg(B) * cb ** _int_deg(A) * _subresultant_resultant(A, B)
+    return Fraction(res)
 
 
 def discriminant(a: UniPoly) -> Fraction:

@@ -145,7 +145,7 @@ def _cycle_types(
     model: UniPoly, model_disc: Fraction, prime_bound: int
 ) -> Iterator[CycleTypeObservation]:
     """Observations at the good primes <= bound, ascending, one at a time."""
-    bad = abs(model_disc.numerator) * abs(int(model.leading_coefficient))
+    bad = abs(model_disc.numerator * model.leading_coefficient)
     for p in primes_up_to(prime_bound):
         if bad % p:
             yield CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p)))
@@ -307,7 +307,7 @@ def _certify_cached(f: UniPoly, prime_bound: int) -> GaloisCertificate:
     m: int = f.degree  # type: ignore[assignment]
     model, model_disc = _model_and_disc(f)
     # f = scale * model, and disc(c * f) = c^(2m - 2) * disc(f)
-    scale = f.leading_coefficient / model.leading_coefficient
+    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
     disc = model_disc * scale ** (2 * m - 2)
     disc_is_square = rational_is_square(disc)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DimensionSumMismatch, InvalidInput, MultiVariableError, ParityBug
-from .exact_poly import UniPoly, discriminant, is_prime
+from .exact_poly import UniPoly, discriminant, factor_int, is_prime
 
 __all__ = [
     "MAX_LAYER_BITS",
@@ -65,22 +65,12 @@ def _check_layer_bits(p: int, r: int) -> None:
 
 
 def euler_phi(q: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, from ``factor_int`` (FactorizationIncomplete on budget)."""
     if q < 1:
         raise InvalidInput("euler_phi needs q >= 1")
     out = 1
-    rest = q
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            rest //= d
-            out *= d - 1
-            while rest % d == 0:
-                rest //= d
-                out *= d
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        out *= rest - 1
+    for p, e in factor_int(q).items():
+        out *= (p - 1) * p ** (e - 1)
     return out
 
 
@@ -96,20 +86,10 @@ def berger_genus(m: int, n: int) -> int:
 
 def _check_prime_power(q: int) -> tuple[int, int]:
     """Return (p, r) with q = p^r, r >= 1."""
-    if q < 2:
+    factors = factor_int(q) if q >= 2 else {}
+    if len(factors) != 1:
         raise InvalidInput(f"{q} is not a prime power > 1")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    r = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        r += 1
-    if rest != 1 or not is_prime(p):
-        raise InvalidInput(f"{q} is not a prime power > 1")
+    [(p, r)] = factors.items()
     return p, r
 
 

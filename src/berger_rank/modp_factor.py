@@ -90,11 +90,13 @@ def reduce_mod_p(a: UniPoly, p: int) -> PrimePoly:
     """Reduce rational coefficients mod p; denominators must be units."""
     out = []
     for c in a.coeffs:
-        if c.denominator % p == 0:
-            raise DenominatorDivisibleByP(
-                f"coefficient {c} has denominator divisible by {p}"
-            )
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+        if type(c) is not int:
+            if c.denominator % p == 0:
+                raise DenominatorDivisibleByP(
+                    f"coefficient {c} has denominator divisible by {p}"
+                )
+            c = c.numerator * pow(c.denominator, -1, p)
+        out.append(c % p)
     return PrimePoly(p, tuple(out))
 
 

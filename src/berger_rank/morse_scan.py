@@ -133,7 +133,7 @@ def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
 
 def _rational_root(f: UniPoly):
     """Some rational root of f, or None if none exists (or none provable)."""
-    coeffs = [int(c) for c in integer_model(f).coeffs]
+    coeffs = integer_model(f).coeffs
     if not coeffs:
         return None
     if coeffs[0] == 0:

@@ -1,6 +1,7 @@
 """Command-line behavior: envelopes, exit codes, mode parity, fault injection."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,16 @@ class TestPayloads:
             {"i": 2, "layer": 4, "dim": 2},
         ]
         assert env["result"]["total"] == 3
+
+    def test_dims_large_prime_layer(self, capsys):
+        # q = 10^30 + 57 is prime; its totient comes from factor_int, not from
+        # trial division up to sqrt(q), which did not finish
+        q = 10**30 + 57
+        start = time.perf_counter()
+        env = run_json(capsys, "dims", "5", str(q))
+        assert time.perf_counter() - start < 1.0
+        assert env["result"]["dim_superelliptic"] == 2 * (q - 1)
+        assert env["result"]["dim_new_part"] == 2 * (q - 1)
 
 
 class TestModeParity:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -18,6 +19,7 @@ from berger_rank import (
     PolySyntaxError,
     UniPoly,
     ZeroInput,
+    certify_galois,
     derivative,
     discriminant,
     factor_int,
@@ -104,6 +106,15 @@ class TestParseRender:
                      "2^10001", "x^" + "9" * 5000):
             with pytest.raises(PolySyntaxError, match="degree above 10000"):
                 parse_poly(text)
+
+    def test_binomial_power_time(self):
+        # a dense product of degree 1000; with Fraction coefficients it took
+        # 4.5 s on a 2-core machine, with int coefficients about 0.4 s
+        start = time.perf_counter()
+        f = parse_poly("(1+x)^1000")
+        assert time.perf_counter() - start < 10.0
+        assert f.coeffs == tuple(math.comb(1000, k) for k in range(1001))
+        assert all(type(c) is int for c in f.coeffs)
 
     @given(polys())
     @settings(max_examples=150)
@@ -358,3 +369,138 @@ class TestFactorOracle:
             assert factor_int(sign * n) == want, n
             part = prod(p for p, e in want.items() if e % 2)
             assert int_squarefree_part(sign * n) == sign * part, n
+
+
+# -- representation guard ----------------------------------------------------------
+
+# ints, non-integral Fractions and integral Fractions such as Fraction(2)
+_COEF = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+
+
+@st.composite
+def mixed_polys(draw, min_deg=0, max_deg=4):
+    """Polynomials with int and Fraction coefficients, any nonzero leading one."""
+    deg = draw(st.integers(min_deg, max_deg))
+    low = draw(st.lists(_COEF, min_size=deg, max_size=deg))
+    lead = draw(_COEF.filter(lambda c: c != 0))
+    return UniPoly(low + [lead])
+
+
+def _assert_canonical(p):
+    """Integral coefficients are ints; only non-integral ones are Fractions."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c)
+
+
+def _sylvester_resultant(a, b):
+    """Determinant of the Sylvester matrix of a and b, by Fraction elimination."""
+    m, n = a.degree, b.degree
+    rows = [[0] * i + list(reversed(a.coeffs)) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(reversed(b.coeffs)) + [0] * (m - 1 - i) for i in range(m)]
+    M = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if M[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, m + n):
+            factor = M[r][col] / M[col][col]
+            M[r] = [u - factor * v for u, v in zip(M[r], M[col])]
+    return det
+
+
+def _to_sympy(sp, p):
+    coeffs = [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sp.Poly(coeffs or [0], sp.Symbol("x"), domain=sp.QQ)
+
+
+def _check(ours, oracle):
+    """ours is canonical and equals the sympy polynomial oracle."""
+    _assert_canonical(ours)
+    expected = [Fraction(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
+    assert ours == UniPoly(expected)
+
+
+class TestIntegerRepresentation:
+    """Coefficients are int when integral and Fraction otherwise, never float,
+    and every operation agrees with sympy's arithmetic over QQ.  Resultants
+    are checked against a Sylvester determinant instead: sympy 1.14's
+    ``resultant`` has the wrong sign on some pairs with deg a < deg b, e.g.
+    it gives 1 for Res(x + 1, x^3), whose Sylvester determinant is -1."""
+
+    @given(mixed_polys(), mixed_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, a, b):
+        sp = pytest.importorskip("sympy")
+        _assert_canonical(a)
+        A, B = _to_sympy(sp, a), _to_sympy(sp, b)
+        _check(a + b, A + B)
+        _check(a - b, A - B)
+        _check(a - a, A - A)
+        _check(a * b, A * B)
+        _check(3 - a, 3 - A)
+        _check(a + Fraction(1, 2), A + sp.Rational(1, 2))
+        q, r = poly_divmod(a, b)
+        Q, R = sp.div(A, B)
+        _check(q, Q)
+        _check(r, R)
+        _check(a.monic(), A.monic())
+        _check(derivative(a), A.diff())
+        assert type(a.leading_coefficient) in (int, Fraction)
+
+    @given(mixed_polys(min_deg=1), mixed_polys(min_deg=1))
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_model_resultant_discriminant(self, a, b):
+        sp = pytest.importorskip("sympy")
+        A, B = _to_sympy(sp, a), _to_sympy(sp, b)
+        _check(poly_gcd(a, b), sp.gcd(A, B).monic())
+        model = integer_model(a)
+        assert all(type(c) is int for c in model.coeffs)
+        assert math.gcd(*model.coeffs) == 1
+        assert model.leading_coefficient * a.leading_coefficient > 0
+        assert model * a.leading_coefficient == a * model.leading_coefficient
+        res = resultant(a, b)
+        assert type(res) is Fraction
+        assert res == _sylvester_resultant(a, b)
+        disc = discriminant(a)
+        assert type(disc) is Fraction
+        assert disc == Fraction(str(sp.discriminant(A)))
+
+    @given(mixed_polys(), st.integers(1, 12), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_parser_division(self, a, k, sign):
+        sp = pytest.importorskip("sympy")
+        divisor = sign * k
+        got = parse_poly(f"({a.render()}) / ({divisor})")
+        _check(got, _to_sympy(sp, a) * sp.Rational(1, divisor))
+
+    def test_parser_division_examples(self):
+        for text, coeffs in (
+            ("6x/3", (0, 2)),
+            ("x/2 + 1/2", (Fraction(1, 2), Fraction(1, 2))),
+            ("(4x^2 - 2)/(1/2)", (-4, 0, 8)),
+            ("0.5x + 1.5", (Fraction(3, 2), Fraction(1, 2))),
+        ):
+            p = parse_poly(text)
+            _assert_canonical(p)
+            assert p.coeffs == coeffs, text
+
+    def test_certificate_disc_is_scaled_fraction(self):
+        f = parse_poly("3/2*x^5 - x - 1")
+        model = integer_model(f)
+        scale = Fraction(3, 2) / model.leading_coefficient
+        cert = certify_galois(f)
+        assert type(cert.disc) is Fraction
+        assert cert.disc == scale ** 8 * discriminant(model)
+        assert cert.disc == discriminant(f)
+        # an integral, non-primitive input: both leading coefficients are ints
+        cert = certify_galois(parse_poly("2x^5 - 2x - 2"))
+        assert type(cert.disc) is Fraction
+        assert cert.disc == 2 ** 8 * discriminant(parse_poly("x^5 - x - 1"))
