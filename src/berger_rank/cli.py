@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import warnings as _warnings
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
@@ -227,7 +225,7 @@ def _human_verdict(payload: dict) -> list[str]:
 # -- command implementations -----------------------------------------------------
 
 
-def _cmd_poly_disc(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_poly_disc(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.poly)
     disc = discriminant(f)
     result: dict = {
@@ -249,23 +247,23 @@ def _cmd_poly_disc(args) -> tuple[dict, list[str], list[str], list[str]]:
                 "factoring budget exhausted; squarefree part and factors omitted"
             )
     human = [str(result["discriminant"])]
-    return _envelope("poly-disc", result, warnings), human, warnings, []
+    return _envelope("poly-disc", result, warnings), human
 
 
-def _cmd_galois(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_galois(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.poly)
     cert = certify_galois(f, prime_bound=args.prime_bound)
     payload = _certificate_payload(cert)
-    return _envelope("galois", payload), _human_certificate(payload), [], []
+    return _envelope("galois", payload), _human_certificate(payload)
 
 
-def _cmd_genus(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_genus(args) -> tuple[dict, list[str]]:
     value = berger_genus(args.m, args.n)
     result = {"m": args.m, "n": args.n, "genus": value}
-    return _envelope("genus", result), [str(value)], [], []
+    return _envelope("genus", result), [str(value)]
 
 
-def _cmd_dims(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_dims(args) -> tuple[dict, list[str]]:
     total = dim_superelliptic(args.m, args.q)
     new = dim_new_part(args.m, args.q)
     result = {
@@ -275,10 +273,10 @@ def _cmd_dims(args) -> tuple[dict, list[str], list[str], list[str]]:
         "dim_new_part": new,
     }
     human = [f"dim_superelliptic: {total}", f"dim_new_part: {new}"]
-    return _envelope("dims", result), human, [], []
+    return _envelope("dims", result), human
 
 
-def _cmd_decomp(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_decomp(args) -> tuple[dict, list[str]]:
     table = decomposition_table(args.m, args.p, args.r)
     rows = [{"i": i, "layer": q, "dim": d} for i, q, d in table.rows]
     result = {
@@ -289,19 +287,18 @@ def _cmd_decomp(args) -> tuple[dict, list[str], list[str], list[str]]:
         "total": table.total,
     }
     human = _aligned(rows, ["i", "layer", "dim"]) + [f"total: {table.total}"]
-    return _envelope("decomp", result), human, [], []
+    return _envelope("decomp", result), human
 
 
-def _cmd_rank(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_rank(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     verdict = rank_verdict(f, g, args.p, args.r, prime_bound=args.prime_bound)
     payload = _verdict_payload(verdict)
-    notes = list(verdict.notes)
-    return _envelope("rank", payload, notes=notes), _human_verdict(payload), [], notes
+    return _envelope("rank", payload, notes=verdict.notes), _human_verdict(payload)
 
 
-def _cmd_rank_table(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_rank_table(args) -> tuple[dict, list[str]]:
     f = parse_poly(args.f)
     g = parse_poly(args.g)
     verdicts = rank_table(f, g, args.p, args.max_r, prime_bound=args.prime_bound)
@@ -323,10 +320,10 @@ def _cmd_rank_table(args) -> tuple[dict, list[str], list[str], list[str]]:
             if note not in notes:
                 notes.append(note)
     human = _aligned(rows, ["r", "q", "kind", "rank", "c2"])
-    return _envelope("rank-table", result, notes=notes), human, [], notes
+    return _envelope("rank-table", result, notes=notes), human
 
 
-def _cmd_morse(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_morse(args) -> tuple[dict, list[str]]:
     h = parse_poly(args.poly)
     report = is_morse(h)
     result = {
@@ -343,7 +340,7 @@ def _cmd_morse(args) -> tuple[dict, list[str], list[str], list[str]]:
         + ("yes" if report.critical_value_disc_squarefree else "no"),
         f"critical_values_poly: {result['critical_values_poly']}",
     ]
-    return _envelope("morse", result), human, [], []
+    return _envelope("morse", result), human
 
 
 def _parse_c_range(text: str) -> tuple[int, int]:
@@ -359,10 +356,10 @@ def _parse_c_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_scan(args) -> tuple[dict, list[str], list[str], list[str]]:
+def _cmd_scan(args) -> tuple[dict, list[str]]:
     h = parse_poly(args.poly)
     lo, hi = _parse_c_range(args.c_range)
-    results = scan_A_h(h, lo, hi, prime_bound=args.prime_bound, jobs=args.jobs)
+    results = scan_A_h(h, lo, hi, prime_bound=args.prime_bound)
     rows = [
         {
             "c": res.c,
@@ -374,31 +371,17 @@ def _cmd_scan(args) -> tuple[dict, list[str], list[str], list[str]]:
         for res in results
     ]
     members = [res for res in results if res.in_A_h]
-    warning_texts: list[str] = []
-    pairs: list[list[int]] = []
-    if len(members) >= 2:
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            pairs = [list(pair) for pair in disjointness_filter(members)]
-        warning_texts = [str(w.message) for w in caught]
+    pairs = [list(pair) for pair in disjointness_filter(members)]
     result = {"h": h.render(), "rows": rows, "disjoint_pairs": pairs}
     human = _aligned(rows, ["c", "in_A_h", "quad_tag", "verdict", "reason"])
     if pairs:
         human.append(
             "disjoint pairs: " + " ".join(f"({a},{b})" for a, b in pairs)
         )
-    return _envelope("scan", result, warning_texts), human, warning_texts, []
+    return _envelope("scan", result), human
 
 
 # -- argument parsing and dispatch ----------------------------------------------
-
-
-def _env_jobs() -> int:
-    raw = os.environ.get("BERGER_RANK_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> _Parser:
@@ -474,10 +457,6 @@ def _build_parser() -> _Parser:
         "--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
         help="certification sampling bound",
     )
-    p.add_argument(
-        "--jobs", type=int, default=_env_jobs(),
-        help="parallel certification workers (default BERGER_RANK_JOBS or 1)",
-    )
 
     return parser
 
@@ -486,7 +465,7 @@ def run(argv: list[str]) -> int:
     """Parse argv, dispatch, print the output, and return the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    envelope, human, warning_texts, _notes = args.func(args)
+    envelope, human = args.func(args)
     if args.json:
         print(json.dumps(envelope, indent=2))
     else:
@@ -494,7 +473,7 @@ def run(argv: list[str]) -> int:
             print(line)
         for note in envelope["notes"]:
             print(f"note: {note}")
-        for text in warning_texts:
+        for text in envelope["warnings"]:
             print(f"warning: {text}", file=sys.stderr)
     return 0
 

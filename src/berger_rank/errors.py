@@ -50,8 +50,12 @@ class FactorizationIncomplete(BergerRankError):
     """Integer factorization budget exhausted before a full factorization.
 
     Deliberately not an InputError: the input was fine, we just refuse to
-    guess.  Callers that can degrade (rank hypotheses, scan tags) catch this
-    and record Unknown instead.
+    guess.  No Galois verdict, rank hypothesis, scan membership or disjoint
+    pair depends on factoring.  Only display fields and reasons degrade:
+    ``poly-disc`` omits the squarefree part and factors, a scan row's
+    ``quad_tag`` is None, and a rational-root search gives up, so a
+    reducible row reads "unproven" rather than "reducible".  A layer that
+    must be factored (``dims M Q``) exits 1.
     """
 
 

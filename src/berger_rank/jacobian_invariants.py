@@ -107,9 +107,9 @@ def dim_new_part(m: int, q: int) -> int:
     """dim of the new isogeny factor at prime-power level q > 1."""
     if m < 2:
         raise InvalidInput("dim_new_part needs m >= 2")
-    _check_prime_power(q)
+    p, r = _check_prime_power(q)
     factor = (m - 2) if m % q == 0 else (m - 1)
-    num = factor * euler_phi(q)
+    num = factor * (p - 1) * p ** (r - 1)  # phi(q)
     if num % 2:
         raise ParityBug(f"new-part numerator {num} is odd for (m, q) = ({m}, {q})")
     return num // 2

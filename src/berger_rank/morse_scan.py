@@ -22,13 +22,14 @@ in ``reason``: a proved non-membership (rational root, hence reducible, or
 a certified alternating group), a repeated root, or plain "unproven".
 
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
-fields Q(sqrt(disc(h - c))) differ, which is exactly a comparison of the
-squarefree parts stored as ``quad_tag``.
+fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero
+rationals a and b, Q(sqrt(a)) = Q(sqrt(b)) iff a * b is a rational square,
+so no integer is factored.  ``quad_tag``, the squarefree part of the
+discriminant, is a display field only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from .exact_poly import (
     integer_model,
     factor_int,
     poly_gcd,
+    rational_is_square,
     resultant,
 )
 from .galois_cert import (
@@ -53,16 +55,11 @@ from .galois_cert import (
 __all__ = [
     "MorseReport",
     "ScanResult",
-    "UnknownTagWarning",
     "is_morse",
     "critical_value_resultant",
     "scan_A_h",
     "disjointness_filter",
 ]
-
-
-class UnknownTagWarning(UserWarning):
-    """A scan row without a computable quadratic tag was skipped."""
 
 
 @dataclass(frozen=True)
@@ -214,27 +211,19 @@ def scan_A_h(
 
 
 def disjointness_filter(results: list[ScanResult]) -> list[tuple[int, int]]:
-    """Pairs (c, d) from certified rows whose quadratic tags differ.
+    """Pairs (c, d) from certified rows whose quadratic resolvent fields differ,
+    i.e. disc(h - c) * disc(h - d) is not a rational square.
 
-    Rows with an unknown tag are skipped with an UnknownTagWarning; rows
-    with in_A_h false are a caller error.
+    Rows with in_A_h false are a caller error.
     """
     for row in results:
         if not row.in_A_h:
             raise InvalidInput(
                 f"disjointness_filter needs certified rows, c = {row.c} is not"
             )
-    usable = []
-    for row in results:
-        if row.quad_tag is None:
-            warnings.warn(
-                f"c = {row.c} skipped: quadratic tag unknown", UnknownTagWarning
-            )
-        else:
-            usable.append(row)
     return [
         (a.c, b.c)
-        for i, a in enumerate(usable)
-        for b in usable[i + 1 :]
-        if a.quad_tag != b.quad_tag
+        for i, a in enumerate(results)
+        for b in results[i + 1 :]
+        if not rational_is_square(a.certificate.disc * b.certificate.disc)
     ]

@@ -22,8 +22,10 @@ Two vanishing routes are mechanized:
   f side is absolutely simple with cyclotomic endomorphism algebra and not
   CM, so Hom vanishes for every layer at once.  If deg f = 4 the same
   conclusion needs p odd, Gal(f) = Sym(4) proven, and one of
-    (i)  Q(sqrt(disc f)) different from the quadratic field inside the
-         p-th cyclotomic field (squarefree parts differ), or
+    (i)  Q(sqrt(disc f)) different from the quadratic field Q(sqrt(p*))
+         inside the p-th cyclotomic field, p* = (-1)^((p-1)/2) p, decided
+         by one square test: the fields agree iff disc(f) * p* is a
+         rational square, so no integer is factored, or
     (ii) p unramified in the splitting field of f (p not dividing disc of
          the integer model).
 * two-large route: m > n >= 4 with both Galois groups provably containing
@@ -46,13 +48,13 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import FactorizationIncomplete, InvalidInput
+from .errors import InvalidInput
 from .exact_poly import (
     UniPoly,
     discriminant,
-    int_squarefree_part,
     integer_model,
     is_prime,
+    rational_is_square,
 )
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
@@ -184,18 +186,16 @@ def quadratic_disjoint(f: UniPoly, p: int) -> HypothesisRecord:
     if disc == 0:
         raise InvalidInput("f must be squarefree")
     p_star = p if p % 4 == 1 else -p
-    try:
-        tag = int_squarefree_part(disc.numerator * disc.denominator)
-    except FactorizationIncomplete:
-        return HypothesisRecord(
-            "quadratic-disjoint",
-            Status.UNKNOWN,
-            {"reason": "squarefree part of disc f exceeded the factoring budget"},
-        )
+    # Q(sqrt(a)) = Q(sqrt(b)) for nonzero rationals a, b iff a * b is a square
+    same_field = rational_is_square(disc * p_star)
     return HypothesisRecord(
         "quadratic-disjoint",
-        Status.HOLDS if tag != p_star else Status.FAILS,
-        {"disc_squarefree_part": tag, "cyclotomic_quadratic_tag": p_star},
+        Status.FAILS if same_field else Status.HOLDS,
+        {
+            "disc": disc,
+            "cyclotomic_quadratic_tag": p_star,
+            "disc_times_p_star_is_square": same_field,
+        },
     )
 
 

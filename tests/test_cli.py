@@ -8,7 +8,7 @@ import pytest
 
 import berger_rank.cli as cli
 from berger_rank import MAX_LAYER_BITS, MAX_PRIME_BOUND
-from berger_rank.errors import ParityBug
+from berger_rank.errors import FactorizationIncomplete, ParityBug
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +135,30 @@ class TestModeParity:
         assert int(out.strip()) == env["result"]["genus"] == 4
 
 
+class TestWarningsAndNotes:
+    def test_warning_on_stderr_and_in_envelope(self, capsys, monkeypatch):
+        import berger_rank.exact_poly as ep
+
+        def boom(n):
+            raise FactorizationIncomplete("budget")
+
+        monkeypatch.setattr(ep, "_factor_int", boom)
+        text = "factoring budget exhausted; squarefree part and factors omitted"
+        code, out, err = run_cli(capsys, "poly-disc", "x^4 - x + 2")
+        assert (code, out, err) == (0, "2021\n", f"warning: {text}\n")
+        env = run_json(capsys, "poly-disc", "x^4 - x + 2")
+        assert env["warnings"] == [text]
+        assert env["result"]["squarefree_part"] is None
+
+    def test_notes_end_the_human_output(self, capsys):
+        argv = ("rank", "-f", "x^6 - x - 1", "-g", "y^2 - 1", "-p", "3", "-r", "1")
+        notes = run_json(capsys, *argv)["notes"]
+        assert notes
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-len(notes):] == [f"note: {n}" for n in notes]
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "genus", "5", "2")
@@ -245,15 +269,3 @@ class TestRegressionSuite:
         )
         assert code == 0, err
         assert out == expected
-
-
-class TestJobsFlag:
-    def test_scan_jobs_flag(self, capsys):
-        env1 = run_json(capsys, "scan", "x^5-x", "--c-range=-2..2", "--jobs", "3")
-        env2 = run_json(capsys, "scan", "x^5-x", "--c-range=-2..2")
-        assert env1["result"] == env2["result"]
-
-    def test_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BERGER_RANK_JOBS", "2")
-        env = run_json(capsys, "scan", "x^5-x", "--c-range=-1..1")
-        assert [row["c"] for row in env["result"]["rows"]] == [-1, 0, 1]

@@ -302,6 +302,23 @@ class TestIntegers:
         assert not rational_is_square(Fraction(-4))
         assert not rational_is_square(Fraction(49, 8))
 
+    @given(
+        st.integers(-30, 30).filter(bool),
+        st.integers(-30, 30).filter(bool),
+        st.fractions(-1000, 1000, max_denominator=1000).filter(bool),
+        st.fractions(-1000, 1000, max_denominator=1000).filter(bool),
+    )
+    @settings(max_examples=200)
+    def test_square_product_iff_equal_squarefree_parts(self, k, l, u, v):
+        # a = k u^2 and b = l v^2 share a squarefree part whenever k / l is a
+        # square, so both answers occur often; the quadratic-field tests rest
+        # on this equivalence
+        a, b = k * u * u, l * v * v
+        same = int_squarefree_part(a.numerator * a.denominator) == int_squarefree_part(
+            b.numerator * b.denominator
+        )
+        assert rational_is_square(a * b) is same
+
     def test_psi12_is_not_prime(self):
         # psi_12, the least strong pseudoprime to the prime bases 2 .. 37,
         # passes a Miller-Rabin test that stops at base 37

@@ -1,8 +1,8 @@
 """Morse tests, critical-value resultants, and constant scans."""
 
+import dataclasses
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,7 +11,6 @@ from berger_rank import (
     GaloisVerdict,
     InvalidInput,
     UniPoly,
-    UnknownTagWarning,
     critical_value_resultant,
     disjointness_filter,
     integer_model,
@@ -230,13 +229,27 @@ class TestDisjointness:
         with pytest.raises(InvalidInput):
             disjointness_filter(rows)
 
-    def test_missing_tags_warn_and_skip(self):
+    def test_unknown_tag_pairs_like_any_row(self):
+        # quad_tag is display only: a row whose tag ran out of factoring
+        # budget still pairs, by the square test on the certified discs
         rows = scan_A_h(parse_poly("x^5 - x"), 1, 2)
-        import dataclasses
-
         patched = [dataclasses.replace(rows[0], quad_tag=None), rows[1]]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pairs = disjointness_filter(patched)
-        assert pairs == []
-        assert any(issubclass(w.category, UnknownTagWarning) for w in caught)
+        assert disjointness_filter(patched) == [(1, 2)]
+        untagged = [dataclasses.replace(r, quad_tag=None) for r in rows]
+        assert disjointness_filter(untagged) == [(1, 2)]
+
+    def test_square_test_matches_tag_comparison(self):
+        # where every tag is known, the square test pairs exactly the rows
+        # whose squarefree tags differ
+        rows = scan_A_h(parse_poly("x^5 - x"), -8, 8)
+        members = [r for r in rows if r.in_A_h]
+        assert len(members) > 8 and all(r.quad_tag is not None for r in members)
+        by_tag = [
+            (a.c, b.c)
+            for i, a in enumerate(members)
+            for b in members[i + 1 :]
+            if a.quad_tag != b.quad_tag
+        ]
+        pairs = disjointness_filter(members)
+        assert pairs == by_tag
+        assert len(pairs) < len(members) * (len(members) - 1) // 2

@@ -1,5 +1,6 @@
 """Rank verdicts: routing, hypothesis records, exactness, and error paths."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,15 @@ from berger_rank import (
     c2,
     check_hom_mgtn,
     check_hom_vanishing_cm,
+    discriminant,
+    disjointness_filter,
     is_binomial_cm,
     parse_poly,
     quadratic_disjoint,
     rank_table,
     rank_verdict,
     replay_certificate,
+    scan_A_h,
     unramified_check,
 )
 
@@ -28,6 +32,10 @@ F6 = parse_poly("x^6 - x - 1")
 G2 = parse_poly("y^2 - 1")
 G3 = parse_poly("y^3 - 1")
 G5 = parse_poly("y^5 - 1")
+# disc f has a cofactor that Brent rho does not split within the factoring
+# budget (about 20 s of rho on a 2-core machine before giving up), so
+# condition (i) must be decided without its squarefree part
+PLANTED = parse_poly("x^4 - 817077202x - 5801424265")
 
 
 def statuses(verdict):
@@ -51,13 +59,17 @@ class TestSideConditions:
     def test_quadratic_disjoint_holds(self):
         rec = quadratic_disjoint(F4, 3)
         assert rec.status is Status.HOLDS
-        assert rec.evidence["disc_squarefree_part"] == -283
-        assert rec.evidence["cyclotomic_quadratic_tag"] == -3
+        assert rec.evidence == {
+            "disc": -283,
+            "cyclotomic_quadratic_tag": -3,
+            "disc_times_p_star_is_square": False,
+        }
 
     def test_quadratic_disjoint_fails_at_283(self):
         rec = quadratic_disjoint(F4, 283)
         assert rec.status is Status.FAILS
         assert rec.evidence["cyclotomic_quadratic_tag"] == -283
+        assert rec.evidence["disc_times_p_star_is_square"] is True
 
     def test_quadratic_disjoint_p_mod_4(self):
         # p = 1 mod 4 keeps the positive tag
@@ -79,15 +91,47 @@ class TestSideConditions:
         assert rec.status is Status.UNKNOWN
         assert rec.evidence["disc"] == -283
 
-    def test_unramified_budget(self, monkeypatch):
-        import berger_rank.rank_engine as re_mod
+    def test_planted_quartic_needs_no_factoring(self):
+        start = time.perf_counter()
+        rec = quadratic_disjoint(PLANTED, 7)
+        took = time.perf_counter() - start
+        assert rec.status is Status.HOLDS
+        assert rec.evidence == {
+            "disc": discriminant(PLANTED),
+            "cyclotomic_quadratic_tag": -7,
+            "disc_times_p_star_is_square": False,
+        }
+        assert took < 1.0, took
+        v = rank_verdict(PLANTED, parse_poly("y^3 - 2"), 7, 1)
+        assert statuses(v)["quadratic-disjoint"] is Status.HOLDS
+
+
+class TestBudgetIndependence:
+    """No rank status and no disjoint pair may depend on integer factoring."""
+
+    @staticmethod
+    def _observe():
+        quartic = [
+            (p, tuple(h.status for h in rank_verdict(F4, G2, p, 1).hypotheses))
+            for p in (2, 3, 5, 7, 11, 281, 283)
+        ]
+        rows = scan_A_h(parse_poly("x^5 - x"), -2, 2)
+        pairs = disjointness_filter([r for r in rows if r.in_A_h])
+        return quartic, pairs
+
+    def test_statuses_and_pairs_survive_failed_factoring(self, monkeypatch):
+        import berger_rank.exact_poly as ep
+
+        want = self._observe()
+        assert want[1] == [(-2, -1), (-2, 1), (-1, 2), (1, 2)]
 
         def boom(n):
             raise FactorizationIncomplete("budget")
 
-        monkeypatch.setattr(re_mod, "int_squarefree_part", boom)
-        rec = quadratic_disjoint(F4, 3)
-        assert rec.status is Status.UNKNOWN
+        monkeypatch.setattr(ep, "_factor_int", boom)
+        with pytest.raises(FactorizationIncomplete):
+            ep.int_squarefree_part(-283)  # the patch reaches every caller
+        assert self._observe() == want
 
 
 class TestKleene:
