@@ -1,184 +1,32 @@
 """Certified Mordell-Weil rank verdicts for Jacobians of the curves
 f(x) = t g(y) along the prime-power towers k(t^(1/p^r)).
 
-Everything is exact: rational polynomial arithmetic, subresultant gcds and
-resultants, finite-field factorization for Frobenius cycle types, replayable
-Galois certificates, and the genus / dimension / rank formulas.  The
-``berger-rank`` console script exposes the same operations as subcommands.
+Everything is exact: rational polynomial arithmetic, subresultant
+resultants and discriminants, finite-field factorization for Frobenius
+cycle types, replayable Galois certificates, and the genus / dimension /
+rank formulas.  The ``berger-rank`` console script exposes the same
+operations as subcommands.
+
+The public names are those listed in each module's ``__all__``.
 """
 
-from .errors import (
-    BergerRankError,
-    ConstantPolynomialError,
-    DenominatorDivisibleByP,
-    DimensionSumMismatch,
-    DiscSquareInconsistency,
-    DivisionByZeroPoly,
-    FactorizationIncomplete,
-    InputError,
-    InternalCheckError,
-    InvalidInput,
-    MultiVariableError,
-    NonRationalCoefficient,
-    NotSquarefree,
-    ParityBug,
-    PatternReplayMismatch,
-    PolySyntaxError,
-    ZeroInput,
-    ZeroPolynomialError,
-)
-from .exact_poly import (
-    ExactInt,
-    ExactRat,
-    UniPoly,
-    derivative,
-    discriminant,
-    factor_int,
-    int_squarefree_part,
-    integer_model,
-    is_prime,
-    parse_poly,
-    poly_divmod,
-    poly_gcd,
-    primes_up_to,
-    rational_is_square,
-    resultant,
-)
-from .galois_cert import (
-    DEFAULT_PRIME_BOUND,
-    MAX_PRIME_BOUND,
-    CycleTypeObservation,
-    GaloisCertificate,
-    GaloisVerdict,
-    RuleFiring,
-    certify_galois,
-    replay_certificate,
-    sample_cycle_types,
-)
-from .jacobian_invariants import (
-    CurvePair,
-    MAX_LAYER_BITS,
-    DecompositionTable,
-    TowerLayer,
-    berger_genus,
-    c2,
-    decomposition_table,
-    dim_new_part,
-    dim_superelliptic,
-    euler_phi,
-)
-from .modp_factor import (
-    DegreePattern,
-    PrimePoly,
-    degree_pattern,
-    distinct_degree_components,
-    reduce_mod_p,
-)
-from .morse_scan import (
-    MorseReport,
-    ScanResult,
-    critical_value_resultant,
-    disjointness_filter,
-    is_morse,
-    scan_A_h,
-)
-from .rank_engine import (
-    HypothesisRecord,
-    RankVerdict,
-    Status,
-    VerdictKind,
-    check_hom_mgtn,
-    check_hom_vanishing_cm,
-    is_binomial_cm,
-    quadratic_disjoint,
-    rank_table,
-    rank_verdict,
-    unramified_check,
-)
+from .errors import *
+from .exact_poly import *
+from .modp_factor import *
+from .galois_cert import *
+from .jacobian_invariants import *
+from .morse_scan import *
+from .rank_engine import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "BergerRankError",
-    "InputError",
-    "InternalCheckError",
-    "PolySyntaxError",
-    "MultiVariableError",
-    "NonRationalCoefficient",
-    "DivisionByZeroPoly",
-    "ZeroPolynomialError",
-    "ConstantPolynomialError",
-    "ZeroInput",
-    "DenominatorDivisibleByP",
-    "NotSquarefree",
-    "InvalidInput",
-    "FactorizationIncomplete",
-    "ParityBug",
-    "DimensionSumMismatch",
-    "DiscSquareInconsistency",
-    "PatternReplayMismatch",
-    # exact polynomials and integers
-    "ExactInt",
-    "ExactRat",
-    "UniPoly",
-    "parse_poly",
-    "poly_divmod",
-    "poly_gcd",
-    "derivative",
-    "resultant",
-    "discriminant",
-    "integer_model",
-    "rational_is_square",
-    "is_prime",
-    "primes_up_to",
-    "factor_int",
-    "int_squarefree_part",
-    # finite-field factorization
-    "DegreePattern",
-    "PrimePoly",
-    "reduce_mod_p",
-    "distinct_degree_components",
-    "degree_pattern",
-    # Galois certification
-    "DEFAULT_PRIME_BOUND",
-    "MAX_PRIME_BOUND",
-    "GaloisVerdict",
-    "CycleTypeObservation",
-    "RuleFiring",
-    "GaloisCertificate",
-    "sample_cycle_types",
-    "certify_galois",
-    "replay_certificate",
-    # curve and Jacobian invariants
-    "MAX_LAYER_BITS",
-    "CurvePair",
-    "TowerLayer",
-    "DecompositionTable",
-    "euler_phi",
-    "berger_genus",
-    "dim_superelliptic",
-    "dim_new_part",
-    "c2",
-    "decomposition_table",
-    # Morse tests and constant scans
-    "MorseReport",
-    "ScanResult",
-    "critical_value_resultant",
-    "is_morse",
-    "scan_A_h",
-    "disjointness_filter",
-    # rank engine
-    "Status",
-    "VerdictKind",
-    "HypothesisRecord",
-    "RankVerdict",
-    "is_binomial_cm",
-    "quadratic_disjoint",
-    "unramified_check",
-    "check_hom_vanishing_cm",
-    "check_hom_mgtn",
-    "rank_verdict",
-    "rank_table",
+    *errors.__all__,
+    *exact_poly.__all__,
+    *modp_factor.__all__,
+    *galois_cert.__all__,
+    *jacobian_invariants.__all__,
+    *morse_scan.__all__,
+    *rank_engine.__all__,
 ]

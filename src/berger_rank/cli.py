@@ -32,14 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import (
     BergerRankError,
     FactorizationIncomplete,
-    InputError,
     InternalCheckError,
     InvalidInput,
 )
@@ -100,8 +98,6 @@ def _json_value(obj):
         return obj.value
     if isinstance(obj, GaloisCertificate):
         return _certificate_payload(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [_json_value(v) for v in obj]
     if isinstance(obj, dict):
@@ -484,12 +480,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except FactorizationIncomplete as exc:
-        print(f"error: FactorizationIncomplete: {exc}", file=sys.stderr)
-        return 1
     except (InternalCheckError, AssertionError) as exc:
         print(
             f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr

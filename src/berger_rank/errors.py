@@ -9,6 +9,27 @@ Two families matter to callers:
   maps these to exit code 2.  They indicate a bug, not bad input.
 """
 
+__all__ = [
+    "BergerRankError",
+    "InputError",
+    "InternalCheckError",
+    "PolySyntaxError",
+    "MultiVariableError",
+    "NonRationalCoefficient",
+    "DivisionByZeroPoly",
+    "ZeroPolynomialError",
+    "ConstantPolynomialError",
+    "ZeroInput",
+    "DenominatorDivisibleByP",
+    "NotSquarefree",
+    "InvalidInput",
+    "FactorizationIncomplete",
+    "ParityBug",
+    "DimensionSumMismatch",
+    "DiscSquareInconsistency",
+    "PatternReplayMismatch",
+]
+
 
 class BergerRankError(Exception):
     """Base class for every exception raised by this package."""

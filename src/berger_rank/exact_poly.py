@@ -13,19 +13,14 @@ would give a float.  The zero polynomial has an empty coefficient tuple and
 ``degree`` ``None`` (the "no degree" marker); every formula in this package
 guards on it explicitly instead of inventing a numeric degree for zero.
 
-The exact scalar types are the stdlib ones and are re-exported under the
-names the rest of the package uses:
-
-* ``ExactInt`` is ``int`` (arbitrary precision, sign included).
-* ``ExactRat`` is ``fractions.Fraction`` (always reduced, denominator > 0).
-
 Polynomials are immutable and hashable.  Constants compare equal regardless
 of their variable symbol, so ``parse_poly("3")`` interoperates with both
 ``x`` and ``y`` polynomials.
 
 Algorithms
 ----------
-GCD and resultants go through the subresultant PRS over the integers after
+Resultants, and through them discriminants and every squarefreeness test
+in the package, go through the one subresultant PRS over the integers after
 clearing denominators, which keeps intermediate coefficients polynomially
 bounded.  ``resultant`` follows the convention
 
@@ -74,22 +69,16 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-ExactInt = int
-ExactRat = Fraction
-
 __all__ = [
-    "ExactInt",
-    "ExactRat",
     "UniPoly",
     "parse_poly",
     "poly_divmod",
-    "poly_gcd",
     "derivative",
     "resultant",
     "discriminant",
     "integer_model",
     "int_squarefree_part",
-    "is_perfect_square",
+    "factor_int",
     "rational_is_square",
     "is_prime",
     "primes_up_to",
@@ -149,12 +138,6 @@ class UniPoly:
 
     def coefficient(self, k: int) -> int | Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero or self.leading_coefficient == 1:
-            return self
-        inv = 1 / Fraction(self.leading_coefficient)
-        return UniPoly((c * inv for c in self.coeffs), self.var)
 
     # -- ring structure -----------------------------------------------------
 
@@ -344,6 +327,9 @@ class _ParseState:
     # Degrees are capped too, checked before each power or product is built,
     # so "x^<huge>" raises PolySyntaxError instead of allocating without bound.
     MAX_DEGREE = 10_000
+    # So are coefficient sizes, which a nested power such as "(2^9999)^9999"
+    # grows past any degree cap: see _height_bits for the bound checked.
+    MAX_COEFF_BITS = 1 << 16
 
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
@@ -369,8 +355,14 @@ class _ParseState:
         if degree > self.MAX_DEGREE:
             raise PolySyntaxError(f"degree above {self.MAX_DEGREE}")
 
+    def check_height(self, bits: int) -> None:
+        if bits > self.MAX_COEFF_BITS:
+            raise PolySyntaxError(f"coefficients above {self.MAX_COEFF_BITS} bits")
+
     def times(self, a: UniPoly, b: UniPoly) -> UniPoly:
         self.check_degree((a.degree or 0) + (b.degree or 0))
+        terms = min(len(a.coeffs), len(b.coeffs))
+        self.check_height(_height_bits(a) + _height_bits(b) + _log2_ceil(terms))
         return a * b
 
     def peek(self) -> str | None:
@@ -405,8 +397,8 @@ class _ParseState:
                         raise NonRationalCoefficient(
                             "division only by a nonzero constant"
                         )
-                    acc = acc * UniPoly.constant(
-                        Fraction(1) / rhs.coefficient(0), acc.var
+                    acc = self.times(
+                        acc, UniPoly.constant(Fraction(1) / rhs.coefficient(0))
                     )
             elif nxt in ("name", "("):
                 acc = self.times(acc, self.unary())  # juxtaposition, e.g. "2x"
@@ -427,8 +419,9 @@ class _ParseState:
         if self.peek() == "^":
             self.next()
             e = self.exponent()
-            # max(.., 1) also bounds the size of constants such as 2^e
+            # a constant's exponent counts as its degree, as documented
             self.check_degree(max(base.degree or 0, 1) * e)
+            self.check_height(e * (_height_bits(base) + _log2_ceil(len(base.coeffs))))
             return base ** e
         return base
 
@@ -482,12 +475,35 @@ class _ParseState:
         )
 
 
+def _log2_ceil(n: int) -> int:
+    return (n - 1).bit_length() if n > 1 else 0
+
+
+def _height_bits(a: UniPoly) -> int:
+    """Bits H(a) with |n| * d < 2^H(a) for every coefficient n/d of a.
+
+    H(a) is the largest numerator's bit length plus 2 * ceil(log2 D), D the
+    common denominator, so D * a has integer coefficients below
+    2^(H(a) - ceil(log2 D)).  Every coefficient n/d of a * b then has
+    |n| * d < 2^(H(a) + H(b) + ceil(log2 t)), t the shorter operand's
+    length, and every one of a^e has |n| * d < 2^(e * (H(a) + ceil(log2 len a))).
+    """
+    cs = a.coeffs
+    num = max((abs(c.numerator).bit_length() for c in cs), default=0)
+    den = math.lcm(*[c.denominator for c in cs])
+    return num + 2 * _log2_ceil(den)
+
+
 def parse_poly(text: str) -> UniPoly:
     """Parse one-variable polynomial text into a canonical UniPoly.
 
     Parentheses may nest at most ``_ParseState.MAX_NESTING`` (100) levels,
     and no power or product may exceed degree ``_ParseState.MAX_DEGREE``
-    (10,000); a constant's exponent counts as its degree.
+    (10,000); a constant's exponent counts as its degree.  Nor may a power
+    or product have a coefficient n/d with |n| * d >= 2^65,536
+    (``_ParseState.MAX_COEFF_BITS``), by a bound from the operands'
+    coefficient bit lengths and term counts checked before it is built.
+    Both caps raise ``PolySyntaxError``.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -502,7 +518,7 @@ def parse_poly(text: str) -> UniPoly:
     return poly
 
 
-# -- division, gcd, resultant --------------------------------------------------
+# -- division, resultant -------------------------------------------------------
 
 
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -585,51 +601,6 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 def _int_content(A: Sequence[int]) -> int:
     return math.gcd(*A)
-
-
-def _subresultant_gcd(A: list[int], B: list[int]) -> list[int]:
-    """Primitive gcd of two nonzero primitive integer polynomials."""
-    if _int_deg(A) < _int_deg(B):
-        A, B = B, A
-    g = h = 1
-    while True:
-        if not B:
-            break
-        if _int_deg(B) == 0:
-            return [1]
-        delta = _int_deg(A) - _int_deg(B)
-        R = _int_prem(A, B)
-        if not R:
-            A = B
-            break
-        divisor = g * h ** delta
-        A, B = B, [c // divisor for c in R]
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
-    content = _int_content(A)
-    out = [c // content for c in A]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q, via the subresultant PRS on integer models."""
-    var = a._join_var(b)
-    if a.is_zero and b.is_zero:
-        raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.is_constant or b.is_constant:
-        return UniPoly.constant(1, var)
-    _, A = _rational_split(a)
-    _, B = _rational_split(b)
-    return UniPoly(_subresultant_gcd(A, B), var).monic()
 
 
 def _subresultant_resultant(A: list[int], B: list[int]) -> int:

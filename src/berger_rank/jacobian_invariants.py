@@ -103,16 +103,21 @@ def dim_superelliptic(m: int, q: int) -> int:
     return num // 2
 
 
-def dim_new_part(m: int, q: int) -> int:
-    """dim of the new isogeny factor at prime-power level q > 1."""
-    if m < 2:
-        raise InvalidInput("dim_new_part needs m >= 2")
-    p, r = _check_prime_power(q)
+def _new_part_dim(m: int, p: int, r: int) -> int:
+    """dim of the new isogeny factor at level q = p^r, r >= 1, p prime."""
+    q = p ** r
     factor = (m - 2) if m % q == 0 else (m - 1)
     num = factor * (p - 1) * p ** (r - 1)  # phi(q)
     if num % 2:
         raise ParityBug(f"new-part numerator {num} is odd for (m, q) = ({m}, {q})")
     return num // 2
+
+
+def dim_new_part(m: int, q: int) -> int:
+    """dim of the new isogeny factor at prime-power level q > 1."""
+    if m < 2:
+        raise InvalidInput("dim_new_part needs m >= 2")
+    return _new_part_dim(m, *_check_prime_power(q))
 
 
 def c2(m: int, n: int, d: int) -> int:
@@ -191,7 +196,7 @@ def decomposition_table(m: int, p: int, r: int) -> DecompositionTable:
     if r < 0:
         raise InvalidInput("decomposition_table needs r >= 0")
     _check_layer_bits(p, r)
-    rows = tuple((i, p ** i, dim_new_part(m, p ** i)) for i in range(1, r + 1))
+    rows = tuple((i, p ** i, _new_part_dim(m, p, i)) for i in range(1, r + 1))
     total = dim_superelliptic(m, p ** r)
     if sum(row[2] for row in rows) != total:
         raise DimensionSumMismatch(

@@ -2,9 +2,10 @@
 
 A polynomial h of degree m >= 2 over Q is Morse when its critical points
 are simple (h' squarefree) and its critical values are pairwise distinct.
-Both halves reduce to exact squarefreeness checks:
+Both halves reduce to exact squarefreeness checks, each one discriminant:
 
-* h' squarefree  iff  gcd(h', h'') is constant;
+* h' squarefree  iff  disc(h') != 0 (deg h' >= 1, and a linear h' has
+  discriminant 1);
 * the critical values are the roots of D(t) = Res_x(h(x) - t, h'(x)), a
   polynomial of degree m - 1 in t, and they are pairwise distinct (given
   simple critical points) iff D is squarefree, i.e. disc(D) != 0.
@@ -41,7 +42,6 @@ from .exact_poly import (
     int_squarefree_part,
     integer_model,
     factor_int,
-    poly_gcd,
     rational_is_square,
     resultant,
 )
@@ -106,7 +106,7 @@ def is_morse(h: UniPoly) -> MorseReport:
     if h.degree is None or h.degree < 2:
         raise InvalidInput("Morse test needs degree >= 2")
     hp = derivative(h)
-    deriv_squarefree = poly_gcd(hp, derivative(hp)).degree == 0
+    deriv_squarefree = discriminant(hp) != 0
     D = critical_value_resultant(h)
     cv_squarefree = discriminant(D) != 0
     return MorseReport(

@@ -208,6 +208,17 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: PolySyntaxError: degree above 10000")
 
+    def test_coefficient_cap_exits_1(self, capsys):
+        # 2^60000 * 2^5535 is bounded by 65537 bits: the cap + 1
+        over = "*".join(["2^10000"] * 6) + "*2^5535"
+        for text in (over, "((2^10000)^10000)^10000", "(x + 2^4000)^10000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "poly-disc", text)
+            assert time.perf_counter() - start < 1.0, text
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: PolySyntaxError: coefficients above 65536 bits")
+
     def test_layer_cap_exits_1(self, capsys):
         # 65537 has 17 bits, and r * 17 = MAX_LAYER_BITS + 1 exactly
         r = (MAX_LAYER_BITS + 1) // 17

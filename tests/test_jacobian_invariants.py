@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from berger_rank import (
     CurvePair,
+    FactorizationIncomplete,
     InvalidInput,
     MultiVariableError,
     TowerLayer,
@@ -19,6 +20,7 @@ from berger_rank import (
     euler_phi,
     parse_poly,
 )
+from berger_rank import jacobian_invariants
 
 
 class TestEulerPhi:
@@ -171,6 +173,27 @@ class TestDecomposition:
             decomposition_table(4, 6, 2)
         with pytest.raises(InvalidInput):
             decomposition_table(4, 2, -1)
+
+    def test_table_factors_nothing(self, monkeypatch):
+        # the table knows each layer's (p, i), so no layer is factored; its
+        # rows still agree with dim_new_part, which factors each layer
+        expected = {
+            (m, p): tuple((i, p ** i, dim_new_part(m, p ** i)) for i in range(1, 8))
+            for m in (2, 3, 4, 5, 6, 9, 12) for p in (2, 3, 5, 7)
+        }
+
+        def refuse(n):
+            raise FactorizationIncomplete(f"factor_int({n}) called")
+
+        monkeypatch.setattr(jacobian_invariants, "factor_int", refuse)
+        for (m, p), rows in expected.items():
+            assert decomposition_table(m, p, 7).rows == rows
+        # 1365 * bit_length(7) = 4095, the largest r under MAX_LAYER_BITS
+        table = decomposition_table(5, 7, 1365)
+        assert len(table.rows) == 1365
+        assert table.total == dim_superelliptic(5, 7 ** 1365)
+        with pytest.raises(FactorizationIncomplete):
+            dim_new_part(5, 7)  # the patch is live: dim_new_part factors q
 
     @given(st.integers(2, 20), st.sampled_from([2, 3, 5, 7]), st.integers(0, 4))
     @settings(max_examples=100)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berger_rank import (
     GaloisVerdict,
@@ -99,6 +101,30 @@ class TestMorse:
     def test_constant_rejected(self):
         with pytest.raises(InvalidInput):
             is_morse(parse_poly("5"))
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+        st.integers(1, 5),
+        st.sampled_from(["none", "rational", "irrational"]),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_derivative_squarefree_matches_sympy_gcd(self, low, lead, plant, r):
+        # h' = base * (planted square); h is its antiderivative, so h has a
+        # double critical point at r, or at the roots of x^2 + |r| + 1
+        sp = pytest.importorskip("sympy")
+        hp = UniPoly(low + [lead])
+        if plant == "rational":
+            hp = hp * UniPoly([-r, 1]) ** 2
+        elif plant == "irrational":
+            hp = hp * UniPoly([abs(r) + 1, 0, 1]) ** 2
+        h = UniPoly([r] + [Fraction(c, k + 1) for k, c in enumerate(hp.coeffs)])
+        x = sp.Symbol("x")
+        H = sp.Poly([sp.Rational(c.numerator, c.denominator)
+                     for c in reversed(h.coeffs)], x, domain=sp.QQ)
+        Hp = H.diff(x)
+        constant_gcd = sp.gcd(Hp, Hp.diff(x)).degree() == 0
+        assert is_morse(h).derivative_squarefree == constant_gcd, h
 
 
 class TestScan:
