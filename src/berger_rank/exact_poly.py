@@ -305,6 +305,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
+            if j - i - seen_dot > _ParseState.MAX_LITERAL_DIGITS:
+                raise PolySyntaxError(
+                    f"numeric literal at position {i} has more than "
+                    f"{_ParseState.MAX_LITERAL_DIGITS} digits: {text[i:i + 20]!r}..."
+                )
             tokens.append(("num", text[i:j]))
             i = j
             continue
@@ -330,6 +335,9 @@ class _ParseState:
     # So are coefficient sizes, which a nested power such as "(2^9999)^9999"
     # grows past any degree cap: see _height_bits for the bound checked.
     MAX_COEFF_BITS = 1 << 16
+    # And numeric literals, at the digits Python converts from a string to an
+    # int (sys.get_int_max_str_digits), so a longer one is a syntax error.
+    MAX_LITERAL_DIGITS = 4_300
 
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
@@ -503,7 +511,9 @@ def parse_poly(text: str) -> UniPoly:
     or product have a coefficient n/d with |n| * d >= 2^65,536
     (``_ParseState.MAX_COEFF_BITS``), by a bound from the operands'
     coefficient bit lengths and term counts checked before it is built.
-    Both caps raise ``PolySyntaxError``.
+    Nor may a numeric literal have more than 4,300 digits, the dot not
+    counted (``_ParseState.MAX_LITERAL_DIGITS``).  Each cap raises
+    ``PolySyntaxError``.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -687,6 +697,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

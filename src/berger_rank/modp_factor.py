@@ -12,7 +12,11 @@ types.  It is computed by distinct-degree factorization: gcd of the input
 with x^(p^i) - x separates the degree-i part, and the factor count of each
 part is its degree divided by i.  Repeated factors are a caller error, not a
 fallback: p dividing disc(f) must be excluded upstream, so a non-squarefree
-input raises ``NotSquarefree``.
+input raises ``NotSquarefree``.  No gcd(f, f') is taken for that: the
+degree-i part divides x^(p^i) - x, so it is squarefree, and a repeated
+factor of degree i shows as a common factor of that part and what is left
+after dividing it out, tested at step i; one of a degree beyond the last
+step would leave more degree than the loop's stop allows.
 
 The powers x^(p^i) mod f come from the Frobenius matrix (Berlekamp's
 Q-matrix): its rows x^(p*j) mod f, j < deg f, are built once per (f, p), and
@@ -21,9 +25,12 @@ the rows (von zur Gathen and Shoup, Comput. Complexity 2, 1992).  All
 products mod f go through one kernel, ``_ModRing``: an element is packed
 into a single int by Kronecker substitution with slots wide enough that
 sums of products never carry, so a product is one big-int multiplication
-plus a long division by f, one big-int multiply-add per high slot.  x^p
-itself starts from a monomial, so for p < deg f it costs no product.  The
-gcds of Euclid's algorithm compute remainders only, on lists in place.
+plus a long division by f, one big-int multiply-add per high slot, and the
+low slots are reduced mod p all at once by Barrett's reduction over
+alternate slots, a fixed number of big-int operations with no per-slot
+loop.  x^p itself starts from a monomial, so for p < deg f it costs no
+product.  The gcds of Euclid's algorithm compute remainders only, on lists
+in place, and stop at the first nonzero constant remainder.
 """
 
 from __future__ import annotations
@@ -96,8 +103,8 @@ def reduce_mod_p(a: UniPoly, p: int) -> PrimePoly:
                     f"coefficient {c} has denominator divisible by {p}"
                 )
             c = c.numerator * pow(c.denominator, -1, p)
-        out.append(c % p)
-    return PrimePoly(p, tuple(out))
+        out.append(c)
+    return PrimePoly(p, tuple(out))  # which reduces every coefficient mod p
 
 
 # -- raw tuple arithmetic over F_p ----------------------------------------------
@@ -156,12 +163,10 @@ def _gcd(a: tuple, b: tuple, p: int) -> tuple:
         del a[db:]
         while a and a[-1] == 0:
             a.pop()
+        if len(a) == 1:  # a nonzero constant remainder: coprime
+            return (1,)
         a, b = b, a
     return _monic(tuple(a), p)
-
-
-def _derivative(a: tuple, p: int) -> tuple:
-    return _trim([k * a[k] % p for k in range(1, len(a))])
 
 
 # -- packed multiplication mod a fixed monic f ----------------------------------
@@ -172,22 +177,34 @@ def _derivative(a: tuple, p: int) -> tuple:
 # x^(k-n) * (x^n mod f) is added, from a precomputed shifted copy of -f.
 # Every slot starts below n(p-1)**2 and gains at most (n-1)(p-1)**2 from the
 # division, so with 2**w > 2n(p-1)**2 no slot carries into its neighbour:
-# one big-int operation does each convolution or subtraction, and each slot
-# is read back and reduced mod p on its own.  The same bound covers a sum of
-# up to 2n products of residues.
+# one big-int operation does each convolution or subtraction.  The same bound
+# covers a sum of up to 2n products of residues.
+#
+# The n low slots are then reduced mod p all at once (Barrett, CRYPTO '86),
+# with no per-slot loop: the even and the odd slots are split into 2w-bit
+# windows, so that a window holds s < 2**w with w zero bits above it.  With
+# m = 2**w // p, each window's q = (s*m) >> w is below 2**w and within one
+# of s // p, so r = s - q*p lies in [0, 2p); adding 2**w - p to every window
+# sets bit w exactly where r >= p, and that bit, times p, is subtracted.
+# No window's value leaves [0, 2**(2w)), so the windows never interact.
 
 
 class _ModRing:
     """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints."""
 
-    __slots__ = ("p", "n", "w", "mask", "low", "negf")
+    __slots__ = ("p", "n", "w", "mask", "low", "negf", "m", "even", "ones", "lift")
 
     def __init__(self, f: tuple, p: int):
         n = len(f) - 1
         self.p, self.n = p, n
-        self.w = (n * (p - 1) ** 2).bit_length() + 1
-        self.mask = (1 << self.w) - 1
-        self.low = (1 << (self.w * n)) - 1
+        w = self.w = (n * (p - 1) ** 2).bit_length() + 1
+        self.mask = (1 << w) - 1
+        self.low = (1 << (w * n)) - 1
+        # Barrett constants over the (n + 1) // 2 windows of 2w bits
+        self.m = (1 << w) // p
+        self.ones = sum(1 << (2 * w * i) for i in range((n + 1) // 2))
+        self.even = self.ones * self.mask
+        self.lift = self.ones * ((1 << w) - p)
         # negf[j] = x^j * (x^n mod f): what x^(n+j) reduces to, for the slots
         # n .. 2n-2 of a product and slot n of an element shifted by x
         top = self.pack([-c % p for c in f[:-1]])
@@ -204,6 +221,18 @@ class _ModRing:
         w, mask, p = self.w, self.mask, self.p
         return [((v >> (w * i)) & mask) % p for i in range(count)]
 
+    def reduce(self, v: int) -> int:
+        """v with each of its n slots reduced mod p; every slot below 2**w."""
+        w, p, m, even = self.w, self.p, self.m, self.even
+        ones, lift = self.ones, self.lift
+        lo = v & even
+        hi = (v >> w) & even
+        lo -= (((lo * m) >> w) & even) * p
+        hi -= (((hi * m) >> w) & even) * p
+        lo -= (((lo + lift) >> w) & ones) * p
+        hi -= (((hi + lift) >> w) & ones) * p
+        return lo | (hi << w)
+
     def mul(self, a: int, b: int) -> int:
         """a * b mod f for packed reduced a, b."""
         acc = a * b
@@ -213,7 +242,7 @@ class _ModRing:
             top = acc >> kw  # slot k; the slots above it are already clear
             if top:
                 acc = (acc & ((1 << kw) - 1)) + (top % p) * negf[k - n]
-        return self.pack(self.unpack(acc, n))
+        return self.reduce(acc)
 
     def x_pow(self, e: int) -> int:
         """Packed x^e mod f for e >= 0.
@@ -234,7 +263,7 @@ class _ModRing:
                 h <<= w
                 top = h >> (w * n)  # a reduced slot, so already below p
                 if top:
-                    h = self.pack(self.unpack((h & self.low) + top * self.negf[0], n))
+                    h = self.reduce((h & self.low) + top * self.negf[0])
         return h
 
     def frobenius_rows(self) -> list[int]:
@@ -249,23 +278,15 @@ class _ModRing:
         return rows
 
 
-def _check_squarefree(a: PrimePoly) -> tuple:
-    """Return the monic coefficient tuple, raising NotSquarefree if needed."""
+def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
+    """[(d, monic coefficient tuple of the degree-d part)], d ascending.
+
+    Raises NotSquarefree when a has a repeated factor.
+    """
+    p = a.p
     if a.degree is None or a.degree < 1:
         raise ValueError("degree pattern needs degree >= 1")
-    cs = _monic(a.coeffs, a.p)
-    d = _derivative(cs, a.p)
-    if not d:
-        raise NotSquarefree(f"{a} has zero derivative, hence a repeated factor")
-    if len(_gcd(cs, d, a.p)) > 1:
-        raise NotSquarefree(f"{a} has a repeated factor mod {a.p}")
-    return cs
-
-
-def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
-    """[(d, monic coefficient tuple of the degree-d part)], d ascending."""
-    p = a.p
-    rest = _check_squarefree(a)
+    rest = _monic(a.coeffs, p)
     n = len(rest) - 1
     if n == 1:
         return [(1, rest)]
@@ -284,6 +305,14 @@ def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
             out.append((d, g))
             rest, r = _divmod(rest, g, p)
             assert not r
+            # The squarefree check, with no gcd(f, f'): g divides x^(p^d) - x,
+            # so g is squarefree.  A repeated factor of degree k <= the last
+            # step is still in rest at step k (no earlier g holds it), so
+            # after rest /= g it divides both g and rest, and this test at
+            # step k catches it.  One of degree k beyond the last step d would
+            # leave deg rest >= 2k >= 2(d + 1), contradicting the loop's stop.
+            if len(_gcd(rest, g, p)) > 1:
+                raise NotSquarefree(f"{a} has a repeated factor of degree {d}")
     if len(rest) > 1:
         out.append((len(rest) - 1, rest))
     return out

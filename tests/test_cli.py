@@ -219,6 +219,21 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: PolySyntaxError: coefficients above 65536 bits")
 
+    def test_literal_cap_exits_1(self, capsys):
+        # a literal at the 4,300-digit cap parses; one digit more is refused
+        # with one short line, not an echo of every digit or a traceback
+        cap = "1" * 4300
+        code, out, err = run_cli(capsys, "poly-disc", cap + "x")
+        assert (code, out, err) == (0, "1\n", "")  # a linear polynomial
+        for text in (cap + "1x", "1." + cap + "x"):
+            code, out, err = run_cli(capsys, "poly-disc", text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(
+                "error: PolySyntaxError: numeric literal at position 0 has more than 4300 digits"
+            )
+            assert err.count("\n") == 1 and len(err) < 120
+
     def test_layer_cap_exits_1(self, capsys):
         # 65537 has 17 bits, and r * 17 = MAX_LAYER_BITS + 1 exactly
         r = (MAX_LAYER_BITS + 1) // 17

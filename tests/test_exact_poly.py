@@ -98,7 +98,7 @@ class TestParseRender:
         # _ParseState.MAX_DEGREE is 10,000; only cap + 1 is exercised, so
         # no large polynomial is ever built
         for text in ("x^10001", "(x^100)^101", "x^5000*x^5001", "x^5000 x^5001",
-                     "2^10001", "x^" + "9" * 5000):
+                     "2^10001", "x^" + "9" * 4300):
             with pytest.raises(PolySyntaxError, match="degree above 10000"):
                 parse_poly(text)
 
@@ -118,6 +118,20 @@ class TestParseRender:
             with pytest.raises(PolySyntaxError, match="coefficients above 65536 bits"):
                 parse_poly(text)
             assert time.perf_counter() - start < 1.0, text
+
+    def test_literal_cap(self):
+        # _ParseState.MAX_LITERAL_DIGITS is 4,300, Python's default limit on
+        # str -> int conversion; the dot of a decimal does not count
+        cap = "1" * 4300
+        assert parse_poly(cap + "x") == UniPoly((0, int(cap)))
+        assert parse_poly("1." + cap[1:] + "x").coeffs[1] == Fraction(int(cap), 10 ** 4299)
+        for text, pos in ((cap + "1x", 0), ("1." + cap + "x", 0), ("x + " + "0" * 4301, 4),
+                          ("x^" + "9" * 5000, 2), ("x^" + "0" * 5000 + "2", 2)):
+            with pytest.raises(PolySyntaxError) as exc:
+                parse_poly(text)
+            message = str(exc.value)
+            assert message.startswith(f"numeric literal at position {pos} has more than 4300 digits")
+            assert len(message) < 100
 
     def test_binomial_power_time(self):
         # a dense product of degree 1000; with Fraction coefficients it took
@@ -255,10 +269,11 @@ class TestIntegerModel:
 
 class TestIntegers:
     def test_is_prime_small(self):
-        odds = [n for n in range(2, 200) if is_prime(n)]
-        assert odds == primes_up_to(199)
+        # spans 41^2, 41 * 43 and 43^2, where the no-Miller-Rabin cut-off sits
+        odds = [n for n in range(2, 5000) if is_prime(n)]
+        assert odds == primes_up_to(4999)
         sieve = []
-        for n in range(2, 200):
+        for n in range(2, 5000):
             if all(n % d for d in range(2, n)):
                 sieve.append(n)
         assert odds == sieve

@@ -166,6 +166,24 @@ class TestPatterns:
         with pytest.raises(NotSquarefree):
             degree_pattern(b)
 
+    @pytest.mark.parametrize("p, max_d", [(2, 6), (3, 6), (5, 4)])
+    def test_exhaustive_not_squarefree(self, p, max_d):
+        # raises exactly when gcd(f, f') is not constant; degree 6 holds g^2
+        # with deg g = 3 (found only at the last degree step) and g^3
+        repeated = 0
+        for d in range(1, max_d + 1):
+            for coeffs in _monics(p, d):
+                a = PrimePoly(p, coeffs)
+                if _osquarefree(coeffs, p):
+                    assert sum(degree_pattern(a)) == d, (p, coeffs)
+                    continue
+                repeated += 1
+                with pytest.raises(NotSquarefree):
+                    degree_pattern(a)
+                with pytest.raises(NotSquarefree):
+                    distinct_degree_components(a)
+        assert repeated > 0
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_exhaustive_oracle_degree_le_4(self, p):
         irr_table = _irreducibles(p, 4)
@@ -342,6 +360,23 @@ class TestPackedKernel:
                 got = _trim(tuple(ring.unpack(ring.mul(ring.pack(a), ring.pack(b)), n)))
                 _, want = _odivmod(_omul(_trim(a), _trim(b), p), f, p)
                 assert got == want, (p, n, a, b, f)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 40])
+    @pytest.mark.parametrize("p", [2, 3, 197, 2**31 - 1, 2**61 - 1])
+    def test_reduce_matches_slotwise_mod(self, p, n):
+        # any slot below 2^w, the bound every product and sum keeps
+        rng = random.Random(f"reduce:{p}:{n}")
+        ring = _ModRing((1,) * (n + 1), p)
+        top = (1 << ring.w) - 1
+        edges = [0, p - 1, p, top]
+        vectors = [[e] * n for e in edges]
+        vectors += [[rng.choice(edges + [rng.randrange(top + 1)]) for _ in range(n)]
+                    for _ in range(40)]
+        for slots in vectors:
+            v = ring.reduce(ring.pack(slots))
+            got = [(v >> (ring.w * i)) & ring.mask for i in range(n)]
+            assert got == [s % p for s in slots], (p, n, slots)
+            assert v >> (ring.w * n) == 0
 
     @pytest.mark.parametrize("n", [2, 5, 31, 40])
     @pytest.mark.parametrize("p", [2, 3, 197, 2**61 - 1])
