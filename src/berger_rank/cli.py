@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .exact_poly import (
     UniPoly,
     discriminant,
     factor_int,
-    int_squarefree_part,
     parse_poly,
 )
 from .galois_cert import (
@@ -234,10 +234,12 @@ def _cmd_poly_disc(args) -> tuple[dict, list[str]]:
     if disc != 0:
         try:
             tag_input = disc.numerator * disc.denominator
-            result["squarefree_part"] = int_squarefree_part(tag_input)
-            result["factors"] = {
-                str(p): e for p, e in sorted(factor_int(abs(tag_input)).items())
-            }
+            factors = sorted(factor_int(tag_input).items())
+            # the sign times every prime to an odd power
+            result["squarefree_part"] = math.prod(
+                (p for p, e in factors if e % 2), start=-1 if tag_input < 0 else 1
+            )
+            result["factors"] = {str(p): e for p, e in factors}
         except FactorizationIncomplete:
             warnings.append(
                 "factoring budget exhausted; squarefree part and factors omitted"

@@ -35,9 +35,12 @@ returning anything.
 The guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
-A ``GaloisCertificate`` stores the observations and fired rules, and
-``replay_certificate`` re-runs the rule engine on the stored observations
-(no re-sampling) to confirm the recorded verdict.
+Sampling passes the model's discriminant to ``degree_pattern``, which may
+then end its degree loop early by the parity of the factor count
+(Stickelberger).  A ``GaloisCertificate`` stores the observations and fired
+rules, and ``replay_certificate`` re-runs the rule engine on the stored
+observations (no re-sampling) to confirm the recorded verdict; a deep replay
+recomputes every pattern without the discriminant, by the full loop.
 """
 
 from __future__ import annotations
@@ -145,10 +148,13 @@ def _cycle_types(
     model: UniPoly, model_disc: Fraction, prime_bound: int
 ) -> Iterator[CycleTypeObservation]:
     """Observations at the good primes <= bound, ascending, one at a time."""
-    bad = abs(model_disc.numerator * model.leading_coefficient)
+    disc = model_disc.numerator
+    bad = abs(disc * model.leading_coefficient)
     for p in primes_up_to(prime_bound):
         if bad % p:
-            yield CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p)))
+            # the model is an integer lift of its reduction, of full degree
+            # at a good p, so its discriminant lets the factoring stop early
+            yield CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p), disc))
 
 
 # -- rule engine -----------------------------------------------------------
@@ -311,23 +317,23 @@ def _certify_cached(f: UniPoly, prime_bound: int) -> GaloisCertificate:
     disc = model_disc * scale ** (2 * m - 2)
     disc_is_square = rational_is_square(disc)
 
-    # The verdict depends only on the set of patterns observed, and no proven
-    # verdict fires without a transposition source or a Jordan prime part,
-    # so the rules are re-run on one observation per distinct pattern, and
-    # only once such a pattern has been seen.
+    # The verdict depends only on the set of patterns observed, and a proven
+    # verdict needs a Jordan prime part (R-jordan) or a transposition source
+    # together with m prime (R-prime-deg) or an (m-1)-cycle (R-classic), so
+    # the rules are re-run on one observation per distinct pattern, and only
+    # once the patterns seen supply one of these.
     observations: list[CycleTypeObservation] = []
     first_seen: dict[DegreePattern, CycleTypeObservation] = {}
-    may_prove = False
+    m1_pattern = tuple(sorted((1, m - 1)))
+    jordan = transpo = False
     for obs in _cycle_types(model, model_disc, prime_bound):
         observations.append(obs)
         if obs.pattern in first_seen:
             continue
         first_seen[obs.pattern] = obs
-        may_prove = may_prove or (
-            _is_transposition_source(obs.pattern)
-            or _jordan_length(obs.pattern, m) is not None
-        )
-        if may_prove:
+        jordan = jordan or _jordan_length(obs.pattern, m) is not None
+        transpo = transpo or _is_transposition_source(obs.pattern)
+        if jordan or (transpo and (is_prime(m) or m1_pattern in first_seen)):
             verdict, _ = _evaluate_rules(
                 m, disc_is_square, tuple(first_seen.values())
             )
@@ -360,8 +366,9 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     """Re-run the rule engine on the stored observations.
 
     With deep=True every stored pattern is also recomputed from the
-    polynomial, turning the replay into a full independent re-derivation;
-    a pattern that does not recompute raises ``PatternReplayMismatch``.
+    polynomial by the full degree loop (no discriminant, so no parity
+    shortcut), turning the replay into a re-derivation; a pattern that
+    does not recompute raises ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:

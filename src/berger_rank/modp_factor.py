@@ -18,6 +18,18 @@ factor of degree i shows as a common factor of that part and what is left
 after dividing it out, tested at step i; one of a degree beyond the last
 step would leave more degree than the loop's stop allows.
 
+A caller that knows disc(F) for an integer lift F of the input, with p not
+dividing it, may pass it and so end the loop early.  Such an input is
+squarefree, so the check above is skipped.  For odd p, Stickelberger's
+theorem (Swan, Pacific J. Math. 12, 1962) fixes the parity of the number r
+of irreducible factors: r = n (mod 2) iff disc(F) is a square mod p, read
+by Euler's criterion.  Before step d + 1, every factor left in ``rest`` has
+degree above d, so if deg rest = m < 3(d + 1) there are one or two of them,
+and the parity says which.  One factor ends the loop; two factors end it
+when m <= 2d + 3, since the smaller then has degree d + 1; otherwise the
+loop goes on.  p = 2 is excluded: every unit of F_2 is a square, so the
+Legendre symbol carries no parity there, and the loop runs in full.
+
 The powers x^(p^i) mod f come from the Frobenius matrix (Berlekamp's
 Q-matrix): its rows x^(p*j) mod f, j < deg f, are built once per (f, p), and
 since h^p = h(x^p) over F_p, each step h -> h^p is a linear combination of
@@ -45,7 +57,6 @@ __all__ = [
     "DegreePattern",
     "reduce_mod_p",
     "degree_pattern",
-    "distinct_degree_components",
 ]
 
 DegreePattern = tuple[int, ...]  # sorted ascending, sums to the degree
@@ -278,31 +289,53 @@ class _ModRing:
         return rows
 
 
-def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
-    """[(d, monic coefficient tuple of the degree-d part)], d ascending.
+def degree_pattern(a: PrimePoly, disc: int | None = None) -> DegreePattern:
+    """Sorted multiset of irreducible factor degrees of squarefree a.
 
-    Raises NotSquarefree when a has a repeated factor.
+    Raises NotSquarefree when a has a repeated factor.  ``disc``, if given,
+    is the discriminant of an integer lift of a (same degree) and must be
+    prime to p, else ValueError; for odd p its Legendre symbol gives the
+    parity of the factor count, which ends the loop once at most two
+    factors are left (Stickelberger; see the module docstring).
     """
     p = a.p
     if a.degree is None or a.degree < 1:
         raise ValueError("degree pattern needs degree >= 1")
+    if disc is not None and disc % p == 0:
+        raise ValueError(f"discriminant {disc} is not prime to {p}")
     rest = _monic(a.coeffs, p)
     n = len(rest) - 1
     if n == 1:
-        return [(1, rest)]
+        return (1,)
+    # the parity of r, the number of irreducible factors, or None if unknown
+    r_odd = None
+    if disc is not None and p != 2:
+        r_odd = (n % 2 == 1) == (pow(disc, (p - 1) // 2, p) == 1)
     # h = x^(p^d) stays reduced mod the original f; since rest divides f,
     # gcd(h - x, rest) is the same as with h reduced mod rest
     ring = _ModRing(rest, p)
     rows = ring.frobenius_rows()
     h = [0, 1]
-    out = []
+    pattern: list[int] = []
     d = 0
-    while len(rest) - 1 >= 2 * (d + 1):
+    while (m := len(rest) - 1) >= 2 * (d + 1):
+        # every factor of rest has degree > d, so below 3(d + 1) it has one
+        # or two, and the parity of r says which; two with m <= 2d + 3 can
+        # only be of degrees d + 1 and m - d - 1
+        if r_odd is not None and m < 3 * (d + 1):
+            if (len(pattern) % 2 == 0) == r_odd:
+                pattern.append(m)
+                return tuple(pattern)
+            if m <= 2 * d + 3:
+                pattern += [d + 1, m - d - 1]
+                return tuple(pattern)
         d += 1
         h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), n)
         g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
         if len(g) > 1:
-            out.append((d, g))
+            deg = len(g) - 1
+            assert deg % d == 0
+            pattern += [d] * (deg // d)
             rest, r = _divmod(rest, g, p)
             assert not r
             # The squarefree check, with no gcd(f, f'): g divides x^(p^d) - x,
@@ -311,23 +344,9 @@ def _components(a: PrimePoly) -> list[tuple[int, tuple]]:
             # after rest /= g it divides both g and rest, and this test at
             # step k catches it.  One of degree k beyond the last step d would
             # leave deg rest >= 2k >= 2(d + 1), contradicting the loop's stop.
-            if len(_gcd(rest, g, p)) > 1:
+            # p prime to disc already proves a squarefree.
+            if disc is None and len(_gcd(rest, g, p)) > 1:
                 raise NotSquarefree(f"{a} has a repeated factor of degree {d}")
     if len(rest) > 1:
-        out.append((len(rest) - 1, rest))
-    return out
-
-
-def distinct_degree_components(a: PrimePoly) -> list[tuple[int, PrimePoly]]:
-    """[(d, product of all irreducible factors of degree d)], d ascending."""
-    return [(d, PrimePoly(a.p, g)) for d, g in _components(a)]
-
-
-def degree_pattern(a: PrimePoly) -> DegreePattern:
-    """Sorted multiset of irreducible factor degrees of squarefree a."""
-    pattern: list[int] = []
-    for d, g in _components(a):
-        deg = len(g) - 1
-        assert deg % d == 0
-        pattern.extend([d] * (deg // d))
-    return tuple(sorted(pattern))
+        pattern.append(len(rest) - 1)
+    return tuple(pattern)

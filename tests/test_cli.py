@@ -61,6 +61,19 @@ class TestPayloads:
         assert r["squarefree_part"] == -283
         assert r["factors"] == {"283": 1}
 
+    def test_poly_disc_factors_once(self, capsys, monkeypatch):
+        # squarefree_part is read off the same factorization as factors
+        from berger_rank import exact_poly
+
+        calls = []
+        real = exact_poly._factor_int
+        monkeypatch.setattr(exact_poly, "_factor_int", lambda n: calls.append(n) or real(n))
+        r = run_json(capsys, "poly-disc", "x^3 - 2")["result"]
+        assert len(calls) == 1
+        assert r["discriminant"] == -108
+        assert r["squarefree_part"] == -3
+        assert r["factors"] == {"2": 2, "3": 3}
+
     def test_poly_disc_rational(self, capsys):
         env = run_json(capsys, "poly-disc", "x^2 - x/2 + 1")
         assert env["result"]["discriminant"] == "-15/4"

@@ -25,7 +25,12 @@ from berger_rank import (
     replay_certificate,
     sample_cycle_types,
 )
-from berger_rank.galois_cert import CycleTypeObservation, _evaluate_rules
+from berger_rank import galois_cert
+from berger_rank.galois_cert import (
+    CycleTypeObservation,
+    _evaluate_rules,
+    _is_transposition_source,
+)
 
 PROVEN = {GaloisVerdict.PROVEN_SYMMETRIC, GaloisVerdict.PROVEN_ALTERNATING}
 
@@ -179,6 +184,26 @@ class TestReplay:
             replay_certificate(tampered, deep=True)
         assert isinstance(info.value, InternalCheckError)  # CLI exit code 2
 
+    def test_deep_replay_runs_the_full_loop(self, monkeypatch):
+        # certification passes the discriminant, so degree_pattern may stop
+        # early by parity; deep replay passes none and re-derives every
+        # pattern by the full loop, which checks that shortcut independently
+        cert = certify_galois(parse_poly("x^9 - x - 1"))
+        calls = []
+        real = galois_cert.degree_pattern
+
+        def recording(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(galois_cert, "degree_pattern", recording)
+        assert replay_certificate(cert, deep=True) is cert.verdict
+        assert calls == [((), {})] * len(cert.observations)
+        galois_cert._certify_cached.cache_clear()
+        calls.clear()
+        assert certify_galois(parse_poly("x^9 - x - 1")) == cert
+        assert all(args == (cert.disc.numerator,) for args, _ in calls)
+
 
 X = UniPoly((0, 1))
 
@@ -281,6 +306,24 @@ class TestEarlyStop:
         if m >= 8:
             assert verdict is GaloisVerdict.PROVEN_ALTERNATING
             assert len(cert.observations) < len(full)
+
+    def test_rules_wait_for_a_provable_pattern_set(self, monkeypatch):
+        # f(x^2) is imprimitive, so no rule can prove it: no pattern has a
+        # Jordan part, and no (m-1)-cycle joins its transposition sources
+        # (m = 8 is not prime); the rules run once, on the full sample
+        calls = []
+        real = galois_cert._evaluate_rules
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(galois_cert, "_evaluate_rules", counting)
+        galois_cert._certify_cached.cache_clear()
+        cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert any(_is_transposition_source(o.pattern) for o in cert.observations)
+        assert len(calls) == 1
 
     def test_discriminant_of_rational_polynomial(self):
         # the stored discriminant is rescaled from the integer model's

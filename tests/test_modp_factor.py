@@ -14,11 +14,14 @@ from berger_rank import (
     DenominatorDivisibleByP,
     NotSquarefree,
     PrimePoly,
+    UniPoly,
     degree_pattern,
-    distinct_degree_components,
+    discriminant,
     parse_poly,
+    primes_up_to,
     reduce_mod_p,
 )
+from berger_rank import modp_factor
 from berger_rank.modp_factor import _gcd, _ModRing
 
 # -- independent oracle ----------------------------------------------------------
@@ -180,8 +183,6 @@ class TestPatterns:
                 repeated += 1
                 with pytest.raises(NotSquarefree):
                     degree_pattern(a)
-                with pytest.raises(NotSquarefree):
-                    distinct_degree_components(a)
         assert repeated > 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -196,32 +197,6 @@ class TestPatterns:
                     sorted(len(irr) - 1 for irr, _ in _oracle_factor(coeffs, p, irr_table))
                 )
                 assert degree_pattern(a) == expected, (p, coeffs)
-
-
-class TestDistinctDegree:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_component_product(self, p):
-        f = parse_poly("x^5 - x - 1")
-        a = reduce_mod_p(f, p)
-        if discriminant_is_zero_mod(a, p):
-            pytest.skip("not squarefree at this prime")
-        comps = distinct_degree_components(a)
-        prod = (1,)
-        for d, comp in comps:
-            assert comp.coeffs[-1] == 1
-            assert (len(comp.coeffs) - 1) % d == 0
-            prod = _omul(prod, comp.coeffs, p)
-        # product of monic components equals monic normalization of a
-        inv = pow(a.coeffs[-1], p - 2, p)
-        monic = tuple(c * inv % p for c in a.coeffs)
-        assert prod == monic
-
-
-def discriminant_is_zero_mod(a, p):
-    d = _oderiv(a.coeffs, p)
-    if not d:
-        return True
-    return len(_ogcd(a.coeffs, d, p)) != 1
 
 
 class TestIrreducible:
@@ -304,13 +279,6 @@ class TestSympyOracle:
                 continue
             expected = tuple(sorted(len(fac) - 1 for fac, _ in factors))
             assert degree_pattern(a) == expected, (p, coeffs)
-            prod = (1,)
-            for d, comp in distinct_degree_components(a):
-                assert comp.coeffs[-1] == 1
-                assert (len(comp.coeffs) - 1) == d * expected.count(d)
-                prod = _omul(prod, comp.coeffs, p)
-            inv = pow(coeffs[-1], -1, p)
-            assert prod == tuple(c * inv % p for c in coeffs), (p, coeffs)
             checked += 1
         assert checked == 10
 
@@ -442,3 +410,135 @@ class TestGcd:
         # non-monic divisor of a monic dividend: x^2 - 1 and 3x + 3 share x + 1
         assert _gcd((6, 0, 1), (3, 3), p) == (1, 1)
         assert _gcd((5,), (3, 3), p) == (1,)
+
+
+# -- the Stickelberger exit --------------------------------------------------------
+# degree_pattern(a, disc) may stop before the last degree step, from the parity
+# of the factor count; every pattern it gives must be the full loop's.
+
+_ODD_PRIMES = [p for p in primes_up_to(200) if p != 2]
+
+
+def _random_integer_poly(rng, deg, monic, sparse):
+    """A squarefree integer polynomial of the given degree, and its discriminant."""
+    while True:
+        lead = 1 if monic else rng.choice([-1, 1]) * rng.randint(2, 30)
+        if sparse:
+            low = [0] * deg
+            for k in rng.sample(range(deg), min(deg, rng.randint(1, 3))):
+                low[k] = rng.choice([-1, 1]) * rng.randint(1, 30)
+        else:
+            low = [rng.randint(-30, 30) for _ in range(deg)]
+        f = UniPoly(low + [lead])
+        disc = discriminant(f)
+        if disc != 0:
+            return f, disc.numerator
+
+
+def _stickelberger_inputs():
+    """Seeded (f, disc) pairs: degrees 2-40, monic and not, sparse and dense."""
+    rng = random.Random("stickelberger")
+    out = []
+    for k, deg in enumerate([2, 3, 4, 5, 7, 8, 9, 12, 16, 20, 27, 33, 40]):
+        out.append(_random_integer_poly(rng, deg, monic=k % 2 == 0, sparse=k % 4 < 2))
+        out.append(_random_integer_poly(rng, deg, monic=k % 2 == 1, sparse=k % 4 >= 2))
+    return out
+
+
+def _good(f, disc, p):
+    return (disc * f.leading_coefficient) % p != 0
+
+
+_INPUTS = _stickelberger_inputs()
+
+
+def _count_gcds(monkeypatch):
+    calls = []
+    real = modp_factor._gcd
+
+    def counting(a, b, p):
+        calls.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(modp_factor, "_gcd", counting)
+    return calls
+
+
+def _count_steps(monkeypatch):
+    """Degree steps taken: each reads x^(p^d) back out of the kernel once."""
+    calls = []
+    real = _ModRing.unpack
+
+    def counting(ring, v, count):
+        calls.append(count)
+        return real(ring, v, count)
+
+    monkeypatch.setattr(_ModRing, "unpack", counting)
+    return calls
+
+
+class TestStickelbergerExit:
+    @pytest.mark.parametrize(
+        "f, disc", _INPUTS, ids=[f"deg{f.degree}-lc{f.leading_coefficient}" for f, _ in _INPUTS]
+    )
+    def test_matches_full_loop_and_parity(self, f, disc):
+        n = f.degree
+        for p in _ODD_PRIMES:
+            if not _good(f, disc, p):
+                continue
+            a = reduce_mod_p(f, p)
+            full = degree_pattern(a)
+            assert degree_pattern(a, disc) == full, (f, p)
+            legendre = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+            assert legendre == (-1) ** (n - len(full)), (f, p, full)
+
+    def test_against_sympy(self):
+        checked = 0
+        for f, disc in _INPUTS[::3]:
+            for p in _ODD_PRIMES[::7]:
+                if not _good(f, disc, p):
+                    continue
+                coeffs = reduce_mod_p(f, p).coeffs
+                expected = tuple(sorted(len(fac) - 1 for fac, _ in _sympy_factors(coeffs, p)))
+                assert degree_pattern(reduce_mod_p(f, p), disc) == expected, (f, p)
+                checked += 1
+        assert checked >= 20
+
+    def test_p2_runs_the_full_loop(self, monkeypatch):
+        # every unit of F_2 is a square, so no parity is read at p = 2
+        calls = _count_steps(monkeypatch)
+        checked = 0
+        for f, disc in _INPUTS:
+            if not _good(f, disc, 2) or f.degree < 4:
+                continue
+            a = reduce_mod_p(f, 2)
+            calls.clear()
+            full = degree_pattern(a)
+            full_calls = len(calls)
+            calls.clear()
+            assert degree_pattern(a, disc) == full, f
+            assert len(calls) == full_calls, f
+            checked += 1
+        assert checked >= 3
+
+    def test_disc_divisible_by_p_is_an_error(self):
+        f = parse_poly("x^2 - 3")  # disc 12
+        for p in (2, 3):
+            with pytest.raises(ValueError):
+                degree_pattern(reduce_mod_p(f, p), 12)
+        with pytest.raises(ValueError):
+            degree_pattern(reduce_mod_p(parse_poly("x^5 - x - 1"), 7), 0)
+
+    def test_one_factor_takes_fewer_gcds(self, monkeypatch):
+        f = parse_poly("x^8 - x - 1")
+        disc = discriminant(f).numerator
+        p = next(
+            p for p in _ODD_PRIMES
+            if _good(f, disc, p) and degree_pattern(reduce_mod_p(f, p)) == (8,)
+        )
+        calls = _count_gcds(monkeypatch)
+        degree_pattern(reduce_mod_p(f, p))
+        full_calls = len(calls)
+        calls.clear()
+        assert degree_pattern(reduce_mod_p(f, p), disc) == (8,)
+        assert len(calls) < full_calls, (p, len(calls), full_calls)
