@@ -477,6 +477,12 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Computed discriminants and resultants outgrow any input cap, so while
+    # the CLI runs it prints integers of any length: the interpreter's
+    # int-to-str digit limit (Python >= 3.10.7) is lifted, then restored.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return run(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
@@ -490,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
     except BergerRankError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ __all__ = [
     "TowerLayer",
     "CurvePair",
     "DecompositionTable",
-    "euler_phi",
     "berger_genus",
     "dim_superelliptic",
     "dim_new_part",
@@ -62,16 +61,6 @@ def _check_layer_bits(p: int, r: int) -> None:
             f"layer {p}^{r} is too large: r * bit_length(p) = "
             f"{r * p.bit_length()} exceeds {MAX_LAYER_BITS}"
         )
-
-
-def euler_phi(q: int) -> int:
-    """Euler's totient, from ``factor_int`` (FactorizationIncomplete on budget)."""
-    if q < 1:
-        raise InvalidInput("euler_phi needs q >= 1")
-    out = 1
-    for p, e in factor_int(q).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out
 
 
 def berger_genus(m: int, n: int) -> int:

@@ -14,25 +14,25 @@ a sufficient condition for that Hom group to vanish (or stay bounded), and
 each condition is recorded as a ``HypothesisRecord`` so a verdict can be
 audited after the fact.
 
-Two vanishing routes are mechanized:
-
-* CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
-  dominated by a Fermat curve, so J_{g,d} is of CM type for every d.  If
-  deg f >= 5 and Gal(f) provably contains Alt(m), each new factor of the
-  f side is absolutely simple with cyclotomic endomorphism algebra and not
-  CM, so Hom vanishes for every layer at once.  If deg f = 4 the same
-  conclusion needs p odd, Gal(f) = Sym(4) proven, and one of
+Both vanishing routes rest on one fact about a side of degree >= 4: each
+of its new factors is absolutely simple with cyclotomic endomorphism
+algebra and not CM.  One side check certifies it, for either route, when
+deg >= 5 and Gal provably contains Alt, or for a quartic when p is odd,
+Gal = Sym(4) is proven, and one of
     (i)  Q(sqrt(disc f)) different from the quadratic field Q(sqrt(p*))
          inside the p-th cyclotomic field, p* = (-1)^((p-1)/2) p, decided
          by one square test: the fields agree iff disc(f) * p* is a
          rational square, so no integer is factored, or
     (ii) p unramified in the splitting field of f (p not dividing disc of
          the integer model).
-* two-large route: m > n >= 4 with both Galois groups provably containing
-  the alternating group (the quartic side needing the same (i)/(ii) side
-  conditions).  Hom is then bounded independently of p and q, and vanishes
-  outright unless p divides m and n = m - 1, where matching sublayers can
-  still contribute.
+
+* CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
+  dominated by a Fermat curve, so J_{g,d} is of CM type for every d.  When
+  the side check holds for f, Hom vanishes for every layer at once.
+* two-large route: m > n >= 4 with the side check holding for f and g.
+  Hom is then bounded independently of p and q, and vanishes outright
+  unless p divides m and n = m - 1, where matching sublayers can still
+  contribute.
 
 Verdict kinds: ``ExactRank`` (rank = c2(q), all hypotheses hold),
 ``UpperBoundPlusConstant`` (rank <= c2(q) + epsilon with epsilon bounded
@@ -70,10 +70,6 @@ __all__ = [
     "HypothesisRecord",
     "RankVerdict",
     "is_binomial_cm",
-    "quadratic_disjoint",
-    "unramified_check",
-    "check_hom_vanishing_cm",
-    "check_hom_mgtn",
     "rank_verdict",
     "rank_table",
 ]
@@ -161,10 +157,23 @@ def _galois_status(verdict: GaloisVerdict, need_symmetric: bool) -> Status:
     return Status.UNKNOWN if verdict is GaloisVerdict.INCONCLUSIVE else Status.HOLDS
 
 
-def _galois_record(name: str, cert: GaloisCertificate, need_symmetric: bool) -> HypothesisRecord:
-    return HypothesisRecord(
+def _side_hypotheses(
+    name: str, poly: UniPoly, p: int, prime_bound: int
+) -> tuple[GaloisCertificate, list[HypothesisRecord], Status, Status | None]:
+    """Whether the new factors of one side (deg >= 4) are absolutely simple
+    with cyclotomic endomorphism algebra and not CM, the fact both routes
+    rest on.
+
+    deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd, and (i)
+    or (ii).  Returns the certificate, the side's records in payload order,
+    their Kleene AND, and for a quartic the status of p odd and ((i) or
+    (ii)) alone.  Callers have validated poly (squarefree) and p (prime).
+    """
+    cert = certify_galois(poly, prime_bound)
+    quartic = poly.degree == 4
+    galois = HypothesisRecord(
         name,
-        _galois_status(cert.verdict, need_symmetric),
+        _galois_status(cert.verdict, need_symmetric=quartic),
         {
             "polynomial": cert.polynomial,
             "verdict": cert.verdict.value,
@@ -172,210 +181,43 @@ def _galois_record(name: str, cert: GaloisCertificate, need_symmetric: bool) -> 
             "certificate": cert,
         },
     )
-
-
-def quadratic_disjoint(f: UniPoly, p: int) -> HypothesisRecord:
-    """Condition (i): Q(sqrt(disc f)) differs from the quadratic subfield of
-    the p-th cyclotomic field, whose discriminant tag is p* = (-1)^((p-1)/2) p.
-    """
-    if f.degree != 4:
-        raise InvalidInput("quadratic_disjoint needs deg f = 4")
-    if p == 2 or not is_prime(p):
-        raise InvalidInput("quadratic_disjoint needs an odd prime")
-    disc = discriminant(f)
-    if disc == 0:
-        raise InvalidInput("f must be squarefree")
-    p_star = p if p % 4 == 1 else -p
-    # Q(sqrt(a)) = Q(sqrt(b)) for nonzero rationals a, b iff a * b is a square
-    same_field = rational_is_square(disc * p_star)
-    return HypothesisRecord(
-        "quadratic-disjoint",
-        Status.FAILS if same_field else Status.HOLDS,
-        {
-            "disc": disc,
-            "cyclotomic_quadratic_tag": p_star,
-            "disc_times_p_star_is_square": same_field,
-        },
-    )
-
-
-def unramified_check(f: UniPoly, p: int) -> HypothesisRecord:
-    """Condition (ii): p does not divide disc of the integer model of f.
-
-    That makes p unramified in the splitting field, which forces the
-    splitting field and the p-power cyclotomic fields to be linearly
-    disjoint.  p dividing the discriminant decides nothing, so that case
-    reports Unknown rather than Fails.
-    """
-    if f.degree is None or f.degree < 2:
-        raise InvalidInput("unramified_check needs deg f >= 2")
-    if not is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
-    disc = discriminant(integer_model(f))
-    if disc == 0:
-        raise InvalidInput("f must be squarefree")
-    assert disc.denominator == 1
-    d = disc.numerator
-    if d % p != 0:
-        return HypothesisRecord(
-            "unramified", Status.HOLDS, {"disc": d, "p": p, "disc_mod_p": d % p}
-        )
-    return HypothesisRecord(
-        "unramified",
-        Status.UNKNOWN,
-        {"disc": d, "p": p, "reason": f"{p} divides disc, ramification undecided"},
-    )
-
-
-def _quartic_side_conditions(
-    f: UniPoly, p: int
-) -> tuple[list[HypothesisRecord], Status]:
-    """p odd plus ((i) or (ii)) for a quartic; shared by both routes."""
-    p_odd = p != 2
+    if not quartic:
+        return cert, [galois], galois.status, None
     rec_odd = HypothesisRecord(
-        "p-odd",
-        Status.HOLDS if p_odd else Status.FAILS,
-        {"p": p},
+        "p-odd", Status.HOLDS if p != 2 else Status.FAILS, {"p": p}
     )
-    if p_odd:
-        rec_i = quadratic_disjoint(f, p)
-        rec_ii = unramified_check(f, p)
-    else:
+    if p == 2:
         reason = {"reason": "not evaluated, p = 2 already fails the route"}
         rec_i = HypothesisRecord("quadratic-disjoint", Status.UNKNOWN, reason)
         rec_ii = HypothesisRecord("unramified", Status.UNKNOWN, reason)
-    side = _kleene(rec_odd.status, _kleene(rec_i.status, rec_ii.status, any_of=True))
-    return [rec_odd, rec_i, rec_ii], side
-
-
-def check_hom_vanishing_cm(
-    f: UniPoly, p: int, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> list[HypothesisRecord]:
-    """Hypotheses for Hom(J_f, J_CM) = 0 at every layer of the p-tower.
-
-    The conclusion is independent of the layer exponent r: the Galois and
-    ramification conditions only mention f and p.
-    """
-    m = f.degree
-    if m is None or m < 4:
-        raise InvalidInput("check_hom_vanishing_cm needs deg f >= 4")
-    if not is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
-    cert = certify_galois(f, prime_bound)
-    records: list[HypothesisRecord] = []
-    if m >= 5:
-        galois_rec = _galois_record("galois-f", cert, need_symmetric=False)
-        records.append(galois_rec)
-        overall = galois_rec.status
-        evidence = {
-            "argument": (
-                "deg f >= 5 and Gal(f) contains Alt: every new factor of the "
-                "f side is absolutely simple with cyclotomic endomorphism "
-                "ring and not CM, so it admits no nonzero map to a CM "
-                "abelian variety"
-            ),
-            "galois": cert.verdict.value,
-        }
-        records.append(HypothesisRecord("hom-vanishing-cm", overall, evidence))
-        return records
-    # m == 4
-    galois_rec = _galois_record("galois-f", cert, need_symmetric=True)
-    records.append(galois_rec)
-    side_records, disjunction = _quartic_side_conditions(f, p)
-    records += side_records
-    records.append(
-        HypothesisRecord(
-            "hom-vanishing-cm",
-            _kleene(galois_rec.status, disjunction),
-            {
-                "argument": (
-                    "deg f = 4 needs p odd, Gal(f) = Sym(4), and a quadratic "
-                    "or ramification disjointness condition"
-                ),
-                "galois": cert.verdict.value,
-                "side_conditions": disjunction.value,
-            },
-        )
-    )
-    return records
-
-
-def check_hom_mgtn(
-    f: UniPoly, g: UniPoly, p: int, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> list[HypothesisRecord]:
-    """Hypotheses for the m > n >= 4 route: bounded Hom, vanishing off the
-    matching-sublayer locus (p | m and n = m - 1)."""
-    m, n = f.degree, g.degree
-    if m is None or n is None or not m > n >= 4:
-        raise InvalidInput("check_hom_mgtn needs deg f > deg g >= 4")
-    if not is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
-    records: list[HypothesisRecord] = []
-    cert_f = certify_galois(f, prime_bound)
-    rec_f = _galois_record("galois-f", cert_f, need_symmetric=False)
-    records.append(rec_f)
-    cert_g = certify_galois(g, prime_bound)
-    if n >= 5:
-        rec_g = _galois_record("galois-g", cert_g, need_symmetric=False)
-        records.append(rec_g)
-        g_side = rec_g.status
     else:
-        rec_g = _galois_record("galois-g", cert_g, need_symmetric=True)
-        records.append(rec_g)
-        side_records, disjunction = _quartic_side_conditions(g, p)
-        records += side_records
-        g_side = _kleene(rec_g.status, disjunction)
-    bounded = _kleene(rec_f.status, g_side)
-    records.append(
-        HypothesisRecord(
-            "hom-bounded",
-            bounded,
+        # (i): Q(sqrt(a)) = Q(sqrt(b)) for nonzero rationals a, b iff a * b
+        # is a square; cert.disc is disc(poly)
+        p_star = p if p % 4 == 1 else -p
+        same_field = rational_is_square(cert.disc * p_star)
+        rec_i = HypothesisRecord(
+            "quadratic-disjoint",
+            Status.FAILS if same_field else Status.HOLDS,
             {
-                "argument": (
-                    "both sides have new factors that are absolutely simple "
-                    "with distinct cyclotomic endomorphism data, so Hom is "
-                    "bounded independently of p and the layer"
-                ),
-                "galois_f": cert_f.verdict.value,
-                "galois_g": cert_g.verdict.value,
+                "disc": cert.disc,
+                "cyclotomic_quadratic_tag": p_star,
+                "disc_times_p_star_is_square": same_field,
             },
         )
-    )
-    if bounded is Status.HOLDS:
-        p_splits_m = m % p == 0
-        adjacent = n == m - 1
-        if not p_splits_m or not adjacent:
-            records.append(
-                HypothesisRecord(
-                    "exact-zero",
-                    Status.HOLDS,
-                    {
-                        "argument": (
-                            "new factors at levels q1, q2 can only match when "
-                            "q1 = q2 divides m and n = m - 1; that locus is "
-                            "empty here"
-                        ),
-                        "p_divides_m": p_splits_m,
-                        "n_equals_m_minus_1": adjacent,
-                    },
-                )
+        # (ii): p prime to disc of the integer model is unramified in the
+        # splitting field; p dividing it decides nothing, hence Unknown
+        d = discriminant(integer_model(poly)).numerator
+        if d % p:
+            rec_ii = HypothesisRecord(
+                "unramified", Status.HOLDS, {"disc": d, "p": p, "disc_mod_p": d % p}
             )
         else:
-            records.append(
-                HypothesisRecord(
-                    "exact-zero",
-                    Status.UNKNOWN,
-                    {
-                        "reason": (
-                            "p divides m and n = m - 1, so matching sublayers "
-                            "may carry nonzero maps"
-                        ),
-                        "p_divides_m": True,
-                        "n_equals_m_minus_1": True,
-                    },
-                )
+            reason = f"{p} divides disc, ramification undecided"
+            rec_ii = HypothesisRecord(
+                "unramified", Status.UNKNOWN, {"disc": d, "p": p, "reason": reason}
             )
-    return records
+    side = _kleene(rec_odd.status, _kleene(rec_i.status, rec_ii.status, any_of=True))
+    return cert, [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
 
 
 @dataclass(frozen=True)
@@ -475,10 +317,31 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             )
         )
         if m >= 4:
-            cm_records = check_hom_vanishing_cm(f, p, prime_bound)
-            records += cm_records
-            overall = next(r for r in cm_records if r.name == "hom-vanishing-cm")
-            full = overall.status is Status.HOLDS
+            cert, side_records, status, side = _side_hypotheses(
+                "galois-f", f, p, prime_bound
+            )
+            records += side_records
+            if side is None:
+                evidence = {
+                    "argument": (
+                        "deg f >= 5 and Gal(f) contains Alt: every new factor "
+                        "of the f side is absolutely simple with cyclotomic "
+                        "endomorphism ring and not CM, so it admits no nonzero "
+                        "map to a CM abelian variety"
+                    ),
+                    "galois": cert.verdict.value,
+                }
+            else:
+                evidence = {
+                    "argument": (
+                        "deg f = 4 needs p odd, Gal(f) = Sym(4), and a quadratic "
+                        "or ramification disjointness condition"
+                    ),
+                    "galois": cert.verdict.value,
+                    "side_conditions": side.value,
+                }
+            records.append(HypothesisRecord("hom-vanishing-cm", status, evidence))
+            full = status is Status.HOLDS
         elif m == 3:
             route = "cubic"
             notes.append(_ELLIPTIC_NOTE if _is_elliptic_config(f, g) else _CUBIC_NOTE)
@@ -487,12 +350,43 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             notes.append(_QUADRATIC_NOTE)
     elif m > n >= 4:
         route = "two-large"
-        mg_records = check_hom_mgtn(f, g, p, prime_bound)
-        records += mg_records
-        bounded_rec = next(r for r in mg_records if r.name == "hom-bounded")
-        bounded = bounded_rec.status is Status.HOLDS
-        exact_rec = next((r for r in mg_records if r.name == "exact-zero"), None)
-        full = exact_rec is not None and exact_rec.status is Status.HOLDS
+        cert_f, records_f, status_f, _ = _side_hypotheses("galois-f", f, p, prime_bound)
+        cert_g, records_g, status_g, _ = _side_hypotheses("galois-g", g, p, prime_bound)
+        records += records_f + records_g
+        status = _kleene(status_f, status_g)
+        records.append(
+            HypothesisRecord(
+                "hom-bounded",
+                status,
+                {
+                    "argument": (
+                        "both sides have new factors that are absolutely simple "
+                        "with distinct cyclotomic endomorphism data, so Hom is "
+                        "bounded independently of p and the layer"
+                    ),
+                    "galois_f": cert_f.verdict.value,
+                    "galois_g": cert_g.verdict.value,
+                },
+            )
+        )
+        bounded = status is Status.HOLDS
+        if bounded:
+            p_divides_m, adjacent = m % p == 0, n == m - 1
+            if p_divides_m and adjacent:
+                status, key, text = Status.UNKNOWN, "reason", (
+                    "p divides m and n = m - 1, so matching sublayers may "
+                    "carry nonzero maps"
+                )
+            else:
+                status, key, text = Status.HOLDS, "argument", (
+                    "new factors at levels q1, q2 can only match when "
+                    "q1 = q2 divides m and n = m - 1; that locus is empty here"
+                )
+            evidence = {
+                key: text, "p_divides_m": p_divides_m, "n_equals_m_minus_1": adjacent
+            }
+            records.append(HypothesisRecord("exact-zero", status, evidence))
+            full = status is Status.HOLDS
     else:
         if _is_elliptic_config(f, g):
             route = "cubic"

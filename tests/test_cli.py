@@ -1,6 +1,8 @@
 """Command-line behavior: envelopes, exit codes, mode parity, fault injection."""
 
 import json
+import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +23,25 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0, err
     return json.loads(out)
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each "$ berger-rank ..." line in README.md,
+    the output being the lines up to the next prompt, blank line or fence."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ berger-rank "):
+            out = []
+            for text in lines[i + 1:]:
+                if not text or text.startswith(("$ ", "```")):
+                    break
+                out.append(text + "\n")
+            examples.append((shlex.split(line)[2:], "".join(out)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
 
 
 class TestEnvelope:
@@ -123,6 +144,42 @@ class TestPayloads:
         assert time.perf_counter() - start < 1.0
         assert env["result"]["dim_superelliptic"] == 2 * (q - 1)
         assert env["result"]["dim_new_part"] == 2 * (q - 1)
+
+
+class TestLongIntegers:
+    """Integers past the interpreter's 4,300-digit int-to-str limit print in
+    full, human and JSON; the limit is restored once main returns."""
+
+    BIG = "1" + "0" * 5000  # 10^5000, inside the coefficient cap
+
+    def check(self, capsys, argv, wanted):
+        limit = sys.get_int_max_str_digits()
+        for mode in ((), ("--json",)):
+            code, out, err = run_cli(capsys, *argv, *mode)
+            assert (code, err) == (0, ""), mode
+            for text in wanted[bool(mode)]:
+                assert text in out, (mode, text[:40])
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_poly_disc(self, capsys):
+        self.check(
+            capsys,
+            ("poly-disc", "10^5000*x"),
+            (["1\n"], [f'"polynomial": "{self.BIG}*x"', '"discriminant": 1,']),
+        )
+
+    def test_galois(self, capsys):
+        # disc(a x^2 + x + 1) = 1 - 4a = -(4 * 10^5000 - 1)
+        disc = "-3" + "9" * 5000
+        poly = f"{self.BIG}*x^2 + x + 1"
+        self.check(
+            capsys,
+            ("galois", "10^5000*x^2+x+1", "--prime-bound", "5"),
+            (
+                [f"polynomial: {poly}\n", f"disc: {disc}\n"],
+                [f'"polynomial": "{poly}"', f'"disc": {disc},'],
+            ),
+        )
 
 
 class TestModeParity:
@@ -297,14 +354,13 @@ class TestRegressionSuite:
         assert out == ""
         assert "invalid choice: 'paper-examples'" in err
 
-    def test_readme_galois_example(self, capsys):
-        # the fenced galois example in README.md is this command's output
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        prompt = '$ berger-rank galois "x^4 - x + 2" --prime-bound 5\n'
-        block = readme[readme.index(prompt) + len(prompt):]
-        expected = block[: block.index("```")]
-        code, out, err = run_cli(
-            capsys, "galois", "x^4 - x + 2", "--prime-bound", "5"
-        )
-        assert code == 0, err
+    def test_readme_examples_found(self):
+        assert len(README_EXAMPLES) == 9
+
+    @pytest.mark.parametrize(
+        "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+    )
+    def test_readme_example(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
         assert out == expected

@@ -17,28 +17,9 @@ from berger_rank import (
     decomposition_table,
     dim_new_part,
     dim_superelliptic,
-    euler_phi,
     parse_poly,
 )
 from berger_rank import jacobian_invariants
-
-
-class TestEulerPhi:
-    def test_small_values(self):
-        assert [euler_phi(q) for q in range(1, 13)] == [
-            1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4,
-        ]
-
-    @given(st.integers(1, 500), st.integers(1, 500))
-    @settings(max_examples=100)
-    def test_multiplicative_on_coprime(self, a, b):
-        if gcd(a, b) != 1:
-            return
-        assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
-
-    def test_error(self):
-        with pytest.raises(InvalidInput):
-            euler_phi(0)
 
 
 class TestGenus:
@@ -82,8 +63,8 @@ class TestDimensions:
 
     def test_new_part_branch_condition(self):
         # q | m uses the (m - 2) branch, q does not divide m the (m - 1) branch
-        assert dim_new_part(6, 3) == (6 - 2) * euler_phi(3) // 2
-        assert dim_new_part(7, 3) == (7 - 1) * euler_phi(3) // 2
+        assert dim_new_part(6, 3) == (6 - 2) * 2 // 2
+        assert dim_new_part(7, 3) == (7 - 1) * 2 // 2
 
     @given(st.integers(2, 30), st.sampled_from([2, 3, 5, 7, 11, 13]),
            st.integers(1, 5))

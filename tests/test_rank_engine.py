@@ -1,10 +1,13 @@
 """Rank verdicts: routing, hypothesis records, exactness, and error paths."""
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import berger_rank.cli as cli
 from berger_rank import (
     FactorizationIncomplete,
     InvalidInput,
@@ -12,18 +15,14 @@ from berger_rank import (
     Status,
     VerdictKind,
     c2,
-    check_hom_mgtn,
-    check_hom_vanishing_cm,
     discriminant,
     disjointness_filter,
     is_binomial_cm,
     parse_poly,
-    quadratic_disjoint,
     rank_table,
     rank_verdict,
     replay_certificate,
     scan_A_h,
-    unramified_check,
 )
 
 F5 = parse_poly("x^5 - x - 1")
@@ -42,6 +41,10 @@ def statuses(verdict):
     return {h.name: h.status for h in verdict.hypotheses}
 
 
+def record(verdict, name):
+    return next(h for h in verdict.hypotheses if h.name == name)
+
+
 class TestBinomialDetection:
     def test_accepts_exact_binomials(self):
         assert is_binomial_cm(G2) == 1
@@ -56,8 +59,10 @@ class TestBinomialDetection:
 
 
 class TestSideConditions:
+    """The quartic conditions (i) and (ii), read off rank_verdict's records."""
+
     def test_quadratic_disjoint_holds(self):
-        rec = quadratic_disjoint(F4, 3)
+        rec = record(rank_verdict(F4, G2, 3, 1), "quadratic-disjoint")
         assert rec.status is Status.HOLDS
         assert rec.evidence == {
             "disc": -283,
@@ -66,35 +71,28 @@ class TestSideConditions:
         }
 
     def test_quadratic_disjoint_fails_at_283(self):
-        rec = quadratic_disjoint(F4, 283)
+        rec = record(rank_verdict(F4, G2, 283, 1), "quadratic-disjoint")
         assert rec.status is Status.FAILS
         assert rec.evidence["cyclotomic_quadratic_tag"] == -283
         assert rec.evidence["disc_times_p_star_is_square"] is True
 
     def test_quadratic_disjoint_p_mod_4(self):
         # p = 1 mod 4 keeps the positive tag
-        rec = quadratic_disjoint(F4, 5)
+        rec = record(rank_verdict(F4, G2, 5, 1), "quadratic-disjoint")
         assert rec.evidence["cyclotomic_quadratic_tag"] == 5
         assert rec.status is Status.HOLDS
 
-    def test_quadratic_disjoint_validation(self):
-        with pytest.raises(InvalidInput):
-            quadratic_disjoint(F5, 7)
-        with pytest.raises(InvalidInput):
-            quadratic_disjoint(F4, 2)
-        with pytest.raises(InvalidInput):
-            quadratic_disjoint(F4, 9)
-
     def test_unramified(self):
-        assert unramified_check(F4, 3).status is Status.HOLDS
-        rec = unramified_check(F4, 283)
+        assert record(rank_verdict(F4, G2, 3, 1), "unramified").status is Status.HOLDS
+        rec = record(rank_verdict(F4, G2, 283, 1), "unramified")
         assert rec.status is Status.UNKNOWN
         assert rec.evidence["disc"] == -283
 
     def test_planted_quartic_needs_no_factoring(self):
         start = time.perf_counter()
-        rec = quadratic_disjoint(PLANTED, 7)
+        v = rank_verdict(PLANTED, parse_poly("y^3 - 2"), 7, 1)
         took = time.perf_counter() - start
+        rec = record(v, "quadratic-disjoint")
         assert rec.status is Status.HOLDS
         assert rec.evidence == {
             "disc": discriminant(PLANTED),
@@ -102,8 +100,6 @@ class TestSideConditions:
             "disc_times_p_star_is_square": False,
         }
         assert took < 1.0, took
-        v = rank_verdict(PLANTED, parse_poly("y^3 - 2"), 7, 1)
-        assert statuses(v)["quadratic-disjoint"] is Status.HOLDS
 
 
 class TestBudgetIndependence:
@@ -243,12 +239,6 @@ class TestTwoLargeRoute:
             is VerdictKind.UPPER_BOUND_PLUS_CONSTANT
         )
 
-    def test_direct_checker_validation(self):
-        with pytest.raises(InvalidInput):
-            check_hom_mgtn(F5, parse_poly("y^5 - y - 1"), 7)
-        with pytest.raises(InvalidInput):
-            check_hom_vanishing_cm(parse_poly("x^3 - x - 1"), 7)
-
 
 class TestOtherShapes:
     def test_elliptic_configuration(self):
@@ -303,3 +293,41 @@ class TestCertificatesEmbedded:
         rows = rank_table(F5, G2, 7, 3)
         names = [tuple(h.name for h in v.hypotheses) for v in rows]
         assert len(set(names)) == 1
+
+
+class TestGoldenPayloads:
+    """rank and rank-table --json over every hypothesis branch, against
+    values recorded before the side checks of both routes were merged.
+
+    Certificate evidence (the embedded certificate and the rules fired) is
+    left out, so a change to the rule engine alone does not touch this.
+    """
+
+    CASES = json.loads((Path(__file__).parent / "rank_golden.json").read_text())
+
+    @staticmethod
+    def _project(row):
+        return {
+            "kind": row["kind"],
+            "rank": row["rank"],
+            "notes": row["notes"],
+            "hypotheses": [
+                {
+                    "name": h["name"],
+                    "status": h["status"],
+                    "evidence": {
+                        k: v
+                        for k, v in h["evidence"].items()
+                        if k not in ("certificate", "rules")
+                    },
+                }
+                for h in row["hypotheses"]
+            ],
+        }
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_payload(self, case, capsys):
+        assert cli.main([*case["argv"], "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        rows = result["rows"] if case["argv"][0] == "rank-table" else [result]
+        assert [self._project(r) for r in rows] == case["rows"]
