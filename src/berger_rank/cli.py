@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -484,10 +485,17 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return run(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        try:
+            code = run(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (``berger-rank ... | head -1``).
+        # Point stdout at devnull so the interpreter's last flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InternalCheckError, AssertionError) as exc:
         print(
             f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr

@@ -55,8 +55,8 @@ powers with explicit signs and ``^``, and ``parse_poly(render(p)) == p``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ConstantPolynomialError,
@@ -110,6 +110,9 @@ class UniPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    def __reduce__(self):
+        return UniPoly, (self.coeffs, self.var)
 
     @classmethod
     def constant(cls, c, var: str = "x") -> "UniPoly":
@@ -743,8 +746,9 @@ def _int_nth_root(n: int, k: int) -> int:
     return lo
 
 
-def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
-    """One deterministic Brent-rho round; a proper factor of n or None."""
+def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
+    """One deterministic Brent-rho round: a proper factor of n or None, and
+    the number of steps it took."""
     y, r, q = 2, 1, 1
     g = 1
     x = ys = y
@@ -769,14 +773,17 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    if 1 < g < n:
-        return g
-    return None
+    return (g if 1 < g < n else None), count
 
 
 # Trial division stops below 2^10: a cofactor below 2^20 left by it is
 # prime, and anything larger goes to is_prime, the perfect-power test and
-# Brent rho, which find a factor p in about sqrt(p) steps.
+# Brent rho, which find a factor p in about sqrt(p) steps.  One
+# factorization takes at most _RHO_ITER_CAP rho steps in all, a step on a
+# b-bit operand counting 1 + b^2 / 2^16 times (its cost relative to a step
+# below 256 bits), so the work done before giving up does not grow with the
+# operand.  A composite tries up to _RHO_TRIES constants c, while steps
+# remain.
 _TRIAL_LIMIT = 1 << 10
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
 _RHO_TRIES = 24
@@ -799,6 +806,7 @@ def _factor_int(n: int) -> dict[int, int]:
         if n > 1:
             factors[n] = 1
         return factors
+    budget = _RHO_ITER_CAP
     stack = [n]
     while stack:
         m = stack.pop()
@@ -812,8 +820,10 @@ def _factor_int(n: int) -> dict[int, int]:
                 stack.extend([root] * k)
                 break
         else:
+            weight = 1 + (m.bit_length() ** 2 >> 16)
             for c in range(1, _RHO_TRIES + 1):
-                f = _brent_rho(m, c, _RHO_ITER_CAP)
+                f, steps = _brent_rho(m, c, budget // weight)
+                budget -= steps * weight
                 if f is not None:
                     stack.append(f)
                     stack.append(m // f)

@@ -46,12 +46,12 @@ recomputes every pattern without the discriminant, by the full loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
+from ._record import Record
 from .errors import (
     DiscSquareInconsistency,
     InvalidInput,
@@ -92,23 +92,20 @@ class GaloisVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class CycleTypeObservation:
+class CycleTypeObservation(Record):
     """Factor-degree pattern of f mod p, i.e. a Frobenius cycle type."""
 
     p: int
     pattern: DegreePattern
 
 
-@dataclass(frozen=True)
-class RuleFiring:
+class RuleFiring(Record):
     rule: str
     primes: tuple[int, ...]  # observations the rule consumed
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class GaloisCertificate:
+class GaloisCertificate(Record):
     polynomial: UniPoly
     disc: Fraction
     disc_is_square: bool

@@ -31,9 +31,9 @@ d with period dividing lcm(m, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
+from ._record import DERIVED, Record
 from .errors import DimensionSumMismatch, InvalidInput, MultiVariableError, ParityBug
 from .exact_poly import UniPoly, discriminant, factor_int, is_prime
 
@@ -116,13 +116,12 @@ def c2(m: int, n: int, d: int) -> int:
     return (m - 1) * (n - 1) + gcd(gcd(m, n), d) - 1
 
 
-@dataclass(frozen=True)
-class TowerLayer:
+class TowerLayer(Record):
     """One layer of the p-power tower: d = q = p^r (r = 0 is the base)."""
 
     p: int
     r: int
-    q: int = field(init=False)
+    q: int = DERIVED
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -133,8 +132,7 @@ class TowerLayer:
         object.__setattr__(self, "q", self.p ** self.r)
 
 
-@dataclass(frozen=True)
-class CurvePair:
+class CurvePair(Record):
     """Validated (f, g) input pair; degrees m > 1 and n >= 2, both squarefree."""
 
     f: UniPoly
@@ -165,8 +163,7 @@ class CurvePair:
         return berger_genus(self.m, self.n)
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
+class DecompositionTable(Record):
     """New-part dimensions of J_{f,q} for q = p^1 .. p^r, plus the total."""
 
     m: int

@@ -47,8 +47,7 @@ in place, and stop at the first nonzero constant remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DenominatorDivisibleByP, NotSquarefree
 from .exact_poly import UniPoly, is_prime
 
@@ -64,8 +63,7 @@ DegreePattern = tuple[int, ...]  # sorted ascending, sums to the degree
 _MACHINE_WORD = 1 << 63
 
 
-@dataclass(frozen=True)
-class PrimePoly:
+class PrimePoly(Record):
     """Dense polynomial over F_p; coeffs ascending, trailing zeros stripped."""
 
     p: int
@@ -119,7 +117,8 @@ def reduce_mod_p(a: UniPoly, p: int) -> PrimePoly:
 
 
 # -- raw tuple arithmetic over F_p ----------------------------------------------
-# Internal helpers work on plain tuples to skip dataclass overhead in loops.
+# Internal helpers work on plain tuples, so the loops skip PrimePoly's
+# construction and checks.
 
 
 def _trim(cs: list[int]) -> tuple[int, ...]:

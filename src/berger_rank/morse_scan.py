@@ -31,9 +31,9 @@ discriminant, is a display field only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import FactorizationIncomplete, InvalidInput
 from .exact_poly import (
     UniPoly,
@@ -62,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MorseReport:
+class MorseReport(Record):
     h: UniPoly
     derivative_squarefree: bool
     critical_value_disc_squarefree: bool
@@ -71,8 +70,7 @@ class MorseReport:
     is_morse: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     c: int
     in_A_h: bool
     certificate: GaloisCertificate | None

@@ -43,11 +43,11 @@ statement is only claimed for the n = 2, m >= 5 CM family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .errors import InvalidInput
 from .exact_poly import (
     UniPoly,
@@ -101,8 +101,7 @@ class VerdictKind(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class HypothesisRecord:
+class HypothesisRecord(Record):
     """One named hypothesis with its status and supporting evidence."""
 
     name: str
@@ -114,8 +113,7 @@ class HypothesisRecord:
             raise ValueError(f"hypothesis {self.name} holds without evidence")
 
 
-@dataclass(frozen=True)
-class RankVerdict:
+class RankVerdict(Record):
     kind: VerdictKind
     layer: TowerLayer
     m: int
@@ -220,8 +218,7 @@ def _side_hypotheses(
     return cert, [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(Record):
     """Layer-independent part of a rank computation."""
 
     m: int

@@ -1,7 +1,9 @@
 """Command-line behavior: envelopes, exit codes, mode parity, fault injection."""
 
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -220,6 +222,15 @@ class TestWarningsAndNotes:
         assert env["warnings"] == [text]
         assert env["result"]["squarefree_part"] is None
 
+    def test_factoring_budget_does_not_grow_with_the_operand(self, capsys):
+        # disc = -4 * (the 100-digit repunit), whose last cofactor is a product
+        # of two primes of about 70 bits that rho cannot split in budget
+        text = "factoring budget exhausted; squarefree part and factors omitted"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "poly-disc", "1" * 100 + "x^2+1")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out, err) == (0, "-" + "4" * 100 + "\n", f"warning: {text}\n")
+
     def test_notes_end_the_human_output(self, capsys):
         argv = ("rank", "-f", "x^6 - x - 1", "-g", "y^2 - 1", "-p", "3", "-r", "1")
         notes = run_json(capsys, *argv)["notes"]
@@ -328,6 +339,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "genus", "5", "2")
         assert code == 2
         assert "ParityBug" in err
+
+    @pytest.mark.parametrize("argv", [["decomp", "5", "7", "3"], ["genus", "5", "2", "--json"]])
+    def test_closed_stdout_pipe_exits_1_without_traceback(self, argv):
+        # stdout is a pipe that no one reads any more, as in
+        # ``berger-rank rank-table ... | head -1`` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "berger_rank.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_assertion_failure_exits_2(self, capsys, monkeypatch):
         def broken(f):
