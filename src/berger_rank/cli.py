@@ -25,17 +25,25 @@ error text goes to stderr.
 Exit codes: 0 success, 1 rejected input (syntax errors, bad degrees, shared
 variables, composite tower prime, factoring budget exhausted), 2 internal
 consistency failure (a bug, never expected on valid releases).
+
+Arguments are declared once, in the command table ``_COMMANDS``.  A
+well-formed argv (the command name first, exact flag names, values that do
+not look like options) is read from it directly by ``_fast_parse``, into the
+namespace argparse would build.  Anything else, including ``--help``,
+abbreviated flags and every usage error, goes to the argparse parser that
+``_build_parser`` builds from the same table, so help text and error
+messages are argparse's.  Building that parser costs more than most
+commands, which is why a well-formed call never builds it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (
     BergerRankError,
@@ -66,16 +74,6 @@ from .rank_engine import RankVerdict, rank_table, rank_verdict
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = "1"
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; this artifact reserves 2
-    for internal failures, so usage problems are remapped to exit 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 # -- JSON serialization ----------------------------------------------------------
@@ -382,90 +380,167 @@ def _cmd_scan(args) -> tuple[dict, list[str]]:
 
 # -- argument parsing and dispatch ----------------------------------------------
 
+# One entry per command, in the order --help lists them: name -> (handler,
+# help text, arguments).  An argument is (name, type, default, help); a name
+# without a leading "-" is a positional, and the default _REQUIRED marks an
+# option that must be given.  Every command also takes a bare --json.  Both
+# _fast_parse and _build_parser read this table.
+_REQUIRED = object()
+_POLY = ("poly", str, _REQUIRED, "polynomial text")
+_PRIME_BOUND = (
+    "--prime-bound", int, DEFAULT_PRIME_BOUND, "certification sampling bound"
+)
+_SIDES = (
+    ("-f", str, _REQUIRED, "polynomial f(x)"),
+    ("-g", str, _REQUIRED, "polynomial g(y)"),
+    ("-p", int, _REQUIRED, "tower prime"),
+)
+_COMMANDS = {
+    "poly-disc": (_cmd_poly_disc, "discriminant of a polynomial", (
+        ("poly", str, _REQUIRED, 'polynomial text, e.g. "x^4-x-1"'),
+    )),
+    "galois": (_cmd_galois, "certify the Galois group from cycle types", (
+        _POLY,
+        ("--prime-bound", int, DEFAULT_PRIME_BOUND,
+         f"sample Frobenius classes at primes up to this bound "
+         f"(default {DEFAULT_PRIME_BOUND})"),
+    )),
+    "genus": (_cmd_genus, "genus of the curve for degrees M, N", (
+        ("m", int, _REQUIRED, None), ("n", int, _REQUIRED, None),
+    )),
+    "dims": (_cmd_dims, "Jacobian dimensions at one tower layer Q", (
+        ("m", int, _REQUIRED, None), ("q", int, _REQUIRED, None),
+    )),
+    "decomp": (_cmd_decomp, "new-part dimension table for layers p^0..p^R", (
+        ("m", int, _REQUIRED, None), ("p", int, _REQUIRED, None),
+        ("r", int, _REQUIRED, None),
+    )),
+    "rank": (_cmd_rank, "certified rank verdict", (
+        *_SIDES, ("-r", int, _REQUIRED, "layer exponent"), _PRIME_BOUND,
+    )),
+    "rank-table": (_cmd_rank_table, "verdicts for r = 0..max-r", (
+        *_SIDES, ("--max-r", int, _REQUIRED, "last exponent"), _PRIME_BOUND,
+    )),
+    "morse": (_cmd_morse, "Morse test for a polynomial", (_POLY,)),
+    "scan": (_cmd_scan, "membership of h - c in A(h) for c in a range", (
+        _POLY,
+        ("--c-range", str, _REQUIRED, 'integer range "a..b" (use --c-range=-2..2)'),
+        _PRIME_BOUND,
+    )),
+}
 
-def _build_parser() -> _Parser:
+
+def _is_value(token: str) -> bool:
+    """True if argparse reads ``token`` as a value on every Python version:
+    it does not start with "-", or it is a plain negative integer."""
+    return not token.startswith("-") or (
+        token[1:].isdigit() and token[1:].isascii()
+    )
+
+
+def _dest(name: str) -> str:
+    """The namespace attribute argparse stores an argument under."""
+    return name.lstrip("-").replace("-", "_")
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a well-formed ``argv``, or None.
+
+    Accepted: the command name first; exact flag names, as ``--opt value``
+    (also ``-f value``) or ``--opt=value``; a bare ``--json``; separate
+    values that start with "-" only as plain negative integers; exactly the
+    command's positionals and every required option, each once; int values
+    that int() reads.  Anything else (help, abbreviations, ``--``, ``-p7``,
+    usage errors) returns None and is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    options = {spec[0]: spec for spec in arguments if spec[0].startswith("-")}
+    positionals = [spec for spec in arguments if not spec[0].startswith("-")]
+    given: list[tuple[tuple, str]] = []
+    words: list[str] = []
+    as_json = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+        elif _is_value(token):
+            words.append(token)
+        else:
+            # a long flag may carry its value after "="
+            long_flag = token.startswith("--")
+            flag, eq, value = token.partition("=") if long_flag else (token, "", "")
+            if flag not in options:
+                return None
+            if not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    return None
+            elif value == "--":  # argparse drops a "--" argument
+                return None
+            given.append((options.pop(flag), value))
+    if len(words) != len(positionals) or any(
+        spec[2] is _REQUIRED for spec in options.values()
+    ):
+        return None
+    values = {"command": argv[0], "json": as_json, "func": func}
+    for name, _, default, _ in options.values():  # the options not given
+        values[_dest(name)] = default
+    try:
+        for (name, kind, _, _), value in [*zip(positionals, words), *given]:
+            values[_dest(name)] = kind(value)
+    except ValueError:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse tree of ``_COMMANDS``, for help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with status 2 on usage errors; this CLI reserves 2
+        for internal failures, so usage problems are remapped to exit 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(
         prog="berger-rank",
         description="Certified rank verdicts for Jacobians of the curves "
         "f(x) = t g(y) along prime-power towers k(t^(1/p^r)).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        return p
-
-    p = add("poly-disc", _cmd_poly_disc, "discriminant of a polynomial")
-    p.add_argument("poly", help='polynomial text, e.g. "x^4-x-1"')
-
-    p = add("galois", _cmd_galois, "certify the Galois group from cycle types")
-    p.add_argument("poly", help="polynomial text")
-    p.add_argument(
-        "--prime-bound",
-        type=int,
-        default=DEFAULT_PRIME_BOUND,
-        help=f"sample Frobenius classes at primes up to this bound "
-        f"(default {DEFAULT_PRIME_BOUND})",
-    )
-
-    p = add("genus", _cmd_genus, "genus of the curve for degrees M, N")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("dims", _cmd_dims, "Jacobian dimensions at one tower layer Q")
-    p.add_argument("m", type=int)
-    p.add_argument("q", type=int)
-
-    p = add("decomp", _cmd_decomp, "new-part dimension table for layers p^0..p^R")
-    p.add_argument("m", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("r", type=int)
-
-    for name, func, needs_r in (
-        ("rank", _cmd_rank, True),
-        ("rank-table", _cmd_rank_table, False),
-    ):
-        p = add(
-            name,
-            func,
-            "certified rank verdict" if needs_r else "verdicts for r = 0..max-r",
-        )
-        p.add_argument("-f", required=True, help="polynomial f(x)")
-        p.add_argument("-g", required=True, help="polynomial g(y)")
-        p.add_argument("-p", type=int, required=True, help="tower prime")
-        if needs_r:
-            p.add_argument("-r", type=int, required=True, help="layer exponent")
-        else:
-            p.add_argument("--max-r", type=int, required=True, help="last exponent")
-        p.add_argument(
-            "--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
-            help="certification sampling bound",
-        )
-
-    p = add("morse", _cmd_morse, "Morse test for a polynomial")
-    p.add_argument("poly", help="polynomial text")
-
-    p = add("scan", _cmd_scan, "membership of h - c in A(h) for c in a range")
-    p.add_argument("poly", help="polynomial text")
-    p.add_argument(
-        "--c-range", required=True, help='integer range "a..b" (use --c-range=-2..2)'
-    )
-    p.add_argument(
-        "--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
-        help="certification sampling bound",
-    )
-
+        for flag, kind, default, arg_help in arguments:
+            if not flag.startswith("-"):
+                p.add_argument(flag, type=kind, help=arg_help)
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True, help=arg_help)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=arg_help)
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, print the output, and return the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        # some Python versions drop the value of "--opt=--", leaving []
+        if [] in vars(args).values():
+            parser.error("an option value may not be '--'")
     envelope, human = args.func(args)
     if args.json:
+        import json
+
         print(json.dumps(envelope, indent=2))
     else:
         for line in human:

@@ -732,18 +732,36 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def _int_nth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 2 or k == 1:
+def _int_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0, k >= 2."""
+    if k == 2:
+        return math.isqrt(n)
+    if n < 2:
         return n
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    # Newton from a float estimate raised above the root (its relative error
+    # is a few b * 2^-52 for a b-bit n): from at or above the floor root,
+    # each step falls until it reaches the floor root, where it stops
+    b = n.bit_length()
+    e = math.log2(n) / k
+    shift = max(0, int(e) - 50)
+    x = (int(2.0 ** (e - shift) * (1 + b * 2.0 ** -48)) + 1) << shift
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int, max_k: int) -> tuple[int, int] | None:
+    """(root, k) with n = root^k for the least prime k <= max_k, or None.
+
+    Prime exponents suffice: a perfect (ab)-th power is a perfect a-th power.
+    """
+    for k in primes_up_to(max_k):
+        root = _int_root(n, k)
+        if root ** k == n:
+            return root, k
+    return None
 
 
 def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
@@ -814,11 +832,10 @@ def _factor_int(n: int) -> dict[int, int]:
             factors[m] = factors.get(m, 0) + 1
             continue
         # every prime factor of m exceeds 2^10, so m = r^k forces 10k < bits
-        for k in range(2, m.bit_length() // 10 + 1):
-            root = _int_nth_root(m, k)
-            if root ** k == m:
-                stack.extend([root] * k)
-                break
+        power = _perfect_power(m, m.bit_length() // 10)
+        if power is not None:
+            root, k = power
+            stack.extend([root] * k)
         else:
             weight = 1 + (m.bit_length() ** 2 >> 16)
             for c in range(1, _RHO_TRIES + 1):

@@ -35,7 +35,7 @@ from math import gcd
 
 from ._record import DERIVED, Record
 from .errors import DimensionSumMismatch, InvalidInput, MultiVariableError, ParityBug
-from .exact_poly import UniPoly, discriminant, factor_int, is_prime
+from .exact_poly import UniPoly, _perfect_power, discriminant, is_prime
 
 __all__ = [
     "MAX_LAYER_BITS",
@@ -74,11 +74,15 @@ def berger_genus(m: int, n: int) -> int:
 
 
 def _check_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, r) with q = p^r, r >= 1."""
-    factors = factor_int(q) if q >= 2 else {}
-    if len(factors) != 1:
-        raise InvalidInput(f"{q} is not a prime power > 1")
-    [(p, r)] = factors.items()
+    """Return (p, r) with q = p^r, r >= 1.  q is not factored: perfect-power
+    roots are taken until the base is prime or is no perfect power."""
+    p, r = q, 1
+    while not is_prime(p):
+        power = _perfect_power(p, p.bit_length()) if p >= 2 else None
+        if power is None:
+            raise InvalidInput(f"{q} is not a prime power > 1")
+        p, k = power
+        r *= k
     return p, r
 
 

@@ -1,7 +1,12 @@
 """Command-line behavior: envelopes, exit codes, mode parity, fault injection."""
 
+import contextlib
+import functools
+import importlib.util
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import berger_rank.cli as cli
 from berger_rank import MAX_LAYER_BITS, MAX_PRIME_BOUND
@@ -138,7 +145,7 @@ class TestPayloads:
         assert env["result"]["total"] == 3
 
     def test_dims_large_prime_layer(self, capsys):
-        # q = 10^30 + 57 is prime; its totient comes from factor_int, not from
+        # q = 10^30 + 57 is prime; its totient comes from is_prime, not from
         # trial division up to sqrt(q), which did not finish
         q = 10**30 + 57
         start = time.perf_counter()
@@ -146,6 +153,20 @@ class TestPayloads:
         assert time.perf_counter() - start < 1.0
         assert env["result"]["dim_superelliptic"] == 2 * (q - 1)
         assert env["result"]["dim_new_part"] == 2 * (q - 1)
+
+    @pytest.mark.parametrize(
+        "q", [2 ** 4096 + 1, (2 ** 521 - 1) * (2 ** 607 - 1)], ids=["F12", "M521*M607"]
+    )
+    def test_dims_large_non_prime_power(self, capsys, q):
+        # neither q factors within the budget; neither is a prime power
+        code, out, err = run_cli(capsys, "dims", "5", str(q))
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidInput: {q} is not a prime power > 1\n"
+
+    def test_dims_large_prime_squared(self, capsys):
+        p = 2 ** 127 - 1
+        env = run_json(capsys, "dims", "5", str(p ** 2))
+        assert env["result"]["dim_new_part"] == 2 * (p - 1) * p
 
 
 class TestLongIntegers:
@@ -221,6 +242,15 @@ class TestWarningsAndNotes:
         env = run_json(capsys, "poly-disc", "x^4 - x + 2")
         assert env["warnings"] == [text]
         assert env["result"]["squarefree_part"] is None
+
+    def test_long_operand_warning_in_bounded_time(self, capsys):
+        # disc = -4 * (the 1000-digit repunit): Miller-Rabin, the perfect-power
+        # test over prime exponents and rho all run on ~3,300-bit cofactors
+        text = "factoring budget exhausted; squarefree part and factors omitted"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "poly-disc", "1" * 1000 + "x^2+1")
+        assert time.perf_counter() - start < 6.0
+        assert (code, out, err) == (0, "-" + "4" * 1000 + "\n", f"warning: {text}\n")
 
     def test_factoring_budget_does_not_grow_with_the_operand(self, capsys):
         # disc = -4 * (the 100-digit repunit), whose last cofactor is a product
@@ -392,3 +422,171 @@ class TestRegressionSuite:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == expected
+
+
+# -- the argument fast path against argparse -------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _pool_commands():
+    """The benchmark's rank-cli pool commands, each polynomial unshifted and
+    with x negated (the second form often starts with "-")."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    argvs = []
+    for slot in json.loads((BENCH / "pool.json").read_text())["rank-cli"]:
+        for sub in ([1, 0], [-1, 0]):
+            argv = inputs.variant(slot, sub)["argv"]
+            if argv not in argvs:
+                argvs.append(argv)
+    return argvs
+
+
+POOL_COMMANDS = _pool_commands()
+
+FLAGS = sorted(
+    {spec[0] for _, _, args in cli._COMMANDS.values() for spec in args if spec[0][0] == "-"}
+    | {"--json"}
+)
+# values of either type: plain ones, and every form the fast path must leave
+# to argparse
+VALUES = [
+    "5", "7", "0", "-5", "+3", "٣", " 3", "1.5", "", "x^5-x-1", "y^2 - 1",
+    "-x^2+1", "-y^2 + 1", "-2..2", "0..1", "--json", "-h", "--", "-1e3", "-٣",
+]
+VOCAB = [
+    *cli._COMMANDS, *FLAGS, *VALUES, "--prime-bound=5", "--max-r=2",
+    "--c-range=-2..2", "--c-range=", "--json=1", "--prime", "--prime-b", "--max",
+    "--c", "--js", "--help", "-p7", "-f=x", "-fx", "-r-1",
+]
+PLAIN = {
+    int: st.sampled_from(["5", "7", "0", "-5", "+3", "٣", " 3"]),
+    str: st.sampled_from(["x^5-x-1", "y^2 - 1", "-5", "0..1", ""]),
+}
+MIXED = {kind: st.one_of(plain, st.sampled_from(VALUES)) for kind, plain in PLAIN.items()}
+
+
+@st.composite
+def table_argvs(draw, values=None, perturb=True):
+    """An argv for one command of the table: its positionals, its required
+    options and maybe its optional ones and --json, in any order, each option
+    as "flag value" or "--flag=value".  ``values`` maps a type to a strategy
+    for its values (default: MIXED); ``perturb`` then inserts, deletes or
+    replaces up to two tokens."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups = []
+    for flag, kind, default, _ in cli._COMMANDS[name][2]:
+        value = draw((values or MIXED)[kind])
+        if flag[0] != "-":
+            groups.append([value])
+        elif default is cli._REQUIRED or draw(st.booleans()):
+            eq = flag.startswith("--") and draw(st.booleans())
+            groups.append([f"{flag}={value}"] if eq else [flag, value])
+    if draw(st.booleans()):
+        groups.append(["--json"])
+    argv = [name] + [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.integers(0, 2)) if perturb else 0):
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = draw(st.sampled_from(VOCAB))
+        if edit == "insert":
+            argv.insert(i, token)
+        elif edit == "delete":
+            del argv[i]
+        else:
+            argv[i] = token
+    return argv
+
+
+@functools.cache
+def _argparse_parser():
+    return cli._build_parser()
+
+
+class TestFastPath:
+    @given(
+        st.one_of(
+            table_argvs(PLAIN, perturb=False),
+            table_argvs(),
+            st.lists(st.sampled_from(VOCAB), max_size=10),
+        )
+    )
+    @example(["scan", "x^5-x-1", "--c-range=--"])  # argparse drops a "--" value
+    @example(["genus", "5", "2", "--", "--json"])
+    @example(["rank", "-f=x", "-g", "y", "-p", "7", "-r", "2"])
+    @settings(max_examples=1000, deadline=None)
+    def test_fast_namespace_is_the_argparse_namespace(self, argv):
+        fast = cli._fast_parse(argv)
+        if fast is None:
+            return
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                full = _argparse_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
+        assert vars(fast) == vars(full)
+
+    @given(table_argvs(PLAIN, perturb=False))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_takes_well_formed_argvs(self, argv):
+        assert cli._fast_parse(argv) is not None
+
+    def test_fast_path_takes_the_readme_examples(self):
+        for argv, _ in README_EXAMPLES:
+            assert cli._fast_parse(argv) is not None, argv
+
+    def test_output_matches_the_argparse_path(self, capsys, monkeypatch):
+        # stdout, stderr and exit code through cli.main, with and without the
+        # fast path: pool commands human and --json, README examples, --help
+        # at top level and per command, and usage errors
+        human = [[arg for arg in argv if arg != "--json"] for argv in POOL_COMMANDS]
+        corpus = [
+            *POOL_COMMANDS, *human, *(argv for argv, _ in README_EXAMPLES),
+            ["--help"], *([name, "--help"] for name in cli._COMMANDS),
+            ["bogus-command"], ["rank", "-f", "x^2-2"], [],
+            ["rank", "-f", "x^5 - x - 1", "-g", "y^2 - 1", "-p", "7", "-r", "2",
+             "--prime-b", "200"],
+        ]
+        fast = [run_cli(capsys, *argv) for argv in corpus]
+        monkeypatch.setattr(cli, "_fast_parse", lambda argv: None)
+        for argv, result in zip(corpus, fast):
+            assert run_cli(capsys, *argv) == result, argv
+
+
+# hostile polynomial text: past each input cap, malformed, or short random
+# text with no digit runs (so no degree or exponent grows large)
+HOSTILE = [
+    "(" * 3000 + "x" + ")" * 3000, "1" * 4301 + "x", "x^10001", "x^" + "9" * 60,
+    "2^70000*x", "x\x00", "x\ny", "é", "", " ", "-x^2+1", "-y^2 + 1", "1/0",
+    "x/(x-x)", "0", "x^2-2", "y^3-y-1", "x+y", "x^-1", "((x)", "x)", "x^5-x-1",
+]
+POLY_TEXT = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.text(alphabet="xy+-*/^(). 0123٣", max_size=12).filter(
+        lambda text: not re.search(r"\d\d", text)
+    ),
+)
+FUZZ_VALUES = {
+    int: st.sampled_from(
+        ["0", "1", "2", "3", "5", "7", "-1", "+3", "٣", "1.5", "", "4096",
+         "99999999999999999999", str(2 ** 4096 + 1)]
+    ),
+    str: st.one_of(POLY_TEXT, st.sampled_from(["-2..2", "0..1", "5..-5", "oops", "1..1"])),
+}
+
+
+@given(table_argvs(FUZZ_VALUES))
+@example(["scan", "x^5-x", "--c-range=--"])  # argparse may drop a "--" value
+@example(["galois", "x^5-x-1", "--prime-bound=--"])
+@settings(max_examples=200, deadline=None)
+def test_main_fuzz_exits_0_or_1(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

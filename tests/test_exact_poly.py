@@ -32,6 +32,7 @@ from berger_rank import (
     rational_is_square,
     resultant,
 )
+from berger_rank.exact_poly import _int_root, _perfect_power
 
 X = UniPoly((0, 1))
 
@@ -291,6 +292,36 @@ class TestIntegers:
         assert factor_int(1) == {}
         big = 1000003 * 1000033
         assert factor_int(big) == {1000003: 1, 1000033: 1}
+
+    @given(st.integers(0, 2 ** 3000), st.integers(2, 3000))
+    @settings(max_examples=300)
+    def test_int_root_is_the_floor_root(self, n, k):
+        root = _int_root(n, k)
+        assert root ** k <= n < (root + 1) ** k
+
+    @given(st.integers(1, 2 ** 200), st.integers(2, 40), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=200)
+    def test_int_root_next_to_exact_powers(self, base, k, offset):
+        n = base ** k + offset
+        root = _int_root(n, k)
+        assert root ** k <= n < (root + 1) ** k
+
+    def test_perfect_power_takes_the_least_prime_exponent(self):
+        assert _perfect_power(2 ** 12, 12) == (2 ** 6, 2)
+        assert _perfect_power(3 ** 35, 35) == (3 ** 7, 5)
+        assert _perfect_power(3 ** 35, 4) is None  # no prime exponent <= 4 fits
+        assert _perfect_power(10 ** 18 + 9, 59) is None
+        p = 2 ** 127 - 1
+        assert factor_int(p ** 6 * 3) == {3: 1, p: 6}
+
+    def test_perfect_power_test_is_fast_on_long_operands(self):
+        # a 20,000-bit odd non-power through every prime exponent up to
+        # bits / 10, as _factor_int asks; one binary search per exponent
+        # 2 .. 2000 took seconds
+        n = random.Random(5).getrandbits(20000) | 1 | 1 << 19999
+        start = time.perf_counter()
+        assert _perfect_power(n, n.bit_length() // 10) is None
+        assert time.perf_counter() - start < 2.0
 
     def test_squarefree_part(self):
         assert int_squarefree_part(2021) == 2021

@@ -1,5 +1,6 @@
 """Genus, dimension, and layer-constant formulas plus their coherence laws."""
 
+import time
 from math import gcd
 
 import pytest
@@ -81,6 +82,23 @@ class TestDimensions:
         with pytest.raises(InvalidInput):
             dim_new_part(4, 1)
 
+    @pytest.mark.parametrize(
+        "q", [2 ** 4096 + 1, (2 ** 521 - 1) * (2 ** 607 - 1)], ids=["F12", "M521*M607"]
+    )
+    def test_large_non_prime_power_is_refused_unfactored(self, q):
+        # neither can be factored within the budget, and neither needs to be:
+        # no perfect-power root of q is prime
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match="is not a prime power > 1"):
+            dim_new_part(5, q)
+        assert time.perf_counter() - start < 2.0
+
+    def test_large_prime_power(self):
+        p = 2 ** 127 - 1
+        assert dim_new_part(5, p ** 2) == 4 * (p - 1) * p // 2
+        assert dim_new_part(5, p) == 4 * (p - 1) // 2
+        assert dim_new_part(5, 3 ** 2579) == 4 * 2 * 3 ** 2578 // 2
+
 
 class TestC2:
     def test_known_values(self):
@@ -156,17 +174,17 @@ class TestDecomposition:
             decomposition_table(4, 2, -1)
 
     def test_table_factors_nothing(self, monkeypatch):
-        # the table knows each layer's (p, i), so no layer is factored; its
-        # rows still agree with dim_new_part, which factors each layer
+        # the table knows each layer's (p, i), so it takes no perfect-power
+        # root; its rows still agree with dim_new_part, which takes them
         expected = {
             (m, p): tuple((i, p ** i, dim_new_part(m, p ** i)) for i in range(1, 8))
             for m in (2, 3, 4, 5, 6, 9, 12) for p in (2, 3, 5, 7)
         }
 
-        def refuse(n):
-            raise FactorizationIncomplete(f"factor_int({n}) called")
+        def refuse(n, max_k):
+            raise FactorizationIncomplete(f"_perfect_power({n}) called")
 
-        monkeypatch.setattr(jacobian_invariants, "factor_int", refuse)
+        monkeypatch.setattr(jacobian_invariants, "_perfect_power", refuse)
         for (m, p), rows in expected.items():
             assert decomposition_table(m, p, 7).rows == rows
         # 1365 * bit_length(7) = 4095, the largest r under MAX_LAYER_BITS
@@ -174,7 +192,7 @@ class TestDecomposition:
         assert len(table.rows) == 1365
         assert table.total == dim_superelliptic(5, 7 ** 1365)
         with pytest.raises(FactorizationIncomplete):
-            dim_new_part(5, 7)  # the patch is live: dim_new_part factors q
+            dim_new_part(5, 49)  # the patch is live: dim_new_part takes roots of q
 
     @given(st.integers(2, 20), st.sampled_from([2, 3, 5, 7]), st.integers(0, 4))
     @settings(max_examples=100)

@@ -1,5 +1,6 @@
 """The result records: the dataclass protocol, value semantics, immutability,
-and a cold start that loads none of dataclasses, inspect and typing."""
+and a cold start that loads none of dataclasses, inspect and typing (nor the
+CLI's argparse, gettext, locale and json)."""
 
 import copy
 import dataclasses
@@ -192,15 +193,25 @@ class TestInit:
             TowerLayer(7, 2, q=49)
 
 
-def test_cold_import_loads_no_dataclasses_inspect_or_typing():
-    # -S: no site hook may preload one of them and hide an import
+def _cold_import_loads(modules):
+    """Which of ``modules`` a fresh ``python -S`` loads with the package and
+    its CLI; -S keeps a site hook from preloading one and hiding an import."""
     code = (
         "import sys, berger_rank, berger_rank.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        f"print(sorted({set(modules)!r} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    assert _cold_import_loads(["dataclasses", "inspect", "typing"]) == "[]\n"
+
+
+def test_cold_import_loads_no_argparse_gettext_locale_or_json():
+    # the CLI builds its argparse parser only for help and usage errors, and
+    # imports json only for --json
+    assert _cold_import_loads(["argparse", "gettext", "locale", "json"]) == "[]\n"
