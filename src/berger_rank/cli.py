@@ -23,8 +23,8 @@ human-readable mode prints the same numeric content as aligned text.  All
 error text goes to stderr.
 
 Exit codes: 0 success, 1 rejected input (syntax errors, bad degrees, shared
-variables, composite tower prime, factoring budget exhausted), 2 internal
-consistency failure (a bug, never expected on valid releases).
+variables, composite tower prime, oversized input), 2 internal consistency
+failure (a bug, never expected on valid releases).
 
 Arguments are declared once, in the command table ``_COMMANDS``.  A
 well-formed argv (the command name first, exact flag names, values that do

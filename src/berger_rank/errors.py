@@ -75,8 +75,8 @@ class FactorizationIncomplete(BergerRankError):
     pair depends on factoring.  Only display fields and reasons degrade:
     ``poly-disc`` omits the squarefree part and factors, a scan row's
     ``quad_tag`` is None, and a rational-root search gives up, so a
-    reducible row reads "unproven" rather than "reducible".  A layer that
-    must be factored (``dims M Q``) exits 1.
+    reducible row reads "unproven" rather than "reducible".  No command lets
+    it escape, so it never sets an exit code.
     """
 
 

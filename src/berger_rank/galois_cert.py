@@ -5,9 +5,9 @@ divides neither disc(f) nor the leading coefficient gives a factor-degree
 pattern equal to the cycle type of a Frobenius element of Gal(f) acting on
 the roots (Dedekind).  Observations are taken at the usable primes in
 ascending order.  ``sample_cycle_types`` collects them for every usable p up
-to a bound; ``certify_galois`` runs a fixed set of classical
-permutation-group rules over them as they come and stops at the first prime
-where the observations so far prove a verdict, so the bound is only a cap:
+to a bound; ``certify_galois`` feeds them, as they come, to a fixed set of
+classical permutation-group rules and stops at the first prime where the
+observations so far prove a verdict, so the bound is only a cap:
 
   R-trans    some pattern is {m}, so the group is transitive.
   R-trans2   the subset-sum degree sets of all patterns intersect in {0, m},
@@ -26,13 +26,16 @@ where the observations so far prove a verdict, so the bound is only a cap:
 The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
-stopping at the first proof is sound; an ``Inconclusive`` certificate holds
-every usable prime up to the bound.  Bounds above ``MAX_PRIME_BOUND`` raise
-``InvalidInput`` before the prime sieve is allocated.  A square discriminant
-together with an odd observed pattern is mathematically impossible, so that
-combination raises ``DiscSquareInconsistency`` and aborts rather than
-returning anything.
-The guard sees only the observations a certificate holds, so on a proven
+the engine looks at each distinct pattern once, keeps the few facts the rules
+read (the first pattern of each kind, and the subset sums common to all), and
+rebuilds the verdict only when one of them changes, at most five times per
+certificate.  Stopping at the first proof is sound; an ``Inconclusive``
+certificate holds every usable prime up to the bound.  Bounds above
+``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime sieve is
+allocated.  A square discriminant together with an odd observed pattern is
+mathematically impossible, so that combination raises
+``DiscSquareInconsistency`` and aborts rather than returning anything.  The
+guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
 Sampling passes the model's discriminant to ``degree_pattern``, which may
@@ -49,7 +52,6 @@ import math
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from ._record import Record
 from .errors import (
@@ -157,195 +159,154 @@ def _cycle_types(
 # -- rule engine -----------------------------------------------------------
 
 
-def _pattern_is_even(pattern: DegreePattern) -> bool:
-    """Parity of the permutation: even iff sum of (part - 1) is even."""
-    return sum(part - 1 for part in pattern) % 2 == 0
+class _Rules:
+    """The rule engine, fed one observation at a time.
 
-
-def _is_transposition_source(pattern: DegreePattern) -> bool:
-    evens = [part for part in pattern if part % 2 == 0]
-    return evens == [2]
-
-
-def _subset_sums(pattern: DegreePattern) -> frozenset[int]:
-    sums = {0}
-    for part in pattern:
-        sums |= {s + part for s in sums}
-    return frozenset(sums)
-
-
-def _jordan_length(pattern: DegreePattern, m: int) -> int | None:
-    """A prime part L with m/2 < L < m - 2, if present.
-
-    No other part of the pattern can be a multiple of L (two copies would
-    exceed m), so raising the element to the lcm of the remaining parts
-    leaves a pure L-cycle.
+    The rules only ask whether a pattern has been observed, so each distinct
+    pattern is looked at once: it is checked against the square discriminant
+    and the degree, and may supply one of the facts the rules read (the first
+    full cycle, transposition source, (m-1)-cycle and Jordan part, and the
+    subset sums attainable at every prime).  ``add`` reports when a fact
+    changed, the only time the verdict can.
     """
-    for part in pattern:
-        if 2 * part > m and part < m - 2 and is_prime(part):
-            return part
-    return None
+
+    def __init__(self, m: int, disc_is_square: bool):
+        self.m = m
+        self.disc_is_square = disc_is_square
+        self.observations: list[CycleTypeObservation] = []
+        self.seen: set[DegreePattern] = set()
+        self.full = self.transpo = self.m1_cycle = None
+        self.jordan: tuple[CycleTypeObservation, int] | None = None
+        self.common: set[int] | None = None  # subset sums seen at every prime
+        self.trans2 = False  # common is {0, m}
+
+    def add(self, obs: CycleTypeObservation) -> bool:
+        self.observations.append(obs)
+        pattern, m = obs.pattern, self.m
+        if pattern in self.seen:
+            return False
+        self.seen.add(pattern)
+        # parity of the permutation: even iff the sum of (part - 1) is even
+        if self.disc_is_square and sum(part - 1 for part in pattern) % 2:
+            raise DiscSquareInconsistency(
+                f"square discriminant but odd cycle type {pattern} at p = {obs.p}"
+            )
+        if sum(pattern) != m:
+            raise DiscSquareInconsistency(
+                f"cycle type {pattern} at p = {obs.p} does not sum to {m}"
+            )
+        changed = False
+        if self.full is None and pattern == (m,):
+            self.full, changed = obs, True
+        if self.transpo is None and [part for part in pattern if part % 2 == 0] == [2]:
+            self.transpo, changed = obs, True
+        if self.m1_cycle is None and m >= 3 and pattern == (1, m - 1):
+            self.m1_cycle, changed = obs, True
+        if self.jordan is None:
+            # a prime part L with m/2 < L < m - 2: no other part is a multiple
+            # of L (two copies would exceed m), so raising the element to the
+            # lcm of the remaining parts leaves a pure L-cycle
+            for part in pattern:
+                if m < 2 * part < 2 * m - 4 and is_prime(part):
+                    self.jordan, changed = (obs, part), True
+                    break
+        if self.full is None and not self.trans2:  # transitivity still unproved
+            sums = {0}
+            for part in pattern:
+                sums |= {s + part for s in sums}
+            self.common = sums if self.common is None else self.common & sums
+            if self.common == {0, m}:
+                self.trans2 = changed = True
+        return changed
+
+    def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
+        """The verdict and the rules fired, from the facts gathered so far."""
+        m, full, transpo, m1_cycle = self.m, self.full, self.transpo, self.m1_cycle
+        fired: list[RuleFiring] = []
+        if full is not None:
+            fired.append(RuleFiring("R-trans", (full.p,), f"irreducible mod {full.p}"))
+        elif self.trans2:
+            fired.append(
+                RuleFiring(
+                    "R-trans2",
+                    tuple(o.p for o in self.observations),
+                    "no proper factor degree is attainable at every prime",
+                )
+            )
+        transitive = full is not None or self.trans2
+
+        if transpo is not None:
+            odd_lcm = math.lcm(*(part for part in transpo.pattern if part != 2), 1)
+            fired.append(
+                RuleFiring(
+                    "R-transpo",
+                    (transpo.p,),
+                    f"pattern {transpo.pattern}: power {odd_lcm} is a transposition",
+                )
+            )
+        if full is not None:
+            fired.append(RuleFiring("R-mcycle", (full.p,), f"{m}-cycle"))
+        if m1_cycle is not None:
+            fired.append(RuleFiring("R-mcycle", (m1_cycle.p,), f"{m - 1}-cycle"))
+
+        verdict = GaloisVerdict.INCONCLUSIVE
+        if transitive and transpo is not None and is_prime(m):
+            fired.append(
+                RuleFiring(
+                    "R-prime-deg",
+                    (transpo.p,),
+                    f"prime degree {m}: transitive is primitive, transposition "
+                    "forces Sym",
+                )
+            )
+            verdict = GaloisVerdict.PROVEN_SYMMETRIC
+        elif transitive and transpo is not None and m1_cycle is not None:
+            fired.append(
+                RuleFiring(
+                    "R-classic",
+                    tuple(sorted({transpo.p, m1_cycle.p})),
+                    f"transitive + transposition + {m - 1}-cycle",
+                )
+            )
+            verdict = GaloisVerdict.PROVEN_SYMMETRIC
+        elif transitive and self.jordan is not None:
+            obs, length = self.jordan
+            fired.append(
+                RuleFiring(
+                    "R-jordan",
+                    (obs.p,),
+                    f"prime {length}-cycle with {m}/2 < {length} < {m} - 2",
+                )
+            )
+            fired.append(
+                RuleFiring(
+                    "R-sign",
+                    (),
+                    "square discriminant keeps Alt"
+                    if self.disc_is_square
+                    else "nonsquare discriminant forces Sym",
+                )
+            )
+            verdict = (
+                GaloisVerdict.PROVEN_ALTERNATING
+                if self.disc_is_square
+                else GaloisVerdict.PROVEN_SYMMETRIC
+            )
+
+        if verdict is GaloisVerdict.PROVEN_SYMMETRIC and self.disc_is_square:
+            raise DiscSquareInconsistency(
+                "Sym verdict with square discriminant; rule engine is broken"
+            )
+        return verdict, tuple(fired)
 
 
 def _evaluate_rules(
     m: int, disc_is_square: bool, observations: tuple[CycleTypeObservation, ...]
 ) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
+    rules = _Rules(m, disc_is_square)
     for obs in observations:
-        if disc_is_square and not _pattern_is_even(obs.pattern):
-            raise DiscSquareInconsistency(
-                f"square discriminant but odd cycle type {obs.pattern} at p = {obs.p}"
-            )
-        if sum(obs.pattern) != m:
-            raise DiscSquareInconsistency(
-                f"cycle type {obs.pattern} at p = {obs.p} does not sum to {m}"
-            )
-
-    fired: list[RuleFiring] = []
-
-    transitive = False
-    full_obs = next((o for o in observations if o.pattern == (m,)), None)
-    if full_obs is not None:
-        transitive = True
-        fired.append(
-            RuleFiring("R-trans", (full_obs.p,), f"irreducible mod {full_obs.p}")
-        )
-    elif observations:
-        common = frozenset.intersection(
-            *(_subset_sums(o.pattern) for o in observations)
-        )
-        if common == frozenset({0, m}):
-            transitive = True
-            fired.append(
-                RuleFiring(
-                    "R-trans2",
-                    tuple(o.p for o in observations),
-                    "no proper factor degree is attainable at every prime",
-                )
-            )
-
-    transpo = next(
-        (o for o in observations if _is_transposition_source(o.pattern)), None
-    )
-    if transpo is not None:
-        odd_lcm = math.lcm(*(part for part in transpo.pattern if part != 2), 1)
-        fired.append(
-            RuleFiring(
-                "R-transpo",
-                (transpo.p,),
-                f"pattern {transpo.pattern}: power {odd_lcm} is a transposition",
-            )
-        )
-
-    if full_obs is not None:
-        fired.append(RuleFiring("R-mcycle", (full_obs.p,), f"{m}-cycle"))
-    m1_cycle = None
-    if m >= 3:
-        m1_cycle = next(
-            (o for o in observations if o.pattern == tuple(sorted((1, m - 1)))), None
-        )
-        if m1_cycle is not None:
-            fired.append(RuleFiring("R-mcycle", (m1_cycle.p,), f"{m - 1}-cycle"))
-
-    jordan = None
-    if transitive:
-        for obs in observations:
-            length = _jordan_length(obs.pattern, m)
-            if length is not None:
-                jordan = (obs, length)
-                break
-
-    verdict = GaloisVerdict.INCONCLUSIVE
-    if is_prime(m) and transitive and transpo:
-        fired.append(
-            RuleFiring(
-                "R-prime-deg",
-                (transpo.p,),
-                f"prime degree {m}: transitive is primitive, transposition "
-                "forces Sym",
-            )
-        )
-        verdict = GaloisVerdict.PROVEN_SYMMETRIC
-    elif transitive and transpo and m1_cycle:
-        fired.append(
-            RuleFiring(
-                "R-classic",
-                tuple(sorted({transpo.p, m1_cycle.p})),
-                f"transitive + transposition + {m - 1}-cycle",
-            )
-        )
-        verdict = GaloisVerdict.PROVEN_SYMMETRIC
-    elif jordan is not None:
-        obs, length = jordan
-        fired.append(
-            RuleFiring(
-                "R-jordan",
-                (obs.p,),
-                f"prime {length}-cycle with {m}/2 < {length} < {m} - 2",
-            )
-        )
-        fired.append(
-            RuleFiring(
-                "R-sign",
-                (),
-                "square discriminant keeps Alt"
-                if disc_is_square
-                else "nonsquare discriminant forces Sym",
-            )
-        )
-        verdict = (
-            GaloisVerdict.PROVEN_ALTERNATING
-            if disc_is_square
-            else GaloisVerdict.PROVEN_SYMMETRIC
-        )
-
-    if verdict is GaloisVerdict.PROVEN_SYMMETRIC and disc_is_square:
-        raise DiscSquareInconsistency(
-            "Sym verdict with square discriminant; rule engine is broken"
-        )
-    return verdict, tuple(fired)
-
-
-@lru_cache(maxsize=512)
-def _certify_cached(f: UniPoly, prime_bound: int) -> GaloisCertificate:
-    m: int = f.degree  # type: ignore[assignment]
-    model, model_disc = _model_and_disc(f)
-    # f = scale * model, and disc(c * f) = c^(2m - 2) * disc(f)
-    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
-    disc = model_disc * scale ** (2 * m - 2)
-    disc_is_square = rational_is_square(disc)
-
-    # The verdict depends only on the set of patterns observed, and a proven
-    # verdict needs a Jordan prime part (R-jordan) or a transposition source
-    # together with m prime (R-prime-deg) or an (m-1)-cycle (R-classic), so
-    # the rules are re-run on one observation per distinct pattern, and only
-    # once the patterns seen supply one of these.
-    observations: list[CycleTypeObservation] = []
-    first_seen: dict[DegreePattern, CycleTypeObservation] = {}
-    m1_pattern = tuple(sorted((1, m - 1)))
-    jordan = transpo = False
-    for obs in _cycle_types(model, model_disc, prime_bound):
-        observations.append(obs)
-        if obs.pattern in first_seen:
-            continue
-        first_seen[obs.pattern] = obs
-        jordan = jordan or _jordan_length(obs.pattern, m) is not None
-        transpo = transpo or _is_transposition_source(obs.pattern)
-        if jordan or (transpo and (is_prime(m) or m1_pattern in first_seen)):
-            verdict, _ = _evaluate_rules(
-                m, disc_is_square, tuple(first_seen.values())
-            )
-            if verdict is not GaloisVerdict.INCONCLUSIVE:
-                break
-
-    verdict, fired = _evaluate_rules(m, disc_is_square, tuple(observations))
-    return GaloisCertificate(
-        polynomial=f,
-        disc=disc,
-        disc_is_square=disc_is_square,
-        observations=tuple(observations),
-        rules_fired=fired,
-        verdict=verdict,
-    )
+        rules.add(obs)
+    return rules.conclude()
 
 
 def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> GaloisCertificate:
@@ -356,7 +317,29 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
         raise InvalidInput("prime_bound must be >= 2")
     if prime_bound > MAX_PRIME_BOUND:
         raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
-    return _certify_cached(f, prime_bound)
+    m: int = f.degree  # type: ignore[assignment]
+    model, model_disc = _model_and_disc(f)
+    # f = scale * model, and disc(c * f) = c^(2m - 2) * disc(f)
+    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
+    disc = model_disc * scale ** (2 * m - 2)
+    disc_is_square = rational_is_square(disc)
+
+    rules = _Rules(m, disc_is_square)
+    for obs in _cycle_types(model, model_disc, prime_bound):
+        if rules.add(obs):
+            verdict, fired = rules.conclude()
+            if verdict is not GaloisVerdict.INCONCLUSIVE:
+                break
+    else:  # sampled in full: conclude again, so R-trans2 cites every prime
+        verdict, fired = rules.conclude()
+    return GaloisCertificate(
+        polynomial=f,
+        disc=disc,
+        disc_is_square=disc_is_square,
+        observations=tuple(rules.observations),
+        rules_fired=fired,
+        verdict=verdict,
+    )
 
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:

@@ -49,17 +49,21 @@ __all__ = [
     "decomposition_table",
 ]
 
-# Cap on r * bit_length(p), checked before any layer q = p^r is built: it
-# bounds the size of q (about 1,233 decimal digits, under Python's 4,300-digit
-# limit on int-to-str conversion) and the cost of a table over its layers.
+# Cap on max(r, 1) * bit_length(p), checked before any layer q = p^r is built
+# and before p is tested for primality: it bounds the size of p and q (about
+# 1,233 decimal digits, under Python's 4,300-digit limit on int-to-str
+# conversion), the cost of that test, and the cost of a table over the layers.
 MAX_LAYER_BITS = 4096
 
 
 def _check_layer_bits(p: int, r: int) -> None:
-    if r * p.bit_length() > MAX_LAYER_BITS:
+    bits = max(r, 1) * p.bit_length()
+    if bits > MAX_LAYER_BITS:
+        # a p over the cap is not printed: it may pass the int-to-str limit
+        base = p if p.bit_length() <= MAX_LAYER_BITS else f"<{p.bit_length()}-bit p>"
         raise InvalidInput(
-            f"layer {p}^{r} is too large: r * bit_length(p) = "
-            f"{r * p.bit_length()} exceeds {MAX_LAYER_BITS}"
+            f"layer {base}^{r} is too large: max(r, 1) * bit_length(p) = "
+            f"{bits} exceeds {MAX_LAYER_BITS}"
         )
 
 
@@ -128,11 +132,11 @@ class TowerLayer(Record):
     q: int = DERIVED
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidInput(f"{self.p} is not prime")
         if self.r < 0:
             raise InvalidInput("tower exponent r must be >= 0")
         _check_layer_bits(self.p, self.r)
+        if not is_prime(self.p):
+            raise InvalidInput(f"{self.p} is not prime")
         object.__setattr__(self, "q", self.p ** self.r)
 
 
@@ -181,11 +185,11 @@ def decomposition_table(m: int, p: int, r: int) -> DecompositionTable:
     """Tabulate the isogeny decomposition and re-check the dimension sum."""
     if m < 2:
         raise InvalidInput("decomposition_table needs m >= 2")
-    if not is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
     if r < 0:
         raise InvalidInput("decomposition_table needs r >= 0")
     _check_layer_bits(p, r)
+    if not is_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     rows = tuple((i, p ** i, _new_part_dim(m, p, i)) for i in range(1, r + 1))
     total = dim_superelliptic(m, p ** r)
     if sum(row[2] for row in rows) != total:

@@ -289,6 +289,8 @@ def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
 
 
 def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
+    """What does not depend on the layer.  Callers have checked the layer
+    cap, which bounds p before it is tested for primality."""
     pair = CurvePair(f, g)  # validates degrees, variables, squarefreeness
     if not is_prime(p):
         raise InvalidInput(f"tower prime {p} is not prime")
@@ -340,8 +342,10 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             records.append(HypothesisRecord("hom-vanishing-cm", status, evidence))
             full = status is Status.HOLDS
         elif m == 3:
+            # a binomial g has no linear term, so f and g are never the
+            # matched elliptic pair here
             route = "cubic"
-            notes.append(_ELLIPTIC_NOTE if _is_elliptic_config(f, g) else _CUBIC_NOTE)
+            notes.append(_CUBIC_NOTE)
         else:
             route = "quadratic"
             notes.append(_QUADRATIC_NOTE)
@@ -456,6 +460,7 @@ def rank_verdict(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> RankVerdict:
     """Certified verdict for the rank over the layer k(t^(1/p^r))."""
+    _check_layer_bits(p, r)
     return _assemble(_analyze(f, g, p, prime_bound), p, r)
 
 

@@ -3,8 +3,8 @@
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the lines
 as they print).  Each criterion is a separate test so the verbose listing
 itself shows one PASS/FAIL row per criterion.  Timing uses the best of three
-repeats of the full computation; certification caches are cleared before
-every repeat so the numbers are cold, not cache hits.
+repeats of the full computation; nothing is cached between repeats, so
+every repeat does the whole computation.
 """
 
 import random
@@ -31,14 +31,12 @@ from berger_rank import (
     replay_certificate,
     resultant,
 )
-from berger_rank.galois_cert import _certify_cached
 
-def _best_of_3(fn, cold=False):
+
+def _best_of_3(fn):
     best = float("inf")
     result = None
     for _ in range(3):
-        if cold:
-            _certify_cached.cache_clear()
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
@@ -78,7 +76,7 @@ def test_criterion_01_discriminant_anchors():
 
 def test_criterion_02_quartic_certificate_at_tiny_bound():
     f = parse_poly("x^4 - x + 2")
-    cert, took = _best_of_3(lambda: certify_galois(f, prime_bound=5), cold=True)
+    cert, took = _best_of_3(lambda: certify_galois(f, prime_bound=5))
     obs = {(ob.p, ob.pattern) for ob in cert.observations}
     want = {(2, (1, 1, 2)), (3, (4,)), (5, (1, 3))}
     ok = cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC and obs == want and took < 0.010
@@ -98,7 +96,7 @@ def test_criterion_03_quartic_exclusion_battery():
             out.append(rank_verdict(f, g, p, 1))
         return out
 
-    verdicts, took = _best_of_3(battery, cold=True)
+    verdicts, took = _best_of_3(battery)
     excluded, *odd = verdicts
     st = {h.name: h.status for h in excluded.hypotheses}
     ok = (
@@ -130,7 +128,7 @@ def test_criterion_04_hyperelliptic_tower_table():
                     out.append((genus, rank_verdict(f, g, p, r)))
         return out
 
-    rows, took = _best_of_3(table, cold=True)
+    rows, took = _best_of_3(table)
     ok = (
         len(rows) == 60
         and all(
@@ -158,7 +156,7 @@ def test_criterion_05_cubic_side_tower_table():
                 out.append((m, p ** r, rank_verdict(f, g, p, r)))
         return out
 
-    rows, took = _best_of_3(table, cold=True)
+    rows, took = _best_of_3(table)
     ok = took < 5.0
     by_key = {}
     for m, q, v in rows:

@@ -361,6 +361,31 @@ class TestExitCodes:
             assert out == "", argv
             assert err.startswith("error: InvalidInput: layer 65537^241"), argv
 
+    def test_layer_cap_precedes_the_primality_test(self, capsys, monkeypatch):
+        # p = 2^4423 - 1 is prime, and too large for any layer, r = 0 included;
+        # testing its primality first took seconds
+        from berger_rank import jacobian_invariants, rank_engine
+
+        def refuse(n):
+            raise AssertionError("is_prime called before the layer cap")
+
+        for module in (jacobian_invariants, rank_engine):
+            monkeypatch.setattr(module, "is_prime", refuse)
+        p = str(2 ** 4423 - 1)
+        pair = ("-f", "x^5-x-1", "-g", "y^2-1", "-p", p)
+        for argv in (
+            ("rank", *pair, "-r", "1"),
+            ("rank", *pair, "-r", "0"),
+            ("rank-table", *pair, "--max-r", "0"),
+            ("decomp", "5", p, "0"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv[0]
+            assert (code, out) == (1, ""), argv[0]
+            assert err.startswith("error: InvalidInput: layer <4423-bit p>^"), argv[0]
+            assert err.endswith("= 4423 exceeds 4096\n") and err.count("\n") == 1
+
     def test_internal_failure_exits_2(self, capsys, monkeypatch):
         def broken(m, n):
             raise ParityBug("injected")

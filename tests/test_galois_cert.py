@@ -26,11 +26,7 @@ from berger_rank import (
     sample_cycle_types,
 )
 from berger_rank import galois_cert
-from berger_rank.galois_cert import (
-    CycleTypeObservation,
-    _evaluate_rules,
-    _is_transposition_source,
-)
+from berger_rank.galois_cert import CycleTypeObservation, _evaluate_rules
 
 PROVEN = {GaloisVerdict.PROVEN_SYMMETRIC, GaloisVerdict.PROVEN_ALTERNATING}
 
@@ -199,7 +195,6 @@ class TestReplay:
         monkeypatch.setattr(galois_cert, "degree_pattern", recording)
         assert replay_certificate(cert, deep=True) is cert.verdict
         assert calls == [((), {})] * len(cert.observations)
-        galois_cert._certify_cached.cache_clear()
         calls.clear()
         assert certify_galois(parse_poly("x^9 - x - 1")) == cert
         assert all(args == (cert.disc.numerator,) for args, _ in calls)
@@ -281,6 +276,12 @@ class TestEarlyStop:
         verdict, _ = _evaluate_rules(f.degree, cert.disc_is_square, full)
         assert cert.verdict is verdict
         assert cert.observations == full[: len(cert.observations)]
+        if verdict in PROVEN:
+            # the stop is exact: one observation fewer proves nothing
+            shorter, _ = _evaluate_rules(
+                f.degree, cert.disc_is_square, cert.observations[:-1]
+            )
+            assert shorter is GaloisVerdict.INCONCLUSIVE
 
     @pytest.mark.parametrize(
         "f",
@@ -310,20 +311,22 @@ class TestEarlyStop:
     def test_rules_wait_for_a_provable_pattern_set(self, monkeypatch):
         # f(x^2) is imprimitive, so no rule can prove it: no pattern has a
         # Jordan part, and no (m-1)-cycle joins its transposition sources
-        # (m = 8 is not prime); the rules run once, on the full sample
+        # (m = 8 is not prime).  The verdict is rebuilt only when one of the
+        # five facts the rules read changes, never once per prime.
         calls = []
-        real = galois_cert._evaluate_rules
+        real = galois_cert._Rules.conclude
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(rules):
+            calls.append(len(rules.observations))
+            return real(rules)
 
-        monkeypatch.setattr(galois_cert, "_evaluate_rules", counting)
-        galois_cert._certify_cached.cache_clear()
+        monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        assert any(_is_transposition_source(o.pattern) for o in cert.observations)
-        assert len(calls) == 1
+        assert "R-transpo" in {r.rule for r in cert.rules_fired}
+        assert len(cert.observations) >= 40
+        assert 1 <= len(calls) <= 5
+        assert calls[-1] == len(cert.observations)
 
     def test_discriminant_of_rational_polynomial(self):
         # the stored discriminant is rescaled from the integer model's

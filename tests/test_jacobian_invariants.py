@@ -134,6 +134,21 @@ class TestTowerLayer:
         with pytest.raises(InvalidInput):
             TowerLayer(5, -1)
 
+    def test_cap_precedes_the_primality_test(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("is_prime called before the layer cap")
+
+        monkeypatch.setattr(jacobian_invariants, "is_prime", refuse)
+        # too large even for r = 0; the second has more digits than the
+        # interpreter converts to str, so the message must not print it
+        for big, bits in ((2 ** 4096, 4097), (10 ** 5000 + 1, 16610)):
+            for r in (0, 1):
+                wanted = rf"layer <{bits}-bit p>\^{r} .* = {bits * max(r, 1)} exceeds"
+                with pytest.raises(InvalidInput, match=wanted):
+                    TowerLayer(big, r)
+                with pytest.raises(InvalidInput, match=wanted):
+                    decomposition_table(5, big, r)
+
 
 class TestCurvePair:
     def test_valid(self):
