@@ -9,31 +9,31 @@ to a bound; ``certify_galois`` feeds them, as they come, to a fixed set of
 classical permutation-group rules and stops at the first prime where the
 observations so far prove a verdict, so the bound is only a cap:
 
-  R-trans    some pattern is {m}, so the group is transitive.
-  R-trans2   the subset-sum degree sets of all patterns intersect in {0, m},
-             so f is irreducible, so the group is transitive.
-  R-transpo  a pattern with exactly one even part, equal to 2, and all other
-             parts odd: raising that element to the odd lcm of the other
-             parts leaves a transposition.
-  R-mcycle   pattern {m} gives an m-cycle; {1, m-1} gives an (m-1)-cycle.
-  R-jordan   transitivity plus a cycle of prime length L with
-             m/2 < L < m - 2 forces the group to contain Alt(m).
-  R-prime-deg  m prime + transitive + transposition proves Sym(m).
-  R-classic  transitive + transposition + (m-1)-cycle proves Sym(m).
-  R-sign     once Alt(m) is inside: nonsquare disc proves Sym(m), square
-             disc proves Alt(m).
+  R-trans      some pattern is {m}, so the group is transitive.
+  R-trans2     the subset-sum degree sets of all patterns intersect in
+               {0, m}, so f is irreducible, so the group is transitive.
+  R-primitive  a transitive group is primitive when m is prime, when some
+               pattern is {1, m-1} (then it is 2-transitive), or when some
+               pattern has an isolated prime part L > m/2.
+  R-jordan     an isolated prime part L = 2, 3 < m or L <= m - 3.  A part L
+               is isolated when no other part is a multiple of it; raising
+               the element to the lcm of the other parts leaves an L-cycle.
+  R-sign       transitive + primitive + Jordan element: the group contains
+               Alt(m) (Jordan; Wielandt, Finite Permutation Groups, Thms
+               13.3 and 13.9), so a nonsquare disc proves Sym(m) and a
+               square disc proves Alt(m).
 
 The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once, keeps the few facts the rules
-read (the first pattern of each kind, and the subset sums common to all), and
-rebuilds the verdict only when one of them changes, at most five times per
-certificate.  Stopping at the first proof is sound; an ``Inconclusive``
-certificate holds every usable prime up to the bound.  Bounds above
-``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime sieve is
-allocated.  A square discriminant together with an odd observed pattern is
-mathematically impossible, so that combination raises
+read (transitivity, a primitivity witness and a Jordan element, each from
+its first sighting), and rebuilds the verdict only when one of them changes,
+at most four times per certificate.  Stopping at the first proof is sound;
+an ``Inconclusive`` certificate holds every usable prime up to the bound.
+Bounds above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime
+sieve is allocated.  A square discriminant together with an odd observed
+pattern is mathematically impossible, so that combination raises
 ``DiscSquareInconsistency`` and aborts rather than returning anything.  The
 guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
@@ -164,10 +164,11 @@ class _Rules:
 
     The rules only ask whether a pattern has been observed, so each distinct
     pattern is looked at once: it is checked against the square discriminant
-    and the degree, and may supply one of the facts the rules read (the first
-    full cycle, transposition source, (m-1)-cycle and Jordan part, and the
-    subset sums attainable at every prime).  ``add`` reports when a fact
-    changed, the only time the verdict can.
+    and the degree, and may supply one of the three facts the rules read,
+    each kept from its first sighting: transitivity (the first full cycle,
+    or the subset sums attainable at every prime), a primitivity witness and
+    a Jordan element.  ``add`` reports when a fact changed, the only time
+    the verdict can.
     """
 
     def __init__(self, m: int, disc_is_square: bool):
@@ -175,10 +176,15 @@ class _Rules:
         self.disc_is_square = disc_is_square
         self.observations: list[CycleTypeObservation] = []
         self.seen: set[DegreePattern] = set()
-        self.full = self.transpo = self.m1_cycle = None
-        self.jordan: tuple[CycleTypeObservation, int] | None = None
+        self.full: CycleTypeObservation | None = None
         self.common: set[int] | None = None  # subset sums seen at every prime
         self.trans2 = False  # common is {0, m}
+        # block sizes divide m, so a transitive group of prime degree is
+        # primitive with no pattern needed
+        self.witness = (
+            RuleFiring("R-primitive", (), f"prime degree {m}") if is_prime(m) else None
+        )
+        self.element: RuleFiring | None = None
 
     def add(self, obs: CycleTypeObservation) -> bool:
         self.observations.append(obs)
@@ -196,32 +202,49 @@ class _Rules:
                 f"cycle type {pattern} at p = {obs.p} does not sum to {m}"
             )
         changed = False
-        if self.full is None and pattern == (m,):
-            self.full, changed = obs, True
-        if self.transpo is None and [part for part in pattern if part % 2 == 0] == [2]:
-            self.transpo, changed = obs, True
-        if self.m1_cycle is None and m >= 3 and pattern == (1, m - 1):
-            self.m1_cycle, changed = obs, True
-        if self.jordan is None:
-            # a prime part L with m/2 < L < m - 2: no other part is a multiple
-            # of L (two copies would exceed m), so raising the element to the
-            # lcm of the remaining parts leaves a pure L-cycle
-            for part in pattern:
-                if m < 2 * part < 2 * m - 4 and is_prime(part):
-                    self.jordan, changed = (obs, part), True
-                    break
+        if self.witness is None and m >= 3 and pattern == (1, m - 1):
+            # the stabiliser of the fixed point is transitive on the rest
+            detail = f"pattern {pattern}: 2-transitive"
+            self.witness = RuleFiring("R-primitive", (obs.p,), detail)
+            changed = True
+        for part in pattern:
+            as_witness = self.witness is None and 2 * part > m
+            as_element = self.element is None and (
+                part == 2 or part == 3 < m or part <= m - 3
+            )
+            # an isolated prime part: no other part is a multiple of it, so
+            # the power to the lcm of the other parts is a pure part-cycle
+            if (
+                not (as_witness or as_element)
+                or not is_prime(part)
+                or sum(q % part == 0 for q in pattern) > 1
+            ):
+                continue
+            power = math.lcm(*(q for q in pattern if q != part), 1)
+            cycle = f"pattern {pattern}: power {power} is a {part}-cycle"
+            if as_witness:
+                # a block system would have to hold the cycle in one block
+                detail = f"{cycle}, {part} > {m}/2"
+                self.witness = RuleFiring("R-primitive", (obs.p,), detail)
+                changed = True
+            if as_element:
+                self.element = RuleFiring("R-jordan", (obs.p,), cycle)
+                changed = True
         if self.full is None and not self.trans2:  # transitivity still unproved
-            sums = {0}
-            for part in pattern:
-                sums |= {s + part for s in sums}
-            self.common = sums if self.common is None else self.common & sums
-            if self.common == {0, m}:
-                self.trans2 = changed = True
+            if pattern == (m,):
+                self.full, changed = obs, True
+            else:
+                sums = {0}
+                for part in pattern:
+                    sums |= {s + part for s in sums}
+                self.common = sums if self.common is None else self.common & sums
+                if self.common == {0, m}:
+                    self.trans2 = changed = True
         return changed
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
-        m, full, transpo, m1_cycle = self.m, self.full, self.transpo, self.m1_cycle
+        full, witness, element = self.full, self.witness, self.element
         fired: list[RuleFiring] = []
         if full is not None:
             fired.append(RuleFiring("R-trans", (full.p,), f"irreducible mod {full.p}"))
@@ -233,70 +256,18 @@ class _Rules:
                     "no proper factor degree is attainable at every prime",
                 )
             )
-        transitive = full is not None or self.trans2
-
-        if transpo is not None:
-            odd_lcm = math.lcm(*(part for part in transpo.pattern if part != 2), 1)
-            fired.append(
-                RuleFiring(
-                    "R-transpo",
-                    (transpo.p,),
-                    f"pattern {transpo.pattern}: power {odd_lcm} is a transposition",
-                )
-            )
-        if full is not None:
-            fired.append(RuleFiring("R-mcycle", (full.p,), f"{m}-cycle"))
-        if m1_cycle is not None:
-            fired.append(RuleFiring("R-mcycle", (m1_cycle.p,), f"{m - 1}-cycle"))
-
-        verdict = GaloisVerdict.INCONCLUSIVE
-        if transitive and transpo is not None and is_prime(m):
-            fired.append(
-                RuleFiring(
-                    "R-prime-deg",
-                    (transpo.p,),
-                    f"prime degree {m}: transitive is primitive, transposition "
-                    "forces Sym",
-                )
-            )
-            verdict = GaloisVerdict.PROVEN_SYMMETRIC
-        elif transitive and transpo is not None and m1_cycle is not None:
-            fired.append(
-                RuleFiring(
-                    "R-classic",
-                    tuple(sorted({transpo.p, m1_cycle.p})),
-                    f"transitive + transposition + {m - 1}-cycle",
-                )
-            )
-            verdict = GaloisVerdict.PROVEN_SYMMETRIC
-        elif transitive and self.jordan is not None:
-            obs, length = self.jordan
-            fired.append(
-                RuleFiring(
-                    "R-jordan",
-                    (obs.p,),
-                    f"prime {length}-cycle with {m}/2 < {length} < {m} - 2",
-                )
-            )
-            fired.append(
-                RuleFiring(
-                    "R-sign",
-                    (),
-                    "square discriminant keeps Alt"
-                    if self.disc_is_square
-                    else "nonsquare discriminant forces Sym",
-                )
-            )
-            verdict = (
-                GaloisVerdict.PROVEN_ALTERNATING
-                if self.disc_is_square
-                else GaloisVerdict.PROVEN_SYMMETRIC
-            )
-
-        if verdict is GaloisVerdict.PROVEN_SYMMETRIC and self.disc_is_square:
-            raise DiscSquareInconsistency(
-                "Sym verdict with square discriminant; rule engine is broken"
-            )
+        transitive = bool(fired)
+        if transitive and witness is not None:  # primitive only when transitive
+            fired.append(witness)
+        if element is not None:
+            fired.append(element)
+        if not (transitive and witness and element):
+            return GaloisVerdict.INCONCLUSIVE, tuple(fired)
+        if self.disc_is_square:
+            verdict, sign = GaloisVerdict.PROVEN_ALTERNATING, "square disc keeps Alt"
+        else:
+            verdict, sign = GaloisVerdict.PROVEN_SYMMETRIC, "nonsquare disc forces Sym"
+        fired.append(RuleFiring("R-sign", (), f"Alt({self.m}) inside; {sign}"))
         return verdict, tuple(fired)
 
 

@@ -51,7 +51,6 @@ from ._record import Record
 from .errors import InvalidInput
 from .exact_poly import (
     UniPoly,
-    discriminant,
     integer_model,
     is_prime,
     rational_is_square,
@@ -203,8 +202,10 @@ def _side_hypotheses(
             },
         )
         # (ii): p prime to disc of the integer model is unramified in the
-        # splitting field; p dividing it decides nothing, hence Unknown
-        d = discriminant(integer_model(poly)).numerator
+        # splitting field; p dividing it decides nothing, hence Unknown.
+        # poly = c * model and disc(c * F) = c^(2m - 2) * disc(F), m = 4
+        c = Fraction(poly.leading_coefficient, integer_model(poly).leading_coefficient)
+        d = (cert.disc / c**6).numerator
         if d % p:
             rec_ii = HypothesisRecord(
                 "unramified", Status.HOLDS, {"disc": d, "p": p, "disc_mod_p": d % p}

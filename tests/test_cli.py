@@ -130,6 +130,15 @@ class TestPayloads:
         names = [h["name"] for h in r["hypotheses"]]
         assert names == ["binomial-cm-g", "galois-f", "hom-vanishing-cm", "c1-zero"]
 
+    def test_rank_payload_on_an_alternating_quintic(self, capsys):
+        # Gal(x^5 + 20x + 16) = Alt(5): a 3-cycle at p = 7 in a group of
+        # prime degree, so the CM route's Hom-vanishing holds
+        argv = ("rank", "-f", "x^5+20x+16", "-g", "y^2-1", "-p", "7", "-r", "2")
+        r = run_json(capsys, *argv)["result"]
+        assert (r["kind"], r["rank"]) == ("ExactRank", 4)
+        galois = next(h for h in r["hypotheses"] if h["name"] == "galois-f")
+        assert galois["evidence"]["verdict"] == "ProvenAlternating"
+
     def test_scan_payload(self, capsys):
         env = run_json(capsys, "scan", "x^5-x", "--c-range=-2..2")
         rows = env["result"]["rows"]

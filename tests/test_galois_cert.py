@@ -160,9 +160,11 @@ class TestReplay:
         from dataclasses import replace
 
         cert = certify_galois(parse_poly("x^4 - x + 2"), prime_bound=5)
-        # drop the transposition observation: the replay must not still
-        # arrive at ProvenSymmetric
-        kept = tuple(ob for ob in cert.observations if ob.pattern != (1, 1, 2))
+        # drop the transitivity observation (the 4-cycle at p = 3): a
+        # transposition and a 3-cycle alone must not still replay as
+        # ProvenSymmetric
+        kept = tuple(ob for ob in cert.observations if ob.pattern != (4,))
+        assert len(kept) == 2
         tampered = replace(cert, observations=kept)
         assert replay_certificate(tampered) is not GaloisVerdict.PROVEN_SYMMETRIC
 
@@ -309,10 +311,10 @@ class TestEarlyStop:
             assert len(cert.observations) < len(full)
 
     def test_rules_wait_for_a_provable_pattern_set(self, monkeypatch):
-        # f(x^2) is imprimitive, so no rule can prove it: no pattern has a
-        # Jordan part, and no (m-1)-cycle joins its transposition sources
-        # (m = 8 is not prime).  The verdict is rebuilt only when one of the
-        # five facts the rules read changes, never once per prime.
+        # f(x^2) is imprimitive, so no rule can prove it: it holds Jordan
+        # elements (transpositions) but no primitivity witness.  The verdict
+        # is rebuilt only when one of the three facts the rules read
+        # changes, and once on the full sample, never once per prime.
         calls = []
         real = galois_cert._Rules.conclude
 
@@ -323,9 +325,9 @@ class TestEarlyStop:
         monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        assert "R-transpo" in {r.rule for r in cert.rules_fired}
+        assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
         assert len(cert.observations) >= 40
-        assert 1 <= len(calls) <= 5
+        assert 1 <= len(calls) <= 4
         assert calls[-1] == len(cert.observations)
 
     def test_discriminant_of_rational_polynomial(self):
@@ -335,3 +337,98 @@ class TestEarlyStop:
         assert cert.disc == discriminant(f)
         assert cert.disc != discriminant(integer_model(f))
 
+
+
+def _transitive_groups(m):
+    """(name, group) for each transitive group of degree m, up to conjugacy."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    if m <= 6:
+        galois = pytest.importorskip("sympy.combinatorics.galois")
+        names = getattr(galois, f"S{m}TransitiveSubgroups")
+        return [(g.value, g.get_perm_group()) for g in names]
+    perm, group = combinatorics.Permutation, combinatorics.PermutationGroup
+    cycle = perm([(i + 1) % 7 for i in range(7)])
+
+    def affine(a):  # i -> a * i on Z/7
+        return perm([a * i % 7 for i in range(7)])
+
+    psl32 = group(cycle, perm([[0, 1], [2, 5]], size=7))
+    assert psl32.order() == 168
+    return [
+        ("C7", group(cycle)),
+        ("D7", group(cycle, affine(6))),
+        ("F21", group(cycle, affine(2))),
+        ("F42", group(cycle, affine(3))),
+        ("PSL(3,2)", psl32),
+        ("A7", combinatorics.AlternatingGroup(7)),
+        ("S7", combinatorics.SymmetricGroup(7)),
+    ]
+
+
+class TestJordanRule:
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_every_transitive_group(self, m):
+        # every cycle type of G observed, with disc square iff G <= Alt(m):
+        # the rules prove exactly the groups containing Alt(m), except
+        # Alt(3), whose only nontrivial cycle type is the full 3-cycle
+        groups = _transitive_groups(m)
+        names = {name for name, _ in groups}
+        assert len(groups) == {3: 2, 4: 5, 5: 5, 6: 16, 7: 7}[m]
+        assert {6: {"PSL2(F5)", "PGL2(F5)", "G72"}, 7: {"PSL(3,2)"}}.get(m, set()) <= names
+        for name, group in groups:
+            assert group.degree == m and group.is_transitive(), name
+            patterns = {
+                tuple(sorted(n for n, k in g.cycle_structure.items() for _ in range(k)))
+                for g in group.generate()
+            }
+            square = all(g.is_even for g in group.generators)
+            obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
+            verdict, fired = _evaluate_rules(m, square, obs)
+            if 2 * group.order() < math.factorial(m) or (m, square) == (3, True):
+                assert verdict is GaloisVerdict.INCONCLUSIVE, (name, fired)
+            elif square:
+                assert verdict is GaloisVerdict.PROVEN_ALTERNATING, name
+            else:
+                assert verdict is GaloisVerdict.PROVEN_SYMMETRIC, name
+
+    @pytest.mark.parametrize(
+        "text, verdict, stop",
+        [
+            ("x^5 + 20x + 16", GaloisVerdict.PROVEN_ALTERNATING, 7),  # A5
+            ("x^6 + 24x - 20", GaloisVerdict.PROVEN_ALTERNATING, 29),  # A6
+            ("x^7 - 154x + 99", GaloisVerdict.INCONCLUSIVE, 199),  # PSL(3,2)
+            ("x^5 - 5x + 12", GaloisVerdict.INCONCLUSIVE, 199),  # D5
+        ],
+    )
+    def test_named_inputs(self, text, verdict, stop):
+        cert = certify_galois(parse_poly(text))
+        assert cert.verdict is verdict
+        assert cert.observations[-1].p == stop
+        assert replay_certificate(cert, deep=True) is verdict
+
+    def test_never_more_than_sympy_finds(self):
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(16)
+        x = sympy.Symbol("x")
+        checked = 0
+        while checked < 30:
+            m = rng.randint(3, 6)
+            coeffs = [rng.randint(-4, 4) for _ in range(m)] + [1]
+            if rng.random() < 0.5:  # trinomials x^m + ax + b
+                coeffs[2:m] = [0] * (m - 2)
+            f = UniPoly(tuple(coeffs))
+            if discriminant(f) == 0:
+                continue
+            cert = certify_galois(f)
+            poly = sympy.Poly(list(reversed(coeffs)), x)
+            if not poly.is_irreducible:
+                assert cert.verdict is GaloisVerdict.INCONCLUSIVE, f
+                continue
+            order = sympy.galois_group(poly, by_name=False)[0].order()
+            checked += 1
+            if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
+                assert order == math.factorial(m), f
+            elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
+                assert 2 * order == math.factorial(m), f

@@ -1,6 +1,7 @@
 """Rank verdicts: routing, hypothesis records, exactness, and error paths."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import berger_rank.cli as cli
+import berger_rank.exact_poly as exact_poly
 from berger_rank import (
     FactorizationIncomplete,
     InvalidInput,
@@ -17,6 +19,7 @@ from berger_rank import (
     c2,
     discriminant,
     disjointness_filter,
+    integer_model,
     is_binomial_cm,
     parse_poly,
     rank_table,
@@ -87,6 +90,32 @@ class TestSideConditions:
         rec = record(rank_verdict(F4, G2, 283, 1), "unramified")
         assert rec.status is Status.UNKNOWN
         assert rec.evidence["disc"] == -283
+
+    def test_quartic_discriminant_not_recomputed(self, monkeypatch):
+        # condition (ii) rescales the certificate's discriminant rather than
+        # computing the integer model's again: one call each for f and g in
+        # CurvePair, one for f in the certificate
+        real = exact_poly.discriminant
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        for name, module in list(sys.modules.items()):
+            bound = vars(module).get("discriminant")
+            if name.startswith("berger_rank") and bound is real:
+                monkeypatch.setattr(module, "discriminant", counting)
+        rank_verdict(F4, G2, 3, 1)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "text", ["x^4 - x - 1", "3x^4/2 - x/3 - 5", "-4x^4 + 6x - 2"]
+    )
+    def test_unramified_reads_the_integer_model_disc(self, text):
+        f = parse_poly(text)
+        rec = record(rank_verdict(f, G2, 3, 1), "unramified")
+        assert rec.evidence["disc"] == discriminant(integer_model(f))
 
     def test_planted_quartic_needs_no_factoring(self):
         start = time.perf_counter()
