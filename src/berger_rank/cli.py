@@ -105,7 +105,7 @@ def _json_value(obj):
 
 
 def _certificate_payload(cert: GaloisCertificate) -> dict:
-    return {
+    payload = {
         "polynomial": cert.polynomial.render(),
         "disc": _json_value(cert.disc),
         "disc_is_square": cert.disc_is_square,
@@ -118,6 +118,10 @@ def _certificate_payload(cert: GaloisCertificate) -> dict:
         ],
         "verdict": cert.verdict.value,
     }
+    if cert.decomposition is not None:  # the key only when there is a witness
+        outer, inner = cert.decomposition
+        payload["decomposition"] = {"outer": outer.render(), "inner": inner.render()}
+    return payload
 
 
 def _verdict_payload(v: RankVerdict) -> dict:
@@ -176,8 +180,13 @@ def _human_certificate(payload: dict) -> list[str]:
         f"disc: {payload['disc']}",
         f"disc_is_square: {'yes' if payload['disc_is_square'] else 'no'}",
         f"verdict: {payload['verdict']}",
-        "observations:",
     ]
+    if "decomposition" in payload:
+        witness = payload["decomposition"]
+        lines.append(
+            f"decomposition: f = G(H), G = {witness['outer']}, H = {witness['inner']}"
+        )
+    lines.append("observations:")
     for ob in payload["observations"]:
         pattern = ",".join(str(d) for d in ob["pattern"])
         lines.append(f"  p={ob['p']}: {pattern}")

@@ -109,4 +109,4 @@ class DiscSquareInconsistency(InternalCheckError):
 
 
 class PatternReplayMismatch(InternalCheckError):
-    """A certificate's stored factor-degree pattern does not recompute."""
+    """A certificate's stored pattern or decomposition witness does not replay."""

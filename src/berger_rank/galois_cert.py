@@ -29,8 +29,7 @@ strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once, keeps the few facts the rules
 read (transitivity, a primitivity witness and a Jordan element, each from
 its first sighting), and rebuilds the verdict only when one of them changes,
-at most four times per certificate.  Stopping at the first proof is sound;
-an ``Inconclusive`` certificate holds every usable prime up to the bound.
+at most four times per certificate.  Stopping at the first proof is sound.
 Bounds above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime
 sieve is allocated.  A square discriminant together with an odd observed
 pattern is mathematically impossible, so that combination raises
@@ -38,12 +37,28 @@ pattern is mathematically impossible, so that combination raises
 guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
+The negative side has one witness.  If f = G(H) with deg G, deg H >= 2,
+the roots of f fall into the blocks {a : H(a) = b}, so Gal(f) is
+imprimitive or intransitive and contains no Alt(m), m >= 4.  For a
+composite m, at the first good prime p > m, f is searched for such a
+decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989): for each s | m the
+right factor H of degree s, monic with H(0) = 0, is unique and is read off
+an r-th root of the reversed f, r = m/s.  Each s is screened mod p, reusing
+that prime's reduction; a miss there proves that no decomposition with that
+s exists (see ``_decomposition``), and an s that passes is redone over Q.
+A witness is accepted only when G(H) = f exactly; the certificate then
+holds it in ``decomposition``, sampling stops, and the verdict stays
+``Inconclusive``.  The screen is skipped once the rules hold a primitivity
+witness pattern, which no block system admits.  Without a witness, an
+``Inconclusive`` certificate holds every usable prime up to the bound.
+
 Sampling passes the model's discriminant to ``degree_pattern``, which may
 then end its degree loop early by the parity of the factor count
-(Stickelberger).  A ``GaloisCertificate`` stores the observations and fired
-rules, and ``replay_certificate`` re-runs the rule engine on the stored
-observations (no re-sampling) to confirm the recorded verdict; a deep replay
-recomputes every pattern without the discriminant, by the full loop.
+(Stickelberger).  A ``GaloisCertificate`` stores the observations, fired
+rules and any decomposition witness, and ``replay_certificate`` re-composes
+the witness and re-runs the rule engine on the stored observations (no
+re-sampling) to confirm the recorded verdict; a deep replay also recomputes
+every pattern without the discriminant, by the full loop.
 """
 
 from __future__ import annotations
@@ -68,7 +83,13 @@ from .exact_poly import (
     primes_up_to,
     rational_is_square,
 )
-from .modp_factor import DegreePattern, degree_pattern, reduce_mod_p
+from .modp_factor import (
+    DegreePattern,
+    PrimePoly,
+    _divmod,
+    degree_pattern,
+    reduce_mod_p,
+)
 
 __all__ = [
     "GaloisVerdict",
@@ -114,6 +135,8 @@ class GaloisCertificate(Record):
     observations: tuple[CycleTypeObservation, ...]
     rules_fired: tuple[RuleFiring, ...]
     verdict: GaloisVerdict
+    # (G, H) with f = G(H) and deg G, deg H >= 2: Gal(f) contains no Alt(m)
+    decomposition: tuple[UniPoly, UniPoly] | None = None
 
 
 def sample_cycle_types(
@@ -130,7 +153,11 @@ def sample_cycle_types(
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
     model, model_disc = _model_and_disc(f)
-    return tuple(_cycle_types(model, model_disc, prime_bound))
+    disc = model_disc.numerator
+    return tuple(
+        CycleTypeObservation(a.p, degree_pattern(a, disc))
+        for a in _good_reductions(model, model_disc, prime_bound)
+    )
 
 
 def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction]:
@@ -143,17 +170,106 @@ def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction]:
     return model, disc
 
 
-def _cycle_types(
+def _good_reductions(
     model: UniPoly, model_disc: Fraction, prime_bound: int
-) -> Iterator[CycleTypeObservation]:
-    """Observations at the good primes <= bound, ascending, one at a time."""
-    disc = model_disc.numerator
-    bad = abs(disc * model.leading_coefficient)
+) -> Iterator[PrimePoly]:
+    """The model mod each good prime <= bound, ascending.  It is an integer
+    lift of its reduction, of full degree at a good p, so its discriminant
+    lets ``degree_pattern`` stop early."""
+    bad = abs(model_disc.numerator * model.leading_coefficient)
     for p in primes_up_to(prime_bound):
         if bad % p:
-            # the model is an integer lift of its reduction, of full degree
-            # at a good p, so its discriminant lets the factoring stop early
-            yield CycleTypeObservation(p, degree_pattern(reduce_mod_p(model, p), disc))
+            yield reduce_mod_p(model, p)
+
+
+# -- decomposition witness -------------------------------------------------
+
+
+def _root(terms: list, r: int, count: int, divide, a: list) -> list:
+    """Extend a, the leading coefficients of the r-th root with a[0] = 1 of
+    the series 1 + sum c x^k over the pairs (k, c) of ``terms`` (k >= 1,
+    ascending), to ``count`` of them, by Miller's recurrence for powers of a
+    series: n r a_n = sum_k (k (r + 1) - n r) c_k a_(n-k).  ``divide(acc,
+    n)`` divides by n r in the coefficient field."""
+    for n in range(len(a), count):
+        acc = 0
+        for k, c in terms:
+            if k > n:
+                break
+            acc += (k * (r + 1) - n * r) * c * a[n - k]
+        a.append(divide(acc, n))
+    return a
+
+
+def _compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
+    """outer(inner), by Horner's rule."""
+    acc = UniPoly((), inner.var)
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + c
+    return acc
+
+
+def _decomposition(f: UniPoly, a: PrimePoly) -> tuple[UniPoly, UniPoly] | None:
+    """(G, H) with f = G(H), deg G, deg H >= 2 and H monic with H(0) = 0,
+    or None when f has no such decomposition; a is the integer model of f
+    mod a good prime p > deg f.
+
+    For s | m, r = m/s, and F(x) = x^m f(1/x) / lc(f) = 1 + f_1 x + ...,
+    f = G(H) gives F^(1/r) = R + (g/r) x^s + O(x^(2s)), where R = x^s H(1/x)
+    has degree < s and g is G's second coefficient over its first.  So the
+    root's coefficients at x^1 .. x^(s-1) are H's, those at x^(s+1) ..
+    x^(2s-1) vanish, and then every H-adic digit of f is a constant.
+
+    The screen checks this mod p.  It is sound: the root's coefficients up
+    to x^(2s-1) have denominators dividing powers of lc, r and k! with
+    k < 2s <= m, all units mod p, so reducing them mod p commutes with the
+    recurrence, and H is monic, so the H-adic digits of f reduce to those of
+    f mod p.  A decomposition over Q thus shows mod p, and a miss mod p
+    proves that there is none for that s.  A pass mod p may be a
+    coincidence, so the s that pass are redone over Q.
+    """
+    p, cs = a.p, a.coeffs
+    m = len(cs) - 1
+    inverses = [0, 1]  # of 1 .. m mod p, all units as p > m
+    for k in range(2, m + 1):
+        inverses.append(-(p // k) * inverses[p % k] % p)
+    scale = pow(cs[-1], -1, p)
+    cs = [c * scale % p for c in cs]  # f / lc mod p
+    terms = [(k, cs[m - k]) for k in range(1, m) if cs[m - k]]  # F - 1
+
+    def root_mod_p(s: int, count: int, prefix: list) -> list:
+        inv_r = inverses[m // s]
+        return _root(
+            terms, m // s, count, lambda acc, n: acc * inverses[n] * inv_r % p, prefix
+        )
+
+    # the first gap coefficient, at x^(s+1), for every s before any longer root
+    roots = {s: root_mod_p(s, s + 2, [1]) for s in range(2, m // 2 + 1) if m % s == 0}
+    for s, root in roots.items():
+        if root[-1] or any(root_mod_p(s, 2 * s, root)[s + 1 :]):
+            continue
+        inner = (0, *reversed(root[1:s]), 1)  # H mod p
+        rest = tuple(cs)
+        while len(rest) > 1:
+            rest, digit = _divmod(rest, inner, p)
+            if len(digit) > 1:
+                break
+        else:  # every digit mod p is a constant: redo over Q
+            r, lead = m // s, f.leading_coefficient
+            terms_q = [(k, Fraction(f.coeffs[m - k], lead)) for k in range(1, s)]
+            root_q = _root(terms_q, r, s, lambda acc, n: acc / (n * r), [1])
+            inner_q = UniPoly((0, *reversed(root_q[1:]), 1), f.var)
+            digits, rest_q = [], f
+            while not rest_q.is_constant:
+                rest_q, digit_q = divmod(rest_q, inner_q)
+                if not digit_q.is_constant:
+                    break
+                digits.append(digit_q.coefficient(0))
+            else:
+                outer = UniPoly((*digits, rest_q.coefficient(0)), f.var)
+                if _compose(outer, inner_q) == f:
+                    return outer, inner_q
+    return None
 
 
 # -- rule engine -----------------------------------------------------------
@@ -296,8 +412,20 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
     disc_is_square = rational_is_square(disc)
 
     rules = _Rules(m, disc_is_square)
-    for obs in _cycle_types(model, model_disc, prime_bound):
-        if rules.add(obs):
+    screen = not is_prime(m)  # only a composite degree can decompose
+    witness = None
+    disc_int = model_disc.numerator
+    for a in _good_reductions(model, model_disc, prime_bound):
+        if screen and a.p > m:  # the first good prime the screen can use
+            screen = False
+            # a primitivity witness pattern, (1, m-1) or a prime part above
+            # m/2, preserves no blocks of size s, 2 <= s <= m/2, so f is
+            # then known not to decompose
+            witness = None if rules.witness else _decomposition(f, a)
+            if witness:  # Gal(f) contains no Alt(m): sampling more is futile
+                verdict, fired = rules.conclude()
+                break
+        if rules.add(CycleTypeObservation(a.p, degree_pattern(a, disc_int))):
             verdict, fired = rules.conclude()
             if verdict is not GaloisVerdict.INCONCLUSIVE:
                 break
@@ -310,20 +438,34 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
         observations=tuple(rules.observations),
         rules_fired=fired,
         verdict=verdict,
+        decomposition=witness,
     )
 
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:
-    """Re-run the rule engine on the stored observations.
+    """Re-compose any decomposition witness and re-run the rule engine on
+    the stored observations.
 
-    With deep=True every stored pattern is also recomputed from the
-    polynomial by the full degree loop (no discriminant, so no parity
-    shortcut), turning the replay into a re-derivation; a pattern that
-    does not recompute raises ``PatternReplayMismatch``.
+    A witness that does not compose to the polynomial, has a factor of
+    degree below 2, or stands beside a proven verdict raises
+    ``PatternReplayMismatch``.  With deep=True every stored pattern is also
+    recomputed from the polynomial by the full degree loop (no discriminant,
+    so no parity shortcut), turning the replay into a re-derivation; a
+    pattern that does not recompute raises ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
         raise DiscSquareInconsistency("stored disc_is_square flag is wrong")
+    if cert.decomposition is not None:
+        outer, inner = cert.decomposition
+        if (
+            min(outer.degree or 0, inner.degree or 0) < 2
+            or _compose(outer, inner) != cert.polynomial
+        ):
+            raise PatternReplayMismatch(
+                f"stored decomposition {outer} of {inner} does not compose "
+                f"to {cert.polynomial}"
+            )
     if deep:
         model = integer_model(cert.polynomial)
         if discriminant(cert.polynomial) != cert.disc:
@@ -335,5 +477,6 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
+    if cert.decomposition is not None and verdict is not GaloisVerdict.INCONCLUSIVE:
+        raise PatternReplayMismatch(f"{verdict.value} beside a decomposition witness")
     return verdict
-

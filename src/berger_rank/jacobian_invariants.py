@@ -139,6 +139,15 @@ class TowerLayer(Record):
             raise InvalidInput(f"{self.p} is not prime")
         object.__setattr__(self, "q", self.p ** self.r)
 
+    @classmethod
+    def _of_prime(cls, p: int, r: int) -> TowerLayer:
+        """The layer over a p the caller has proved prime, for an r >= 0 it
+        has checked against the layer cap: p is not tested again."""
+        layer = object.__new__(cls)
+        for name, value in (("p", p), ("r", r), ("q", p**r)):
+            object.__setattr__(layer, name, value)
+        return layer
+
 
 class CurvePair(Record):
     """Validated (f, g) input pair; degrees m > 1 and n >= 2, both squarefree."""

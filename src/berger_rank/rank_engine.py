@@ -25,6 +25,9 @@ Gal = Sym(4) is proven, and one of
          rational square, so no integer is factored, or
     (ii) p unramified in the splitting field of f (p not dividing disc of
          the integer model).
+A certificate with a decomposition witness f = G(H) makes the check fail
+outright: Gal(f) then keeps a block system, so it holds neither Alt nor
+Sym, and no prime bound could prove the side.
 
 * CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
   dominated by a Fermat curve, so J_{g,d} is of CM type for every d.  When
@@ -142,7 +145,11 @@ def is_binomial_cm(g: UniPoly) -> Fraction | None:
     return a if a != 0 else None
 
 
-def _galois_status(verdict: GaloisVerdict, need_symmetric: bool) -> Status:
+def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
+    if cert.decomposition is not None:
+        # Gal(f) keeps the blocks {H = b}, so it holds neither Alt nor Sym
+        return Status.FAILS
+    verdict = cert.verdict
     if need_symmetric:
         if verdict is GaloisVerdict.PROVEN_SYMMETRIC:
             return Status.HOLDS
@@ -170,7 +177,7 @@ def _side_hypotheses(
     quartic = poly.degree == 4
     galois = HypothesisRecord(
         name,
-        _galois_status(cert.verdict, need_symmetric=quartic),
+        _galois_status(cert, need_symmetric=quartic),
         {
             "polynomial": cert.polynomial,
             "verdict": cert.verdict.value,
@@ -291,7 +298,8 @@ def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
 
 def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
     """What does not depend on the layer.  Callers have checked the layer
-    cap, which bounds p before it is tested for primality."""
+    cap, which bounds p before it is tested for primality; this is the one
+    test, and the layers are then built from the proved p."""
     pair = CurvePair(f, g)  # validates degrees, variables, squarefreeness
     if not is_prime(p):
         raise InvalidInput(f"tower prime {p} is not prime")
@@ -410,7 +418,7 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
 
 
 def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
-    layer = TowerLayer(p, r)
+    layer = TowerLayer._of_prime(p, r)  # _analyze has proved p prime
     m, n = analysis.m, analysis.n
     c2_value = c2(m, n, layer.q)
     notes = list(analysis.base_notes)
@@ -461,6 +469,8 @@ def rank_verdict(
     prime_bound: int = DEFAULT_PRIME_BOUND,
 ) -> RankVerdict:
     """Certified verdict for the rank over the layer k(t^(1/p^r))."""
+    if r < 0:
+        raise InvalidInput("tower exponent r must be >= 0")
     _check_layer_bits(p, r)
     return _assemble(_analyze(f, g, p, prime_bound), p, r)
 

@@ -120,6 +120,27 @@ class TestPayloads:
         assert r["disc"] == 2021
         assert not r["disc_is_square"]
 
+    def test_galois_decomposition_key(self, capsys):
+        # x^4 - 2 = G(H) with G = x^2 - 2, H = x^2: the witness is printed
+        # in both modes, and only when there is one
+        r = run_json(capsys, "galois", "x^4 - 2")["result"]
+        assert r["verdict"] == "Inconclusive"
+        assert r["decomposition"] == {"outer": "x^2 - 2", "inner": "x^2"}
+        code, out, _ = run_cli(capsys, "galois", "x^4 - 2")
+        assert "decomposition: f = G(H), G = x^2 - 2, H = x^2\n" in out
+        assert "decomposition" not in run_json(capsys, "galois", "x^5+20x+16")["result"]
+        code, out, _ = run_cli(capsys, "galois", "x^5+20x+16")
+        assert code == 0 and "decomposition" not in out
+
+    def test_rank_payload_on_a_decomposable_side(self, capsys):
+        argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")
+        r = run_json(capsys, *argv)["result"]
+        galois = next(h for h in r["hypotheses"] if h["name"] == "galois-f")
+        assert galois["status"] == "Fails"
+        witness = galois["evidence"]["certificate"]["decomposition"]
+        assert witness == {"outer": "x^3 + 3*x + 1", "inner": "x^2"}
+        assert r["kind"] == "Inconclusive"
+
     def test_rank_payload(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
         r = env["result"]
@@ -447,7 +468,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 9
+        assert len(README_EXAMPLES) == 10
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

@@ -246,10 +246,16 @@ UNPROVABLE = [
 class TestEarlyStop:
     @pytest.mark.parametrize("f", UNPROVABLE, ids=lambda f: f.render())
     def test_unprovable_families_sample_in_full(self, f):
+        # in full, unless a decomposition witness ends the sampling at the
+        # first good prime above the degree, where the screen runs
         cert = certify_galois(f)
         assert 7 <= f.degree <= 12
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        assert cert.observations == sample_cycle_types(f, 200)
+        full = sample_cycle_types(f, 200)
+        if cert.decomposition is None:
+            assert cert.observations == full
+        else:
+            assert cert.observations == tuple(o for o in full if o.p < f.degree)
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_trinomial_stops_at_first_proof(self, m):
@@ -323,6 +329,8 @@ class TestEarlyStop:
             return real(rules)
 
         monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
+        # the decomposition witness would end the sampling: turn it off
+        monkeypatch.setattr(galois_cert, "_decomposition", lambda f, a: None)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
@@ -432,3 +440,177 @@ class TestJordanRule:
                 assert order == math.factorial(m), f
             elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
                 assert 2 * order == math.factorial(m), f
+
+
+def _compose_by_hand(outer, inner):
+    return sum((c * inner**i for i, c in enumerate(outer.coeffs)), UniPoly(()))
+
+
+def _random_poly(rng, degree, rational):
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4) if rational else 1)]
+    coeffs += [Fraction(rng.randint(-5, 5), rng.randint(1, 4) if rational else 1)
+               for _ in range(degree - 1)]
+    coeffs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3) if rational else 1))
+    return UniPoly(coeffs)
+
+
+def _planted(seed):
+    """G(H(a x + b)) * c for seeded random G, H of degree 2-4, a squarefree
+    one, with integer or rational coefficients."""
+    import random
+
+    rng = random.Random(seed)
+    while True:
+        rational = rng.random() < 0.5
+        outer = _random_poly(rng, rng.randint(2, 4), rational)
+        inner = _random_poly(rng, rng.randint(2, 4), rational)
+        shift = UniPoly((rng.randint(-3, 3), rng.choice([-2, -1, 1, 2, 3])))
+        scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3) if rational else 1)
+        f = scale * _compose_by_hand(outer, _compose_by_hand(inner, shift))
+        if discriminant(f) != 0:
+            return f
+
+
+def _first_screen_reduction(f):
+    """f's integer model mod the first good prime above deg f: the screen's."""
+    model, model_disc = galois_cert._model_and_disc(f)
+    return next(
+        a for a in galois_cert._good_reductions(model, model_disc, 10**4) if a.p > f.degree
+    )
+
+
+# Families like those of the galois-unprovable benchmark workload, degree 7-16
+def _unprovable_style():
+    import random
+
+    rng = random.Random(17)
+    out = []
+    for m in range(4, 9):  # f(x^2)
+        inner = [rng.randint(-5, 5) for _ in range(m)] + [1]
+        out.append(UniPoly(tuple(c for k in inner for c in (k, 0))[:-1]))
+    for n in range(7, 17):
+        out.append(X**n - rng.choice([2, 3, 5, -7]))
+        out.append(_chebyshev(n) - rng.choice([2, 3, -5]))
+    for n in (15, 16, 20, 24, 11, 25, 27, 32, 13, 21, 28, 36, 17, 40, 48, 60):
+        out.append(_cyclotomic(n))  # Phi_n of degree 8 to 16
+    return [f for f in out if discriminant(f) != 0]
+
+
+class TestDecomposition:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_composition_found(self, seed):
+        f = _planted(seed)
+        cert = certify_galois(f)
+        assert cert.decomposition is not None, f
+        outer, inner = cert.decomposition
+        assert outer.degree >= 2 and inner.degree >= 2
+        assert inner.leading_coefficient == 1 and inner.coefficient(0) == 0
+        assert _compose_by_hand(outer, inner) == f
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        # sampling stops at the screen's prime, the first good one above m
+        assert all(o.p < f.degree for o in cert.observations)
+        assert replay_certificate(cert) is GaloisVerdict.INCONCLUSIVE
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    def test_agrees_with_sympy(self):
+        # sympy 1.14's decompose misses some compositions, e.g.
+        # (x^3 + x^2)^2 + 1 over QQ and 256x^9 - 576x^7 + ... - 3 = T_9 - 3
+        # over ZZ, so it is asked over both domains; where it still finds
+        # none, our witness must compose to f by sympy's own arithmetic
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        x = sympy.Symbol("x")
+
+        def to_sympy(a):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                       for k, c in enumerate(map(Fraction, a.coeffs)))
+
+        def sympy_decomposes(expr):
+            return any(
+                len(sympy.decompose(sympy.Poly(expr, x, domain=domain))) > 1
+                for domain in (("ZZ", "QQ") if sympy.Poly(expr, x).domain.is_ZZ else ("QQ",))
+            )
+
+        rng = random.Random(4)
+        randoms = [_planted(1000 + k) for k in range(10)]
+        while len(randoms) < 100:
+            m = rng.randint(4, 16)
+            f = UniPoly(tuple(rng.randint(-4, 4) for _ in range(m)) + (rng.randint(1, 3),))
+            if discriminant(f) != 0:
+                randoms.append(f)
+        families = _unprovable_style()
+        found = 0
+        for f in families + randoms:
+            expr = to_sympy(f)
+            theirs = sympy_decomposes(expr)
+            witness = certify_galois(f).decomposition
+            if f in families:
+                assert (witness is not None) == theirs, f
+            elif theirs:
+                assert witness is not None, f
+            if witness is not None:
+                outer, inner = map(to_sympy, witness)
+                assert sympy.expand(outer.subs(x, inner) - expr) == 0, f
+                found += 1
+        assert found >= 40  # 30 from the families, 10 planted
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"x^{m} - x - 1" for m in (4, 6, 8, 9, 10, 12, 14, 16, 25)]
+        + ["x^5 + 20x + 16", "x^6 + 24x - 20", "x^4 - x + 2", "3x^8 - 2x^3 + x/2 - 7"],
+    )
+    def test_no_witness_for_provable_inputs(self, text):
+        f = parse_poly(text)
+        for shift in (0, 2):
+            g = _compose_by_hand(f, X + shift)
+            assert certify_galois(g).decomposition is None
+            # the screen itself, which certification skips once a pattern
+            # has shown that no block system is preserved
+            assert galois_cert._decomposition(g, _first_screen_reduction(g)) is None
+
+    def test_screen_pass_mod_p_is_confirmed_over_q(self):
+        # x^4 + 2x^2 + 5x + 2 is (x^2)^2 + 2x^2 + 2 mod 5, the screen's
+        # prime, but does not decompose over Q
+        f = parse_poly("x^4 + 2x^2 + 5x + 2")
+        a = _first_screen_reduction(f)
+        assert a.p == 5 and a.coeffs == (2, 0, 2, 0, 1)
+        assert galois_cert._decomposition(f, a) is None
+        assert certify_galois(f).decomposition is None
+
+    def test_screen_prime_dividing_the_leading_coefficient(self):
+        # 5, 7, 11 and 13 divide lc, so the screen runs at 17
+        f = 5005 * _compose_by_hand(parse_poly("x^2 - 3"), parse_poly("x^2 + x")) + 1
+        assert _first_screen_reduction(f).p == 17
+        cert = certify_galois(f)
+        assert cert.decomposition is not None
+        assert _compose_by_hand(*cert.decomposition) == f
+        assert [o.p for o in cert.observations] == [3]  # 2 divides disc
+
+    def test_no_screen_below_the_degree(self):
+        # no good prime above m = 4 within the bound: nothing is screened
+        cert = certify_galois(parse_poly("x^4 - 2"), prime_bound=3)
+        assert cert.decomposition is None
+        assert [o.p for o in cert.observations] == [3]
+
+    def test_tampered_witness_does_not_replay(self):
+        cert = certify_galois(parse_poly("x^16 + 2"))
+        outer, inner = cert.decomposition
+        assert (outer, inner) == (parse_poly("x^8 + 2"), parse_poly("x^2"))
+        for bad in (
+            (outer + 1, inner),
+            (outer, inner + X),
+            (parse_poly("x^4 + 2"), parse_poly("x^2")),
+            (cert.polynomial, X),  # a trivial factor proves nothing
+        ):
+            tampered = replace(cert, decomposition=bad)
+            for deep in (False, True):
+                with pytest.raises(PatternReplayMismatch) as info:
+                    replay_certificate(tampered, deep=deep)
+                assert isinstance(info.value, InternalCheckError)  # CLI exit 2
+        # a witness beside a proven verdict is a contradiction
+        proven = certify_galois(parse_poly("x^4 - x - 1"))
+        assert proven.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        tampered = replace(proven, decomposition=(parse_poly("x^2"), parse_poly("x^2")))
+        with pytest.raises(PatternReplayMismatch):
+            replay_certificate(tampered)

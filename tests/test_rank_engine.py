@@ -269,6 +269,57 @@ class TestTwoLargeRoute:
         )
 
 
+class TestDecomposableSides:
+    # f = G(H) puts Gal(f) in a block system: no prime bound proves the side,
+    # so the witness makes it fail on both routes
+    def test_cm_route(self):
+        for f in ("x^6 + 3x^2 + 1", "x^4 - 2"):
+            st = statuses(rank_verdict(parse_poly(f), G2, 5, 1))
+            assert st["galois-f"] is Status.FAILS
+            assert st["hom-vanishing-cm"] is Status.FAILS
+
+    def test_two_large_route(self):
+        g = parse_poly("(y^2 + y)^2 + 3")
+        v = rank_verdict(F6, g, 7, 1)
+        st = statuses(v)
+        assert st["galois-f"] is Status.HOLDS
+        assert st["galois-g"] is Status.FAILS
+        assert st["hom-bounded"] is Status.FAILS
+        assert v.kind is VerdictKind.INCONCLUSIVE
+
+
+class TestTowerPrimeTestedOnce:
+    # 2^3217 - 1 is a Mersenne prime; one Miller-Rabin test of it takes
+    # seconds, so the counting stub answers for it without testing
+    P = 2**3217 - 1
+
+    def _count(self, monkeypatch):
+        real = exact_poly.is_prime
+        calls = []
+
+        def counting(n):
+            if n == self.P:
+                calls.append(n)
+                return True
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("berger_rank") and vars(module).get("is_prime") is real:
+                monkeypatch.setattr(module, "is_prime", counting)
+        return calls
+
+    def test_rank_table(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        rows = rank_table(F5, G2, self.P, 1)
+        assert [v.layer.q for v in rows] == [1, self.P]
+        assert len(calls) == 1
+
+    def test_rank_verdict(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert rank_verdict(F5, G2, self.P, 1).layer.q == self.P
+        assert len(calls) == 1
+
+
 class TestOtherShapes:
     def test_elliptic_configuration(self):
         v = rank_verdict(parse_poly("x^3 - x - 2"), parse_poly("y^3 - y - 2"), 5, 1)
