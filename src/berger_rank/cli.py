@@ -201,6 +201,11 @@ def _brief_evidence(evidence: dict) -> str:
     parts = []
     for key, value in evidence.items():
         if key == "certificate":
+            if "decomposition" in value:  # the reason a side fails
+                witness = value["decomposition"]
+                parts.append(
+                    f"decomposition=G(H) with G = {witness['outer']}, H = {witness['inner']}"
+                )
             continue
         if key in ("argument", "reason"):
             continue

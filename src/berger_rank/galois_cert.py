@@ -12,9 +12,11 @@ observations so far prove a verdict, so the bound is only a cap:
   R-trans      some pattern is {m}, so the group is transitive.
   R-trans2     the subset-sum degree sets of all patterns intersect in
                {0, m}, so f is irreducible, so the group is transitive.
-  R-primitive  a transitive group is primitive when m is prime, when some
-               pattern is {1, m-1} (then it is 2-transitive), or when some
-               pattern has an isolated prime part L > m/2.
+  R-primitive  a transitive group is primitive when it keeps no system of
+               blocks of size s for any s | m, 1 < s < m, so at once when
+               m is prime.  A pattern rules out s when no element of the
+               stabiliser Sym(s) wr Sym(m/s) of such a system has it as
+               cycle type (see ``_keeps_blocks``).
   R-jordan     an isolated prime part L = 2, 3 < m or L <= m - 3.  A part L
                is isolated when no other part is a multiple of it; raising
                the element to the lcm of the other parts leaves an L-cycle.
@@ -27,9 +29,9 @@ The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once, keeps the few facts the rules
-read (transitivity, a primitivity witness and a Jordan element, each from
-its first sighting), and rebuilds the verdict only when one of them changes,
-at most four times per certificate.  Stopping at the first proof is sound.
+read (transitivity, the block sizes not yet ruled out and a Jordan element),
+and rebuilds the verdict only when one of them is gained, at most four times
+per certificate.  Stopping at the first proof is sound.
 Bounds above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime
 sieve is allocated.  A square discriminant together with an odd observed
 pattern is mathematically impossible, so that combination raises
@@ -39,18 +41,20 @@ certificate it covers the primes up to the proving prime, not the bound.
 
 The negative side has one witness.  If f = G(H) with deg G, deg H >= 2,
 the roots of f fall into the blocks {a : H(a) = b}, so Gal(f) is
-imprimitive or intransitive and contains no Alt(m), m >= 4.  For a
-composite m, at the first good prime p > m, f is searched for such a
-decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989): for each s | m the
-right factor H of degree s, monic with H(0) = 0, is unique and is read off
-an r-th root of the reversed f, r = m/s.  Each s is screened mod p, reusing
-that prime's reduction; a miss there proves that no decomposition with that
-s exists (see ``_decomposition``), and an s that passes is redone over Q.
+imprimitive or intransitive and contains no Alt(m), m >= 4.  These blocks
+have size s = deg H, so only a size that no pattern has ruled out can
+decompose.  At the first good prime p > m, while some size is open, f is
+searched for such a decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989):
+for each open s the right factor H of degree s, monic with H(0) = 0, is
+unique and is read off an r-th root of the reversed f, r = m/s.  Each s is
+screened mod p, reusing that prime's reduction; a miss there proves that no
+decomposition with that s exists (see ``_decomposition``), and an s that
+passes is redone over Q.
 A witness is accepted only when G(H) = f exactly; the certificate then
 holds it in ``decomposition``, sampling stops, and the verdict stays
-``Inconclusive``.  The screen is skipped once the rules hold a primitivity
-witness pattern, which no block system admits.  Without a witness, an
-``Inconclusive`` certificate holds every usable prime up to the bound.
+``Inconclusive``.  The screen is skipped when no size is open, always for
+a prime m.  Without a witness, an ``Inconclusive`` certificate holds every
+usable prime up to the bound.
 
 Sampling passes the model's discriminant to ``degree_pattern``, which may
 then end its degree loop early by the parity of the factor count
@@ -209,10 +213,13 @@ def _compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
     return acc
 
 
-def _decomposition(f: UniPoly, a: PrimePoly) -> tuple[UniPoly, UniPoly] | None:
-    """(G, H) with f = G(H), deg G, deg H >= 2 and H monic with H(0) = 0,
-    or None when f has no such decomposition; a is the integer model of f
-    mod a good prime p > deg f.
+def _decomposition(
+    f: UniPoly, a: PrimePoly, sizes: list[int]
+) -> tuple[UniPoly, UniPoly] | None:
+    """(G, H) with f = G(H), deg H in ``sizes`` (ascending divisors s of
+    m, 1 < s < m), deg G >= 2 and H monic with H(0) = 0, or None when f has
+    no such decomposition; a is the integer model of f mod a good prime
+    p > deg f.
 
     For s | m, r = m/s, and F(x) = x^m f(1/x) / lc(f) = 1 + f_1 x + ...,
     f = G(H) gives F^(1/r) = R + (g/r) x^s + O(x^(2s)), where R = x^s H(1/x)
@@ -244,7 +251,7 @@ def _decomposition(f: UniPoly, a: PrimePoly) -> tuple[UniPoly, UniPoly] | None:
         )
 
     # the first gap coefficient, at x^(s+1), for every s before any longer root
-    roots = {s: root_mod_p(s, s + 2, [1]) for s in range(2, m // 2 + 1) if m % s == 0}
+    roots = {s: root_mod_p(s, s + 2, [1]) for s in sizes}
     for s, root in roots.items():
         if root[-1] or any(root_mod_p(s, 2 * s, root)[s + 1 :]):
             continue
@@ -274,17 +281,108 @@ def _decomposition(f: UniPoly, a: PrimePoly) -> tuple[UniPoly, UniPoly] | None:
 
 # -- rule engine -----------------------------------------------------------
 
+# Search nodes one block-size test may spend.  When they run out, the size
+# stays open, which claims nothing.
+_BLOCK_SEARCH_NODES = 2000
+
+
+def _keeps_blocks(pattern: DegreePattern, s: int) -> bool:
+    """Whether some permutation keeping a system of blocks of size s, i.e.
+    some element of Sym(s) wr Sym(m/s), has cycle type ``pattern``; also
+    True when the search runs out of nodes.
+
+    Such an element permutes the b = m/s blocks.  Over a cycle of k blocks
+    its cycles have lengths k c, where the c are the cycle lengths of the
+    product of the k block maps, a permutation of one block.  So the parts
+    split into groups, each with a k that divides all its parts and sum
+    k s, and every such split is the cycle type of an element (Dixon and
+    Mortimer, Permutation Groups, section 2.6).  One part that fits in no
+    group answers False at once; parts whose copies group among themselves
+    answer True.  Otherwise a search puts the largest part left into a
+    group, for each k in turn.
+    """
+    b = sum(pattern) // s
+    alone = True  # the copies of each part make up groups by themselves
+    for part in reversed(pattern):  # the likeliest misfit first
+        k = -(-part // s)  # L = k c with k | L, c <= s and k <= b
+        while k <= b and part % k:
+            k += 1
+        if k > b:
+            return False
+        # s/g copies of L, g = gcd(L, s), form a group with c = g, k = L/g
+        if alone and pattern.count(part) % (s // math.gcd(part, s)):
+            alone = False
+    if alone or s == 2:
+        # for s = 2 every group is one even part or two equal parts, so
+        # grouping the copies of each part alone is the only way
+        return alone
+    if b == 2:  # one group with k = 2, or two with k = 1 and sum s each
+        sums = 1  # bit i: some sub-multiset of the parts sums to i
+        for part in pattern:
+            sums |= sums << part
+        return all(part % 2 == 0 for part in pattern) or bool(sums >> s & 1)
+    nodes = 0
+    failed: set[DegreePattern] = set()  # part sets left that admit no groups
+
+    def fill(parts: DegreePattern, k: int, need: int, start: int) -> bool:
+        """Complete the group of k blocks that lacks ``need`` from
+        parts[start:] (descending), then group the rest, each group around
+        the largest part left."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > _BLOCK_SEARCH_NODES:
+            return True
+        if not need:
+            if not parts:
+                return True
+            if parts in failed:
+                return False
+            lead = parts[0]  # a new group of k blocks around the largest part
+            for k in range(-(-lead // s), min(lead, b) + 1):
+                if lead % k == 0 and fill(parts[1:], k, k * s - lead, 0):
+                    return True
+            failed.add(parts)
+            return False
+        tried = 0  # each value once per position: parts is a multiset
+        for i in range(start, len(parts)):
+            q = parts[i]
+            if q != tried and q <= need and q % k == 0:
+                tried = q
+                if fill(parts[:i] + parts[i + 1 :], k, need - q, i):
+                    return True
+        return False
+
+    return fill(tuple(sorted(pattern, reverse=True)), 1, 0, 0)
+
+
+def _jordan_element(obs: CycleTypeObservation, m: int) -> RuleFiring | None:
+    """R-jordan from an isolated prime part L = 2, L = 3 < m or L <= m - 3:
+    no other part is a multiple of L, so the power to the lcm of the other
+    parts is a pure L-cycle."""
+    pattern = obs.pattern
+    for part in pattern:
+        if (
+            (part == 2 or part == 3 < m or part <= m - 3)
+            and is_prime(part)
+            and sum(q % part == 0 for q in pattern) == 1
+        ):
+            power = math.lcm(*(q for q in pattern if q != part), 1)
+            cycle = f"pattern {pattern}: power {power} is a {part}-cycle"
+            return RuleFiring("R-jordan", (obs.p,), cycle)
+    return None
+
 
 class _Rules:
     """The rule engine, fed one observation at a time.
 
     The rules only ask whether a pattern has been observed, so each distinct
     pattern is looked at once: it is checked against the square discriminant
-    and the degree, and may supply one of the three facts the rules read,
-    each kept from its first sighting: transitivity (the first full cycle,
-    or the subset sums attainable at every prime), a primitivity witness and
-    a Jordan element.  ``add`` reports when a fact changed, the only time
-    the verdict can.
+    and the degree, and may supply one of the three facts the rules read:
+    transitivity (the first full cycle, or the subset sums attainable at
+    every prime), primitivity (each block size ruled out by a pattern that
+    no element keeping such blocks has) and a Jordan element (its first
+    sighting).  ``add`` reports when a fact changed, the only time the
+    verdict can.
     """
 
     def __init__(self, m: int, disc_is_square: bool):
@@ -295,11 +393,11 @@ class _Rules:
         self.full: CycleTypeObservation | None = None
         self.common: set[int] | None = None  # subset sums seen at every prime
         self.trans2 = False  # common is {0, m}
-        # block sizes divide m, so a transitive group of prime degree is
-        # primitive with no pattern needed
-        self.witness = (
-            RuleFiring("R-primitive", (), f"prime degree {m}") if is_prime(m) else None
-        )
+        # the sizes of block systems no pattern has ruled out yet; a
+        # transitive group is primitive once there are none, at once for
+        # a prime m
+        self.open_sizes = {s for s in range(2, m // 2 + 1) if m % s == 0}
+        self.ruled_out: list[tuple[CycleTypeObservation, list[int]]] = []
         self.element: RuleFiring | None = None
 
     def add(self, obs: CycleTypeObservation) -> bool:
@@ -318,34 +416,14 @@ class _Rules:
                 f"cycle type {pattern} at p = {obs.p} does not sum to {m}"
             )
         changed = False
-        if self.witness is None and m >= 3 and pattern == (1, m - 1):
-            # the stabiliser of the fixed point is transitive on the rest
-            detail = f"pattern {pattern}: 2-transitive"
-            self.witness = RuleFiring("R-primitive", (obs.p,), detail)
-            changed = True
-        for part in pattern:
-            as_witness = self.witness is None and 2 * part > m
-            as_element = self.element is None and (
-                part == 2 or part == 3 < m or part <= m - 3
-            )
-            # an isolated prime part: no other part is a multiple of it, so
-            # the power to the lcm of the other parts is a pure part-cycle
-            if (
-                not (as_witness or as_element)
-                or not is_prime(part)
-                or sum(q % part == 0 for q in pattern) > 1
-            ):
-                continue
-            power = math.lcm(*(q for q in pattern if q != part), 1)
-            cycle = f"pattern {pattern}: power {power} is a {part}-cycle"
-            if as_witness:
-                # a block system would have to hold the cycle in one block
-                detail = f"{cycle}, {part} > {m}/2"
-                self.witness = RuleFiring("R-primitive", (obs.p,), detail)
-                changed = True
-            if as_element:
-                self.element = RuleFiring("R-jordan", (obs.p,), cycle)
-                changed = True
+        gone = sorted(s for s in self.open_sizes if not _keeps_blocks(pattern, s))
+        if gone:
+            self.open_sizes.difference_update(gone)
+            self.ruled_out.append((obs, gone))
+            changed = not self.open_sizes
+        if self.element is None:
+            self.element = _jordan_element(obs, m)
+            changed = changed or self.element is not None
         if self.full is None and not self.trans2:  # transitivity still unproved
             if pattern == (m,):
                 self.full, changed = obs, True
@@ -360,7 +438,7 @@ class _Rules:
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
-        full, witness, element = self.full, self.witness, self.element
+        full, element = self.full, self.element
         fired: list[RuleFiring] = []
         if full is not None:
             fired.append(RuleFiring("R-trans", (full.p,), f"irreducible mod {full.p}"))
@@ -373,11 +451,21 @@ class _Rules:
                 )
             )
         transitive = bool(fired)
-        if transitive and witness is not None:  # primitive only when transitive
-            fired.append(witness)
+        primitive = transitive and not self.open_sizes  # only when transitive
+        if primitive:
+            if self.ruled_out:
+                primes = tuple(obs.p for obs, _ in self.ruled_out)
+                detail = "; ".join(
+                    f"pattern {obs.pattern} rules out blocks of size "
+                    + ", ".join(map(str, sizes))
+                    for obs, sizes in self.ruled_out
+                )
+            else:  # a prime degree has no proper block size
+                primes, detail = (), f"prime degree {self.m}"
+            fired.append(RuleFiring("R-primitive", primes, detail))
         if element is not None:
             fired.append(element)
-        if not (transitive and witness and element):
+        if not (primitive and element):
             return GaloisVerdict.INCONCLUSIVE, tuple(fired)
         if self.disc_is_square:
             verdict, sign = GaloisVerdict.PROVEN_ALTERNATING, "square disc keeps Alt"
@@ -412,16 +500,16 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
     disc_is_square = rational_is_square(disc)
 
     rules = _Rules(m, disc_is_square)
-    screen = not is_prime(m)  # only a composite degree can decompose
+    screen = True
     witness = None
     disc_int = model_disc.numerator
     for a in _good_reductions(model, model_disc, prime_bound):
         if screen and a.p > m:  # the first good prime the screen can use
             screen = False
-            # a primitivity witness pattern, (1, m-1) or a prime part above
-            # m/2, preserves no blocks of size s, 2 <= s <= m/2, so f is
-            # then known not to decompose
-            witness = None if rules.witness else _decomposition(f, a)
+            # f = G(H) keeps the blocks {H = b}, of size deg H, so only the
+            # sizes no pattern has ruled out can decompose
+            if rules.open_sizes:
+                witness = _decomposition(f, a, sorted(rules.open_sizes))
             if witness:  # Gal(f) contains no Alt(m): sampling more is futile
                 verdict, fired = rules.conclude()
                 break

@@ -141,6 +141,20 @@ class TestPayloads:
         assert witness == {"outer": "x^3 + 3*x + 1", "inner": "x^2"}
         assert r["kind"] == "Inconclusive"
 
+    def test_rank_report_names_the_witness(self, capsys):
+        # the human report says why the side fails; a side without a
+        # witness prints no decomposition
+        argv = ("rank", "-f", "x^4 - 2", "-g", "y^2 - 1", "-p", "3", "-r", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (
+            "  galois-f: Fails  (polynomial=x^4 - 2, verdict=Inconclusive, rules=[], "
+            "decomposition=G(H) with G = x^2 - 2, H = x^2)\n"
+        ) in out
+        argv = ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "galois-f: Holds" in out and "decomposition" not in out
+
     def test_rank_payload(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
         r = env["result"]

@@ -330,7 +330,7 @@ class TestEarlyStop:
 
         monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
         # the decomposition witness would end the sampling: turn it off
-        monkeypatch.setattr(galois_cert, "_decomposition", lambda f, a: None)
+        monkeypatch.setattr(galois_cert, "_decomposition", lambda f, a, sizes: None)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
@@ -471,6 +471,10 @@ def _planted(seed):
             return f
 
 
+def _proper_divisors(m):
+    return [s for s in range(2, m) if m % s == 0]
+
+
 def _first_screen_reduction(f):
     """f's integer model mod the first good prime above deg f: the screen's."""
     model, model_disc = galois_cert._model_and_disc(f)
@@ -565,9 +569,10 @@ class TestDecomposition:
         for shift in (0, 2):
             g = _compose_by_hand(f, X + shift)
             assert certify_galois(g).decomposition is None
-            # the screen itself, which certification skips once a pattern
-            # has shown that no block system is preserved
-            assert galois_cert._decomposition(g, _first_screen_reduction(g)) is None
+            # the screen itself, on every size, which certification skips
+            # once a pattern has ruled out every block size
+            a = _first_screen_reduction(g)
+            assert galois_cert._decomposition(g, a, _proper_divisors(g.degree)) is None
 
     def test_screen_pass_mod_p_is_confirmed_over_q(self):
         # x^4 + 2x^2 + 5x + 2 is (x^2)^2 + 2x^2 + 2 mod 5, the screen's
@@ -575,7 +580,7 @@ class TestDecomposition:
         f = parse_poly("x^4 + 2x^2 + 5x + 2")
         a = _first_screen_reduction(f)
         assert a.p == 5 and a.coeffs == (2, 0, 2, 0, 1)
-        assert galois_cert._decomposition(f, a) is None
+        assert galois_cert._decomposition(f, a, [2]) is None
         assert certify_galois(f).decomposition is None
 
     def test_screen_prime_dividing_the_leading_coefficient(self):
@@ -614,3 +619,160 @@ class TestDecomposition:
         tampered = replace(proven, decomposition=(parse_poly("x^2"), parse_poly("x^2")))
         with pytest.raises(PatternReplayMismatch):
             replay_certificate(tampered)
+
+
+def _wreath_cycle_types(s, b):
+    """The cycle type of every element of Sym(s) wr Sym(b), by brute force:
+    the element (top, maps) sends point j s + i to top(j) s + maps[j](i)."""
+    from itertools import permutations, product
+
+    m = s * b
+    types = set()
+    for top in permutations(range(b)):
+        for maps in product(list(permutations(range(s))), repeat=b):
+            image = [top[j] * s + maps[j][i] for j in range(b) for i in range(s)]
+            seen, lengths = [False] * m, []
+            for start in range(m):
+                length, point = 0, start
+                while not seen[point]:
+                    seen[point], point, length = True, image[point], length + 1
+                if length:
+                    lengths.append(length)
+            types.add(tuple(sorted(lengths)))
+    return types
+
+
+def _partitions(m, largest=None):
+    """Every partition of m, parts ascending."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (*rest, first)
+
+
+def _open_after(m, patterns):
+    rules = galois_cert._Rules(m, False)
+    for p, pattern in enumerate(patterns):
+        rules.add(CycleTypeObservation(p, pattern))
+    return rules.open_sizes
+
+
+class TestBlockSizes:
+    def test_exact_on_every_partition(self):
+        # a pattern rules out block size s exactly when no element of the
+        # stabiliser of a block system of size s has that cycle type; with
+        # m = 12, s = 3 and 4 the general search runs with 3 or 4 blocks
+        import time
+
+        start = time.perf_counter()
+        checked = 0
+        cases = [(m, s) for m in range(2, 11) for s in _proper_divisors(m)]
+        for m, s in cases + [(12, 3), (12, 4)]:
+            types = _wreath_cycle_types(s, m // s)
+            for pattern in _partitions(m):
+                ruled_out = s not in _open_after(m, [pattern])
+                assert ruled_out == (pattern not in types), (m, s, pattern)
+                checked += 1
+        assert checked == 185 + 2 * 77
+        assert time.perf_counter() - start < 10
+
+    def test_trinomial_proved_at_an_early_prime(self):
+        # (6, 8, 11) at p = 2 fits no block system of size 5, the only
+        # proper one; no prime part above 25/2 shows before p = 31
+        cert = certify_galois(parse_poly("x^25 - x - 1"))
+        assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert len(cert.observations) <= 3
+        primitive = next(r for r in cert.rules_fired if r.rule == "R-primitive")
+        assert primitive.primes == (2,)
+        assert primitive.detail == "pattern (6, 8, 11) rules out blocks of size 5"
+        assert replay_certificate(cert, deep=True) is cert.verdict
+
+    def test_certificate_of_the_earlier_rule_replays(self):
+        # the earlier rule waited for a prime part above 25/2, which first
+        # shows at p = 31; such a certificate still replays to its verdict
+        f = parse_poly("x^25 - x - 1")
+        full = sample_cycle_types(f, 31)
+        assert len(full) == 11 and full[-1].pattern == (1, 5, 6, 13)
+        cert = replace(certify_galois(f), observations=full)
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.PROVEN_SYMMETRIC
+
+    def test_prime_degree_needs_no_pattern(self):
+        assert _open_after(7, []) == set()
+        cert = certify_galois(parse_poly("x^7 - x - 1"))
+        primitive = next(r for r in cert.rules_fired if r.rule == "R-primitive")
+        assert (primitive.primes, primitive.detail) == ((), "prime degree 7")
+
+    @staticmethod
+    def _hard_pattern(n, a):
+        """12, 24, .., 12 n and three copies of a, a partition of m = 3 s
+        with s = 4 t + a, t = n (n + 1) / 2.  With 3 dividing neither t nor
+        a, no sub-multiset sums to s: it would hold one copy of a, by
+        parity mod 4, and then 12 u = 4 t.  So the pattern fits blocks of
+        size 3 (each part alone, the copies of a together) but no element
+        of Sym(s) wr Sym(3): a group of k = 1 needs such a sum, one of
+        k = 2 also leaves a group of k = 1, and k = 3 does not divide a."""
+        t = n * (n + 1) // 2
+        s = 4 * t + a
+        assert t % 3 and a % 3 and a % 2
+        pattern = tuple(sorted([12 * k for k in range(1, n + 1)] + [a] * 3))
+        sums = 1  # bit i: some sub-multiset sums to i
+        for part in pattern:
+            sums |= sums << part
+        assert not sums >> s & 1
+        return pattern, s
+
+    def test_search_budget_leaves_sizes_open(self):
+        # small, the search rules out s; near the degree cap it runs out of
+        # nodes and leaves s open, like 3, which the pattern fits
+        small, s = self._hard_pattern(4, 1)
+        assert _proper_divisors(3 * s) == [3, s]
+        assert _open_after(3 * s, [small]) == {3}
+        pattern, s = self._hard_pattern(37, 517)
+        m = 3 * s
+        assert 9_900 < m <= 10_000  # the parser's degree cap
+        assert _proper_divisors(m) == [3, s] and len(pattern) == 40
+        assert galois_cert._keeps_blocks(pattern, s)
+        assert _open_after(m, [pattern]) == {3, s}
+
+    def test_screen_sees_only_open_sizes(self, monkeypatch):
+        calls = []
+        real = galois_cert._decomposition
+
+        def recording(f, a, sizes):
+            calls.append((f, a.p, list(sizes)))
+            return real(f, a, sizes)
+
+        monkeypatch.setattr(galois_cert, "_decomposition", recording)
+        for text, screened in [
+            ("x^6 + x + 1", [3]),
+            ("x^8 + 5x + 7", [2, 4]),
+            ("x^6 - x - 1", []),  # every size ruled out below p = 7
+            ("x^16 + 5x + 7", []),
+        ]:
+            f = parse_poly(text)
+            calls.clear()
+            cert = certify_galois(f)
+            screen_p = _first_screen_reduction(f).p
+            assert cert.observations[-1].p >= screen_p  # the screen was reached
+            below = [o.pattern for o in cert.observations if o.p < screen_p]
+            expected = sorted(_open_after(f.degree, below))
+            assert expected == screened
+            assert calls == ([(f, screen_p, expected)] if expected else [])
+
+    def test_unprovable_pool_witnesses_unchanged(self):
+        # the benchmark's galois-unprovable bases: the screen on the open
+        # sizes finds the witness the screen on every size finds
+        from pathlib import Path
+        import json
+
+        pool = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
+        found = 0
+        for slot in json.loads(pool.read_text())["galois-unprovable"]:
+            f = UniPoly(tuple(slot["base"]))
+            a = _first_screen_reduction(f)
+            every = galois_cert._decomposition(f, a, _proper_divisors(f.degree))
+            assert certify_galois(f).decomposition == every, f
+            found += every is not None
+        assert found >= 38
