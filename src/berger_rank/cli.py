@@ -118,9 +118,13 @@ def _certificate_payload(cert: GaloisCertificate) -> dict:
         ],
         "verdict": cert.verdict.value,
     }
-    if cert.decomposition is not None:  # the key only when there is a witness
+    # each witness's key only when there is one
+    if cert.decomposition is not None:
         outer, inner = cert.decomposition
         payload["decomposition"] = {"outer": outer.render(), "inner": inner.render()}
+    if cert.binomial is not None:
+        beta, a = cert.binomial
+        payload["binomial"] = {"beta": _json_value(beta), "a": _json_value(a)}
     return payload
 
 
@@ -186,6 +190,11 @@ def _human_certificate(payload: dict) -> list[str]:
         lines.append(
             f"decomposition: f = G(H), G = {witness['outer']}, H = {witness['inner']}"
         )
+    if "binomial" in payload:
+        witness = payload["binomial"]
+        lines.append(
+            f"binomial: f = lc((x - b)^m - a), b = {witness['beta']}, a = {witness['a']}"
+        )
     lines.append("observations:")
     for ob in payload["observations"]:
         pattern = ",".join(str(d) for d in ob["pattern"])
@@ -200,11 +209,16 @@ def _human_certificate(payload: dict) -> list[str]:
 def _brief_evidence(evidence: dict) -> str:
     parts = []
     for key, value in evidence.items():
-        if key == "certificate":
-            if "decomposition" in value:  # the reason a side fails
+        if key == "certificate":  # a witness is the reason a side fails
+            if "decomposition" in value:
                 witness = value["decomposition"]
                 parts.append(
                     f"decomposition=G(H) with G = {witness['outer']}, H = {witness['inner']}"
+                )
+            if "binomial" in value:
+                witness = value["binomial"]
+                parts.append(
+                    f"binomial=lc((x - b)^m - a) with b = {witness['beta']}, a = {witness['a']}"
                 )
             continue
         if key in ("argument", "reason"):

@@ -28,6 +28,9 @@ bounded.  ``resultant`` follows the convention
 
 so Res(x - 2, x - 3) = -1 and Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
 
+``affine_binomial`` decides whether f = lc ((x - b)^m - a), the form whose
+Galois group lies in Hol(Z/m).
+
 Integer utilities (perfect squares, primality, squarefree parts) live here
 too; ``int_squarefree_part`` factors by trial division by the primes below
 2^10, then Miller-Rabin (a proof below 3.3e24), a perfect-power test and
@@ -48,14 +51,16 @@ as multiplication ("2x", "3(x+1)"):
     exponent ::= [ "+" ] INTEGER | "(" exponent ")"
 
 Division is only by a nonzero constant subexpression; anything else raises
-``NonRationalCoefficient``.  ``render`` (also ``str()``) emits descending
-powers with explicit signs and ``^``, and ``parse_poly(render(p)) == p``.
+``NonRationalCoefficient``.  The parser holds each subexpression as its
+nonzero terms, so a sum of n monomials costs O(n) whatever their degrees.
+``render`` (also ``str()``) emits descending powers with explicit signs and
+``^``, and ``parse_poly(render(p)) == p``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -74,6 +79,7 @@ __all__ = [
     "parse_poly",
     "poly_divmod",
     "derivative",
+    "affine_binomial",
     "resultant",
     "discriminant",
     "integer_model",
@@ -327,6 +333,22 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# The parser's values are dicts {exponent: nonzero coefficient}; parse_poly
+# builds the dense UniPoly once, at the end.
+
+
+def _dense_len(a: dict) -> int:
+    """The coefficient count of a as a UniPoly: degree + 1, or 0 for zero."""
+    return max(a) + 1 if a else 0
+
+
+def _to_dense(a: dict) -> list:
+    cs = [0] * _dense_len(a)
+    for k, c in a.items():
+        cs[k] = c
+    return cs
+
+
 class _ParseState:
     # Recursive descent spends a few interpreter frames per open parenthesis,
     # so nesting is capped well below Python's recursion limit; deeper input
@@ -370,11 +392,17 @@ class _ParseState:
         if bits > self.MAX_COEFF_BITS:
             raise PolySyntaxError(f"coefficients above {self.MAX_COEFF_BITS} bits")
 
-    def times(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        self.check_degree((a.degree or 0) + (b.degree or 0))
-        terms = min(len(a.coeffs), len(b.coeffs))
-        self.check_height(_height_bits(a) + _height_bits(b) + _log2_ceil(terms))
-        return a * b
+    def times(self, a: dict, b: dict) -> dict:
+        self.check_degree(max(a, default=0) + max(b, default=0))
+        terms = min(_dense_len(a), _dense_len(b))
+        self.check_height(
+            _height_bits(a.values()) + _height_bits(b.values()) + _log2_ceil(terms)
+        )
+        out: dict = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+        return {k: c for k, c in out.items() if c}
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -384,56 +412,61 @@ class _ParseState:
         self.pos += 1
         return tok
 
-    def expr(self) -> UniPoly:
+    def expr(self) -> dict:
         acc = self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            for k, c in self.term().items():
+                total = acc.pop(k, 0) + (c if op == "+" else -c)
+                if total:
+                    acc[k] = total
         return acc
 
-    def term(self) -> UniPoly:
+    def term(self) -> dict:
         acc = self.unary()
         while True:
             nxt = self.peek()
             if nxt in ("*", "/"):
                 op, _ = self.next()
                 rhs = self.unary()
-                if op == "*":
-                    acc = self.times(acc, rhs)
-                else:
-                    if rhs.is_zero:
+                if op == "/":
+                    if not rhs:
                         raise NonRationalCoefficient("division by zero constant")
-                    if not rhs.is_constant:
+                    if max(rhs):
                         raise NonRationalCoefficient(
                             "division only by a nonzero constant"
                         )
-                    acc = self.times(
-                        acc, UniPoly.constant(Fraction(1) / rhs.coefficient(0))
-                    )
+                    rhs = {0: _exact(1 / Fraction(rhs[0]))}
+                acc = self.times(acc, rhs)
             elif nxt in ("name", "("):
                 acc = self.times(acc, self.unary())  # juxtaposition, e.g. "2x"
             else:
                 return acc
 
-    def unary(self) -> UniPoly:
+    def unary(self) -> dict:
         sign = 1
         while self.peek() in ("+", "-"):
             op, _ = self.next()
             if op == "-":
                 sign = -sign
         p = self.power()
-        return p if sign > 0 else -p
+        return p if sign > 0 else {k: -c for k, c in p.items()}
 
-    def power(self) -> UniPoly:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.next()
             e = self.exponent()
             # a constant's exponent counts as its degree, as documented
-            self.check_degree(max(base.degree or 0, 1) * e)
-            self.check_height(e * (_height_bits(base) + _log2_ceil(len(base.coeffs))))
-            return base ** e
+            self.check_degree(max(max(base, default=0), 1) * e)
+            self.check_height(
+                e * (_height_bits(base.values()) + _log2_ceil(_dense_len(base)))
+            )
+            if len(base) == 1:  # (c x^k)^e = c^e x^(k e)
+                [(k, c)] = base.items()
+                return {k * e: c**e}
+            dense = UniPoly(_to_dense(base)) ** e
+            return {k: c for k, c in enumerate(dense.coeffs) if c}
         return base
 
     def exponent(self) -> int:
@@ -458,7 +491,7 @@ class _ParseState:
             raise PolySyntaxError(f"degree above {self.MAX_DEGREE}")
         return int(text)
 
-    def atom(self) -> UniPoly:
+    def atom(self) -> dict:
         nxt = self.peek()
         if nxt == "num":
             _, text = self.next()
@@ -466,7 +499,7 @@ class _ParseState:
                 value = Fraction(text)
             except ValueError as exc:
                 raise NonRationalCoefficient(f"bad numeric literal {text!r}") from exc
-            return UniPoly.constant(value, self.var or "x")
+            return {0: _exact(value)} if value else {}
         if nxt == "name":
             _, name = self.next()
             if self.var is None:
@@ -475,7 +508,7 @@ class _ParseState:
                 raise MultiVariableError(
                     f"second variable {name!r} after {self.var!r}"
                 )
-            return UniPoly.variable(name)
+            return {1: 1}
         if nxt == "(":
             self.open_paren()
             inner = self.expr()
@@ -490,8 +523,9 @@ def _log2_ceil(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def _height_bits(a: UniPoly) -> int:
-    """Bits H(a) with |n| * d < 2^H(a) for every coefficient n/d of a.
+def _height_bits(cs: Collection) -> int:
+    """Bits H(a) with |n| * d < 2^H(a) for every coefficient n/d in cs, the
+    nonzero coefficients of a polynomial a.
 
     H(a) is the largest numerator's bit length plus 2 * ceil(log2 D), D the
     common denominator, so D * a has integer coefficients below
@@ -499,7 +533,6 @@ def _height_bits(a: UniPoly) -> int:
     |n| * d < 2^(H(a) + H(b) + ceil(log2 t)), t the shorter operand's
     length, and every one of a^e has |n| * d < 2^(e * (H(a) + ceil(log2 len a))).
     """
-    cs = a.coeffs
     num = max((abs(c.numerator).bit_length() for c in cs), default=0)
     den = math.lcm(*[c.denominator for c in cs])
     return num + 2 * _log2_ceil(den)
@@ -526,9 +559,7 @@ def parse_poly(text: str) -> UniPoly:
     if state.pos != len(tokens):
         kind, text_ = state.tokens[state.pos]
         raise PolySyntaxError(f"trailing input starting at {text_!r}")
-    if poly.is_constant and state.var is not None:
-        return UniPoly(poly.coeffs, state.var)
-    return poly
+    return UniPoly(_to_dense(poly), state.var or "x")
 
 
 # -- division, resultant -------------------------------------------------------
@@ -561,6 +592,42 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
 
 def derivative(a: UniPoly) -> UniPoly:
     return UniPoly((k * a.coeffs[k] for k in range(1, len(a.coeffs))), a.var)
+
+
+def affine_binomial(f: UniPoly) -> tuple[int | Fraction, int | Fraction] | None:
+    """(beta, a) with f = lc(f) * ((x - beta)^m - a), a != 0, m = deg f, or
+    None when f has no such form.
+
+    Matching x^(m-1) forces beta = -f_(m-1) / (m f_m), and then every middle
+    coefficient of f(x + beta) must vanish.  The x^1 one is f'(beta), found
+    first by one Horner pass over the integers, v^(m-1) f'(u/v) for beta =
+    u/v, so an input without the form is usually turned away after O(m)
+    steps; only f'(beta) = 0 pays for the whole Taylor shift, also in
+    integers: v^m f(x + u/v) has x^j coefficient v^j h_j, where h(y) =
+    sum f_k v^(m-k) (y + u)^k.
+    """
+    m = f.degree
+    if m is None or m < 1:
+        return None
+    cs = f.coeffs
+    den = math.lcm(*[c.denominator for c in cs])
+    if den != 1:  # den * f, with the same beta and a
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    beta = Fraction(-cs[m - 1], m * cs[m])
+    u, v = beta.numerator, beta.denominator
+    acc, v_power = m * cs[m], 1
+    for k in range(m - 1, 0, -1):
+        v_power *= v
+        acc = acc * u + k * cs[k] * v_power
+    if acc:
+        return None
+    h = [c * v ** (m - k) for k, c in enumerate(cs)]
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            h[j] += u * h[j + 1]
+    if any(h[1:m]) or not h[0]:
+        return None
+    return _exact(beta), _exact(Fraction(-h[0], v**m * cs[m]))
 
 
 def _rational_split(a: UniPoly) -> tuple[int | Fraction, list[int]]:

@@ -39,28 +39,39 @@ pattern is mathematically impossible, so that combination raises
 guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
-The negative side has one witness.  If f = G(H) with deg G, deg H >= 2,
-the roots of f fall into the blocks {a : H(a) = b}, so Gal(f) is
-imprimitive or intransitive and contains no Alt(m), m >= 4.  These blocks
-have size s = deg H, so only a size that no pattern has ruled out can
-decompose.  At the first good prime p > m, while some size is open, f is
-searched for such a decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989):
-for each open s the right factor H of degree s, monic with H(0) = 0, is
-unique and is read off an r-th root of the reversed f, r = m/s.  Each s is
-screened mod p, reusing that prime's reduction; a miss there proves that no
-decomposition with that s exists (see ``_decomposition``), and an s that
-passes is redone over Q.
+The negative side has two witnesses, each of which ends the sampling and
+leaves the verdict ``Inconclusive``.
+
+A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
+into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
+and contains no Alt(m), m >= 4.  These blocks have size s = deg H, so only
+a size that no pattern has ruled out can decompose.  At the first good
+prime p > m, while some size is open, f is searched for such a
+decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989): for each open s the
+right factor H of degree s, monic with H(0) = 0, is unique and is read off
+an r-th root of the reversed f, r = m/s.  Each s is screened mod p, reusing
+that prime's reduction; a miss there proves that no decomposition with that
+s exists (see ``_decomposition``), and an s that passes is redone over Q.
 A witness is accepted only when G(H) = f exactly; the certificate then
-holds it in ``decomposition``, sampling stops, and the verdict stays
-``Inconclusive``.  The screen is skipped when no size is open, always for
-a prime m.  Without a witness, an ``Inconclusive`` certificate holds every
-usable prime up to the bound.
+holds it in ``decomposition``.  The screen is skipped when no size is
+open, always for a prime m.
+
+A binomial, the one witness a prime m can have.  If f = lc ((x - b)^m - a)
+with a != 0, its roots are b + z^i r for the m-th roots of unity z, and
+Gal(f) acts on the exponents i by affine maps, inside Hol(Z/m) of order
+m phi(m) < m!/2 for m >= 4, so it contains no Alt(m).  For a prime m >= 5,
+before any prime is sampled, ``affine_binomial`` tests f for this form
+exactly; a hit is held in ``binomial`` and nothing is sampled.  A composite
+m is left to the decomposition screen, which finds x^m - a = (x^s)^(m/s) - a.
+
+Without a witness, an ``Inconclusive`` certificate holds every usable prime
+up to the bound.
 
 Sampling passes the model's discriminant to ``degree_pattern``, which may
 then end its degree loop early by the parity of the factor count
 (Stickelberger).  A ``GaloisCertificate`` stores the observations, fired
-rules and any decomposition witness, and ``replay_certificate`` re-composes
-the witness and re-runs the rule engine on the stored observations (no
+rules and any witness, and ``replay_certificate`` re-expands the witness
+and re-runs the rule engine on the stored observations (no
 re-sampling) to confirm the recorded verdict; a deep replay also recomputes
 every pattern without the discriminant, by the full loop.
 """
@@ -81,6 +92,7 @@ from .errors import (
 )
 from .exact_poly import (
     UniPoly,
+    affine_binomial,
     discriminant,
     integer_model,
     is_prime,
@@ -141,6 +153,9 @@ class GaloisCertificate(Record):
     verdict: GaloisVerdict
     # (G, H) with f = G(H) and deg G, deg H >= 2: Gal(f) contains no Alt(m)
     decomposition: tuple[UniPoly, UniPoly] | None = None
+    # (beta, a) with f = lc(f) ((x - beta)^m - a), a != 0 and m >= 4: Gal(f)
+    # lies in Hol(Z/m), of order m phi(m) < m!/2, so contains no Alt(m)
+    binomial: tuple[int | Fraction, int | Fraction] | None = None
 
 
 def sample_cycle_types(
@@ -156,7 +171,7 @@ def sample_cycle_types(
         raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
-    model, model_disc = _model_and_disc(f)
+    model, model_disc, _ = _model_and_disc(f)
     disc = model_disc.numerator
     return tuple(
         CycleTypeObservation(a.p, degree_pattern(a, disc))
@@ -164,14 +179,17 @@ def sample_cycle_types(
     )
 
 
-def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction]:
-    """The primitive integer model of f and its (integer) discriminant."""
+def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction, Fraction]:
+    """The primitive integer model of f, its (integer) discriminant, and
+    disc(f) rescaled from it."""
     model = integer_model(f)
-    disc = discriminant(model)
-    if disc == 0:
+    model_disc = discriminant(model)
+    if model_disc == 0:
         raise NotSquarefree(f"{f} has a repeated root")
-    assert disc.denominator == 1
-    return model, disc
+    assert model_disc.denominator == 1
+    # f = scale * model, and disc(c * F) = c^(2m - 2) * disc(F)
+    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
+    return model, model_disc, model_disc * scale ** (2 * model.degree - 2)
 
 
 def _good_reductions(
@@ -484,26 +502,36 @@ def _evaluate_rules(
     return rules.conclude()
 
 
-def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> GaloisCertificate:
-    """Prove what can be proved about Gal(f) from cycle types up to the bound."""
-    if f.degree is None or f.degree < 2:
-        raise InvalidInput("Galois certification needs degree >= 2")
+def _check_prime_bound(prime_bound: int) -> None:
     if prime_bound < 2:
         raise InvalidInput("prime_bound must be >= 2")
     if prime_bound > MAX_PRIME_BOUND:
         raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
-    m: int = f.degree  # type: ignore[assignment]
-    model, model_disc = _model_and_disc(f)
-    # f = scale * model, and disc(c * f) = c^(2m - 2) * disc(f)
-    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
-    disc = model_disc * scale ** (2 * m - 2)
-    disc_is_square = rational_is_square(disc)
 
+
+def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> GaloisCertificate:
+    """Prove what can be proved about Gal(f) from cycle types up to the bound."""
+    if f.degree is None or f.degree < 2:
+        raise InvalidInput("Galois certification needs degree >= 2")
+    _check_prime_bound(prime_bound)
+    return _certify(f, prime_bound, *_model_and_disc(f))
+
+
+def _certify(
+    f: UniPoly, prime_bound: int, model: UniPoly, model_disc: Fraction, disc: Fraction
+) -> GaloisCertificate:
+    """``certify_galois`` on checked input, given ``_model_and_disc(f)``."""
+    m: int = f.degree  # type: ignore[assignment]
+    disc_is_square = rational_is_square(disc)
     rules = _Rules(m, disc_is_square)
+    # a prime m has no block sizes, so no decomposition, but a binomial's
+    # group is too small for Alt(m) all the same: nothing to sample
+    binomial = affine_binomial(model) if m >= 5 and is_prime(m) else None
     screen = True
     witness = None
     disc_int = model_disc.numerator
-    for a in _good_reductions(model, model_disc, prime_bound):
+    reductions = () if binomial else _good_reductions(model, model_disc, prime_bound)
+    for a in reductions:
         if screen and a.p > m:  # the first good prime the screen can use
             screen = False
             # f = G(H) keeps the blocks {H = b}, of size deg H, so only the
@@ -527,19 +555,22 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
         rules_fired=fired,
         verdict=verdict,
         decomposition=witness,
+        binomial=binomial,
     )
 
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:
-    """Re-compose any decomposition witness and re-run the rule engine on
-    the stored observations.
+    """Re-expand any witness and re-run the rule engine on the stored
+    observations.
 
-    A witness that does not compose to the polynomial, has a factor of
-    degree below 2, or stands beside a proven verdict raises
-    ``PatternReplayMismatch``.  With deep=True every stored pattern is also
-    recomputed from the polynomial by the full degree loop (no discriminant,
-    so no parity shortcut), turning the replay into a re-derivation; a
-    pattern that does not recompute raises ``PatternReplayMismatch``.
+    A decomposition that does not compose to the polynomial or has a factor
+    of degree below 2, a binomial (beta, a) with m < 4 or with
+    lc ((x - beta)^m - a) other than the polynomial, and a witness beside a
+    proven verdict raise ``PatternReplayMismatch``.  With deep=True every
+    stored pattern is also recomputed from the polynomial by the full degree
+    loop (no discriminant, so no parity shortcut), turning the replay into a
+    re-derivation; a pattern that does not recompute raises
+    ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
@@ -554,6 +585,13 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                 f"stored decomposition {outer} of {inner} does not compose "
                 f"to {cert.polynomial}"
             )
+    if cert.binomial is not None:
+        f, (beta, a) = cert.polynomial, cert.binomial
+        expanded = f.leading_coefficient * (UniPoly((-beta, 1), f.var) ** m - a)
+        if m < 4 or expanded != f:
+            raise PatternReplayMismatch(
+                f"stored binomial (beta, a) = ({beta}, {a}) does not expand to {f}"
+            )
     if deep:
         model = integer_model(cert.polynomial)
         if discriminant(cert.polynomial) != cert.disc:
@@ -565,6 +603,6 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
-    if cert.decomposition is not None and verdict is not GaloisVerdict.INCONCLUSIVE:
-        raise PatternReplayMismatch(f"{verdict.value} beside a decomposition witness")
+    if (cert.decomposition or cert.binomial) and verdict is not GaloisVerdict.INCONCLUSIVE:
+        raise PatternReplayMismatch(f"{verdict.value} beside a witness")
     return verdict

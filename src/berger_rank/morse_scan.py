@@ -34,13 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .errors import FactorizationIncomplete, InvalidInput
+from .errors import FactorizationIncomplete, InvalidInput, NotSquarefree
 from .exact_poly import (
     UniPoly,
     derivative,
     discriminant,
     int_squarefree_part,
-    integer_model,
     factor_int,
     rational_is_square,
     resultant,
@@ -49,7 +48,9 @@ from .galois_cert import (
     DEFAULT_PRIME_BOUND,
     GaloisCertificate,
     GaloisVerdict,
-    certify_galois,
+    _certify,
+    _check_prime_bound,
+    _model_and_disc,
 )
 
 __all__ = [
@@ -126,9 +127,10 @@ def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
     return sorted(divisors)
 
 
-def _rational_root(f: UniPoly):
-    """Some rational root of f, or None if none exists (or none provable)."""
-    coeffs = integer_model(f).coeffs
+def _rational_root(model: UniPoly):
+    """Some rational root of the integer polynomial model, or None if none
+    exists (or none provable)."""
+    coeffs = model.coeffs
     if not coeffs:
         return None
     if coeffs[0] == 0:
@@ -170,16 +172,19 @@ def _quad_tag(disc) -> int | None:
 
 def _scan_one(h: UniPoly, c: int, prime_bound: int) -> ScanResult:
     fc = h - c
-    disc = discriminant(fc)
-    if disc == 0:
+    # one integer model and discriminant per row, shared with certification
+    try:
+        facts = _model_and_disc(fc)
+    except NotSquarefree:
         return ScanResult(c, False, None, None, "not squarefree")
+    model, _, disc = facts
     tag = _quad_tag(disc)
-    root = _rational_root(fc)
+    root = _rational_root(model)
     if root is not None:
         return ScanResult(
             c, False, None, tag, f"reducible: rational root {root}"
         )
-    cert = certify_galois(fc, prime_bound)
+    cert = _certify(fc, prime_bound, *facts)
     if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
         return ScanResult(c, True, cert, tag, "certified")
     if cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
@@ -199,6 +204,7 @@ def scan_A_h(
         raise InvalidInput("scan needs degree >= 2")
     if c_min > c_max:
         raise InvalidInput(f"empty range {c_min}..{c_max}")
+    _check_prime_bound(prime_bound)
     cs = range(c_min, c_max + 1)
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor

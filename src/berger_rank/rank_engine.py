@@ -54,6 +54,7 @@ from ._record import Record
 from .errors import InvalidInput
 from .exact_poly import (
     UniPoly,
+    affine_binomial,
     integer_model,
     is_prime,
     rational_is_square,
@@ -133,21 +134,16 @@ class RankVerdict(Record):
 
 
 def is_binomial_cm(g: UniPoly) -> Fraction | None:
-    """The constant a when g is exactly y^n - a with a != 0, else None."""
-    deg = g.degree
-    if deg is None or deg < 2:
-        return None
-    if g.leading_coefficient != 1:
-        return None
-    if any(g.coefficient(k) != 0 for k in range(1, deg)):
-        return None
-    a = -g.coefficient(0)
-    return a if a != 0 else None
+    """The constant a when g is exactly y^n - a with a != 0, else None: an
+    affine binomial with shift 0 and leading coefficient 1."""
+    hit = affine_binomial(g) if g.leading_coefficient == 1 else None
+    return hit[1] if hit is not None and hit[0] == 0 else None
 
 
 def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
-    if cert.decomposition is not None:
-        # Gal(f) keeps the blocks {H = b}, so it holds neither Alt nor Sym
+    if cert.decomposition is not None or cert.binomial is not None:
+        # Gal(f) keeps the blocks {H = b}, or lies in Hol(Z/m): either way
+        # it holds neither Alt nor Sym
         return Status.FAILS
     verdict = cert.verdict
     if need_symmetric:

@@ -132,6 +132,20 @@ class TestPayloads:
         code, out, _ = run_cli(capsys, "galois", "x^5+20x+16")
         assert code == 0 and "decomposition" not in out
 
+    def test_galois_binomial_key(self, capsys):
+        # (x + 2)^7 - 3: the binomial witness, in both modes, and only when
+        # there is one
+        r = run_json(capsys, "galois", "(x+2)^7 - 3")["result"]
+        assert r["verdict"] == "Inconclusive" and r["observations"] == []
+        assert r["binomial"] == {"beta": -2, "a": 3}
+        r = run_json(capsys, "galois", "3(2x + 1/3)^5 - 7/2")["result"]
+        assert r["binomial"] == {"beta": "-1/6", "a": "7/192"}
+        code, out, _ = run_cli(capsys, "galois", "(x+2)^7 - 3")
+        assert "binomial: f = lc((x - b)^m - a), b = -2, a = 3\n" in out
+        assert "binomial" not in run_json(capsys, "galois", "x^7 - x - 1")["result"]
+        code, out, _ = run_cli(capsys, "galois", "x^7 - x - 1")
+        assert code == 0 and "binomial" not in out
+
     def test_rank_payload_on_a_decomposable_side(self, capsys):
         argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")
         r = run_json(capsys, *argv)["result"]
@@ -151,9 +165,17 @@ class TestPayloads:
             "  galois-f: Fails  (polynomial=x^4 - 2, verdict=Inconclusive, rules=[], "
             "decomposition=G(H) with G = x^2 - 2, H = x^2)\n"
         ) in out
+        argv = ("rank", "-f", "x^7 - 3", "-g", "y^2 - 1", "-p", "5", "-r", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (
+            "  galois-f: Fails  (polynomial=x^7 - 3, verdict=Inconclusive, rules=[], "
+            "binomial=lc((x - b)^m - a) with b = 0, a = 3)\n"
+        ) in out
         argv = ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and "galois-f: Holds" in out and "decomposition" not in out
+        assert code == 0 and "galois-f: Holds" in out
+        assert "decomposition" not in out and "binomial=" not in out
 
     def test_rank_payload(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
@@ -482,7 +504,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 10
+        assert len(README_EXAMPLES) == 11
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

@@ -19,6 +19,7 @@ from berger_rank import (
     PolySyntaxError,
     UniPoly,
     ZeroInput,
+    affine_binomial,
     certify_galois,
     derivative,
     discriminant,
@@ -142,6 +143,20 @@ class TestParseRender:
         assert time.perf_counter() - start < 10.0
         assert f.coeffs == tuple(math.comb(1000, k) for k in range(1001))
         assert all(type(c) is int for c in f.coeffs)
+
+    def test_cancelled_terms_leave_the_degree(self):
+        # a sum whose top terms cancel has the lower degree, for the cap too
+        assert parse_poly("(x^6000 - x^6000 + x)^2") == X**2
+        assert parse_poly("(x^6000 + 1)(x^4000 - 1) - x^10000 + x^6000") == X**4000 - 1
+
+    def test_long_sum_time(self):
+        # the terms of a sum are accumulated in one pass; adding them
+        # pairwise took 6 s for these 3,000 terms on a 2-core machine
+        text = " + ".join(f"{k}*x^{k}" for k in range(1, 3001))
+        start = time.perf_counter()
+        f = parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert f.coeffs == tuple(range(3001))
 
     @given(polys())
     @settings(max_examples=150)
@@ -566,3 +581,52 @@ class TestIntegerRepresentation:
         cert = certify_galois(parse_poly("2x^5 - 2x - 2"))
         assert type(cert.disc) is Fraction
         assert cert.disc == 2 ** 8 * discriminant(parse_poly("x^5 - x - 1"))
+
+
+@st.composite
+def affine_polys(draw):
+    """A random polynomial, an affine binomial lam ((x - beta)^m - a), or a
+    near miss: such a binomial plus c (x - beta)^j, 2 <= j < m, whose
+    derivative still vanishes at beta."""
+    kind = draw(st.sampled_from(["random", "binomial", "near"]))
+    if kind == "random":
+        return draw(mixed_polys(min_deg=1, max_deg=7))
+    m = draw(st.integers(2 if kind == "binomial" else 3, 7))
+    lam, a = draw(_COEF.filter(bool)), draw(_COEF)
+    shift = UniPoly((-draw(_COEF), 1))  # x - beta
+    f = lam * (shift**m - a)
+    if kind == "near":
+        f = f + draw(_COEF.filter(bool)) * shift ** draw(st.integers(2, m - 1))
+    return f
+
+
+class TestAffineBinomial:
+    @given(affine_polys())
+    @settings(max_examples=200)
+    def test_matches_the_taylor_shift(self, f):
+        # oracle: f(x + beta) by Fraction arithmetic, beta read off x^(m-1)
+        m = f.degree
+        beta = Fraction(-f.coefficient(m - 1), m * f.leading_coefficient)
+        shifted = sum(
+            (c * UniPoly((beta, 1)) ** k for k, c in enumerate(f.coeffs)), UniPoly(())
+        )
+        hit = affine_binomial(f)
+        if any(shifted.coefficient(k) for k in range(1, m)) or not shifted.coefficient(0):
+            assert hit is None, f
+        else:
+            assert hit == (beta, -Fraction(shifted.coefficient(0), f.leading_coefficient)), f
+            for c in hit:
+                assert type(c) is int or c.denominator > 1
+
+    def test_named_inputs(self):
+        assert affine_binomial(parse_poly("x^7 - 3")) == (0, 3)
+        assert affine_binomial(parse_poly("(x + 2)^7 - 3")) == (-2, 3)
+        assert affine_binomial(parse_poly("3(2x + 1/3)^5 - 7/2")) == (
+            Fraction(-1, 6), Fraction(7, 192)
+        )
+        assert affine_binomial(parse_poly("x^2 + x + 1")) == (
+            Fraction(-1, 2), Fraction(-3, 4)
+        )
+        for text in ("x^7 - x - 1", "(x - 1)^4", "x^5 + x^3 - 2", "x - 1", "5"):
+            assert affine_binomial(parse_poly(text)) is None, text
+        assert affine_binomial(UniPoly(())) is None

@@ -20,6 +20,7 @@ from berger_rank import (
     certify_galois,
     discriminant,
     integer_model,
+    is_prime,
     parse_poly,
     rational_is_square,
     replay_certificate,
@@ -247,15 +248,19 @@ class TestEarlyStop:
     @pytest.mark.parametrize("f", UNPROVABLE, ids=lambda f: f.render())
     def test_unprovable_families_sample_in_full(self, f):
         # in full, unless a decomposition witness ends the sampling at the
-        # first good prime above the degree, where the screen runs
+        # first good prime above the degree, where the screen runs, or a
+        # binomial witness of a prime degree ends it before the first prime
         cert = certify_galois(f)
         assert 7 <= f.degree <= 12
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.decomposition is None or cert.binomial is None
         full = sample_cycle_types(f, 200)
-        if cert.decomposition is None:
-            assert cert.observations == full
-        else:
+        if cert.binomial is not None:
+            assert is_prime(f.degree) and cert.observations == ()
+        elif cert.decomposition is not None:
             assert cert.observations == tuple(o for o in full if o.p < f.degree)
+        else:
+            assert cert.observations == full
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_trinomial_stops_at_first_proof(self, m):
@@ -412,6 +417,7 @@ class TestJordanRule:
         cert = certify_galois(parse_poly(text))
         assert cert.verdict is verdict
         assert cert.observations[-1].p == stop
+        assert cert.binomial is None
         assert replay_certificate(cert, deep=True) is verdict
 
     def test_never_more_than_sympy_finds(self):
@@ -436,6 +442,8 @@ class TestJordanRule:
                 continue
             order = sympy.galois_group(poly, by_name=False)[0].order()
             checked += 1
+            if 2 * order >= math.factorial(m):  # Alt(m) inside: no witness
+                assert cert.binomial is None and cert.decomposition is None, f
             if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
                 assert order == math.factorial(m), f
             elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
@@ -477,7 +485,7 @@ def _proper_divisors(m):
 
 def _first_screen_reduction(f):
     """f's integer model mod the first good prime above deg f: the screen's."""
-    model, model_disc = galois_cert._model_and_disc(f)
+    model, model_disc, _ = galois_cert._model_and_disc(f)
     return next(
         a for a in galois_cert._good_reductions(model, model_disc, 10**4) if a.p > f.degree
     )
@@ -568,7 +576,8 @@ class TestDecomposition:
         f = parse_poly(text)
         for shift in (0, 2):
             g = _compose_by_hand(f, X + shift)
-            assert certify_galois(g).decomposition is None
+            cert = certify_galois(g)
+            assert cert.decomposition is None and cert.binomial is None
             # the screen itself, on every size, which certification skips
             # once a pattern has ruled out every block size
             a = _first_screen_reduction(g)
@@ -619,6 +628,88 @@ class TestDecomposition:
         tampered = replace(proven, decomposition=(parse_poly("x^2"), parse_poly("x^2")))
         with pytest.raises(PatternReplayMismatch):
             replay_certificate(tampered)
+
+
+def _planted_binomial(seed, degrees):
+    """lam ((s x + k)^m - a) for seeded m in degrees and rational lam, s, k
+    and a != 0, with the shift and constant it must be found with."""
+    import random
+
+    rng = random.Random(seed)
+    m = rng.choice(degrees)
+
+    def rational(nonzero=False):
+        num = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]) if nonzero else rng.randint(-7, 7)
+        return Fraction(num, rng.randint(1, 4))
+
+    lam, s, k, a = rational(True), rational(True), rational(), rational(True)
+    f = lam * (UniPoly((k, s)) ** m - a)
+    # (s x + k)^m - a = s^m ((x + k/s)^m - a/s^m)
+    return f, (-k / s, a / s**m)
+
+
+class TestBinomialWitness:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_planted_binomial_found(self, seed):
+        f, (beta, a) = _planted_binomial(seed, (5, 7, 11, 13))
+        cert = certify_galois(f)
+        assert cert.binomial == (beta, a), f
+        assert cert.decomposition is None
+        assert cert.observations == () and cert.rules_fired == ()
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.disc == discriminant(f)
+        assert replay_certificate(cert) is GaloisVerdict.INCONCLUSIVE
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_composite_degree_keeps_its_decomposition(self, seed):
+        # x^m - a = (x^s)^(m/s) - a: the screen's witness, as before
+        f, _ = _planted_binomial(seed, (6, 8, 9, 10, 12))
+        cert = certify_galois(f)
+        assert cert.binomial is None and cert.decomposition is not None, f
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^2 - 3", "(2x + 1)^2 + 5", "x^3 - 2", "3(x - 1/2)^3 + 7", "x^4 - 2",
+         "(x + 3)^4 + 1"],
+    )
+    def test_no_witness_below_degree_5(self, text):
+        # Gal(x^3 - 2) = Sym(3), so a cubic binomial proves nothing; m <= 4
+        # is never tested (x^4 - a decomposes instead)
+        cert = certify_galois(parse_poly(text))
+        assert cert.binomial is None and cert.observations
+        if text == "x^3 - 2":
+            assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+
+    def test_tampered_witness_does_not_replay(self):
+        cert = certify_galois(parse_poly("(x + 2)^7 - 3"))
+        assert cert.binomial == (-2, 3)
+        for bad in ((-1, 3), (-2, 4), (-2, 0), (2, -3)):
+            tampered = replace(cert, binomial=bad)
+            for deep in (False, True):
+                with pytest.raises(PatternReplayMismatch) as info:
+                    replay_certificate(tampered, deep=deep)
+                assert isinstance(info.value, InternalCheckError)  # CLI exit 2
+        # below degree 4 a binomial proves nothing, even one that expands
+        cubic = replace(
+            certify_galois(parse_poly("x^3 - 2")),
+            observations=(), rules_fired=(), verdict=GaloisVerdict.INCONCLUSIVE,
+        )
+        assert replay_certificate(cubic) is GaloisVerdict.INCONCLUSIVE
+        with pytest.raises(PatternReplayMismatch):
+            replay_certificate(replace(cubic, binomial=(0, 2)))
+        # a witness beside a proven verdict is a contradiction
+        proven = certify_galois(parse_poly("x^7 - x - 1"))
+        assert proven.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        with pytest.raises(PatternReplayMismatch):
+            replay_certificate(replace(cert, observations=proven.observations))
+
+    def test_near_misses_are_sampled(self):
+        # a'(beta) = 0 but a higher middle coefficient survives the shift
+        for text in ("x^5 + x^3 - 2", "(x - 1)^7 + (x - 1)^2 + 1", "x^11 - x - 1"):
+            cert = certify_galois(parse_poly(text))
+            assert cert.binomial is None and cert.observations, text
 
 
 def _wreath_cycle_types(s, b):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berger_rank import (
+    MAX_PRIME_BOUND,
     GaloisVerdict,
     InvalidInput,
     UniPoly,
+    certify_galois,
     critical_value_resultant,
     disjointness_filter,
     integer_model,
@@ -158,6 +160,23 @@ class TestScan:
     def test_scan_rejects_bad_range(self):
         with pytest.raises(InvalidInput):
             scan_A_h(parse_poly("x^5 - x"), 3, -3)
+        # also when no row would reach certification: x^5 - x has the root 0
+        for bound in (1, MAX_PRIME_BOUND + 1):
+            with pytest.raises(InvalidInput):
+                scan_A_h(parse_poly("x^5 - x"), 0, 0, prime_bound=bound)
+
+    def test_rows_match_the_public_certifier(self):
+        # a row hands its integer model and discriminant to certification;
+        # the certificate is the one certify_galois builds from scratch
+        for text in ("x^5 - x", "x^7/2 + 3", "2x^6 - 3x + 1/3", "(x + 1)^5"):
+            h = parse_poly(text)
+            for row in scan_A_h(h, -3, 3):
+                if row.certificate is not None:
+                    assert row.certificate == certify_galois(h - row.c), (text, row.c)
+        # x^7/2 + 3 - c = (x^7 - (2c - 6)) / 2: a binomial row samples nothing
+        rows = scan_A_h(parse_poly("x^7/2 + 3"), -3, 2)
+        assert [r.certificate.binomial for r in rows] == [(0, 2 * c - 6) for c in range(-3, 3)]
+        assert all(r.reason == "unproven" and not r.certificate.observations for r in rows)
 
     def test_repeated_root_row(self):
         # c = 0 makes x^3 - 3x^2 + 3x... pick h where h - c has a square factor:
@@ -218,7 +237,7 @@ class TestRationalRoot:
         assert len(polys) > 150
         found = 0
         for f in polys:
-            root = _rational_root(f)
+            root = _rational_root(integer_model(f))
             want = _parent_rational_root(f)
             # same first root, same type, same text in the scan's reason
             assert (root, type(root), str(root)) == (want, type(want), str(want)), f
@@ -236,7 +255,7 @@ class TestRationalRoot:
                 for fac, _ in factors
                 if fac.degree() == 1
             }
-            root = _rational_root(f)
+            root = _rational_root(integer_model(f))
             if roots:
                 assert root in roots, f
             else:

@@ -59,6 +59,10 @@ class TestBinomialDetection:
         assert is_binomial_cm(parse_poly("2y^2 - 1")) is None
         assert is_binomial_cm(parse_poly("y^2")) is None
         assert is_binomial_cm(parse_poly("y - 1")) is None
+        # affine binomials only when written as y^n - a
+        assert is_binomial_cm(parse_poly("y^2 + y + 1")) is None
+        assert is_binomial_cm(parse_poly("(y + 1)^3 - 2")) is None
+        assert is_binomial_cm(parse_poly("2y^5 + 7")) is None
 
 
 class TestSideConditions:
@@ -270,10 +274,11 @@ class TestTwoLargeRoute:
 
 
 class TestDecomposableSides:
-    # f = G(H) puts Gal(f) in a block system: no prime bound proves the side,
-    # so the witness makes it fail on both routes
+    # f = G(H) puts Gal(f) in a block system, and a binomial of prime degree
+    # puts it in Hol(Z/m): no prime bound proves the side, so the witness
+    # makes it fail on both routes
     def test_cm_route(self):
-        for f in ("x^6 + 3x^2 + 1", "x^4 - 2"):
+        for f in ("x^6 + 3x^2 + 1", "x^4 - 2", "x^7 - 3", "2(x + 1)^5 + 3"):
             st = statuses(rank_verdict(parse_poly(f), G2, 5, 1))
             assert st["galois-f"] is Status.FAILS
             assert st["hom-vanishing-cm"] is Status.FAILS
@@ -285,6 +290,13 @@ class TestDecomposableSides:
         assert st["galois-f"] is Status.HOLDS
         assert st["galois-g"] is Status.FAILS
         assert st["hom-bounded"] is Status.FAILS
+        assert v.kind is VerdictKind.INCONCLUSIVE
+
+    def test_two_large_route_binomial(self):
+        # (y + 1)^5 - 2 is no y^n - a, so it takes the two-large route
+        v = rank_verdict(F6, parse_poly("(y + 1)^5 - 2"), 7, 1)
+        assert record(v, "galois-g").evidence["certificate"].binomial == (-1, 2)
+        assert statuses(v)["galois-g"] is Status.FAILS
         assert v.kind is VerdictKind.INCONCLUSIVE
 
 
