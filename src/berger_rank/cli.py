@@ -122,9 +122,9 @@ def _certificate_payload(cert: GaloisCertificate) -> dict:
     if cert.decomposition is not None:
         outer, inner = cert.decomposition
         payload["decomposition"] = {"outer": outer.render(), "inner": inner.render()}
-    if cert.binomial is not None:
-        beta, a = cert.binomial
-        payload["binomial"] = {"beta": _json_value(beta), "a": _json_value(a)}
+    if cert.dickson is not None:
+        beta, alpha, a = map(_json_value, cert.dickson)
+        payload["dickson"] = {"beta": beta, "alpha": alpha, "a": a}
     return payload
 
 
@@ -190,10 +190,11 @@ def _human_certificate(payload: dict) -> list[str]:
         lines.append(
             f"decomposition: f = G(H), G = {witness['outer']}, H = {witness['inner']}"
         )
-    if "binomial" in payload:
-        witness = payload["binomial"]
+    if "dickson" in payload:
+        witness = payload["dickson"]
         lines.append(
-            f"binomial: f = lc((x - b)^m - a), b = {witness['beta']}, a = {witness['a']}"
+            f"dickson: f = lc(D_m(x - b, alpha) - a), b = {witness['beta']}, "
+            f"alpha = {witness['alpha']}, a = {witness['a']}"
         )
     lines.append("observations:")
     for ob in payload["observations"]:
@@ -215,10 +216,11 @@ def _brief_evidence(evidence: dict) -> str:
                 parts.append(
                     f"decomposition=G(H) with G = {witness['outer']}, H = {witness['inner']}"
                 )
-            if "binomial" in value:
-                witness = value["binomial"]
+            if "dickson" in value:
+                witness = value["dickson"]
                 parts.append(
-                    f"binomial=lc((x - b)^m - a) with b = {witness['beta']}, a = {witness['a']}"
+                    f"dickson=lc(D_m(x - b, alpha) - a) with b = {witness['beta']}, "
+                    f"alpha = {witness['alpha']}, a = {witness['a']}"
                 )
             continue
         if key in ("argument", "reason"):

@@ -28,8 +28,9 @@ bounded.  ``resultant`` follows the convention
 
 so Res(x - 2, x - 3) = -1 and Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
 
-``affine_binomial`` decides whether f = lc ((x - b)^m - a), the form whose
-Galois group lies in Hol(Z/m).
+``affine_dickson`` decides whether f = lc (D_m(x - b, alpha) - a), D_m the
+Dickson polynomial, the form whose Galois group lies in AGL(1, Z/m); alpha = 0
+gives the binomials lc ((x - b)^m - a).
 
 Integer utilities (perfect squares, primality, squarefree parts) live here
 too; ``int_squarefree_part`` factors by trial division by the primes below
@@ -79,7 +80,7 @@ __all__ = [
     "parse_poly",
     "poly_divmod",
     "derivative",
-    "affine_binomial",
+    "affine_dickson",
     "resultant",
     "discriminant",
     "integer_model",
@@ -202,14 +203,19 @@ class UniPoly:
         if other is None:
             return NotImplemented
         var = self._join_var(other)
-        if self.is_zero or other.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UniPoly((), var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        if min(len(a), len(b)) >= _KRONECKER_TERMS and all(
+            type(c) is int for c in a + b
+        ):
+            return UniPoly(_kronecker_product(a, b), var)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         return UniPoly(out, var)
 
     __rmul__ = __mul__
@@ -222,8 +228,9 @@ class UniPoly:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:  # the last square would go unused
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -288,6 +295,43 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self.render()!r})"
+
+
+# Both factors need this many terms before an integer product goes through
+# one big-integer product: below it the double loop is faster.
+_KRONECKER_TERMS = 16
+
+
+def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of a * b, integer polynomials, by signed Kronecker
+    substitution: each is packed into one integer at x = 2^k, with k bits
+    enough for every product coefficient c, |c| < 2^(k-1), the integers
+    are multiplied, and the product is read back k bits at a time.  Adding
+    2^(k-1) to every slot makes each one a plain k-bit field, so packing
+    and unpacking are byte conversions."""
+    bits = (
+        max(abs(c) for c in a).bit_length()
+        + max(abs(c) for c in b).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = -(-bits // 8)  # bytes per slot
+    half = 1 << (8 * width - 1)
+    slot = b"\0" * (width - 1) + b"\x80"  # half, as one slot's bytes
+
+    def halves(count: int) -> int:
+        return int.from_bytes(slot * count, "little")
+
+    def pack(cs: Sequence[int]) -> int:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(raw, "little") - halves(len(cs))
+
+    n = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + halves(n)).to_bytes(width * n, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, width * n, width)
+    ]
 
 
 # -- parsing ------------------------------------------------------------------
@@ -594,40 +638,85 @@ def derivative(a: UniPoly) -> UniPoly:
     return UniPoly((k * a.coeffs[k] for k in range(1, len(a.coeffs))), a.var)
 
 
-def affine_binomial(f: UniPoly) -> tuple[int | Fraction, int | Fraction] | None:
-    """(beta, a) with f = lc(f) * ((x - beta)^m - a), a != 0, m = deg f, or
-    None when f has no such form.
+def affine_dickson(
+    f: UniPoly,
+) -> tuple[int | Fraction, int | Fraction, int | Fraction] | None:
+    """(beta, alpha, a) with f = lc(f) * (D_m(x - beta, alpha) - a), m =
+    deg f >= 2 and f squarefree, or None when f has no such form.
 
-    Matching x^(m-1) forces beta = -f_(m-1) / (m f_m), and then every middle
-    coefficient of f(x + beta) must vanish.  The x^1 one is f'(beta), found
-    first by one Horner pass over the integers, v^(m-1) f'(u/v) for beta =
-    u/v, so an input without the form is usually turned away after O(m)
-    steps; only f'(beta) = 0 pays for the whole Taylor shift, also in
-    integers: v^m f(x + u/v) has x^j coefficient v^j h_j, where h(y) =
-    sum f_k v^(m-k) (y + u)^k.
+    D_m(x, alpha) is the Dickson polynomial, D_m(u + alpha/u, alpha) =
+    u^m + (alpha/u)^m, whose x^(m-2i) coefficient is d_i (-alpha)^i with
+    d_i = m/(m - i) C(m - i, i); its other coefficients vanish.  alpha = 0
+    gives the binomials lc ((x - beta)^m - a), and T_m = 2^(m-1) D_m(x, 1/4).
+    Matching x^(m-1) forces beta = -f_(m-1) / (m f_m) and x^(m-2) forces
+    alpha = -g_(m-2) / (m f_m), where g(x) = f(x + beta) (alpha = 0 for
+    m = 2, where the constant goes to a).  All is done in integers:
+    v^m f(x + u/v) has x^j coefficient v^j h_j, where h(y) =
+    sum f_k v^(m-k) (y + u)^k, beta = u/v.  For m >= 4 the x^(m-3)
+    coefficient of g must vanish, an O(1) test from f's top four
+    coefficients that turns away almost every input without the form; the
+    x^1 one must match the form's, an O(m) Horner pass on f'(beta) that
+    turns away the sparse ones, whose top coefficients all vanish.  Only
+    then is g found, by one Taylor shift, and compared with the form
+    exactly, a read off g_0.  The form has a repeated root exactly when
+    a^2 = 4 alpha^m, which is turned away too.
     """
     m = f.degree
-    if m is None or m < 1:
+    if m is None or m < 2:
         return None
     cs = f.coeffs
     den = math.lcm(*[c.denominator for c in cs])
-    if den != 1:  # den * f, with the same beta and a
+    if den != 1:  # den * f, with the same beta, alpha and a
         cs = [c.numerator * (den // c.denominator) for c in cs]
-    beta = Fraction(-cs[m - 1], m * cs[m])
+    lead = cs[m]
+    beta = Fraction(-cs[m - 1], m * lead)
     u, v = beta.numerator, beta.denominator
-    acc, v_power = m * cs[m], 1
+    if m >= 4 and (
+        cs[m - 3] * v**3
+        + (m - 2) * cs[m - 2] * u * v**2
+        + math.comb(m - 1, 2) * cs[m - 1] * u**2 * v
+        + math.comb(m, 3) * lead * u**3
+    ):
+        return None
+    # g = lead (D_m(x, alpha) - a) reads h_(m-2i) = lead d_i rho^i with
+    # rho = -alpha v^2 = top / (m lead), and h_j = 0 at the other j >= 1
+    top = (  # h_(m-2)
+        cs[m - 2] * v**2 + (m - 1) * cs[m - 1] * u * v + math.comb(m, 2) * lead * u**2
+        if m > 2
+        else 0
+    )
+
+    def fits(j: int, h_j: int) -> bool:  # h_j is the form's, 1 <= j < m
+        i, odd = divmod(m - j, 2)
+        if odd or not top:
+            return not h_j
+        return h_j * (m * lead) ** i == lead * _dickson_d(m, i) * top**i
+
+    h_1, v_power = m * lead, 1  # v^(m-1) f'(beta), by Horner
     for k in range(m - 1, 0, -1):
         v_power *= v
-        acc = acc * u + k * cs[k] * v_power
-    if acc:
+        h_1 = h_1 * u + k * cs[k] * v_power
+    if not fits(1, h_1):
         return None
     h = [c * v ** (m - k) for k, c in enumerate(cs)]
     for i in range(m):
         for j in range(m - 1, i - 1, -1):
             h[j] += u * h[j + 1]
-    if any(h[1:m]) or not h[0]:
+    if not all(fits(j, h[j]) for j in range(2, m - 1)):
         return None
-    return _exact(beta), _exact(Fraction(-h[0], v**m * cs[m]))
+    rho = Fraction(top, m * lead)
+    dickson_0 = 2 * rho ** (m // 2) if m % 2 == 0 else 0  # v^m D_m(0, alpha)
+    alpha = _exact(-rho / v**2)
+    a = _exact((dickson_0 - Fraction(h[0], lead)) / v**m)
+    if a * a == 4 * alpha**m:
+        return None
+    return _exact(beta), alpha, a
+
+
+def _dickson_d(m: int, i: int) -> int:
+    """m/(m - i) C(m - i, i), the magnitude of D_m's x^(m-2i) coefficient
+    over alpha^i."""
+    return math.comb(m - i, i) + (math.comb(m - i - 1, i - 1) if i else 0)
 
 
 def _rational_split(a: UniPoly) -> tuple[int | Fraction, list[int]]:

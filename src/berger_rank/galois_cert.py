@@ -45,24 +45,33 @@ leaves the verdict ``Inconclusive``.
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
 into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
 and contains no Alt(m), m >= 4.  These blocks have size s = deg H, so only
-a size that no pattern has ruled out can decompose.  At the first good
-prime p > m, while some size is open, f is searched for such a
-decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989): for each open s the
+a size that no pattern has ruled out can decompose.  f is searched for such
+a decomposition (Kozen-Landau, J. Symb. Comp. 7, 1989): for each s the
 right factor H of degree s, monic with H(0) = 0, is unique and is read off
-an r-th root of the reversed f, r = m/s.  Each s is screened mod p, reusing
-that prime's reduction; a miss there proves that no decomposition with that
-s exists (see ``_decomposition``), and an s that passes is redone over Q.
-A witness is accepted only when G(H) = f exactly; the certificate then
-holds it in ``decomposition``.  The screen is skipped when no size is
-open, always for a prime m.
+an r-th root of the reversed f, r = m/s.  The screen of s divides only by
+lc, by r and by the n < 2s, so it is sound at every good prime p >= 2s not
+dividing r.  Each size is screened once, mod the first such prime, reusing
+that prime's reduction, if no pattern below it has ruled the size out: so
+f(x^2) of degree 16 is screened at p = 5 when 5 is good, not above 16.  A
+miss mod p proves that no decomposition with that s exists (see
+``_decomposition``), and an s that passes is redone over Q, where the
+H-adic division of f gives f = G(H) exactly; the certificate then holds it
+in ``decomposition``.  Nothing is screened once every size is ruled out,
+and never for a prime m.
 
-A binomial, the one witness a prime m can have.  If f = lc ((x - b)^m - a)
-with a != 0, its roots are b + z^i r for the m-th roots of unity z, and
-Gal(f) acts on the exponents i by affine maps, inside Hol(Z/m) of order
-m phi(m) < m!/2 for m >= 4, so it contains no Alt(m).  For a prime m >= 5,
-before any prime is sampled, ``affine_binomial`` tests f for this form
-exactly; a hit is held in ``binomial`` and nothing is sampled.  A composite
-m is left to the decomposition screen, which finds x^m - a = (x^s)^(m/s) - a.
+A Dickson form, the one witness a prime m can have.  D_m(x, alpha) is the
+Dickson polynomial, D_m(u + alpha/u, alpha) = u^m + (alpha/u)^m, so
+alpha = 0 gives x^m and T_m = 2^(m-1) D_m(x, 1/4).  If f = lc (D_m(x - b,
+alpha) - a) is squarefree, its roots are b + z^k v + alpha z^(-k)/v over
+the m-th roots of unity z, and every element of Gal(f) maps k to
++-(c k + e), so Gal(f) lies in AGL(1, Z/m), of order m phi(m) < m!/2 for
+m >= 4, and contains no Alt(m).  (By Fried's proof of Schur's conjecture,
+Michigan Math. J. 17, 1970, x^m and D_m are exactly the prime-degree shapes
+with solvable monodromy.)  For a prime m >= 5, before any prime is sampled,
+``affine_dickson`` tests f for this form exactly; a hit is held in
+``dickson`` and nothing is sampled.  A composite m is left to the
+decomposition screen: x^m = (x^s)^(m/s) and D_m = D_(m/s)(D_s(x, alpha),
+alpha^s).
 
 Without a witness, an ``Inconclusive`` certificate holds every usable prime
 up to the bound.
@@ -92,7 +101,7 @@ from .errors import (
 )
 from .exact_poly import (
     UniPoly,
-    affine_binomial,
+    affine_dickson,
     discriminant,
     integer_model,
     is_prime,
@@ -153,9 +162,10 @@ class GaloisCertificate(Record):
     verdict: GaloisVerdict
     # (G, H) with f = G(H) and deg G, deg H >= 2: Gal(f) contains no Alt(m)
     decomposition: tuple[UniPoly, UniPoly] | None = None
-    # (beta, a) with f = lc(f) ((x - beta)^m - a), a != 0 and m >= 4: Gal(f)
-    # lies in Hol(Z/m), of order m phi(m) < m!/2, so contains no Alt(m)
-    binomial: tuple[int | Fraction, int | Fraction] | None = None
+    # (beta, alpha, a) with f = lc(f) (D_m(x - beta, alpha) - a), D_m the
+    # Dickson polynomial, and m >= 4: Gal(f) lies in AGL(1, Z/m), of order
+    # m phi(m) < m!/2, so contains no Alt(m); alpha = 0 is a binomial
+    dickson: tuple[int | Fraction, int | Fraction, int | Fraction] | None = None
 
 
 def sample_cycle_types(
@@ -167,8 +177,7 @@ def sample_cycle_types(
     coefficient of the primitive integer model of f, so the pattern mod p is
     squarefree and has full degree.
     """
-    if prime_bound > MAX_PRIME_BOUND:
-        raise InvalidInput(f"prime_bound must be <= {MAX_PRIME_BOUND}")
+    _check_prime_bound(prime_bound)
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
     model, model_disc, _ = _model_and_disc(f)
@@ -236,8 +245,8 @@ def _decomposition(
 ) -> tuple[UniPoly, UniPoly] | None:
     """(G, H) with f = G(H), deg H in ``sizes`` (ascending divisors s of
     m, 1 < s < m), deg G >= 2 and H monic with H(0) = 0, or None when f has
-    no such decomposition; a is the integer model of f mod a good prime
-    p > deg f.
+    no such decomposition; a is the integer model of f mod a good prime p
+    with p >= 2s and p not dividing m/s for every s in ``sizes``.
 
     For s | m, r = m/s, and F(x) = x^m f(1/x) / lc(f) = 1 + f_1 x + ...,
     f = G(H) gives F^(1/r) = R + (g/r) x^s + O(x^(2s)), where R = x^s H(1/x)
@@ -246,24 +255,25 @@ def _decomposition(
     x^(2s-1) vanish, and then every H-adic digit of f is a constant.
 
     The screen checks this mod p.  It is sound: the root's coefficients up
-    to x^(2s-1) have denominators dividing powers of lc, r and k! with
-    k < 2s <= m, all units mod p, so reducing them mod p commutes with the
-    recurrence, and H is monic, so the H-adic digits of f reduce to those of
-    f mod p.  A decomposition over Q thus shows mod p, and a miss mod p
-    proves that there is none for that s.  A pass mod p may be a
-    coincidence, so the s that pass are redone over Q.
+    to x^(2s-1) have denominators dividing powers of lc, r and the n < 2s,
+    all units mod p, so reducing them mod p commutes with the recurrence,
+    and H is monic, so the H-adic digits of f reduce to those of f mod p.
+    A decomposition over Q thus shows mod p, and a miss mod p proves that
+    there is none for that s.  A pass mod p may be a coincidence, so the s
+    that pass are redone over Q, where the H-adic division itself gives
+    f = G(H) when every digit is a constant.
     """
     p, cs = a.p, a.coeffs
     m = len(cs) - 1
-    inverses = [0, 1]  # of 1 .. m mod p, all units as p > m
-    for k in range(2, m + 1):
+    inverses = [0, 1]  # of 1 .. 2s - 1 mod p, all units as p >= 2s
+    for k in range(2, 2 * max(sizes, default=0)):
         inverses.append(-(p // k) * inverses[p % k] % p)
     scale = pow(cs[-1], -1, p)
     cs = [c * scale % p for c in cs]  # f / lc mod p
     terms = [(k, cs[m - k]) for k in range(1, m) if cs[m - k]]  # F - 1
 
     def root_mod_p(s: int, count: int, prefix: list) -> list:
-        inv_r = inverses[m // s]
+        inv_r = pow(m // s, -1, p)
         return _root(
             terms, m // s, count, lambda acc, n: acc * inverses[n] * inv_r % p, prefix
         )
@@ -290,10 +300,8 @@ def _decomposition(
                 if not digit_q.is_constant:
                     break
                 digits.append(digit_q.coefficient(0))
-            else:
-                outer = UniPoly((*digits, rest_q.coefficient(0)), f.var)
-                if _compose(outer, inner_q) == f:
-                    return outer, inner_q
+            else:  # f = sum digits[i] H^i + rest_q H^r, by the divisions
+                return UniPoly((*digits, rest_q.coefficient(0)), f.var), inner_q
     return None
 
 
@@ -524,23 +532,26 @@ def _certify(
     m: int = f.degree  # type: ignore[assignment]
     disc_is_square = rational_is_square(disc)
     rules = _Rules(m, disc_is_square)
-    # a prime m has no block sizes, so no decomposition, but a binomial's
-    # group is too small for Alt(m) all the same: nothing to sample
-    binomial = affine_binomial(model) if m >= 5 and is_prime(m) else None
-    screen = True
+    # a prime m has no block sizes, so no decomposition, but a Dickson
+    # form's group is too small for Alt(m) all the same: nothing to sample
+    dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
+    unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
     witness = None
     disc_int = model_disc.numerator
-    reductions = () if binomial else _good_reductions(model, model_disc, prime_bound)
+    reductions = () if dickson else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
-        if screen and a.p > m:  # the first good prime the screen can use
-            screen = False
+        if unscreened:
             # f = G(H) keeps the blocks {H = b}, of size deg H, so only the
-            # sizes no pattern has ruled out can decompose
-            if rules.open_sizes:
-                witness = _decomposition(f, a, sorted(rules.open_sizes))
-            if witness:  # Gal(f) contains no Alt(m): sampling more is futile
-                verdict, fired = rules.conclude()
-                break
+            # sizes no pattern has ruled out can decompose; each is screened
+            # once, at the first good prime where its screen is sound
+            unscreened &= rules.open_sizes
+            sizes = sorted(s for s in unscreened if 2 * s <= a.p and (m // s) % a.p)
+            if sizes:
+                unscreened.difference_update(sizes)
+                witness = _decomposition(f, a, sizes)
+                if witness:  # Gal(f) contains no Alt(m): sampling more is futile
+                    verdict, fired = rules.conclude()
+                    break
         if rules.add(CycleTypeObservation(a.p, degree_pattern(a, disc_int))):
             verdict, fired = rules.conclude()
             if verdict is not GaloisVerdict.INCONCLUSIVE:
@@ -555,7 +566,7 @@ def _certify(
         rules_fired=fired,
         verdict=verdict,
         decomposition=witness,
-        binomial=binomial,
+        dickson=dickson,
     )
 
 
@@ -564,13 +575,13 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     observations.
 
     A decomposition that does not compose to the polynomial or has a factor
-    of degree below 2, a binomial (beta, a) with m < 4 or with
-    lc ((x - beta)^m - a) other than the polynomial, and a witness beside a
-    proven verdict raise ``PatternReplayMismatch``.  With deep=True every
-    stored pattern is also recomputed from the polynomial by the full degree
-    loop (no discriminant, so no parity shortcut), turning the replay into a
-    re-derivation; a pattern that does not recompute raises
-    ``PatternReplayMismatch``.
+    of degree below 2, a Dickson witness (beta, alpha, a) with m < 4 or
+    with lc (D_m(x - beta, alpha) - a) other than the polynomial, and a
+    witness beside a proven verdict raise ``PatternReplayMismatch``.  With
+    deep=True every stored pattern is also recomputed from the polynomial by
+    the full degree loop (no discriminant, so no parity shortcut), turning
+    the replay into a re-derivation; a pattern that does not recompute
+    raises ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
@@ -585,12 +596,17 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                 f"stored decomposition {outer} of {inner} does not compose "
                 f"to {cert.polynomial}"
             )
-    if cert.binomial is not None:
-        f, (beta, a) = cert.polynomial, cert.binomial
-        expanded = f.leading_coefficient * (UniPoly((-beta, 1), f.var) ** m - a)
-        if m < 4 or expanded != f:
+    if cert.dickson is not None:
+        f, (beta, alpha, a) = cert.polynomial, cert.dickson
+        # D_0 = 2, D_1 = y and D_n = y D_(n-1) - alpha D_(n-2), at y = x - beta
+        y = UniPoly((-beta, 1), f.var)
+        low, high = UniPoly((2,), f.var), y
+        for _ in range(m - 1):
+            low, high = high, y * high - alpha * low
+        if m < 4 or f.leading_coefficient * (high - a) != f:
             raise PatternReplayMismatch(
-                f"stored binomial (beta, a) = ({beta}, {a}) does not expand to {f}"
+                f"stored Dickson witness (beta, alpha, a) = ({beta}, {alpha}, {a}) "
+                f"does not expand to {f}"
             )
     if deep:
         model = integer_model(cert.polynomial)
@@ -603,6 +619,6 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
-    if (cert.decomposition or cert.binomial) and verdict is not GaloisVerdict.INCONCLUSIVE:
+    if (cert.decomposition or cert.dickson) and verdict is not GaloisVerdict.INCONCLUSIVE:
         raise PatternReplayMismatch(f"{verdict.value} beside a witness")
     return verdict

@@ -25,8 +25,9 @@ Gal = Sym(4) is proven, and one of
          rational square, so no integer is factored, or
     (ii) p unramified in the splitting field of f (p not dividing disc of
          the integer model).
-A certificate with a decomposition witness f = G(H) makes the check fail
-outright: Gal(f) then keeps a block system, so it holds neither Alt nor
+A certificate with a decomposition witness f = G(H) or a Dickson witness
+f = lc (D_m(x - b, alpha) - a) makes the check fail outright: Gal(f) then
+keeps a block system or lies in AGL(1, Z/m), so it holds neither Alt nor
 Sym, and no prime bound could prove the side.
 
 * CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
@@ -54,7 +55,7 @@ from ._record import Record
 from .errors import InvalidInput
 from .exact_poly import (
     UniPoly,
-    affine_binomial,
+    affine_dickson,
     integer_model,
     is_prime,
     rational_is_square,
@@ -134,15 +135,15 @@ class RankVerdict(Record):
 
 
 def is_binomial_cm(g: UniPoly) -> Fraction | None:
-    """The constant a when g is exactly y^n - a with a != 0, else None: an
-    affine binomial with shift 0 and leading coefficient 1."""
-    hit = affine_binomial(g) if g.leading_coefficient == 1 else None
-    return hit[1] if hit is not None and hit[0] == 0 else None
+    """The constant a when g is exactly y^n - a with a != 0, else None: a
+    Dickson form with shift 0, alpha = 0 and leading coefficient 1."""
+    hit = affine_dickson(g) if g.leading_coefficient == 1 else None
+    return hit[2] if hit is not None and hit[:2] == (0, 0) else None
 
 
 def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
-    if cert.decomposition is not None or cert.binomial is not None:
-        # Gal(f) keeps the blocks {H = b}, or lies in Hol(Z/m): either way
+    if cert.decomposition is not None or cert.dickson is not None:
+        # Gal(f) keeps the blocks {H = b}, or lies in AGL(1, Z/m): either way
         # it holds neither Alt nor Sym
         return Status.FAILS
     verdict = cert.verdict

@@ -133,18 +133,25 @@ class TestPayloads:
         assert code == 0 and "decomposition" not in out
 
     def test_galois_binomial_key(self, capsys):
-        # (x + 2)^7 - 3: the binomial witness, in both modes, and only when
-        # there is one
+        # (x + 2)^7 - 3: the Dickson witness with alpha = 0, in both modes,
+        # and only when there is one
         r = run_json(capsys, "galois", "(x+2)^7 - 3")["result"]
         assert r["verdict"] == "Inconclusive" and r["observations"] == []
-        assert r["binomial"] == {"beta": -2, "a": 3}
+        assert r["dickson"] == {"beta": -2, "alpha": 0, "a": 3}
         r = run_json(capsys, "galois", "3(2x + 1/3)^5 - 7/2")["result"]
-        assert r["binomial"] == {"beta": "-1/6", "a": "7/192"}
+        assert r["dickson"] == {"beta": "-1/6", "alpha": 0, "a": "7/192"}
         code, out, _ = run_cli(capsys, "galois", "(x+2)^7 - 3")
-        assert "binomial: f = lc((x - b)^m - a), b = -2, a = 3\n" in out
-        assert "binomial" not in run_json(capsys, "galois", "x^7 - x - 1")["result"]
+        assert "dickson: f = lc(D_m(x - b, alpha) - a), b = -2, alpha = 0, a = 3\n" in out
+        assert "dickson" not in run_json(capsys, "galois", "x^7 - x - 1")["result"]
         code, out, _ = run_cli(capsys, "galois", "x^7 - x - 1")
-        assert code == 0 and "binomial" not in out
+        assert code == 0 and "dickson" not in out
+
+    def test_galois_dickson_key(self, capsys):
+        # T_7 - 5 = 64 (D_7(x, 1/4) - 5/64): no prime is sampled
+        r = run_json(capsys, "galois", "64x^7 - 112x^5 + 56x^3 - 7x - 5")["result"]
+        assert r["verdict"] == "Inconclusive" and r["observations"] == []
+        assert r["dickson"] == {"beta": 0, "alpha": "1/4", "a": "5/64"}
+        assert "decomposition" not in r
 
     def test_rank_payload_on_a_decomposable_side(self, capsys):
         argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")
@@ -170,12 +177,12 @@ class TestPayloads:
         assert code == 0
         assert (
             "  galois-f: Fails  (polynomial=x^7 - 3, verdict=Inconclusive, rules=[], "
-            "binomial=lc((x - b)^m - a) with b = 0, a = 3)\n"
+            "dickson=lc(D_m(x - b, alpha) - a) with b = 0, alpha = 0, a = 3)\n"
         ) in out
         argv = ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and "galois-f: Holds" in out
-        assert "decomposition" not in out and "binomial=" not in out
+        assert "decomposition" not in out and "dickson=" not in out
 
     def test_rank_payload(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
@@ -504,7 +511,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 11
+        assert len(README_EXAMPLES) == 12
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

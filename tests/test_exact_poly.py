@@ -19,7 +19,7 @@ from berger_rank import (
     PolySyntaxError,
     UniPoly,
     ZeroInput,
-    affine_binomial,
+    affine_dickson,
     certify_galois,
     derivative,
     discriminant,
@@ -143,6 +143,42 @@ class TestParseRender:
         assert time.perf_counter() - start < 10.0
         assert f.coeffs == tuple(math.comb(1000, k) for k in range(1001))
         assert all(type(c) is int for c in f.coeffs)
+
+    def test_kronecker_power_time(self):
+        # integer products go through one big-integer product: (1+x)^2000
+        # took 4.1 s of CPU by the double loop on a 2-core Xeon, 0.75 s so
+        start = time.process_time()
+        f = parse_poly("(1+x)^2000")
+        assert time.process_time() - start < 1.0
+        assert f.coeffs == tuple(math.comb(2000, k) for k in range(2001))
+        assert all(type(c) is int for c in f.coeffs)
+
+    def test_kronecker_product_matches_the_double_loop(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            bits = rng.choice([0, 1, 7, 8, 9, 64, 300])
+            a, b = (
+                UniPoly([rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 40))])
+                for _ in range(2)
+            )
+            if rng.random() < 0.2:  # every slot at the negative extreme
+                a = UniPoly([-(2**bits)] * len(a.coeffs))
+            expected = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+            for i, x in enumerate(a.coeffs):
+                for j, y in enumerate(b.coeffs):
+                    expected[i + j] += x * y
+            assert a * b == UniPoly(expected), (a, b)
+        # every slot at its largest magnitude, with 6 + 9 + 9 bits, a whole
+        # number of bytes: the middle coefficient 63 * 511^2 needs the sign
+        # bit on top of them
+        for sign in (1, -1):
+            top = UniPoly([sign * 511] * 63) * UniPoly([511] * 63)
+            assert top.coeffs == tuple(
+                sign * min(k + 1, 125 - k) * 511**2 for k in range(125)
+            )
+        # a Fraction anywhere keeps the double loop, with the same result
+        half = UniPoly([Fraction(1, 2)] * 20)
+        assert (half * UniPoly([2] * 20)).coeffs == tuple(min(k + 1, 39 - k) for k in range(39))
 
     def test_cancelled_terms_leave_the_degree(self):
         # a sum whose top terms cancel has the lower degree, for the cap too
@@ -583,6 +619,32 @@ class TestIntegerRepresentation:
         assert cert.disc == 2 ** 8 * discriminant(parse_poly("x^5 - x - 1"))
 
 
+def _dickson(m, alpha, y):
+    """D_m(y, alpha) for a polynomial y, by D_0 = 2, D_1 = y and
+    D_n = y D_(n-1) - alpha D_(n-2)."""
+    low, high = UniPoly((2,)), y
+    for _ in range(m - 1):
+        low, high = high, y * high - alpha * low
+    return high
+
+
+def _dickson_oracle(f):
+    """(beta, alpha, a) by Fraction arithmetic: f(x + beta) against
+    lc (D_m(x, alpha) - a), and squarefree by the discriminant."""
+    m = f.degree
+    if m is None or m < 2:
+        return None
+    lead = f.leading_coefficient
+    beta = Fraction(-f.coefficient(m - 1), m * lead)
+    g = sum((c * UniPoly((beta, 1)) ** k for k, c in enumerate(f.coeffs)), UniPoly(()))
+    alpha = -Fraction(g.coefficient(m - 2), m * lead) if m > 2 else Fraction(0)
+    d = _dickson(m, alpha, X)
+    a = d.coefficient(0) - Fraction(g.coefficient(0), lead)
+    if g != lead * (d - a) or discriminant(f) == 0:
+        return None
+    return beta, alpha, a
+
+
 @st.composite
 def affine_polys(draw):
     """A random polynomial, an affine binomial lam ((x - beta)^m - a), or a
@@ -600,33 +662,82 @@ def affine_polys(draw):
     return f
 
 
+@st.composite
+def dickson_polys(draw):
+    """A random polynomial, a Dickson form lam (D_m(x - beta, alpha) - a),
+    or a near miss: such a form plus c (x - beta)^j, 1 <= j <= m - 3, which
+    keeps the top four coefficients and so passes the O(1) screen."""
+    kind = draw(st.sampled_from(["random", "dickson", "near"]))
+    if kind == "random":
+        return draw(mixed_polys(min_deg=2, max_deg=8))
+    m = draw(st.integers(2 if kind == "dickson" else 4, 9))
+    lam, alpha, a = draw(_COEF.filter(bool)), draw(_COEF), draw(_COEF)
+    shift = UniPoly((-draw(_COEF), 1))  # x - beta
+    f = lam * (_dickson(m, alpha, shift) - a)
+    if kind == "near":
+        f = f + draw(_COEF.filter(bool)) * shift ** draw(st.integers(1, m - 3))
+    return f
+
+
 class TestAffineBinomial:
     @given(affine_polys())
     @settings(max_examples=200)
     def test_matches_the_taylor_shift(self, f):
-        # oracle: f(x + beta) by Fraction arithmetic, beta read off x^(m-1)
+        # a binomial is the Dickson form with alpha = 0; oracle: f(x + beta)
+        # by Fraction arithmetic, beta read off x^(m-1)
         m = f.degree
+        hit = affine_dickson(f)
+        if m < 2:
+            assert hit is None
+            return
         beta = Fraction(-f.coefficient(m - 1), m * f.leading_coefficient)
         shifted = sum(
             (c * UniPoly((beta, 1)) ** k for k, c in enumerate(f.coeffs)), UniPoly(())
         )
-        hit = affine_binomial(f)
         if any(shifted.coefficient(k) for k in range(1, m)) or not shifted.coefficient(0):
-            assert hit is None, f
+            assert hit is None or hit[1] != 0, f
         else:
-            assert hit == (beta, -Fraction(shifted.coefficient(0), f.leading_coefficient)), f
-            for c in hit:
-                assert type(c) is int or c.denominator > 1
+            a = -Fraction(shifted.coefficient(0), f.leading_coefficient)
+            assert hit == (beta, 0, a), f
+        assert hit == _dickson_oracle(f), f
+        for c in hit or ():
+            assert type(c) is int or c.denominator > 1
 
     def test_named_inputs(self):
-        assert affine_binomial(parse_poly("x^7 - 3")) == (0, 3)
-        assert affine_binomial(parse_poly("(x + 2)^7 - 3")) == (-2, 3)
-        assert affine_binomial(parse_poly("3(2x + 1/3)^5 - 7/2")) == (
-            Fraction(-1, 6), Fraction(7, 192)
+        assert affine_dickson(parse_poly("x^7 - 3")) == (0, 0, 3)
+        assert affine_dickson(parse_poly("(x + 2)^7 - 3")) == (-2, 0, 3)
+        assert affine_dickson(parse_poly("3(2x + 1/3)^5 - 7/2")) == (
+            Fraction(-1, 6), 0, Fraction(7, 192)
         )
-        assert affine_binomial(parse_poly("x^2 + x + 1")) == (
-            Fraction(-1, 2), Fraction(-3, 4)
+        # for m = 2 the constant goes to a
+        assert affine_dickson(parse_poly("x^2 + x + 1")) == (
+            Fraction(-1, 2), 0, Fraction(-3, 4)
         )
         for text in ("x^7 - x - 1", "(x - 1)^4", "x^5 + x^3 - 2", "x - 1", "5"):
-            assert affine_binomial(parse_poly(text)) is None, text
-        assert affine_binomial(UniPoly(())) is None
+            assert affine_dickson(parse_poly(text)) is None, text
+        assert affine_dickson(UniPoly(())) is None
+
+
+class TestAffineDickson:
+    @given(dickson_polys())
+    @settings(max_examples=300)
+    def test_matches_the_oracle(self, f):
+        hit = affine_dickson(f)
+        assert hit == _dickson_oracle(f), f
+        for c in hit or ():
+            assert type(c) is int or c.denominator > 1
+
+    def test_named_inputs(self):
+        t7 = parse_poly("64x^7 - 112x^5 + 56x^3 - 7x")  # T_7 = 2^6 D_7(x, 1/4)
+        assert affine_dickson(t7 - 5) == (0, Fraction(1, 4), Fraction(5, 64))
+        assert affine_dickson(t7) == (0, Fraction(1, 4), 0)
+        # T_7 - 1 has repeated roots: a^2 = 4 alpha^m
+        assert affine_dickson(t7 - 1) is None and discriminant(t7 - 1) == 0
+        assert affine_dickson(parse_poly("x^5 - 5x^3 + 5x - 3")) == (0, 1, 3)
+        assert affine_dickson(parse_poly("x^4 + x^2 + 1")) == (
+            0, Fraction(-1, 4), Fraction(-7, 8)
+        )
+        # every cubic is a Dickson form
+        assert affine_dickson(parse_poly("x^3 - x - 1")) == (0, Fraction(1, 3), 1)
+        for text in ("x^5 - 5x + 12", "x^7 - 7x^5 + 14x^3 - 7x + x^2", "x^2"):
+            assert affine_dickson(parse_poly(text)) is None, text

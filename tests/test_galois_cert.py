@@ -108,6 +108,14 @@ class TestVerdicts:
             with pytest.raises(InvalidInput, match="prime_bound"):
                 call(parse_poly("x^4 - x - 1"), MAX_PRIME_BOUND + 1)
 
+    @pytest.mark.parametrize("bound", [1, 0, -5])
+    def test_sampling_rejects_a_bound_below_two(self, bound):
+        # as certification does, instead of sampling no prime
+        f = parse_poly("x^4 - x - 1")
+        for call in (certify_galois, sample_cycle_types):
+            with pytest.raises(InvalidInput, match="prime_bound must be >= 2"):
+                call(f, bound)
+
 
 class TestSoundness:
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=5))
@@ -248,19 +256,23 @@ class TestEarlyStop:
     @pytest.mark.parametrize("f", UNPROVABLE, ids=lambda f: f.render())
     def test_unprovable_families_sample_in_full(self, f):
         # in full, unless a decomposition witness ends the sampling at the
-        # first good prime above the degree, where the screen runs, or a
-        # binomial witness of a prime degree ends it before the first prime
+        # first good prime where the screen of its size is sound, or a
+        # Dickson witness of a prime degree ends it before the first prime
         cert = certify_galois(f)
         assert 7 <= f.degree <= 12
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        assert cert.decomposition is None or cert.binomial is None
+        assert cert.decomposition is None or cert.dickson is None
         full = sample_cycle_types(f, 200)
-        if cert.binomial is not None:
+        if cert.dickson is not None:
             assert is_prime(f.degree) and cert.observations == ()
         elif cert.decomposition is not None:
-            assert cert.observations == tuple(o for o in full if o.p < f.degree)
+            stop = _first_eligible_prime(f, cert.decomposition[1].degree)
+            assert cert.observations == tuple(o for o in full if o.p < stop)
         else:
             assert cert.observations == full
+        # only the cyclotomic polynomials, whose groups are abelian, sample
+        # in full
+        assert (cert.observations == full) == (f in UNPROVABLE[-3:])
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_trinomial_stops_at_first_proof(self, m):
@@ -417,7 +429,7 @@ class TestJordanRule:
         cert = certify_galois(parse_poly(text))
         assert cert.verdict is verdict
         assert cert.observations[-1].p == stop
-        assert cert.binomial is None
+        assert cert.dickson is None
         assert replay_certificate(cert, deep=True) is verdict
 
     def test_never_more_than_sympy_finds(self):
@@ -443,7 +455,7 @@ class TestJordanRule:
             order = sympy.galois_group(poly, by_name=False)[0].order()
             checked += 1
             if 2 * order >= math.factorial(m):  # Alt(m) inside: no witness
-                assert cert.binomial is None and cert.decomposition is None, f
+                assert cert.dickson is None and cert.decomposition is None, f
             if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
                 assert order == math.factorial(m), f
             elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
@@ -484,10 +496,25 @@ def _proper_divisors(m):
 
 
 def _first_screen_reduction(f):
-    """f's integer model mod the first good prime above deg f: the screen's."""
+    """f's integer model mod the first good prime above deg f, where the
+    screen of every size is sound."""
     model, model_disc, _ = galois_cert._model_and_disc(f)
     return next(
         a for a in galois_cert._good_reductions(model, model_disc, 10**4) if a.p > f.degree
+    )
+
+
+def _eligible(p, m, s):
+    """Whether the screen of block size s is sound at a good prime p."""
+    return p >= 2 * s and (m // s) % p != 0
+
+
+def _first_eligible_prime(f, s):
+    model, model_disc, _ = galois_cert._model_and_disc(f)
+    return next(
+        a.p
+        for a in galois_cert._good_reductions(model, model_disc, 10**4)
+        if _eligible(a.p, f.degree, s)
     )
 
 
@@ -519,8 +546,10 @@ class TestDecomposition:
         assert inner.leading_coefficient == 1 and inner.coefficient(0) == 0
         assert _compose_by_hand(outer, inner) == f
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        # sampling stops at the screen's prime, the first good one above m
-        assert all(o.p < f.degree for o in cert.observations)
+        # sampling stops at the first good prime where the screen of the
+        # witness's size is sound
+        stop = _first_eligible_prime(f, inner.degree)
+        assert cert.observations == sample_cycle_types(f, stop - 1)
         assert replay_certificate(cert) is GaloisVerdict.INCONCLUSIVE
         assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
 
@@ -577,7 +606,7 @@ class TestDecomposition:
         for shift in (0, 2):
             g = _compose_by_hand(f, X + shift)
             cert = certify_galois(g)
-            assert cert.decomposition is None and cert.binomial is None
+            assert cert.decomposition is None and cert.dickson is None
             # the screen itself, on every size, which certification skips
             # once a pattern has ruled out every block size
             a = _first_screen_reduction(g)
@@ -645,15 +674,15 @@ def _planted_binomial(seed, degrees):
     lam, s, k, a = rational(True), rational(True), rational(), rational(True)
     f = lam * (UniPoly((k, s)) ** m - a)
     # (s x + k)^m - a = s^m ((x + k/s)^m - a/s^m)
-    return f, (-k / s, a / s**m)
+    return f, (-k / s, 0, a / s**m)
 
 
 class TestBinomialWitness:
     @pytest.mark.parametrize("seed", range(30))
     def test_planted_binomial_found(self, seed):
-        f, (beta, a) = _planted_binomial(seed, (5, 7, 11, 13))
+        f, witness = _planted_binomial(seed, (5, 7, 11, 13))
         cert = certify_galois(f)
-        assert cert.binomial == (beta, a), f
+        assert cert.dickson == witness, f
         assert cert.decomposition is None
         assert cert.observations == () and cert.rules_fired == ()
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
@@ -666,7 +695,7 @@ class TestBinomialWitness:
         # x^m - a = (x^s)^(m/s) - a: the screen's witness, as before
         f, _ = _planted_binomial(seed, (6, 8, 9, 10, 12))
         cert = certify_galois(f)
-        assert cert.binomial is None and cert.decomposition is not None, f
+        assert cert.dickson is None and cert.decomposition is not None, f
         assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
 
     @pytest.mark.parametrize(
@@ -678,15 +707,15 @@ class TestBinomialWitness:
         # Gal(x^3 - 2) = Sym(3), so a cubic binomial proves nothing; m <= 4
         # is never tested (x^4 - a decomposes instead)
         cert = certify_galois(parse_poly(text))
-        assert cert.binomial is None and cert.observations
+        assert cert.dickson is None and cert.observations
         if text == "x^3 - 2":
             assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
 
     def test_tampered_witness_does_not_replay(self):
         cert = certify_galois(parse_poly("(x + 2)^7 - 3"))
-        assert cert.binomial == (-2, 3)
-        for bad in ((-1, 3), (-2, 4), (-2, 0), (2, -3)):
-            tampered = replace(cert, binomial=bad)
+        assert cert.dickson == (-2, 0, 3)
+        for bad in ((-1, 0, 3), (-2, 0, 4), (-2, 0, 0), (2, 0, -3), (-2, 1, 3)):
+            tampered = replace(cert, dickson=bad)
             for deep in (False, True):
                 with pytest.raises(PatternReplayMismatch) as info:
                     replay_certificate(tampered, deep=deep)
@@ -698,7 +727,7 @@ class TestBinomialWitness:
         )
         assert replay_certificate(cubic) is GaloisVerdict.INCONCLUSIVE
         with pytest.raises(PatternReplayMismatch):
-            replay_certificate(replace(cubic, binomial=(0, 2)))
+            replay_certificate(replace(cubic, dickson=(0, 0, 2)))
         # a witness beside a proven verdict is a contradiction
         proven = certify_galois(parse_poly("x^7 - x - 1"))
         assert proven.verdict is GaloisVerdict.PROVEN_SYMMETRIC
@@ -709,7 +738,7 @@ class TestBinomialWitness:
         # a'(beta) = 0 but a higher middle coefficient survives the shift
         for text in ("x^5 + x^3 - 2", "(x - 1)^7 + (x - 1)^2 + 1", "x^11 - x - 1"):
             cert = certify_galois(parse_poly(text))
-            assert cert.binomial is None and cert.observations, text
+            assert cert.dickson is None and cert.observations, text
 
 
 def _wreath_cycle_types(s, b):
@@ -828,42 +857,173 @@ class TestBlockSizes:
         assert _open_after(m, [pattern]) == {3, s}
 
     def test_screen_sees_only_open_sizes(self, monkeypatch):
+        # each size once, at its first good prime where the screen is
+        # sound, and only while no pattern has ruled it out
         calls = []
         real = galois_cert._decomposition
 
         def recording(f, a, sizes):
-            calls.append((f, a.p, list(sizes)))
+            calls.append((a.p, list(sizes)))
             return real(f, a, sizes)
 
         monkeypatch.setattr(galois_cert, "_decomposition", recording)
         for text, screened in [
-            ("x^6 + x + 1", [3]),
-            ("x^8 + 5x + 7", [2, 4]),
-            ("x^6 - x - 1", []),  # every size ruled out below p = 7
+            ("x^6 + x + 1", [(7, [3])]),  # 2 ruled out at p = 3
+            ("x^8 + 5x + 7", [(5, [2]), (11, [4])]),
+            ("x^6 - x - 1", [(5, [2])]),  # 3 ruled out below p = 7
             ("x^16 + 5x + 7", []),
         ]:
             f = parse_poly(text)
+            m = f.degree
             calls.clear()
             cert = certify_galois(f)
-            screen_p = _first_screen_reduction(f).p
-            assert cert.observations[-1].p >= screen_p  # the screen was reached
-            below = [o.pattern for o in cert.observations if o.p < screen_p]
-            expected = sorted(_open_after(f.degree, below))
-            assert expected == screened
-            assert calls == ([(f, screen_p, expected)] if expected else [])
+            assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+            assert calls == screened, text
+            expected = []
+            for s in _proper_divisors(m):
+                p = _first_eligible_prime(f, s)
+                below = [o.pattern for o in cert.observations if o.p < p]
+                if p <= cert.observations[-1].p and s in _open_after(m, below):
+                    expected.append((p, s))
+            assert sorted((p, s) for p, sizes in calls for s in sizes) == expected
+
+    def test_screen_only_where_sound(self, monkeypatch):
+        # the screen of size s divides by the n < 2s and by m/s, so it is
+        # never asked about s at p < 2s or at p | m/s
+        calls = []
+        real = galois_cert._decomposition
+
+        def recording(f, a, sizes):
+            calls.append((f.degree, a.p, list(sizes)))
+            return real(f, a, sizes)
+
+        monkeypatch.setattr(galois_cert, "_decomposition", recording)
+        inputs = UNPROVABLE + _unprovable_style() + [_planted(seed) for seed in range(20)]
+        for f in inputs:
+            certify_galois(f)
+        assert len(calls) > len(inputs)
+        for m, p, sizes in calls:
+            assert sizes == sorted(set(sizes)) and sizes
+            for s in sizes:
+                assert m % s == 0 and 1 < s < m
+                assert _eligible(p, m, s), (m, p, s)
 
     def test_unprovable_pool_witnesses_unchanged(self):
-        # the benchmark's galois-unprovable bases: the screen on the open
-        # sizes finds the witness the screen on every size finds
+        # the benchmark's galois-unprovable bases: the screen of each open
+        # size at its first sound prime finds the witness the screen of
+        # every size finds above the degree, and sampling stops there; the
+        # prime-degree binomials and Chebyshev bases T_7 - c get the Dickson
+        # witness
         from pathlib import Path
         import json
 
         pool = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
-        found = 0
+        found = dickson = 0
         for slot in json.loads(pool.read_text())["galois-unprovable"]:
             f = UniPoly(tuple(slot["base"]))
+            cert = certify_galois(f)
+            if cert.dickson is not None:
+                # x^p - a, and 64 x^7 - ... = 64 (D_7(x, 1/4) - c/64)
+                alpha = Fraction(1, 4) if f.leading_coefficient == 64 else 0
+                assert is_prime(f.degree) and cert.dickson[:2] == (0, alpha), f
+                assert cert.observations == ()
+                dickson += 1
+                continue
             a = _first_screen_reduction(f)
             every = galois_cert._decomposition(f, a, _proper_divisors(f.degree))
-            assert certify_galois(f).decomposition == every, f
-            found += every is not None
-        assert found >= 38
+            assert cert.decomposition == every, f
+            if every is not None:
+                stop = _first_eligible_prime(f, every[1].degree)
+                assert cert.observations == sample_cycle_types(f, stop - 1), f
+                found += 1
+        assert (found, dickson) == (38, 12)
+
+
+def _planted_dickson(seed):
+    """lam (D_m(s x + k, alpha) - a) for a seeded prime m in 5 .. 13, alpha
+    that is 0, a nonzero square or a non-square, and rational lam, s, k, a,
+    with the witness it must be found with, and the kind of alpha."""
+    import random
+
+    rng = random.Random(seed)
+    m = rng.choice([5, 7, 11, 13])
+    kind = ("zero", "square", "nonsquare")[seed % 3]
+
+    def rational(nonzero=False):
+        num = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]) if nonzero else rng.randint(-7, 7)
+        return Fraction(num, rng.randint(1, 4))
+
+    lam, s, k = rational(True), rational(True), rational()
+    r = rational(True)
+    alpha = {"zero": 0, "square": r * r, "nonsquare": rng.choice([2, -1, 3, -5]) * r * r}[kind]
+    a = rational()
+    while a * a == 4 * alpha**m:  # a repeated root
+        a += 1
+    y = UniPoly((k, s))
+    low, high = UniPoly((2,)), y  # D_0 and D_1 at y
+    for _ in range(m - 1):
+        low, high = high, y * high - alpha * low
+    f = lam * (high - a)
+    # D_m(s x + k, alpha) = s^m D_m(x + k/s, alpha/s^2)
+    return f, (-k / s, alpha / s**2, a / s**m), kind
+
+
+class TestDicksonWitness:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_planted_dickson_found(self, seed):
+        f, witness, kind = _planted_dickson(seed)
+        assert (witness[1] == 0) == (kind == "zero")
+        assert (kind == "square") == (witness[1] != 0 and rational_is_square(witness[1]))
+        cert = certify_galois(f)
+        assert cert.dickson == witness, f
+        assert cert.decomposition is None
+        assert cert.observations == () and cert.rules_fired == ()
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert replay_certificate(cert) is GaloisVerdict.INCONCLUSIVE
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    def test_degree_5_hits_are_small(self):
+        # Gal(f) lies in AGL(1, Z/5), of order 20, for every quintic hit
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        checked = 0
+        for seed in range(60):
+            f, witness, _ = _planted_dickson(seed)
+            if f.degree != 5:
+                continue
+            poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in map(Fraction, reversed(f.coeffs))], x)
+            if not poly.is_irreducible:
+                continue
+            assert certify_galois(f).dickson == witness
+            assert sympy.galois_group(poly, by_name=False)[0].order() <= 20, f
+            checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"x^{m} - x - 1" for m in (5, 7, 11, 13)]
+        + ["x^5 + 20x + 16", "x^7 - 154x + 99", "x^5 - 5x + 12", "x^7 - 7x + 3",
+           "x^7 - 7x^5 + 14x^3 - 7x + x^2 - 2"],
+    )
+    def test_no_witness_for_the_oracle_inputs(self, text):
+        # Sym, Alt(5), PSL(3, 2), D5 (inside AGL(1, 5), but no Dickson
+        # form), PSL(3, 2) again, and a near miss that passes the O(1)
+        # screen: each is sampled as before
+        cert = certify_galois(parse_poly(text))
+        assert cert.dickson is None and cert.observations, text
+
+    def test_tampered_witness_does_not_replay(self):
+        cert = certify_galois(parse_poly("64x^7 - 112x^5 + 56x^3 - 7x - 5"))
+        assert cert.dickson == (0, Fraction(1, 4), Fraction(5, 64))
+        quarter, a = Fraction(1, 4), Fraction(5, 64)
+        for bad in ((0, 0, a), (0, Fraction(1, 5), a), (0, quarter, 5), (1, quarter, a)):
+            tampered = replace(cert, dickson=bad)
+            for deep in (False, True):
+                with pytest.raises(PatternReplayMismatch) as info:
+                    replay_certificate(tampered, deep=deep)
+                assert isinstance(info.value, InternalCheckError)  # CLI exit 2
+        # a Dickson witness beside a proven verdict is a contradiction
+        proven = certify_galois(parse_poly("x^7 - x - 1"))
+        with pytest.raises(PatternReplayMismatch):
+            replay_certificate(replace(cert, observations=proven.observations))

@@ -274,11 +274,12 @@ class TestTwoLargeRoute:
 
 
 class TestDecomposableSides:
-    # f = G(H) puts Gal(f) in a block system, and a binomial of prime degree
-    # puts it in Hol(Z/m): no prime bound proves the side, so the witness
-    # makes it fail on both routes
+    # f = G(H) puts Gal(f) in a block system, and a Dickson form of prime
+    # degree (a binomial, or T_7 - 5) puts it in AGL(1, Z/m): no prime bound
+    # proves the side, so the witness makes it fail on both routes
     def test_cm_route(self):
-        for f in ("x^6 + 3x^2 + 1", "x^4 - 2", "x^7 - 3", "2(x + 1)^5 + 3"):
+        for f in ("x^6 + 3x^2 + 1", "x^4 - 2", "x^7 - 3", "2(x + 1)^5 + 3",
+                  "64x^7 - 112x^5 + 56x^3 - 7x - 5"):
             st = statuses(rank_verdict(parse_poly(f), G2, 5, 1))
             assert st["galois-f"] is Status.FAILS
             assert st["hom-vanishing-cm"] is Status.FAILS
@@ -295,7 +296,7 @@ class TestDecomposableSides:
     def test_two_large_route_binomial(self):
         # (y + 1)^5 - 2 is no y^n - a, so it takes the two-large route
         v = rank_verdict(F6, parse_poly("(y + 1)^5 - 2"), 7, 1)
-        assert record(v, "galois-g").evidence["certificate"].binomial == (-1, 2)
+        assert record(v, "galois-g").evidence["certificate"].dickson == (-1, 0, 2)
         assert statuses(v)["galois-g"] is Status.FAILS
         assert v.kind is VerdictKind.INCONCLUSIVE
 

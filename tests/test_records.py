@@ -50,7 +50,7 @@ RECORDS = {
     "GaloisCertificate": (
         lambda: certify_galois(F),
         ["polynomial", "disc", "disc_is_square", "observations", "rules_fired",
-         "verdict", "decomposition", "binomial"],
+         "verdict", "decomposition", "dickson"],
         {"disc_is_square": True},
     ),
     "TowerLayer": (lambda: TowerLayer(7, 2), ["p", "r", "q"], {"r": 3}),
