@@ -59,6 +59,7 @@ from .exact_poly import (
 )
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
+    WITNESSES,
     GaloisCertificate,
     certify_galois,
 )
@@ -118,13 +119,10 @@ def _certificate_payload(cert: GaloisCertificate) -> dict:
         ],
         "verdict": cert.verdict.value,
     }
-    # each witness's key only when there is one
-    if cert.decomposition is not None:
-        outer, inner = cert.decomposition
-        payload["decomposition"] = {"outer": outer.render(), "inner": inner.render()}
-    if cert.dickson is not None:
-        beta, alpha, a = map(_json_value, cert.dickson)
-        payload["dickson"] = {"beta": beta, "alpha": alpha, "a": a}
+    if cert.witness is not None:  # keyed by its kind, only when there is one
+        kind, values = cert.witness.kind, cert.witness.values
+        names = WITNESSES[kind][2]
+        payload[kind] = {key: _json_value(v) for key, v in zip(names, values)}
     return payload
 
 
@@ -178,6 +176,16 @@ def _aligned(rows: list[dict], columns: list[str]) -> list[str]:
     return lines
 
 
+def _witness_texts(payload: dict) -> list[tuple[str, str, str]]:
+    """The kind, the formula and "name = value, ..." of the witness that a
+    certificate payload holds, if any."""
+    return [
+        (kind, form, ", ".join(f"{n} = {payload[kind][k]}" for k, n in names.items()))
+        for kind, (_, form, names) in WITNESSES.items()
+        if kind in payload
+    ]
+
+
 def _human_certificate(payload: dict) -> list[str]:
     lines = [
         f"polynomial: {payload['polynomial']}",
@@ -185,17 +193,8 @@ def _human_certificate(payload: dict) -> list[str]:
         f"disc_is_square: {'yes' if payload['disc_is_square'] else 'no'}",
         f"verdict: {payload['verdict']}",
     ]
-    if "decomposition" in payload:
-        witness = payload["decomposition"]
-        lines.append(
-            f"decomposition: f = G(H), G = {witness['outer']}, H = {witness['inner']}"
-        )
-    if "dickson" in payload:
-        witness = payload["dickson"]
-        lines.append(
-            f"dickson: f = lc(D_m(x - b, alpha) - a), b = {witness['beta']}, "
-            f"alpha = {witness['alpha']}, a = {witness['a']}"
-        )
+    for kind, form, values in _witness_texts(payload):
+        lines.append(f"{kind}: {form}, {values}")
     lines.append("observations:")
     for ob in payload["observations"]:
         pattern = ",".join(str(d) for d in ob["pattern"])
@@ -211,17 +210,10 @@ def _brief_evidence(evidence: dict) -> str:
     parts = []
     for key, value in evidence.items():
         if key == "certificate":  # a witness is the reason a side fails
-            if "decomposition" in value:
-                witness = value["decomposition"]
-                parts.append(
-                    f"decomposition=G(H) with G = {witness['outer']}, H = {witness['inner']}"
-                )
-            if "dickson" in value:
-                witness = value["dickson"]
-                parts.append(
-                    f"dickson=lc(D_m(x - b, alpha) - a) with b = {witness['beta']}, "
-                    f"alpha = {witness['alpha']}, a = {witness['a']}"
-                )
+            parts += [
+                f"{kind}={form.removeprefix('f = ')} with {values}"
+                for kind, form, values in _witness_texts(value)
+            ]
             continue
         if key in ("argument", "reason"):
             continue

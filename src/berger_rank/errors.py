@@ -109,4 +109,4 @@ class DiscSquareInconsistency(InternalCheckError):
 
 
 class PatternReplayMismatch(InternalCheckError):
-    """A certificate's stored pattern or decomposition witness does not replay."""
+    """A certificate's stored pattern or witness does not replay."""

@@ -442,6 +442,11 @@ class _ParseState:
         self.check_height(
             _height_bits(a.values()) + _height_bits(b.values()) + _log2_ceil(terms)
         )
+        if min(len(a), len(b)) >= _KRONECKER_TERMS and all(
+            type(c) is int for c in (*a.values(), *b.values())
+        ):
+            dense = _kronecker_product(_to_dense(a), _to_dense(b))
+            return {k: c for k, c in enumerate(dense) if c}
         out: dict = {}
         for i, x in a.items():
             for j, y in b.items():

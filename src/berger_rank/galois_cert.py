@@ -56,8 +56,8 @@ f(x^2) of degree 16 is screened at p = 5 when 5 is good, not above 16.  A
 miss mod p proves that no decomposition with that s exists (see
 ``_decomposition``), and an s that passes is redone over Q, where the
 H-adic division of f gives f = G(H) exactly; the certificate then holds it
-in ``decomposition``.  Nothing is screened once every size is ruled out,
-and never for a prime m.
+as its witness.  Nothing is screened once every size is ruled out, and
+never for a prime m.
 
 A Dickson form, the one witness a prime m can have.  D_m(x, alpha) is the
 Dickson polynomial, D_m(u + alpha/u, alpha) = u^m + (alpha/u)^m, so
@@ -68,18 +68,21 @@ the m-th roots of unity z, and every element of Gal(f) maps k to
 m >= 4, and contains no Alt(m).  (By Fried's proof of Schur's conjecture,
 Michigan Math. J. 17, 1970, x^m and D_m are exactly the prime-degree shapes
 with solvable monodromy.)  For a prime m >= 5, before any prime is sampled,
-``affine_dickson`` tests f for this form exactly; a hit is held in
-``dickson`` and nothing is sampled.  A composite m is left to the
+``affine_dickson`` tests f for this form exactly; a hit is the witness,
+and nothing is sampled.  A composite m is left to the
 decomposition screen: x^m = (x^s)^(m/s) and D_m = D_(m/s)(D_s(x, alpha),
 alpha^s).
 
+A certificate holds at most one ``Witness(kind, values)``.  The table
+``WITNESSES`` maps each kind to its exact check, the formula it proves and
+its value names; replay and the CLI read every kind through it.
 Without a witness, an ``Inconclusive`` certificate holds every usable prime
 up to the bound.
 
 Sampling passes the model's discriminant to ``degree_pattern``, which may
 then end its degree loop early by the parity of the factor count
 (Stickelberger).  A ``GaloisCertificate`` stores the observations, fired
-rules and any witness, and ``replay_certificate`` re-expands the witness
+rules and any witness, and ``replay_certificate`` re-checks the witness
 and re-runs the rule engine on the stored observations (no
 re-sampling) to confirm the recorded verdict; a deep replay also recomputes
 every pattern without the discriminant, by the full loop.
@@ -121,6 +124,7 @@ __all__ = [
     "CycleTypeObservation",
     "RuleFiring",
     "GaloisCertificate",
+    "Witness",
     "sample_cycle_types",
     "certify_galois",
     "replay_certificate",
@@ -153,6 +157,13 @@ class RuleFiring(Record):
     detail: str = ""
 
 
+class Witness(Record):
+    """Values whose exact check ``WITNESSES[kind]`` proves that Gal(f) has no Alt(m)."""
+
+    kind: str
+    values: tuple
+
+
 class GaloisCertificate(Record):
     polynomial: UniPoly
     disc: Fraction
@@ -160,12 +171,7 @@ class GaloisCertificate(Record):
     observations: tuple[CycleTypeObservation, ...]
     rules_fired: tuple[RuleFiring, ...]
     verdict: GaloisVerdict
-    # (G, H) with f = G(H) and deg G, deg H >= 2: Gal(f) contains no Alt(m)
-    decomposition: tuple[UniPoly, UniPoly] | None = None
-    # (beta, alpha, a) with f = lc(f) (D_m(x - beta, alpha) - a), D_m the
-    # Dickson polynomial, and m >= 4: Gal(f) lies in AGL(1, Z/m), of order
-    # m phi(m) < m!/2, so contains no Alt(m); alpha = 0 is a binomial
-    dickson: tuple[int | Fraction, int | Fraction, int | Fraction] | None = None
+    witness: Witness | None = None  # ends the sampling, verdict Inconclusive
 
 
 def sample_cycle_types(
@@ -213,7 +219,7 @@ def _good_reductions(
             yield reduce_mod_p(model, p)
 
 
-# -- decomposition witness -------------------------------------------------
+# -- witnesses -------------------------------------------------------------
 
 
 def _root(terms: list, r: int, count: int, divide, a: list) -> list:
@@ -232,18 +238,8 @@ def _root(terms: list, r: int, count: int, divide, a: list) -> list:
     return a
 
 
-def _compose(outer: UniPoly, inner: UniPoly) -> UniPoly:
-    """outer(inner), by Horner's rule."""
-    acc = UniPoly((), inner.var)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + c
-    return acc
-
-
-def _decomposition(
-    f: UniPoly, a: PrimePoly, sizes: list[int]
-) -> tuple[UniPoly, UniPoly] | None:
-    """(G, H) with f = G(H), deg H in ``sizes`` (ascending divisors s of
+def _decomposition(f: UniPoly, a: PrimePoly, sizes: list[int]) -> Witness | None:
+    """A witness f = G(H) with deg H in ``sizes`` (ascending divisors s of
     m, 1 < s < m), deg G >= 2 and H monic with H(0) = 0, or None when f has
     no such decomposition; a is the integer model of f mod a good prime p
     with p >= 2s and p not dividing m/s for every s in ``sizes``.
@@ -301,8 +297,39 @@ def _decomposition(
                     break
                 digits.append(digit_q.coefficient(0))
             else:  # f = sum digits[i] H^i + rest_q H^r, by the divisions
-                return UniPoly((*digits, rest_q.coefficient(0)), f.var), inner_q
+                outer = UniPoly((*digits, rest_q.coefficient(0)), f.var)
+                return Witness("decomposition", (outer, inner_q))
     return None
+
+
+def _is_decomposition(f: UniPoly, outer: UniPoly, inner: UniPoly) -> bool:
+    """f = outer(inner), by Horner's rule, with deg outer, deg inner >= 2."""
+    acc = UniPoly((), inner.var)
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + c
+    return min(outer.degree or 0, inner.degree or 0) >= 2 and acc == f
+
+
+def _is_dickson(f: UniPoly, beta, alpha, a) -> bool:
+    """f = lc(f) (D_m(x - beta, alpha) - a), D_m the Dickson polynomial, m >= 4."""
+    # D_0 = 2, D_1 = y and D_n = y D_(n-1) - alpha D_(n-2), at y = x - beta
+    y = UniPoly((-beta, 1), f.var)
+    low, high = UniPoly((2,), f.var), y
+    for _ in range(f.degree - 1):
+        low, high = high, y * high - alpha * low
+    return f.degree >= 4 and f.leading_coefficient * (high - a) == f
+
+
+# kind -> (its exact check(f, *values), the formula it proves, and each
+# value's payload key and its name in the formula)
+WITNESSES = {
+    "decomposition": (_is_decomposition, "f = G(H)", {"outer": "G", "inner": "H"}),
+    "dickson": (
+        _is_dickson,
+        "f = lc(D_m(x - b, alpha) - a)",
+        {"beta": "b", "alpha": "alpha", "a": "a"},
+    ),
+}
 
 
 # -- rule engine -----------------------------------------------------------
@@ -535,10 +562,10 @@ def _certify(
     # a prime m has no block sizes, so no decomposition, but a Dickson
     # form's group is too small for Alt(m) all the same: nothing to sample
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
+    witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
-    witness = None
     disc_int = model_disc.numerator
-    reductions = () if dickson else _good_reductions(model, model_disc, prime_bound)
+    reductions = () if witness else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
         if unscreened:
             # f = G(H) keeps the blocks {H = b}, of size deg H, so only the
@@ -565,19 +592,18 @@ def _certify(
         observations=tuple(rules.observations),
         rules_fired=fired,
         verdict=verdict,
-        decomposition=witness,
-        dickson=dickson,
+        witness=witness,
     )
 
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:
-    """Re-expand any witness and re-run the rule engine on the stored
+    """Re-check any witness and re-run the rule engine on the stored
     observations.
 
-    A decomposition that does not compose to the polynomial or has a factor
-    of degree below 2, a Dickson witness (beta, alpha, a) with m < 4 or
-    with lc (D_m(x - beta, alpha) - a) other than the polynomial, and a
-    witness beside a proven verdict raise ``PatternReplayMismatch``.  With
+    The witness is checked by its kind's entry in ``WITNESSES``.  One that
+    fails its check, one of an unknown kind, of the wrong arity or with
+    values the check cannot take, and a witness beside a proven verdict
+    raise ``PatternReplayMismatch``.  With
     deep=True every stored pattern is also recomputed from the polynomial by
     the full degree loop (no discriminant, so no parity shortcut), turning
     the replay into a re-derivation; a pattern that does not recompute
@@ -586,27 +612,15 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
         raise DiscSquareInconsistency("stored disc_is_square flag is wrong")
-    if cert.decomposition is not None:
-        outer, inner = cert.decomposition
-        if (
-            min(outer.degree or 0, inner.degree or 0) < 2
-            or _compose(outer, inner) != cert.polynomial
-        ):
+    if cert.witness is not None:
+        kind, values = cert.witness.kind, cert.witness.values
+        try:
+            holds = WITNESSES[kind][0](cert.polynomial, *values)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
+            holds = False  # an unknown kind, a wrong arity or unusable values
+        if not holds:
             raise PatternReplayMismatch(
-                f"stored decomposition {outer} of {inner} does not compose "
-                f"to {cert.polynomial}"
-            )
-    if cert.dickson is not None:
-        f, (beta, alpha, a) = cert.polynomial, cert.dickson
-        # D_0 = 2, D_1 = y and D_n = y D_(n-1) - alpha D_(n-2), at y = x - beta
-        y = UniPoly((-beta, 1), f.var)
-        low, high = UniPoly((2,), f.var), y
-        for _ in range(m - 1):
-            low, high = high, y * high - alpha * low
-        if m < 4 or f.leading_coefficient * (high - a) != f:
-            raise PatternReplayMismatch(
-                f"stored Dickson witness (beta, alpha, a) = ({beta}, {alpha}, {a}) "
-                f"does not expand to {f}"
+                f"stored {kind} witness {values!r} does not hold for {cert.polynomial}"
             )
     if deep:
         model = integer_model(cert.polynomial)
@@ -619,6 +633,6 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
     verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
-    if (cert.decomposition or cert.dickson) and verdict is not GaloisVerdict.INCONCLUSIVE:
+    if cert.witness is not None and verdict is not GaloisVerdict.INCONCLUSIVE:
         raise PatternReplayMismatch(f"{verdict.value} beside a witness")
     return verdict

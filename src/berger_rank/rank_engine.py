@@ -25,10 +25,10 @@ Gal = Sym(4) is proven, and one of
          rational square, so no integer is factored, or
     (ii) p unramified in the splitting field of f (p not dividing disc of
          the integer model).
-A certificate with a decomposition witness f = G(H) or a Dickson witness
-f = lc (D_m(x - b, alpha) - a) makes the check fail outright: Gal(f) then
-keeps a block system or lies in AGL(1, Z/m), so it holds neither Alt nor
-Sym, and no prime bound could prove the side.
+A certificate holding a witness (``GaloisCertificate.witness``, e.g. f = G(H)
+or f = lc (D_m(x - b, alpha) - a)) makes the check fail outright: Gal(f)
+then contains no Alt(m), so it holds neither Alt nor Sym, and no prime
+bound could prove the side.
 
 * CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
   dominated by a Fermat curve, so J_{g,d} is of CM type for every d.  When
@@ -142,9 +142,7 @@ def is_binomial_cm(g: UniPoly) -> Fraction | None:
 
 
 def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
-    if cert.decomposition is not None or cert.dickson is not None:
-        # Gal(f) keeps the blocks {H = b}, or lies in AGL(1, Z/m): either way
-        # it holds neither Alt nor Sym
+    if cert.witness is not None:  # Gal(f) holds neither Alt nor Sym
         return Status.FAILS
     verdict = cert.verdict
     if need_symmetric:

@@ -688,3 +688,25 @@ def test_main_fuzz_exits_0_or_1(argv):
     assert time.perf_counter() - start < 5.0, argv
     assert code in (0, 1), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_new_witness_kind_is_one_table_entry(monkeypatch):
+    # a kind added to the table alone is replayed, serialized and rendered
+    # by the same code as the built-in ones
+    from dataclasses import replace
+
+    from berger_rank import Witness, galois_cert, parse_poly, replay_certificate
+
+    def is_factor(f, g):
+        return 1 <= g.degree < f.degree and divmod(f, g)[1] == 0
+
+    monkeypatch.setitem(
+        galois_cert.WITNESSES, "factor", (is_factor, "f = g q", {"factor": "g"})
+    )
+    cert = galois_cert.certify_galois(parse_poly("x^4 - 1"))
+    cert = replace(cert, witness=Witness("factor", (parse_poly("x - 1"),)))
+    assert replay_certificate(cert, deep=True).value == "Inconclusive"
+    payload = cli._certificate_payload(cert)
+    assert payload["factor"] == {"factor": "x - 1"}
+    assert "factor: f = g q, g = x - 1" in cli._human_certificate(payload)
+    assert cli._brief_evidence({"certificate": payload}) == "factor=g q with g = x - 1"

@@ -17,6 +17,7 @@ from berger_rank import (
     NotSquarefree,
     PatternReplayMismatch,
     UniPoly,
+    Witness,
     certify_galois,
     discriminant,
     integer_model,
@@ -30,6 +31,13 @@ from berger_rank import galois_cert
 from berger_rank.galois_cert import CycleTypeObservation, _evaluate_rules
 
 PROVEN = {GaloisVerdict.PROVEN_SYMMETRIC, GaloisVerdict.PROVEN_ALTERNATING}
+
+
+def _values(cert, kind):
+    """The values of the certificate's witness when it is of this kind."""
+    if cert.witness is not None and cert.witness.kind == kind:
+        return cert.witness.values
+    return None
 
 
 class TestSampling:
@@ -261,12 +269,11 @@ class TestEarlyStop:
         cert = certify_galois(f)
         assert 7 <= f.degree <= 12
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
-        assert cert.decomposition is None or cert.dickson is None
         full = sample_cycle_types(f, 200)
-        if cert.dickson is not None:
+        if _values(cert, "dickson") is not None:
             assert is_prime(f.degree) and cert.observations == ()
-        elif cert.decomposition is not None:
-            stop = _first_eligible_prime(f, cert.decomposition[1].degree)
+        elif _values(cert, "decomposition") is not None:
+            stop = _first_eligible_prime(f, _values(cert, "decomposition")[1].degree)
             assert cert.observations == tuple(o for o in full if o.p < stop)
         else:
             assert cert.observations == full
@@ -429,7 +436,7 @@ class TestJordanRule:
         cert = certify_galois(parse_poly(text))
         assert cert.verdict is verdict
         assert cert.observations[-1].p == stop
-        assert cert.dickson is None
+        assert _values(cert, "dickson") is None
         assert replay_certificate(cert, deep=True) is verdict
 
     def test_never_more_than_sympy_finds(self):
@@ -455,7 +462,7 @@ class TestJordanRule:
             order = sympy.galois_group(poly, by_name=False)[0].order()
             checked += 1
             if 2 * order >= math.factorial(m):  # Alt(m) inside: no witness
-                assert cert.dickson is None and cert.decomposition is None, f
+                assert cert.witness is None, f
             if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
                 assert order == math.factorial(m), f
             elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
@@ -540,8 +547,8 @@ class TestDecomposition:
     def test_planted_composition_found(self, seed):
         f = _planted(seed)
         cert = certify_galois(f)
-        assert cert.decomposition is not None, f
-        outer, inner = cert.decomposition
+        assert _values(cert, "decomposition") is not None, f
+        outer, inner = _values(cert, "decomposition")
         assert outer.degree >= 2 and inner.degree >= 2
         assert inner.leading_coefficient == 1 and inner.coefficient(0) == 0
         assert _compose_by_hand(outer, inner) == f
@@ -585,7 +592,7 @@ class TestDecomposition:
         for f in families + randoms:
             expr = to_sympy(f)
             theirs = sympy_decomposes(expr)
-            witness = certify_galois(f).decomposition
+            witness = _values(certify_galois(f), "decomposition")
             if f in families:
                 assert (witness is not None) == theirs, f
             elif theirs:
@@ -606,7 +613,7 @@ class TestDecomposition:
         for shift in (0, 2):
             g = _compose_by_hand(f, X + shift)
             cert = certify_galois(g)
-            assert cert.decomposition is None and cert.dickson is None
+            assert cert.witness is None
             # the screen itself, on every size, which certification skips
             # once a pattern has ruled out every block size
             a = _first_screen_reduction(g)
@@ -619,26 +626,26 @@ class TestDecomposition:
         a = _first_screen_reduction(f)
         assert a.p == 5 and a.coeffs == (2, 0, 2, 0, 1)
         assert galois_cert._decomposition(f, a, [2]) is None
-        assert certify_galois(f).decomposition is None
+        assert certify_galois(f).witness is None
 
     def test_screen_prime_dividing_the_leading_coefficient(self):
         # 5, 7, 11 and 13 divide lc, so the screen runs at 17
         f = 5005 * _compose_by_hand(parse_poly("x^2 - 3"), parse_poly("x^2 + x")) + 1
         assert _first_screen_reduction(f).p == 17
         cert = certify_galois(f)
-        assert cert.decomposition is not None
-        assert _compose_by_hand(*cert.decomposition) == f
+        assert _values(cert, "decomposition") is not None
+        assert _compose_by_hand(*_values(cert, "decomposition")) == f
         assert [o.p for o in cert.observations] == [3]  # 2 divides disc
 
     def test_no_screen_below_the_degree(self):
         # no good prime above m = 4 within the bound: nothing is screened
         cert = certify_galois(parse_poly("x^4 - 2"), prime_bound=3)
-        assert cert.decomposition is None
+        assert cert.witness is None
         assert [o.p for o in cert.observations] == [3]
 
     def test_tampered_witness_does_not_replay(self):
         cert = certify_galois(parse_poly("x^16 + 2"))
-        outer, inner = cert.decomposition
+        outer, inner = _values(cert, "decomposition")
         assert (outer, inner) == (parse_poly("x^8 + 2"), parse_poly("x^2"))
         for bad in (
             (outer + 1, inner),
@@ -646,7 +653,7 @@ class TestDecomposition:
             (parse_poly("x^4 + 2"), parse_poly("x^2")),
             (cert.polynomial, X),  # a trivial factor proves nothing
         ):
-            tampered = replace(cert, decomposition=bad)
+            tampered = replace(cert, witness=Witness("decomposition", bad))
             for deep in (False, True):
                 with pytest.raises(PatternReplayMismatch) as info:
                     replay_certificate(tampered, deep=deep)
@@ -654,7 +661,8 @@ class TestDecomposition:
         # a witness beside a proven verdict is a contradiction
         proven = certify_galois(parse_poly("x^4 - x - 1"))
         assert proven.verdict is GaloisVerdict.PROVEN_SYMMETRIC
-        tampered = replace(proven, decomposition=(parse_poly("x^2"), parse_poly("x^2")))
+        square = (parse_poly("x^2"), parse_poly("x^2"))
+        tampered = replace(proven, witness=Witness("decomposition", square))
         with pytest.raises(PatternReplayMismatch):
             replay_certificate(tampered)
 
@@ -682,8 +690,7 @@ class TestBinomialWitness:
     def test_planted_binomial_found(self, seed):
         f, witness = _planted_binomial(seed, (5, 7, 11, 13))
         cert = certify_galois(f)
-        assert cert.dickson == witness, f
-        assert cert.decomposition is None
+        assert cert.witness == Witness("dickson", witness), f
         assert cert.observations == () and cert.rules_fired == ()
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert cert.disc == discriminant(f)
@@ -695,7 +702,7 @@ class TestBinomialWitness:
         # x^m - a = (x^s)^(m/s) - a: the screen's witness, as before
         f, _ = _planted_binomial(seed, (6, 8, 9, 10, 12))
         cert = certify_galois(f)
-        assert cert.dickson is None and cert.decomposition is not None, f
+        assert _values(cert, "decomposition") is not None, f
         assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
 
     @pytest.mark.parametrize(
@@ -707,15 +714,15 @@ class TestBinomialWitness:
         # Gal(x^3 - 2) = Sym(3), so a cubic binomial proves nothing; m <= 4
         # is never tested (x^4 - a decomposes instead)
         cert = certify_galois(parse_poly(text))
-        assert cert.dickson is None and cert.observations
+        assert _values(cert, "dickson") is None and cert.observations
         if text == "x^3 - 2":
             assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
 
     def test_tampered_witness_does_not_replay(self):
         cert = certify_galois(parse_poly("(x + 2)^7 - 3"))
-        assert cert.dickson == (-2, 0, 3)
+        assert cert.witness == Witness("dickson", (-2, 0, 3))
         for bad in ((-1, 0, 3), (-2, 0, 4), (-2, 0, 0), (2, 0, -3), (-2, 1, 3)):
-            tampered = replace(cert, dickson=bad)
+            tampered = replace(cert, witness=Witness("dickson", bad))
             for deep in (False, True):
                 with pytest.raises(PatternReplayMismatch) as info:
                     replay_certificate(tampered, deep=deep)
@@ -727,7 +734,7 @@ class TestBinomialWitness:
         )
         assert replay_certificate(cubic) is GaloisVerdict.INCONCLUSIVE
         with pytest.raises(PatternReplayMismatch):
-            replay_certificate(replace(cubic, dickson=(0, 0, 2)))
+            replay_certificate(replace(cubic, witness=Witness("dickson", (0, 0, 2))))
         # a witness beside a proven verdict is a contradiction
         proven = certify_galois(parse_poly("x^7 - x - 1"))
         assert proven.verdict is GaloisVerdict.PROVEN_SYMMETRIC
@@ -738,7 +745,7 @@ class TestBinomialWitness:
         # a'(beta) = 0 but a higher middle coefficient survives the shift
         for text in ("x^5 + x^3 - 2", "(x - 1)^7 + (x - 1)^2 + 1", "x^11 - x - 1"):
             cert = certify_galois(parse_poly(text))
-            assert cert.dickson is None and cert.observations, text
+            assert _values(cert, "dickson") is None and cert.observations, text
 
 
 def _wreath_cycle_types(s, b):
@@ -922,18 +929,18 @@ class TestBlockSizes:
         for slot in json.loads(pool.read_text())["galois-unprovable"]:
             f = UniPoly(tuple(slot["base"]))
             cert = certify_galois(f)
-            if cert.dickson is not None:
+            if _values(cert, "dickson") is not None:
                 # x^p - a, and 64 x^7 - ... = 64 (D_7(x, 1/4) - c/64)
                 alpha = Fraction(1, 4) if f.leading_coefficient == 64 else 0
-                assert is_prime(f.degree) and cert.dickson[:2] == (0, alpha), f
+                assert is_prime(f.degree) and _values(cert, "dickson")[:2] == (0, alpha), f
                 assert cert.observations == ()
                 dickson += 1
                 continue
             a = _first_screen_reduction(f)
             every = galois_cert._decomposition(f, a, _proper_divisors(f.degree))
-            assert cert.decomposition == every, f
+            assert cert.witness == every, f
             if every is not None:
-                stop = _first_eligible_prime(f, every[1].degree)
+                stop = _first_eligible_prime(f, every.values[1].degree)
                 assert cert.observations == sample_cycle_types(f, stop - 1), f
                 found += 1
         assert (found, dickson) == (38, 12)
@@ -975,8 +982,7 @@ class TestDicksonWitness:
         assert (witness[1] == 0) == (kind == "zero")
         assert (kind == "square") == (witness[1] != 0 and rational_is_square(witness[1]))
         cert = certify_galois(f)
-        assert cert.dickson == witness, f
-        assert cert.decomposition is None
+        assert cert.witness == Witness("dickson", witness), f
         assert cert.observations == () and cert.rules_fired == ()
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert replay_certificate(cert) is GaloisVerdict.INCONCLUSIVE
@@ -995,7 +1001,7 @@ class TestDicksonWitness:
                                for c in map(Fraction, reversed(f.coeffs))], x)
             if not poly.is_irreducible:
                 continue
-            assert certify_galois(f).dickson == witness
+            assert certify_galois(f).witness == Witness("dickson", witness)
             assert sympy.galois_group(poly, by_name=False)[0].order() <= 20, f
             checked += 1
         assert checked >= 8
@@ -1011,14 +1017,14 @@ class TestDicksonWitness:
         # form), PSL(3, 2) again, and a near miss that passes the O(1)
         # screen: each is sampled as before
         cert = certify_galois(parse_poly(text))
-        assert cert.dickson is None and cert.observations, text
+        assert _values(cert, "dickson") is None and cert.observations, text
 
     def test_tampered_witness_does_not_replay(self):
         cert = certify_galois(parse_poly("64x^7 - 112x^5 + 56x^3 - 7x - 5"))
-        assert cert.dickson == (0, Fraction(1, 4), Fraction(5, 64))
+        assert cert.witness == Witness("dickson", (0, Fraction(1, 4), Fraction(5, 64)))
         quarter, a = Fraction(1, 4), Fraction(5, 64)
         for bad in ((0, 0, a), (0, Fraction(1, 5), a), (0, quarter, 5), (1, quarter, a)):
-            tampered = replace(cert, dickson=bad)
+            tampered = replace(cert, witness=Witness("dickson", bad))
             for deep in (False, True):
                 with pytest.raises(PatternReplayMismatch) as info:
                     replay_certificate(tampered, deep=deep)
@@ -1027,3 +1033,37 @@ class TestDicksonWitness:
         proven = certify_galois(parse_poly("x^7 - x - 1"))
         with pytest.raises(PatternReplayMismatch):
             replay_certificate(replace(cert, observations=proven.observations))
+
+
+class TestWitnessTable:
+    def test_every_kind_replays_through_its_check(self):
+        for text, kind in (("x^4 - 2", "decomposition"), ("x^7 - 3", "dickson")):
+            cert = certify_galois(parse_poly(text))
+            assert cert.witness.kind == kind and kind in galois_cert.WITNESSES
+            check, _, names = galois_cert.WITNESSES[kind]
+            assert len(cert.witness.values) == len(names)
+            assert check(cert.polynomial, *cert.witness.values) is True
+            assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            Witness("dickson", (1, 2)),  # the wrong arity
+            Witness("dickson", (0, 0, 3, 4)),
+            Witness("decomposition", (2, X**2)),  # a number for a polynomial
+            Witness("dickson", ("a", 0, 3)),  # a value no arithmetic takes
+            Witness("dickson", 5),  # values that are no sequence
+            Witness("factor", (X,)),  # a kind the table does not know
+            Witness(["dickson"], (0, 0, 3)),  # nor any unhashable kind
+        ],
+        ids=repr,
+    )
+    def test_malformed_witness_fails_replay(self, witness):
+        # replay raises its own mismatch, an internal-check error (CLI exit
+        # 2), never the ValueError, AttributeError or TypeError of the bad
+        # values
+        cert = replace(certify_galois(parse_poly("x^7 - 3")), witness=witness)
+        for deep in (False, True):
+            with pytest.raises(PatternReplayMismatch) as info:
+                replay_certificate(cert, deep=deep)
+            assert isinstance(info.value, InternalCheckError)

@@ -14,6 +14,7 @@ from berger_rank import (
     GaloisVerdict,
     InvalidInput,
     UniPoly,
+    Witness,
     certify_galois,
     critical_value_resultant,
     disjointness_filter,
@@ -175,7 +176,9 @@ class TestScan:
                     assert row.certificate == certify_galois(h - row.c), (text, row.c)
         # x^7/2 + 3 - c = (x^7 - (2c - 6)) / 2: a binomial row samples nothing
         rows = scan_A_h(parse_poly("x^7/2 + 3"), -3, 2)
-        assert [r.certificate.dickson for r in rows] == [(0, 0, 2 * c - 6) for c in range(-3, 3)]
+        assert [r.certificate.witness for r in rows] == [
+            Witness("dickson", (0, 0, 2 * c - 6)) for c in range(-3, 3)
+        ]
         assert all(r.reason == "unproven" and not r.certificate.observations for r in rows)
 
     def test_repeated_root_row(self):

@@ -16,6 +16,7 @@ from berger_rank import (
     MultiVariableError,
     Status,
     VerdictKind,
+    Witness,
     c2,
     discriminant,
     disjointness_filter,
@@ -296,7 +297,8 @@ class TestDecomposableSides:
     def test_two_large_route_binomial(self):
         # (y + 1)^5 - 2 is no y^n - a, so it takes the two-large route
         v = rank_verdict(F6, parse_poly("(y + 1)^5 - 2"), 7, 1)
-        assert record(v, "galois-g").evidence["certificate"].dickson == (-1, 0, 2)
+        witness = Witness("dickson", (-1, 0, 2))
+        assert record(v, "galois-g").evidence["certificate"].witness == witness
         assert statuses(v)["galois-g"] is Status.FAILS
         assert v.kind is VerdictKind.INCONCLUSIVE
 

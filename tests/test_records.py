@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from berger_rank import (
     RuleFiring,
     Status,
     TowerLayer,
+    Witness,
     certify_galois,
     decomposition_table,
     is_morse,
@@ -50,8 +52,13 @@ RECORDS = {
     "GaloisCertificate": (
         lambda: certify_galois(F),
         ["polynomial", "disc", "disc_is_square", "observations", "rules_fired",
-         "verdict", "decomposition", "dickson"],
+         "verdict", "witness"],
         {"disc_is_square": True},
+    ),
+    # a decomposition's polynomials, changed to a Dickson form's rationals
+    "Witness": (
+        lambda: certify_galois(parse_poly("x^4 - 2")).witness, ["kind", "values"],
+        {"values": (0, Fraction(1, 4), Fraction(5, 64))},
     ),
     "TowerLayer": (lambda: TowerLayer(7, 2), ["p", "r", "q"], {"r": 3}),
     "CurvePair": (lambda: CurvePair(F, G), ["f", "g"], {"g": parse_poly("y^3 - 1")}),
@@ -167,6 +174,15 @@ class TestValueSemantics:
             assert type(twin) is type(obj)
             assert twin == obj
             assert repr(twin) == repr(obj)
+
+    def test_witness_with_a_polynomial_and_a_fraction(self):
+        # values mix the polynomial and rational types a witness may hold
+        witness = Witness("dickson", (parse_poly("x^2"), Fraction(1, 4), 3))
+        twin = pickle.loads(pickle.dumps(witness))
+        assert twin == witness and hash(twin) == hash(witness)
+        assert twin != Witness("dickson", (parse_poly("x^2"), Fraction(1, 4), 4))
+        assert twin != Witness("decomposition", witness.values)
+        assert dataclasses.replace(witness, kind="factor").values == witness.values
 
 
 class TestInit:
