@@ -78,7 +78,6 @@ from .errors import (
 __all__ = [
     "UniPoly",
     "parse_poly",
-    "poly_divmod",
     "derivative",
     "affine_dickson",
     "resultant",
@@ -234,10 +233,31 @@ class UniPoly:
         return result
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        """Quotient and remainder over Q with deg r < deg other."""
+        b = self._coerce(other)
+        if b is None:
             return NotImplemented
-        return poly_divmod(self, other)
+        if b.is_zero:
+            raise DivisionByZeroPoly("polynomial division by zero")
+        var = self._join_var(b)
+        if self.is_zero or (self.degree or 0) < (b.degree or 0):
+            if b.is_constant:
+                inv = 1 / Fraction(b.coefficient(0))
+                return UniPoly((c * inv for c in self.coeffs), var), UniPoly((), var)
+            return UniPoly((), var), self
+        rem = list(self.coeffs)
+        db = len(b.coeffs) - 1
+        lb = b.coeffs[-1]
+        quot = [0] * (len(rem) - db)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k]
+            if c == 0:
+                continue
+            q = c if lb == 1 else _exact(Fraction(c, lb))
+            quot[k - db] = q
+            for j, bc in enumerate(b.coeffs):
+                rem[k - db + j] -= q * bc
+        return UniPoly(quot, var), UniPoly(rem[:db], var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -611,32 +631,7 @@ def parse_poly(text: str) -> UniPoly:
     return UniPoly(_to_dense(poly), state.var or "x")
 
 
-# -- division, resultant -------------------------------------------------------
-
-
-def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Quotient and remainder over Q with deg r < deg b."""
-    if b.is_zero:
-        raise DivisionByZeroPoly("polynomial division by zero")
-    var = a._join_var(b)
-    if a.is_zero or (a.degree or 0) < (b.degree or 0):
-        if b.is_constant:
-            inv = 1 / Fraction(b.coefficient(0))
-            return UniPoly((c * inv for c in a.coeffs), var), UniPoly((), var)
-        return UniPoly((), var), a
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    lb = b.coeffs[-1]
-    quot = [0] * (len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        q = c if lb == 1 else _exact(Fraction(c, lb))
-        quot[k - db] = q
-        for j, bc in enumerate(b.coeffs):
-            rem[k - db + j] -= q * bc
-    return UniPoly(quot, var), UniPoly(rem[:db], var)
+# -- derivative, Dickson forms, resultant --------------------------------------
 
 
 def derivative(a: UniPoly) -> UniPoly:

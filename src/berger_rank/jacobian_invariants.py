@@ -34,13 +34,12 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import DERIVED, Record
-from .errors import DimensionSumMismatch, InvalidInput, MultiVariableError, ParityBug
-from .exact_poly import UniPoly, _perfect_power, discriminant, is_prime
+from .errors import DimensionSumMismatch, InvalidInput, ParityBug
+from .exact_poly import _perfect_power, is_prime
 
 __all__ = [
     "MAX_LAYER_BITS",
     "TowerLayer",
-    "CurvePair",
     "DecompositionTable",
     "berger_genus",
     "dim_superelliptic",
@@ -147,37 +146,6 @@ class TowerLayer(Record):
         for name, value in (("p", p), ("r", r), ("q", p**r)):
             object.__setattr__(layer, name, value)
         return layer
-
-
-class CurvePair(Record):
-    """Validated (f, g) input pair; degrees m > 1 and n >= 2, both squarefree."""
-
-    f: UniPoly
-    g: UniPoly
-
-    def __post_init__(self):
-        for name, poly in (("f", self.f), ("g", self.g)):
-            if poly.degree is None or poly.degree < 2:
-                raise InvalidInput(f"{name} must have degree >= 2")
-        if self.f.var == self.g.var:
-            raise MultiVariableError(
-                f"f and g must use distinct variables, both use {self.f.var!r}"
-            )
-        for name, poly in (("f", self.f), ("g", self.g)):
-            if discriminant(poly) == 0:
-                raise InvalidInput(f"{name} = {poly} is not squarefree")
-
-    @property
-    def m(self) -> int:
-        return self.f.degree  # type: ignore[return-value]
-
-    @property
-    def n(self) -> int:
-        return self.g.degree  # type: ignore[return-value]
-
-    @property
-    def genus(self) -> int:
-        return berger_genus(self.m, self.n)
 
 
 class DecompositionTable(Record):

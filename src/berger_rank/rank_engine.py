@@ -12,7 +12,10 @@ with c1 >= 0 a constant of the pair, and c1 = 0 as soon as the Hom group
 vanishes at a single layer d > c2(d).  Everything this module certifies is
 a sufficient condition for that Hom group to vanish (or stay bounded), and
 each condition is recorded as a ``HypothesisRecord`` so a verdict can be
-audited after the fact.
+audited after the fact.  The pair is validated before a route is chosen:
+degrees, distinct variables, then f and g squarefree by
+``galois_cert._model_and_disc``, whose integer model and discriminants each
+side's certificate and condition (ii) below then reuse.
 
 Both vanishing routes rest on one fact about a side of degree >= 4: each
 of its new factors is absolutely simple with cyclotomic endomorphism
@@ -48,32 +51,26 @@ statement is only claimed for the n = 2, m >= 5 CM family.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .errors import InvalidInput
-from .exact_poly import (
-    UniPoly,
-    affine_dickson,
-    integer_model,
-    is_prime,
-    rational_is_square,
-)
+from .errors import InvalidInput, MultiVariableError, NotSquarefree
+from .exact_poly import UniPoly, affine_dickson, is_prime, rational_is_square
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
     GaloisCertificate,
     GaloisVerdict,
-    certify_galois,
+    _certify,
+    _check_prime_bound,
+    _model_and_disc,
 )
-from .jacobian_invariants import CurvePair, TowerLayer, _check_layer_bits, berger_genus, c2
+from .jacobian_invariants import TowerLayer, _check_layer_bits, berger_genus, c2
 
 __all__ = [
     "Status",
     "VerdictKind",
     "HypothesisRecord",
     "RankVerdict",
-    "is_binomial_cm",
     "rank_verdict",
     "rank_table",
 ]
@@ -134,13 +131,6 @@ class RankVerdict(Record):
         return self.c2_value if self.kind is VerdictKind.EXACT_RANK else None
 
 
-def is_binomial_cm(g: UniPoly) -> Fraction | None:
-    """The constant a when g is exactly y^n - a with a != 0, else None: a
-    Dickson form with shift 0, alpha = 0 and leading coefficient 1."""
-    hit = affine_dickson(g) if g.leading_coefficient == 1 else None
-    return hit[2] if hit is not None and hit[:2] == (0, 0) else None
-
-
 def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
     if cert.witness is not None:  # Gal(f) holds neither Alt nor Sym
         return Status.FAILS
@@ -157,7 +147,7 @@ def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
 
 
 def _side_hypotheses(
-    name: str, poly: UniPoly, p: int, prime_bound: int
+    name: str, poly: UniPoly, facts: tuple, p: int, prime_bound: int
 ) -> tuple[GaloisCertificate, list[HypothesisRecord], Status, Status | None]:
     """Whether the new factors of one side (deg >= 4) are absolutely simple
     with cyclotomic endomorphism algebra and not CM, the fact both routes
@@ -166,9 +156,11 @@ def _side_hypotheses(
     deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd, and (i)
     or (ii).  Returns the certificate, the side's records in payload order,
     their Kleene AND, and for a quartic the status of p odd and ((i) or
-    (ii)) alone.  Callers have validated poly (squarefree) and p (prime).
+    (ii)) alone.  ``facts`` is ``_model_and_disc(poly)`` from the squarefree
+    check in ``_analyze``; the certificate and (ii) reuse it.  Callers have
+    checked p (prime) and the prime bound.
     """
-    cert = certify_galois(poly, prime_bound)
+    cert = _certify(poly, prime_bound, *facts)
     quartic = poly.degree == 4
     galois = HypothesisRecord(
         name,
@@ -204,10 +196,8 @@ def _side_hypotheses(
             },
         )
         # (ii): p prime to disc of the integer model is unramified in the
-        # splitting field; p dividing it decides nothing, hence Unknown.
-        # poly = c * model and disc(c * F) = c^(2m - 2) * disc(F), m = 4
-        c = Fraction(poly.leading_coefficient, integer_model(poly).leading_coefficient)
-        d = (cert.disc / c**6).numerator
+        # splitting field; p dividing it decides nothing, hence Unknown
+        d = facts[1].numerator
         if d % p:
             rec_ii = HypothesisRecord(
                 "unramified", Status.HOLDS, {"disc": d, "p": p, "disc_mod_p": d % p}
@@ -294,24 +284,39 @@ def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
 def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
     """What does not depend on the layer.  Callers have checked the layer
     cap, which bounds p before it is tested for primality; this is the one
-    test, and the layers are then built from the proved p."""
-    pair = CurvePair(f, g)  # validates degrees, variables, squarefreeness
+    test, and the layers are then built from the proved p.  The pair is
+    validated first, each check on f before g."""
+    for name, poly in (("f", f), ("g", g)):
+        if poly.degree is None or poly.degree < 2:
+            raise InvalidInput(f"{name} must have degree >= 2")
+    if f.var == g.var:
+        raise MultiVariableError(
+            f"f and g must use distinct variables, both use {f.var!r}"
+        )
+    facts = []
+    for name, poly in (("f", f), ("g", g)):
+        try:
+            facts.append(_model_and_disc(poly))
+        except NotSquarefree:
+            raise InvalidInput(f"{name} = {poly} is not squarefree") from None
+    facts_f, facts_g = facts
     if not is_prime(p):
         raise InvalidInput(f"tower prime {p} is not prime")
-    m, n = pair.m, pair.n
+    m, n = f.degree, g.degree
     records: list[HypothesisRecord] = []
     notes: list[str] = []
     full = False
     bounded = False
-    a = is_binomial_cm(g)
-    if a is not None:
+    # g = y^n - a exactly: a Dickson form with shift 0, alpha = 0, lc 1
+    binomial = affine_dickson(g) if g.leading_coefficient == 1 else None
+    if binomial is not None and binomial[:2] == (0, 0):
         route = "cm-binomial"
         records.append(
             HypothesisRecord(
                 "binomial-cm-g",
                 Status.HOLDS,
                 {
-                    "constant": a,
+                    "constant": binomial[2],
                     "argument": (
                         "z^d = g(y) with g = y^n - a is dominated by a Fermat "
                         "curve, so the g side is CM at every layer"
@@ -321,7 +326,7 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
         )
         if m >= 4:
             cert, side_records, status, side = _side_hypotheses(
-                "galois-f", f, p, prime_bound
+                "galois-f", f, facts_f, p, prime_bound
             )
             records += side_records
             if side is None:
@@ -355,8 +360,12 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             notes.append(_QUADRATIC_NOTE)
     elif m > n >= 4:
         route = "two-large"
-        cert_f, records_f, status_f, _ = _side_hypotheses("galois-f", f, p, prime_bound)
-        cert_g, records_g, status_g, _ = _side_hypotheses("galois-g", g, p, prime_bound)
+        cert_f, records_f, status_f, _ = _side_hypotheses(
+            "galois-f", f, facts_f, p, prime_bound
+        )
+        cert_g, records_g, status_g, _ = _side_hypotheses(
+            "galois-g", g, facts_g, p, prime_bound
+        )
         records += records_f + records_g
         status = _kleene(status_f, status_g)
         records.append(
@@ -467,6 +476,7 @@ def rank_verdict(
     if r < 0:
         raise InvalidInput("tower exponent r must be >= 0")
     _check_layer_bits(p, r)
+    _check_prime_bound(prime_bound)
     return _assemble(_analyze(f, g, p, prime_bound), p, r)
 
 
@@ -481,5 +491,6 @@ def rank_table(
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
     _check_layer_bits(p, r_max)
+    _check_prime_bound(prime_bound)
     analysis = _analyze(f, g, p, prime_bound)
     return [_assemble(analysis, p, r) for r in range(r_max + 1)]

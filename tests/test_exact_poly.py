@@ -2,18 +2,20 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from berger_rank import (
     ConstantPolynomialError,
     DivisionByZeroPoly,
     FactorizationIncomplete,
+    InputError,
     MultiVariableError,
     NonRationalCoefficient,
     PolySyntaxError,
@@ -28,7 +30,6 @@ from berger_rank import (
     integer_model,
     is_prime,
     parse_poly,
-    poly_divmod,
     primes_up_to,
     rational_is_square,
     resultant,
@@ -247,6 +248,20 @@ class TestParseRender:
         assert UniPoly(()).render() == "0"
         assert UniPoly((Fraction(1, 2), 0, -3)).render() == "-3*x^2 + 1/2"
 
+    @given(st.text(alphabet="0123456789xyz_+-*/^(). ", max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_gives_a_poly_or_an_input_error(self, text):
+        # the caps admit dense powers that take seconds to minutes, e.g.
+        # (350.915*x - 25)^918 takes 40 s, so strings with two powers or a
+        # three-digit exponent are left out
+        assume(text.count("^") < 2 and not re.search(r"\^[\s(]*\d{3}", text))
+        start = time.perf_counter()
+        try:
+            assert isinstance(parse_poly(text), UniPoly)
+        except InputError:
+            pass
+        assert time.perf_counter() - start < 1.0, text
+
 
 class TestArithmetic:
     def test_call_horner(self):
@@ -259,13 +274,13 @@ class TestArithmetic:
     def test_divmod_roundtrip(self, a, b):
         if b.is_zero:
             return
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
 
     def test_divmod_by_zero(self):
         with pytest.raises(DivisionByZeroPoly):
-            poly_divmod(X, UniPoly(()))
+            divmod(X, UniPoly(()))
 
     def test_derivative(self):
         assert derivative(parse_poly("x^5 - x - 1")) == parse_poly("5x^4 - 1")
@@ -605,7 +620,7 @@ class TestIntegerRepresentation:
         _check(a * b, A * B)
         _check(3 - a, 3 - A)
         _check(a + Fraction(1, 2), A + sp.Rational(1, 2))
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         Q, R = sp.div(A, B)
         _check(q, Q)
         _check(r, R)

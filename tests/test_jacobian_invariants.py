@@ -8,17 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berger_rank import (
-    CurvePair,
     FactorizationIncomplete,
     InvalidInput,
-    MultiVariableError,
     TowerLayer,
     berger_genus,
     c2,
     decomposition_table,
     dim_new_part,
     dim_superelliptic,
-    parse_poly,
 )
 from berger_rank import jacobian_invariants
 
@@ -148,27 +145,6 @@ class TestTowerLayer:
                     TowerLayer(big, r)
                 with pytest.raises(InvalidInput, match=wanted):
                     decomposition_table(5, big, r)
-
-
-class TestCurvePair:
-    def test_valid(self):
-        pair = CurvePair(parse_poly("x^5 - x - 1"), parse_poly("y^2 - 1"))
-        assert (pair.m, pair.n) == (5, 2)
-        assert pair.genus == 2
-
-    def test_distinct_variables_required(self):
-        with pytest.raises(MultiVariableError):
-            CurvePair(parse_poly("x^5 - x - 1"), parse_poly("x^2 - 1"))
-
-    def test_squarefree_required(self):
-        with pytest.raises(InvalidInput):
-            CurvePair(parse_poly("x^2 - 2x + 1"), parse_poly("y^2 - 1"))
-        with pytest.raises(InvalidInput):
-            CurvePair(parse_poly("x^5 - x - 1"), parse_poly("(y-1)^2"))
-
-    def test_degree_bounds(self):
-        with pytest.raises(InvalidInput):
-            CurvePair(parse_poly("x - 1"), parse_poly("y^2 - 1"))
 
 
 class TestDecomposition:

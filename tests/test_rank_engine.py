@@ -11,6 +11,7 @@ import pytest
 import berger_rank.cli as cli
 import berger_rank.exact_poly as exact_poly
 from berger_rank import (
+    MAX_PRIME_BOUND,
     FactorizationIncomplete,
     InvalidInput,
     MultiVariableError,
@@ -21,13 +22,13 @@ from berger_rank import (
     discriminant,
     disjointness_filter,
     integer_model,
-    is_binomial_cm,
     parse_poly,
     rank_table,
     rank_verdict,
     replay_certificate,
     scan_A_h,
 )
+from berger_rank import rank_engine
 
 F5 = parse_poly("x^5 - x - 1")
 F4 = parse_poly("x^4 - x - 1")
@@ -50,20 +51,23 @@ def record(verdict, name):
 
 
 class TestBinomialDetection:
+    """The CM route is taken exactly when g is written y^n - a."""
+
     def test_accepts_exact_binomials(self):
-        assert is_binomial_cm(G2) == 1
-        assert is_binomial_cm(parse_poly("y^7 + 3")) == -3
-        assert is_binomial_cm(parse_poly("y^4 - 2/3")) == Fraction(2, 3)
+        for text, a in (("y^2 - 1", 1), ("y^7 + 3", -3), ("y^4 - 2/3", Fraction(2, 3))):
+            analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
+            assert analysis.route == "cm-binomial", text
+            rec = next(h for h in analysis.records if h.name == "binomial-cm-g")
+            assert rec.status is Status.HOLDS
+            assert rec.evidence["constant"] == a
 
     def test_rejects_everything_else(self):
-        assert is_binomial_cm(parse_poly("y^3 - y - 1")) is None
-        assert is_binomial_cm(parse_poly("2y^2 - 1")) is None
-        assert is_binomial_cm(parse_poly("y^2")) is None
-        assert is_binomial_cm(parse_poly("y - 1")) is None
-        # affine binomials only when written as y^n - a
-        assert is_binomial_cm(parse_poly("y^2 + y + 1")) is None
-        assert is_binomial_cm(parse_poly("(y + 1)^3 - 2")) is None
-        assert is_binomial_cm(parse_poly("2y^5 + 7")) is None
+        # y^2 and y - 1 are refused as a pair (TestValidation); affine
+        # binomials count only when written as y^n - a
+        for text in ("y^3 - y - 1", "2y^2 - 1", "y^2 + y + 1", "(y + 1)^3 - 2", "2y^5 + 7"):
+            analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
+            assert analysis.route != "cm-binomial", text
+            assert "binomial-cm-g" not in {h.name for h in analysis.records}, text
 
 
 class TestSideConditions:
@@ -97,9 +101,8 @@ class TestSideConditions:
         assert rec.evidence["disc"] == -283
 
     def test_quartic_discriminant_not_recomputed(self, monkeypatch):
-        # condition (ii) rescales the certificate's discriminant rather than
-        # computing the integer model's again: one call each for f and g in
-        # CurvePair, one for f in the certificate
+        # one discriminant per side, taken when the pair is checked
+        # squarefree: the certificates and condition (ii) reuse it
         real = exact_poly.discriminant
         calls = []
 
@@ -112,7 +115,11 @@ class TestSideConditions:
             if name.startswith("berger_rank") and bound is real:
                 monkeypatch.setattr(module, "discriminant", counting)
         rank_verdict(F4, G2, 3, 1)
-        assert len(calls) == 3
+        assert len(calls) == 2
+        calls.clear()
+        v = rank_verdict(F6, parse_poly("y^5 - y - 1"), 7, 1)  # two-large
+        assert statuses(v)["hom-bounded"] is Status.HOLDS
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "text", ["x^4 - x - 1", "3x^4/2 - x/3 - 5", "-4x^4 + 6x - 2"]
@@ -369,6 +376,80 @@ class TestValidation:
     def test_squarefree_enforced(self):
         with pytest.raises(InvalidInput):
             rank_verdict(parse_poly("(x-1)^2(x+1)^3"), G2, 5, 1)
+
+    def test_valid_pair(self):
+        v = rank_verdict(F5, G2, 7, 1)
+        assert (v.m, v.n) == (5, 2)
+
+    def test_distinct_variables_required(self):
+        wanted = "f and g must use distinct variables, both use 'x'"
+        with pytest.raises(MultiVariableError, match=wanted):
+            rank_verdict(F5, parse_poly("x^2 - 1"), 7, 1)
+
+    def test_squarefree_required(self):
+        with pytest.raises(InvalidInput, match=r"^f = x\^2 - 2\*x \+ 1 is not squarefree$"):
+            rank_verdict(parse_poly("x^2 - 2x + 1"), G2, 7, 1)
+        with pytest.raises(InvalidInput, match=r"^g = y\^2 - 2\*y \+ 1 is not squarefree$"):
+            rank_table(F5, parse_poly("(y-1)^2"), 7, 1)
+
+    def test_degree_bounds(self):
+        with pytest.raises(InvalidInput, match="^f must have degree >= 2$"):
+            rank_verdict(parse_poly("x - 1"), G2, 7, 1)
+        with pytest.raises(InvalidInput, match="^g must have degree >= 2$"):
+            rank_verdict(F5, parse_poly("3"), 7, 1)
+
+    def test_check_order(self):
+        # each row fails every check after the one it names; the next row
+        # mends that one input, so each error is the first failing check
+        f, g, p, r, bound = "x - 1", "x", 4, -1, 1
+        rows = [
+            ({}, InvalidInput, "tower exponent r must be >= 0"),
+            ({"r": 1, "p": 2**4096}, InvalidInput, "is too large"),
+            ({"p": 4}, InvalidInput, "prime_bound must be >= 2"),
+            ({"bound": 200}, InvalidInput, "f must have degree >= 2"),
+            ({"f": "(x-1)^2"}, InvalidInput, "g must have degree >= 2"),
+            ({"g": "(x-1)^2"}, MultiVariableError, "distinct variables"),
+            ({"g": "(y-1)^2"}, InvalidInput, "f = x^2 - 2*x + 1 is not squarefree"),
+            ({"f": "x^5 - x - 1"}, InvalidInput, "g = y^2 - 2*y + 1 is not squarefree"),
+            ({"g": "y^2 - 1"}, InvalidInput, "tower prime 4 is not prime"),
+        ]
+        for change, error, message in rows:
+            f, g = change.get("f", f), change.get("g", g)
+            p, r, bound = change.get("p", p), change.get("r", r), change.get("bound", bound)
+            with pytest.raises(error) as info:
+                rank_verdict(parse_poly(f), parse_poly(g), p, r, prime_bound=bound)
+            assert message in str(info.value), (change, info.value)
+        assert rank_verdict(parse_poly(f), parse_poly(g), 7, r, bound).rank == 4
+
+    ROUTES = {
+        "cm-binomial": ("x^5 - x - 1", "y^2 - 1"),
+        "two-large": ("x^6 - x - 1", "y^5 - y - 1"),
+        "cubic": ("x^3 - x - 1", "y^2 - 1"),
+        "quadratic": ("x^2 - 2", "y^3 - 1"),
+        "unsupported": ("x^5 - x - 1", "y^3 - y - 1"),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_prime_bound_on_every_route(self, route, capsys):
+        # the bound is checked before routing, so a route that certifies no
+        # side refuses it too
+        f, g = self.ROUTES[route]
+        pair = (parse_poly(f), parse_poly(g))
+        assert rank_engine._analyze(*pair, 7, 200).route == route
+        for bound, message in (
+            (1, "prime_bound must be >= 2"),
+            (MAX_PRIME_BOUND + 1, f"prime_bound must be <= {MAX_PRIME_BOUND}"),
+        ):
+            for call in (rank_verdict, rank_table):
+                with pytest.raises(InvalidInput, match=f"^{message}$"):
+                    call(*pair, 7, 1, prime_bound=bound)
+            for command, r in (("rank", "-r"), ("rank-table", "--max-r")):
+                argv = [command, "-f", f, "-g", g, "-p", "7", r, "1",
+                        "--prime-bound", str(bound)]
+                assert cli.main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: InvalidInput: {message}\n"
 
 
 class TestCertificatesEmbedded:

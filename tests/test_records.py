@@ -15,7 +15,6 @@ import pytest
 
 import berger_rank
 from berger_rank import (
-    CurvePair,
     CycleTypeObservation,
     HypothesisRecord,
     PrimePoly,
@@ -61,7 +60,6 @@ RECORDS = {
         {"values": (0, Fraction(1, 4), Fraction(5, 64))},
     ),
     "TowerLayer": (lambda: TowerLayer(7, 2), ["p", "r", "q"], {"r": 3}),
-    "CurvePair": (lambda: CurvePair(F, G), ["f", "g"], {"g": parse_poly("y^3 - 1")}),
     "DecompositionTable": (
         lambda: decomposition_table(5, 7, 2), ["m", "p", "r", "rows", "total"],
         {"total": 0},
