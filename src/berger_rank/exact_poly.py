@@ -222,14 +222,12 @@ class UniPoly:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
+        # left to right, so each product by the base is by the short operand
         result = UniPoly.constant(1, self.var)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:  # the last square would go unused
-                base = base * base
+        for i in range(exp.bit_length() - 1, -1, -1):
+            result = result * result
+            if exp >> i & 1:
+                result = result * self
         return result
 
     def __divmod__(self, other):
@@ -427,6 +425,11 @@ class _ParseState:
     # And numeric literals, at the digits Python converts from a string to an
     # int (sys.get_int_max_str_digits), so a longer one is a syntax error.
     MAX_LITERAL_DIGITS = 4_300
+    # And the size of a power of more than one term, its degree times the
+    # coefficient bound of _height_bits: the caps above admit (1+x)^10000,
+    # 10^8 bits that took 116 s of CPU on a 2-core machine.  2^23 admits
+    # (1+x)^2048.
+    MAX_POWER_BITS = 1 << 23
 
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
@@ -527,15 +530,22 @@ class _ParseState:
             self.next()
             e = self.exponent()
             # a constant's exponent counts as its degree, as documented
-            self.check_degree(max(max(base, default=0), 1) * e)
-            self.check_height(
-                e * (_height_bits(base.values()) + _log2_ceil(_dense_len(base)))
-            )
+            degree = max(max(base, default=0), 1) * e
+            self.check_degree(degree)
+            bits = e * (_height_bits(base.values()) + _log2_ceil(_dense_len(base)))
+            self.check_height(bits)
             if len(base) == 1:  # (c x^k)^e = c^e x^(k e)
                 [(k, c)] = base.items()
                 return {k * e: c**e}
-            dense = UniPoly(_to_dense(base)) ** e
-            return {k: c for k, c in enumerate(dense.coeffs) if c}
+            if degree * bits > self.MAX_POWER_BITS:
+                raise PolySyntaxError(
+                    f"power above {self.MAX_POWER_BITS} bits (degree times coefficient bits)"
+                )
+            # (b/d)^e = b^e / d^e, so the squarings multiply integers
+            den = math.lcm(*[c.denominator for c in base.values()])
+            dense = UniPoly(_to_dense({k: c * den for k, c in base.items()})) ** e
+            scale = den**e
+            return {k: _exact(Fraction(c, scale)) for k, c in enumerate(dense.coeffs) if c}
         return base
 
     def exponent(self) -> int:
@@ -616,9 +626,11 @@ def parse_poly(text: str) -> UniPoly:
     or product have a coefficient n/d with |n| * d >= 2^65,536
     (``_ParseState.MAX_COEFF_BITS``), by a bound from the operands'
     coefficient bit lengths and term counts checked before it is built.
-    Nor may a numeric literal have more than 4,300 digits, the dot not
-    counted (``_ParseState.MAX_LITERAL_DIGITS``).  Each cap raises
-    ``PolySyntaxError``.
+    Nor may a power of more than one term have degree times that bound
+    above 2^23 bits (``_ParseState.MAX_POWER_BITS``), which admits
+    (1+x)^2048.  Nor may a numeric literal have more than 4,300 digits,
+    the dot not counted (``_ParseState.MAX_LITERAL_DIGITS``).  Each cap
+    raises ``PolySyntaxError``.
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -39,7 +39,7 @@ pattern is mathematically impossible, so that combination raises
 guard sees only the observations a certificate holds, so on a proven
 certificate it covers the primes up to the proving prime, not the bound.
 
-The negative side has two witnesses, each of which ends the sampling and
+The negative side has three witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
 
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
@@ -72,6 +72,26 @@ with solvable monodromy.)  For a prime m >= 5, before any prime is sampled,
 and nothing is sampled.  A composite m is left to the
 decomposition screen: x^m = (x^s)^(m/s) and D_m = D_(m/s)(D_s(x, alpha),
 alpha^s).
+
+An automorphism.  If theta in Q[x] has deg theta < m, theta != x and
+f | f(theta), then for an irreducible f, theta(alpha) is a second root in
+Q(alpha), so Q(alpha) has an automorphism other than the identity and the
+stabiliser of a root is not self-normalizing in Gal(f); in Sym(m) and
+Alt(m), m >= 4, it is.  A reducible f has an intransitive group.  Either
+way Gal(f) contains no Alt(m).  The check is one composition mod f.  In a
+regular action every element has all its cycles of one length, so once the
+first ``_AUTOMORPHISM_STREAK`` (4) good patterns are all homogeneous, (k,
+..., k), the Frobenius x^p mod (p, f) at the first of them with k >= 2 is
+lifted by Newton's iteration in (Z/p^N)[x]/(F), F the integer model made
+monic mod p^N, with ``_ModRing`` products mod p^N (Acciaro and Kluners,
+Math. Comp. 68, 1999: for an abelian Q(alpha) it is an automorphism).  At
+each p^N, theta is rebuilt by rational reconstruction, screened mod the
+other primes of the streak and checked exactly.  A miss is told by an
+explicit bound: for an automorphism theta, c h, c = lc(F) and h = F' theta
+mod F, has integer coefficients of size at most m C(m-1, (m-1)/2)
+||F||_2^2, read in the symmetric range with 8 bits to spare; one out of
+range ends the search.  The lift stops at 2^``_AUTOMORPHISM_MAX_BITS``
+(2048), whatever the input's height (see ``_automorphism``).
 
 A certificate holds at most one ``Witness(kind, values)``.  The table
 ``WITNESSES`` maps each kind to its exact check, the formula it proves and
@@ -115,6 +135,8 @@ from .modp_factor import (
     DegreePattern,
     PrimePoly,
     _divmod,
+    _ModRing,
+    _monic,
     degree_pattern,
     reduce_mod_p,
 )
@@ -320,6 +342,180 @@ def _is_dickson(f: UniPoly, beta, alpha, a) -> bool:
     return f.degree >= 4 and f.leading_coefficient * (high - a) == f
 
 
+def _is_automorphism(f: UniPoly, theta: UniPoly) -> bool:
+    """f | f(theta) with theta != x and deg theta < m, m >= 4, by Horner's
+    rule mod f."""
+    m = f.degree
+    if m < 4 or (theta.degree or 0) >= m or theta == UniPoly.variable(f.var):
+        return False
+    if not theta.is_constant and theta.var != f.var:
+        return False
+    acc = UniPoly((), f.var)
+    for c in reversed(f.coeffs):
+        acc = (acc * theta + c) % f
+    return acc.is_zero
+
+
+# The h test of ``_automorphism`` reads this many bits past its bound, so a
+# Frobenius lift that is no automorphism passes it with probability about
+# 2^-(bits * m).
+_AUTOMORPHISM_SLACK_BITS = 8
+# The precision, in bits of p^N, that ``_automorphism`` lifts to at most.
+# A lift there costs about what sampling the good primes below 200 does at
+# degree 4, and a sixth of it or less from degree 8 on (Phi_n(2^1100 x + 1)).
+_AUTOMORPHISM_MAX_BITS = 2048
+# ``_certify`` looks for an automorphism once this many first good patterns
+# are homogeneous, (k, ..., k).  In a regular group every element is, so a
+# longer streak costs a hit one pattern each.  In Sym(m) a share h_m of the
+# elements is: 0.42, 0.24, 0.16 and 0.12 for m = 4, 6, 8, 10, and below 0.21
+# for every other m >= 5.  So a Sym(m) input still unproved after the streak
+# is tried with chance h_m^4, under 0.4% for m >= 5 (h_m^3 is 1.5% at m = 6),
+# and a try there can only miss.
+_AUTOMORPHISM_STREAK = 4
+
+
+def _powers(ring: _ModRing, t: int, n: int) -> list[int]:
+    """t^0 .. t^n in ``ring``."""
+    powers = [1, t]
+    for _ in range(n - 1):
+        powers.append(ring.mul(powers[-1], t))
+    return powers
+
+
+def _at(ring: _ModRing, coeffs, powers: list[int]) -> int:
+    """sum coeffs[j] t^j in ``ring``, from the powers of t."""
+    q = ring.p
+    return ring.reduce(sum(c % q * t for c, t in zip(coeffs, powers)))
+
+
+def _frobenius_lifts(f: tuple, p: int, k: int) -> Iterator[tuple[_ModRing, int]]:
+    """(ring, theta) for N = 2, 4, 8, ...: ``ring`` is (Z/p^N)[x]/(f), f
+    made monic mod p^N, and theta, packed in it, is the root of f(theta) =
+    0 in Z_p[x]/(f) with theta = x^p mod (p, f).  f is an integer
+    polynomial of degree n whose leading coefficient p does not divide and
+    whose pattern mod p is (k, ..., k).
+
+    Newton's iteration theta <- theta - f(theta) g doubles the precision,
+    and g, an inverse of f'(theta), keeps up by g <- g (2 - f'(theta) g).
+    Mod p, f'(theta) is a unit of F_p[x]/(f), a product of n/k fields of
+    p^k elements, so it starts as f'(theta)^(p^k - 2).  Every product is a
+    ``_ModRing`` product mod p^N.
+    """
+    n = len(f) - 1
+
+    def ring_mod(q: int) -> tuple[_ModRing, tuple, list[int]]:
+        monic = _monic(tuple(a % q for a in f), q)
+        return _ModRing(monic, q), monic, [j * a for j, a in enumerate(monic)][1:]
+
+    ring, monic, slopes = ring_mod(p)
+    theta = ring.x_pow(p)
+    slope, g, e = _at(ring, slopes, _powers(ring, theta, n - 1)), 1, p**k - 2
+    for i in range(e.bit_length() - 1, -1, -1):
+        g = ring.mul(g, g)
+        if e >> i & 1:
+            g = ring.mul(g, slope)
+    theta, g = ring.unpack(theta, n), ring.unpack(g, n)
+    q = p
+    while True:
+        q *= q
+        ring, monic, slopes = ring_mod(q)
+        t, inv = ring.pack(theta), ring.pack(g)
+        full = ring.pack([q] * n)  # full - v negates v slot by slot
+        powers = _powers(ring, t, n)
+        near_one = ring.mul(_at(ring, slopes, powers), inv)  # f'(theta) g
+        inv = ring.mul(inv, ring.reduce(full + 2 - near_one))
+        t = ring.reduce(t + full - ring.mul(_at(ring, monic, powers), inv))
+        theta, g = ring.unpack(t, n), ring.unpack(inv, n)
+        yield ring, t
+
+
+def _rational(u: int, q: int, bound: int) -> Fraction | None:
+    """The r/s = u mod q with |r|, s <= bound, unique when 2 bound^2 < q,
+    by the extended Euclidean algorithm (von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 5.10); None when there is none."""
+    r0, r1, s0, s1 = q, u % q, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _vanishes_mod(model: UniPoly, theta: UniPoly, a: PrimePoly) -> bool:
+    """Whether model(theta) = 0 mod (p, model), a = model mod p of full
+    degree; False when p divides a denominator of theta."""
+    p = a.p
+    if any(type(v) is not int and v.denominator % p == 0 for v in theta.coeffs):
+        return False
+    monic = _monic(a.coeffs, p)
+    ring = _ModRing(monic, p)
+    t = ring.pack(reduce_mod_p(theta, p).coeffs)
+    return not _at(ring, monic, _powers(ring, t, len(monic) - 1))
+
+
+def _automorphism(model: UniPoly, streak: list[tuple[PrimePoly, int]]) -> Witness | None:
+    """A witness theta with model | model(theta), theta != x and deg theta
+    < m, or None; model is f's primitive integer model, of degree m >= 4
+    and leading coefficient c, and ``streak`` pairs the model mod good
+    primes with a k such that the pattern there is (k, ..., k).
+
+    If Q(alpha) is abelian, its Frobenius at a good p is an automorphism
+    theta = x^p mod (p, f) (Acciaro and Kluners, Math. Comp. 68, 1999), so
+    theta is lifted p-adically from the first prime with k >= 2, in
+    (Z/p^N)[x]/(model).  At each p^N, theta is rebuilt by rational
+    reconstruction, screened mod every other prime of the streak and
+    checked exactly, so a hit costs the lift to a p^N near twice theta's
+    size squared.  (A cyclotomic theta is sparse, so one small screen
+    prime passes a wrong rebuild often, and the exact check of a wrong
+    theta is the costly one.)
+
+    A miss is told by h = model' theta mod model.  For an automorphism
+    theta, h = sum_i theta(a_i) c prod_(j != i) (x - a_j) over the roots
+    a_i, and c h has integer coefficients: c theta(a_i) is a root of the
+    monic c^(m-1) model(y/c), and c prod_(j in S) (x - a_j) has integral
+    coefficients for every set S of roots (Gauss's lemma).  By |c a_i| <=
+    M(model), |c e_r(roots but a_i)| <= C(m-1, r) M(model) and M(model) <=
+    ||model||_2 (Landau), they are at most H = m C(m-1, (m-1)/2)
+    ||model||_2^2.  c h is read at each p^N > 2^(s+1) H, s =
+    ``_AUTOMORPHISM_SLACK_BITS``, and one out of range ends the search: no
+    automorphism lifts x^p.  The lift never goes past 2^B, B =
+    ``_AUTOMORPHISM_MAX_BITS``, so its cost has a bound whatever the
+    input's height: a theta that needs more, or an H past 2^B, leaves the
+    input to sampling.
+    """
+    p, k = next(((a.p, k) for a, k in streak if k >= 2), (0, 0))
+    if not p:  # x^p = x mod (p, f) at every prime: nothing to lift
+        return None
+    coeffs, m = model.coeffs, model.degree
+    height = m * math.comb(m - 1, (m - 1) // 2) * sum(a * a for a in coeffs)
+    gate = height << (_AUTOMORPHISM_SLACK_BITS + 1)
+    for ring, t in _frobenius_lifts(coeffs, p, k):
+        q = ring.p
+        if q > gate:
+            scaled = [coeffs[-1] * j * a % q for j, a in enumerate(coeffs)][1:]  # c model'
+            h = ring.unpack(ring.mul(ring.pack(scaled), t), m)
+            if any(height < v < q - height for v in h):
+                return None  # no automorphism of the model lifts x^p
+        bound, e, out = math.isqrt((q - 1) // 2), 1, []
+        for v in ring.unpack(t, m):
+            r = _rational(v * e, q, bound)
+            if r is None:
+                break
+            out.append(r / e)
+            e *= r.denominator
+        else:
+            candidate = UniPoly(out, model.var)
+            screens = (a for a, _ in streak if a.p != p)
+            if all(_vanishes_mod(model, candidate, a) for a in screens) and (
+                _is_automorphism(model, candidate)
+            ):
+                return Witness("automorphism", (candidate,))
+        if 2 * q.bit_length() > _AUTOMORPHISM_MAX_BITS:
+            return None
+    return None
+
+
 # kind -> (its exact check(f, *values), the formula it proves, and each
 # value's payload key and its name in the formula)
 WITNESSES = {
@@ -329,6 +525,7 @@ WITNESSES = {
         "f = lc(D_m(x - b, alpha) - a)",
         {"beta": "b", "alpha": "alpha", "a": "a"},
     ),
+    "automorphism": (_is_automorphism, "f | f(theta)", {"theta": "theta"}),
 }
 
 
@@ -564,6 +761,8 @@ def _certify(
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
     witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
+    # the first good reductions while every pattern is homogeneous
+    streak: list | None = [] if m >= 4 else None
     disc_int = model_disc.numerator
     reductions = () if witness else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
@@ -579,10 +778,19 @@ def _certify(
                 if witness:  # Gal(f) contains no Alt(m): sampling more is futile
                     verdict, fired = rules.conclude()
                     break
-        if rules.add(CycleTypeObservation(a.p, degree_pattern(a, disc_int))):
+        pattern = degree_pattern(a, disc_int)
+        if rules.add(CycleTypeObservation(a.p, pattern)):
             verdict, fired = rules.conclude()
             if verdict is not GaloisVerdict.INCONCLUSIVE:
                 break
+        if streak is not None:
+            # in a regular action every element's cycles have one length
+            streak = streak + [(a, pattern[0])] if pattern[0] == pattern[-1] else None
+            if streak and len(streak) == _AUTOMORPHISM_STREAK:
+                witness, streak = _automorphism(model, streak), None
+                if witness:
+                    verdict, fired = rules.conclude()
+                    break
     else:  # sampled in full: conclude again, so R-trans2 cites every prime
         verdict, fired = rules.conclude()
     return GaloisCertificate(

@@ -200,7 +200,10 @@ def _gcd(a: tuple, b: tuple, p: int) -> tuple:
 
 
 class _ModRing:
-    """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints."""
+    """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints.
+
+    Nothing here divides by a residue, so any modulus p >= 2 works: galois_cert
+    lifts a Frobenius in (Z/p^N)[x]/(f) with the same products."""
 
     __slots__ = ("p", "n", "w", "mask", "low", "negf", "m", "even", "ones", "lift")
 

@@ -153,6 +153,19 @@ class TestPayloads:
         assert r["dickson"] == {"beta": 0, "alpha": "1/4", "a": "5/64"}
         assert "decomposition" not in r
 
+    def test_galois_automorphism_key(self, capsys):
+        # Phi_11 is abelian: its Frobenius at 2, theta = x^2, is lifted and
+        # checked once its first four patterns are homogeneous
+        phi11 = "x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1"
+        r = run_json(capsys, "galois", phi11)["result"]
+        assert r["verdict"] == "Inconclusive"
+        assert r["automorphism"] == {"theta": "x^2"}
+        assert [ob["p"] for ob in r["observations"]] == [2, 3, 5, 7]
+        assert "decomposition" not in r and "dickson" not in r
+        code, out, _ = run_cli(capsys, "galois", phi11)
+        assert code == 0
+        assert "automorphism: f | f(theta), theta = x^2\n" in out
+
     def test_rank_payload_on_a_decomposable_side(self, capsys):
         argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")
         r = run_json(capsys, *argv)["result"]
@@ -179,10 +192,20 @@ class TestPayloads:
             "  galois-f: Fails  (polynomial=x^7 - 3, verdict=Inconclusive, rules=[], "
             "dickson=lc(D_m(x - b, alpha) - a) with b = 0, alpha = 0, a = 3)\n"
         ) in out
+        # Phi_11 was Unknown before the automorphism witness
+        phi11 = "x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1"
+        argv = ("rank", "-f", phi11, "-g", "y^2 - 1", "-p", "7", "-r", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (
+            f"  galois-f: Fails  (polynomial={phi11}, verdict=Inconclusive, "
+            "rules=['R-trans'], automorphism=f | f(theta) with theta = x^2)\n"
+        ) in out
         argv = ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and "galois-f: Holds" in out
         assert "decomposition" not in out and "dickson=" not in out
+        assert "automorphism=" not in out
 
     def test_rank_payload(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
@@ -403,6 +426,19 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: PolySyntaxError: coefficients above 65536 bits")
 
+    def test_power_cap_exits_1(self, capsys):
+        # a dense power over 2^23 bits (degree times coefficient bits) is
+        # refused before it is built: this one took 40 s to parse
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "poly-disc", "(350.915*x - 25)^918")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: PolySyntaxError: power above 8388608 bits "
+            "(degree times coefficient bits)\n"
+        )
+
     def test_literal_cap_exits_1(self, capsys):
         # a literal at the 4,300-digit cap parses; one digit more is refused
         # with one short line, not an echo of every digit or a traceback
@@ -511,7 +547,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 12
+        assert len(README_EXAMPLES) == 13
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

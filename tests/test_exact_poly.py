@@ -122,6 +122,35 @@ class TestParseRender:
                 parse_poly(text)
             assert time.perf_counter() - start < 1.0, text
 
+    def test_power_size_cap(self):
+        # _ParseState.MAX_POWER_BITS is 2^23, on the degree of a power times
+        # its coefficient bound e * (H(a) + ceil(log2 len a)), numerator and
+        # denominator bits both: (1+x)^2048 is at the cap, and for
+        # 350.915 x - 25 = (70183 x - 5000)/200 e = 496 is
+        for text in ("(1+x)^2049", "(350.915*x - 25)^497", "(x/200 - 25)^618",
+                     "(70183*x - 5000)^683", "(350.915*x - 25)^918", "(1+x)^10000"):
+            start = time.perf_counter()
+            with pytest.raises(PolySyntaxError, match="power above 8388608 bits"):
+                parse_poly(text)
+            assert time.perf_counter() - start < 1.0, text
+
+    def test_slowest_power_under_the_cap(self):
+        # the slowest power the caps admit, of the bases tried: 1.5 s of CPU
+        # on a 2-core Xeon, mostly the big-integer squarings
+        start = time.perf_counter()
+        f = parse_poly("(70183*x - 5000)^682")
+        assert time.perf_counter() - start < 6.0
+        assert f.degree == 682
+        assert f.coeffs[0] == 5000**682 and f.coeffs[-1] == 70183**682
+        assert f.coeffs[1] == -682 * 70183 * 5000**681
+
+    def test_rational_power_clears_denominators(self):
+        # (b/d)^e is b^e / d^e: (350.915 x - 25)^300 took 0.8 s of CPU by
+        # Fraction arithmetic, 0.14 s so
+        f = parse_poly("(350.915*x - 25)^300")
+        assert f == parse_poly("(70183*x - 5000)^300") * Fraction(1, 200**300)
+        assert parse_poly("(x/2 + 1/3)^5") == UniPoly((Fraction(1, 3), Fraction(1, 2))) ** 5
+
     def test_literal_cap(self):
         # _ParseState.MAX_LITERAL_DIGITS is 4,300, Python's default limit on
         # str -> int conversion; the dot of a decimal does not count
@@ -251,8 +280,8 @@ class TestParseRender:
     @given(st.text(alphabet="0123456789xyz_+-*/^(). ", max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_fuzz_gives_a_poly_or_an_input_error(self, text):
-        # the caps admit dense powers that take seconds to minutes, e.g.
-        # (350.915*x - 25)^918 takes 40 s, so strings with two powers or a
+        # the caps admit dense powers that take over a second, e.g.
+        # (70183*x - 5000)^682 takes 1.5 s, so strings with two powers or a
         # three-digit exponent are left out
         assume(text.count("^") < 2 and not re.search(r"\^[\s(]*\d{3}", text))
         start = time.perf_counter()

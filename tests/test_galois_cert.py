@@ -263,9 +263,12 @@ UNPROVABLE = [
 class TestEarlyStop:
     @pytest.mark.parametrize("f", UNPROVABLE, ids=lambda f: f.render())
     def test_unprovable_families_sample_in_full(self, f):
-        # in full, unless a decomposition witness ends the sampling at the
-        # first good prime where the screen of its size is sound, or a
-        # Dickson witness of a prime degree ends it before the first prime
+        # no family samples in full any more: a decomposition witness ends
+        # the sampling at the first good prime where the screen of its size
+        # is sound, a Dickson witness of a prime degree ends it before the
+        # first prime, and the cyclotomic polynomials, whose groups are
+        # abelian, end on an automorphism once their first patterns are
+        # homogeneous
         cert = certify_galois(f)
         assert 7 <= f.degree <= 12
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
@@ -276,10 +279,10 @@ class TestEarlyStop:
             stop = _first_eligible_prime(f, _values(cert, "decomposition")[1].degree)
             assert cert.observations == tuple(o for o in full if o.p < stop)
         else:
-            assert cert.observations == full
-        # only the cyclotomic polynomials, whose groups are abelian, sample
-        # in full
-        assert (cert.observations == full) == (f in UNPROVABLE[-3:])
+            assert _values(cert, "automorphism") is not None
+            assert cert.observations == full[: galois_cert._AUTOMORPHISM_STREAK]
+        assert (_values(cert, "automorphism") is not None) == (f in UNPROVABLE[-3:])
+        assert cert.observations != full
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_trinomial_stops_at_first_proof(self, m):
@@ -920,15 +923,25 @@ class TestBlockSizes:
         # size at its first sound prime finds the witness the screen of
         # every size finds above the degree, and sampling stops there; the
         # prime-degree binomials and Chebyshev bases T_7 - c get the Dickson
-        # witness
+        # witness, and the cyclotomic bases with no decomposition an
+        # automorphism after the homogeneous streak
         from pathlib import Path
         import json
 
         pool = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
-        found = dickson = 0
+        found = dickson = automorphism = 0
         for slot in json.loads(pool.read_text())["galois-unprovable"]:
             f = UniPoly(tuple(slot["base"]))
             cert = certify_galois(f)
+            if _values(cert, "automorphism") is not None:
+                # the cyclotomic bases with no decomposition
+                assert slot["family"] == "cyclotomic", f
+                a = _first_screen_reduction(f)
+                assert galois_cert._decomposition(f, a, _proper_divisors(f.degree)) is None
+                streak = galois_cert._AUTOMORPHISM_STREAK
+                assert cert.observations == sample_cycle_types(f, 200)[:streak]
+                automorphism += 1
+                continue
             if _values(cert, "dickson") is not None:
                 # x^p - a, and 64 x^7 - ... = 64 (D_7(x, 1/4) - c/64)
                 alpha = Fraction(1, 4) if f.leading_coefficient == 64 else 0
@@ -943,7 +956,7 @@ class TestBlockSizes:
                 stop = _first_eligible_prime(f, every.values[1].degree)
                 assert cert.observations == sample_cycle_types(f, stop - 1), f
                 found += 1
-        assert (found, dickson) == (38, 12)
+        assert (found, dickson, automorphism) == (38, 12, 5)
 
 
 def _planted_dickson(seed):
@@ -1035,9 +1048,249 @@ class TestDicksonWitness:
             replay_certificate(replace(cert, observations=proven.observations))
 
 
+# squarefree n with phi(n) in 4 .. 16, so Phi_n has no decomposition
+_SQUAREFREE_N = (5, 7, 10, 11, 13, 14, 15, 17, 21, 22, 26, 30, 34, 42)
+# and n with a square factor: Phi_n(x) = Phi_rad(n)(x^(n / rad(n)))
+_SQUAREFUL_N = (8, 9, 12, 16, 18, 20, 24, 28, 32, 36, 40, 48)
+
+
+def _planted_cyclotomic(seed, ns=_SQUAREFREE_N):
+    """lam Phi_n(a x + b) for a seeded n and rational lam, a and b, where
+    lam and a are mostly not +-1."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.choice(ns)
+    lam = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.randint(1, 3))
+    a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+    b = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+    return lam * _compose_by_hand(_cyclotomic(n), UniPoly((b, a)))
+
+
+def _homogeneous_streak(f, length):
+    """(model, streak): f's integer model and its reductions mod the first
+    ``length`` good primes with a homogeneous pattern (k, ..., k), the
+    first with k >= 2, each with its k; None when there are fewer below
+    200."""
+    model, model_disc, _ = galois_cert._model_and_disc(f)
+    streak = []
+    for a in galois_cert._good_reductions(model, model_disc, 200):
+        pattern = galois_cert.degree_pattern(a)
+        if pattern[0] == pattern[-1] and (streak or pattern[0] >= 2):
+            streak.append((a, pattern[0]))
+            if len(streak) == length:
+                return model, streak
+    return None
+
+
+def _automorphism_count(group):
+    """|N(H) / H| for H a point stabilizer of the transitive group: the
+    order of Aut(Q(alpha)/Q) when the group is Gal(f) on f's roots."""
+    stabilizer = group.stabilizer(0)
+    inside = set(stabilizer.generate())
+    normalizer = sum(
+        all(g * h * ~g in inside for h in stabilizer.generators) for g in group.generate()
+    )
+    return normalizer // stabilizer.order()
+
+
+class TestAutomorphismWitness:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_planted_cyclotomic_found(self, seed):
+        # Gal(lam Phi_n(a x + b)) is abelian and acts regularly, so every
+        # pattern is homogeneous and the Frobenius lift is an automorphism
+        f = _planted_cyclotomic(seed)
+        cert = certify_galois(f)
+        assert _values(cert, "automorphism") is not None, f
+        (theta,) = _values(cert, "automorphism")
+        assert theta.degree < f.degree and theta != X
+        assert _compose_by_hand(f, theta) % f == 0
+        streak = galois_cert._AUTOMORPHISM_STREAK
+        assert cert.observations == sample_cycle_types(f, 200)[:streak]
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        for deep in (False, True):
+            assert replay_certificate(cert, deep=deep) is GaloisVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_found_beside_a_decomposition(self, seed):
+        # Phi_n with a square factor in n decomposes, and that witness comes
+        # first; on its homogeneous patterns the finder finds the
+        # automorphism all the same
+        f = _planted_cyclotomic(seed, _SQUAREFUL_N)
+        assert _values(certify_galois(f), "decomposition") is not None
+        witness = galois_cert._automorphism(*_homogeneous_streak(f, 2))
+        assert witness is not None and witness.kind == "automorphism", f
+        assert galois_cert._is_automorphism(f, *witness.values)
+
+    def test_tampered_witness_does_not_replay(self):
+        f = _compose_by_hand(_cyclotomic(11), UniPoly((2, 1)))  # Phi_11(x + 2)
+        cert = certify_galois(f)
+        (theta,) = _values(cert, "automorphism")
+        assert theta == parse_poly("(x + 2)^2 - 2")
+        # Phi_13(x - 1)'s own automorphism
+        (other,) = _values(certify_galois(_compose_by_hand(_cyclotomic(13), X - 1)), "automorphism")
+        assert other == parse_poly("(x - 1)^2 + 1")
+        for bad in (theta + 1, X, theta + f, other):
+            tampered = replace(cert, witness=Witness("automorphism", (bad,)))
+            for deep in (False, True):
+                with pytest.raises(PatternReplayMismatch) as info:
+                    replay_certificate(tampered, deep=deep)
+                assert isinstance(info.value, InternalCheckError)  # CLI exit 2
+        # theta + f maps every root to a root too, but only a theta of
+        # degree < m is a witness
+        assert _compose_by_hand(f, theta + f) % f == 0
+        # below degree 4 the check refuses even a true automorphism: the
+        # cyclic cubic's group is Alt(3)
+        cubic = parse_poly("x^3 - 3x + 1")  # 2 cos(2 pi k / 9), k = 1, 2, 4
+        assert _compose_by_hand(cubic, parse_poly("x^2 - 2")) % cubic == 0
+        assert not galois_cert._is_automorphism(cubic, parse_poly("x^2 - 2"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"x^{m} - x - 1" for m in range(4, 13)]
+        + ["x^4 + 8x + 12", "x^5 + 20x + 16", "x^6 + 24x - 20"],
+    )
+    def test_no_witness_for_the_sym_alt_oracles(self, text):
+        # Sym(m) for x^m - x - 1 (Osada), then Alt(4), Alt(5) and Alt(6):
+        # their point stabilizers are self-normalizing, so no Frobenius
+        # lift is an automorphism, wherever it is tried (x^6 + 24x - 20
+        # has no two homogeneous patterns below 200)
+        f = parse_poly(text)
+        assert certify_galois(f).witness is None
+        found = _homogeneous_streak(f, 2)
+        assert (found is None) == (text == "x^6 + 24x - 20")
+        if found is not None:
+            assert galois_cert._automorphism(*found) is None
+
+    def test_witness_only_with_a_non_trivial_automorphism(self):
+        # on seeded polynomials of degree 4 to 6 whose groups sympy names:
+        # a certificate holds an automorphism only when Aut(Q(alpha)) is
+        # non-trivial, never when the group holds Alt(m), and the finder,
+        # tried on any homogeneous patterns, finds one whenever the group is
+        # abelian and so regular
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(23)
+        x, y = sympy.symbols("x y")
+        polys = []
+        for _ in range(24):  # random, dense or sparse
+            m = rng.choice([4, 5, 6])
+            coeffs = [rng.randint(-6, 6) for _ in range(m)] + [rng.choice([1, 1, 2, 3])]
+            if rng.random() < 0.4:
+                coeffs[1:m] = [0] * (m - 1)
+                coeffs[rng.choice([1, 2, 3])] = rng.randint(-9, 9)
+            polys.append(UniPoly(tuple(coeffs)))
+        for a, b in ((3, 5), (-2, 7), (1, -1)):  # in x^2 and x^3
+            polys += [parse_poly(f"x^4 + {a}x^2 + {b}"), parse_poly(f"x^6 + {a}x^3 + {b}")]
+        for cubic, d in ((y**3 - y - 1, 5), (y**3 - 3 * y - 1, 2), (y**3 - 3 * y + 1, -3)):
+            # beta + sqrt(d): Sym(3) x C2, with Aut = C2, or C6
+            r = sympy.resultant(cubic, (x - y) ** 2 - d, y)
+            polys.append(UniPoly(tuple(int(c) for c in reversed(sympy.Poly(r, x).all_coeffs()))))
+        for seed in range(6):  # C4 and C6
+            polys.append(_planted_cyclotomic(seed, (5, 7, 9, 10, 14, 18)))
+        checked = {"abelian": 0, "witness": 0, "alt": 0}
+        for f in polys:
+            if discriminant(f) == 0:
+                continue
+            m = f.degree
+            poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in map(Fraction, reversed(f.coeffs))], x)
+            if not poly.is_irreducible:
+                continue
+            group = sympy.galois_group(poly, by_name=False)[0]
+            cert = certify_galois(f)
+            if _values(cert, "automorphism") is not None:
+                assert _automorphism_count(group) > 1, f
+                checked["witness"] += 1
+            if 2 * group.order() >= math.factorial(m):
+                assert cert.witness is None, f
+                checked["alt"] += 1
+            if group.order() == m and group.is_abelian:
+                witness = galois_cert._automorphism(*_homogeneous_streak(f, 2))
+                assert witness is not None and galois_cert._is_automorphism(f, *witness.values), f
+                checked["abelian"] += 1
+        assert checked["abelian"] >= 6 and checked["witness"] >= 3 and checked["alt"] >= 10, checked
+
+    def test_misses_cost_nothing_on_the_scan_rows(self, monkeypatch):
+        # Sym(6) and Sym(8) inputs whose first three patterns are
+        # homogeneous: the fourth is not, so the finder is never tried and
+        # each certificate equals the one of sampling alone; tried on the
+        # first three, it misses after one bounded lift
+        import time
+
+        texts = [
+            "x^6 + 3x^2 - 2x - 4",  # family-scan: x^6 + 3x^2 - 2x + 20, c = 24
+            "x^8 - 6x^7 - 6x^6 - 5x^5 - 5x^4 + 5x^3 - 6x^2 + 6x - 3",  # c = -1
+            "2y^6 + y^5 - 5y^4 + 5y^3 + 5y^2 - 6y + 1",  # a rank-table g side
+        ]
+        start = time.perf_counter()
+        certs = [certify_galois(parse_poly(text)) for text in texts]
+        misses = [galois_cert._automorphism(*_homogeneous_streak(parse_poly(text), 3))
+                  for text in texts]
+        elapsed = time.perf_counter() - start
+        monkeypatch.setattr(galois_cert, "_automorphism", lambda model, streak: None)
+        for text, cert, miss in zip(texts, certs, misses):
+            assert cert == certify_galois(parse_poly(text)), text
+            assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC and cert.witness is None
+            assert miss is None
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            parse_poly("2^1024*x^4 + 2^768*x^3 + 2^512*x^2 + 2^256*x + 1"),  # Phi_5(2^256 x)
+            -3 * _compose_by_hand(_cyclotomic(11), UniPoly((0, 2**103))),
+            Fraction(5, 7) * _compose_by_hand(_cyclotomic(17), UniPoly((1, 2**128))),
+        ],
+    )
+    def test_found_with_a_large_leading_coefficient(self, f):
+        # |lc(model)| >= 2^1024: the lift works with integers only and in
+        # the model's own ring, so its precision follows theta's size, not
+        # lc^(m-1)
+        import time
+
+        assert abs(integer_model(f).leading_coefficient) >= 2**1024
+        start = time.perf_counter()
+        cert = certify_galois(f)
+        elapsed = time.perf_counter() - start
+        (theta,) = _values(cert, "automorphism")
+        assert _compose_by_hand(f, theta) % f == 0
+        for deep in (False, True):
+            assert replay_certificate(cert, deep=deep) is GaloisVerdict.INCONCLUSIVE
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("n, bits", [(5, 16000), (17, 1100), (41, 60)])
+    def test_lift_precision_is_capped(self, n, bits, monkeypatch):
+        # Phi_n(2^bits x + 1): theta, or H, needs more than the cap for the
+        # first two, so the finder gives up at the cap and the certificate is
+        # the one of sampling alone; for Phi_41, theta fits below it
+        f = _compose_by_hand(_cyclotomic(n), UniPoly((1, 2**bits)))
+        lifts = galois_cert._frobenius_lifts
+        reached = []
+
+        def recording(*args):
+            for ring, t in lifts(*args):
+                reached.append(ring.p.bit_length())
+                yield ring, t
+
+        monkeypatch.setattr(galois_cert, "_frobenius_lifts", recording)
+        witness = galois_cert._automorphism(*_homogeneous_streak(f, 4))
+        assert 0 < max(reached) <= galois_cert._AUTOMORPHISM_MAX_BITS
+        assert (witness is None) == (n != 41)
+        if witness is None:
+            cert = certify_galois(f)
+            assert cert.witness is None and cert.verdict is GaloisVerdict.INCONCLUSIVE
+            assert cert.observations == sample_cycle_types(f, 200)
+
+
 class TestWitnessTable:
     def test_every_kind_replays_through_its_check(self):
-        for text, kind in (("x^4 - 2", "decomposition"), ("x^7 - 3", "dickson")):
+        for text, kind in (
+            ("x^4 - 2", "decomposition"),
+            ("x^7 - 3", "dickson"),
+            ("x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "automorphism"),
+        ):
             cert = certify_galois(parse_poly(text))
             assert cert.witness.kind == kind and kind in galois_cert.WITNESSES
             check, _, names = galois_cert.WITNESSES[kind]
@@ -1053,6 +1306,8 @@ class TestWitnessTable:
             Witness("decomposition", (2, X**2)),  # a number for a polynomial
             Witness("dickson", ("a", 0, 3)),  # a value no arithmetic takes
             Witness("dickson", 5),  # values that are no sequence
+            Witness("automorphism", (UniPoly((0, 0, 1), "y"),)),  # another variable
+            Witness("automorphism", (X**2, X)),
             Witness("factor", (X,)),  # a kind the table does not know
             Witness(["dickson"], (0, 0, 3)),  # nor any unhashable kind
         ],

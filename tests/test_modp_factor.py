@@ -329,6 +329,27 @@ class TestPackedKernel:
                 _, want = _odivmod(_omul(_trim(a), _trim(b), p), f, p)
                 assert got == want, (p, n, a, b, f)
 
+    @pytest.mark.parametrize(
+        "p, e, n", [(2, 2, 8), (2, 64, 16), (3, 40, 12), (5, 300, 6), (7, 3, 31), (2**31 - 1, 4, 8)]
+    )
+    def test_mul_matches_schoolbook_mod_a_prime_power(self, p, e, n):
+        # galois_cert lifts a Frobenius in (Z/p^e)[x]/(f) with this kernel:
+        # nothing in it needs a prime modulus, only a monic f
+        q = p**e
+        rng = random.Random(f"kernel:{p}^{e}:{n}")
+        for _ in range(3):
+            f = tuple(rng.randrange(q) for _ in range(n)) + (1,)
+            ring = _ModRing(f, q)
+            full = (q - 1,) * n
+            rand = tuple(rng.randrange(q) for _ in range(n))
+            for a, b in ((full, full), (full, rand), (rand, rand)):
+                got = _trim(tuple(ring.unpack(ring.mul(ring.pack(a), ring.pack(b)), n)))
+                _, want = _odivmod(_omul(_trim(a), _trim(b), q), f, q)
+                assert got == want, (p, e, n, a, b, f)
+            slots = [rng.choice([0, q - 1, q, (1 << ring.w) - 1]) for _ in range(n)]
+            v = ring.reduce(ring.pack(slots))
+            assert [(v >> (ring.w * i)) & ring.mask for i in range(n)] == [s % q for s in slots]
+
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 40])
     @pytest.mark.parametrize("p", [2, 3, 197, 2**31 - 1, 2**61 - 1])
     def test_reduce_matches_slotwise_mod(self, p, n):
