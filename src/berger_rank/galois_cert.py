@@ -12,6 +12,8 @@ observations so far prove a verdict, so the bound is only a cap:
   R-trans      some pattern is {m}, so the group is transitive.
   R-trans2     the subset-sum degree sets of all patterns intersect in
                {0, m}, so f is irreducible, so the group is transitive.
+  R-root       they leave 1 as the only factor degree <= m/2, and f has
+               no rational root, so f is irreducible (see below).
   R-primitive  a transitive group is primitive when it keeps no system of
                blocks of size s for any s | m, 1 < s < m, so at once when
                m is prime.  A pattern rules out s when no element of the
@@ -31,16 +33,41 @@ strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once, keeps the few facts the rules
 read (transitivity, the block sizes not yet ruled out and a Jordan element),
 and rebuilds the verdict only when one of them is gained, at most four times
-per certificate.  Stopping at the first proof is sound.
-Bounds above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime
-sieve is allocated.  A square discriminant together with an odd observed
-pattern is mathematically impossible, so that combination raises
-``DiscSquareInconsistency`` and aborts rather than returning anything.  The
-guard sees only the observations a certificate holds, so on a proven
-certificate it covers the primes up to the proving prime, not the bound.
+per certificate.  Stopping at the first proof is sound.  The primes are
+sieved a segment at a time, so a certificate that stops early sieves no
+further whatever its bound.  Bounds above ``MAX_PRIME_BOUND`` raise
+``InvalidInput`` before the prime sieve is allocated.  A square
+discriminant together with an odd observed pattern is mathematically
+impossible, so that combination raises ``DiscSquareInconsistency`` and
+aborts rather than returning anything.  The guard sees only the
+observations a certificate holds, so on a proven certificate it covers the
+primes up to the proving prime, not the bound.
 
-The negative side has three witnesses, each of which ends the sampling and
+A rational-root search.  A rational factor of f of degree d shows as a
+subset sum d at every good prime, so once the patterns leave 1 as the only
+factor degree <= m/2, f is irreducible exactly when it has no rational
+root.  The engine, given f's integer model, searches it then, once, and
+only when a miss completes the proof: no block size is open and a Jordan
+element is in hand.  The search (``_rational_roots``) is complete: a
+rational root a/b in lowest terms has b | lc and a | a_k, the lowest
+nonzero coefficient, and reduces to a root mod any prime p not dividing
+lc; a simple root mod p is the image of exactly one p-adic root, which
+Newton's iteration lifts to p^N > 2 |a_k lc|, where rational
+reconstruction finds a/b if the p-adic root is one, and homogeneous Horner
+checks it exactly.  It runs at the first observed prime, and only when
+that prime divides neither lc nor disc, which the engine checks by one gcd
+mod p; the search itself also answers "unknown", which proves nothing, at
+no prime, above ``MAX_PRIME_BOUND``, at a p dividing lc or where a root
+mod p is repeated, so neither trusts an observation.  A miss proves transitivity (R-root); a hit is a
+``factor`` witness.  Certification, replay and the CLI reach it through the one
+engine, so a certificate cut short by R-root re-derives on replay, also
+when rebuilt without its witness.
+
+The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
+
+A factor.  A rational root r gives g = x - r with g | f, 1 <= deg g < m,
+so f is reducible and Gal(f) intransitive; the check is one division.
 
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
 into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
@@ -114,6 +141,7 @@ import math
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, takewhile
 
 from ._record import Record
 from .errors import (
@@ -135,8 +163,10 @@ from .modp_factor import (
     DegreePattern,
     PrimePoly,
     _divmod,
+    _gcd,
     _ModRing,
     _monic,
+    _trim,
     degree_pattern,
     reduce_mod_p,
 )
@@ -155,8 +185,8 @@ __all__ = [
 ]
 
 DEFAULT_PRIME_BOUND = 200
-# The prime sieve allocates prime_bound + 1 bytes, so larger bounds are
-# rejected before any work is done.
+# A prime sieve segment of up to prime_bound bytes may be allocated, so
+# larger bounds are rejected before any work is done.
 MAX_PRIME_BOUND = 10**6
 
 
@@ -229,6 +259,25 @@ def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction, Fraction]:
     return model, model_disc, model_disc * scale ** (2 * model.degree - 2)
 
 
+_FIRST_PRIMES = tuple(primes_up_to(DEFAULT_PRIME_BOUND))
+
+
+def _primes() -> Iterator[int]:
+    """Every prime, ascending, sieved one segment at a time: the primes up to
+    ``DEFAULT_PRIME_BOUND``, sieved once, then those in (b, 2b] for b =
+    200, 400, ..., so a certificate that stops at a small prime sieves
+    nothing whatever its bound."""
+    yield from _FIRST_PRIMES
+    low = DEFAULT_PRIME_BOUND
+    while True:
+        sieve = bytearray([1]) * low  # low + 1 .. 2 low; every base prime is below low
+        for p in primes_up_to(math.isqrt(2 * low)):
+            start = -(low + 1) % p
+            sieve[start::p] = bytes(len(range(start, low, p)))
+        yield from compress(range(low + 1, 2 * low + 1), sieve)
+        low *= 2
+
+
 def _good_reductions(
     model: UniPoly, model_disc: Fraction, prime_bound: int
 ) -> Iterator[PrimePoly]:
@@ -236,7 +285,7 @@ def _good_reductions(
     lift of its reduction, of full degree at a good p, so its discriminant
     lets ``degree_pattern`` stop early."""
     bad = abs(model_disc.numerator * model.leading_coefficient)
-    for p in primes_up_to(prime_bound):
+    for p in takewhile(lambda p: p <= prime_bound, _primes()):
         if bad % p:
             yield reduce_mod_p(model, p)
 
@@ -429,17 +478,20 @@ def _frobenius_lifts(f: tuple, p: int, k: int) -> Iterator[tuple[_ModRing, int]]
         yield ring, t
 
 
-def _rational(u: int, q: int, bound: int) -> Fraction | None:
-    """The r/s = u mod q with |r|, s <= bound, unique when 2 bound^2 < q,
-    by the extended Euclidean algorithm (von zur Gathen and Gerhard, Modern
-    Computer Algebra, section 5.10); None when there is none."""
+def _rational(u: int, q: int, bound: int, den_bound: int) -> tuple[int, int] | None:
+    """(r, s), s > 0 and gcd(r, s) = 1, with r/s = u mod q, |r| <= bound
+    and s <= den_bound, unique when 2 bound den_bound < q, by the extended
+    Euclidean algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Theorem 5.26); None when there is none."""
     r0, r1, s0, s1 = q, u % q, 0, 1
     while r1 > bound:
         quo = r0 // r1
         r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
-    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if not 0 < s1 <= den_bound or math.gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return r1, s1
 
 
 def _vanishes_mod(model: UniPoly, theta: UniPoly, a: PrimePoly) -> bool:
@@ -499,11 +551,11 @@ def _automorphism(model: UniPoly, streak: list[tuple[PrimePoly, int]]) -> Witnes
                 return None  # no automorphism of the model lifts x^p
         bound, e, out = math.isqrt((q - 1) // 2), 1, []
         for v in ring.unpack(t, m):
-            r = _rational(v * e, q, bound)
+            r = _rational(v * e, q, bound, bound)
             if r is None:
                 break
-            out.append(r / e)
-            e *= r.denominator
+            out.append(Fraction(r[0], r[1] * e))
+            e *= r[1]
         else:
             candidate = UniPoly(out, model.var)
             screens = (a for a, _ in streak if a.p != p)
@@ -516,6 +568,84 @@ def _automorphism(model: UniPoly, streak: list[tuple[PrimePoly, int]]) -> Witnes
     return None
 
 
+def _is_factor(f: UniPoly, g: UniPoly) -> bool:
+    """g | f with 1 <= deg g < m, by one division over Q."""
+    if not 1 <= (g.degree or 0) < f.degree or g.var != f.var:
+        return False
+    return (f % g).is_zero
+
+
+def _value_and_slope(cs, r: int, q: int) -> tuple[int, int]:
+    """(F(r), F'(r)) mod q, F the polynomial with ascending coefficients cs,
+    by one Horner pass."""
+    value = slope = 0
+    for c in reversed(cs):
+        slope = (slope * r + value) % q
+        value = (value * r + c) % q
+    return value, slope
+
+
+def _is_good(model: UniPoly, p: int) -> bool:
+    """Whether p is a prime dividing neither lc(model) nor disc(model):
+    model mod p keeps its degree and is prime to its derivative."""
+    if not is_prime(p):
+        return False
+    a = tuple(c % p for c in model.coeffs)
+    slope = _trim([i * c % p for i, c in enumerate(a)][1:])
+    return a[-1] != 0 and len(_gcd(a, slope, p)) == 1
+
+
+def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
+    """Every rational root of the integer polynomial ``model``, least first
+    by (|numerator|, denominator, negative after positive), found from p;
+    None, "unknown", when p is no prime, exceeds ``MAX_PRIME_BOUND``,
+    divides lc(model) or is a repeated root mod p.
+
+    A root a/b in lowest terms has b | lc and a | a_k, the lowest nonzero
+    coefficient, or a = 0, so |a| <= |a_k| and b <= |lc|; and p does not
+    divide b, so a/b reduces to a root mod p.  Each root mod p, being
+    simple, is the image of one p-adic root, which Newton's iteration
+    carries to p^N > 2 |a_k lc|; there rational reconstruction
+    (``_rational``) finds a/b if the p-adic root is one, and an exact check
+    by homogeneous Horner keeps it.  So the search is complete: an empty
+    list proves that model has no rational root.  The roots mod p are read
+    by evaluating at every residue, so p is capped.
+    """
+    cs = model.coeffs
+    if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:
+        return None
+    reduced = [c % p for c in reversed(cs)]
+    residues = [] if reduced[-1] else [0]
+    for r in range(1, p):
+        acc = 0
+        for c in reduced:
+            acc = acc * r + c
+        if acc % p == 0:
+            residues.append(r)
+    low, lead = next(c for c in cs if c), cs[-1]
+    target = 2 * abs(low * lead)  # reconstruction is unique above it
+    roots = []
+    for r in residues:
+        q = p
+        while q == p or q <= target:
+            q *= q
+            value, slope = _value_and_slope(cs, r, q)
+            if slope % p == 0:  # a repeated root mod p
+                return None
+            r = (r - value * pow(slope, -1, q)) % q
+        v = _rational(r, q, abs(low), abs(lead))
+        if v is not None and (v[0] == 0 or low % v[0] == 0) and lead % v[1] == 0:
+            a, b = v
+            acc, scale = 0, 1  # sum c_i a^i b^(m - i)
+            for c in reversed(cs):
+                acc, scale = acc * a + c * scale, scale * b
+            if acc == 0:
+                roots.append(Fraction(a, b))
+    if len(roots) > 1:
+        roots.sort(key=lambda v: (abs(v.numerator), v.denominator, v < 0))
+    return roots
+
+
 # kind -> (its exact check(f, *values), the formula it proves, and each
 # value's payload key and its name in the formula)
 WITNESSES = {
@@ -526,6 +656,7 @@ WITNESSES = {
         {"beta": "b", "alpha": "alpha", "a": "a"},
     ),
     "automorphism": (_is_automorphism, "f | f(theta)", {"theta": "theta"}),
+    "factor": (_is_factor, "g | f", {"g": "g"}),
 }
 
 
@@ -628,21 +759,33 @@ class _Rules:
     The rules only ask whether a pattern has been observed, so each distinct
     pattern is looked at once: it is checked against the square discriminant
     and the degree, and may supply one of the three facts the rules read:
-    transitivity (the first full cycle, or the subset sums attainable at
-    every prime), primitivity (each block size ruled out by a pattern that
-    no element keeping such blocks has) and a Jordan element (its first
-    sighting).  ``add`` reports when a fact changed, the only time the
-    verdict can.
+    transitivity (the first full cycle, the subset sums attainable at every
+    prime, or those sums and a rational-root search), primitivity (each
+    block size ruled out by a pattern that no element keeping such blocks
+    has) and a Jordan element (its first sighting).  ``add`` reports when a
+    fact changed, the only time the verdict can.
+
+    Given f's integer model, the engine searches it once for a rational
+    root, when a miss completes the proof: no block size is open, a Jordan
+    element is in hand, and 1 is the only factor degree <= m/2 attainable at
+    every prime.  A miss proves f irreducible (R-root); a hit is a
+    ``factor`` witness, and the verdict stays ``Inconclusive``.
+    Certification and replay always give the model; without one (None) the
+    engine never searches, which tests use to check the rules on their own.
     """
 
-    def __init__(self, m: int, disc_is_square: bool):
+    def __init__(self, m: int, disc_is_square: bool, model: UniPoly | None = None):
         self.m = m
         self.disc_is_square = disc_is_square
+        self.model = model
+        self.searched = False  # for a rational root, at most once
         self.observations: list[CycleTypeObservation] = []
         self.seen: set[DegreePattern] = set()
         self.full: CycleTypeObservation | None = None
         self.common: set[int] | None = None  # subset sums seen at every prime
         self.trans2 = False  # common is {0, m}
+        self.root: RuleFiring | None = None  # no rational root, so irreducible
+        self.factor: Witness | None = None  # a rational root's linear factor
         # the sizes of block systems no pattern has ruled out yet; a
         # transitive group is primitive once there are none, at once for
         # a prime m
@@ -674,7 +817,8 @@ class _Rules:
         if self.element is None:
             self.element = _jordan_element(obs, m)
             changed = changed or self.element is not None
-        if self.full is None and not self.trans2:  # transitivity still unproved
+        if self.full is None and not self.trans2 and self.root is None:
+            # transitivity still unproved
             if pattern == (m,):
                 self.full, changed = obs, True
             else:
@@ -684,7 +828,32 @@ class _Rules:
                 self.common = sums if self.common is None else self.common & sums
                 if self.common == {0, m}:
                     self.trans2 = changed = True
+                elif (
+                    self.model is not None
+                    and not self.searched
+                    and not self.open_sizes
+                    and self.element is not None
+                    and {s for s in self.common if s <= m // 2} == {0, 1}
+                ):
+                    changed = self._search_root() or changed
         return changed
+
+    def _search_root(self) -> bool:
+        """Search the model for a rational root, once, at the first observed
+        prime if it is good; whether that settled anything."""
+        self.searched = True
+        model, p = self.model, self.observations[0].p
+        roots = _rational_roots(model, p) if _is_good(model, p) else None
+        if roots:
+            self.factor = Witness("factor", (UniPoly((-roots[0], 1), model.var),))
+        elif roots is not None:
+            self.root = RuleFiring(
+                "R-root",
+                tuple(o.p for o in self.observations),
+                "only factor degree 1 is attainable at every prime, "
+                f"and no rational root lifts from p = {p}",
+            )
+        return roots is not None
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
@@ -700,6 +869,8 @@ class _Rules:
                     "no proper factor degree is attainable at every prime",
                 )
             )
+        elif self.root is not None:
+            fired.append(self.root)
         transitive = bool(fired)
         primitive = transitive and not self.open_sizes  # only when transitive
         if primitive:
@@ -726,9 +897,12 @@ class _Rules:
 
 
 def _evaluate_rules(
-    m: int, disc_is_square: bool, observations: tuple[CycleTypeObservation, ...]
+    m: int,
+    disc_is_square: bool,
+    observations: tuple[CycleTypeObservation, ...],
+    model: UniPoly | None = None,
 ) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
-    rules = _Rules(m, disc_is_square)
+    rules = _Rules(m, disc_is_square, model)
     for obs in observations:
         rules.add(obs)
     return rules.conclude()
@@ -755,7 +929,7 @@ def _certify(
     """``certify_galois`` on checked input, given ``_model_and_disc(f)``."""
     m: int = f.degree  # type: ignore[assignment]
     disc_is_square = rational_is_square(disc)
-    rules = _Rules(m, disc_is_square)
+    rules = _Rules(m, disc_is_square, model)
     # a prime m has no block sizes, so no decomposition, but a Dickson
     # form's group is too small for Alt(m) all the same: nothing to sample
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
@@ -781,7 +955,8 @@ def _certify(
         pattern = degree_pattern(a, disc_int)
         if rules.add(CycleTypeObservation(a.p, pattern)):
             verdict, fired = rules.conclude()
-            if verdict is not GaloisVerdict.INCONCLUSIVE:
+            if verdict is not GaloisVerdict.INCONCLUSIVE or rules.factor:
+                witness = rules.factor
                 break
         if streak is not None:
             # in a regular action every element's cycles have one length
@@ -806,7 +981,8 @@ def _certify(
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:
     """Re-check any witness and re-run the rule engine on the stored
-    observations.
+    observations, with the polynomial's integer model, so that R-root's
+    rational-root search is re-run too.
 
     The witness is checked by its kind's entry in ``WITNESSES``.  One that
     fails its check, one of an unknown kind, of the wrong arity or with
@@ -830,8 +1006,8 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
             raise PatternReplayMismatch(
                 f"stored {kind} witness {values!r} does not hold for {cert.polynomial}"
             )
+    model = integer_model(cert.polynomial)
     if deep:
-        model = integer_model(cert.polynomial)
         if discriminant(cert.polynomial) != cert.disc:
             raise DiscSquareInconsistency("stored discriminant is wrong")
         for obs in cert.observations:
@@ -840,7 +1016,7 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
                 raise PatternReplayMismatch(
                     f"stored pattern {obs.pattern} at p = {obs.p} does not replay"
                 )
-    verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations)
+    verdict, _ = _evaluate_rules(m, cert.disc_is_square, cert.observations, model)
     if cert.witness is not None and verdict is not GaloisVerdict.INCONCLUSIVE:
         raise PatternReplayMismatch(f"{verdict.value} beside a witness")
     return verdict

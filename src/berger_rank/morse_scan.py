@@ -20,7 +20,10 @@ the resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.
 whether Gal(h - c) is provably the full symmetric group.  True only ever
 means a ``ProvenSymmetric`` certificate.  False comes in flavors recorded
 in ``reason``: a proved non-membership (rational root, hence reducible, or
-a certified alternating group), a repeated root, or plain "unproven".
+a certified alternating group), a repeated root, or plain "unproven".  The
+rational root is the least one, searched by p-adic lifting from the row's
+first good prime (``galois_cert._rational_roots``), so no coefficient is
+factored.
 
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
 fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero
@@ -40,7 +43,6 @@ from .exact_poly import (
     derivative,
     discriminant,
     int_squarefree_part,
-    factor_int,
     rational_is_square,
     resultant,
 )
@@ -51,6 +53,8 @@ from .galois_cert import (
     _certify,
     _check_prime_bound,
     _model_and_disc,
+    _primes,
+    _rational_roots,
 )
 
 __all__ = [
@@ -120,46 +124,20 @@ def is_morse(h: UniPoly) -> MorseReport:
 # -- integer-range scan ----------------------------------------------------------
 
 
-def _divisors_from_factorization(factors: dict[int, int]) -> list[int]:
-    divisors = [1]
-    for p, e in factors.items():
-        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
+def _rational_root(model: UniPoly, model_disc: Fraction):
+    """The least rational root of the squarefree integer polynomial model,
+    of discriminant ``model_disc``, by (|numerator|, denominator, negative
+    after positive), or None if it has none.
 
-
-def _rational_root(model: UniPoly):
-    """Some rational root of the integer polynomial model, or None if none
-    exists (or none provable)."""
-    coeffs = model.coeffs
-    if not coeffs:
-        return None
-    if coeffs[0] == 0:
+    The roots are searched by p-adic lifting from the first prime dividing
+    neither disc nor lc (``galois_cert._rational_roots``), so no
+    coefficient is factored.
+    """
+    if model.coeffs[0] == 0:
         return 0
-    try:
-        nums = _divisors_from_factorization(factor_int(coeffs[0]))
-        dens = _divisors_from_factorization(factor_int(coeffs[-1]))
-    except FactorizationIncomplete:
-        return None  # cannot enumerate candidates, let the certifier decide
-    # den^d f(num/den) = sum a_i num^i den^(d-i): precompute a_i den^(d-i)
-    # for i = d-1 .. 0 per denominator and test each candidate by integer
-    # Horner, in the order nums x dens x (+, -)
-    top = coeffs[-1]
-    scaled_by_den = []
-    for den in dens:
-        scaled, dk = [], 1
-        for a in reversed(coeffs[:-1]):
-            dk *= den
-            scaled.append(a * dk)
-        scaled_by_den.append((den, scaled))
-    for num in nums:
-        for den, scaled in scaled_by_den:
-            for cand in (num, -num):
-                acc = top
-                for a in scaled:
-                    acc = acc * cand + a
-                if acc == 0:
-                    return Fraction(cand, den)
-    return None
+    bad = model_disc.numerator * model.leading_coefficient
+    roots = _rational_roots(model, next(p for p in _primes() if bad % p))
+    return roots[0] if roots else None
 
 
 def _quad_tag(disc) -> int | None:
@@ -177,9 +155,9 @@ def _scan_one(h: UniPoly, c: int, prime_bound: int) -> ScanResult:
         facts = _model_and_disc(fc)
     except NotSquarefree:
         return ScanResult(c, False, None, None, "not squarefree")
-    model, _, disc = facts
+    model, model_disc, disc = facts
     tag = _quad_tag(disc)
-    root = _rational_root(model)
+    root = _rational_root(model, model_disc)
     if root is not None:
         return ScanResult(
             c, False, None, tag, f"reducible: rational root {root}"

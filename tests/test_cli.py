@@ -166,6 +166,32 @@ class TestPayloads:
         assert code == 0
         assert "automorphism: f | f(theta), theta = x^2\n" in out
 
+    def test_galois_factor_key_and_root_rule(self, capsys):
+        # (2x - 3)(x^4 + x + 1): a rational root ends the sampling with its
+        # linear factor; a search that misses proves transitivity instead
+        quintic = "2*x^5 - 3*x^4 + 2*x^2 - x - 3"
+        r = run_json(capsys, "galois", quintic)["result"]
+        assert r["verdict"] == "Inconclusive"
+        assert r["factor"] == {"g": "x - 3/2"}
+        assert len(r["observations"]) <= 3
+        code, out, _ = run_cli(capsys, "galois", quintic)
+        assert code == 0 and "factor: g | f, g = x - 3/2\n" in out
+        slot = (
+            "3*x^12 - 6*x^11 + 9*x^10 - 4*x^9 + 8*x^8 + 9*x^7 - x^6 + x^5 "
+            "+ 8*x^4 + x^3 - x^2 + x - 8"
+        )
+        r = run_json(capsys, "galois", slot)["result"]
+        assert r["verdict"] == "ProvenSymmetric" and "factor" not in r
+        assert [ob["p"] for ob in r["observations"]] == [7, 11]
+        assert [rule["rule"] for rule in r["rules_fired"]][0] == "R-root"
+        argv = ("rank", "-f", quintic, "-g", "y^2 - 1", "-p", "7", "-r", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (
+            f"  galois-f: Fails  (polynomial={quintic}, verdict=Inconclusive, "
+            "rules=['R-jordan'], factor=g | f with g = x - 3/2)\n"
+        ) in out
+
     def test_rank_payload_on_a_decomposable_side(self, capsys):
         argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")
         r = run_json(capsys, *argv)["result"]
@@ -547,7 +573,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 13
+        assert len(README_EXAMPLES) == 15
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

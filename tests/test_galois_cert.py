@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berger_rank import (
@@ -60,6 +60,31 @@ class TestSampling:
     def test_repeated_roots_rejected(self):
         with pytest.raises(NotSquarefree):
             sample_cycle_types(parse_poly("(x-1)^2"), 10)
+
+    def test_primes_are_sieved_segment_by_segment(self):
+        # the segments (200, 400], (400, 800], ... give the primes of one
+        # sieve, and a certificate that stops at p = 3 sieves no further
+        # whatever its bound, alone or on every row of a scan
+        import time
+        from itertools import takewhile
+
+        from berger_rank import primes_up_to, scan_A_h
+
+        assert list(takewhile(lambda p: p <= 10**5, galois_cert._primes())) == primes_up_to(10**5)
+        f = parse_poly("x^7 - x - 1")
+        assert certify_galois(f, MAX_PRIME_BOUND) == certify_galois(f)
+        h = parse_poly("x^5 - 3x + 1")
+        assert scan_A_h(h, -10, 10, prime_bound=MAX_PRIME_BOUND) == scan_A_h(h, -10, 10)
+        elapsed = []
+        for _ in range(3):  # the best of three, as the machine is shared
+            start = time.perf_counter()
+            certify_galois(f, MAX_PRIME_BOUND)
+            middle = time.perf_counter()
+            scan_A_h(h, -10, 10, prime_bound=MAX_PRIME_BOUND)
+            elapsed.append((middle - start, time.perf_counter() - middle))
+        # a sieve to 10^6 alone took 70 ms
+        assert min(e[0] for e in elapsed) < 0.02
+        assert min(e[1] for e in elapsed) < 0.2
 
 
 class TestVerdicts:
@@ -177,13 +202,20 @@ class TestReplay:
         from dataclasses import replace
 
         cert = certify_galois(parse_poly("x^4 - x + 2"), prime_bound=5)
-        # drop the transitivity observation (the 4-cycle at p = 3): a
-        # transposition and a 3-cycle alone must not still replay as
-        # ProvenSymmetric
-        kept = tuple(ob for ob in cert.observations if ob.pattern != (4,))
-        assert len(kept) == 2
+        # drop the primitivity observation (the 3-cycle at p = 5): a
+        # transposition and a 4-cycle both keep blocks of size 2, so they
+        # alone must not still replay as ProvenSymmetric
+        kept = tuple(ob for ob in cert.observations if ob.pattern != (1, 3))
+        assert [ob.pattern for ob in kept] == [(1, 1, 2), (4,)]
         tampered = replace(cert, observations=kept)
         assert replay_certificate(tampered) is not GaloisVerdict.PROVEN_SYMMETRIC
+        # without the 4-cycle, replay proves transitivity from f itself: the
+        # patterns leave only a linear factor possible and f has no
+        # rational root
+        kept = tuple(ob for ob in cert.observations if ob.pattern != (4,))
+        verdict, fired = _evaluate_rules(4, False, kept, integer_model(cert.polynomial))
+        assert "R-root" in [r.rule for r in fired]
+        assert replay_certificate(replace(cert, observations=kept)) is verdict
 
     def test_deep_replay_rejects_tampered_pattern(self):
         from dataclasses import replace
@@ -301,6 +333,7 @@ class TestEarlyStop:
         st.integers(1, 3),
         st.integers(2, 200),
     )
+    @example([3, 0, 0], 1, 2)  # x^3 + 3 at p = 2: (1, 2) and no rational root
     @settings(max_examples=80, deadline=None)
     def test_verdict_equals_full_sampling(self, low, lead, bound):
         f = UniPoly(tuple(low) + (lead,))
@@ -308,13 +341,16 @@ class TestEarlyStop:
             return
         cert = certify_galois(f, prime_bound=bound)
         full = sample_cycle_types(f, bound)
-        verdict, _ = _evaluate_rules(f.degree, cert.disc_is_square, full)
+        # the engine searches f itself for a rational root, so it is given
+        # f's model, as certification is
+        model = integer_model(f)
+        verdict, _ = _evaluate_rules(f.degree, cert.disc_is_square, full, model)
         assert cert.verdict is verdict
         assert cert.observations == full[: len(cert.observations)]
         if verdict in PROVEN:
             # the stop is exact: one observation fewer proves nothing
             shorter, _ = _evaluate_rules(
-                f.degree, cert.disc_is_square, cert.observations[:-1]
+                f.degree, cert.disc_is_square, cert.observations[:-1], model
             )
             assert shorter is GaloisVerdict.INCONCLUSIVE
 
@@ -430,7 +466,7 @@ class TestJordanRule:
         "text, verdict, stop",
         [
             ("x^5 + 20x + 16", GaloisVerdict.PROVEN_ALTERNATING, 7),  # A5
-            ("x^6 + 24x - 20", GaloisVerdict.PROVEN_ALTERNATING, 29),  # A6
+            ("x^6 + 24x - 20", GaloisVerdict.PROVEN_ALTERNATING, 23),  # A6
             ("x^7 - 154x + 99", GaloisVerdict.INCONCLUSIVE, 199),  # PSL(3,2)
             ("x^5 - 5x + 12", GaloisVerdict.INCONCLUSIVE, 199),  # D5
         ],
@@ -624,12 +660,15 @@ class TestDecomposition:
 
     def test_screen_pass_mod_p_is_confirmed_over_q(self):
         # x^4 + 2x^2 + 5x + 2 is (x^2)^2 + 2x^2 + 2 mod 5, the screen's
-        # prime, but does not decompose over Q
+        # prime, but does not decompose over Q; it is (x + 1)(x^3 - x^2 +
+        # 3x + 2), so its certificate holds that factor instead
         f = parse_poly("x^4 + 2x^2 + 5x + 2")
         a = _first_screen_reduction(f)
         assert a.p == 5 and a.coeffs == (2, 0, 2, 0, 1)
         assert galois_cert._decomposition(f, a, [2]) is None
-        assert certify_galois(f).witness is None
+        cert = certify_galois(f)
+        assert _values(cert, "decomposition") is None
+        assert _values(cert, "factor") == (X + 1,)
 
     def test_screen_prime_dividing_the_leading_coefficient(self):
         # 5, 7, 11 and 13 divide lc, so the screen runs at 17
@@ -1284,12 +1323,223 @@ class TestAutomorphismWitness:
             assert cert.observations == sample_cycle_types(f, 200)
 
 
+def _dense_sample(count=300, seed=24):
+    """Seeded squarefree dense polynomials: degree 5 to 14, coefficients in
+    [-9, 9] and leading coefficient 1, 2 or 3."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(5, 14)
+        f = UniPoly(tuple(rng.randint(-9, 9) for _ in range(m)) + (rng.choice([1, 2, 3]),))
+        if discriminant(f) != 0:
+            out.append(f)
+    return out
+
+
+# 3x^12 - 6x^11 + ... - 8: its first two patterns, (1, 2, 4, 5) at 7 and
+# (1, 11) at 11, rule out every block size, hold a 5-cycle and leave degree 1
+# the only factor degree <= 6, and it has no rational root
+SLOWEST_PROVABLE = (
+    "3*x^12 - 6*x^11 + 9*x^10 - 4*x^9 + 8*x^8 + 9*x^7 - x^6 + x^5 + 8*x^4 + x^3 - x^2 + x - 8"
+)
+
+
+class TestRootSearch:
+    def test_transitivity_from_a_missed_search(self):
+        # each variant x -> +-x + k keeps every pattern, so each is proved at
+        # the same two primes; before the search, sampling went on to p = 61
+        f = parse_poly(SLOWEST_PROVABLE)
+        for inner in (X, X + 1, -X - 1, X - 2):
+            cert = certify_galois(_compose_by_hand(f, inner))
+            assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+            assert [o.p for o in cert.observations] == [7, 11]
+            (root,) = [r for r in cert.rules_fired if r.rule == "R-root"]
+            assert root.primes == (7, 11) and "p = 7" in root.detail
+            for deep in (False, True):
+                assert replay_certificate(cert, deep=deep) is cert.verdict
+            # the engine needs f itself: the patterns alone prove nothing
+            verdict, _ = _evaluate_rules(12, False, cert.observations)
+            assert verdict is GaloisVerdict.INCONCLUSIVE
+
+    def test_factor_witness_ends_the_sampling(self):
+        # (2x - 3)(x^4 + x + 1) sampled all 44 good primes below 200
+        f = parse_poly("2*x^5 - 3*x^4 + 2*x^2 - x - 3")
+        cert = certify_galois(f)
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert _values(cert, "factor") == (X - Fraction(3, 2),)
+        assert len(cert.observations) <= 3
+        assert cert.observations == sample_cycle_types(f, cert.observations[-1].p)
+        for deep in (False, True):
+            assert replay_certificate(cert, deep=deep) is GaloisVerdict.INCONCLUSIVE
+        for bad in (X - Fraction(3, 2) - 1, X - Fraction(2, 3), f, UniPoly((5,))):
+            tampered = replace(cert, witness=Witness("factor", (bad,)))
+            for deep in (False, True):
+                with pytest.raises(PatternReplayMismatch) as info:
+                    replay_certificate(tampered, deep=deep)
+                assert isinstance(info.value, InternalCheckError)  # CLI exit 2
+
+    def test_agrees_with_sympy_on_a_dense_sample(self):
+        # R-root fires only on irreducible inputs, a factor witness only on
+        # inputs with a linear factor, and every certificate replays, also
+        # without its witness, as a certificate rebuilt from JSON is
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        counts = {"R-root": 0, "factor": 0}
+        for f in _dense_sample():
+            _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+            roots = {
+                Fraction(-int(g.nth(0)), int(g.nth(1))) for g, _ in factors if g.degree() == 1
+            }
+            cert = certify_galois(f)
+            if "R-root" in [r.rule for r in cert.rules_fired]:
+                assert len(factors) == 1 and factors[0][1] == 1, f
+                assert cert.verdict in PROVEN
+                counts["R-root"] += 1
+            if _values(cert, "factor") is not None:
+                (g,) = _values(cert, "factor")
+                assert g.degree == 1 and g.leading_coefficient == 1
+                assert -g.coefficient(0) in roots, f
+                counts["factor"] += 1
+            for witness in (cert.witness, None):
+                rebuilt = replace(cert, witness=witness)
+                for deep in (False, True):
+                    assert replay_certificate(rebuilt, deep=deep) is cert.verdict
+        assert counts["R-root"] >= 20 and counts["factor"] >= 10, counts
+
+    def test_every_root_is_found(self):
+        # planted roots a/b with b | lc, found from every good prime
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        rng = random.Random(5)
+        x = sympy.Symbol("x")
+        found_roots = 0
+        for _ in range(40):
+            planted = {
+                Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 3))
+            }
+            f = UniPoly((rng.randint(-9, 9), rng.randint(-9, 9), 1, rng.choice([1, 2, 5])))
+            for r in planted:
+                f = f * UniPoly((-r, 1))
+            model = integer_model(f)
+            if discriminant(model) == 0:
+                continue
+            want = {
+                Fraction(-int(g.nth(0)), int(g.nth(1)))
+                for g, _ in sympy.factor_list(sympy.Poly(list(reversed(model.coeffs)), x))[1]
+                if g.degree() == 1
+            }
+            bad = discriminant(model).numerator * model.leading_coefficient
+            for p in [p for p in range(2, 60) if is_prime(p)] + [101, 1009]:
+                found = galois_cert._rational_roots(model, p)
+                if bad % p:
+                    assert set(found) == want and found == sorted(
+                        found, key=lambda v: (abs(v.numerator), v.denominator, v < 0)
+                    ), (f, p)
+                    found_roots += len(found)
+                else:
+                    assert found is None, (f, p)
+        assert found_roots >= 300
+
+    @pytest.mark.parametrize(
+        "text, p",
+        [
+            ("2x^3 + 3x + 3", 2),  # 2 divides lc: the degree drops mod 2
+            ("x^3 + 3", 3),  # x^3 + 3 = x^3 mod 3, a triple root
+            ("x^3 - 2x + 6", 2),  # = x^3 mod 2
+            ("x^3 + 3", 9),  # no prime
+            ("x^3 + 3", 1000003),  # a good prime above MAX_PRIME_BOUND
+        ],
+    )
+    def test_no_search_at_a_bad_prime(self, text, p):
+        # the search trusts no observation: at a prime dividing lc, where a
+        # root mod p is repeated (so p divides disc), at no prime, or at one
+        # too large to evaluate at every residue, it answers "unknown", and
+        # R-root does not fire, though the same pattern at a small good
+        # prime proves Sym(3)
+        f = parse_poly(text)
+        model = integer_model(f)
+        assert galois_cert._rational_roots(model, p) is None
+        verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(p, (1, 2)),), model)
+        assert verdict is GaloisVerdict.INCONCLUSIVE
+        assert "R-root" not in [r.rule for r in fired]
+        bad = discriminant(model) * model.coeffs[-1]
+        good = next(q for q in range(2, 50) if is_prime(q) and bad % q)
+        verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(good, (1, 2)),), model)
+        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC and fired[0].rule == "R-root"
+
+    def test_no_rule_from_a_prime_dividing_disc(self):
+        # where p divides disc but no root mod p is repeated, the search
+        # itself stays complete: every rational root lifts from a simple
+        # root mod p, and what it finds agrees with sympy.  The engine still
+        # searches only from a first observation at a prime dividing neither
+        # disc nor lc, so R-root never fires from one that divides disc
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        f = parse_poly("x^5 + 2x^3 + x + 3")  # x (x^2 + 1)^2 mod 3
+        assert discriminant(f) % 3 == 0 and discriminant(f) % 7 != 0
+        assert sympy.Poly(x**5 + 2 * x**3 + x + 3, x).is_irreducible
+        assert galois_cert._rational_roots(f, 3) == []
+        at_7, at_3 = CycleTypeObservation(7, (1, 1, 3)), CycleTypeObservation(3, (1, 4))
+        verdict, fired = _evaluate_rules(5, False, (at_7, at_3), f)
+        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert "R-root" in [r.rule for r in fired]
+        verdict, fired = _evaluate_rules(5, False, (at_3, at_7), f)
+        assert verdict is GaloisVerdict.INCONCLUSIVE
+        assert "R-root" not in [r.rule for r in fired]
+        checked = moved = 0
+        for f in _dense_sample(150):
+            model = integer_model(f)
+            _, factors = sympy.factor_list(sympy.Poly(list(reversed(model.coeffs)), x))
+            want = {Fraction(-int(g.nth(0)), int(g.nth(1))) for g, _ in factors if g.degree() == 1}
+            disc = discriminant(model)
+            for p in [p for p in range(2, 40) if is_prime(p) and disc % p == 0]:
+                found = galois_cert._rational_roots(model, p)
+                if found is not None:
+                    assert set(found) == want, (f, p)
+                    checked += 1
+            # a certificate proved by R-root, led by an observation at a bad
+            # prime, proves nothing by R-root
+            cert = certify_galois(f)
+            if "R-root" in [r.rule for r in cert.rules_fired]:
+                bad = disc * model.leading_coefficient
+                for p in [p for p in range(2, 40) if is_prime(p) and bad % p == 0]:
+                    lead = CycleTypeObservation(p, cert.observations[0].pattern)
+                    obs = (lead, *cert.observations)
+                    _, fired = _evaluate_rules(f.degree, cert.disc_is_square, obs, model)
+                    assert "R-root" not in [r.rule for r in fired], (f, p)
+                    moved += 1
+        assert checked >= 15 and moved >= 10, (checked, moved)
+
+    def test_search_runs_at_most_once_and_only_when_it_can_pay(self, monkeypatch):
+        # once per certificate at most, and never on the unprovable
+        # families, whose block sizes stay open
+        calls = []
+        real = galois_cert._rational_roots
+
+        def counting(model, p):
+            calls.append(p)
+            return real(model, p)
+
+        monkeypatch.setattr(galois_cert, "_rational_roots", counting)
+        for f in UNPROVABLE:
+            certify_galois(f)
+        assert calls == []
+        for f in [parse_poly(f"x^{m} - x - 1") for m in range(5, 13)] + _dense_sample(40):
+            calls.clear()
+            certify_galois(f)
+            assert len(calls) <= 1
+
+
 class TestWitnessTable:
     def test_every_kind_replays_through_its_check(self):
         for text, kind in (
             ("x^4 - 2", "decomposition"),
             ("x^7 - 3", "dickson"),
             ("x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "automorphism"),
+            ("2*x^5 - 3*x^4 + 2*x^2 - x - 3", "factor"),
         ):
             cert = certify_galois(parse_poly(text))
             assert cert.witness.kind == kind and kind in galois_cert.WITNESSES
@@ -1308,7 +1558,9 @@ class TestWitnessTable:
             Witness("dickson", 5),  # values that are no sequence
             Witness("automorphism", (UniPoly((0, 0, 1), "y"),)),  # another variable
             Witness("automorphism", (X**2, X)),
-            Witness("factor", (X,)),  # a kind the table does not know
+            Witness("factor", (X,)),  # x does not divide x^7 - 3
+            Witness("factor", (X**7 - 3,)),  # nor is f a proper factor of itself
+            Witness("subfield", (X,)),  # a kind the table does not know
             Witness(["dickson"], (0, 0, 3)),  # nor any unhashable kind
         ],
         ids=repr,

@@ -23,6 +23,7 @@ from berger_rank import (
     parse_poly,
     scan_A_h,
 )
+from berger_rank.exact_poly import derivative, discriminant
 from berger_rank.morse_scan import _rational_root
 
 
@@ -234,13 +235,23 @@ def _random_polys(count=200, seed=7):
     return out
 
 
+def _root(f):
+    """_rational_root on f's squarefree integer model and its discriminant,
+    as a scan row gives them; f's repeated roots are roots of it too."""
+    g, h = f, derivative(f)
+    while not h.is_zero:
+        g, h = h, g % h
+    model = integer_model(f // g)
+    return _rational_root(model, discriminant(model))
+
+
 class TestRationalRoot:
     def test_matches_parent_enumeration(self):
         polys = _random_polys()
         assert len(polys) > 150
         found = 0
         for f in polys:
-            root = _rational_root(integer_model(f))
+            root = _root(f)
             want = _parent_rational_root(f)
             # same first root, same type, same text in the scan's reason
             assert (root, type(root), str(root)) == (want, type(want), str(want)), f
@@ -258,11 +269,26 @@ class TestRationalRoot:
                 for fac, _ in factors
                 if fac.degree() == 1
             }
-            root = _rational_root(integer_model(f))
+            root = _root(f)
             if roots:
                 assert root in roots, f
             else:
                 assert root is None, f
+
+    def test_no_coefficient_is_factored(self):
+        # N = (10^30 + 57)(10^30 + 99): enumerating the divisors of x^7 - x +
+        # N's constant spent a second failing to factor it; the roots lifted
+        # from one good prime answer exactly in milliseconds, and find a
+        # root whose numerator and denominator are both such primes
+        import time
+
+        a, b = 10**30 + 57, 10**30 + 99
+        no_root = parse_poly("x^7 - x") + a * b
+        big_root = UniPoly((-a, b)) * parse_poly("x^6 + x + 1")
+        start = time.perf_counter()
+        assert _root(no_root) is None
+        assert _root(big_root) == Fraction(a, b)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestDisjointness:
