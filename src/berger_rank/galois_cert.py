@@ -81,10 +81,11 @@ dividing r.  Each size is screened once, mod the first such prime, reusing
 that prime's reduction, if no pattern below it has ruled the size out: so
 f(x^2) of degree 16 is screened at p = 5 when 5 is good, not above 16.  A
 miss mod p proves that no decomposition with that s exists (see
-``_decomposition``), and an s that passes is redone over Q, where the
-H-adic division of f gives f = G(H) exactly; the certificate then holds it
-as its witness.  Nothing is screened once every size is ruled out, and
-never for a prime m.
+``_decomposition``).  For an s that passes, H is read off the root over Q,
+and the H-adic division of the integer model, run over Z after x -> x/D, D
+the common denominator of H, gives f = G(H) exactly; the certificate then
+holds it as its witness.  Nothing is screened once every size is ruled
+out, and never for a prime m.
 
 A Dickson form, the one witness a prime m can have.  D_m(x, alpha) is the
 Dickson polynomial, D_m(u + alpha/u, alpha) = u^m + (alpha/u)^m, so
@@ -105,7 +106,8 @@ f | f(theta), then for an irreducible f, theta(alpha) is a second root in
 Q(alpha), so Q(alpha) has an automorphism other than the identity and the
 stabiliser of a root is not self-normalizing in Gal(f); in Sym(m) and
 Alt(m), m >= 4, it is.  A reducible f has an intransitive group.  Either
-way Gal(f) contains no Alt(m).  The check is one composition mod f.  In a
+way Gal(f) contains no Alt(m).  The check is one composition mod f, by
+Horner's rule over Z with pseudo-remainders (see ``_is_automorphism``).  In a
 regular action every element has all its cycles of one length, so once the
 first ``_AUTOMORPHISM_STREAK`` (4) good patterns are all homogeneous, (k,
 ..., k), the Frobenius x^p mod (p, f) at the first of them with k >= 2 is
@@ -162,7 +164,6 @@ from .exact_poly import (
 from .modp_factor import (
     DegreePattern,
     PrimePoly,
-    _divmod,
     _gcd,
     _ModRing,
     _monic,
@@ -309,11 +310,14 @@ def _root(terms: list, r: int, count: int, divide, a: list) -> list:
     return a
 
 
-def _decomposition(f: UniPoly, a: PrimePoly, sizes: list[int]) -> Witness | None:
+def _decomposition(
+    f: UniPoly, model: UniPoly, a: PrimePoly, sizes: list[int]
+) -> Witness | None:
     """A witness f = G(H) with deg H in ``sizes`` (ascending divisors s of
     m, 1 < s < m), deg G >= 2 and H monic with H(0) = 0, or None when f has
-    no such decomposition; a is the integer model of f mod a good prime p
-    with p >= 2s and p not dividing m/s for every s in ``sizes``.
+    no such decomposition; ``model`` is f's integer model and a is it mod a
+    good prime p with p >= 2s and p not dividing m/s for every s in
+    ``sizes``.
 
     For s | m, r = m/s, and F(x) = x^m f(1/x) / lc(f) = 1 + f_1 x + ...,
     f = G(H) gives F^(1/r) = R + (g/r) x^s + O(x^(2s)), where R = x^s H(1/x)
@@ -321,14 +325,14 @@ def _decomposition(f: UniPoly, a: PrimePoly, sizes: list[int]) -> Witness | None
     root's coefficients at x^1 .. x^(s-1) are H's, those at x^(s+1) ..
     x^(2s-1) vanish, and then every H-adic digit of f is a constant.
 
-    The screen checks this mod p.  It is sound: the root's coefficients up
-    to x^(2s-1) have denominators dividing powers of lc, r and the n < 2s,
-    all units mod p, so reducing them mod p commutes with the recurrence,
-    and H is monic, so the H-adic digits of f reduce to those of f mod p.
-    A decomposition over Q thus shows mod p, and a miss mod p proves that
-    there is none for that s.  A pass mod p may be a coincidence, so the s
-    that pass are redone over Q, where the H-adic division itself gives
-    f = G(H) when every digit is a constant.
+    The screen checks the vanishing mod p.  It is sound: the root's
+    coefficients up to x^(2s-1) have denominators dividing powers of lc, r
+    and the n < 2s, all units mod p, so reducing them mod p commutes with
+    the recurrence.  A decomposition over Q thus shows mod p, and a miss
+    mod p proves that there is none for that s.  A pass mod p may be a
+    coincidence, so for an s that passes, H is read off the root over Q
+    and the H-adic division of the model, run over Z (``_adic_digits``),
+    gives f = G(H) exactly when every digit is a constant.
     """
     p, cs = a.p, a.coeffs
     m = len(cs) - 1
@@ -347,30 +351,58 @@ def _decomposition(f: UniPoly, a: PrimePoly, sizes: list[int]) -> Witness | None
 
     # the first gap coefficient, at x^(s+1), for every s before any longer root
     roots = {s: root_mod_p(s, s + 2, [1]) for s in sizes}
+    lead = model.coeffs[-1]
     for s, root in roots.items():
         if root[-1] or any(root_mod_p(s, 2 * s, root)[s + 1 :]):
             continue
-        inner = (0, *reversed(root[1:s]), 1)  # H mod p
-        rest = tuple(cs)
-        while len(rest) > 1:
-            rest, digit = _divmod(rest, inner, p)
-            if len(digit) > 1:
-                break
-        else:  # every digit mod p is a constant: redo over Q
-            r, lead = m // s, f.leading_coefficient
-            terms_q = [(k, Fraction(f.coeffs[m - k], lead)) for k in range(1, s)]
-            root_q = _root(terms_q, r, s, lambda acc, n: acc / (n * r), [1])
-            inner_q = UniPoly((0, *reversed(root_q[1:]), 1), f.var)
-            digits, rest_q = [], f
-            while not rest_q.is_constant:
-                rest_q, digit_q = divmod(rest_q, inner_q)
-                if not digit_q.is_constant:
-                    break
-                digits.append(digit_q.coefficient(0))
-            else:  # f = sum digits[i] H^i + rest_q H^r, by the divisions
-                outer = UniPoly((*digits, rest_q.coefficient(0)), f.var)
-                return Witness("decomposition", (outer, inner_q))
+        r = m // s
+        terms_q = [(k, Fraction(model.coeffs[m - k], lead)) for k in range(1, s)]
+        root_q = _root(terms_q, r, s, lambda acc, n: acc / (n * r), [1])
+        inner = UniPoly((0, *reversed(root_q[1:]), 1), f.var)
+        digits = _adic_digits(model.coeffs, inner.coeffs)
+        if digits is not None:  # model = sum digits[i] H^i, and f = lam model
+            lam = Fraction(f.leading_coefficient, lead)
+            if lam != 1:
+                digits = [lam * d for d in digits]
+            return Witness("decomposition", (UniPoly(digits, f.var), inner))
     return None
+
+
+def _adic_digits(model: tuple, inner: tuple) -> list | None:
+    """The digits g_i with model = sum g_i H^i, all constants, or None when
+    some H-adic digit of the integer polynomial ``model`` is not; H =
+    ``inner`` is monic of degree s | m, with rational coefficients of
+    common denominator D.
+
+    The division runs over Z.  Substituting x -> x/D and scaling by D^m
+    turns model = sum d_i H^i, deg d_i < s, into M = sum D^(s(r - i))
+    d_i(x/D) K^i, r = m/s, where M = D^m model(x/D) and K = D^s H(x/D) are
+    integer polynomials and K is monic.  K-adic digits are unique, so those
+    of M are D^(s(r - i)) d_i(x/D): a constant exactly when d_i is, and then
+    the integer g_i D^(s(r - i)).  Dividing by the monic K needs no
+    division of integers.
+    """
+    m, s = len(model) - 1, len(inner) - 1
+    cleared, den = _cleared(inner)  # D H
+    rest = [c * den ** (m - k) for k, c in enumerate(model)]
+    divisor = [c * den ** (s - 1 - k) for k, c in enumerate(cleared[:s])]
+    digits = []
+    while len(rest) > 1:
+        # rest = quotient * K + digit, the quotient left in rest[s:]
+        for k in range(len(rest) - 1, s - 1, -1):
+            top = rest[k]
+            if top:
+                for j, c in enumerate(divisor, k - s):
+                    rest[j] -= top * c
+        if any(rest[1:s]):
+            return None
+        digits.append(rest[0])
+        rest = rest[s:]
+    digits.append(rest[0])
+    if den == 1:
+        return digits
+    r = len(digits) - 1
+    return [Fraction(d, den ** (s * (r - i))) for i, d in enumerate(digits)]
 
 
 def _is_decomposition(f: UniPoly, outer: UniPoly, inner: UniPoly) -> bool:
@@ -393,16 +425,56 @@ def _is_dickson(f: UniPoly, beta, alpha, a) -> bool:
 
 def _is_automorphism(f: UniPoly, theta: UniPoly) -> bool:
     """f | f(theta) with theta != x and deg theta < m, m >= 4, by Horner's
-    rule mod f."""
+    rule mod f, run over Z.
+
+    With F = d f and T = e theta integer polynomials (d, e > 0 the least
+    such), e^m f(theta) = sum F_j T^j e^(m - j) / d, so f | f(theta) exactly
+    when F divides that sum, which Horner's rule builds from the top.  Each
+    step multiplies by T and reduces mod F by pseudo-division: to cancel a
+    top coefficient t, the accumulator is first multiplied by the unit
+    c / gcd(t, c) of Q, c = lc(F).  The product of those units is tracked,
+    so the next coefficient is added times it, and the final remainder is
+    the remainder of the sum times a nonzero rational: zero exactly when F
+    divides the sum.
+    """
     m = f.degree
     if m < 4 or (theta.degree or 0) >= m or theta == UniPoly.variable(f.var):
         return False
     if not theta.is_constant and theta.var != f.var:
         return False
-    acc = UniPoly((), f.var)
-    for c in reversed(f.coeffs):
-        acc = (acc * theta + c) % f
-    return acc.is_zero
+    model, _ = _cleared(f.coeffs)
+    t, e = _cleared(theta.coeffs)
+    lead, low = model[-1], model[:m]
+    acc, unit, scale = [0] * m, 1, 1
+    for c in reversed(model):
+        # acc = unit (sum of the terms so far) mod F
+        prod = [0] * (m + len(t) - 1)
+        for i, u in enumerate(acc):
+            if u:
+                for j, v in enumerate(t, i):
+                    prod[j] += u * v
+        prod[0] += c * scale * unit
+        for k in range(len(prod) - 1, m - 1, -1):
+            top = prod.pop()
+            if top:
+                g = math.gcd(top, lead)
+                if g != lead:
+                    w = lead // g
+                    prod = [w * v for v in prod]
+                    unit *= w
+                top //= g
+                for j, v in enumerate(low, k - m):
+                    prod[j] -= top * v
+        acc = prod
+        scale *= e
+    return not any(acc)
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """(e coeffs, e) for the least e > 0 that makes every coefficient an
+    integer."""
+    e = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (e // c.denominator) for c in coeffs], e
 
 
 # The h test of ``_automorphism`` reads this many bits past its bound, so a
@@ -948,7 +1020,7 @@ def _certify(
             sizes = sorted(s for s in unscreened if 2 * s <= a.p and (m // s) % a.p)
             if sizes:
                 unscreened.difference_update(sizes)
-                witness = _decomposition(f, a, sizes)
+                witness = _decomposition(f, model, a, sizes)
                 if witness:  # Gal(f) contains no Alt(m): sampling more is futile
                     verdict, fired = rules.conclude()
                     break

@@ -393,7 +393,7 @@ class TestEarlyStop:
 
         monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
         # the decomposition witness would end the sampling: turn it off
-        monkeypatch.setattr(galois_cert, "_decomposition", lambda f, a, sizes: None)
+        monkeypatch.setattr(galois_cert, "_decomposition", lambda f, model, a, sizes: None)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
@@ -656,7 +656,7 @@ class TestDecomposition:
             # the screen itself, on every size, which certification skips
             # once a pattern has ruled out every block size
             a = _first_screen_reduction(g)
-            assert galois_cert._decomposition(g, a, _proper_divisors(g.degree)) is None
+            assert galois_cert._decomposition(g, integer_model(g), a, _proper_divisors(g.degree)) is None
 
     def test_screen_pass_mod_p_is_confirmed_over_q(self):
         # x^4 + 2x^2 + 5x + 2 is (x^2)^2 + 2x^2 + 2 mod 5, the screen's
@@ -665,7 +665,7 @@ class TestDecomposition:
         f = parse_poly("x^4 + 2x^2 + 5x + 2")
         a = _first_screen_reduction(f)
         assert a.p == 5 and a.coeffs == (2, 0, 2, 0, 1)
-        assert galois_cert._decomposition(f, a, [2]) is None
+        assert galois_cert._decomposition(f, integer_model(f), a, [2]) is None
         cert = certify_galois(f)
         assert _values(cert, "decomposition") is None
         assert _values(cert, "factor") == (X + 1,)
@@ -684,6 +684,63 @@ class TestDecomposition:
         cert = certify_galois(parse_poly("x^4 - 2"), prime_bound=3)
         assert cert.witness is None
         assert [o.p for o in cert.observations] == [3]
+
+    def test_integer_division_matches_a_fraction_reference(self):
+        # f = lam G(H) with H of denominator 1, 2, 3 or 6, so the division
+        # over Z runs with D > 1, a non-monic G and a rational lam, and one
+        # coefficient of f perturbed: the witness is the one a division over
+        # Q finds, and a perturbed f gets none
+        import random
+
+        def reference(f):
+            """(G, H) for the least s, H monic with H(0) = 0 read off the
+            top coefficients of f / lc = H^r + ..., and G from the H-adic
+            division of f by UniPoly arithmetic; None when none exists."""
+            m, lead = f.degree, f.leading_coefficient
+            for s in _proper_divisors(m):
+                r = m // s
+                inner = X**s
+                for k in range(1, s):  # [x^(m-k)] of H^r is r h_(s-k) + known terms
+                    gap = f.coefficient(m - k) / Fraction(lead) - (inner**r).coefficient(m - k)
+                    inner = inner + (gap / r) * X ** (s - k)
+                digits, rest = [], f
+                while rest.degree:
+                    rest, digit = divmod(rest, inner)
+                    if not digit.is_constant:
+                        break
+                    digits.append(digit.coefficient(0))
+                else:
+                    return UniPoly((*digits, rest.coefficient(0))), inner
+            return None
+
+        rng = random.Random(25)
+        decomposed = fractional = perturbed = 0
+        while decomposed < 60:
+            den = rng.choice([1, 2, 3, 6])
+            s = rng.randint(2, 3)
+            inner = UniPoly([Fraction(rng.randint(-5, 5), den) for _ in range(s)]
+                            + [rng.choice([1, 2, -3])])
+            outer = UniPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 4))]
+                            + [rng.choice([1, 2, 3, -5, 12])])
+            lam = rng.choice([1, Fraction(1, 7), 4, -3])
+            f = lam * _compose_by_hand(outer, inner)
+            if discriminant(f) == 0:
+                continue
+            cert = certify_galois(f)
+            expected = reference(f)
+            assert expected is not None and _values(cert, "decomposition") == expected, f
+            assert galois_cert._is_decomposition(f, *expected)
+            decomposed += 1
+            fractional += any(type(c) is Fraction for c in expected[1].coeffs)
+            # x (not in Q[H] for any H of degree >= 2) or the coefficient
+            # that moves H; the constant would keep the decomposition
+            k = rng.choice([1, f.degree - 1])
+            near = f + Fraction(rng.choice([-1, 1]), rng.choice([1, 2])) * X**k
+            if discriminant(near) != 0:
+                assert reference(near) is None, near
+                assert _values(certify_galois(near), "decomposition") is None, near
+                perturbed += 1
+        assert fractional >= 40 and perturbed >= 50
 
     def test_tampered_witness_does_not_replay(self):
         cert = certify_galois(parse_poly("x^16 + 2"))
@@ -911,9 +968,9 @@ class TestBlockSizes:
         calls = []
         real = galois_cert._decomposition
 
-        def recording(f, a, sizes):
+        def recording(f, model, a, sizes):
             calls.append((a.p, list(sizes)))
-            return real(f, a, sizes)
+            return real(f, model, a, sizes)
 
         monkeypatch.setattr(galois_cert, "_decomposition", recording)
         for text, screened in [
@@ -942,9 +999,9 @@ class TestBlockSizes:
         calls = []
         real = galois_cert._decomposition
 
-        def recording(f, a, sizes):
+        def recording(f, model, a, sizes):
             calls.append((f.degree, a.p, list(sizes)))
-            return real(f, a, sizes)
+            return real(f, model, a, sizes)
 
         monkeypatch.setattr(galois_cert, "_decomposition", recording)
         inputs = UNPROVABLE + _unprovable_style() + [_planted(seed) for seed in range(20)]
@@ -976,7 +1033,7 @@ class TestBlockSizes:
                 # the cyclotomic bases with no decomposition
                 assert slot["family"] == "cyclotomic", f
                 a = _first_screen_reduction(f)
-                assert galois_cert._decomposition(f, a, _proper_divisors(f.degree)) is None
+                assert galois_cert._decomposition(f, integer_model(f), a, _proper_divisors(f.degree)) is None
                 streak = galois_cert._AUTOMORPHISM_STREAK
                 assert cert.observations == sample_cycle_types(f, 200)[:streak]
                 automorphism += 1
@@ -989,7 +1046,7 @@ class TestBlockSizes:
                 dickson += 1
                 continue
             a = _first_screen_reduction(f)
-            every = galois_cert._decomposition(f, a, _proper_divisors(f.degree))
+            every = galois_cert._decomposition(f, integer_model(f), a, _proper_divisors(f.degree))
             assert cert.witness == every, f
             if every is not None:
                 stop = _first_eligible_prime(f, every.values[1].degree)
@@ -1093,9 +1150,9 @@ _SQUAREFREE_N = (5, 7, 10, 11, 13, 14, 15, 17, 21, 22, 26, 30, 34, 42)
 _SQUAREFUL_N = (8, 9, 12, 16, 18, 20, 24, 28, 32, 36, 40, 48)
 
 
-def _planted_cyclotomic(seed, ns=_SQUAREFREE_N):
-    """lam Phi_n(a x + b) for a seeded n and rational lam, a and b, where
-    lam and a are mostly not +-1."""
+def _cyclotomic_parameters(seed, ns=_SQUAREFREE_N):
+    """(lam, n, a, b): a seeded n and rational lam, a and b, where lam and
+    a are mostly not +-1."""
     import random
 
     rng = random.Random(seed)
@@ -1103,6 +1160,12 @@ def _planted_cyclotomic(seed, ns=_SQUAREFREE_N):
     lam = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), rng.randint(1, 3))
     a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
     b = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+    return lam, n, a, b
+
+
+def _planted_cyclotomic(seed, ns=_SQUAREFREE_N):
+    """lam Phi_n(a x + b) for ``_cyclotomic_parameters(seed, ns)``."""
+    lam, n, a, b = _cyclotomic_parameters(seed, ns)
     return lam * _compose_by_hand(_cyclotomic(n), UniPoly((b, a)))
 
 
@@ -1183,6 +1246,52 @@ class TestAutomorphismWitness:
         cubic = parse_poly("x^3 - 3x + 1")  # 2 cos(2 pi k / 9), k = 1, 2, 4
         assert _compose_by_hand(cubic, parse_poly("x^2 - 2")) % cubic == 0
         assert not galois_cert._is_automorphism(cubic, parse_poly("x^2 - 2"))
+
+    def test_integer_check_matches_a_fraction_reference(self):
+        # the check runs over Z; a UniPoly reference over Q decides the same
+        # on lam Phi_n(a x + b) with its true automorphisms, read off the
+        # roots: y = (z - b)/a goes to ((a y + b)^k - b)/a, and with those
+        # tampered, one coefficient moved by 1 or one denominator doubled
+        import random
+        import time
+
+        def reference(f, theta):
+            acc = UniPoly(())
+            for c in reversed(f.coeffs):
+                acc = (acc * theta + c) % f
+            return acc.is_zero
+
+        def automorphism(a, b, k, f):
+            return (_compose_by_hand(X**k, UniPoly((b, a))) - b) * Fraction(1, a) % f
+
+        rng = random.Random(26)
+        checked = 0
+        for seed in range(24):
+            _, n, a, b = _cyclotomic_parameters(seed)
+            f = _planted_cyclotomic(seed)
+            for k in (2, 3, n - 1):
+                if math.gcd(k, n) != 1:
+                    continue
+                theta = automorphism(a, b, k, f)
+                assert galois_cert._is_automorphism(f, theta) and reference(f, theta), (f, k)
+                moved = theta + rng.choice([-1, 1]) * X ** rng.randrange(f.degree)
+                i = next(i for i, c in enumerate(theta.coeffs) if c)
+                halved = UniPoly(tuple(c / 2 if j == i else c for j, c in enumerate(theta.coeffs)))
+                for bad in (moved, halved):
+                    assert not galois_cert._is_automorphism(f, bad) and not reference(f, bad)
+                checked += 1
+        assert checked >= 40
+        # non-monic models with large leading coefficients, under a wall bound
+        for f, (a, b), k in (
+            (-_compose_by_hand(_cyclotomic(34), UniPoly((Fraction(1, 2), 3))), (3, Fraction(1, 2)), 3),
+            (parse_poly("2^1024*x^4 + 2^768*x^3 + 2^512*x^2 + 2^256*x + 1"), (2**256, 0), 2),
+        ):
+            theta = automorphism(a, b, k, f)
+            start = time.perf_counter()
+            assert galois_cert._is_automorphism(f, theta)
+            assert not galois_cert._is_automorphism(f, theta + 1)
+            assert time.perf_counter() - start < 0.5
+            assert reference(f, theta) and not reference(f, theta + 1)
 
     @pytest.mark.parametrize(
         "text",
@@ -1574,3 +1683,33 @@ class TestWitnessTable:
             with pytest.raises(PatternReplayMismatch) as info:
                 replay_certificate(cert, deep=deep)
             assert isinstance(info.value, InternalCheckError)
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("x^16 + 3", "decomposition"),
+            ("x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "automorphism"),
+        ],
+    )
+    def test_finders_reuse_the_model(self, text, kind, monkeypatch):
+        # both exact checks run on the integer model certification already
+        # holds: one integer_model and one discriminant per certificate,
+        # counted through every module that binds them
+        import sys
+
+        from berger_rank import exact_poly
+
+        calls = {"integer_model": 0, "discriminant": 0}
+        for name in calls:
+            real = getattr(exact_poly, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("berger_rank") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        cert = certify_galois(parse_poly(text))
+        assert cert.witness.kind == kind
+        assert calls == {"integer_model": 1, "discriminant": 1}
