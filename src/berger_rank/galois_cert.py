@@ -12,8 +12,9 @@ observations so far prove a verdict, so the bound is only a cap:
   R-trans      some pattern is {m}, so the group is transitive.
   R-trans2     the subset-sum degree sets of all patterns intersect in
                {0, m}, so f is irreducible, so the group is transitive.
-  R-root       they leave 1 as the only factor degree <= m/2, and f has
-               no rational root, so f is irreducible (see below).
+  R-irreducible  f has no factor of a degree <= m/2 that every pattern
+               allows, by one p-adic factor search, so f is irreducible
+               (see below).
   R-primitive  a transitive group is primitive when it keeps no system of
                blocks of size s for any s | m, 1 < s < m, so at once when
                m is prime.  A pattern rules out s when no element of the
@@ -43,31 +44,35 @@ aborts rather than returning anything.  The guard sees only the
 observations a certificate holds, so on a proven certificate it covers the
 primes up to the proving prime, not the bound.
 
-A rational-root search.  A rational factor of f of degree d shows as a
-subset sum d at every good prime, so once the patterns leave 1 as the only
-factor degree <= m/2, f is irreducible exactly when it has no rational
-root.  The engine, given f's integer model, searches it then, once, and
-only when a miss completes the proof: no block size is open and a Jordan
-element is in hand.  The search (``_rational_roots``) is complete: a
-rational root a/b in lowest terms has b | lc and a | a_k, the lowest
-nonzero coefficient, and reduces to a root mod any prime p not dividing
-lc; a simple root mod p is the image of exactly one p-adic root, which
-Newton's iteration lifts to p^N > 2 |a_k lc|, where rational
-reconstruction finds a/b if the p-adic root is one, and homogeneous Horner
-checks it exactly.  It runs at the first observed prime, and only when
-that prime divides neither lc nor disc, which the engine checks by one gcd
-mod p; the search itself also answers "unknown", which proves nothing, at
-no prime, above ``MAX_PRIME_BOUND``, at a p dividing lc or where a root
-mod p is repeated, so neither trusts an observation.  A miss proves transitivity (R-root); a hit is a
-``factor`` witness.  Certification, replay and the CLI reach it through the one
-engine, so a certificate cut short by R-root re-derives on replay, also
-when rebuilt without its witness.
+A factor search.  A factor of f over Q of degree d shows as a subset sum d
+at every good prime, so f is irreducible exactly when it has no factor of a
+degree d <= m/2 among the subset sums common to every pattern.  The
+engine, given f's integer model, searches it once, and only when a miss
+completes the proof: no block size is open, a Jordan element is in hand,
+and transitivity is the one fact missing.  The search (``_small_factor``) is
+Zassenhaus's, at the first observed prime p.  It splits f mod p into its
+irreducible factors, reusing the distinct-degree parts ``degree_pattern``
+formed there and splitting a part only when it holds several factors.  It
+lifts each factor that a subset of the right degree sum holds by Newton's
+iteration to p^N (``_factor_lifts``), and rejects each such subset, as
+soon as the precision allows, by the sum of its roots (which lie within
+Cauchy's bound of an integer next to their mean), by its constant term
+(which divides lc f(0)) or by Mignotte's bound on its coefficients, before
+one exact division over Z.  The factors mod p are unique, so the search
+is complete: a miss proves f irreducible.  It runs only when p divides
+neither lc nor disc, which replay checks by one gcd mod p; it also
+answers "unknown", which proves nothing, at no prime, above
+``MAX_PRIME_BOUND``, or past ``_FACTOR_SEARCH_SUBSETS`` subsets, so it
+trusts no observation.  A miss proves transitivity (R-irreducible); a hit
+is a ``factor`` witness.  Certification, replay and the CLI reach it
+through the one engine, so a certificate cut short by R-irreducible
+re-derives on replay, also when rebuilt without its witness.
 
 The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
 
-A factor.  A rational root r gives g = x - r with g | f, 1 <= deg g < m,
-so f is reducible and Gal(f) intransitive; the check is one division.
+A factor.  A monic g over Q with g | f and 1 <= deg g < m makes f
+reducible and Gal(f) intransitive; the check is one division.
 
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
 into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
@@ -143,7 +148,7 @@ import math
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, takewhile
+from itertools import compress, islice, takewhile
 
 from ._record import Record
 from .errors import (
@@ -164,7 +169,9 @@ from .exact_poly import (
 from .modp_factor import (
     DegreePattern,
     PrimePoly,
+    _divmod,
     _gcd,
+    _irreducible_factors,
     _ModRing,
     _monic,
     _trim,
@@ -406,21 +413,30 @@ def _adic_digits(model: tuple, inner: tuple) -> list | None:
 
 
 def _is_decomposition(f: UniPoly, outer: UniPoly, inner: UniPoly) -> bool:
-    """f = outer(inner), by Horner's rule, with deg outer, deg inner >= 2."""
-    acc = UniPoly((), inner.var)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + c
-    return min(outer.degree or 0, inner.degree or 0) >= 2 and acc == f
+    """f = outer(inner), with deg outer, deg inner >= 2, by the H-adic
+    division over Z of ``_adic_digits``: inner = c H + e, c its leading
+    and e its constant coefficient, so H is monic with H(0) = 0 and f =
+    G(H) with G(y) = outer(c y + e), and the H-adic digits of f, which are
+    unique, must be G's coefficients."""
+    r, s = outer.degree or 0, inner.degree or 0
+    if min(r, s) < 2 or r * s != f.degree or inner.var != f.var:
+        return False
+    c, e = inner.leading_coefficient, inner.coefficient(0)
+    coeffs = list(outer.coeffs)
+    if (c, e) != (1, 0):  # G = outer(c y + e), by Horner's rule
+        coeffs = [coeffs[-1]]
+        for v in reversed(outer.coeffs[:-1]):
+            coeffs = [a * c + b * e for a, b in zip([0, *coeffs], [*coeffs, 0])]
+            coeffs[0] += v
+    model, den = _cleared(f.coeffs)
+    digits = _adic_digits(model, (0, *(Fraction(v, c) for v in inner.coeffs[1:])))
+    return digits is not None and [Fraction(d) / den for d in digits] == coeffs
 
 
 def _is_dickson(f: UniPoly, beta, alpha, a) -> bool:
-    """f = lc(f) (D_m(x - beta, alpha) - a), D_m the Dickson polynomial, m >= 4."""
-    # D_0 = 2, D_1 = y and D_n = y D_(n-1) - alpha D_(n-2), at y = x - beta
-    y = UniPoly((-beta, 1), f.var)
-    low, high = UniPoly((2,), f.var), y
-    for _ in range(f.degree - 1):
-        low, high = high, y * high - alpha * low
-    return f.degree >= 4 and f.leading_coefficient * (high - a) == f
+    """f = lc(f) (D_m(x - beta, alpha) - a), D_m the Dickson polynomial, m >=
+    4: the form is unique, and ``affine_dickson`` finds it exactly."""
+    return f.degree >= 4 and affine_dickson(f) == (beta, alpha, a)
 
 
 def _is_automorphism(f: UniPoly, theta: UniPoly) -> bool:
@@ -718,6 +734,301 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     return roots
 
 
+# Subsets of p-adic factors one factor search may try.  When they run out,
+# the search answers "unknown", which proves nothing.
+_FACTOR_SEARCH_SUBSETS = 2000
+
+
+def _mul_mod(a, b, q: int) -> list[int]:
+    """a b mod q for ascending coefficient lists with entries in [0, q),
+    by one big-int product (Kronecker substitution)."""
+    w = (min(len(a), len(b)) * (q - 1) ** 2).bit_length() + 1
+    u = v = 0
+    for c in reversed(a):
+        u = u << w | c
+    for c in reversed(b):
+        v = v << w | c
+    prod, mask = u * v, (1 << w) - 1
+    return [(prod >> (w * i) & mask) % q for i in range(len(a) + len(b) - 1)]
+
+
+def _inverse(a: tuple, g: tuple, p: int) -> list[int]:
+    """a^-1 mod (p, g), g monic and prime to a over F_p, by the extended
+    Euclidean algorithm, one quotient term at a time, keeping only a's
+    cofactor: s_i a = r_i mod g."""
+    r0, r1, s0, s1 = list(g), list(a), [0], [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):  # r0 -= c x^k r1, s0 -= c x^k s1
+            c, k = r0[-1] * inv % p, len(r0) - len(r1)
+            for j, v in enumerate(r1, k):
+                r0[j] = (r0[j] - c * v) % p
+            s0 += [0] * (len(s1) + k - len(s0))
+            for j, v in enumerate(s1, k):
+                s0[j] = (s0[j] - c * v) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _factor_lifts(cs: tuple, g: tuple, p: int, top: int) -> Iterator[list[int]]:
+    """For q = p^2, p^4, ..., up to q >= top, a power of p, the monic G
+    with G = g mod p that divides F mod q: F is the integer polynomial with
+    ascending coefficients cs, whose leading coefficient p does not divide,
+    and g is a monic irreducible factor of F mod p that F' mod p is prime
+    to.
+
+    Newton's iteration for a factor: if G_j = G mod p^j, then F = (G -
+    G_j) H mod G_j, and F' = G_j' H mod (p^j, G_j), so G = G_j + F G_j' /
+    F' mod (p^(2j), G_j), a quotient in the ring (Z/p^(2j))[x]/(G_j) in
+    which F = 0 mod p^j, so W, the inverse of F' it divides by, need only
+    be right mod p^j; it starts mod p by Euclid's algorithm and keeps up
+    by W <- W (2 - F' W).  For deg g = 1, G = x - r, this is r <- r -
+    F(r) / F'(r), run on integers.  Otherwise an element of the ring is
+    packed into one int, a slot of b bits per coefficient, and reduced
+    mod G_j from the top slot down, one multiple of x^d mod G_j a slot,
+    but mod q only in that top slot: no slot of a product of two reduced
+    elements, or of F mod G_j, reaches q^4 d^3 < 2^b before it is read.
+    """
+    d, m = len(g) - 1, len(cs) - 1
+    slopes = [j * c for j, c in enumerate(cs)][1:]
+    q = p
+    if d == 1:  # the root r = -g_0 of x - r, and w = 1 / F'(r)
+        r = -g[0] % p
+        w = pow(_value_and_slope(cs, r, p)[1], -1, p)
+        while q < top:
+            q *= q
+            value, slope = _value_and_slope(cs, r, q)
+            if q > p * p:
+                w = w * (2 - slope * w) % q
+            r = (r - value * w) % q
+            yield [-r % q, 1]
+        return
+
+    def pack(values) -> int:
+        v = 0
+        for c in reversed(values):
+            v = v << b | c
+        return v
+
+    def reduce(v: int, k: int) -> int:
+        """v, of slots 0 .. k, mod G_j, whose x^d is ``tail``."""
+        for k in range(k, d - 1, -1):
+            kb = k * b
+            t = (v >> kb) % q
+            v = (v & ((1 << kb) - 1)) + (t * tail << (kb - d * b))
+        return v
+
+    def unpack(v: int) -> list[int]:
+        return [(v >> (b * i) & mask) % q for i in range(d)]
+
+    G, w = list(g), None
+    while True:
+        b = 4 * (q.bit_length() + d.bit_length())  # bits a slot
+        mask = (1 << b) - 1
+        tail = pack([-c % q for c in G[:d]])
+        if w is None:  # q = p: W by Euclid's algorithm
+            w = _inverse(_trim(unpack(reduce(pack([c % p for c in slopes]), m - 1))), g, p)
+        else:
+            inv = pack(w)
+            if q > p * p:  # W was right mod q^(1/4); now mod q^(1/2)
+                slope = reduce(pack([c % q for c in slopes]), m - 1)
+                near = unpack(reduce(slope * inv, 2 * d - 2))
+                twice = pack([(2 - near[0]) % q] + [-c % q for c in near[1:]])
+                w = unpack(reduce(inv * twice, 2 * d - 2))
+                inv = pack(w)
+            value = reduce(pack([c % q for c in cs]), m)
+            derivative = pack([j * c % q for j, c in enumerate(G)][1:])
+            step = reduce(reduce(value * derivative, 2 * d - 2) * inv, 2 * d - 2)
+            G = [(c + v) % q for c, v in zip(G, unpack(step))] + [1]
+            yield G
+        if q >= top:
+            return
+        q *= q
+
+
+def _subsets(degrees: list[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """The index sets, ascending, of the entries of the ascending
+    ``degrees`` from ``start`` on that sum to ``target`` > 0."""
+    for i in range(start, len(degrees)):
+        d = degrees[i]
+        if d > target:
+            return
+        if d == target:
+            yield (i,)
+        else:
+            for rest in _subsets(degrees, target - d, i + 1):
+                yield (i, *rest)
+
+
+def _divides(h: list[int], f: tuple) -> bool:
+    """Whether the primitive integer polynomial h divides f in Z[x], so in
+    Q[x] (Gauss's lemma), by long division with exact quotients."""
+    rest, s, lead = list(f), len(h) - 1, h[-1]
+    for k in range(len(rest) - 1, s - 1, -1):
+        top = rest[k]
+        if top:
+            quo, r = divmod(top, lead)
+            if r:
+                return False
+            for j, c in enumerate(h, k - s):
+                rest[j] -= quo * c
+    return not any(rest[:s])
+
+
+def _taylor_shift(cs, s: int) -> list[int]:
+    """The ascending coefficients of F(x + s), F's being cs, read as the
+    balanced base-B digits of the integer F(B + s): each has size at most
+    ||F||_1 (1 + |s|)^m < B / 2."""
+    bits = sum(abs(c) for c in cs).bit_length() + (len(cs) - 1) * (abs(s) + 1).bit_length() + 1
+    value, mask, half = 0, (1 << bits) - 1, 1 << (bits - 1)
+    for c in reversed(cs):
+        value = (value << bits) + value * s + c  # value (B + s) + c
+    out = []
+    for _ in range(len(cs)):
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
+
+
+def _root_radius(cs) -> int:
+    """8 rho rounded up, rho Cauchy's bound on the roots of the polynomial
+    with ascending coefficients cs: the positive root of |c_m| x^m -
+    sum_(i < m) |c_i| x^i, above which that polynomial is positive.  Each
+    t_i = |c_(m-i) / c_m|^(1/i) is at most rho, and 2^k, k the largest
+    ceil((bits(c_(m-i)) - bits(c_m) + 1) / i), lies in (t_max, 8 t_max],
+    so the search runs between 2^(k+4) and 2^k."""
+    lead = abs(cs[-1])
+    # 8^(i+1) |c_(m-1-i)|, so that 8^m times the polynomial at t / 8 is
+    # lead t^m - sum_i scaled[i] t^(m-1-i)
+    scaled = [abs(c) << 3 * i for i, c in enumerate(reversed(cs[:-1]), 1)]
+    k = max(
+        -(-(abs(c).bit_length() - lead.bit_length() + 1) // i)
+        for i, c in enumerate(reversed(cs[:-1]), 1)
+        if c
+    )
+    low, high = (1 << k) - 1 if k >= 0 else 0, 16 << k if k >= 0 else 16
+    while high - low > 1:  # 8 rho is in (low, high]
+        t = (low + high) // 2
+        acc = lead
+        for c in scaled:
+            acc = acc * t - c
+        low, high = (low, t) if acc >= 0 else (t, high)
+    return high
+
+
+def _small_factor(
+    model: UniPoly, p: int, degrees: list[int], parts: list | None = None
+) -> tuple[UniPoly, ...] | None:
+    """(g,), g a monic factor over Q of the integer polynomial ``model``
+    with deg g in ``degrees`` (ascending, in [1, m/2]), the least degree
+    first; () when there is none; None, "unknown", when p is no prime,
+    exceeds ``MAX_PRIME_BOUND`` or divides lc(model) or disc(model), or
+    when the subsets run out.  ``parts``, if given, are model's
+    distinct-degree parts mod p as ``degree_pattern`` found them at a good
+    p; without them p is checked by one gcd mod p.
+
+    Zassenhaus's search (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 15.6): a factor h of degree d over Z is, mod p, the
+    product of a subset of model's irreducible factors mod p, whose degrees
+    sum to d, and those factors, lifted to p^N (``_factor_lifts``), give
+    c h / lc(h), c = lc(model), in the symmetric range as c times their
+    product, once p^N is above twice its size.  So each subset is screened,
+    at each precision that allows a screen, by what c h / lc(h) would be:
+    its coefficient at x^(d-1), -c times the sum of d roots, is at most |c|
+    d rho away from -c d s, every root lying within rho of s (Cauchy's
+    bound on model(x + s), s an integer next to the roots' mean); its
+    constant term divides c model(0); and every coefficient is at most |c|
+    B_d, B_d = C(d, d/2) ||model||_2 (Mignotte).  A subset that passes the
+    last is divided into model over Z.  The lifts run only as long as a
+    subset holds their factor, and the largest factor, when every factor
+    is in some subset, is not lifted at all: model / c is the product of
+    all of them, so its two screened coefficients and, for the division,
+    its whole come from the others'.  A search that rejects every subset
+    proves that model has no factor of a degree in ``degrees``.
+    """
+    cs, lead = model.coeffs, model.coeffs[-1]
+    if p > MAX_PRIME_BOUND or parts is None and not _is_good(model, p):
+        return None
+    factors = _irreducible_factors(PrimePoly(p, cs), parts)
+    sizes = [len(u) - 1 for u in factors]
+    subsets = ((d, subset) for d in degrees for subset in _subsets(sizes, d))
+    candidates = list(islice(subsets, _FACTOR_SEARCH_SUBSETS + 1))
+    if len(candidates) > _FACTOR_SEARCH_SUBSETS:
+        return None
+    if not candidates:
+        return ()
+    # the bounds each test needs p^N above twice of: Mignotte's on every
+    # coefficient, the trace's and the constant term's
+    norm = math.isqrt(sum(c * c for c in cs)) + 1  # > ||model||_2
+    mignotte = {d: abs(lead) * math.comb(d, d // 2) * norm for d in degrees}
+    # the roots lie within radius / 8 of s, an integer next to their mean
+    s = -cs[-2] // ((len(cs) - 1) * lead)
+    radius = _root_radius(_taylor_shift(cs, s) if s else cs)
+    low = lead * cs[0]
+    top = p * p  # the first precision lifted to
+    while top <= 2 * mignotte[candidates[-1][0]]:
+        top *= top
+    unit = pow(lead, -1, top)  # F = unit model mod top is monic
+    # the last, largest, factor is F's quotient by the others, so when
+    # every factor is in some subset it is not lifted: the two
+    # coefficients the screens read, at x^(d-1) and x^0, come from theirs
+    last = len(factors) - 1
+    used = {i for _, subset in candidates for i in subset}
+    skip = last if last and len(used) == len(factors) else None
+    lifts = {i: _factor_lifts(cs, factors[i], p, top) for i in used if i != skip}
+    q = p
+    while candidates:
+        q *= q
+        lifted = {i: next(lift) for i, lift in lifts.items()}
+        seconds = {i: G[-2] for i, G in lifted.items()}
+        consts = {i: G[0] for i, G in lifted.items()}
+        if skip in used:
+            seconds[skip] = (cs[-2] * unit - sum(seconds.values())) % q
+            rest = math.prod(consts.values()) % q
+            consts[skip] = cs[0] * unit * pow(rest, -1, q) % q if rest % p else None
+        live = []
+        for d, subset in candidates:
+            if 4 * q > abs(lead) * d * radius:
+                # lc times the sum of d roots, each within radius / 8 of s
+                trace = -lead * (sum(seconds[i] for i in subset) + d * s) % q
+                if 8 * abs(trace - q if 2 * trace > q else trace) > abs(lead) * d * radius:
+                    continue
+            if low and q > 2 * abs(low) and all(consts[i] is not None for i in subset):
+                c0 = lead  # lc h(0) / lc(h) divides lc f(0)
+                for i in subset:
+                    c0 = c0 * consts[i] % q
+                c0 = c0 - q if 2 * c0 > q else c0
+                if not c0 or low % c0:
+                    continue
+            if q <= 2 * mignotte[d]:
+                live.append((d, subset))
+                continue
+            if skip in subset and skip not in lifted:
+                others = [1]
+                for G in lifted.values():
+                    others = _mul_mod(others, G, q)
+                monic = tuple(c * unit % q for c in cs)
+                lifted[skip] = list(_divmod(monic, tuple(others), q)[0])
+            g = [lead % q]
+            for i in subset:
+                g = _mul_mod(g, lifted[i], q)
+            g = [c - q if 2 * c > q else c for c in g]
+            if all(abs(c) <= mignotte[d] for c in g):
+                content = math.gcd(*g)
+                h = [c // content for c in g]
+                if _divides(h, cs):
+                    return (UniPoly([Fraction(c, h[-1]) for c in h], model.var),)
+        candidates = live
+        used = {i for _, subset in live for i in subset}
+        keep = used | set(lifts) if skip in used else used
+        lifts = {i: lifts[i] for i in keep if i != skip}
+    return ()
+
+
 # kind -> (its exact check(f, *values), the formula it proves, and each
 # value's payload key and its name in the formula)
 WITNESSES = {
@@ -832,16 +1143,16 @@ class _Rules:
     pattern is looked at once: it is checked against the square discriminant
     and the degree, and may supply one of the three facts the rules read:
     transitivity (the first full cycle, the subset sums attainable at every
-    prime, or those sums and a rational-root search), primitivity (each
-    block size ruled out by a pattern that no element keeping such blocks
-    has) and a Jordan element (its first sighting).  ``add`` reports when a
-    fact changed, the only time the verdict can.
+    prime, or those sums and a factor search), primitivity (each block size
+    ruled out by a pattern that no element keeping such blocks has) and a
+    Jordan element (its first sighting).  ``add`` reports when a fact
+    changed, the only time the verdict can.
 
-    Given f's integer model, the engine searches it once for a rational
-    root, when a miss completes the proof: no block size is open, a Jordan
-    element is in hand, and 1 is the only factor degree <= m/2 attainable at
-    every prime.  A miss proves f irreducible (R-root); a hit is a
-    ``factor`` witness, and the verdict stays ``Inconclusive``.
+    Given f's integer model, the engine searches it once for a factor of a
+    degree <= m/2 attainable at every prime, when a miss completes the
+    proof: no block size is open, a Jordan element is in hand, and
+    transitivity is unproved.  A miss proves f irreducible (R-irreducible);
+    a hit is a ``factor`` witness, and the verdict stays ``Inconclusive``.
     Certification and replay always give the model; without one (None) the
     engine never searches, which tests use to check the rules on their own.
     """
@@ -850,14 +1161,15 @@ class _Rules:
         self.m = m
         self.disc_is_square = disc_is_square
         self.model = model
-        self.searched = False  # for a rational root, at most once
+        self.searched = False  # for a factor, at most once
+        self.parts: list | None = None  # of f mod the first observed prime
         self.observations: list[CycleTypeObservation] = []
         self.seen: set[DegreePattern] = set()
         self.full: CycleTypeObservation | None = None
         self.common: set[int] | None = None  # subset sums seen at every prime
         self.trans2 = False  # common is {0, m}
-        self.root: RuleFiring | None = None  # no rational root, so irreducible
-        self.factor: Witness | None = None  # a rational root's linear factor
+        self.irreducible: RuleFiring | None = None  # the factor search missed
+        self.factor: Witness | None = None  # the factor search hit
         # the sizes of block systems no pattern has ruled out yet; a
         # transitive group is primitive once there are none, at once for
         # a prime m
@@ -865,8 +1177,13 @@ class _Rules:
         self.ruled_out: list[tuple[CycleTypeObservation, list[int]]] = []
         self.element: RuleFiring | None = None
 
-    def add(self, obs: CycleTypeObservation) -> bool:
+    def add(self, obs: CycleTypeObservation, parts: list | None = None) -> bool:
+        """Take one observation; ``parts``, if given, are f's distinct-degree
+        parts mod obs.p (``degree_pattern``), which the factor search reuses
+        when obs is the first observation."""
         self.observations.append(obs)
+        if len(self.observations) == 1:
+            self.parts = parts
         pattern, m = obs.pattern, self.m
         if pattern in self.seen:
             return False
@@ -889,7 +1206,7 @@ class _Rules:
         if self.element is None:
             self.element = _jordan_element(obs, m)
             changed = changed or self.element is not None
-        if self.full is None and not self.trans2 and self.root is None:
+        if self.full is None and not self.trans2 and self.irreducible is None:
             # transitivity still unproved
             if pattern == (m,):
                 self.full, changed = obs, True
@@ -905,27 +1222,28 @@ class _Rules:
                     and not self.searched
                     and not self.open_sizes
                     and self.element is not None
-                    and {s for s in self.common if s <= m // 2} == {0, 1}
                 ):
-                    changed = self._search_root() or changed
+                    changed = self._search_factor() or changed
         return changed
 
-    def _search_root(self) -> bool:
-        """Search the model for a rational root, once, at the first observed
-        prime if it is good; whether that settled anything."""
+    def _search_factor(self) -> bool:
+        """Search the model, once, for a factor of a degree <= m/2 that every
+        pattern allows, at the first observed prime if it is good; whether
+        that settled anything."""
         self.searched = True
         model, p = self.model, self.observations[0].p
-        roots = _rational_roots(model, p) if _is_good(model, p) else None
-        if roots:
-            self.factor = Witness("factor", (UniPoly((-roots[0], 1), model.var),))
-        elif roots is not None:
-            self.root = RuleFiring(
-                "R-root",
+        degrees = sorted(s for s in self.common if 1 <= s <= self.m // 2)
+        found = _small_factor(model, p, degrees, self.parts)
+        if found:
+            self.factor = Witness("factor", found)
+        elif found is not None:
+            self.irreducible = RuleFiring(
+                "R-irreducible",
                 tuple(o.p for o in self.observations),
-                "only factor degree 1 is attainable at every prime, "
-                f"and no rational root lifts from p = {p}",
+                f"no factor lifts from p = {p} in the degrees <= {self.m // 2} "
+                f"attainable at every prime: {', '.join(map(str, degrees))}",
             )
-        return roots is not None
+        return found is not None
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
@@ -941,8 +1259,8 @@ class _Rules:
                     "no proper factor degree is attainable at every prime",
                 )
             )
-        elif self.root is not None:
-            fired.append(self.root)
+        elif self.irreducible is not None:
+            fired.append(self.irreducible)
         transitive = bool(fired)
         primitive = transitive and not self.open_sizes  # only when transitive
         if primitive:
@@ -1024,8 +1342,10 @@ def _certify(
                 if witness:  # Gal(f) contains no Alt(m): sampling more is futile
                     verdict, fired = rules.conclude()
                     break
-        pattern = degree_pattern(a, disc_int)
-        if rules.add(CycleTypeObservation(a.p, pattern)):
+        # the factor search runs at the first prime, so its parts are kept
+        parts = None if rules.observations else []
+        pattern = degree_pattern(a, disc_int, parts=parts)
+        if rules.add(CycleTypeObservation(a.p, pattern), parts):
             verdict, fired = rules.conclude()
             if verdict is not GaloisVerdict.INCONCLUSIVE or rules.factor:
                 witness = rules.factor
@@ -1053,8 +1373,8 @@ def _certify(
 
 def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVerdict:
     """Re-check any witness and re-run the rule engine on the stored
-    observations, with the polynomial's integer model, so that R-root's
-    rational-root search is re-run too.
+    observations, with the polynomial's integer model, so that
+    R-irreducible's factor search is re-run too.
 
     The witness is checked by its kind's entry in ``WITNESSES``.  One that
     fails its check, one of an unknown kind, of the wrong arity or with

@@ -291,14 +291,20 @@ class _ModRing:
         return rows
 
 
-def degree_pattern(a: PrimePoly, disc: int | None = None) -> DegreePattern:
+def degree_pattern(
+    a: PrimePoly, disc: int | None = None, parts: list | None = None
+) -> DegreePattern:
     """Sorted multiset of irreducible factor degrees of squarefree a.
 
     Raises NotSquarefree when a has a repeated factor.  ``disc``, if given,
     is the discriminant of an integer lift of a (same degree) and must be
     prime to p, else ValueError; for odd p its Legendre symbol gives the
     parity of the factor count, which ends the loop once at most two
-    factors are left (Stickelberger; see the module docstring).
+    factors are left (Stickelberger; see the module docstring).  A list
+    given as ``parts`` receives the loop's distinct-degree parts, (d, k, g)
+    for k factors of degree d with product g, ascending: the parity then
+    ends the loop only where it leaves whole parts.  A of degree 1 has
+    none.
     """
     p = a.p
     if a.degree is None or a.degree < 1:
@@ -326,11 +332,14 @@ def degree_pattern(a: PrimePoly, disc: int | None = None) -> DegreePattern:
         # only be of degrees d + 1 and m - d - 1
         if r_odd is not None and m < 3 * (d + 1):
             if (len(pattern) % 2 == 0) == r_odd:
-                pattern.append(m)
-                return tuple(pattern)
-            if m <= 2 * d + 3:
+                break
+            if m == 2 * d + 2 or m == 2 * d + 3 and parts is None:
                 pattern += [d + 1, m - d - 1]
+                if parts is not None:
+                    parts.append((d + 1, 2, rest))
                 return tuple(pattern)
+            # two factors of degrees d + 1 and d + 2 are split by one more
+            # step when the parts are asked for
         d += 1
         h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), n)
         g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
@@ -338,6 +347,8 @@ def degree_pattern(a: PrimePoly, disc: int | None = None) -> DegreePattern:
             deg = len(g) - 1
             assert deg % d == 0
             pattern += [d] * (deg // d)
+            if parts is not None:
+                parts.append((d, deg // d, g))
             rest, r = _divmod(rest, g, p)
             assert not r
             # The squarefree check, with no gcd(f, f'): g divides x^(p^d) - x,
@@ -351,4 +362,63 @@ def degree_pattern(a: PrimePoly, disc: int | None = None) -> DegreePattern:
                 raise NotSquarefree(f"{a} has a repeated factor of degree {d}")
     if len(rest) > 1:
         pattern.append(len(rest) - 1)
+        if parts is not None:
+            parts.append((len(rest) - 1, 1, rest))
     return tuple(pattern)
+
+
+def _irreducible_factors(a: PrimePoly, parts: list | None = None) -> list[tuple]:
+    """The monic irreducible factors of the squarefree a, ascending by
+    degree, then by coefficients.
+
+    They come from a's distinct-degree parts: ``parts`` as
+    ``degree_pattern`` left them, else those of a full pass of its loop.
+    Only a part with several factors is split, by Cantor and Zassenhaus's
+    equal-degree splitting (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Algorithm 14.8): for a random a, gcd(a^((p^d - 1)/2) - 1, g),
+    or for p = 2 gcd(a + a^2 + ... + a^(2^(d-1)), g), is a proper factor of
+    g with probability about 1/2.  The factors are unique, so the choice of
+    a changes only the time.
+    """
+    if not parts:
+        parts = []
+        degree_pattern(a, None, parts)
+    out: list[tuple] = []
+    for d, count, g in parts:
+        out += sorted(_equal_degree_split(g, d, a.p)) if count > 1 else [g]
+    return out
+
+
+def _equal_degree_split(g: tuple, d: int, p: int) -> list[tuple]:
+    """The monic irreducible factors of g, a product of distinct ones of
+    degree d over F_p."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    ring = _ModRing(g, p)
+    e = (p**d - 1) // 2
+    state = n  # a fixed pseudo-random sequence (Knuth's MMIX constants)
+    while True:
+        coeffs = []
+        for _ in range(n):
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            coeffs.append((state >> 32) % p)
+        a = ring.pack(coeffs)
+        b = a
+        if p == 2:  # the trace of a down to F_2, slot by slot 0 or 1
+            power = a
+            for _ in range(d - 1):
+                power = ring.mul(power, power)
+                b += power
+            b = ring.unpack(ring.reduce(b), n)
+        else:  # a^e, a square root of 1 at each factor where a is a unit
+            for i in range(e.bit_length() - 2, -1, -1):
+                b = ring.mul(b, b)
+                if e >> i & 1:
+                    b = ring.mul(b, a)
+            b = ring.unpack(b, n)
+            b[0] = (b[0] - 1) % p
+        u = _gcd(_trim(b), g, p)
+        if 1 < len(u) < len(g):
+            rest = _divmod(g, u, p)[0]
+            return _equal_degree_split(u, d, p) + _equal_degree_split(rest, d, p)

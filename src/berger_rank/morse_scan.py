@@ -23,7 +23,9 @@ in ``reason``: a proved non-membership (rational root, hence reducible, or
 a certified alternating group), a repeated root, or plain "unproven".  The
 rational root is the least one, searched by p-adic lifting from the row's
 first good prime (``galois_cert._rational_roots``), so no coefficient is
-factored.
+factored.  "unproven" also covers a row whose certificate ends on a
+``factor`` witness, of degree >= 2 since the row has no rational root: h -
+c is reducible then, but the reason keeps its name.
 
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
 fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero

@@ -183,7 +183,7 @@ class TestPayloads:
         r = run_json(capsys, "galois", slot)["result"]
         assert r["verdict"] == "ProvenSymmetric" and "factor" not in r
         assert [ob["p"] for ob in r["observations"]] == [7, 11]
-        assert [rule["rule"] for rule in r["rules_fired"]][0] == "R-root"
+        assert [rule["rule"] for rule in r["rules_fired"]][0] == "R-irreducible"
         argv = ("rank", "-f", quintic, "-g", "y^2 - 1", "-p", "7", "-r", "1")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -191,6 +191,42 @@ class TestPayloads:
             f"  galois-f: Fails  (polynomial={quintic}, verdict=Inconclusive, "
             "rules=['R-jordan'], factor=g | f with g = x - 3/2)\n"
         ) in out
+
+    def test_factor_search_rederives_from_json(self, capsys):
+        # a certificate rebuilt from the JSON payload, with no witness,
+        # re-derives R-irreducible or the factor on replay
+        from fractions import Fraction
+
+        from berger_rank import GaloisVerdict, integer_model, parse_poly, replay_certificate
+        from berger_rank.galois_cert import (
+            CycleTypeObservation,
+            GaloisCertificate,
+            _evaluate_rules,
+        )
+
+        slot = (
+            "3*x^12 - 6*x^11 + 9*x^10 - 4*x^9 + 8*x^8 + 9*x^7 - x^6 + x^5 "
+            "+ 8*x^4 + x^3 - x^2 + x - 8"
+        )
+        for text, rule in ((slot, "R-irreducible"), ("x^5 - 4*x^4 - 3*x - 1", None)):
+            r = run_json(capsys, "galois", text)["result"]
+            cert = GaloisCertificate(
+                polynomial=parse_poly(r["polynomial"]),
+                disc=Fraction(r["disc"]),
+                disc_is_square=r["disc_is_square"],
+                observations=tuple(
+                    CycleTypeObservation(o["p"], tuple(o["pattern"])) for o in r["observations"]
+                ),
+                rules_fired=(),
+                verdict=GaloisVerdict(r["verdict"]),
+            )
+            assert replay_certificate(cert, deep=True).value == r["verdict"]
+            model = integer_model(cert.polynomial)
+            m = cert.polynomial.degree
+            _, fired = _evaluate_rules(m, cert.disc_is_square, cert.observations, model)
+            assert [f.rule for f in fired] == [f["rule"] for f in r["rules_fired"]]
+            assert (rule in [f.rule for f in fired]) == (rule is not None)
+        assert r["factor"] == {"g": "x^2 - x + 1"} and len(r["observations"]) == 1
 
     def test_rank_payload_on_a_decomposable_side(self, capsys):
         argv = ("rank", "-f", "x^6 + 3x^2 + 1", "-g", "y^2 - 1", "-p", "5", "-r", "1")

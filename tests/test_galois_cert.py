@@ -210,11 +210,11 @@ class TestReplay:
         tampered = replace(cert, observations=kept)
         assert replay_certificate(tampered) is not GaloisVerdict.PROVEN_SYMMETRIC
         # without the 4-cycle, replay proves transitivity from f itself: the
-        # patterns leave only a linear factor possible and f has no
-        # rational root
+        # patterns leave only a linear factor possible and the factor
+        # search finds none
         kept = tuple(ob for ob in cert.observations if ob.pattern != (4,))
         verdict, fired = _evaluate_rules(4, False, kept, integer_model(cert.polynomial))
-        assert "R-root" in [r.rule for r in fired]
+        assert "R-irreducible" in [r.rule for r in fired]
         assert replay_certificate(replace(cert, observations=kept)) is verdict
 
     def test_deep_replay_rejects_tampered_pattern(self):
@@ -1464,7 +1464,7 @@ class TestRootSearch:
             cert = certify_galois(_compose_by_hand(f, inner))
             assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
             assert [o.p for o in cert.observations] == [7, 11]
-            (root,) = [r for r in cert.rules_fired if r.rule == "R-root"]
+            (root,) = [r for r in cert.rules_fired if r.rule == "R-irreducible"]
             assert root.primes == (7, 11) and "p = 7" in root.detail
             for deep in (False, True):
                 assert replay_certificate(cert, deep=deep) is cert.verdict
@@ -1490,32 +1490,34 @@ class TestRootSearch:
                 assert isinstance(info.value, InternalCheckError)  # CLI exit 2
 
     def test_agrees_with_sympy_on_a_dense_sample(self):
-        # R-root fires only on irreducible inputs, a factor witness only on
-        # inputs with a linear factor, and every certificate replays, also
-        # without its witness, as a certificate rebuilt from JSON is
+        # R-irreducible fires only on irreducible inputs, a factor witness
+        # only on reducible ones, where it is an irreducible factor of least
+        # degree, and every certificate replays, also without its witness,
+        # as a certificate rebuilt from JSON is
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        counts = {"R-root": 0, "factor": 0}
+        counts = {"R-irreducible": 0, "factor": 0}
         for f in _dense_sample():
             _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
-            roots = {
-                Fraction(-int(g.nth(0)), int(g.nth(1))) for g, _ in factors if g.degree() == 1
+            monic = {
+                tuple(Fraction(int(c), int(g.LC())) for c in g.all_coeffs()) for g, _ in factors
             }
             cert = certify_galois(f)
-            if "R-root" in [r.rule for r in cert.rules_fired]:
+            if "R-irreducible" in [r.rule for r in cert.rules_fired]:
                 assert len(factors) == 1 and factors[0][1] == 1, f
                 assert cert.verdict in PROVEN
-                counts["R-root"] += 1
+                counts["R-irreducible"] += 1
             if _values(cert, "factor") is not None:
                 (g,) = _values(cert, "factor")
-                assert g.degree == 1 and g.leading_coefficient == 1
-                assert -g.coefficient(0) in roots, f
+                assert g.leading_coefficient == 1
+                assert tuple(reversed(g.coeffs)) in monic, f
+                assert g.degree == min(h.degree() for h, _ in factors), f
                 counts["factor"] += 1
             for witness in (cert.witness, None):
                 rebuilt = replace(cert, witness=witness)
                 for deep in (False, True):
                     assert replay_certificate(rebuilt, deep=deep) is cert.verdict
-        assert counts["R-root"] >= 20 and counts["factor"] >= 10, counts
+        assert counts["R-irreducible"] >= 20 and counts["factor"] >= 10, counts
 
     def test_every_root_is_found(self):
         # planted roots a/b with b | lc, found from every good prime
@@ -1563,28 +1565,30 @@ class TestRootSearch:
         ],
     )
     def test_no_search_at_a_bad_prime(self, text, p):
-        # the search trusts no observation: at a prime dividing lc, where a
+        # the searches trust no observation: at a prime dividing lc, where a
         # root mod p is repeated (so p divides disc), at no prime, or at one
-        # too large to evaluate at every residue, it answers "unknown", and
-        # R-root does not fire, though the same pattern at a small good
-        # prime proves Sym(3)
+        # above MAX_PRIME_BOUND, they answer "unknown", and R-irreducible
+        # does not fire, though the same pattern at a small good prime
+        # proves Sym(3)
         f = parse_poly(text)
         model = integer_model(f)
         assert galois_cert._rational_roots(model, p) is None
+        assert galois_cert._small_factor(model, p, [1]) is None
         verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(p, (1, 2)),), model)
         assert verdict is GaloisVerdict.INCONCLUSIVE
-        assert "R-root" not in [r.rule for r in fired]
+        assert "R-irreducible" not in [r.rule for r in fired]
         bad = discriminant(model) * model.coeffs[-1]
         good = next(q for q in range(2, 50) if is_prime(q) and bad % q)
         verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(good, (1, 2)),), model)
-        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC and fired[0].rule == "R-root"
+        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC and fired[0].rule == "R-irreducible"
 
     def test_no_rule_from_a_prime_dividing_disc(self):
         # where p divides disc but no root mod p is repeated, the search
         # itself stays complete: every rational root lifts from a simple
-        # root mod p, and what it finds agrees with sympy.  The engine still
-        # searches only from a first observation at a prime dividing neither
-        # disc nor lc, so R-root never fires from one that divides disc
+        # root mod p, and what it finds agrees with sympy.  The factor
+        # search runs only from a first observation at a prime dividing
+        # neither disc nor lc, so R-irreducible never fires from one that
+        # divides disc
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         f = parse_poly("x^5 + 2x^3 + x + 3")  # x (x^2 + 1)^2 mod 3
@@ -1594,10 +1598,10 @@ class TestRootSearch:
         at_7, at_3 = CycleTypeObservation(7, (1, 1, 3)), CycleTypeObservation(3, (1, 4))
         verdict, fired = _evaluate_rules(5, False, (at_7, at_3), f)
         assert verdict is GaloisVerdict.PROVEN_SYMMETRIC
-        assert "R-root" in [r.rule for r in fired]
+        assert "R-irreducible" in [r.rule for r in fired]
         verdict, fired = _evaluate_rules(5, False, (at_3, at_7), f)
         assert verdict is GaloisVerdict.INCONCLUSIVE
-        assert "R-root" not in [r.rule for r in fired]
+        assert "R-irreducible" not in [r.rule for r in fired]
         checked = moved = 0
         for f in _dense_sample(150):
             model = integer_model(f)
@@ -1609,16 +1613,16 @@ class TestRootSearch:
                 if found is not None:
                     assert set(found) == want, (f, p)
                     checked += 1
-            # a certificate proved by R-root, led by an observation at a bad
-            # prime, proves nothing by R-root
+            # a certificate proved by R-irreducible, led by an observation at
+            # a bad prime, proves nothing by R-irreducible
             cert = certify_galois(f)
-            if "R-root" in [r.rule for r in cert.rules_fired]:
+            if "R-irreducible" in [r.rule for r in cert.rules_fired]:
                 bad = disc * model.leading_coefficient
                 for p in [p for p in range(2, 40) if is_prime(p) and bad % p == 0]:
                     lead = CycleTypeObservation(p, cert.observations[0].pattern)
                     obs = (lead, *cert.observations)
                     _, fired = _evaluate_rules(f.degree, cert.disc_is_square, obs, model)
-                    assert "R-root" not in [r.rule for r in fired], (f, p)
+                    assert "R-irreducible" not in [r.rule for r in fired], (f, p)
                     moved += 1
         assert checked >= 15 and moved >= 10, (checked, moved)
 
@@ -1626,13 +1630,13 @@ class TestRootSearch:
         # once per certificate at most, and never on the unprovable
         # families, whose block sizes stay open
         calls = []
-        real = galois_cert._rational_roots
+        real = galois_cert._small_factor
 
-        def counting(model, p):
+        def counting(model, p, *args):
             calls.append(p)
-            return real(model, p)
+            return real(model, p, *args)
 
-        monkeypatch.setattr(galois_cert, "_rational_roots", counting)
+        monkeypatch.setattr(galois_cert, "_small_factor", counting)
         for f in UNPROVABLE:
             certify_galois(f)
         assert calls == []
@@ -1640,6 +1644,147 @@ class TestRootSearch:
             calls.clear()
             certify_galois(f)
             assert len(calls) <= 1
+
+
+def _swinnerton_dyer(primes):
+    """prod (x - sum +-sqrt(q)) over every choice of signs, as an integer
+    polynomial: P(x) -> P(x - sqrt(q)) P(x + sqrt(q)) for each q."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    poly = x
+    for q in primes:
+        poly = sympy.expand(sympy.resultant(poly.subs(x, x - y), y**2 - q, y))
+    return UniPoly(tuple(int(c) for c in reversed(sympy.Poly(poly, x).all_coeffs())))
+
+
+def _irreducible(rng, degree, sympy, x):
+    """A random irreducible integer polynomial of this degree, by sympy."""
+    while True:
+        cs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([1, 1, 2, 3])]
+        if cs[0] and sympy.Poly(list(reversed(cs)), x).is_irreducible:
+            return UniPoly(tuple(cs))
+
+
+class TestFactorSearch:
+    def test_products_of_two_irreducibles(self):
+        # a product of irreducibles of degree >= 2 has no rational root, so
+        # only the factor search can end it early; it ends on one of them,
+        # of degree >= 2, or samples every good prime, and is never proved
+        # transitive
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        x = sympy.Symbol("x")
+        rng = random.Random(26)
+        ended = full = 0
+        for _ in range(40):
+            a = rng.randint(2, 5)
+            f = _irreducible(rng, a, sympy, x) * _irreducible(rng, rng.randint(a, 7), sympy, x)
+            if discriminant(f) == 0:
+                continue
+            cert = certify_galois(f)
+            assert cert.verdict is GaloisVerdict.INCONCLUSIVE, f
+            rules = {r.rule for r in cert.rules_fired}
+            assert not rules & {"R-trans", "R-trans2", "R-irreducible"}, f
+            if cert.witness is None:
+                assert cert.observations == sample_cycle_types(f, 200), f
+                full += 1
+                continue
+            assert cert.witness.kind == "factor", (f, cert.witness)
+            (g,) = cert.witness.values
+            assert g.degree >= 2 and (f % g).is_zero, (f, g)
+            assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+            ended += 1
+        assert ended >= 20, (ended, full)
+
+    @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)], ids=["deg8", "deg16"])
+    def test_swinnerton_dyer_never_splits(self, primes):
+        # irreducible, yet every prime splits it into factors of degree <=
+        # 2, the worst case for the subset search: each search proves it
+        # irreducible or answers "unknown", never a factor, in bounded time
+        import time
+
+        f = _swinnerton_dyer(primes)
+        model = integer_model(f)
+        m = f.degree
+        disc = discriminant(model) * model.leading_coefficient
+        started = time.process_time()
+        outcomes = set()
+        for p in [q for q in range(3, 120) if is_prime(q) and disc % q][:8]:
+            found = galois_cert._small_factor(model, p, list(range(1, m // 2 + 1)))
+            assert found in ((), None), (p, found)
+            outcomes.add(found)
+        assert () in outcomes
+        # where every q is a square mod p, f splits into m linear factors:
+        # too many subsets, so the search answers "unknown"
+        p = next(
+            p
+            for p in range(3, 2000)
+            if is_prime(p) and disc % p and all(pow(q, (p - 1) // 2, p) == 1 for q in primes)
+        )
+        if m == 16:
+            assert galois_cert._small_factor(model, p, list(range(1, m // 2 + 1))) is None
+        cert = certify_galois(f)  # f = G(x^2) ends on that decomposition
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.witness.kind == "decomposition"
+        assert "R-irreducible" not in [r.rule for r in cert.rules_fired]
+        assert time.process_time() - started < 10
+
+    def test_reducible_quintic_ends_at_once(self):
+        # (x^2 - x + 1)(x^3 - 3x^2 - 4x - 1): no rational root, pattern 2,3
+        # at p = 2, where the search finds the quadratic factor
+        f = parse_poly("x^5 - 4*x^4 - 3*x - 1")
+        cert = certify_galois(f)
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert [(o.p, o.pattern) for o in cert.observations] == [(2, (2, 3))]
+        assert _values(cert, "factor") == (X**2 - X + 1,)
+        for witness in (cert.witness, None):
+            for deep in (False, True):
+                rebuilt = replace(cert, witness=witness)
+                assert replay_certificate(rebuilt, deep=deep) is GaloisVerdict.INCONCLUSIVE
+
+    def test_a_small_bound_still_lifts(self):
+        # (x - 2)(x^2 - x + 1): at p = 11 its bounds are all below p, yet
+        # the factors are lifted once, to p^2, and the root is found
+        model = parse_poly("x^3 - 3*x^2 + 3*x - 2")
+        assert galois_cert._small_factor(model, 11, [1]) == (X - 2,)
+        assert galois_cert._small_factor(parse_poly("x^3 - x - 1"), 11, [1]) == ()
+
+    def test_factor_search_at_a_bad_prime_proves_nothing(self):
+        # a list doctored to lead with a prime dividing disc, with the good
+        # pattern that proves Sym(12) at p = 7, fires no R-irreducible
+        f = parse_poly(SLOWEST_PROVABLE)
+        model = integer_model(f)
+        cert = certify_galois(f)
+        bad = discriminant(model).numerator * model.leading_coefficient
+        for p in [q for q in range(2, 60) if is_prime(q) and bad % q == 0]:
+            assert galois_cert._small_factor(model, p, [1]) is None
+            lead = CycleTypeObservation(p, cert.observations[0].pattern)
+            verdict, fired = _evaluate_rules(12, False, (lead, *cert.observations), model)
+            assert "R-irreducible" not in [r.rule for r in fired], p
+
+    def test_every_factor_mod_p(self):
+        # the mod-p factors behind the search, each part split by
+        # Cantor-Zassenhaus where it holds several, agree with sympy's
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        from berger_rank.modp_factor import PrimePoly, _irreducible_factors
+
+        x = sympy.Symbol("x")
+        rng = random.Random(8)
+        split = 0
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 11, 101])
+            cs = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
+            factors = sympy.Poly(list(reversed(cs)), x, modulus=p).factor_list()[1]
+            if any(e > 1 for _, e in factors):
+                continue
+            want = sorted(tuple(int(c) % p for c in reversed(g.all_coeffs())) for g, _ in factors)
+            got = _irreducible_factors(PrimePoly(p, cs))
+            assert sorted(got) == want and [len(g) for g in got] == sorted(map(len, got))
+            split += len(got) > len({len(g) for g in got})
+        assert split >= 50
 
 
 class TestWitnessTable:

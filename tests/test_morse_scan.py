@@ -190,6 +190,26 @@ class TestScan:
         assert "squarefree" in rows[0].reason
 
 
+class TestReducibleRows:
+    @pytest.mark.parametrize(
+        "text, factor, count",
+        [
+            ("x^5 - 4*x^4 - 3*x - 1", "x^2 - x + 1", 1),
+            ("x^8 - 2*x^5 - x - 1", "x^2 + x + 1", 9),
+        ],
+    )
+    def test_factor_witness_ends_the_row(self, text, factor, count):
+        # reducible with no rational root: the factor search ends the row on
+        # its quadratic factor, where it sampled every good prime below 200;
+        # the reason stays "unproven"
+        (row,) = scan_A_h(parse_poly(text), 0, 0)
+        assert (row.in_A_h, row.reason) == (False, "unproven")
+        cert = row.certificate
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.witness.kind == "factor" and str(cert.witness.values[0]) == factor
+        assert len(cert.observations) == count
+
+
 def _parent_rational_root(f):
     """The Fraction enumeration that _rational_root replaced, kept as oracle."""
     coeffs = [int(c) for c in integer_model(f).coeffs]
