@@ -112,15 +112,29 @@ Q(alpha), so Q(alpha) has an automorphism other than the identity and the
 stabiliser of a root is not self-normalizing in Gal(f); in Sym(m) and
 Alt(m), m >= 4, it is.  A reducible f has an intransitive group.  Either
 way Gal(f) contains no Alt(m).  The check is one composition mod f, by
-Horner's rule over Z with pseudo-remainders (see ``_is_automorphism``).  In a
+Horner's rule over Z with pseudo-remainders (see ``_is_automorphism``).  Two
+powers of a Frobenius are lifted, each by Newton's iteration in
+(Z/p^N)[x]/(F), F the integer model made monic mod p^N, with ``_ModRing``
+products mod p^N, and a certificate lifts one of them at most.  In a
 regular action every element has all its cycles of one length, so once the
 first ``_AUTOMORPHISM_STREAK`` (4) good patterns are all homogeneous, (k,
 ..., k), the Frobenius x^p mod (p, f) at the first of them with k >= 2 is
-lifted by Newton's iteration in (Z/p^N)[x]/(F), F the integer model made
-monic mod p^N, with ``_ModRing`` products mod p^N (Acciaro and Kluners,
-Math. Comp. 68, 1999: for an abelian Q(alpha) it is an automorphism).  At
-each p^N, theta is rebuilt by rational reconstruction, screened mod the
-other primes of the streak and checked exactly.  A miss is told by an
+lifted (Acciaro and Kluners, Math. Comp. 68, 1999: for an abelian
+Q(alpha) it is an automorphism).  Otherwise, at the first inert prime p,
+where the pattern is (m), Q(alpha) tensor Q_p is the unramified field of
+degree m, so Aut(Q(alpha)) embeds in its Frobenius's cyclic group of
+order m: if a prime l divides |Aut(Q(alpha))|, the Frobenius to the power
+m/l is a global automorphism, and lifting x^(p^(m/l)) finds it.  Such an
+automorphism permutes the roots in l-cycles and commutes with every
+Frobenius, so l is a block size no pattern has ruled out, and every
+pattern seen admits such a permutation commuting with it: each cycle
+length L prime to l comes in a number of cycles that l divides (see
+``_commutes_with_shift``).  Once ``_INERT_GATE`` (8) patterns are in, each
+such l is tried; this finds alpha -> -1/alpha, say, in a field whose group
+keeps blocks of size 2 (an index-2 subfield, so a quadratic, Galois,
+extension on top) and has no decomposition.  At each p^N, theta is rebuilt
+by rational reconstruction, screened mod the other good primes seen and
+checked exactly.  A miss is told by an
 explicit bound: for an automorphism theta, c h, c = lc(F) and h = F' theta
 mod F, has integer coefficients of size at most m C(m-1, (m-1)/2)
 ||F||_2^2, read in the symmetric range with 8 bits to spare; one out of
@@ -509,6 +523,18 @@ _AUTOMORPHISM_MAX_BITS = 2048
 # is tried with chance h_m^4, under 0.4% for m >= 5 (h_m^3 is 1.5% at m = 6),
 # and a try there can only miss.
 _AUTOMORPHISM_STREAK = 4
+# ``_certify`` also lifts x^(p^(m/l)) at the first inert p, where the
+# pattern is (m), once this many patterns are in and each admits an
+# automorphism of order l (``_commutes_with_shift``).  A Sym(m) pattern
+# admits one for l = 2 with chance 0.67, 0.58, 0.50 and 0.45 at m = 4, 6,
+# 8, 10, falling with m, and for an odd l with chance 0.30 or less (m <=
+# 30).  So a Sym(m) input still unproved here, whose inert pattern always
+# passes, is tried with chance 0.67^7 < 6% at m = 4, 2.2% at m = 6 and
+# under 1% from m = 8 on, and a try there can only miss; at 6 patterns it
+# would be 13%, 6.4% and 3%.  Most Sym(m) inputs are proved before the
+# gate, and each pattern more costs an input with an automorphism one
+# pattern.
+_INERT_GATE = 8
 
 
 def _powers(ring: _ModRing, t: int, n: int) -> list[int]:
@@ -525,10 +551,12 @@ def _at(ring: _ModRing, coeffs, powers: list[int]) -> int:
     return ring.reduce(sum(c % q * t for c, t in zip(coeffs, powers)))
 
 
-def _frobenius_lifts(f: tuple, p: int, k: int) -> Iterator[tuple[_ModRing, int]]:
+def _frobenius_lifts(
+    f: tuple, p: int, j: int, k: int
+) -> Iterator[tuple[_ModRing, int]]:
     """(ring, theta) for N = 2, 4, 8, ...: ``ring`` is (Z/p^N)[x]/(f), f
     made monic mod p^N, and theta, packed in it, is the root of f(theta) =
-    0 in Z_p[x]/(f) with theta = x^p mod (p, f).  f is an integer
+    0 in Z_p[x]/(f) with theta = x^(p^j) mod (p, f).  f is an integer
     polynomial of degree n whose leading coefficient p does not divide and
     whose pattern mod p is (k, ..., k).
 
@@ -545,7 +573,7 @@ def _frobenius_lifts(f: tuple, p: int, k: int) -> Iterator[tuple[_ModRing, int]]
         return _ModRing(monic, q), monic, [j * a for j, a in enumerate(monic)][1:]
 
     ring, monic, slopes = ring_mod(p)
-    theta = ring.x_pow(p)
+    theta = ring.x_pow(p**j)
     slope, g, e = _at(ring, slopes, _powers(ring, theta, n - 1)), 1, p**k - 2
     for i in range(e.bit_length() - 1, -1, -1):
         g = ring.mul(g, g)
@@ -594,49 +622,50 @@ def _vanishes_mod(model: UniPoly, theta: UniPoly, a: PrimePoly) -> bool:
     return not _at(ring, monic, _powers(ring, t, len(monic) - 1))
 
 
-def _automorphism(model: UniPoly, streak: list[tuple[PrimePoly, int]]) -> Witness | None:
+def _automorphism(
+    model: UniPoly, a: PrimePoly, j: int, k: int, screens: list[PrimePoly]
+) -> Witness | None:
     """A witness theta with model | model(theta), theta != x and deg theta
     < m, or None; model is f's primitive integer model, of degree m >= 4
-    and leading coefficient c, and ``streak`` pairs the model mod good
-    primes with a k such that the pattern there is (k, ..., k).
+    and leading coefficient c, a is it mod a good prime p where its
+    pattern is (k, ..., k), k >= 2, and ``screens`` are it mod good primes.
 
-    If Q(alpha) is abelian, its Frobenius at a good p is an automorphism
-    theta = x^p mod (p, f) (Acciaro and Kluners, Math. Comp. 68, 1999), so
-    theta is lifted p-adically from the first prime with k >= 2, in
-    (Z/p^N)[x]/(model).  At each p^N, theta is rebuilt by rational
-    reconstruction, screened mod every other prime of the streak and
-    checked exactly, so a hit costs the lift to a p^N near twice theta's
-    size squared.  (A cyclotomic theta is sparse, so one small screen
-    prime passes a wrong rebuild often, and the exact check of a wrong
-    theta is the costly one.)
+    theta is the p-adic lift of x^(p^j) mod (p, f), the Frobenius to the
+    power j, in (Z/p^N)[x]/(model): ``_certify`` lifts x^p when Q(alpha)
+    may be abelian, whose Frobenius is then an automorphism (Acciaro and
+    Kluners, Math. Comp. 68, 1999), and x^(p^(m/l)) at an inert p, where
+    it is one when l divides |Aut(Q(alpha))|.  At each p^N, theta is
+    rebuilt by rational reconstruction, screened mod every other prime of
+    ``screens`` and checked exactly, so a hit costs the lift to a p^N near
+    twice theta's size squared.  (A cyclotomic theta is sparse, so one
+    small screen prime passes a wrong rebuild often, and the exact check
+    of a wrong theta is the costly one.)
 
     A miss is told by h = model' theta mod model.  For an automorphism
-    theta, h = sum_i theta(a_i) c prod_(j != i) (x - a_j) over the roots
-    a_i, and c h has integer coefficients: c theta(a_i) is a root of the
-    monic c^(m-1) model(y/c), and c prod_(j in S) (x - a_j) has integral
-    coefficients for every set S of roots (Gauss's lemma).  By |c a_i| <=
-    M(model), |c e_r(roots but a_i)| <= C(m-1, r) M(model) and M(model) <=
+    theta, h = sum_i theta(r_i) c prod_(n != i) (x - r_n) over the roots
+    r_i, and c h has integer coefficients: c theta(r_i) is a root of the
+    monic c^(m-1) model(y/c), and c prod_(n in S) (x - r_n) has integral
+    coefficients for every set S of roots (Gauss's lemma).  By |c r_i| <=
+    M(model), |c e_d(roots but r_i)| <= C(m-1, d) M(model) and M(model) <=
     ||model||_2 (Landau), they are at most H = m C(m-1, (m-1)/2)
     ||model||_2^2.  c h is read at each p^N > 2^(s+1) H, s =
     ``_AUTOMORPHISM_SLACK_BITS``, and one out of range ends the search: no
-    automorphism lifts x^p.  The lift never goes past 2^B, B =
+    automorphism lifts x^(p^j).  The lift never goes past 2^B, B =
     ``_AUTOMORPHISM_MAX_BITS``, so its cost has a bound whatever the
     input's height: a theta that needs more, or an H past 2^B, leaves the
     input to sampling.
     """
-    p, k = next(((a.p, k) for a, k in streak if k >= 2), (0, 0))
-    if not p:  # x^p = x mod (p, f) at every prime: nothing to lift
-        return None
+    p = a.p
     coeffs, m = model.coeffs, model.degree
-    height = m * math.comb(m - 1, (m - 1) // 2) * sum(a * a for a in coeffs)
+    height = m * math.comb(m - 1, (m - 1) // 2) * sum(v * v for v in coeffs)
     gate = height << (_AUTOMORPHISM_SLACK_BITS + 1)
-    for ring, t in _frobenius_lifts(coeffs, p, k):
+    for ring, t in _frobenius_lifts(coeffs, p, j, k):
         q = ring.p
         if q > gate:
-            scaled = [coeffs[-1] * j * a % q for j, a in enumerate(coeffs)][1:]  # c model'
+            scaled = [coeffs[-1] * i * v % q for i, v in enumerate(coeffs)][1:]  # c model'
             h = ring.unpack(ring.mul(ring.pack(scaled), t), m)
             if any(height < v < q - height for v in h):
-                return None  # no automorphism of the model lifts x^p
+                return None  # no automorphism of the model lifts x^(p^j)
         bound, e, out = math.isqrt((q - 1) // 2), 1, []
         for v in ring.unpack(t, m):
             r = _rational(v * e, q, bound, bound)
@@ -646,14 +675,28 @@ def _automorphism(model: UniPoly, streak: list[tuple[PrimePoly, int]]) -> Witnes
             e *= r[1]
         else:
             candidate = UniPoly(out, model.var)
-            screens = (a for a, _ in streak if a.p != p)
-            if all(_vanishes_mod(model, candidate, a) for a in screens) and (
+            if all(_vanishes_mod(model, candidate, b) for b in screens if b.p != p) and (
                 _is_automorphism(model, candidate)
             ):
                 return Witness("automorphism", (candidate,))
         if 2 * q.bit_length() > _AUTOMORPHISM_MAX_BITS:
             return None
     return None
+
+
+def _commutes_with_shift(pattern: DegreePattern, ell: int) -> bool:
+    """Whether a fixed-point-free permutation of prime order ell commutes
+    with some permutation g of cycle type ``pattern``: as an automorphism of
+    order ell of Q(alpha) does with every Frobenius.
+
+    Such a permutation permutes the cycles of g of each length L.  On a
+    cycle it keeps it is a power of that cycle, of order ell only when ell
+    | L, so the cycles of a length L prime to ell fall into orbits of ell:
+    ell divides their number.  Conversely, the power L/ell of each cycle
+    with ell | L, and a shift of each ell cycles of one length L prime to
+    ell into each other, make one.
+    """
+    return all(pattern.count(part) % ell == 0 for part in set(pattern) if part % ell)
 
 
 def _is_factor(f: UniPoly, g: UniPoly) -> bool:
@@ -1325,8 +1368,13 @@ def _certify(
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
     witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
-    # the first good reductions while every pattern is homogeneous
-    streak: list | None = [] if m >= 4 else None
+    # the Frobenius lifts: the first pattern (k, ..., k), k >= 2, while
+    # every pattern is homogeneous, and the first inert reduction
+    streak: int | None = 0 if m >= 4 else None
+    frobenius: tuple[PrimePoly, int] | None = None
+    inert: PrimePoly | None = None
+    lifted = False  # one lift chain a certificate, at most
+    seen: list[PrimePoly] = []  # the good reductions, screens for a lift
     disc_int = model_disc.numerator
     reductions = () if witness else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
@@ -1350,14 +1398,30 @@ def _certify(
             if verdict is not GaloisVerdict.INCONCLUSIVE or rules.factor:
                 witness = rules.factor
                 break
+        seen.append(a)
         if streak is not None:
             # in a regular action every element's cycles have one length
-            streak = streak + [(a, pattern[0])] if pattern[0] == pattern[-1] else None
-            if streak and len(streak) == _AUTOMORPHISM_STREAK:
-                witness, streak = _automorphism(model, streak), None
-                if witness:
-                    verdict, fired = rules.conclude()
-                    break
+            streak = streak + 1 if pattern[0] == pattern[-1] else None
+            if streak and frobenius is None and pattern[0] >= 2:
+                frobenius = (a, pattern[0])
+            if streak == _AUTOMORPHISM_STREAK and frobenius:
+                lifted, (b, k) = True, frobenius
+                witness = _automorphism(model, b, 1, k, seen)
+        if inert is None and pattern == (m,):
+            inert = a
+        if inert and not lifted and len(seen) >= _INERT_GATE:
+            # Aut(Q(alpha)) embeds in the Frobenius's cyclic group of order
+            # m at an inert prime, so an automorphism of prime order l is
+            # the Frobenius to the power m/l; l is a block size
+            lifted = True
+            for ell in sorted(rules.open_sizes):
+                if is_prime(ell) and all(_commutes_with_shift(u, ell) for u in rules.seen):
+                    witness = _automorphism(model, inert, m // ell, m, seen)
+                    if witness:
+                        break
+        if witness:
+            verdict, fired = rules.conclude()
+            break
     else:  # sampled in full: conclude again, so R-trans2 cites every prime
         verdict, fired = rules.conclude()
     return GaloisCertificate(

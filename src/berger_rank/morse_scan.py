@@ -12,9 +12,13 @@ Both halves reduce to exact squarefreeness checks, each one discriminant:
 
 D is computed by evaluation and interpolation: D(i) = Res_x(h(x) - i, h'(x))
 for i = 0 .. m - 1 by the integer subresultant ``resultant``, then Newton
-interpolation over Q.  This is exact because the leading x-coefficient of
-h(x) - t does not depend on t, so evaluating at t = i commutes with taking
-the resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.
+interpolation over Z: the values are cleared of their common denominator
+L, their forward differences taken in integers and summed against the
+falling factorials t (t - 1) ... (t - k + 1) scaled by (m - 1)!/k!, and the
+sum divided once, by (m - 1)! L.  This is exact because the leading
+x-coefficient of h(x) - t does not depend on t, so evaluating at t = i
+commutes with taking the resultant (Collins, J. ACM 18, 1971), and D has
+degree m - 1.
 
 ``scan_A_h`` walks an integer range of constants c and reports, for each,
 whether Gal(h - c) is provably the full symmetric group.  True only ever
@@ -25,7 +29,9 @@ rational root is the least one, searched by p-adic lifting from the row's
 first good prime (``galois_cert._rational_roots``), so no coefficient is
 factored.  "unproven" also covers a row whose certificate ends on a
 ``factor`` witness, of degree >= 2 since the row has no rational root: h -
-c is reducible then, but the reason keeps its name.
+c is reducible then, but the reason keeps its name.  So does a row whose
+certificate ends on an ``automorphism`` witness: the group then contains
+no Alt(m), so not Sym(m) either, but the reason stays "unproven".
 
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
 fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero
@@ -36,6 +42,7 @@ discriminant, is a display field only.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._record import Record
@@ -92,15 +99,22 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
     tvar = "t" if h.var != "t" else "u"
     m = h.degree
     hp = derivative(h)
-    # Newton divided differences of D at the nodes 0 .. m - 1
-    newton = [resultant(h - i, hp) for i in range(m)]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) / j
-    t = UniPoly.variable(tvar)
-    D = UniPoly.constant(newton[-1], tvar)
-    for k in range(m - 2, -1, -1):
-        D = D * (t - k) + newton[k]
+    values = [resultant(h - i, hp) for i in range(m)]
+    # Newton's forward form over Z: with L the common denominator of the
+    # values, (m-1)! L D(t) = sum_k Delta^k (L D)(0) (m-1)!/k! t (t - 1)
+    # ... (t - k + 1), every term an integer polynomial
+    den = math.lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (den // v.denominator) for v in values]
+    scale = math.factorial(m - 1)
+    newton = []
+    for k in range(m):
+        newton.append(diffs[0] * (scale // math.factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    coeffs = [newton[-1]]
+    for k in range(m - 2, -1, -1):  # coeffs (t - k) + newton[k]
+        coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += newton[k]
+    D = UniPoly([Fraction(c, scale * den) for c in coeffs], tvar)
     # one linear-in-t factor per critical point, counted with multiplicity
     assert D.degree == m - 1, "critical-value polynomial has wrong degree"
     return D

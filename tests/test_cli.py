@@ -609,7 +609,7 @@ class TestRegressionSuite:
         assert "invalid choice: 'paper-examples'" in err
 
     def test_readme_examples_found(self):
-        assert len(README_EXAMPLES) == 15
+        assert len(README_EXAMPLES) == 16
 
     @pytest.mark.parametrize(
         "argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]

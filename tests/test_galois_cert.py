@@ -392,8 +392,11 @@ class TestEarlyStop:
             return real(rules)
 
         monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
-        # the decomposition witness would end the sampling: turn it off
+        # the decomposition witness would end the sampling, and so would
+        # the automorphism theta = -x lifted from the inert prime 5: turn
+        # both off
         monkeypatch.setattr(galois_cert, "_decomposition", lambda f, model, a, sizes: None)
+        monkeypatch.setattr(galois_cert, "_automorphism", lambda *args: None)
         cert = certify_galois(parse_poly("x^8+3x^6-2x^4+5x^2+2"))
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
@@ -1170,10 +1173,11 @@ def _planted_cyclotomic(seed, ns=_SQUAREFREE_N):
 
 
 def _homogeneous_streak(f, length):
-    """(model, streak): f's integer model and its reductions mod the first
-    ``length`` good primes with a homogeneous pattern (k, ..., k), the
-    first with k >= 2, each with its k; None when there are fewer below
-    200."""
+    """The arguments of ``galois_cert._automorphism`` for lifting x^p from
+    the first of the first ``length`` good primes with a homogeneous
+    pattern (k, ..., k), that with k >= 2: f's integer model, its
+    reduction there, 1, k and the reductions of the streak as screens;
+    None when there are fewer below 200."""
     model, model_disc, _ = galois_cert._model_and_disc(f)
     streak = []
     for a in galois_cert._good_reductions(model, model_disc, 200):
@@ -1181,7 +1185,7 @@ def _homogeneous_streak(f, length):
         if pattern[0] == pattern[-1] and (streak or pattern[0] >= 2):
             streak.append((a, pattern[0]))
             if len(streak) == length:
-                return model, streak
+                return model, streak[0][0], 1, streak[0][1], [b for b, _ in streak]
     return None
 
 
@@ -1377,7 +1381,7 @@ class TestAutomorphismWitness:
         misses = [galois_cert._automorphism(*_homogeneous_streak(parse_poly(text), 3))
                   for text in texts]
         elapsed = time.perf_counter() - start
-        monkeypatch.setattr(galois_cert, "_automorphism", lambda model, streak: None)
+        monkeypatch.setattr(galois_cert, "_automorphism", lambda *args: None)
         for text, cert, miss in zip(texts, certs, misses):
             assert cert == certify_galois(parse_poly(text)), text
             assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC and cert.witness is None
@@ -1430,6 +1434,189 @@ class TestAutomorphismWitness:
             cert = certify_galois(f)
             assert cert.witness is None and cert.verdict is GaloisVerdict.INCONCLUSIVE
             assert cert.observations == sample_cycle_types(f, 200)
+
+
+def _has_commuting_shift(pattern, ell):
+    """Whether some fixed-point-free permutation tau of order ell commutes
+    with a permutation g of cycle type ``pattern``, by an exhaustive search
+    over tau, ell-cycle by ell-cycle, least free point first, dropping a
+    partial tau once tau g and g tau differ where both are defined."""
+    import itertools
+
+    m = sum(pattern)
+    g, start = [], 0
+    for part in pattern:
+        g += [start + (i + 1) % part for i in range(part)]
+        start += part
+    tau = [None] * m
+
+    def consistent():
+        return all(
+            tau[x] is None or tau[g[x]] is None or tau[g[x]] == g[tau[x]] for x in range(m)
+        )
+
+    def search():
+        free = [x for x in range(m) if tau[x] is None]
+        if not free:
+            return True
+        for rest in itertools.permutations(free[1:], ell - 1):
+            cycle = (free[0], *rest)
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                tau[x] = y
+            if consistent() and search():
+                return True
+            for x in cycle:
+                tau[x] = None
+        return False
+
+    return m % ell == 0 and search()
+
+
+# x^8 - 6x^7 - 6x^6 - 5x^5 - 5x^4 + 5x^3 - 6x^2 + 6x - 4, a family-scan h:
+# at c = -5 it keeps blocks of size 2 at every good prime below 200, and
+# Q(alpha) has the automorphism alpha -> -1/alpha
+OCTIC_H = "x^8 - 6*x^7 - 6*x^6 - 5*x^5 - 5*x^4 + 5*x^3 - 6*x^2 + 6*x - 4"
+OCTIC_THETA = "x^7 - 6*x^6 - 6*x^5 - 5*x^4 - 5*x^3 + 5*x^2 - 6*x + 6"
+
+
+def _inert_reduction(f):
+    """(model, a, screens): f's integer model, its reduction mod the first
+    good prime below 200 where f is irreducible, and mod the first
+    ``_INERT_GATE`` good primes; None when no good prime below 200 is inert."""
+    model, model_disc, _ = galois_cert._model_and_disc(f)
+    reductions = list(galois_cert._good_reductions(model, model_disc, 200))
+    inert = [a for a in reductions if galois_cert.degree_pattern(a) == (f.degree,)]
+    if not inert:
+        return None
+    return model, inert[0], reductions[: galois_cert._INERT_GATE]
+
+
+class TestInertLift:
+    def test_shift_test_matches_a_brute_force(self):
+        # an automorphism of prime order l permutes the roots without fixed
+        # points and commutes with every Frobenius; the test on a pattern
+        # agrees with a search over such permutations on every cycle type
+        # of degree <= 10, l prime, l dividing m or not
+        checked = {True: 0, False: 0}
+        for m in range(2, 11):
+            for ell in (2, 3, 5, 7):
+                if ell > m:
+                    continue
+                for pattern in _partitions(m):
+                    fast = galois_cert._commutes_with_shift(pattern, ell)
+                    assert fast == _has_commuting_shift(pattern, ell), (pattern, ell)
+                    checked[fast] += 1
+        assert checked[True] >= 50 and checked[False] >= 200, checked
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("k", [0, 1, -1, 2, -2, 3, -3])
+    def test_octic_scan_row_ends_on_an_automorphism(self, s, k):
+        # every variant h(s x + k) - c keeps its patterns, so each has the
+        # inert prime 2 first and ends on its automorphism at the gate; the
+        # row stays unproven
+        from berger_rank import scan_A_h
+
+        h = _compose_by_hand(parse_poly(OCTIC_H), UniPoly((k, s)))
+        (row,) = scan_A_h(h, -5, -5)
+        assert not row.in_A_h and row.reason == "unproven"
+        cert = row.certificate
+        assert cert.verdict is GaloisVerdict.INCONCLUSIVE
+        (theta,) = _values(cert, "automorphism")
+        assert cert.observations[0].p == 2 and cert.observations[0].pattern == (8,)
+        assert len(cert.observations) == galois_cert._INERT_GATE
+        assert _compose_by_hand(cert.polynomial, theta) % cert.polynomial == 0
+        if (s, k) == (1, 0):
+            assert theta == parse_poly(OCTIC_THETA)
+            # alpha -> -1/alpha: alpha theta(alpha) = -1
+            assert (X * theta + 1) % cert.polynomial == 0
+        for deep in (False, True):
+            assert replay_certificate(cert, deep=deep) is GaloisVerdict.INCONCLUSIVE
+
+    def test_hits_exactly_when_the_stabilizer_is_not_self_normalizing(self):
+        # degree 4 and 6 with an inert prime below 200, whose groups sympy
+        # names: Aut(Q(alpha)) is cyclic then, so the lift of x^(p^(m/l))
+        # hits for some prime l exactly when N(H) != H, H a point
+        # stabilizer; every l that hits passes the shift test on every
+        # pattern below 200
+        sympy = pytest.importorskip("sympy")
+        import random
+        import time
+
+        rng = random.Random(27)
+        x = sympy.symbols("x")
+        t = X
+        polys = []
+        for _ in range(30):  # dense, leading coefficient 1 to 3
+            m = rng.choice([4, 6])
+            polys.append(UniPoly(tuple(rng.randint(-6, 6) for _ in range(m)) + (rng.randint(1, 3),)))
+        for _ in range(14):  # x^(m/2) g(x + 1/x) and x^(m/2) g(x - 1/x)
+            half = rng.choice([2, 3])
+            g = [rng.randint(-5, 5) for _ in range(half)] + [1]
+            for sign in (1, -1):
+                acc = UniPoly(())
+                for i, c in enumerate(g):  # sum c (x^2 + sign)^i x^(half - i)
+                    acc = acc + c * (t**2 + sign) ** i * t ** (half - i)
+                polys.append(acc)
+        checked = {"hit": 0, "miss": 0}
+        elapsed = 0.0
+        for f in polys:
+            if discriminant(f) == 0:
+                continue
+            found = _inert_reduction(f)
+            if found is None:
+                continue
+            m = f.degree
+            model, a, screens = found
+            start = time.perf_counter()
+            hits = [
+                ell
+                for ell in (2, 3)
+                if m % ell == 0 and galois_cert._automorphism(model, a, m // ell, m, screens)
+            ]
+            elapsed += time.perf_counter() - start
+            poly = sympy.Poly([int(c) for c in reversed(model.coeffs)], x)
+            group = sympy.galois_group(poly, by_name=False)[0]
+            assert bool(hits) == (_automorphism_count(group) > 1), f
+            patterns = {o.pattern for o in sample_cycle_types(f, 200)}
+            for ell in hits:
+                assert all(galois_cert._commutes_with_shift(u, ell) for u in patterns), (f, ell)
+            checked["hit" if hits else "miss"] += 1
+        assert checked["hit"] >= 8 and checked["miss"] >= 8, checked
+        assert elapsed < 1.0
+
+    def test_inert_lift_runs_only_where_it_can_pay(self, monkeypatch):
+        # no inert lift, and no shift test, on the Sym/Alt oracles; and a
+        # certificate runs one lift chain at most: Phi_17(2^1100 x + 1) lifts
+        # x^3 after its homogeneous streak, misses at the precision cap and
+        # never lifts again from its inert prime 3
+        lifts, tests = [], []
+        real_lifts, real_test = galois_cert._frobenius_lifts, galois_cert._commutes_with_shift
+
+        def lifting(f, p, j, k):
+            lifts.append((p, j, k))
+            return real_lifts(f, p, j, k)
+
+        def testing(pattern, ell):
+            tests.append(pattern)
+            return real_test(pattern, ell)
+
+        monkeypatch.setattr(galois_cert, "_frobenius_lifts", lifting)
+        monkeypatch.setattr(galois_cert, "_commutes_with_shift", testing)
+        oracles = [parse_poly(f"x^{m} - x - 1") for m in range(4, 13)]
+        oracles += [parse_poly(t) for t in ("x^4 + 8x + 12", "x^5 + 20x + 16", "x^6 + 24x - 20")]
+        oracles += [_truncated_exp(8), _truncated_exp(12)]
+        for f in oracles:
+            assert certify_galois(f).verdict in PROVEN
+        assert not any(j >= 2 for _, j, _ in lifts) and tests == []
+        lifts.clear()
+        f = _compose_by_hand(_cyclotomic(17), UniPoly((1, 2**1100)))
+        cert = certify_galois(f)
+        assert cert.witness is None and cert.observations == sample_cycle_types(f, 200)
+        assert cert.observations[0].pattern == (16,)
+        assert lifts == [(3, 1, 16)]
+        lifts.clear()
+        cert = certify_galois(parse_poly(OCTIC_H) + 5)
+        assert lifts == [(2, 4, 8)] and _values(cert, "automorphism") is not None
 
 
 def _dense_sample(count=300, seed=24):

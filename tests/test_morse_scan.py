@@ -81,6 +81,36 @@ class TestCriticalValues:
             got = [sympy.Rational(c.numerator, c.denominator) for c in d.coeffs]
             assert got == list(reversed(want.all_coeffs())), h
 
+    def test_integer_interpolation_matches_a_fraction_reference(self):
+        # D is interpolated over Z with one division at the end; Newton's
+        # divided differences over Q give the same polynomial, also for h
+        # with denominators, so values with a common denominator L > 1
+        from berger_rank.exact_poly import resultant
+
+        def reference(h):
+            m, hp = h.degree, derivative(h)
+            newton = [resultant(h - i, hp) for i in range(m)]
+            for j in range(1, m):
+                for i in range(m - 1, j - 1, -1):
+                    newton[i] = (newton[i] - newton[i - 1]) / j
+            t = UniPoly((0, 1), "t")
+            d = UniPoly((newton[-1],), "t")
+            for k in range(m - 2, -1, -1):
+                d = d * (t - k) + newton[k]
+            return d
+
+        rng = random.Random("integer-interpolation")
+        fractional = 0
+        for _ in range(60):
+            m = rng.randint(2, 12)
+            coeffs = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 12])) for _ in range(m)]
+            coeffs.append(Fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3])))
+            h = UniPoly(coeffs, "x")
+            d = critical_value_resultant(h)
+            assert d.coeffs == reference(h).coeffs, h
+            fractional += any(isinstance(c, Fraction) for c in d.coeffs)
+        assert fractional >= 10
+
 
 class TestMorse:
     def test_family(self):
