@@ -66,7 +66,9 @@ answers "unknown", which proves nothing, at no prime, above
 trusts no observation.  A miss proves transitivity (R-irreducible); a hit
 is a ``factor`` witness.  Certification, replay and the CLI reach it
 through the one engine, so a certificate cut short by R-irreducible
-re-derives on replay, also when rebuilt without its witness.
+re-derives on replay, also when rebuilt without its witness.  The scan's
+rational-root search (``_rational_roots``) lifts each root mod p by the
+same Newton step and keeps a root a/b by the same exact division.
 
 The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
@@ -115,31 +117,32 @@ way Gal(f) contains no Alt(m).  The check is one composition mod f, by
 Horner's rule over Z with pseudo-remainders (see ``_is_automorphism``).  Two
 powers of a Frobenius are lifted, each by Newton's iteration in
 (Z/p^N)[x]/(F), F the integer model made monic mod p^N, with ``_ModRing``
-products mod p^N, and a certificate lifts one of them at most.  In a
-regular action every element has all its cycles of one length, so once the
-first ``_AUTOMORPHISM_STREAK`` (4) good patterns are all homogeneous, (k,
-..., k), the Frobenius x^p mod (p, f) at the first of them with k >= 2 is
-lifted (Acciaro and Kluners, Math. Comp. 68, 1999: for an abelian
-Q(alpha) it is an automorphism).  Otherwise, at the first inert prime p,
-where the pattern is (m), Q(alpha) tensor Q_p is the unramified field of
-degree m, so Aut(Q(alpha)) embeds in its Frobenius's cyclic group of
-order m: if a prime l divides |Aut(Q(alpha))|, the Frobenius to the power
-m/l is a global automorphism, and lifting x^(p^(m/l)) finds it.  Such an
-automorphism permutes the roots in l-cycles and commutes with every
-Frobenius, so l is a block size no pattern has ruled out, and every
-pattern seen admits such a permutation commuting with it: each cycle
-length L prime to l comes in a number of cycles that l divides (see
-``_commutes_with_shift``).  Once ``_INERT_GATE`` (8) patterns are in, each
-such l is tried; this finds alpha -> -1/alpha, say, in a field whose group
-keeps blocks of size 2 (an index-2 subfield, so a quadratic, Galois,
-extension on top) and has no decomposition.  At each p^N, theta is rebuilt
-by rational reconstruction, screened mod the other good primes seen and
-checked exactly.  A miss is told by an
-explicit bound: for an automorphism theta, c h, c = lc(F) and h = F' theta
-mod F, has integer coefficients of size at most m C(m-1, (m-1)/2)
-||F||_2^2, read in the symmetric range with 8 bits to spare; one out of
-range ends the search.  The lift stops at 2^``_AUTOMORPHISM_MAX_BITS``
-(2048), whatever the input's height (see ``_automorphism``).
+products mod p^N, from the factor search's inverse mod p (``_inverse``); a
+certificate lifts one of them at most.  In a regular action every element
+has all its cycles of one length, so once the first
+``_AUTOMORPHISM_STREAK`` (4) good patterns are all homogeneous, (k, ...,
+k), the Frobenius x^p mod (p, f) at the first of them with k >= 2 is lifted
+(Acciaro and Kluners, Math. Comp. 68, 1999: for an abelian Q(alpha) it is
+an automorphism).  Otherwise, at the first inert prime p, where the pattern
+is (m), Q(alpha) tensor Q_p is the unramified field of degree m, so
+Aut(Q(alpha)) embeds in its Frobenius's cyclic group of order m: if a prime
+l divides |Aut(Q(alpha))|, the Frobenius to the power m/l is a global
+automorphism, and lifting x^(p^(m/l)) finds it.  Such an automorphism
+permutes the roots in l-cycles and commutes with every Frobenius, so l is a
+block size no pattern has ruled out, and every pattern seen admits such a
+permutation commuting with it: each cycle length L prime to l comes in a
+number of cycles that l divides (see ``_commutes_with_shift``).  Once
+``_INERT_GATE`` (8) patterns are in, each such l is tried; this finds
+alpha -> -1/alpha, say, in a field whose group keeps blocks of size 2 (an
+index-2 subfield, so a quadratic, Galois, extension on top) and has no
+decomposition.  At each p^N, theta is rebuilt by rational reconstruction,
+screened mod the other good primes seen and checked exactly.  A miss is
+told by an explicit bound: for an automorphism theta, c h, c = lc(F) and
+h = F' theta mod F, has integer coefficients of size at most m C(m-1,
+(m-1)/2) ||F||_2^2, read in the symmetric range with 8 bits to spare; one
+out of range ends the search.  The lift stops at
+2^``_AUTOMORPHISM_MAX_BITS`` (2048), whatever the input's height (see
+``_automorphism``).
 
 A certificate holds at most one ``Witness(kind, values)``.  The table
 ``WITNESSES`` maps each kind to its exact check, the formula it proves and
@@ -173,6 +176,7 @@ from .errors import (
 )
 from .exact_poly import (
     UniPoly,
+    _kronecker_product,
     affine_dickson,
     discriminant,
     integer_model,
@@ -261,21 +265,19 @@ def sample_cycle_types(
     if f.degree is None or f.degree < 1:
         raise InvalidInput("cycle types need degree >= 1")
     model, model_disc, _ = _model_and_disc(f)
-    disc = model_disc.numerator
     return tuple(
-        CycleTypeObservation(a.p, degree_pattern(a, disc))
+        CycleTypeObservation(a.p, degree_pattern(a, model_disc))
         for a in _good_reductions(model, model_disc, prime_bound)
     )
 
 
-def _model_and_disc(f: UniPoly) -> tuple[UniPoly, Fraction, Fraction]:
-    """The primitive integer model of f, its (integer) discriminant, and
+def _model_and_disc(f: UniPoly) -> tuple[UniPoly, int, Fraction]:
+    """The primitive integer model of f, its discriminant, an integer, and
     disc(f) rescaled from it."""
     model = integer_model(f)
-    model_disc = discriminant(model)
+    model_disc = discriminant(model).numerator
     if model_disc == 0:
         raise NotSquarefree(f"{f} has a repeated root")
-    assert model_disc.denominator == 1
     # f = scale * model, and disc(c * F) = c^(2m - 2) * disc(F)
     scale = Fraction(f.leading_coefficient, model.leading_coefficient)
     return model, model_disc, model_disc * scale ** (2 * model.degree - 2)
@@ -301,15 +303,157 @@ def _primes() -> Iterator[int]:
 
 
 def _good_reductions(
-    model: UniPoly, model_disc: Fraction, prime_bound: int
+    model: UniPoly, model_disc: int, prime_bound: int
 ) -> Iterator[PrimePoly]:
     """The model mod each good prime <= bound, ascending.  It is an integer
     lift of its reduction, of full degree at a good p, so its discriminant
     lets ``degree_pattern`` stop early."""
-    bad = abs(model_disc.numerator * model.leading_coefficient)
+    bad = abs(model_disc * model.leading_coefficient)
     for p in takewhile(lambda p: p <= prime_bound, _primes()):
         if bad % p:
             yield reduce_mod_p(model, p)
+
+
+# -- p-adic lifting ---------------------------------------------------------
+# One Newton step, inverse mod p and exact division over Z for every lift.
+
+
+def _value_and_slope(cs, r: int, q: int) -> tuple[int, int]:
+    """(F(r), F'(r)) mod q, F the polynomial with ascending coefficients cs,
+    by one Horner pass."""
+    value = slope = 0
+    for c in reversed(cs):
+        slope = (slope * r + value) % q
+        value = (value * r + c) % q
+    return value, slope
+
+
+def _inverse(a: tuple, g: tuple, p: int) -> list[int]:
+    """a^-1 mod (p, g), g monic and prime to a over F_p, by the extended
+    Euclidean algorithm, one quotient term at a time, keeping only a's
+    cofactor: s_i a = r_i mod g."""
+    r0, r1, s0, s1 = list(g), list(a), [0], [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        while len(r0) >= len(r1):  # r0 -= c x^k r1, s0 -= c x^k s1
+            c, k = r0[-1] * inv % p, len(r0) - len(r1)
+            for j, v in enumerate(r1, k):
+                r0[j] = (r0[j] - c * v) % p
+            s0 += [0] * (len(s1) + k - len(s0))
+            for j, v in enumerate(s1, k):
+                s0[j] = (s0[j] - c * v) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _factor_lifts(cs: tuple, g: tuple, p: int, top: int) -> Iterator[list[int]]:
+    """For q = p^2, p^4, ..., up to q >= top, a power of p, the monic G
+    with G = g mod p that divides F mod q: F is the integer polynomial with
+    ascending coefficients cs, whose leading coefficient p does not divide,
+    and g is a monic irreducible factor of F mod p that F' mod p is prime
+    to.
+
+    Newton's iteration for a factor: if G_j = G mod p^j, then F = (G -
+    G_j) H mod G_j, and F' = G_j' H mod (p^j, G_j), so G = G_j + F G_j' /
+    F' mod (p^(2j), G_j), a quotient in the ring (Z/p^(2j))[x]/(G_j) in
+    which F = 0 mod p^j, so W, the inverse of F' it divides by, need only
+    be right mod p^j; it starts mod p by Euclid's algorithm and keeps up
+    by W <- W (2 - F' W).  For deg g = 1, G = x - r, this is r <- r -
+    F(r) / F'(r), run on integers.  Otherwise an element of the ring is
+    packed into one int, a slot of b bits per coefficient, and reduced
+    mod G_j from the top slot down, one multiple of x^d mod G_j a slot,
+    but mod q only in that top slot: no slot of a product of two reduced
+    elements, or of F mod G_j, reaches q^4 d^3 < 2^b before it is read.
+    """
+    d, m = len(g) - 1, len(cs) - 1
+    q = p
+    if d == 1:  # the root r = -g_0 of x - r, and w = 1 / F'(r)
+        r = -g[0] % p
+        w = pow(_value_and_slope(cs, r, p)[1], -1, p)
+        while q < top:
+            q *= q
+            value, slope = _value_and_slope(cs, r, q)
+            if q > p * p:
+                w = w * (2 - slope * w) % q
+            r = (r - value * w) % q
+            yield [-r % q, 1]
+        return
+
+    def pack(values) -> int:
+        v = 0
+        for c in reversed(values):
+            v = v << b | c
+        return v
+
+    def reduce(v: int, k: int) -> int:
+        """v, of slots 0 .. k, mod G_j, whose x^d is ``tail``."""
+        for k in range(k, d - 1, -1):
+            kb = k * b
+            t = (v >> kb) % q
+            v = (v & ((1 << kb) - 1)) + (t * tail << (kb - d * b))
+        return v
+
+    def unpack(v: int) -> list[int]:
+        return [(v >> (b * i) & mask) % q for i in range(d)]
+
+    slopes = [j * c for j, c in enumerate(cs)][1:]
+    G, w = list(g), None
+    while True:
+        b = 4 * (q.bit_length() + d.bit_length())  # bits a slot
+        mask = (1 << b) - 1
+        tail = pack([-c % q for c in G[:d]])
+        if w is None:  # q = p: W by Euclid's algorithm
+            w = _inverse(_trim(unpack(reduce(pack([c % p for c in slopes]), m - 1))), g, p)
+        else:
+            inv = pack(w)
+            if q > p * p:  # W was right mod q^(1/4); now mod q^(1/2)
+                slope = reduce(pack([c % q for c in slopes]), m - 1)
+                near = unpack(reduce(slope * inv, 2 * d - 2))
+                twice = pack([(2 - near[0]) % q] + [-c % q for c in near[1:]])
+                w = unpack(reduce(inv * twice, 2 * d - 2))
+                inv = pack(w)
+            value = reduce(pack([c % q for c in cs]), m)
+            derivative = pack([j * c % q for j, c in enumerate(G)][1:])
+            step = reduce(reduce(value * derivative, 2 * d - 2) * inv, 2 * d - 2)
+            G = [(c + v) % q for c, v in zip(G, unpack(step))] + [1]
+            yield G
+        if q >= top:
+            return
+        q *= q
+
+
+def _divides(h: list[int], f: tuple) -> bool:
+    """Whether the primitive integer polynomial h divides f in Z[x], so in
+    Q[x] (Gauss's lemma), by long division with exact quotients."""
+    rest, s, lead = list(f), len(h) - 1, h[-1]
+    for k in range(len(rest) - 1, s - 1, -1):
+        top = rest[k]
+        if top:
+            quo, r = divmod(top, lead)
+            if r:
+                return False
+            for j, c in enumerate(h, k - s):
+                rest[j] -= quo * c
+    return not any(rest[:s])
+
+
+def _rational(u: int, q: int, bound: int, den_bound: int) -> tuple[int, int] | None:
+    """(r, s), s > 0 and gcd(r, s) = 1, with r/s = u mod q, |r| <= bound
+    and s <= den_bound, unique when 2 bound den_bound < q, by the extended
+    Euclidean algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Theorem 5.26); None when there is none."""
+    r0, r1, s0, s1 = q, u % q, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if not 0 < s1 <= den_bound or math.gcd(r1, s1) != 1:
+        return None
+    return r1, s1
 
 
 # -- witnesses -------------------------------------------------------------
@@ -551,35 +695,29 @@ def _at(ring: _ModRing, coeffs, powers: list[int]) -> int:
     return ring.reduce(sum(c % q * t for c, t in zip(coeffs, powers)))
 
 
-def _frobenius_lifts(
-    f: tuple, p: int, j: int, k: int
-) -> Iterator[tuple[_ModRing, int]]:
+def _frobenius_lifts(f: tuple, p: int, j: int) -> Iterator[tuple[_ModRing, int]]:
     """(ring, theta) for N = 2, 4, 8, ...: ``ring`` is (Z/p^N)[x]/(f), f
     made monic mod p^N, and theta, packed in it, is the root of f(theta) =
     0 in Z_p[x]/(f) with theta = x^(p^j) mod (p, f).  f is an integer
-    polynomial of degree n whose leading coefficient p does not divide and
-    whose pattern mod p is (k, ..., k).
+    polynomial of degree n and p a good prime for it: p divides neither its
+    leading coefficient nor its discriminant.
 
     Newton's iteration theta <- theta - f(theta) g doubles the precision,
     and g, an inverse of f'(theta), keeps up by g <- g (2 - f'(theta) g).
-    Mod p, f'(theta) is a unit of F_p[x]/(f), a product of n/k fields of
-    p^k elements, so it starts as f'(theta)^(p^k - 2).  Every product is a
-    ``_ModRing`` product mod p^N.
+    Mod p, f'(theta) = f'(x)^(p^j) is a unit of F_p[x]/(f), and g starts
+    as its inverse by Euclid's algorithm (``_inverse``).  Every product is
+    a ``_ModRing`` product mod p^N.
     """
     n = len(f) - 1
 
     def ring_mod(q: int) -> tuple[_ModRing, tuple, list[int]]:
         monic = _monic(tuple(a % q for a in f), q)
-        return _ModRing(monic, q), monic, [j * a for j, a in enumerate(monic)][1:]
+        return _ModRing(monic, q), monic, [i * a for i, a in enumerate(monic)][1:]
 
     ring, monic, slopes = ring_mod(p)
-    theta = ring.x_pow(p**j)
-    slope, g, e = _at(ring, slopes, _powers(ring, theta, n - 1)), 1, p**k - 2
-    for i in range(e.bit_length() - 1, -1, -1):
-        g = ring.mul(g, g)
-        if e >> i & 1:
-            g = ring.mul(g, slope)
-    theta, g = ring.unpack(theta, n), ring.unpack(g, n)
+    t = ring.x_pow(p**j)
+    slope = ring.unpack(_at(ring, slopes, _powers(ring, t, n - 1)), n)
+    theta, g = ring.unpack(t, n), _inverse(_trim(slope), monic, p)
     q = p
     while True:
         q *= q
@@ -592,22 +730,6 @@ def _frobenius_lifts(
         t = ring.reduce(t + full - ring.mul(_at(ring, monic, powers), inv))
         theta, g = ring.unpack(t, n), ring.unpack(inv, n)
         yield ring, t
-
-
-def _rational(u: int, q: int, bound: int, den_bound: int) -> tuple[int, int] | None:
-    """(r, s), s > 0 and gcd(r, s) = 1, with r/s = u mod q, |r| <= bound
-    and s <= den_bound, unique when 2 bound den_bound < q, by the extended
-    Euclidean algorithm (von zur Gathen and Gerhard, Modern Computer
-    Algebra, Theorem 5.26); None when there is none."""
-    r0, r1, s0, s1 = q, u % q, 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if not 0 < s1 <= den_bound or math.gcd(r1, s1) != 1:
-        return None
-    return r1, s1
 
 
 def _vanishes_mod(model: UniPoly, theta: UniPoly, a: PrimePoly) -> bool:
@@ -623,12 +745,12 @@ def _vanishes_mod(model: UniPoly, theta: UniPoly, a: PrimePoly) -> bool:
 
 
 def _automorphism(
-    model: UniPoly, a: PrimePoly, j: int, k: int, screens: list[PrimePoly]
+    model: UniPoly, a: PrimePoly, j: int, screens: list[PrimePoly]
 ) -> Witness | None:
     """A witness theta with model | model(theta), theta != x and deg theta
     < m, or None; model is f's primitive integer model, of degree m >= 4
-    and leading coefficient c, a is it mod a good prime p where its
-    pattern is (k, ..., k), k >= 2, and ``screens`` are it mod good primes.
+    and leading coefficient c, a is it mod a good prime p, whatever its
+    pattern there, and ``screens`` are it mod good primes.
 
     theta is the p-adic lift of x^(p^j) mod (p, f), the Frobenius to the
     power j, in (Z/p^N)[x]/(model): ``_certify`` lifts x^p when Q(alpha)
@@ -659,7 +781,7 @@ def _automorphism(
     coeffs, m = model.coeffs, model.degree
     height = m * math.comb(m - 1, (m - 1) // 2) * sum(v * v for v in coeffs)
     gate = height << (_AUTOMORPHISM_SLACK_BITS + 1)
-    for ring, t in _frobenius_lifts(coeffs, p, j, k):
+    for ring, t in _frobenius_lifts(coeffs, p, j):
         q = ring.p
         if q > gate:
             scaled = [coeffs[-1] * i * v % q for i, v in enumerate(coeffs)][1:]  # c model'
@@ -706,16 +828,6 @@ def _is_factor(f: UniPoly, g: UniPoly) -> bool:
     return (f % g).is_zero
 
 
-def _value_and_slope(cs, r: int, q: int) -> tuple[int, int]:
-    """(F(r), F'(r)) mod q, F the polynomial with ascending coefficients cs,
-    by one Horner pass."""
-    value = slope = 0
-    for c in reversed(cs):
-        slope = (slope * r + value) % q
-        value = (value * r + c) % q
-    return value, slope
-
-
 def _is_good(model: UniPoly, p: int) -> bool:
     """Whether p is a prime dividing neither lc(model) nor disc(model):
     model mod p keeps its degree and is prime to its derivative."""
@@ -735,161 +847,38 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     A root a/b in lowest terms has b | lc and a | a_k, the lowest nonzero
     coefficient, or a = 0, so |a| <= |a_k| and b <= |lc|; and p does not
     divide b, so a/b reduces to a root mod p.  Each root mod p, being
-    simple, is the image of one p-adic root, which Newton's iteration
+    simple, is the image of one p-adic root, which ``_factor_lifts``
     carries to p^N > 2 |a_k lc|; there rational reconstruction
-    (``_rational``) finds a/b if the p-adic root is one, and an exact check
-    by homogeneous Horner keeps it.  So the search is complete: an empty
-    list proves that model has no rational root.  The roots mod p are read
-    by evaluating at every residue, so p is capped.
+    (``_rational``) finds a/b if the p-adic root is one, and one exact
+    division by b x - a keeps it.  So the search is complete: an empty list
+    proves that model has no rational root.  The roots mod p are read by
+    evaluating at every residue, so p is capped.
     """
     cs = model.coeffs
     if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:
         return None
-    reduced = [c % p for c in reversed(cs)]
-    residues = [] if reduced[-1] else [0]
-    for r in range(1, p):
-        acc = 0
-        for c in reduced:
-            acc = acc * r + c
-        if acc % p == 0:
-            residues.append(r)
     low, lead = next(c for c in cs if c), cs[-1]
-    target = 2 * abs(low * lead)  # reconstruction is unique above it
+    q = p * p
+    while q <= 2 * abs(low * lead):  # reconstruction is unique above it
+        q *= q
     roots = []
-    for r in residues:
-        q = p
-        while q == p or q <= target:
-            q *= q
-            value, slope = _value_and_slope(cs, r, q)
-            if slope % p == 0:  # a repeated root mod p
-                return None
-            r = (r - value * pow(slope, -1, q)) % q
-        v = _rational(r, q, abs(low), abs(lead))
-        if v is not None and (v[0] == 0 or low % v[0] == 0) and lead % v[1] == 0:
-            a, b = v
-            acc, scale = 0, 1  # sum c_i a^i b^(m - i)
-            for c in reversed(cs):
-                acc, scale = acc * a + c * scale, scale * b
-            if acc == 0:
-                roots.append(Fraction(a, b))
-    if len(roots) > 1:
-        roots.sort(key=lambda v: (abs(v.numerator), v.denominator, v < 0))
+    for r in range(p):
+        value, slope = _value_and_slope(cs, r, p)
+        if value:
+            continue
+        if not slope:  # a repeated root mod p
+            return None
+        *_, (const, _) = _factor_lifts(cs, (-r % p, 1), p, q)
+        v = _rational(-const, q, abs(low), abs(lead))
+        if v is not None and _divides([-v[0], v[1]], cs):
+            roots.append(Fraction(*v))
+    roots.sort(key=lambda v: (abs(v.numerator), v.denominator, v < 0))
     return roots
 
 
 # Subsets of p-adic factors one factor search may try.  When they run out,
 # the search answers "unknown", which proves nothing.
 _FACTOR_SEARCH_SUBSETS = 2000
-
-
-def _mul_mod(a, b, q: int) -> list[int]:
-    """a b mod q for ascending coefficient lists with entries in [0, q),
-    by one big-int product (Kronecker substitution)."""
-    w = (min(len(a), len(b)) * (q - 1) ** 2).bit_length() + 1
-    u = v = 0
-    for c in reversed(a):
-        u = u << w | c
-    for c in reversed(b):
-        v = v << w | c
-    prod, mask = u * v, (1 << w) - 1
-    return [(prod >> (w * i) & mask) % q for i in range(len(a) + len(b) - 1)]
-
-
-def _inverse(a: tuple, g: tuple, p: int) -> list[int]:
-    """a^-1 mod (p, g), g monic and prime to a over F_p, by the extended
-    Euclidean algorithm, one quotient term at a time, keeping only a's
-    cofactor: s_i a = r_i mod g."""
-    r0, r1, s0, s1 = list(g), list(a), [0], [1]
-    while len(r1) > 1:
-        inv = pow(r1[-1], -1, p)
-        while len(r0) >= len(r1):  # r0 -= c x^k r1, s0 -= c x^k s1
-            c, k = r0[-1] * inv % p, len(r0) - len(r1)
-            for j, v in enumerate(r1, k):
-                r0[j] = (r0[j] - c * v) % p
-            s0 += [0] * (len(s1) + k - len(s0))
-            for j, v in enumerate(s1, k):
-                s0[j] = (s0[j] - c * v) % p
-            while r0 and not r0[-1]:
-                r0.pop()
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    inv = pow(r1[0], -1, p)
-    return [c * inv % p for c in s1]
-
-
-def _factor_lifts(cs: tuple, g: tuple, p: int, top: int) -> Iterator[list[int]]:
-    """For q = p^2, p^4, ..., up to q >= top, a power of p, the monic G
-    with G = g mod p that divides F mod q: F is the integer polynomial with
-    ascending coefficients cs, whose leading coefficient p does not divide,
-    and g is a monic irreducible factor of F mod p that F' mod p is prime
-    to.
-
-    Newton's iteration for a factor: if G_j = G mod p^j, then F = (G -
-    G_j) H mod G_j, and F' = G_j' H mod (p^j, G_j), so G = G_j + F G_j' /
-    F' mod (p^(2j), G_j), a quotient in the ring (Z/p^(2j))[x]/(G_j) in
-    which F = 0 mod p^j, so W, the inverse of F' it divides by, need only
-    be right mod p^j; it starts mod p by Euclid's algorithm and keeps up
-    by W <- W (2 - F' W).  For deg g = 1, G = x - r, this is r <- r -
-    F(r) / F'(r), run on integers.  Otherwise an element of the ring is
-    packed into one int, a slot of b bits per coefficient, and reduced
-    mod G_j from the top slot down, one multiple of x^d mod G_j a slot,
-    but mod q only in that top slot: no slot of a product of two reduced
-    elements, or of F mod G_j, reaches q^4 d^3 < 2^b before it is read.
-    """
-    d, m = len(g) - 1, len(cs) - 1
-    slopes = [j * c for j, c in enumerate(cs)][1:]
-    q = p
-    if d == 1:  # the root r = -g_0 of x - r, and w = 1 / F'(r)
-        r = -g[0] % p
-        w = pow(_value_and_slope(cs, r, p)[1], -1, p)
-        while q < top:
-            q *= q
-            value, slope = _value_and_slope(cs, r, q)
-            if q > p * p:
-                w = w * (2 - slope * w) % q
-            r = (r - value * w) % q
-            yield [-r % q, 1]
-        return
-
-    def pack(values) -> int:
-        v = 0
-        for c in reversed(values):
-            v = v << b | c
-        return v
-
-    def reduce(v: int, k: int) -> int:
-        """v, of slots 0 .. k, mod G_j, whose x^d is ``tail``."""
-        for k in range(k, d - 1, -1):
-            kb = k * b
-            t = (v >> kb) % q
-            v = (v & ((1 << kb) - 1)) + (t * tail << (kb - d * b))
-        return v
-
-    def unpack(v: int) -> list[int]:
-        return [(v >> (b * i) & mask) % q for i in range(d)]
-
-    G, w = list(g), None
-    while True:
-        b = 4 * (q.bit_length() + d.bit_length())  # bits a slot
-        mask = (1 << b) - 1
-        tail = pack([-c % q for c in G[:d]])
-        if w is None:  # q = p: W by Euclid's algorithm
-            w = _inverse(_trim(unpack(reduce(pack([c % p for c in slopes]), m - 1))), g, p)
-        else:
-            inv = pack(w)
-            if q > p * p:  # W was right mod q^(1/4); now mod q^(1/2)
-                slope = reduce(pack([c % q for c in slopes]), m - 1)
-                near = unpack(reduce(slope * inv, 2 * d - 2))
-                twice = pack([(2 - near[0]) % q] + [-c % q for c in near[1:]])
-                w = unpack(reduce(inv * twice, 2 * d - 2))
-                inv = pack(w)
-            value = reduce(pack([c % q for c in cs]), m)
-            derivative = pack([j * c % q for j, c in enumerate(G)][1:])
-            step = reduce(reduce(value * derivative, 2 * d - 2) * inv, 2 * d - 2)
-            G = [(c + v) % q for c, v in zip(G, unpack(step))] + [1]
-            yield G
-        if q >= top:
-            return
-        q *= q
 
 
 def _subsets(degrees: list[int], target: int, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -904,21 +893,6 @@ def _subsets(degrees: list[int], target: int, start: int = 0) -> Iterator[tuple[
         else:
             for rest in _subsets(degrees, target - d, i + 1):
                 yield (i, *rest)
-
-
-def _divides(h: list[int], f: tuple) -> bool:
-    """Whether the primitive integer polynomial h divides f in Z[x], so in
-    Q[x] (Gauss's lemma), by long division with exact quotients."""
-    rest, s, lead = list(f), len(h) - 1, h[-1]
-    for k in range(len(rest) - 1, s - 1, -1):
-        top = rest[k]
-        if top:
-            quo, r = divmod(top, lead)
-            if r:
-                return False
-            for j, c in enumerate(h, k - s):
-                rest[j] -= quo * c
-    return not any(rest[:s])
 
 
 def _taylor_shift(cs, s: int) -> list[int]:
@@ -1053,12 +1027,12 @@ def _small_factor(
             if skip in subset and skip not in lifted:
                 others = [1]
                 for G in lifted.values():
-                    others = _mul_mod(others, G, q)
+                    others = [c % q for c in _kronecker_product(others, G)]
                 monic = tuple(c * unit % q for c in cs)
                 lifted[skip] = list(_divmod(monic, tuple(others), q)[0])
             g = [lead % q]
             for i in subset:
-                g = _mul_mod(g, lifted[i], q)
+                g = [c % q for c in _kronecker_product(g, lifted[i])]
             g = [c - q if 2 * c > q else c for c in g]
             if all(abs(c) <= mignotte[d] for c in g):
                 content = math.gcd(*g)
@@ -1357,7 +1331,7 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
 
 
 def _certify(
-    f: UniPoly, prime_bound: int, model: UniPoly, model_disc: Fraction, disc: Fraction
+    f: UniPoly, prime_bound: int, model: UniPoly, model_disc: int, disc: Fraction
 ) -> GaloisCertificate:
     """``certify_galois`` on checked input, given ``_model_and_disc(f)``."""
     m: int = f.degree  # type: ignore[assignment]
@@ -1368,14 +1342,13 @@ def _certify(
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
     witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
-    # the Frobenius lifts: the first pattern (k, ..., k), k >= 2, while
-    # every pattern is homogeneous, and the first inert reduction
+    # the Frobenius lifts: at the first pattern (k, ..., k), k >= 2, while
+    # every pattern is homogeneous, and at the first inert reduction
     streak: int | None = 0 if m >= 4 else None
-    frobenius: tuple[PrimePoly, int] | None = None
+    frobenius: PrimePoly | None = None
     inert: PrimePoly | None = None
     lifted = False  # one lift chain a certificate, at most
     seen: list[PrimePoly] = []  # the good reductions, screens for a lift
-    disc_int = model_disc.numerator
     reductions = () if witness else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
         if unscreened:
@@ -1388,25 +1361,24 @@ def _certify(
                 unscreened.difference_update(sizes)
                 witness = _decomposition(f, model, a, sizes)
                 if witness:  # Gal(f) contains no Alt(m): sampling more is futile
-                    verdict, fired = rules.conclude()
                     break
         # the factor search runs at the first prime, so its parts are kept
         parts = None if rules.observations else []
-        pattern = degree_pattern(a, disc_int, parts=parts)
-        if rules.add(CycleTypeObservation(a.p, pattern), parts):
-            verdict, fired = rules.conclude()
-            if verdict is not GaloisVerdict.INCONCLUSIVE or rules.factor:
-                witness = rules.factor
-                break
+        pattern = degree_pattern(a, model_disc, parts=parts)
+        if rules.add(CycleTypeObservation(a.p, pattern), parts) and (
+            rules.factor or rules.conclude()[0] is not GaloisVerdict.INCONCLUSIVE
+        ):
+            witness = rules.factor
+            break
         seen.append(a)
         if streak is not None:
             # in a regular action every element's cycles have one length
             streak = streak + 1 if pattern[0] == pattern[-1] else None
             if streak and frobenius is None and pattern[0] >= 2:
-                frobenius = (a, pattern[0])
+                frobenius = a
             if streak == _AUTOMORPHISM_STREAK and frobenius:
-                lifted, (b, k) = True, frobenius
-                witness = _automorphism(model, b, 1, k, seen)
+                lifted = True
+                witness = _automorphism(model, frobenius, 1, seen)
         if inert is None and pattern == (m,):
             inert = a
         if inert and not lifted and len(seen) >= _INERT_GATE:
@@ -1416,14 +1388,12 @@ def _certify(
             lifted = True
             for ell in sorted(rules.open_sizes):
                 if is_prime(ell) and all(_commutes_with_shift(u, ell) for u in rules.seen):
-                    witness = _automorphism(model, inert, m // ell, m, seen)
+                    witness = _automorphism(model, inert, m // ell, seen)
                     if witness:
                         break
         if witness:
-            verdict, fired = rules.conclude()
             break
-    else:  # sampled in full: conclude again, so R-trans2 cites every prime
-        verdict, fired = rules.conclude()
+    verdict, fired = rules.conclude()
     return GaloisCertificate(
         polynomial=f,
         disc=disc,

@@ -140,7 +140,7 @@ def is_morse(h: UniPoly) -> MorseReport:
 # -- integer-range scan ----------------------------------------------------------
 
 
-def _rational_root(model: UniPoly, model_disc: Fraction):
+def _rational_root(model: UniPoly, model_disc: int):
     """The least rational root of the squarefree integer polynomial model,
     of discriminant ``model_disc``, by (|numerator|, denominator, negative
     after positive), or None if it has none.
@@ -151,7 +151,7 @@ def _rational_root(model: UniPoly, model_disc: Fraction):
     """
     if model.coeffs[0] == 0:
         return 0
-    bad = model_disc.numerator * model.leading_coefficient
+    bad = model_disc * model.leading_coefficient
     roots = _rational_roots(model, next(p for p in _primes() if bad % p))
     return roots[0] if roots else None
 

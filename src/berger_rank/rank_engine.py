@@ -197,7 +197,7 @@ def _side_hypotheses(
         )
         # (ii): p prime to disc of the integer model is unramified in the
         # splitting field; p dividing it decides nothing, hence Unknown
-        d = facts[1].numerator
+        d = facts[1]
         if d % p:
             rec_ii = HypothesisRecord(
                 "unramified", Status.HOLDS, {"disc": d, "p": p, "disc_mod_p": d % p}

@@ -1176,16 +1176,16 @@ def _homogeneous_streak(f, length):
     """The arguments of ``galois_cert._automorphism`` for lifting x^p from
     the first of the first ``length`` good primes with a homogeneous
     pattern (k, ..., k), that with k >= 2: f's integer model, its
-    reduction there, 1, k and the reductions of the streak as screens;
-    None when there are fewer below 200."""
+    reduction there, 1 and the reductions of the streak as screens; None
+    when there are fewer below 200."""
     model, model_disc, _ = galois_cert._model_and_disc(f)
     streak = []
     for a in galois_cert._good_reductions(model, model_disc, 200):
         pattern = galois_cert.degree_pattern(a)
         if pattern[0] == pattern[-1] and (streak or pattern[0] >= 2):
-            streak.append((a, pattern[0]))
+            streak.append(a)
             if len(streak) == length:
-                return model, streak[0][0], 1, streak[0][1], [b for b, _ in streak]
+                return model, streak[0], 1, streak
     return None
 
 
@@ -1571,7 +1571,7 @@ class TestInertLift:
             hits = [
                 ell
                 for ell in (2, 3)
-                if m % ell == 0 and galois_cert._automorphism(model, a, m // ell, m, screens)
+                if m % ell == 0 and galois_cert._automorphism(model, a, m // ell, screens)
             ]
             elapsed += time.perf_counter() - start
             poly = sympy.Poly([int(c) for c in reversed(model.coeffs)], x)
@@ -1592,9 +1592,9 @@ class TestInertLift:
         lifts, tests = [], []
         real_lifts, real_test = galois_cert._frobenius_lifts, galois_cert._commutes_with_shift
 
-        def lifting(f, p, j, k):
-            lifts.append((p, j, k))
-            return real_lifts(f, p, j, k)
+        def lifting(f, p, j):
+            lifts.append((p, j))
+            return real_lifts(f, p, j)
 
         def testing(pattern, ell):
             tests.append(pattern)
@@ -1607,16 +1607,94 @@ class TestInertLift:
         oracles += [_truncated_exp(8), _truncated_exp(12)]
         for f in oracles:
             assert certify_galois(f).verdict in PROVEN
-        assert not any(j >= 2 for _, j, _ in lifts) and tests == []
+        assert not any(j >= 2 for _, j in lifts) and tests == []
         lifts.clear()
         f = _compose_by_hand(_cyclotomic(17), UniPoly((1, 2**1100)))
         cert = certify_galois(f)
         assert cert.witness is None and cert.observations == sample_cycle_types(f, 200)
         assert cert.observations[0].pattern == (16,)
-        assert lifts == [(3, 1, 16)]
+        assert lifts == [(3, 1)]
         lifts.clear()
         cert = certify_galois(parse_poly(OCTIC_H) + 5)
-        assert lifts == [(2, 4, 8)] and _values(cert, "automorphism") is not None
+        assert lifts == [(2, 4)] and _values(cert, "automorphism") is not None
+
+
+def _mul_mod_poly(a, b, monic, q):
+    """a b mod (q, monic) for ascending integer lists, monic monic, by the
+    schoolbook product and long division."""
+    n = len(monic) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    for k in range(len(prod) - 1, n - 1, -1):
+        top = prod[k] % q
+        for i, c in enumerate(monic):
+            prod[k - n + i] -= top * c
+    return [c % q for c in (prod + [0] * n)[:n]]
+
+
+def _check_frobenius_lifts(model, p, j, steps=4):
+    """The first ``steps`` lifts of x^(p^j) at p: each theta mod p^N is a
+    root of the model in (Z/p^N)[x]/(model), and x^(p^j) mod (p, model)."""
+    cs = model.coeffs
+    n = len(cs) - 1
+    monic_p = [c * pow(cs[-1], -1, p) % p for c in cs]
+    frobenius = [0, 1] + [0] * (n - 2)
+    for _ in range(j):  # h -> h^p, p^j times in all
+        power, base, e = [1] + [0] * (n - 1), frobenius, p
+        while e:
+            if e & 1:
+                power = _mul_mod_poly(power, base, monic_p, p)
+            base, e = _mul_mod_poly(base, base, monic_p, p), e >> 1
+        frobenius = power
+    lifts = galois_cert._frobenius_lifts(cs, p, j)
+    for step, (ring, t) in zip(range(steps), lifts):
+        q = ring.p
+        assert q == p ** (2 ** (step + 1))
+        theta = ring.unpack(t, n)
+        monic = [c * pow(cs[-1], -1, q) % q for c in cs]
+        value = [0] * n
+        for c in reversed(cs):  # model(theta) by Horner's rule
+            value = _mul_mod_poly(value, theta, monic, q)
+            value[0] = (value[0] + c) % q
+        assert not any(value), (model, p, j, q)
+        assert [c % p for c in theta] == frobenius, (model, p, j)
+
+
+class TestFrobeniusLift:
+    @pytest.mark.parametrize("text", ["x^5 - x - 1", "x^6 + 24x - 20", "3x^7 - 5x^2 + 2"])
+    def test_lift_at_a_mixed_pattern(self, text):
+        # the lift needs only a good prime, not a homogeneous pattern: at
+        # the first good prime whose pattern mixes cycle lengths, x^p and
+        # x^(p^2) lift to roots of the model
+        f = parse_poly(text)
+        model, model_disc, _ = galois_cert._model_and_disc(f)
+        a = next(
+            a
+            for a in galois_cert._good_reductions(model, model_disc, 200)
+            if len(set(galois_cert.degree_pattern(a))) > 1
+        )
+        for j in (1, 2):
+            _check_frobenius_lifts(model, a.p, j)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^8 - 6*x^7 - 6*x^6 - 5*x^5 - 5*x^4 + 5*x^3 - 6*x^2 + 6*x + 1",
+            "x^6 + x^5 + x^4 + x^3 + x^2 + x + 1",
+            "x^6 - x - 1",
+            "3x^4 - x + 5",
+        ],
+    )
+    def test_lift_at_an_inert_prime(self, text):
+        # at the first inert prime, x^(p^(m/l)) lifts to a root of the
+        # model for every prime l dividing m, an automorphism or not
+        f = parse_poly(text)
+        model, a, _ = _inert_reduction(f)
+        m = f.degree
+        for ell in (ell for ell in range(2, m + 1) if m % ell == 0 and is_prime(ell)):
+            _check_frobenius_lifts(model, a.p, m // ell)
 
 
 def _dense_sample(count=300, seed=24):
@@ -1740,6 +1818,37 @@ class TestRootSearch:
                 else:
                     assert found is None, (f, p)
         assert found_roots >= 300
+
+    def test_agrees_with_the_factor_search(self):
+        # at a good prime the root search and the factor search over degree
+        # 1 lift the same roots: the one is empty exactly when the other
+        # finds no factor, and a linear factor found is at a root found
+        import random
+
+        rng = random.Random(17)
+        counts = {"roots": 0, "none": 0}
+        for _ in range(80):
+            f = UniPoly(
+                tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 5)))
+                + (rng.choice([1, 2, 3, 6]),)
+            )
+            for _ in range(rng.randint(0, 2)):
+                f = f * UniPoly((-Fraction(rng.randint(-20, 20), rng.randint(1, 6)), 1))
+            model = integer_model(f)
+            disc = discriminant(model).numerator
+            if disc == 0:
+                continue
+            bad = disc * model.leading_coefficient
+            for p in [p for p in range(2, 60) if is_prime(p) and bad % p][:4]:
+                roots = galois_cert._rational_roots(model, p)
+                found = galois_cert._small_factor(model, p, [1])
+                assert roots is not None and found is not None, (f, p)
+                assert (roots == []) == (found == ()), (f, p)
+                if found:
+                    (g,) = found
+                    assert g.degree == 1 and -g.coeffs[0] in roots, (f, p)
+                counts["roots" if roots else "none"] += 1
+        assert min(counts.values()) >= 40, counts
 
     @pytest.mark.parametrize(
         "text, p",
@@ -1972,6 +2081,36 @@ class TestFactorSearch:
             assert sorted(got) == want and [len(g) for g in got] == sorted(map(len, got))
             split += len(got) > len({len(g) for g in got})
         assert split >= 50
+
+
+class TestConclusion:
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("(x+2)^7 - 3", "dickson"),  # before any prime
+            ("x^8 + x^2 + 1", "decomposition"),  # at p = 5, after p = 3
+            ("x^5 - x - 1", None),  # a proof
+            (SLOWEST_PROVABLE, None),  # a proof by R-irreducible
+            ("2*x^5 - 3*x^4 + 2*x^2 - x - 3", "factor"),
+            ("x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "automorphism"),
+            ("x^8 - 6*x^7 - 6*x^6 - 5*x^5 - 5*x^4 + 5*x^3 - 6*x^2 + 6*x + 1", "automorphism"),
+            ("x^5 - 5*x + 12", None),  # D5: every good prime, no witness
+        ],
+    )
+    def test_rules_fired_on_every_exit(self, text, kind):
+        # certification concludes once, after its loop, whichever way the
+        # loop ends, and reports what the engine concludes from the
+        # observations it kept
+        f = parse_poly(text)
+        cert = certify_galois(f)
+        assert (cert.witness and cert.witness.kind) == kind
+        if kind == "decomposition":
+            assert cert.observations  # found in mid-loop
+        if kind is None and cert.verdict is GaloisVerdict.INCONCLUSIVE:
+            assert cert.observations == sample_cycle_types(f, 200)
+        fired = _evaluate_rules(f.degree, cert.disc_is_square, cert.observations, integer_model(f))
+        assert cert.rules_fired == fired[1]
+        assert cert.verdict is fired[0]
 
 
 class TestWitnessTable:

@@ -292,7 +292,7 @@ def _root(f):
     while not h.is_zero:
         g, h = h, g % h
     model = integer_model(f // g)
-    return _rational_root(model, discriminant(model))
+    return _rational_root(model, discriminant(model).numerator)
 
 
 class TestRationalRoot:
