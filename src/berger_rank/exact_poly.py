@@ -542,8 +542,8 @@ class _ParseState:
                     f"power above {self.MAX_POWER_BITS} bits (degree times coefficient bits)"
                 )
             # (b/d)^e = b^e / d^e, so the squarings multiply integers
-            den = math.lcm(*[c.denominator for c in base.values()])
-            dense = UniPoly(_to_dense({k: c * den for k, c in base.items()})) ** e
+            ints, den = _cleared(base.values())
+            dense = UniPoly(_to_dense(dict(zip(base, ints)))) ** e
             scale = den**e
             return {k: _exact(Fraction(c, scale)) for k, c in enumerate(dense.coeffs) if c}
         return base
@@ -676,10 +676,7 @@ def affine_dickson(
     m = f.degree
     if m is None or m < 2:
         return None
-    cs = f.coeffs
-    den = math.lcm(*[c.denominator for c in cs])
-    if den != 1:  # den * f, with the same beta, alpha and a
-        cs = [c.numerator * (den // c.denominator) for c in cs]
+    cs, _ = _cleared(f.coeffs)  # den * f has the same beta, alpha and a
     lead = cs[m]
     beta = Fraction(-cs[m - 1], m * lead)
     u, v = beta.numerator, beta.denominator
@@ -731,13 +728,19 @@ def _dickson_d(m: int, i: int) -> int:
     return math.comb(m - i, i) + (math.comb(m - i - 1, i - 1) if i else 0)
 
 
+def _cleared(coeffs: Collection) -> tuple[list[int], int]:
+    """(e coeffs, e) for the least e > 0 that makes every coefficient an
+    integer: the one place denominators are cleared."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs), 1
+    e = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (e // c.denominator) for c in coeffs], e
+
+
 def _rational_split(a: UniPoly) -> tuple[int | Fraction, list[int]]:
     """Write a = scale * A with scale > 0 rational and A primitive integers."""
-    cs = a.coeffs
-    den = math.lcm(*[c.denominator for c in cs])
-    # den == 1 means every coefficient is already an int
-    ints = list(cs) if den == 1 else [c.numerator * (den // c.denominator) for c in cs]
-    g = _int_content(ints)
+    ints, den = _cleared(a.coeffs)
+    g = math.gcd(*ints)
     if g == 0:
         return 0, []
     scale = g if den == 1 else Fraction(g, den)
@@ -750,29 +753,20 @@ def integer_model(a: UniPoly) -> UniPoly:
     return UniPoly(ints, a.var)
 
 
-def _int_deg(A: Sequence[int]) -> int:
-    return len(A) - 1
-
-
-def _int_trim(A: list[int]) -> list[int]:
-    while A and A[-1] == 0:
-        A.pop()
-    return A
-
-
 def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, deg A >= deg B."""
-    dB = _int_deg(B)
+    dB = len(B) - 1
     lb = B[-1]
     R = list(A)
-    e = _int_deg(A) - dB + 1
+    e = len(A) - dB
     while len(R) > dB:
         lr = R.pop()  # the top term cancels: lb * lr - lr * lb
         shift = len(R) - dB
         R = [lb * c for c in R]
         for i in range(dB):
             R[shift + i] -= lr * B[i]
-        _int_trim(R)
+        while R and not R[-1]:
+            R.pop()
         e -= 1
     if e > 0:
         scale = lb ** e
@@ -780,40 +774,37 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return R
 
 
-def _int_content(A: Sequence[int]) -> int:
-    return math.gcd(*A)
-
-
 def _subresultant_resultant(A: list[int], B: list[int]) -> int:
     """Res(A, B) for nonzero integer polynomials, subresultant PRS."""
     s = 1
-    if _int_deg(A) < _int_deg(B):
-        if _int_deg(A) % 2 == 1 and _int_deg(B) % 2 == 1:
+    dA, dB = len(A) - 1, len(B) - 1
+    if dA < dB:
+        if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        A, B = B, A
-    ca, cb = _int_content(A), _int_content(B)
+        A, B, dA, dB = B, A, dB, dA
+    ca, cb = math.gcd(*A), math.gcd(*B)
     A = [c // ca for c in A]
     B = [c // cb for c in B]
-    t = ca ** _int_deg(B) * cb ** _int_deg(A)
+    t = ca ** dB * cb ** dA
     g = h = 1
-    while _int_deg(B) > 0:
-        delta = _int_deg(A) - _int_deg(B)
-        if _int_deg(A) % 2 == 1 and _int_deg(B) % 2 == 1:
+    while dB > 0:
+        delta = dA - dB
+        if dA % 2 == 1 and dB % 2 == 1:
             s = -s
         R = _int_prem(A, B)
-        A = B
+        A, dA = B, dB
         if not R:
             return 0
         divisor = g * h ** delta
         B = [c // divisor for c in R]
+        dB = len(B) - 1
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = g ** delta // h ** (delta - 1)
-    if _int_deg(A) == 0:
+    if dA == 0:
         return s * t  # two constants
-    dA = _int_deg(A)
     res = B[0] ** dA if h == 1 else B[0] ** dA // h ** (dA - 1)
     return s * t * res
 
@@ -825,7 +816,7 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
         raise ZeroPolynomialError("resultant with a zero polynomial")
     ca, A = _rational_split(a)
     cb, B = _rational_split(b)
-    res = ca ** _int_deg(B) * cb ** _int_deg(A) * _subresultant_resultant(A, B)
+    res = ca ** (len(B) - 1) * cb ** (len(A) - 1) * _subresultant_resultant(A, B)
     return Fraction(res)
 
 

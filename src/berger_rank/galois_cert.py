@@ -31,18 +31,18 @@ observations so far prove a verdict, so the bound is only a cap:
 The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
-the engine looks at each distinct pattern once, keeps the few facts the rules
-read (transitivity, the block sizes not yet ruled out and a Jordan element),
-and rebuilds the verdict only when one of them is gained, at most four times
-per certificate.  Stopping at the first proof is sound.  The primes are
-sieved a segment at a time, so a certificate that stops early sieves no
-further whatever its bound.  Bounds above ``MAX_PRIME_BOUND`` raise
-``InvalidInput`` before the prime sieve is allocated.  A square
-discriminant together with an odd observed pattern is mathematically
-impossible, so that combination raises ``DiscSquareInconsistency`` and
-aborts rather than returning anything.  The guard sees only the
-observations a certificate holds, so on a proven certificate it covers the
-primes up to the proving prime, not the bound.
+the engine looks at each distinct pattern once and keeps the few facts the
+rules read (transitivity, the block sizes not yet ruled out and a Jordan
+element); a certificate is proved once it holds all three, and the verdict
+and the rules fired are built once, when the sampling ends.  Stopping at the
+first proof is sound.  The primes are sieved a segment at a time, so a
+certificate that stops early sieves no further whatever its bound.  Bounds
+above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime sieve is
+allocated.  A square discriminant together with an odd observed pattern is
+mathematically impossible, so that combination raises
+``DiscSquareInconsistency`` and aborts rather than returning anything.  The
+guard sees only the observations a certificate holds, so on a proven
+certificate it covers the primes up to the proving prime, not the bound.
 
 A factor search.  A factor of f over Q of degree d shows as a subset sum d
 at every good prime, so f is irreducible exactly when it has no factor of a
@@ -74,7 +74,8 @@ The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
 
 A factor.  A monic g over Q with g | f and 1 <= deg g < m makes f
-reducible and Gal(f) intransitive; the check is one division.
+reducible and Gal(f) intransitive; the check is the factor search's exact
+division over Z.
 
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
 into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
@@ -176,7 +177,9 @@ from .errors import (
 )
 from .exact_poly import (
     UniPoly,
+    _cleared,
     _kronecker_product,
+    _rational_split,
     affine_dickson,
     discriminant,
     integer_model,
@@ -644,13 +647,6 @@ def _is_automorphism(f: UniPoly, theta: UniPoly) -> bool:
     return not any(acc)
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """(e coeffs, e) for the least e > 0 that makes every coefficient an
-    integer."""
-    e = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (e // c.denominator) for c in coeffs], e
-
-
 # The h test of ``_automorphism`` reads this many bits past its bound, so a
 # Frobenius lift that is no automorphism passes it with probability about
 # 2^-(bits * m).
@@ -822,10 +818,11 @@ def _commutes_with_shift(pattern: DegreePattern, ell: int) -> bool:
 
 
 def _is_factor(f: UniPoly, g: UniPoly) -> bool:
-    """g | f with 1 <= deg g < m, by one division over Q."""
+    """g | f with 1 <= deg g < m, by the factor search's division over Z of
+    f cleared of denominators by g's primitive integer model."""
     if not 1 <= (g.degree or 0) < f.degree or g.var != f.var:
         return False
-    return (f % g).is_zero
+    return _divides(_rational_split(g)[1], _cleared(f.coeffs)[0])
 
 
 def _is_good(model: UniPoly, p: int) -> bool:
@@ -850,9 +847,9 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     simple, is the image of one p-adic root, which ``_factor_lifts``
     carries to p^N > 2 |a_k lc|; there rational reconstruction
     (``_rational``) finds a/b if the p-adic root is one, and one exact
-    division by b x - a keeps it.  So the search is complete: an empty list
-    proves that model has no rational root.  The roots mod p are read by
-    evaluating at every residue, so p is capped.
+    division by b x - a, once a | a_k and b | lc, keeps it.  So the search
+    is complete: an empty list proves that model has no rational root.  The
+    roots mod p are read by evaluating at every residue, so p is capped.
     """
     cs = model.coeffs
     if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:
@@ -870,8 +867,11 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
             return None
         *_, (const, _) = _factor_lifts(cs, (-r % p, 1), p, q)
         v = _rational(-const, q, abs(low), abs(lead))
-        if v is not None and _divides([-v[0], v[1]], cs):
-            roots.append(Fraction(*v))
+        if v is None:
+            continue
+        num, den = v
+        if (not num or low % num == 0) and lead % den == 0 and _divides([-num, den], cs):
+            roots.append(Fraction(num, den))
     roots.sort(key=lambda v: (abs(v.numerator), v.denominator, v < 0))
     return roots
 
@@ -1162,8 +1162,9 @@ class _Rules:
     transitivity (the first full cycle, the subset sums attainable at every
     prime, or those sums and a factor search), primitivity (each block size
     ruled out by a pattern that no element keeping such blocks has) and a
-    Jordan element (its first sighting).  ``add`` reports when a fact
-    changed, the only time the verdict can.
+    Jordan element (its first sighting).  The engine owns the proof state:
+    ``proven`` says whether the facts so far prove the verdict, and
+    ``conclude`` builds the verdict and the rules fired from them.
 
     Given f's integer model, the engine searches it once for a factor of a
     degree <= m/2 attainable at every prime, when a miss completes the
@@ -1194,7 +1195,7 @@ class _Rules:
         self.ruled_out: list[tuple[CycleTypeObservation, list[int]]] = []
         self.element: RuleFiring | None = None
 
-    def add(self, obs: CycleTypeObservation, parts: list | None = None) -> bool:
+    def add(self, obs: CycleTypeObservation, parts: list | None = None) -> None:
         """Take one observation; ``parts``, if given, are f's distinct-degree
         parts mod obs.p (``degree_pattern``), which the factor search reuses
         when obs is the first observation."""
@@ -1203,7 +1204,7 @@ class _Rules:
             self.parts = parts
         pattern, m = obs.pattern, self.m
         if pattern in self.seen:
-            return False
+            return
         self.seen.add(pattern)
         # parity of the permutation: even iff the sum of (part - 1) is even
         if self.disc_is_square and sum(part - 1 for part in pattern) % 2:
@@ -1214,39 +1215,43 @@ class _Rules:
             raise DiscSquareInconsistency(
                 f"cycle type {pattern} at p = {obs.p} does not sum to {m}"
             )
-        changed = False
         gone = sorted(s for s in self.open_sizes if not _keeps_blocks(pattern, s))
         if gone:
             self.open_sizes.difference_update(gone)
             self.ruled_out.append((obs, gone))
-            changed = not self.open_sizes
         if self.element is None:
             self.element = _jordan_element(obs, m)
-            changed = changed or self.element is not None
-        if self.full is None and not self.trans2 and self.irreducible is None:
-            # transitivity still unproved
+        if not self.transitive:
             if pattern == (m,):
-                self.full, changed = obs, True
+                self.full = obs
             else:
                 sums = {0}
                 for part in pattern:
                     sums |= {s + part for s in sums}
                 self.common = sums if self.common is None else self.common & sums
                 if self.common == {0, m}:
-                    self.trans2 = changed = True
+                    self.trans2 = True
                 elif (
                     self.model is not None
                     and not self.searched
                     and not self.open_sizes
                     and self.element is not None
                 ):
-                    changed = self._search_factor() or changed
-        return changed
+                    self._search_factor()
 
-    def _search_factor(self) -> bool:
+    @property
+    def transitive(self) -> bool:
+        return self.full is not None or self.trans2 or self.irreducible is not None
+
+    @property
+    def proven(self) -> bool:
+        """Whether the facts prove that Gal(f) contains Alt(m): transitive, no
+        block size open and a Jordan element."""
+        return self.transitive and not self.open_sizes and self.element is not None
+
+    def _search_factor(self) -> None:
         """Search the model, once, for a factor of a degree <= m/2 that every
-        pattern allows, at the first observed prime if it is good; whether
-        that settled anything."""
+        pattern allows, at the first observed prime if it is good."""
         self.searched = True
         model, p = self.model, self.observations[0].p
         degrees = sorted(s for s in self.common if 1 <= s <= self.m // 2)
@@ -1260,7 +1265,6 @@ class _Rules:
                 f"no factor lifts from p = {p} in the degrees <= {self.m // 2} "
                 f"attainable at every prime: {', '.join(map(str, degrees))}",
             )
-        return found is not None
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
@@ -1278,9 +1282,7 @@ class _Rules:
             )
         elif self.irreducible is not None:
             fired.append(self.irreducible)
-        transitive = bool(fired)
-        primitive = transitive and not self.open_sizes  # only when transitive
-        if primitive:
+        if self.transitive and not self.open_sizes:  # primitive
             if self.ruled_out:
                 primes = tuple(obs.p for obs, _ in self.ruled_out)
                 detail = "; ".join(
@@ -1293,7 +1295,7 @@ class _Rules:
             fired.append(RuleFiring("R-primitive", primes, detail))
         if element is not None:
             fired.append(element)
-        if not (primitive and element):
+        if not self.proven:
             return GaloisVerdict.INCONCLUSIVE, tuple(fired)
         if self.disc_is_square:
             verdict, sign = GaloisVerdict.PROVEN_ALTERNATING, "square disc keeps Alt"
@@ -1342,13 +1344,11 @@ def _certify(
     dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
     witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
-    # the Frobenius lifts: at the first pattern (k, ..., k), k >= 2, while
-    # every pattern is homogeneous, and at the first inert reduction
-    streak: int | None = 0 if m >= 4 else None
-    frobenius: PrimePoly | None = None
+    # the Frobenius lifts: at the first pattern (k, ..., k), k >= 2, when
+    # the first patterns are homogeneous, and at the first inert reduction
     inert: PrimePoly | None = None
     lifted = False  # one lift chain a certificate, at most
-    seen: list[PrimePoly] = []  # the good reductions, screens for a lift
+    seen: list[PrimePoly] = []  # the reductions observed, screens for a lift
     reductions = () if witness else _good_reductions(model, model_disc, prime_bound)
     for a in reductions:
         if unscreened:
@@ -1365,18 +1365,18 @@ def _certify(
         # the factor search runs at the first prime, so its parts are kept
         parts = None if rules.observations else []
         pattern = degree_pattern(a, model_disc, parts=parts)
-        if rules.add(CycleTypeObservation(a.p, pattern), parts) and (
-            rules.factor or rules.conclude()[0] is not GaloisVerdict.INCONCLUSIVE
-        ):
+        rules.add(CycleTypeObservation(a.p, pattern), parts)
+        if rules.factor or rules.proven:
             witness = rules.factor
             break
         seen.append(a)
-        if streak is not None:
+        if m >= 4 and len(seen) == _AUTOMORPHISM_STREAK and all(
             # in a regular action every element's cycles have one length
-            streak = streak + 1 if pattern[0] == pattern[-1] else None
-            if streak and frobenius is None and pattern[0] >= 2:
-                frobenius = a
-            if streak == _AUTOMORPHISM_STREAK and frobenius:
+            o.pattern[0] == o.pattern[-1] for o in rules.observations
+        ):
+            observed = zip(seen, rules.observations)
+            frobenius = next((b for b, o in observed if o.pattern[0] >= 2), None)
+            if frobenius:
                 lifted = True
                 witness = _automorphism(model, frobenius, 1, seen)
         if inert is None and pattern == (m,):

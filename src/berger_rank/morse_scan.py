@@ -49,6 +49,7 @@ from ._record import Record
 from .errors import FactorizationIncomplete, InvalidInput, NotSquarefree
 from .exact_poly import (
     UniPoly,
+    _cleared,
     derivative,
     discriminant,
     int_squarefree_part,
@@ -103,8 +104,7 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
     # Newton's forward form over Z: with L the common denominator of the
     # values, (m-1)! L D(t) = sum_k Delta^k (L D)(0) (m-1)!/k! t (t - 1)
     # ... (t - k + 1), every term an integer polynomial
-    den = math.lcm(*(v.denominator for v in values))
-    diffs = [v.numerator * (den // v.denominator) for v in values]
+    diffs, den = _cleared(values)
     scale = math.factorial(m - 1)
     newton = []
     for k in range(m):

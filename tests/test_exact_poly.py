@@ -405,6 +405,37 @@ class TestIntegerModel:
         # proportionality: same roots
         assert resultant(f, model) == 0
 
+    def test_one_clearing_routine(self):
+        # _cleared clears denominators for every caller; on seeded rationals,
+        # all-integer lists and the zero polynomial included, it agrees with
+        # the lcm-of-denominators routine it replaced, and _rational_split,
+        # built on it, with the primitive split written out here
+        from berger_rank.exact_poly import _cleared, _rational_split
+
+        def lcm_cleared(coeffs):
+            e = math.lcm(*(c.denominator for c in coeffs))
+            return [c.numerator * (e // c.denominator) for c in coeffs], e
+
+        def primitive_split(a):
+            ints, den = lcm_cleared(a.coeffs)
+            g = math.gcd(*ints)
+            if g == 0:
+                return 0, []
+            return (g if den == 1 else Fraction(g, den)), [c // g for c in ints]
+
+        rng = random.Random(29)
+        for _ in range(500):
+            den = rng.choice((1, 1, 2, 6, 35, 2**70))
+            size = rng.randint(0, 8)
+            a = UniPoly(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, den)) for _ in range(size))
+            ints, e = _cleared(a.coeffs)
+            assert (ints, e) == lcm_cleared(a.coeffs)
+            assert all(type(c) is int for c in ints) and type(e) is int
+            scale, model = _rational_split(a)
+            expect = primitive_split(a)
+            assert (scale, model) == expect and type(scale) is type(expect[0])
+            assert all(type(c) is int for c in model)
+
 
 class TestIntegers:
     def test_is_prime_small(self):

@@ -381,9 +381,9 @@ class TestEarlyStop:
 
     def test_rules_wait_for_a_provable_pattern_set(self, monkeypatch):
         # f(x^2) is imprimitive, so no rule can prove it: it holds Jordan
-        # elements (transpositions) but no primitivity witness.  The verdict
-        # is rebuilt only when one of the three facts the rules read
-        # changes, and once on the full sample, never once per prime.
+        # elements (transpositions) but no primitivity witness.  The engine
+        # tells a proof by its proof state, so the verdict is built once, on
+        # the full sample, never once per prime or per fact gained.
         calls = []
         real = galois_cert._Rules.conclude
 
@@ -401,8 +401,25 @@ class TestEarlyStop:
         assert cert.verdict is GaloisVerdict.INCONCLUSIVE
         assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-jordan"]
         assert len(cert.observations) >= 40
-        assert 1 <= len(calls) <= 4
-        assert calls[-1] == len(cert.observations)
+        assert calls == [len(cert.observations)]
+
+    def test_scan_concludes_once_per_certificate(self, monkeypatch):
+        # every scan row that certifies concludes once, after its sampling,
+        # whether it ends proved, on a witness or at the bound
+        from berger_rank import scan_A_h
+
+        calls = []
+        real = galois_cert._Rules.conclude
+
+        def counting(rules):
+            calls.append(len(rules.observations))
+            return real(rules)
+
+        monkeypatch.setattr(galois_cert._Rules, "conclude", counting)
+        rows = scan_A_h(parse_poly("x^7 - x"), -30, 30)
+        certified = [row.certificate for row in rows if row.certificate is not None]
+        assert len(certified) >= 40
+        assert calls == [len(cert.observations) for cert in certified]
 
     def test_discriminant_of_rational_polynomial(self):
         # the stored discriminant is rescaled from the integer model's
@@ -411,6 +428,14 @@ class TestEarlyStop:
         assert cert.disc == discriminant(f)
         assert cert.disc != discriminant(integer_model(f))
 
+
+
+def _group_patterns(group):
+    """The cycle type of every element of a sympy permutation group."""
+    return {
+        tuple(sorted(n for n, k in g.cycle_structure.items() for _ in range(k)))
+        for g in group.generate()
+    }
 
 
 def _transitive_groups(m):
@@ -451,10 +476,7 @@ class TestJordanRule:
         assert {6: {"PSL2(F5)", "PGL2(F5)", "G72"}, 7: {"PSL(3,2)"}}.get(m, set()) <= names
         for name, group in groups:
             assert group.degree == m and group.is_transitive(), name
-            patterns = {
-                tuple(sorted(n for n, k in g.cycle_structure.items() for _ in range(k)))
-                for g in group.generate()
-            }
+            patterns = _group_patterns(group)
             square = all(g.is_even for g in group.generators)
             obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
             verdict, fired = _evaluate_rules(m, square, obs)
@@ -2083,6 +2105,55 @@ class TestFactorSearch:
         assert split >= 50
 
 
+class TestProofState:
+    """The engine's ``proven`` agrees with its conclusion after every
+    observation, so certification can stop on it and conclude once."""
+
+    @staticmethod
+    def _replay_checking(m, square, observations, model=None):
+        rules = galois_cert._Rules(m, square, model)
+        for obs in observations:
+            rules.add(obs)
+            concluded = rules.conclude()[0] is not GaloisVerdict.INCONCLUSIVE
+            assert rules.proven is concluded, (m, obs)
+        return rules
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_every_transitive_group(self, m):
+        # each group's cycle types in ascending and in descending order, so
+        # the three facts arrive in different orders
+        for name, group in _transitive_groups(m):
+            square = all(g.is_even for g in group.generators)
+            patterns = sorted(_group_patterns(group))
+            for order in (patterns, patterns[::-1]):
+                obs = [CycleTypeObservation(i, t) for i, t in enumerate(order)]
+                self._replay_checking(m, square, obs)
+
+    def test_every_pool_certificate(self):
+        # the benchmark's galois-provable and galois-unprovable variants,
+        # each replayed with its integer model, as replay does, so the
+        # factor search runs where it ran in certification
+        from pathlib import Path
+        import json
+
+        pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+        proven = unproven = 0
+        for workload in ("galois-provable", "galois-unprovable"):
+            for slot in pool[workload]:
+                for s, k in slot["subs"]:
+                    f, inner = UniPoly(()), UniPoly((k, s))
+                    for c in reversed(slot["base"]):
+                        f = f * inner + c
+                    cert = certify_galois(f)
+                    rules = self._replay_checking(
+                        f.degree, cert.disc_is_square, cert.observations, integer_model(f)
+                    )
+                    assert rules.proven is (cert.verdict in PROVEN), f
+                    proven += rules.proven
+                    unproven += not rules.proven
+        assert (proven, unproven) == (294, 567)
+
+
 class TestConclusion:
     @pytest.mark.parametrize(
         "text, kind",
@@ -2127,6 +2198,32 @@ class TestWitnessTable:
             assert len(cert.witness.values) == len(names)
             assert check(cert.polynomial, *cert.witness.values) is True
             assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    def test_factor_check_agrees_with_division_over_q(self):
+        # the factor witness is checked by the factor search's division over
+        # Z, of f cleared of denominators by g's primitive integer model; on
+        # seeded true and tampered factors, g non-monic and f with
+        # denominators, it agrees with one division over Q
+        import random
+
+        rng = random.Random(29)
+
+        def rational(nonzero=False):
+            num = rng.choice((-5, -2, -1, 1, 3, 7)) if nonzero else rng.randint(-9, 9)
+            return Fraction(num, rng.choice((1, 1, 2, 3, 4, 6)))
+
+        outcomes = {True: 0, False: 0}
+        for _ in range(200):
+            g = UniPoly([rational() for _ in range(rng.randint(1, 3))] + [rational(True)])
+            h = UniPoly([rational() for _ in range(rng.randint(1, 3))] + [rational(True)])
+            f = g * h
+            k = rng.randrange(g.degree + 1)
+            bump = UniPoly([0] * k + [rational(True)])
+            for candidate in (g, rational(True) * g, g + bump, g * X, h + 1):
+                expect = 1 <= (candidate.degree or 0) < f.degree and (f % candidate).is_zero
+                assert galois_cert._is_factor(f, candidate) is expect, (f, candidate)
+                outcomes[expect] += 1
+        assert min(outcomes.values()) >= 200, outcomes
 
     @pytest.mark.parametrize(
         "witness",
