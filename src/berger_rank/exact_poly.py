@@ -352,6 +352,22 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     ]
 
 
+def _taylor_shift(cs, s: int) -> list[int]:
+    """The ascending coefficients of F(x + s), F's being cs, read as the
+    balanced base-B digits of the integer F(B + s): each has size at most
+    ||F||_1 (1 + |s|)^m < B / 2."""
+    bits = sum(abs(c) for c in cs).bit_length() + (len(cs) - 1) * (abs(s) + 1).bit_length() + 1
+    value, mask, half = 0, (1 << bits) - 1, 1 << (bits - 1)
+    for c in reversed(cs):
+        value = (value << bits) + value * s + c  # value (B + s) + c
+    out = []
+    for _ in range(len(cs)):
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
+
+
 # -- parsing ------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
@@ -707,10 +723,7 @@ def affine_dickson(
         h_1 = h_1 * u + k * cs[k] * v_power
     if not fits(1, h_1):
         return None
-    h = [c * v ** (m - k) for k, c in enumerate(cs)]
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            h[j] += u * h[j + 1]
+    h = _taylor_shift([c * v ** (m - k) for k, c in enumerate(cs)], u)
     if not all(fits(j, h[j]) for j in range(2, m - 1)):
         return None
     rho = Fraction(top, m * lead)

@@ -32,11 +32,13 @@ The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
 strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once and keeps the few facts the
-rules read (transitivity, the block sizes not yet ruled out and a Jordan
-element); a certificate is proved once it holds all three, and the verdict
-and the rules fired are built once, when the sampling ends.  Stopping at the
-first proof is sound.  The primes are sieved a segment at a time, so a
-certificate that stops early sieves no further whatever its bound.  Bounds
+rules read: the firing that proves transitivity (R-trans2, whose primes are
+all the observations, is built at the end), the factor degrees every
+pattern allows as one bitmask, the open block sizes and a Jordan element.
+The verdict and the rules fired are built once, when the sampling ends.
+Stopping at the first proof is sound.  The good primes come from one stream
+(``_good_primes``) of primes sieved a segment at a time, so a certificate
+that stops early sieves no further whatever its bound.  Bounds
 above ``MAX_PRIME_BOUND`` raise ``InvalidInput`` before the prime sieve is
 allocated.  A square discriminant together with an odd observed pattern is
 mathematically impossible, so that combination raises
@@ -180,6 +182,7 @@ from .exact_poly import (
     _cleared,
     _kronecker_product,
     _rational_split,
+    _taylor_shift,
     affine_dickson,
     discriminant,
     integer_model,
@@ -305,16 +308,21 @@ def _primes() -> Iterator[int]:
         low *= 2
 
 
+def _good_primes(model: UniPoly, model_disc: int) -> Iterator[int]:
+    """Every prime dividing neither lc(model) nor its discriminant
+    ``model_disc``, ascending; sampling and the scan's root search use it."""
+    bad = model_disc * model.leading_coefficient
+    return (p for p in _primes() if bad % p)
+
+
 def _good_reductions(
     model: UniPoly, model_disc: int, prime_bound: int
 ) -> Iterator[PrimePoly]:
-    """The model mod each good prime <= bound, ascending.  It is an integer
-    lift of its reduction, of full degree at a good p, so its discriminant
-    lets ``degree_pattern`` stop early."""
-    bad = abs(model_disc * model.leading_coefficient)
-    for p in takewhile(lambda p: p <= prime_bound, _primes()):
-        if bad % p:
-            yield reduce_mod_p(model, p)
+    """The model mod each good prime <= bound, ascending (``_good_primes``).
+    It is an integer lift of its reduction, of full degree at a good p, so
+    its discriminant lets ``degree_pattern`` stop early."""
+    for p in takewhile(lambda p: p <= prime_bound, _good_primes(model, model_disc)):
+        yield reduce_mod_p(model, p)
 
 
 # -- p-adic lifting ---------------------------------------------------------
@@ -799,7 +807,6 @@ def _automorphism(
                 return Witness("automorphism", (candidate,))
         if 2 * q.bit_length() > _AUTOMORPHISM_MAX_BITS:
             return None
-    return None
 
 
 def _commutes_with_shift(pattern: DegreePattern, ell: int) -> bool:
@@ -893,22 +900,6 @@ def _subsets(degrees: list[int], target: int, start: int = 0) -> Iterator[tuple[
         else:
             for rest in _subsets(degrees, target - d, i + 1):
                 yield (i, *rest)
-
-
-def _taylor_shift(cs, s: int) -> list[int]:
-    """The ascending coefficients of F(x + s), F's being cs, read as the
-    balanced base-B digits of the integer F(B + s): each has size at most
-    ||F||_1 (1 + |s|)^m < B / 2."""
-    bits = sum(abs(c) for c in cs).bit_length() + (len(cs) - 1) * (abs(s) + 1).bit_length() + 1
-    value, mask, half = 0, (1 << bits) - 1, 1 << (bits - 1)
-    for c in reversed(cs):
-        value = (value << bits) + value * s + c  # value (B + s) + c
-    out = []
-    for _ in range(len(cs)):
-        digit = ((value + half) & mask) - half
-        out.append(digit)
-        value = (value - digit) >> bits
-    return out
 
 
 def _root_radius(cs) -> int:
@@ -1062,6 +1053,16 @@ WITNESSES = {
 
 # -- rule engine -----------------------------------------------------------
 
+
+def _subset_sums(pattern: DegreePattern) -> int:
+    """The degrees of the factors a pattern allows, as a mask: bit i is set
+    when some sub-multiset of its parts sums to i."""
+    sums = 1
+    for part in pattern:
+        sums |= sums << part
+    return sums
+
+
 # Search nodes one block-size test may spend.  When they run out, the size
 # stays open, which claims nothing.
 _BLOCK_SEARCH_NODES = 2000
@@ -1079,8 +1080,9 @@ def _keeps_blocks(pattern: DegreePattern, s: int) -> bool:
     k s, and every such split is the cycle type of an element (Dixon and
     Mortimer, Permutation Groups, section 2.6).  One part that fits in no
     group answers False at once; parts whose copies group among themselves
-    answer True.  Otherwise a search puts the largest part left into a
-    group, for each k in turn.
+    answer True; for b = 2 the subset sums decide (``_subset_sums``).
+    Otherwise a search puts the largest part left into a group, for each k
+    in turn.
     """
     b = sum(pattern) // s
     alone = True  # the copies of each part make up groups by themselves
@@ -1098,12 +1100,8 @@ def _keeps_blocks(pattern: DegreePattern, s: int) -> bool:
         # grouping the copies of each part alone is the only way
         return alone
     if b == 2:  # one group with k = 2, or two with k = 1 and sum s each
-        sums = 1  # bit i: some sub-multiset of the parts sums to i
-        for part in pattern:
-            sums |= sums << part
-        return all(part % 2 == 0 for part in pattern) or bool(sums >> s & 1)
+        return all(part % 2 == 0 for part in pattern) or bool(_subset_sums(pattern) >> s & 1)
     nodes = 0
-    failed: set[DegreePattern] = set()  # part sets left that admit no groups
 
     def fill(parts: DegreePattern, k: int, need: int, start: int) -> bool:
         """Complete the group of k blocks that lacks ``need`` from
@@ -1116,13 +1114,10 @@ def _keeps_blocks(pattern: DegreePattern, s: int) -> bool:
         if not need:
             if not parts:
                 return True
-            if parts in failed:
-                return False
             lead = parts[0]  # a new group of k blocks around the largest part
             for k in range(-(-lead // s), min(lead, b) + 1):
                 if lead % k == 0 and fill(parts[1:], k, k * s - lead, 0):
                     return True
-            failed.add(parts)
             return False
         tried = 0  # each value once per position: parts is a multiset
         for i in range(start, len(parts)):
@@ -1159,8 +1154,9 @@ class _Rules:
     The rules only ask whether a pattern has been observed, so each distinct
     pattern is looked at once: it is checked against the square discriminant
     and the degree, and may supply one of the three facts the rules read:
-    transitivity (the first full cycle, the subset sums attainable at every
-    prime, or those sums and a factor search), primitivity (each block size
+    transitivity (one firing: R-trans at the first full cycle, R-irreducible
+    when a factor search misses, or R-trans2 once the subset sums attainable
+    at every prime, one bitmask, are {0, m}), primitivity (each block size
     ruled out by a pattern that no element keeping such blocks has) and a
     Jordan element (its first sighting).  The engine owns the proof state:
     ``proven`` says whether the facts so far prove the verdict, and
@@ -1178,15 +1174,14 @@ class _Rules:
     def __init__(self, m: int, disc_is_square: bool, model: UniPoly | None = None):
         self.m = m
         self.disc_is_square = disc_is_square
-        self.model = model
-        self.searched = False  # for a factor, at most once
+        self.model = model  # for the factor search; dropped once it has run
         self.parts: list | None = None  # of f mod the first observed prime
         self.observations: list[CycleTypeObservation] = []
         self.seen: set[DegreePattern] = set()
-        self.full: CycleTypeObservation | None = None
-        self.common: set[int] | None = None  # subset sums seen at every prime
-        self.trans2 = False  # common is {0, m}
-        self.irreducible: RuleFiring | None = None  # the factor search missed
+        # R-trans or R-irreducible; R-trans2 (common is {0, m}) is built at
+        # conclusion, since its primes are all the observations
+        self.transitivity: RuleFiring | None = None
+        self.common = -1  # mask of the factor degrees every pattern allows
         self.factor: Witness | None = None  # the factor search hit
         # the sizes of block systems no pattern has ruled out yet; a
         # transitive group is primitive once there are none, at once for
@@ -1223,17 +1218,12 @@ class _Rules:
             self.element = _jordan_element(obs, m)
         if not self.transitive:
             if pattern == (m,):
-                self.full = obs
+                self.transitivity = RuleFiring("R-trans", (obs.p,), f"irreducible mod {obs.p}")
             else:
-                sums = {0}
-                for part in pattern:
-                    sums |= {s + part for s in sums}
-                self.common = sums if self.common is None else self.common & sums
-                if self.common == {0, m}:
-                    self.trans2 = True
-                elif (
-                    self.model is not None
-                    and not self.searched
+                self.common &= _subset_sums(pattern)
+                if (
+                    not self.transitive
+                    and self.model is not None
                     and not self.open_sizes
                     and self.element is not None
                 ):
@@ -1241,7 +1231,7 @@ class _Rules:
 
     @property
     def transitive(self) -> bool:
-        return self.full is not None or self.trans2 or self.irreducible is not None
+        return self.transitivity is not None or self.common == 1 | 1 << self.m
 
     @property
     def proven(self) -> bool:
@@ -1252,14 +1242,13 @@ class _Rules:
     def _search_factor(self) -> None:
         """Search the model, once, for a factor of a degree <= m/2 that every
         pattern allows, at the first observed prime if it is good."""
-        self.searched = True
-        model, p = self.model, self.observations[0].p
-        degrees = sorted(s for s in self.common if 1 <= s <= self.m // 2)
+        model, self.model, p = self.model, None, self.observations[0].p
+        degrees = [d for d in range(1, self.m // 2 + 1) if self.common >> d & 1]
         found = _small_factor(model, p, degrees, self.parts)
         if found:
             self.factor = Witness("factor", found)
         elif found is not None:
-            self.irreducible = RuleFiring(
+            self.transitivity = RuleFiring(
                 "R-irreducible",
                 tuple(o.p for o in self.observations),
                 f"no factor lifts from p = {p} in the degrees <= {self.m // 2} "
@@ -1268,20 +1257,13 @@ class _Rules:
 
     def conclude(self) -> tuple[GaloisVerdict, tuple[RuleFiring, ...]]:
         """The verdict and the rules fired, from the facts gathered so far."""
-        full, element = self.full, self.element
         fired: list[RuleFiring] = []
-        if full is not None:
-            fired.append(RuleFiring("R-trans", (full.p,), f"irreducible mod {full.p}"))
-        elif self.trans2:
-            fired.append(
-                RuleFiring(
-                    "R-trans2",
-                    tuple(o.p for o in self.observations),
-                    "no proper factor degree is attainable at every prime",
-                )
-            )
-        elif self.irreducible is not None:
-            fired.append(self.irreducible)
+        if self.transitivity is not None:
+            fired.append(self.transitivity)
+        elif self.transitive:  # common is {0, m}
+            primes = tuple(o.p for o in self.observations)
+            detail = "no proper factor degree is attainable at every prime"
+            fired.append(RuleFiring("R-trans2", primes, detail))
         if self.transitive and not self.open_sizes:  # primitive
             if self.ruled_out:
                 primes = tuple(obs.p for obs, _ in self.ruled_out)
@@ -1293,8 +1275,8 @@ class _Rules:
             else:  # a prime degree has no proper block size
                 primes, detail = (), f"prime degree {self.m}"
             fired.append(RuleFiring("R-primitive", primes, detail))
-        if element is not None:
-            fired.append(element)
+        if self.element is not None:
+            fired.append(self.element)
         if not self.proven:
             return GaloisVerdict.INCONCLUSIVE, tuple(fired)
         if self.disc_is_square:
@@ -1416,8 +1398,9 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
     raise ``PatternReplayMismatch``.  With
     deep=True every stored pattern is also recomputed from the polynomial by
     the full degree loop (no discriminant, so no parity shortcut), turning
-    the replay into a re-derivation; a pattern that does not recompute
-    raises ``PatternReplayMismatch``.
+    the replay into a re-derivation; a stored prime that is not good (no
+    prime, above ``MAX_PRIME_BOUND``, or dividing lc or disc) and a pattern
+    that does not recompute raise ``PatternReplayMismatch``.
     """
     m: int = cert.polynomial.degree  # type: ignore[assignment]
     if rational_is_square(cert.disc) != cert.disc_is_square:
@@ -1437,6 +1420,8 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
         if discriminant(cert.polynomial) != cert.disc:
             raise DiscSquareInconsistency("stored discriminant is wrong")
         for obs in cert.observations:
+            if obs.p > MAX_PRIME_BOUND or not _is_good(model, obs.p):
+                raise PatternReplayMismatch(f"stored p = {obs.p} is no good prime for f")
             fresh = degree_pattern(reduce_mod_p(model, obs.p))
             if fresh != obs.pattern:
                 raise PatternReplayMismatch(

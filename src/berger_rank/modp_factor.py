@@ -86,20 +86,7 @@ class PrimePoly(Record):
         return not self.coeffs
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        return " + ".join(terms) + f"  (mod {self.p})"
+        return f"{UniPoly(self.coeffs)}  (mod {self.p})" if self.coeffs else "0"
 
 
 def reduce_mod_p(a: UniPoly, p: int) -> PrimePoly:

@@ -62,8 +62,8 @@ from .galois_cert import (
     GaloisVerdict,
     _certify,
     _check_prime_bound,
+    _good_primes,
     _model_and_disc,
-    _primes,
     _rational_roots,
 )
 
@@ -145,14 +145,13 @@ def _rational_root(model: UniPoly, model_disc: int):
     of discriminant ``model_disc``, by (|numerator|, denominator, negative
     after positive), or None if it has none.
 
-    The roots are searched by p-adic lifting from the first prime dividing
-    neither disc nor lc (``galois_cert._rational_roots``), so no
-    coefficient is factored.
+    The roots are searched by p-adic lifting from the first good prime
+    (``galois_cert._good_primes``, ``_rational_roots``), so no coefficient
+    is factored.
     """
     if model.coeffs[0] == 0:
         return 0
-    bad = model_disc * model.leading_coefficient
-    roots = _rational_roots(model, next(p for p in _primes() if bad % p))
+    roots = _rational_roots(model, next(_good_primes(model, model_disc)))
     return roots[0] if roots else None
 
 

@@ -250,6 +250,43 @@ class TestReplay:
         assert certify_galois(parse_poly("x^9 - x - 1")) == cert
         assert all(args == (cert.disc.numerator,) for args, _ in calls)
 
+    @pytest.mark.parametrize(
+        "text, p",
+        [
+            ("x^5 - x - 1", 19),  # divides disc = 2869 = 19 * 151
+            ("x^5 - x - 1", 4),  # no prime
+            ("x^5 - x - 1", 1),
+            ("x^5 - x - 1", 2**64 + 13),  # a prime above MAX_PRIME_BOUND
+            ("2x^5 - x - 1", 2),  # divides lc
+        ],
+    )
+    def test_deep_replay_rejects_a_stored_bad_prime(self, text, p):
+        # shallow replay reads only the patterns; deep replay recomputes
+        # each one, which is defined only at a good prime
+        cert = certify_galois(parse_poly(text))
+        added = replace(cert, observations=(*cert.observations, CycleTypeObservation(p, (5,))))
+        with pytest.raises(PatternReplayMismatch, match=f"p = {p} is no good prime"):
+            replay_certificate(added, deep=True)
+
+    def test_replay_rejects_a_wrong_disc(self):
+        cert = certify_galois(parse_poly("x^5 - x - 1"))
+        flipped = replace(cert, disc_is_square=not cert.disc_is_square)
+        for deep in (False, True):
+            with pytest.raises(DiscSquareInconsistency, match="flag is wrong"):
+                replay_certificate(flipped, deep=deep)
+        # 4 times the discriminant keeps its square class: only deep
+        # replay, which recomputes disc(f), sees it
+        scaled = replace(cert, disc=4 * cert.disc)
+        assert replay_certificate(scaled) is cert.verdict
+        with pytest.raises(DiscSquareInconsistency, match="stored discriminant is wrong"):
+            replay_certificate(scaled, deep=True)
+
+    def test_replay_rejects_a_pattern_of_the_wrong_degree(self):
+        cert = certify_galois(parse_poly("x^5 - x - 1"))
+        short = replace(cert, observations=(CycleTypeObservation(3, (1, 3)),))
+        with pytest.raises(DiscSquareInconsistency, match=r"\(1, 3\) at p = 3 does not sum to 5"):
+            replay_certificate(short)
+
 
 X = UniPoly((0, 1))
 
@@ -789,6 +826,14 @@ class TestDecomposition:
         tampered = replace(proven, witness=Witness("decomposition", square))
         with pytest.raises(PatternReplayMismatch):
             replay_certificate(tampered)
+
+    def test_witness_with_an_affine_inner_part(self):
+        # the check rewrites G(2x^2 + 3) as G'(x^2), G'(y) = G(2y + 3),
+        # before its H-adic division: (2x^2 + 3)^2 + (2x^2 + 3) + 1
+        f = parse_poly("4x^4 + 14x^2 + 13")
+        outer, inner = parse_poly("x^2 + x + 1"), parse_poly("2x^2 + 3")
+        assert galois_cert._is_decomposition(f, outer, inner)
+        assert not galois_cert._is_decomposition(f, parse_poly("x^2 + 2x + 1"), inner)
 
 
 def _planted_binomial(seed, degrees):

@@ -212,6 +212,12 @@ class TestScan:
         ]
         assert all(r.reason == "unproven" and not r.certificate.observations for r in rows)
 
+    def test_alternating_row(self):
+        # x^5 + 20x + 16 has square discriminant 2^16 5^6 and Gal = Alt(5)
+        (row,) = scan_A_h(parse_poly("x^5 + 20x"), -16, -16)
+        assert row.certificate.verdict is GaloisVerdict.PROVEN_ALTERNATING
+        assert not row.in_A_h and row.reason == "alternating, hence not symmetric"
+
     def test_repeated_root_row(self):
         # c = 0 makes x^3 - 3x^2 + 3x... pick h where h - c has a square factor:
         # h = x^2, c = 0 gives x^2, not squarefree

@@ -234,6 +234,23 @@ class TestCmRoute:
         assert st["p-odd"] is Status.FAILS
         assert st["hom-vanishing-cm"] is Status.FAILS
 
+    def test_quartic_alternating_fails_symmetry(self):
+        # Gal(x^4 + 8x + 12) is certified Alt(4), which is not Sym(4): the
+        # quartic route needs Sym(4), so both records read Fails
+        v = rank_verdict(parse_poly("x^4 + 8x + 12"), G2, 3, 1)
+        assert record(v, "galois-f").evidence["verdict"] == "ProvenAlternating"
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        st = statuses(v)
+        assert st["galois-f"] is Status.FAILS
+        assert st["hom-vanishing-cm"] is Status.FAILS
+
+    def test_quartic_unproven_group(self):
+        # the one prime 2 proves transitivity and nothing more
+        v = rank_verdict(F4, G2, 3, 1, prime_bound=2)
+        assert record(v, "galois-f").evidence["verdict"] == "Inconclusive"
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert statuses(v)["galois-f"] is Status.UNKNOWN
+
     def test_even_degree_note(self):
         v = rank_verdict(F6, G2, 3, 1)
         assert v.kind is VerdictKind.EXACT_RANK and v.rank == 5
