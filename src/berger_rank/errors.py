@@ -70,13 +70,13 @@ class ZeroInput(InputError):
 class FactorizationIncomplete(BergerRankError):
     """Integer factorization budget exhausted before a full factorization.
 
-    Deliberately not an InputError: the input was fine, we just refuse to
-    guess.  No Galois verdict, rank hypothesis, scan membership or disjoint
-    pair depends on factoring.  Only display fields and reasons degrade:
-    ``poly-disc`` omits the squarefree part and factors, a scan row's
-    ``quad_tag`` is None, and a rational-root search gives up, so a
-    reducible row reads "unproven" rather than "reducible".  No command lets
-    it escape, so it never sets an exit code.
+    Raised when rho's step budget runs out, or at once on a cofactor of
+    over 2,048 bits after trial division.  Deliberately not an InputError:
+    the input was fine, we just refuse to guess.  No Galois verdict, rank
+    hypothesis, scan membership or disjoint pair depends on factoring.  Only
+    display fields degrade: ``poly-disc`` omits the squarefree part and
+    factors, and a scan row's ``quad_tag`` is None.  No command lets it
+    escape, so it never sets an exit code.
     """
 
 

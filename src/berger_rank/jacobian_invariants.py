@@ -113,6 +113,7 @@ def dim_new_part(m: int, q: int) -> int:
     """dim of the new isogeny factor at prime-power level q > 1."""
     if m < 2:
         raise InvalidInput("dim_new_part needs m >= 2")
+    _check_layer_bits(q, 1)
     return _new_part_dim(m, *_check_prime_power(q))
 
 
@@ -164,11 +165,9 @@ def decomposition_table(m: int, p: int, r: int) -> DecompositionTable:
         raise InvalidInput("decomposition_table needs m >= 2")
     if r < 0:
         raise InvalidInput("decomposition_table needs r >= 0")
-    _check_layer_bits(p, r)
-    if not is_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    q = TowerLayer(p, r).q
     rows = tuple((i, p ** i, _new_part_dim(m, p, i)) for i in range(1, r + 1))
-    total = dim_superelliptic(m, p ** r)
+    total = dim_superelliptic(m, q)
     if sum(row[2] for row in rows) != total:
         raise DimensionSumMismatch(
             f"new parts {[row[2] for row in rows]} do not sum to dim {total} "

@@ -118,8 +118,6 @@ def _divmod(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     rem = list(a)
-    if len(rem) - 1 < db:
-        return (), _trim(rem)
     quot = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k]

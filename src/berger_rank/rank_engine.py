@@ -270,15 +270,7 @@ _EPSILON_NOTE = (
 
 
 def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
-    if f.degree != 3 or g.degree != 3:
-        return False
-    if tuple(f.coeffs) != tuple(g.coeffs):
-        return False
-    return (
-        f.leading_coefficient == 1
-        and f.coefficient(2) == 0
-        and f.coefficient(1) == -1
-    )
+    return f.coeffs == g.coeffs and f.coeffs[1:] == (-1, 0, 1)
 
 
 def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:

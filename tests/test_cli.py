@@ -313,13 +313,43 @@ class TestPayloads:
         assert env["result"]["dim_new_part"] == 2 * (q - 1)
 
     @pytest.mark.parametrize(
-        "q", [2 ** 4096 + 1, (2 ** 521 - 1) * (2 ** 607 - 1)], ids=["F12", "M521*M607"]
+        "q, wanted",
+        [
+            (
+                2 ** 4096 + 1,
+                "layer <4097-bit p>^1 is too large: "
+                "max(r, 1) * bit_length(p) = 4097 exceeds 4096",
+            ),
+            ((2 ** 521 - 1) * (2 ** 607 - 1), "{q} is not a prime power > 1"),
+        ],
+        ids=["F12", "M521*M607"],
     )
-    def test_dims_large_non_prime_power(self, capsys, q):
-        # neither q factors within the budget; neither is a prime power
+    def test_dims_large_non_prime_power(self, capsys, q, wanted):
+        # neither q factors within the budget; neither is a prime power, and
+        # F12 is over the layer cap
         code, out, err = run_cli(capsys, "dims", "5", str(q))
         assert (code, out) == (1, "")
-        assert err == f"error: InvalidInput: {q} is not a prime power > 1\n"
+        assert err == f"error: InvalidInput: {wanted.format(q=q)}\n"
+
+    def test_dims_over_the_layer_cap_is_refused_at_once(self, capsys):
+        # Q = 2^16384 + 1 took seconds in perfect-power roots and primality
+        # tests, and its error line printed all 4,933 digits of Q
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            q = str(2 ** 16384 + 1)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dims", "5", q)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidInput: layer <16385-bit p>^1 is too large: "
+            "max(r, 1) * bit_length(p) = 16385 exceeds 4096\n"
+        )
 
     def test_dims_large_prime_squared(self, capsys):
         p = 2 ** 127 - 1
@@ -402,13 +432,25 @@ class TestWarningsAndNotes:
         assert env["result"]["squarefree_part"] is None
 
     def test_long_operand_warning_in_bounded_time(self, capsys):
-        # disc = -4 * (the 1000-digit repunit): Miller-Rabin, the perfect-power
-        # test over prime exponents and rho all run on ~3,300-bit cofactors
+        # disc = -4 * (the 1000-digit repunit): its ~3,300-bit cofactor left
+        # by trial division is over the 2,048-bit cap, so no primality test,
+        # perfect-power test or rho runs on it
         text = "factoring budget exhausted; squarefree part and factors omitted"
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "poly-disc", "1" * 1000 + "x^2+1")
         assert time.perf_counter() - start < 6.0
         assert (code, out, err) == (0, "-" + "4" * 1000 + "\n", f"warning: {text}\n")
+
+    def test_long_prime_cofactor_warning_in_bounded_time(self, capsys):
+        # disc(x^5 - x - c) = 3125 c^4 - 256 with c = 10^1000 + 7 leaves a
+        # cofactor of about 13,300 bits, whose primality test alone took
+        # seconds before the cofactor cap
+        c = 10 ** 1000 + 7
+        text = "factoring budget exhausted; squarefree part and factors omitted"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "poly-disc", f"x^5 - x - {c}")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, f"{3125 * c ** 4 - 256}\n", f"warning: {text}\n")
 
     def test_factoring_budget_does_not_grow_with_the_operand(self, capsys):
         # disc = -4 * (the 100-digit repunit), whose last cofactor is a product

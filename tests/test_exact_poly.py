@@ -558,6 +558,16 @@ class TestIntegers:
         with pytest.raises(FactorizationIncomplete):
             factor_int(hard)
 
+    def test_cofactor_cap(self):
+        # a cofactor over 2,048 bits is refused before its primality test,
+        # whose time grows with the operand; the Mersenne prime 2^1279 - 1
+        # is under the cap and still factors
+        start = time.perf_counter()
+        with pytest.raises(FactorizationIncomplete, match="2203-bit cofactor over the cap"):
+            factor_int(6 * (2 ** 2203 - 1))
+        assert time.perf_counter() - start < 0.1
+        assert factor_int(6 * (2 ** 1279 - 1)) == {2: 1, 3: 1, 2 ** 1279 - 1: 1}
+
 
 def _planted_integers():
     """Products of primes from both sides of 2^10 and 10^6, and other traps."""

@@ -1935,6 +1935,7 @@ class TestRootSearch:
         # proves Sym(3)
         f = parse_poly(text)
         model = integer_model(f)
+        assert not galois_cert._is_good(model, p)
         assert galois_cert._rational_roots(model, p) is None
         assert galois_cert._small_factor(model, p, [1]) is None
         verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(p, (1, 2)),), model)
@@ -1942,6 +1943,7 @@ class TestRootSearch:
         assert "R-irreducible" not in [r.rule for r in fired]
         bad = discriminant(model) * model.coeffs[-1]
         good = next(q for q in range(2, 50) if is_prime(q) and bad % q)
+        assert galois_cert._is_good(model, good)
         verdict, fired = _evaluate_rules(3, False, (CycleTypeObservation(good, (1, 2)),), model)
         assert verdict is GaloisVerdict.PROVEN_SYMMETRIC and fired[0].rule == "R-irreducible"
 

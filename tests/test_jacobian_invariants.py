@@ -80,13 +80,21 @@ class TestDimensions:
             dim_new_part(4, 1)
 
     @pytest.mark.parametrize(
-        "q", [2 ** 4096 + 1, (2 ** 521 - 1) * (2 ** 607 - 1)], ids=["F12", "M521*M607"]
+        "q, wanted",
+        [
+            (2 ** 4096 + 1, r"layer <4097-bit p>\^1 is too large"),
+            (2 ** 16384 + 1, r"layer <16385-bit p>\^1 .* = 16385 exceeds 4096"),
+            ((2 ** 521 - 1) * (2 ** 607 - 1), "is not a prime power > 1"),
+        ],
+        ids=["F12", "F14", "M521*M607"],
     )
-    def test_large_non_prime_power_is_refused_unfactored(self, q):
-        # neither can be factored within the budget, and neither needs to be:
-        # no perfect-power root of q is prime
+    def test_large_non_prime_power_is_refused_unfactored(self, q, wanted):
+        # none can be factored within the budget, and none needs to be: F12
+        # and F14 are over the layer cap, which comes before the
+        # perfect-power roots and primality tests that took seconds at
+        # F14's size, and no perfect-power root of the last is prime
         start = time.perf_counter()
-        with pytest.raises(InvalidInput, match="is not a prime power > 1"):
+        with pytest.raises(InvalidInput, match=wanted):
             dim_new_part(5, q)
         assert time.perf_counter() - start < 2.0
 

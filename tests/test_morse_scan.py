@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,17 @@ class TestScan:
             assert by_c[c].certificate.verdict is GaloisVerdict.PROVEN_SYMMETRIC
         assert by_c[1].quad_tag == 2869
         assert by_c[2].quad_tag == 3109
+
+    def test_long_constant_tag_in_bounded_time(self):
+        # disc(x^5 - x - c) = 3125 c^4 - 256 has a ~13,300-bit cofactor for
+        # c = 10^1000 + 7: the tag is unknown at once, where the cofactor's
+        # primality test alone took seconds, and the row is still certified
+        c = 10 ** 1000 + 7
+        start = time.perf_counter()
+        (row,) = scan_A_h(parse_poly("x^5 - x"), c, c)
+        assert time.perf_counter() - start < 1.0
+        assert row.quad_tag is None and row.in_A_h
+        assert row.certificate.verdict is GaloisVerdict.PROVEN_SYMMETRIC
 
     def test_scan_is_deterministic(self):
         a = scan_A_h(parse_poly("x^5 - x"), -2, 2)

@@ -364,6 +364,20 @@ class TestOtherShapes:
         v = rank_verdict(parse_poly("x^3 - x - 2"), parse_poly("y^3 - y - 2"), 5, 1)
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert any("elliptic" in note for note in v.notes)
+        # the pair must be one cubic x^3 - x - c on both sides: a pair that
+        # differs from it in lc, in the x coefficient, by an x^2 term or in
+        # the constant takes no route
+        for f, g in (
+            ("2x^3 - 2x - 4", "2y^3 - 2y - 4"),
+            ("x^3 + x - 2", "y^3 + y - 2"),
+            ("x^3 + x^2 - x - 2", "y^3 + y^2 - y - 2"),
+            ("x^3 - x - 2", "y^3 - y - 3"),
+        ):
+            f, g = parse_poly(f), parse_poly(g)
+            assert rank_engine._analyze(f, g, 5, 200).route == "unsupported", (f, g)
+            v = rank_verdict(f, g, 5, 1)
+            assert v.kind is VerdictKind.INCONCLUSIVE
+            assert v.notes == (rank_engine._NO_ROUTE_NOTE,), (f, g)
 
     def test_cubic_with_binomial(self):
         v = rank_verdict(parse_poly("x^3 - x - 1"), G2, 5, 1)
