@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -84,7 +83,7 @@ def _json_value(obj):
     """Recursively convert library values to JSON-native ones.
 
     Integral rationals become ints, other rationals "p/q" strings,
-    polynomials their canonical rendering, enums their value string.
+    polynomials their canonical rendering.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -94,8 +93,6 @@ def _json_value(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, UniPoly):
         return obj.render()
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, GaloisCertificate):
         return _certificate_payload(obj)
     if isinstance(obj, (list, tuple)):
@@ -176,6 +173,18 @@ def _aligned(rows: list[dict], columns: list[str]) -> list[str]:
     return lines
 
 
+def _key_lines(payload: dict, keys: list[str]) -> list[str]:
+    """One "key: value" line per key, a bool as yes or no and None as "-";
+    bools are told by identity, since a disc of 1 == True prints 1."""
+    lines = []
+    for key in keys:
+        value = payload[key]
+        if value is True or value is False:
+            value = "yes" if value else "no"
+        lines.append(f"{key}: {'-' if value is None else value}")
+    return lines
+
+
 def _witness_texts(payload: dict) -> list[tuple[str, str, str]]:
     """The kind, the formula and "name = value, ..." of the witness that a
     certificate payload holds, if any."""
@@ -187,12 +196,7 @@ def _witness_texts(payload: dict) -> list[tuple[str, str, str]]:
 
 
 def _human_certificate(payload: dict) -> list[str]:
-    lines = [
-        f"polynomial: {payload['polynomial']}",
-        f"disc: {payload['disc']}",
-        f"disc_is_square: {'yes' if payload['disc_is_square'] else 'no'}",
-        f"verdict: {payload['verdict']}",
-    ]
+    lines = _key_lines(payload, ["polynomial", "disc", "disc_is_square", "verdict"])
     for kind, form, values in _witness_texts(payload):
         lines.append(f"{kind}: {form}, {values}")
     lines.append("observations:")
@@ -223,12 +227,10 @@ def _brief_evidence(evidence: dict) -> str:
 
 def _human_verdict(payload: dict) -> list[str]:
     lines = [
-        f"kind: {payload['kind']}",
-        f"rank: {'-' if payload['rank'] is None else payload['rank']}",
+        *_key_lines(payload, ["kind", "rank"]),
         f"layer: p={payload['p']} r={payload['r']} q={payload['q']}",
         f"m: {payload['m']}  n: {payload['n']}  c2: {payload['c2']}",
-        f"trace_Kd_zero: {'yes' if payload['trace_Kd_zero'] else 'no'}",
-        f"trace_geometric_zero: {payload['trace_geometric_zero']}",
+        *_key_lines(payload, ["trace_Kd_zero", "trace_geometric_zero"]),
     ]
     if payload["hypotheses"]:
         lines.append("hypotheses:")
@@ -283,15 +285,13 @@ def _cmd_genus(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_dims(args) -> tuple[dict, list[str]]:
-    total = dim_superelliptic(args.m, args.q)
-    new = dim_new_part(args.m, args.q)
     result = {
         "m": args.m,
         "q": args.q,
-        "dim_superelliptic": total,
-        "dim_new_part": new,
+        "dim_superelliptic": dim_superelliptic(args.m, args.q),
+        "dim_new_part": dim_new_part(args.m, args.q),
     }
-    human = [f"dim_superelliptic: {total}", f"dim_new_part: {new}"]
+    human = _key_lines(result, ["dim_superelliptic", "dim_new_part"])
     return _envelope("dims", result), human
 
 
@@ -323,22 +323,12 @@ def _cmd_rank_table(args) -> tuple[dict, list[str]]:
     verdicts = rank_table(f, g, args.p, args.max_r, prime_bound=args.prime_bound)
     payloads = [_verdict_payload(v) for v in verdicts]
     result = {"f": f.render(), "g": g.render(), "p": args.p, "rows": payloads}
-    rows = [
-        {
-            "r": pl["r"],
-            "q": pl["q"],
-            "kind": pl["kind"],
-            "rank": pl["rank"],
-            "c2": pl["c2"],
-        }
-        for pl in payloads
-    ]
     notes: list[str] = []
     for v in verdicts:
         for note in v.notes:
             if note not in notes:
                 notes.append(note)
-    human = _aligned(rows, ["r", "q", "kind", "rank", "c2"])
+    human = _aligned(payloads, ["r", "q", "kind", "rank", "c2"])
     return _envelope("rank-table", result, notes=notes), human
 
 
@@ -352,13 +342,7 @@ def _cmd_morse(args) -> tuple[dict, list[str]]:
         "critical_value_disc_squarefree": report.critical_value_disc_squarefree,
         "critical_values_poly": report.critical_values_poly.render(),
     }
-    human = [
-        f"is_morse: {'yes' if report.is_morse else 'no'}",
-        f"derivative_squarefree: {'yes' if report.derivative_squarefree else 'no'}",
-        "critical_value_disc_squarefree: "
-        + ("yes" if report.critical_value_disc_squarefree else "no"),
-        f"critical_values_poly: {result['critical_values_poly']}",
-    ]
+    human = _key_lines(result, list(result)[1:])  # every key but h
     return _envelope("morse", result), human
 
 

@@ -51,6 +51,10 @@ as multiplication ("2x", "3(x+1)"):
     atom     ::= INTEGER | DECIMAL | VARIABLE | "(" expr ")"
     exponent ::= [ "+" ] INTEGER | "(" exponent ")"
 
+An INTEGER is decimal digits (``str.isdecimal``, so "²" is none) and a
+DECIMAL two runs of them around one ".", either run maybe empty but not
+both; a VARIABLE is a letter or "_", then letters, decimal digits or "_".
+
 Division is only by a nonzero constant subexpression; anything else raises
 ``NonRationalCoefficient``.  The parser holds each subexpression as its
 nonzero terms, so a sum of n monomials costs O(n) whatever their degrees.
@@ -186,10 +190,7 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        var = self._join_var(other)
-        a, b = self.coeffs, other.coeffs
-        tail = list(a[len(b):]) or [-y for y in b[len(a):]]
-        return UniPoly([x - y for x, y in zip(a, b)] + tail, var)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -238,11 +239,6 @@ class UniPoly:
         if b.is_zero:
             raise DivisionByZeroPoly("polynomial division by zero")
         var = self._join_var(b)
-        if self.is_zero or (self.degree or 0) < (b.degree or 0):
-            if b.is_constant:
-                inv = 1 / Fraction(b.coefficient(0))
-                return UniPoly((c * inv for c in self.coeffs), var), UniPoly((), var)
-            return UniPoly((), var), self
         rem = list(self.coeffs)
         db = len(b.coeffs) - 1
         lb = b.coeffs[-1]
@@ -385,10 +381,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append((ch, ch))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -402,7 +398,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j]))
             i = j
@@ -589,11 +585,7 @@ class _ParseState:
     def atom(self) -> dict:
         nxt = self.peek()
         if nxt == "num":
-            _, text = self.next()
-            try:
-                value = Fraction(text)
-            except ValueError as exc:
-                raise NonRationalCoefficient(f"bad numeric literal {text!r}") from exc
+            value = Fraction(self.next()[1])
             return {0: _exact(value)} if value else {}
         if nxt == "name":
             _, name = self.next()
@@ -834,8 +826,6 @@ def discriminant(a: UniPoly) -> Fraction:
     if a.degree is None or a.degree < 1:
         raise ConstantPolynomialError("discriminant needs degree >= 1")
     m = a.degree
-    if m == 1:
-        return Fraction(1)
     r = resultant(a, derivative(a))
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
     return sign * r / a.leading_coefficient

@@ -113,7 +113,11 @@ def dim_new_part(m: int, q: int) -> int:
     """dim of the new isogeny factor at prime-power level q > 1."""
     if m < 2:
         raise InvalidInput("dim_new_part needs m >= 2")
-    _check_layer_bits(q, 1)
+    if q.bit_length() > MAX_LAYER_BITS:  # Q is named, not printed, and no p claimed
+        raise InvalidInput(
+            f"layer Q is too large: bit_length(Q) = {q.bit_length()} "
+            f"exceeds {MAX_LAYER_BITS}"
+        )
     return _new_part_dim(m, *_check_prime_power(q))
 
 

@@ -81,10 +81,6 @@ class PrimePoly(Record):
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __str__(self) -> str:
         return f"{UniPoly(self.coeffs)}  (mod {self.p})" if self.coeffs else "0"
 

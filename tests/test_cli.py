@@ -315,11 +315,7 @@ class TestPayloads:
     @pytest.mark.parametrize(
         "q, wanted",
         [
-            (
-                2 ** 4096 + 1,
-                "layer <4097-bit p>^1 is too large: "
-                "max(r, 1) * bit_length(p) = 4097 exceeds 4096",
-            ),
+            (2 ** 4096 + 1, "layer Q is too large: bit_length(Q) = 4097 exceeds 4096"),
             ((2 ** 521 - 1) * (2 ** 607 - 1), "{q} is not a prime power > 1"),
         ],
         ids=["F12", "M521*M607"],
@@ -347,8 +343,8 @@ class TestPayloads:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (
-            "error: InvalidInput: layer <16385-bit p>^1 is too large: "
-            "max(r, 1) * bit_length(p) = 16385 exceeds 4096\n"
+            "error: InvalidInput: layer Q is too large: "
+            "bit_length(Q) = 16385 exceeds 4096\n"
         )
 
     def test_dims_large_prime_squared(self, capsys):
@@ -485,6 +481,7 @@ class TestExitCodes:
             ("dims", "1", "2"),
             ("scan", "x^5-x", "--c-range", "oops"),
             ("scan", "x^5-x", "--c-range=2..-2"),
+            ("scan", "x^5-x", "--c-range=1.5..2"),
             ("galois", "x^4-x+2", "--prime-bound", str(MAX_PRIME_BOUND + 1)),
             ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "1",
              "--prime-bound", str(MAX_PRIME_BOUND + 1)),
@@ -493,6 +490,20 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, *argv)
             assert code == 1, argv
             assert err, argv
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [(("galois", "x^²"), 2), (("morse", "x^² - x"), 2), (("poly-disc", "x³ + 2"), 1)],
+        ids=["galois", "morse", "poly-disc"],
+    )
+    def test_superscript_is_one_error_line(self, capsys, argv, position):
+        # one line, no traceback, and no variable named x³
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        char = argv[1][position]
+        assert err == (
+            f"error: PolySyntaxError: unexpected character {char!r} at position {position}\n"
+        )
 
     def test_usage_errors_exit_1(self, capsys):
         for argv in (["bogus-command"], ["rank", "-f", "x^2-2"], []):

@@ -21,6 +21,7 @@ from berger_rank import (
     PolySyntaxError,
     UniPoly,
     ZeroInput,
+    ZeroPolynomialError,
     affine_dickson,
     certify_galois,
     derivative,
@@ -77,12 +78,25 @@ class TestParseRender:
             parse_poly("x +")
         with pytest.raises(PolySyntaxError):
             parse_poly("x^^2")
+        with pytest.raises(PolySyntaxError, match="exponent must be an integer"):
+            parse_poly("x^2.5")
         with pytest.raises(MultiVariableError):
             parse_poly("x + y")
         with pytest.raises(NonRationalCoefficient):
             parse_poly("1/x")
         with pytest.raises(NonRationalCoefficient):
             parse_poly("1/0")
+
+    @pytest.mark.parametrize("text", ["x^²", "x^¹⁰", "x² - 1", "²x"])
+    def test_superscript_digits_are_syntax_errors(self, text):
+        # a superscript passes str.isdigit but is no decimal digit, so it is
+        # neither a number nor part of a name
+        with pytest.raises(PolySyntaxError, match="unexpected character"):
+            parse_poly(text)
+
+    def test_unicode_decimal_digits_are_digits(self):
+        assert parse_poly("٣x") == parse_poly("3x")
+        assert parse_poly("x^٣") == X**3
 
     def test_nesting_cap(self):
         cap = 100  # _ParseState.MAX_NESTING, documented in parse_poly
@@ -277,7 +291,7 @@ class TestParseRender:
         assert UniPoly(()).render() == "0"
         assert UniPoly((Fraction(1, 2), 0, -3)).render() == "-3*x^2 + 1/2"
 
-    @given(st.text(alphabet="0123456789xyz_+-*/^(). ", max_size=30))
+    @given(st.text(alphabet="0123456789²³٣xyz_+-*/^(). ", max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_fuzz_gives_a_poly_or_an_input_error(self, text):
         # the caps admit dense powers that take over a second, e.g.
@@ -311,6 +325,12 @@ class TestArithmetic:
         with pytest.raises(DivisionByZeroPoly):
             divmod(X, UniPoly(()))
 
+    def test_operand_errors(self):
+        with pytest.raises(MultiVariableError):
+            parse_poly("x") + parse_poly("y")
+        with pytest.raises(ValueError, match="nonnegative"):
+            X ** -1
+
     def test_derivative(self):
         assert derivative(parse_poly("x^5 - x - 1")) == parse_poly("5x^4 - 1")
         assert derivative(UniPoly((3,))).is_zero
@@ -321,6 +341,9 @@ class TestResultant:
         # Res(x - 2, x - 3) fixes the sign convention
         assert resultant(lin(2), lin(3)) == -1
         assert resultant(parse_poly("x^2+1"), parse_poly("x^2-1")) == 4
+        assert resultant(UniPoly((3,)), UniPoly((5,))) == 1  # two constants
+        with pytest.raises(ZeroPolynomialError):
+            resultant(X, UniPoly(()))
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
            st.lists(st.integers(-6, 6), min_size=1, max_size=3))
@@ -459,6 +482,9 @@ class TestIntegers:
         assert factor_int(2021) == {43: 1, 47: 1}
         assert factor_int(2 ** 10 * 3 ** 4) == {2: 10, 3: 4}
         assert factor_int(1) == {}
+        with pytest.raises(ZeroInput):
+            factor_int(0)
+        assert primes_up_to(1) == []
         big = 1000003 * 1000033
         assert factor_int(big) == {1000003: 1, 1000033: 1}
 

@@ -61,6 +61,10 @@ class TestSampling:
         with pytest.raises(NotSquarefree):
             sample_cycle_types(parse_poly("(x-1)^2"), 10)
 
+    def test_constant_rejected(self):
+        with pytest.raises(InvalidInput, match="degree >= 1"):
+            sample_cycle_types(parse_poly("5"), 10)
+
     def test_primes_are_sieved_segment_by_segment(self):
         # the segments (200, 400], (400, 800], ... give the primes of one
         # sieve, and a certificate that stops at p = 3 sieves no further

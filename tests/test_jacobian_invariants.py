@@ -78,12 +78,14 @@ class TestDimensions:
             dim_new_part(4, 6)  # not a prime power
         with pytest.raises(InvalidInput):
             dim_new_part(4, 1)
+        with pytest.raises(InvalidInput, match="m >= 2"):
+            dim_new_part(1, 7)
 
     @pytest.mark.parametrize(
         "q, wanted",
         [
-            (2 ** 4096 + 1, r"layer <4097-bit p>\^1 is too large"),
-            (2 ** 16384 + 1, r"layer <16385-bit p>\^1 .* = 16385 exceeds 4096"),
+            (2 ** 4096 + 1, r"layer Q is too large: bit_length\(Q\) = 4097 exceeds"),
+            (2 ** 16384 + 1, r"layer Q is too large: .* = 16385 exceeds 4096"),
             ((2 ** 521 - 1) * (2 ** 607 - 1), "is not a prime power > 1"),
         ],
         ids=["F12", "F14", "M521*M607"],
@@ -114,6 +116,10 @@ class TestC2:
         assert c2(9, 3, 3) == 18
         assert c2(6, 2, 3) == 5
         assert c2(4, 2, 283) == 3
+
+    def test_errors(self):
+        with pytest.raises(InvalidInput, match="m, n >= 2"):
+            c2(1, 2, 1)
 
     @given(st.integers(2, 20), st.integers(2, 20), st.integers(1, 100))
     @settings(max_examples=200)

@@ -143,6 +143,12 @@ class TestReduce:
 
 
 class TestPatterns:
+    def test_input_errors(self):
+        with pytest.raises(ValueError, match="not a machine-word prime"):
+            PrimePoly(4, (1, 1))
+        with pytest.raises(ValueError, match="degree >= 1"):
+            degree_pattern(PrimePoly(5, (3,)))
+
     def test_known_patterns(self):
         f = parse_poly("x^4 - x + 2")
         assert degree_pattern(reduce_mod_p(f, 2)) == (1, 1, 2)

@@ -137,6 +137,12 @@ class TestMorse:
         with pytest.raises(InvalidInput):
             is_morse(parse_poly("5"))
 
+    def test_linear_rejected(self):
+        x = parse_poly("x")
+        for call in (critical_value_resultant, lambda h: scan_A_h(h, 0, 1)):
+            with pytest.raises(InvalidInput, match="degree >= 2"):
+                call(x)
+
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
         st.integers(1, 5),
