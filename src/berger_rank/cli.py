@@ -346,6 +346,11 @@ def _cmd_morse(args) -> tuple[dict, list[str]]:
     return _envelope("morse", result), human
 
 
+# A scan lists the disjoint pairs among its rows, so its output and memory
+# grow with the square of the width: 1,000 rows give at most 499,500 pairs.
+_MAX_C_ROWS = 1000
+
+
 def _parse_c_range(text: str) -> tuple[int, int]:
     parts = text.strip().split("..")
     if len(parts) != 2:
@@ -356,6 +361,11 @@ def _parse_c_range(text: str) -> tuple[int, int]:
         raise InvalidInput(f"--c-range bounds must be integers, got {text!r}") from None
     if lo > hi:
         raise InvalidInput(f"--c-range lower bound {lo} exceeds upper bound {hi}")
+    if hi - lo >= _MAX_C_ROWS:
+        width = hi - lo + 1 if hi - lo < 2**64 else "over 2^64"  # keep the line short
+        raise InvalidInput(
+            f"--c-range spans {width} values of c, above the cap of {_MAX_C_ROWS}"
+        )
     return lo, hi
 
 

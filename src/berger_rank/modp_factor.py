@@ -43,6 +43,17 @@ alternate slots, a fixed number of big-int operations with no per-slot
 loop.  x^p itself starts from a monomial, so for p < deg f it costs no
 product.  The gcds of Euclid's algorithm compute remainders only, on lists
 in place, and stop at the first nonzero constant remainder.
+
+At p = 2 the same loop runs on bitmasks, as distinct-degree factorization
+over F_2 classically is (von zur Gathen and Gerhard, Modern Computer
+Algebra, Section 14.2): a polynomial is one int whose bit i is its
+coefficient of x^i.  Squaring is additive in characteristic 2,
+(sum x^i)^2 = sum x^(2i), so the whole Frobenius step h -> h^2 spreads h's
+bits apart (bin(h) read in base 4) and needs no product and no Q-matrix.
+Addition is XOR, so nothing carries and no step reduces anything mod p: a
+remainder step, in reducing h^2 mod f, in Euclid's gcd and in the exact
+division rest / g, clears the top bit with one shift and one XOR.  The
+packed kernel keeps every odd p, and stays the tests' reference at p = 2.
 """
 
 from __future__ import annotations
@@ -286,16 +297,28 @@ def degree_pattern(
     for k factors of degree d with product g, ascending: the parity then
     ends the loop only where it leaves whole parts.  A of degree 1 has
     none.
+
+    For p = 2 the loop runs on bitmasks (``_pattern_f2``): there the
+    Frobenius step h -> h^2 is a squaring, which only spreads h's bits
+    apart, and no step reduces anything mod p, since coefficients add by
+    XOR.  It gives the same pattern, parts and NotSquarefree message as the
+    packed loop, which keeps every odd p.
     """
-    p = a.p
     if a.degree is None or a.degree < 1:
         raise ValueError("degree pattern needs degree >= 1")
-    if disc is not None and disc % p == 0:
-        raise ValueError(f"discriminant {disc} is not prime to {p}")
+    if disc is not None and disc % a.p == 0:
+        raise ValueError(f"discriminant {disc} is not prime to {a.p}")
+    if a.degree == 1:
+        return (1,)
+    return (_pattern_f2 if a.p == 2 else _pattern)(a, disc, parts)
+
+
+def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePattern:
+    """``degree_pattern``'s loop over the packed kernel, for any p and
+    deg a >= 2 with disc, if given, prime to p."""
+    p = a.p
     rest = _monic(a.coeffs, p)
     n = len(rest) - 1
-    if n == 1:
-        return (1,)
     # the parity of r, the number of irreducible factors, or None if unknown
     r_odd = None
     if disc is not None and p != 2:
@@ -345,6 +368,65 @@ def degree_pattern(
         pattern.append(len(rest) - 1)
         if parts is not None:
             parts.append((len(rest) - 1, 1, rest))
+    return tuple(pattern)
+
+
+# -- F_2[x] on bitmasks ----------------------------------------------------------
+# Bit i of an int is the coefficient of x^i.  A remainder step clears the top
+# bit of the dividend by XORing the divisor shifted up to it; bin() and base-4
+# int() are exempt from the interpreter's int-to-str digit limit.
+
+
+def _gcd_f2(a: int, b: int) -> int:
+    """gcd by Euclid, remainders only; a nonzero constant remainder ends it."""
+    while b > 1:
+        db = b.bit_length()
+        while (k := a.bit_length() - db) >= 0:
+            a ^= b << k
+        a, b = b, a
+    return 1 if b else a
+
+
+def _square_f2(h: int, f: int) -> int:
+    """h^2 mod f: one degree step of the F_2 loop."""
+    h, df = int(bin(h)[2:], 4), f.bit_length()
+    while (k := h.bit_length() - df) >= 0:
+        h ^= f << k
+    return h
+
+
+def _coeffs_f2(g: int) -> tuple[int, ...]:
+    return tuple(map(int, reversed(bin(g)[2:])))
+
+
+def _pattern_f2(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePattern:
+    """``_pattern``'s loop at p = 2 on bitmasks, step for step (no parity
+    is read at p = 2, so it always runs in full)."""
+    f = rest = int("".join(map(str, reversed(a.coeffs))), 2)
+    h = 2  # x^(2^d) mod f
+    pattern: list[int] = []
+    d = 0
+    while rest.bit_length() - 1 >= 2 * (d + 1):
+        d += 1
+        h = _square_f2(h, f)
+        g = _gcd_f2(h ^ 2, rest)
+        if g > 1:
+            k = (g.bit_length() - 1) // d
+            pattern += [d] * k
+            if parts is not None:
+                parts.append((d, k, _coeffs_f2(g)))
+            # rest /= g, exact: each step clears rest's top bit into q
+            q, dg = 0, g.bit_length()
+            while (s := rest.bit_length() - dg) >= 0:
+                rest ^= g << s
+                q |= 1 << s
+            rest = q
+            if disc is None and _gcd_f2(g, rest) > 1:  # as in _pattern
+                raise NotSquarefree(f"{a} has a repeated factor of degree {d}")
+    if rest > 1:
+        pattern.append(m := rest.bit_length() - 1)
+        if parts is not None:
+            parts.append((m, 1, _coeffs_f2(rest)))
     return tuple(pattern)
 
 

@@ -505,6 +505,27 @@ class TestExitCodes:
             f"error: PolySyntaxError: unexpected character {char!r} at position {position}\n"
         )
 
+    def test_c_range_width_cap(self, capsys):
+        # the disjoint pairs grow with the square of the rows scanned
+        assert cli._parse_c_range("1..1000") == (1, 1000)
+        assert cli._parse_c_range("-500..499") == (-500, 499)
+        for text in ("1..1001", "-500..500"):
+            with pytest.raises(cli.InvalidInput, match="spans 1001 values of c, above the cap"):
+                cli._parse_c_range(text)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", "x^5 - x", "--c-range=-50000..50000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidInput: --c-range spans 100001 values of c, above the cap of 1000\n"
+        )
+        # a bound of 5,000 digits is not echoed back
+        code, out, err = run_cli(capsys, "scan", "x^5 - x", "--c-range=0.." + "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: InvalidInput: --c-range spans over 2^64 values of c, above the cap of 1000\n"
+        )
+
     def test_usage_errors_exit_1(self, capsys):
         for argv in (["bogus-command"], ["rank", "-f", "x^2-2"], []):
             code, _, err = run_cli(capsys, *argv)

@@ -235,6 +235,18 @@ class TestReplay:
             replay_certificate(tampered, deep=True)
         assert isinstance(info.value, InternalCheckError)  # CLI exit code 2
 
+    def test_deep_replay_rejects_tampered_pattern_at_2(self):
+        # p = 2 takes the bitmask loop; its one pattern proves Sym(40)
+        cert = certify_galois(parse_poly("x^40 - x - 1"))
+        assert cert.observations == (CycleTypeObservation(2, (3, 10, 13, 14)),)
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.PROVEN_SYMMETRIC
+        # a 4 + 9 split in place of 3 + 10 proves the same, so only the deep
+        # replay's fresh pattern can tell
+        tampered = replace(cert, observations=(CycleTypeObservation(2, (4, 9, 13, 14)),))
+        assert replay_certificate(tampered) is GaloisVerdict.PROVEN_SYMMETRIC
+        with pytest.raises(PatternReplayMismatch, match="at p = 2 does not replay"):
+            replay_certificate(tampered, deep=True)
+
     def test_deep_replay_runs_the_full_loop(self, monkeypatch):
         # certification passes the discriminant, so degree_pattern may stop
         # early by parity; deep replay passes none and re-derives every

@@ -6,6 +6,7 @@ code with the module under test.
 """
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -491,16 +492,16 @@ def _count_gcds(monkeypatch):
     return calls
 
 
-def _count_steps(monkeypatch):
-    """Degree steps taken: each reads x^(p^d) back out of the kernel once."""
+def _count_f2_steps(monkeypatch):
+    """Degree steps the F_2 loop takes: each squares x^(2^(d-1)) once."""
     calls = []
-    real = _ModRing.unpack
+    real = modp_factor._square_f2
 
-    def counting(ring, v, count):
-        calls.append(count)
-        return real(ring, v, count)
+    def counting(h, f):
+        calls.append(h)
+        return real(h, f)
 
-    monkeypatch.setattr(_ModRing, "unpack", counting)
+    monkeypatch.setattr(modp_factor, "_square_f2", counting)
     return calls
 
 
@@ -533,7 +534,7 @@ class TestStickelbergerExit:
 
     def test_p2_runs_the_full_loop(self, monkeypatch):
         # every unit of F_2 is a square, so no parity is read at p = 2
-        calls = _count_steps(monkeypatch)
+        calls = _count_f2_steps(monkeypatch)
         checked = 0
         for f, disc in _INPUTS:
             if not _good(f, disc, 2) or f.degree < 4:
@@ -542,6 +543,7 @@ class TestStickelbergerExit:
             calls.clear()
             full = degree_pattern(a)
             full_calls = len(calls)
+            assert full_calls > 0, f
             calls.clear()
             assert degree_pattern(a, disc) == full, f
             assert len(calls) == full_calls, f
@@ -569,3 +571,68 @@ class TestStickelbergerExit:
         calls.clear()
         assert degree_pattern(reduce_mod_p(f, p), disc) == (8,)
         assert len(calls) < full_calls, (p, len(calls), full_calls)
+
+
+# -- the F_2 path ------------------------------------------------------------------
+# degree_pattern runs p = 2 on bitmasks; the packed loop, still callable there
+# as modp_factor._pattern, is the reference it must match in every output.
+
+
+def _outcome(pattern_fn, a, disc):
+    parts = []
+    try:
+        return pattern_fn(a, disc, parts), parts
+    except NotSquarefree as e:
+        return "NotSquarefree", str(e)
+
+
+class TestF2Path:
+    def _check(self, coeffs):
+        a = PrimePoly(2, coeffs)
+        expected = _outcome(modp_factor._pattern, a, None)
+        assert _outcome(degree_pattern, a, None) == expected, coeffs
+        if expected[0] != "NotSquarefree":
+            # any odd disc is prime to 2; it skips only the squarefree check
+            assert _outcome(degree_pattern, a, 1) == expected, coeffs
+        return expected[0] == "NotSquarefree"
+
+    def test_every_monic_up_to_degree_12(self):
+        repeated = sum(
+            self._check(coeffs) for d in range(2, 13) for coeffs in _monics(2, d)
+        )
+        assert 0 < repeated < 2**13
+
+    def test_random_degree_20_to_300(self):
+        rng = random.Random("f2-path")
+        repeated = 0
+        for k in range(30):
+            deg = rng.randint(20, 300)
+            low = [0] * deg
+            if k % 3:
+                low = [rng.randrange(2) for _ in range(deg)]
+            else:
+                for i in rng.sample(range(deg), 3):
+                    low[i] = 1
+            repeated += self._check(tuple(low) + (1,))
+        assert 0 < repeated < 30
+
+    def test_degree_above_4300_by_construction(self):
+        # x^(2^k) + x is the product of every monic irreducible of degree
+        # dividing k over F_2, so g8 = (x^256 + x) / (x^16 + x) holds the 30
+        # of degree 8, and f = (x^4096 + x) g8 has 2, 1, 2, 3, 9, 335 factors
+        # of degrees 1, 2, 3, 4, 6, 12 besides them: degree 4,336
+        g8, rem = _odivmod((0, 1) + (0,) * 254 + (1,), (0, 1) + (0,) * 14 + (1,), 2)
+        assert not rem and len(g8) == 241
+        f = [0] * (4096 + len(g8))
+        for i, c in enumerate(g8):
+            f[i + 1] ^= c
+            f[i + 4096] ^= c
+        a = PrimePoly(2, tuple(f))
+        counts = {1: 2, 2: 1, 3: 2, 4: 3, 6: 9, 8: 30, 12: 335}
+        expected = tuple(d for d, k in sorted(counts.items()) for _ in range(k))
+        parts = []
+        start = time.perf_counter()
+        assert degree_pattern(a, None, parts) == expected
+        assert time.perf_counter() - start < 2.0  # the packed loop takes minutes
+        assert [(d, k) for d, k, _ in parts] == sorted(counts.items())
+
