@@ -351,6 +351,15 @@ def _cmd_morse(args) -> tuple[dict, list[str]]:
 _MAX_C_ROWS = 1000
 
 
+def _shown_bound(value: int, typed: str) -> str:
+    """A --c-range bound as a message prints it: the value up to 20 digits
+    (2^64 has 20), else its sign and digit count, so the line stays short."""
+    digits = len(typed.strip().lstrip("+-").replace("_", "").lstrip("0"))
+    if digits <= 20:
+        return str(value)
+    return f"{'-' if value < 0 else ''}({digits} digits)"
+
+
 def _parse_c_range(text: str) -> tuple[int, int]:
     parts = text.strip().split("..")
     if len(parts) != 2:
@@ -358,9 +367,14 @@ def _parse_c_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise InvalidInput(f"--c-range bounds must be integers, got {text!r}") from None
+        # two bounds of 20 digits with their signs fit in 44 characters
+        shown = repr(text) if len(text) <= 44 else f"{len(text)} characters"
+        raise InvalidInput(f"--c-range bounds must be integers, got {shown}") from None
     if lo > hi:
-        raise InvalidInput(f"--c-range lower bound {lo} exceeds upper bound {hi}")
+        raise InvalidInput(
+            f"--c-range lower bound {_shown_bound(lo, parts[0])} exceeds "
+            f"upper bound {_shown_bound(hi, parts[1])}"
+        )
     if hi - lo >= _MAX_C_ROWS:
         width = hi - lo + 1 if hi - lo < 2**64 else "over 2^64"  # keep the line short
         raise InvalidInput(

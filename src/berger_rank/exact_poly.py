@@ -19,10 +19,11 @@ of their variable symbol, so ``parse_poly("3")`` interoperates with both
 
 Algorithms
 ----------
-Resultants, and through them discriminants and every squarefreeness test
-in the package, go through the one subresultant PRS over the integers on
-primitive parts, which keeps intermediate coefficients polynomially
-bounded.  ``resultant`` follows the convention
+Resultants, and through them discriminants, critical values and every
+squarefreeness test in the package, go through the one subresultant PRS
+over the integers, which keeps intermediate coefficients polynomially
+bounded; ``resultant`` and ``discriminant`` split the contents off and
+hand it primitive parts.  ``resultant`` follows the convention
 
     Res(a, b) = lc(a)^deg(b) * prod b(alpha)  over the roots alpha of a,
 
@@ -34,9 +35,11 @@ gives the binomials lc ((x - b)^m - a).
 
 Integer utilities (perfect squares, primality, squarefree parts) live here
 too; ``int_squarefree_part`` factors by trial division by the primes below
-2^10, then, up to 2,048 bits, Miller-Rabin (a proof below 3.3e24), a
-perfect-power test and Brent rho with a deterministic iteration budget,
-raising ``FactorizationIncomplete`` instead of ever guessing.
+2^10, screened by one gcd with their product, then, up to 2,048 bits,
+Miller-Rabin (a proof below 3.3e24, with the fewest bases that are exact
+below n), a perfect-power test and Brent rho with a deterministic
+iteration budget, raising ``FactorizationIncomplete`` instead of ever
+guessing.
 
 Text grammar
 ------------
@@ -65,6 +68,7 @@ nonzero terms, so a sum of n monomials costs O(n) whatever their degrees.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -780,7 +784,8 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 
 def _subresultant_resultant(A: list[int], B: list[int]) -> int:
-    """Res(A, B) of nonzero primitive integer polynomials, subresultant PRS."""
+    """Res(A, B) of nonzero integer polynomials, subresultant PRS; exact for
+    any contents, and the coefficients stay smallest for primitive ones."""
     s = 1
     dA, dB = len(A) - 1, len(B) - 1
     if dA < dB:
@@ -822,13 +827,22 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
 
 
 def discriminant(a: UniPoly) -> Fraction:
-    """disc(a) = (-1)^(m(m-1)/2) Res(a, a') / lc(a), m = deg a >= 1."""
+    """disc(a) = (-1)^(m(m-1)/2) Res(a, a') / lc(a), m = deg a >= 1.
+
+    One integer subresultant: with a = scale * P, P primitive over Z, disc(a)
+    = scale^(2m-2) disc(P), and with P' = h Q, Q primitive, Res(P, P') = h^m
+    Res(P, Q), which lc(P) divides exactly.
+    """
     if a.degree is None or a.degree < 1:
         raise ConstantPolynomialError("discriminant needs degree >= 1")
     m = a.degree
-    r = resultant(a, derivative(a))
+    scale, P = _rational_split(a)
+    dP = [k * P[k] for k in range(1, m + 1)]
+    h = math.gcd(*dP)
+    Q = dP if h == 1 else [c // h for c in dP]
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * r / a.leading_coefficient
+    disc_P = sign * h**m * _subresultant_resultant(P, Q) // P[-1]
+    return Fraction(disc_P * scale ** (2 * m - 2))
 
 
 # -- integer utilities ---------------------------------------------------------
@@ -843,13 +857,21 @@ def rational_is_square(q: Fraction) -> bool:
     return q >= 0 and is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
-# Miller-Rabin with the first thirteen prime bases, 2 .. 41, decides
-# primality exactly for n < psi_13 = 3.317e24 (Sorenson-Webster; the twelve
-# bases up to 37 decide only n < psi_12 = 3.187e23).  At or above psi_13 the
-# test is a strong-probable-prime test to more fixed bases, not a proof.
+# Miller-Rabin with the first k prime bases decides primality exactly for
+# n < psi_k, the least strong pseudoprime to all of them (OEIS A014233:
+# Jaeschke, Math. Comp. 61, 1993, to psi_8; Jiang and Deng, Math. Comp. 83,
+# 2014, psi_9 .. psi_11; Sorenson and Webster, Math. Comp. 86, 2017, psi_12
+# and psi_13), so n takes the shortest prefix of the thirteen bases 2 .. 41
+# that is exact below it.  At or above psi_13 = 3.317e24 the test is a
+# strong-probable-prime test to 25 fixed bases, not a proof.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-_MR_CERTIFIED = 3317044064679887385961981
+_MR_PSI = (  # psi_1 .. psi_13
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -864,7 +886,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_CERTIFIED else _MR_BASES + _MR_EXTRA
+    k = bisect_right(_MR_PSI, n)  # psi_k <= n < psi_(k+1): k + 1 bases are exact
+    bases = _MR_BASES[: k + 1] if k < len(_MR_PSI) else _MR_BASES + _MR_EXTRA
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -952,16 +975,19 @@ def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
     return (g if 1 < g < n else None), count
 
 
-# Trial division stops below 2^10: a cofactor below 2^20 left by it is
-# prime, one over _COFACTOR_BITS is refused (is_prime, which has no budget,
-# takes 0.58 s on a prime of 2,048 bits and 4.9 s at 4,096 bits on one Xeon
-# core, Python 3.11), and the rest goes to is_prime, the perfect-power test
-# and Brent rho.  Rho takes at most _RHO_ITER_CAP steps in all, a step on a
-# b-bit operand counting 1 + b^2 / 2^16 (its cost relative to one below 256
+# Trial division stops below 2^10, and is screened by one gcd with the
+# product of those primes (1,420 bits), so it tries primes only while that
+# gcd has a factor left: a cofactor below 2^20 left by it is prime, one over
+# _COFACTOR_BITS is refused (is_prime, which has no budget, takes 0.58 s on
+# a prime of 2,048 bits and 4.9 s at 4,096 bits on one Xeon core, Python
+# 3.11), and the rest goes to is_prime, the perfect-power test and Brent
+# rho.  Rho takes at most _RHO_ITER_CAP steps in all, a step on a b-bit
+# operand counting 1 + b^2 / 2^16 (its cost relative to one below 256
 # bits), so its work does not grow with the operand; a composite tries up
 # to _RHO_TRIES constants c, while steps remain.
 _TRIAL_LIMIT = 1 << 10
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 _RHO_TRIES = 24
 _RHO_ITER_CAP = 1 << 18
 _COFACTOR_BITS = 2048
@@ -970,10 +996,12 @@ _COFACTOR_BITS = 2048
 def _factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1; FactorizationIncomplete on budget."""
     factors: dict[int, int] = {}
+    small = math.gcd(n, _TRIAL_PRODUCT)  # the primes below 2^10 dividing n
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if small == 1:
             break
-        if n % p == 0:
+        if small % p == 0:
+            small //= p
             e = 0
             while n % p == 0:
                 n //= p

@@ -31,18 +31,21 @@ loop goes on.  p = 2 is excluded: every unit of F_2 is a square, so the
 Legendre symbol carries no parity there, and the loop runs in full.
 
 The powers x^(p^i) mod f come from the Frobenius matrix (Berlekamp's
-Q-matrix): its rows x^(p*j) mod f, j < deg f, are built once per (f, p), and
-since h^p = h(x^p) over F_p, each step h -> h^p is a linear combination of
-the rows (von zur Gathen and Shoup, Comput. Complexity 2, 1992).  All
-products mod f go through one kernel, ``_ModRing``: an element is packed
-into a single int by Kronecker substitution with slots wide enough that
-sums of products never carry, so a product is one big-int multiplication
-plus a long division by f, one big-int multiply-add per high slot, and the
-low slots are reduced mod p all at once by Barrett's reduction over
-alternate slots, a fixed number of big-int operations with no per-slot
-loop.  x^p itself starts from a monomial, so for p < deg f it costs no
-product.  The gcds of Euclid's algorithm compute remainders only, on lists
-in place, and stop at the first nonzero constant remainder.
+Q-matrix): its rows x^(p*j) mod f, j < deg f, are built at most once per
+(f, p), and since h^p = h(x^p) over F_p, each step h -> h^p is a linear
+combination of the rows (von zur Gathen and Shoup, Comput. Complexity 2,
+1992).  The matrix is built on demand: the first step's h is x^p, which
+is also its second row, so a loop that stops after one step, or before
+any, makes none of the other n - 2 rows.  All products mod f go through
+one kernel, ``_ModRing``: an element is packed into a single int by
+Kronecker substitution with slots wide enough that sums of products never
+carry, so a product is one big-int multiplication plus a long division by
+f, one big-int multiply-add per high slot, and the low slots are reduced
+mod p all at once by Barrett's reduction over alternate slots, a fixed
+number of big-int operations with no per-slot loop.  x^p itself starts
+from a monomial, so for p < deg f it costs no product.  The gcds of
+Euclid's algorithm compute remainders only, on lists in place, and stop at
+the first nonzero constant remainder.
 
 At p = 2 the same loop runs on bitmasks, as distinct-degree factorization
 over F_2 classically is (von zur Gathen and Gerhard, Modern Computer
@@ -271,12 +274,12 @@ class _ModRing:
                     h = self.reduce((h & self.low) + top * self.negf[0])
         return h
 
-    def frobenius_rows(self) -> list[int]:
-        """Packed x^(p*j) mod f for j < n (the Berlekamp Q-matrix rows).
+    def frobenius_rows(self, xp: int) -> list[int]:
+        """Packed x^(p*j) mod f for j < n (the Berlekamp Q-matrix rows),
+        from xp = x^p mod f.
 
         Over F_p, h(x)^p = h(x^p), so h^p mod f = sum_j h_j * rows[j].
         """
-        xp = self.x_pow(self.p)
         rows = [1, xp]
         for _ in range(self.n - 2):
             rows.append(self.mul(rows[-1], xp))
@@ -326,7 +329,7 @@ def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePatter
     # h = x^(p^d) stays reduced mod the original f; since rest divides f,
     # gcd(h - x, rest) is the same as with h reduced mod rest
     ring = _ModRing(rest, p)
-    rows = ring.frobenius_rows()
+    rows: list[int] = []  # the Q-matrix rows, made when a step first needs them
     h = [0, 1]
     pattern: list[int] = []
     d = 0
@@ -345,6 +348,10 @@ def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePatter
             # two factors of degrees d + 1 and d + 2 are split by one more
             # step when the parts are asked for
         d += 1
+        if d == 1:  # x^p is the first step's h, and the second row
+            rows = [1, ring.x_pow(p)]
+        elif d == 2:
+            rows = ring.frobenius_rows(rows[1])
         h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), n)
         g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
         if len(g) > 1:

@@ -10,15 +10,15 @@ Both halves reduce to exact squarefreeness checks, each one discriminant:
   polynomial of degree m - 1 in t, and they are pairwise distinct (given
   simple critical points) iff D is squarefree, i.e. disc(D) != 0.
 
-D is computed by evaluation and interpolation: D(i) = Res_x(h(x) - i, h'(x))
-for i = 0 .. m - 1 by the integer subresultant ``resultant``, then Newton
-interpolation over Z: the values are cleared of their common denominator
-L, their forward differences taken in integers and summed against the
-falling factorials t (t - 1) ... (t - k + 1) scaled by (m - 1)!/k!, and the
-sum divided once, by (m - 1)! L.  This is exact because the leading
-x-coefficient of h(x) - t does not depend on t, so evaluating at t = i
-commutes with taking the resultant (Collins, J. ACM 18, 1971), and D has
-degree m - 1.
+D is computed by evaluation and interpolation, all over Z.  With H = L h,
+L the least positive integer that clears h's denominators, D(i) =
+Res_x(h(x) - i, h'(x)) = Res_x(H(x) - L i, H'(x)) / L^(2m-1) for i = 0 ..
+m - 1, so each value is one integer subresultant.  Their forward
+differences are summed against the falling factorials t (t - 1) ... (t -
+k + 1) scaled by (m - 1)!/k!, and the sum is divided once, by (m - 1)!
+L^(2m-1).  This is exact because the leading x-coefficient of h(x) - t
+does not depend on t, so evaluating at t = i commutes with taking the
+resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.
 
 ``scan_A_h`` walks an integer range of constants c and reports, for each,
 whether Gal(h - c) is provably the full symmetric group.  True only ever
@@ -50,11 +50,11 @@ from .errors import FactorizationIncomplete, InvalidInput, NotSquarefree
 from .exact_poly import (
     UniPoly,
     _cleared,
+    _subresultant_resultant,
     derivative,
     discriminant,
     int_squarefree_part,
     rational_is_square,
-    resultant,
 )
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
@@ -99,12 +99,13 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
         raise InvalidInput("critical values need degree >= 2")
     tvar = "t" if h.var != "t" else "u"
     m = h.degree
-    hp = derivative(h)
-    values = [resultant(h - i, hp) for i in range(m)]
-    # Newton's forward form over Z: with L the common denominator of the
-    # values, (m-1)! L D(t) = sum_k Delta^k (L D)(0) (m-1)!/k! t (t - 1)
-    # ... (t - k + 1), every term an integer polynomial
-    diffs, den = _cleared(values)
+    # H = L h over Z: Res_x(h - i, h') = Res_x(H - L i, H') / L^(2m-1)
+    H, L = _cleared(h.coeffs)
+    dH = [k * H[k] for k in range(1, m + 1)]
+    diffs = [_subresultant_resultant([H[0] - L * i, *H[1:]], dH) for i in range(m)]
+    # Newton's forward form over Z: (m-1)! L^(2m-1) D(t) = sum_k Delta^k
+    # (L^(2m-1) D)(0) (m-1)!/k! t (t - 1) ... (t - k + 1), every term an
+    # integer polynomial
     scale = math.factorial(m - 1)
     newton = []
     for k in range(m):
@@ -114,7 +115,8 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
     for k in range(m - 2, -1, -1):  # coeffs (t - k) + newton[k]
         coeffs = [a - k * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         coeffs[0] += newton[k]
-    D = UniPoly([Fraction(c, scale * den) for c in coeffs], tvar)
+    den = scale * L ** (2 * m - 1)
+    D = UniPoly([Fraction(c, den) for c in coeffs], tvar)
     # one linear-in-t factor per critical point, counted with multiplicity
     assert D.degree == m - 1, "critical-value polynomial has wrong degree"
     return D

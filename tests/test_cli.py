@@ -526,6 +526,26 @@ class TestExitCodes:
             "error: InvalidInput: --c-range spans over 2^64 values of c, above the cap of 1000\n"
         )
 
+    def test_c_range_refusals_name_long_bounds_by_length(self, capsys):
+        # a bound over 20 digits is named by its digit count, a non-integer
+        # option over 44 characters by its length; short ones are echoed
+        cases = [
+            ("5..-" + "1" * 5000,
+             "--c-range lower bound 5 exceeds upper bound -(5000 digits)"),
+            ("+" + "9" * 30 + "..7",
+             "--c-range lower bound (30 digits) exceeds upper bound 7"),
+            ("0..x" + "9" * 5000,
+             "--c-range bounds must be integers, got 5004 characters"),
+            ("2..-2", "--c-range lower bound 2 exceeds upper bound -2"),
+            ("-18446744073709551616..-18446744073709551617",
+             "--c-range lower bound -18446744073709551616 exceeds upper bound "
+             "-18446744073709551617"),
+            ("1.5..2", "--c-range bounds must be integers, got '1.5..2'"),
+        ]
+        for text, message in cases:
+            code, out, err = run_cli(capsys, "scan", "x^5 - x", "--c-range=" + text)
+            assert (code, out, err) == (1, "", f"error: InvalidInput: {message}\n"), text
+
     def test_usage_errors_exit_1(self, capsys):
         for argv in (["bogus-command"], ["rank", "-f", "x^2-2"], []):
             code, _, err = run_cli(capsys, *argv)

@@ -417,6 +417,34 @@ class TestDiscriminant:
         scaled = f * UniPoly.constant(c)
         assert discriminant(scaled) == c ** 4 * discriminant(f)
 
+    def test_matches_sympy_on_rational_and_non_primitive_inputs(self):
+        # one integer path clears denominators and both contents; each kind
+        # of input it rescales is checked against sympy's discriminant
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random("one-discriminant-path")
+        kinds = {"rational": 0, "non-primitive": 0, "negative-lc": 0}
+        for m in range(1, 13):
+            for kind in kinds:
+                for _ in range(3):
+                    cs = [rng.randint(-12, 12) for _ in range(m)] + [rng.choice([1, 2, 3, 7])]
+                    if kind == "rational":
+                        cs = [Fraction(c, rng.choice([1, 2, 3, 5, 12])) for c in cs]
+                    elif kind == "non-primitive":
+                        g = rng.choice([2, 3, 6, 10])
+                        cs = [g * c for c in cs]
+                    else:
+                        cs[-1] = -cs[-1]
+                    f = UniPoly(cs)
+                    fs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                             for k, c in enumerate(f.coeffs))
+                    want = sympy.discriminant(fs, x)
+                    got = discriminant(f)
+                    assert type(got) is Fraction, f
+                    assert got == Fraction(int(want.p), int(want.q)), f
+                    kinds[kind] += 1
+        assert kinds == {"rational": 36, "non-primitive": 36, "negative-lc": 36}
+
 
 class TestIntegerModel:
     def test_primitive_and_proportional(self):
@@ -572,6 +600,48 @@ class TestIntegers:
         assert factor_int(psi12) == {p: 1, q: 1}
         assert not is_prime(3317044064679887385961981)  # psi_13 needs base 41
 
+    def test_no_psi_is_prime(self):
+        # psi_k is a strong pseudoprime to the first k prime bases, so the
+        # shortest exact prefix of bases for psi_k itself has k + 1 of them
+        for k, psi in enumerate(_PSI, 1):
+            assert not is_prime(psi), k
+
+    def test_is_prime_matches_sympy_in_every_band(self):
+        # n takes the shortest prefix of bases exact below it: seeded n in
+        # each band [psi_(k-1), psi_k), and the primes next to each bound
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("miller-rabin-bands")
+        checked = primes = 0
+        bounds = (2, *_PSI, 10 * _PSI[-1])
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:  # psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+                continue
+            sample = [rng.randrange(lo, hi) for _ in range(150)]
+            sample += [int(sympy.nextprime(rng.randrange(lo, hi))) for _ in range(10)]
+            sample += [lo, hi - 1, int(sympy.prevprime(hi)), int(sympy.nextprime(hi))]
+            for n in sample:
+                assert is_prime(n) == sympy.isprime(n), n
+                checked += 1
+                primes += is_prime(n)
+        assert checked == 11 * 164
+        assert primes >= 11 * 10
+
+    def test_factor_int_matches_sympy(self):
+        # the gcd screen must find every prime below 2^10, alone, squared
+        # or beside primes just above it, which rho then splits
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("gcd-screened-factoring")
+        above = [int(p) for p in sympy.primerange(1 << 10, (1 << 10) + 400)]
+        cases = [rng.getrandbits(rng.randint(2, 80)) | 1 << rng.randint(0, 1) for _ in range(200)]
+        cases += [rng.choice(above) * rng.choice(above) for _ in range(40)]
+        cases += [p * p for p in above[:20]]
+        cases += [p * p * rng.choice([1, 2, 3 * 5 * 1021]) for p in above[20:40]]
+        for n in cases:
+            want = {int(p): e for p, e in sympy.factorint(n).items()}
+            assert factor_int(n) == want, n
+            small = sorted(p for p in want if p < 1 << 10)  # trial division's, first
+            assert list(factor_int(n))[: len(small)] == small, n
+
     def test_factoring_budget_is_reported(self, monkeypatch):
         # a prime pair beyond the deterministic budget is not silently
         # mis-factored: exhaustion raises the dedicated error.  The budget is
@@ -593,6 +663,16 @@ class TestIntegers:
             factor_int(6 * (2 ** 2203 - 1))
         assert time.perf_counter() - start < 0.1
         assert factor_int(6 * (2 ** 1279 - 1)) == {2: 1, 3: 1, 2 ** 1279 - 1: 1}
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases 2 .. 41
+# (OEIS A014233)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _planted_integers():

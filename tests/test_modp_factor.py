@@ -573,6 +573,64 @@ class TestStickelbergerExit:
         assert len(calls) < full_calls, (p, len(calls), full_calls)
 
 
+class TestFrobeniusRowsOnDemand:
+    """The Q-matrix rows beyond x^p are built only when a second step runs."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(_ModRing, name)
+
+        def counting(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(_ModRing, name, counting)
+        return calls
+
+    def test_one_step_makes_only_x_pow_products(self, monkeypatch):
+        # a quintic with no root mod p has one or two factors left after
+        # step 1, and the parity of disc says which, so the loop ends there
+        f = parse_poly("x^5 - x - 1")
+        disc = discriminant(f).numerator
+        muls = self._count(monkeypatch, "mul")
+        rows = self._count(monkeypatch, "frobenius_rows")
+        ended = 0
+        for p in _ODD_PRIMES:
+            if p < 7 or not _good(f, disc, p):
+                continue
+            a = reduce_mod_p(f, p)
+            if 1 in degree_pattern(a):
+                continue
+            muls.clear()
+            _ModRing(a.coeffs, p).x_pow(p)
+            x_pow_muls = len(muls)
+            assert x_pow_muls > 0  # p > deg f, so x^p takes squarings
+            muls.clear()
+            rows.clear()
+            assert degree_pattern(a, disc) in ((5,), (2, 3))
+            assert (len(muls), rows) == (x_pow_muls, []), p
+            ended += 1
+        assert ended >= 10
+
+    def test_later_steps_build_the_rows_once(self, monkeypatch):
+        f = parse_poly("x^8 - x - 1")
+        disc = discriminant(f).numerator
+        p = next(
+            p for p in _ODD_PRIMES
+            if p > 8 and _good(f, disc, p) and degree_pattern(reduce_mod_p(f, p)) == (8,)
+        )
+        a = reduce_mod_p(f, p)
+        muls = self._count(monkeypatch, "mul")
+        _ModRing(a.coeffs, p).x_pow(p)
+        x_pow_muls = len(muls)
+        rows = self._count(monkeypatch, "frobenius_rows")
+        muls.clear()
+        assert degree_pattern(a) == (8,)  # steps 1 .. 4, no parity
+        assert rows == ["frobenius_rows"]
+        assert len(muls) == x_pow_muls + 8 - 2  # the rows x^(p j), j = 2 .. 7
+
+
 # -- the F_2 path ------------------------------------------------------------------
 # degree_pattern runs p = 2 on bitmasks; the packed loop, still callable there
 # as modp_factor._pattern, is the reference it must match in every output.

@@ -82,6 +82,25 @@ class TestCriticalValues:
             got = [sympy.Rational(c.numerator, c.denominator) for c in d.coeffs]
             assert got == list(reversed(want.all_coeffs())), h
 
+    def test_values_match_the_definition_for_rational_h(self):
+        # each D(i) is one integer subresultant of the cleared model H = L h;
+        # D must still read Res_x(h - i, h') at every point, by sympy
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random("critical-values-on-integers")
+        for _ in range(25):
+            m = rng.randint(2, 8)
+            coeffs = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 15])) for _ in range(m)]
+            coeffs.append(Fraction(rng.choice([1, -1, 3, -6]), rng.choice([1, 2, 5])))
+            h = UniPoly(coeffs, "x")
+            d = critical_value_resultant(h)
+            hs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+                     for k, c in enumerate(h.coeffs))
+            dhs = sympy.diff(hs, x)
+            for point in (*range(-2, m + 2), Fraction(1, 3), Fraction(-7, 2)):
+                want = sympy.resultant(hs - sympy.Rational(point.numerator, point.denominator), dhs, x)
+                assert d(Fraction(point)) == Fraction(int(want.p), int(want.q)), (h, point)
+
     def test_integer_interpolation_matches_a_fraction_reference(self):
         # D is interpolated over Z with one division at the end; Newton's
         # divided differences over Q give the same polynomial, also for h
