@@ -22,8 +22,9 @@ Algorithms
 Resultants, and through them discriminants, critical values and every
 squarefreeness test in the package, go through the one subresultant PRS
 over the integers, which keeps intermediate coefficients polynomially
-bounded; ``resultant`` and ``discriminant`` split the contents off and
-hand it primitive parts.  ``resultant`` follows the convention
+bounded; ``resultant``, and for discriminants and critical values
+``_derivative_resultants``, split the contents off and hand it primitive
+parts.  ``resultant`` follows the convention
 
     Res(a, b) = lc(a)^deg(b) * prod b(alpha)  over the roots alpha of a,
 
@@ -784,8 +785,7 @@ def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 
 def _subresultant_resultant(A: list[int], B: list[int]) -> int:
-    """Res(A, B) of nonzero integer polynomials, subresultant PRS; exact for
-    any contents, and the coefficients stay smallest for primitive ones."""
+    """Res(A, B) of nonzero primitive integer polynomials, subresultant PRS."""
     s = 1
     dA, dB = len(A) - 1, len(B) - 1
     if dA < dB:
@@ -826,23 +826,37 @@ def resultant(a: UniPoly, b: UniPoly) -> Fraction:
     return Fraction(res)
 
 
+def _derivative_resultants(A: list[int], shifts: Iterable[int]) -> list[int]:
+    """Res_x(A - s, A') for each integer s, A an integer polynomial of degree
+    m >= 1: the contents g of A - s and h of A' come off as g^(m-1) h^m, so
+    each value is one subresultant PRS on primitive parts."""
+    m = len(A) - 1
+    dA = [k * A[k] for k in range(1, m + 1)]
+    h = math.gcd(*dA)
+    Q = dA if h == 1 else [c // h for c in dA]
+    values = []
+    for s in shifts:
+        P = [A[0] - s, *A[1:]]
+        g = math.gcd(*P)
+        if g != 1:
+            P = [c // g for c in P]
+        values.append(g ** (m - 1) * h**m * _subresultant_resultant(P, Q))
+    return values
+
+
 def discriminant(a: UniPoly) -> Fraction:
     """disc(a) = (-1)^(m(m-1)/2) Res(a, a') / lc(a), m = deg a >= 1.
 
-    One integer subresultant: with a = scale * P, P primitive over Z, disc(a)
-    = scale^(2m-2) disc(P), and with P' = h Q, Q primitive, Res(P, P') = h^m
-    Res(P, Q), which lc(P) divides exactly.
+    One integer resultant: with A = L a over Z, disc(A) = (-1)^(m(m-1)/2)
+    Res(A, A') / lc(A) is an integer, and disc(a) = disc(A) / L^(2m-2).
     """
     if a.degree is None or a.degree < 1:
         raise ConstantPolynomialError("discriminant needs degree >= 1")
     m = a.degree
-    scale, P = _rational_split(a)
-    dP = [k * P[k] for k in range(1, m + 1)]
-    h = math.gcd(*dP)
-    Q = dP if h == 1 else [c // h for c in dP]
+    A, L = _cleared(a.coeffs)
+    (res,) = _derivative_resultants(A, (0,))
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    disc_P = sign * h**m * _subresultant_resultant(P, Q) // P[-1]
-    return Fraction(disc_P * scale ** (2 * m - 2))
+    return Fraction(sign * res // A[-1], L ** (2 * m - 2))
 
 
 # -- integer utilities ---------------------------------------------------------
@@ -863,7 +877,9 @@ def rational_is_square(q: Fraction) -> bool:
 # 2014, psi_9 .. psi_11; Sorenson and Webster, Math. Comp. 86, 2017, psi_12
 # and psi_13), so n takes the shortest prefix of the thirteen bases 2 .. 41
 # that is exact below it.  At or above psi_13 = 3.317e24 the test is a
-# strong-probable-prime test to 25 fixed bases, not a proof.
+# strong-probable-prime test to 25 fixed bases, not a proof.  Most n that
+# reach the rounds are the prime factors of 11 to 53 bits that Brent rho
+# splits off in _factor_int, which take one to nine bases instead of 13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PSI = (  # psi_1 .. psi_13

@@ -50,7 +50,7 @@ from .errors import FactorizationIncomplete, InvalidInput, NotSquarefree
 from .exact_poly import (
     UniPoly,
     _cleared,
-    _subresultant_resultant,
+    _derivative_resultants,
     derivative,
     discriminant,
     int_squarefree_part,
@@ -101,8 +101,7 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
     m = h.degree
     # H = L h over Z: Res_x(h - i, h') = Res_x(H - L i, H') / L^(2m-1)
     H, L = _cleared(h.coeffs)
-    dH = [k * H[k] for k in range(1, m + 1)]
-    diffs = [_subresultant_resultant([H[0] - L * i, *H[1:]], dH) for i in range(m)]
+    diffs = _derivative_resultants(H, [L * i for i in range(m)])
     # Newton's forward form over Z: (m-1)! L^(2m-1) D(t) = sum_k Delta^k
     # (L^(2m-1) D)(0) (m-1)!/k! t (t - 1) ... (t - k + 1), every term an
     # integer polynomial
