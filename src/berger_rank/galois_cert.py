@@ -27,6 +27,9 @@ observations so far prove a verdict, so the bound is only a cap:
                Alt(m) (Jordan; Wielandt, Finite Permutation Groups, Thms
                13.3 and 13.9), so a nonsquare disc proves Sym(m) and a
                square disc proves Alt(m).
+  R-alt3       transitive, m = 3 and a square disc: the group lies in
+               Alt(3), and Alt(3) is its only transitive subgroup, so the
+               group is Alt(3).  No Jordan element exists at m = 3.
 
 The verdict is sound, never complete: ``Inconclusive`` only ever means "not
 proved with these observations", and enlarging the prime bound can only
@@ -1165,7 +1168,8 @@ class _Rules:
     ruled out by a pattern that no element keeping such blocks has) and a
     Jordan element (its first sighting).  The engine owns the proof state:
     ``proven`` says whether the facts so far prove the verdict, and
-    ``conclude`` builds the verdict and the rules fired from them.
+    ``conclude`` builds the verdict and the rules fired from them.  A cubic
+    with square disc needs transitivity alone (R-alt3).
 
     Given f's integer model, the engine searches it once for a factor of a
     degree <= m/2 attainable at every prime, when a miss completes the
@@ -1240,9 +1244,14 @@ class _Rules:
 
     @property
     def proven(self) -> bool:
-        """Whether the facts prove that Gal(f) contains Alt(m): transitive, no
-        block size open and a Jordan element."""
-        return self.transitive and not self.open_sizes and self.element is not None
+        """Whether the facts prove that Gal(f) contains Alt(m): transitive, and
+        either no block size open and a Jordan element, or (R-alt3) m = 3
+        and a square disc, since Alt(3) is the one transitive group inside
+        Alt(3)."""
+        return self.transitive and (
+            not self.open_sizes and self.element is not None
+            or self.m == 3 and self.disc_is_square
+        )
 
     def _search_factor(self) -> None:
         """Search the model, once, for a factor of a degree <= m/2 that every
@@ -1284,6 +1293,10 @@ class _Rules:
             fired.append(self.element)
         if not self.proven:
             return GaloisVerdict.INCONCLUSIVE, tuple(fired)
+        if self.element is None:  # a cubic with square disc
+            detail = "a transitive group of degree 3 with square disc is Alt(3)"
+            fired.append(RuleFiring("R-alt3", (), detail))
+            return GaloisVerdict.PROVEN_ALTERNATING, tuple(fired)
         if self.disc_is_square:
             verdict, sign = GaloisVerdict.PROVEN_ALTERNATING, "square disc keeps Alt"
         else:
@@ -1320,9 +1333,22 @@ def certify_galois(f: UniPoly, prime_bound: int = DEFAULT_PRIME_BOUND) -> Galois
 
 
 def _certify(
-    f: UniPoly, prime_bound: int, model: UniPoly, model_disc: int, disc: Fraction
+    f: UniPoly,
+    prime_bound: int,
+    model: UniPoly,
+    model_disc: int,
+    disc: Fraction,
+    memo: dict | None = None,
+    memo_bound: int = 0,
 ) -> GaloisCertificate:
-    """``certify_galois`` on checked input, given ``_model_and_disc(f)``."""
+    """``certify_galois`` on checked input, given ``_model_and_disc(f)``.
+
+    ``memo``, if given, maps (p, model mod p) to the pattern and the
+    distinct-degree parts ``degree_pattern`` found there, for the primes p
+    <= ``memo_bound``; a scan shares it between its rows.  The pattern and
+    the parts depend on the reduction alone, its discriminant's Legendre
+    symbol included, so a hit is exact.
+    """
     m: int = f.degree  # type: ignore[assignment]
     disc_is_square = rational_is_square(disc)
     rules = _Rules(m, disc_is_square, model)
@@ -1349,9 +1375,17 @@ def _certify(
                 witness = _decomposition(f, model, a, sizes)
                 if witness:  # Gal(f) contains no Alt(m): sampling more is futile
                     break
-        # the factor search runs at the first prime, so its parts are kept
-        parts = None if rules.observations else []
-        pattern = degree_pattern(a, model_disc, parts=parts)
+        # the factor search runs at the first prime, so its parts are kept,
+        # and so are those of every reduction the memo stores
+        stored = memo is not None and a.p <= memo_bound
+        hit = memo.get((a.p, a.coeffs)) if stored else None
+        if hit:
+            pattern, parts = hit[0], list(hit[1])
+        else:
+            parts = [] if stored or not rules.observations else None
+            pattern = degree_pattern(a, model_disc, parts=parts)
+            if stored:
+                memo[a.p, a.coeffs] = pattern, tuple(parts)
         rules.add(CycleTypeObservation(a.p, pattern), parts)
         if rules.factor or rules.proven:
             witness = rules.factor

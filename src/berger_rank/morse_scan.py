@@ -33,6 +33,23 @@ c is reducible then, but the reason keeps its name.  So does a row whose
 certificate ends on an ``automorphism`` witness: the group then contains
 no Alt(m), so not Sym(m) either, but the reason stays "unproven".
 
+The rows share h, h' and, mod small primes, their reductions, so a scan
+does that work once.  It clears h's denominators once, H = L h, and takes
+every row's discriminant from one batch of resultants Res(H - L c, H')
+(``exact_poly._derivative_resultants``): disc(H - L c) is (-1)^(m(m-1)/2)
+Res / lc(H), the row's integer model is H - L c over its content g, the
+model's discriminant is disc(H - L c) / g^(2m-2), and disc(h - c) is
+disc(H - L c) / L^(2m-2).  The rows also share one memo of degree patterns
+(``galois_cert._certify``), keyed by the prime p and the row's model mod
+p, which holds each reduction's pattern and distinct-degree parts.  Rows
+whose models agree mod p have one reduction, so a hit is exact; it covers
+c = c' (mod p) when both rows have content 1.  Only the primes p <= c_max -
+c_min are stored, since a reduction mod a larger p repeats inside the range
+only when p divides L.  Rows of one content then hold at most p reductions
+mod p, so the memo, which lives for one call, holds at most the sum of the
+primes up to min(width, bound) per row content: 4,227 entries at the
+default bound when every row is primitive, none for a one-row scan.
+
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
 fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero
 rationals a and b, Q(sqrt(a)) = Q(sqrt(b)) iff a * b is a rational square,
@@ -43,10 +60,11 @@ discriminant, is a display field only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from ._record import Record
-from .errors import FactorizationIncomplete, InvalidInput, NotSquarefree
+from .errors import FactorizationIncomplete, InvalidInput
 from .exact_poly import (
     UniPoly,
     _cleared,
@@ -54,6 +72,7 @@ from .exact_poly import (
     derivative,
     discriminant,
     int_squarefree_part,
+    integer_model,
     rational_is_square,
 )
 from .galois_cert import (
@@ -63,7 +82,6 @@ from .galois_cert import (
     _certify,
     _check_prime_bound,
     _good_primes,
-    _model_and_disc,
     _rational_roots,
 )
 
@@ -164,12 +182,12 @@ def _quad_tag(disc) -> int | None:
         return None
 
 
-def _scan_one(h: UniPoly, c: int, prime_bound: int) -> ScanResult:
-    fc = h - c
-    # one integer model and discriminant per row, shared with certification
-    try:
-        facts = _model_and_disc(fc)
-    except NotSquarefree:
+def _scan_one(
+    fc: UniPoly, c: int, facts: tuple | None, prime_bound: int, memo: dict, memo_bound: int
+) -> ScanResult:
+    """The row of fc = h - c, given its ``_model_and_disc`` facts, None for
+    a repeated root."""
+    if facts is None:
         return ScanResult(c, False, None, None, "not squarefree")
     model, model_disc, disc = facts
     tag = _quad_tag(disc)
@@ -178,12 +196,32 @@ def _scan_one(h: UniPoly, c: int, prime_bound: int) -> ScanResult:
         return ScanResult(
             c, False, None, tag, f"reducible: rational root {root}"
         )
-    cert = _certify(fc, prime_bound, *facts)
+    cert = _certify(fc, prime_bound, *facts, memo, memo_bound)
     if cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC:
         return ScanResult(c, True, cert, tag, "certified")
     if cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
         return ScanResult(c, False, cert, tag, "alternating, hence not symmetric")
     return ScanResult(c, False, cert, tag, "unproven")
+
+
+def _rows(h: UniPoly, cs: range) -> Iterator[tuple[UniPoly, int, tuple | None]]:
+    """(h - c, c, facts) for each c in cs, facts as ``_model_and_disc(h - c)``
+    gives them or None when h - c has a repeated root, from one integer lift
+    H = L h and one batch of resultants Res(H - L c, H')."""
+    m: int = h.degree  # type: ignore[assignment]
+    H, L = _cleared(h.coeffs)
+    sign = -1 if (m * (m - 1) // 2) % 2 else 1
+    scale = L ** (2 * m - 2)
+    for c, res in zip(cs, _derivative_resultants(H, [L * c for c in cs])):
+        # h - c is h with its constant term replaced, and L (h - c) = H - L c
+        fc = UniPoly([h.coeffs[0] - c, *h.coeffs[1:]], h.var)
+        disc = sign * res // H[-1]  # disc(H - L c), an integer
+        if not disc:
+            yield fc, c, None
+            continue
+        model = integer_model(fc)  # (H - L c) / g for its content g
+        g = H[-1] // model.coeffs[-1]
+        yield fc, c, (model, disc // g ** (2 * m - 2), Fraction(disc, scale))
 
 
 def scan_A_h(
@@ -199,13 +237,20 @@ def scan_A_h(
     if c_min > c_max:
         raise InvalidInput(f"empty range {c_min}..{c_max}")
     _check_prime_bound(prime_bound)
-    cs = range(c_min, c_max + 1)
+    rows = list(_rows(h, range(c_min, c_max + 1)))
+    # shared by the rows; only primes up to the width are stored (see above)
+    memo: dict = {}
+    width = c_max - c_min
+
+    def scan(row: tuple) -> ScanResult:
+        return _scan_one(*row, prime_bound, memo, width)
+
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda c: _scan_one(h, c, prime_bound), cs))
-    return [_scan_one(h, c, prime_bound) for c in cs]
+            return list(pool.map(scan, rows))
+    return [scan(row) for row in rows]
 
 
 def disjointness_filter(results: list[ScanResult]) -> list[tuple[int, int]]:

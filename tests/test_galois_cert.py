@@ -1,6 +1,7 @@
 """Galois-group certification: verdicts, rule soundness, replayability."""
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -521,8 +522,8 @@ class TestJordanRule:
     @pytest.mark.parametrize("m", range(3, 8))
     def test_every_transitive_group(self, m):
         # every cycle type of G observed, with disc square iff G <= Alt(m):
-        # the rules prove exactly the groups containing Alt(m), except
-        # Alt(3), whose only nontrivial cycle type is the full 3-cycle
+        # the rules prove exactly the groups containing Alt(m), Alt(3) by
+        # R-alt3 from its full 3-cycle and square disc
         groups = _transitive_groups(m)
         names = {name for name, _ in groups}
         assert len(groups) == {3: 2, 4: 5, 5: 5, 6: 16, 7: 7}[m]
@@ -533,7 +534,7 @@ class TestJordanRule:
             square = all(g.is_even for g in group.generators)
             obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
             verdict, fired = _evaluate_rules(m, square, obs)
-            if 2 * group.order() < math.factorial(m) or (m, square) == (3, True):
+            if 2 * group.order() < math.factorial(m):
                 assert verdict is GaloisVerdict.INCONCLUSIVE, (name, fired)
             elif square:
                 assert verdict is GaloisVerdict.PROVEN_ALTERNATING, name
@@ -584,6 +585,117 @@ class TestJordanRule:
                 assert order == math.factorial(m), f
             elif cert.verdict is GaloisVerdict.PROVEN_ALTERNATING:
                 assert 2 * order == math.factorial(m), f
+
+    @pytest.mark.parametrize("text", ["x^3 - 3x + 1", "x^3 + x^2 - 2x - 1"])
+    def test_cyclic_cubic_is_alternating_at_its_first_good_prime(self, text):
+        # an irreducible cubic with square disc has Gal = Alt(3): R-alt3
+        # proves it as soon as the pattern (3) shows transitivity, at p = 2
+        cert = certify_galois(parse_poly(text))
+        assert cert.verdict is GaloisVerdict.PROVEN_ALTERNATING
+        assert cert.observations == (CycleTypeObservation(2, (3,)),)
+        assert [r.rule for r in cert.rules_fired] == ["R-trans", "R-primitive", "R-alt3"]
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.PROVEN_ALTERNATING
+
+    def test_symmetric_cubic_keeps_its_observations(self):
+        # a nonsquare disc still needs the Jordan element, at p = 5
+        cert = certify_galois(parse_poly("x^3 - x - 1"))
+        assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert [o.p for o in cert.observations] == [2, 3, 5]
+        assert "R-alt3" not in [r.rule for r in cert.rules_fired]
+
+    def test_reducible_cubic_with_square_disc_is_not_proven(self):
+        # x^3 - x = (x + 1) x (x - 1) has disc 4, a square, but no pattern
+        # shows transitivity
+        cert = certify_galois(parse_poly("x^3 - x"))
+        assert cert.disc_is_square and cert.verdict is GaloisVerdict.INCONCLUSIVE
+
+
+# One polynomial for each transitive group of degree 2-6, with its group's
+# name and whether it lies in Alt(m), as sympy 1.14 lists them in
+# sympy/polys/numberfields/tests/test_galoisgroups.py (from Cohen, A Course
+# in Computational Algebraic Number Theory, section 6.3).
+_GALOIS_TABLE = [
+    ("x^2 + x + 1", "S2", False),
+    ("x^3 + x^2 - 2x - 1", "A3", True),
+    ("x^3 + 2", "S3", False),
+    ("x^4 + x^3 + x^2 + x + 1", "C4", False),
+    ("x^4 + 1", "V", True),
+    ("x^4 - 2", "D4", False),
+    ("x^4 + 8x + 12", "A4", True),
+    ("x^4 + x + 1", "S4", False),
+    ("x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1", "C5", True),
+    ("x^5 - 5x + 12", "D5", True),
+    ("x^5 + 2", "M20", False),
+    ("x^5 + 20x + 16", "A5", True),
+    ("x^5 - x + 1", "S5", False),
+    ("x^6 + x^5 + x^4 + x^3 + x^2 + x + 1", "C6", False),
+    ("x^6 + 108", "S3", False),
+    ("x^6 + 2", "D6", False),
+    ("x^6 - 3x^2 - 1", "A4", True),
+    ("x^6 + 3x^3 + 3", "G18", False),
+    ("x^6 - 3x^2 + 1", "A4xC2", False),
+    ("x^6 - 4x^2 - 1", "S4p", True),
+    ("x^6 - 3x^5 + 6x^4 - 7x^3 + 2x^2 + x - 4", "S4m", False),
+    ("x^6 + 2x^3 - 2", "G36m", False),
+    ("x^6 + 2x^2 + 2", "S4xC2", False),
+    ("x^6 + 10x^5 + 55x^4 + 140x^3 + 175x^2 + 170x + 25", "PSL2F5", True),
+    ("x^6 + 10x^5 + 55x^4 + 140x^3 + 175x^2 - 3019x + 25", "PGL2F5", False),
+    ("x^6 + 6x^4 + 2x^3 + 9x^2 + 6x - 4", "G36p", True),
+    ("x^6 + 2x^4 + 2x^3 + x^2 + 2x + 2", "G72", False),
+    ("x^6 + 24x - 20", "A6", True),
+    ("x^6 + x + 1", "S6", False),
+]
+
+
+class TestGaloisOracle:
+    def test_every_transitive_group_of_degree_2_to_6(self):
+        # sympy's resolvent method is the oracle: each table polynomial and
+        # two seeded Tschirnhausen variants of it (the same field, so the
+        # same group) must be proven Sym(m) exactly when the group is
+        # Sym(m), Alt(m) only when it is Alt(m), and left Inconclusive for
+        # every proper group
+        sympy = pytest.importorskip("sympy")
+        import random
+
+        from sympy.polys.numberfields.galoisgroups import tschirnhausen_transformation
+
+        x = sympy.Symbol("x")
+        start = time.perf_counter()
+        proper = on_witness = 0
+        state = random.getstate()
+        try:
+            for text, name, alt in _GALOIS_TABLE:
+                f = parse_poly(text)
+                m = f.degree
+                T = sympy.Poly(list(reversed(f.coeffs)), x)
+                group, square = sympy.galois_group(T, by_name=True)
+                assert (group.name, square) == (name, alt)
+                order = group.get_perm_group().order()
+                inputs = [f]
+                history = set()
+                for seed in (1, 2):
+                    # sympy draws the transformation from the random module;
+                    # a quadratic has no random one, so it takes the fixed order
+                    random.seed(seed)
+                    _, U = tschirnhausen_transformation(T, history=history, fixed_order=m < 3)
+                    history.add(U.rep)
+                    inputs.append(UniPoly(reversed(U.all_coeffs())))
+                for g in inputs:
+                    cert = certify_galois(g)
+                    if order == math.factorial(m):
+                        assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC, (name, g)
+                    elif 2 * order == math.factorial(m):
+                        assert cert.verdict is GaloisVerdict.PROVEN_ALTERNATING, (name, g)
+                    else:
+                        assert cert.verdict is GaloisVerdict.INCONCLUSIVE, (name, g)
+                        proper += 1
+                        on_witness += cert.witness is not None
+                    assert rational_is_square(discriminant(g)) is alt
+        finally:
+            random.setstate(state)
+        # 20 proper groups, three inputs each; a lost witness fails here
+        assert (proper, on_witness) == (60, 31)
+        assert time.perf_counter() - start < 30
 
 
 def _compose_by_hand(outer, inner):

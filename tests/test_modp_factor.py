@@ -23,7 +23,7 @@ from berger_rank import (
     reduce_mod_p,
 )
 from berger_rank import modp_factor
-from berger_rank.modp_factor import _gcd, _ModRing
+from berger_rank.modp_factor import _gcd, _ModRing, _ring_constants
 
 # -- independent oracle ----------------------------------------------------------
 
@@ -384,6 +384,15 @@ class TestPackedKernel:
         for e in sorted(exps):
             got = _trim(tuple(ring.unpack(ring.x_pow(e), n)))
             assert got == _ox_pow(e, f, p), (p, n, e)
+
+    def test_constants_come_from_a_bounded_cache(self):
+        # rings of one degree mod one prime share their (n, p) constants, and
+        # the cache that keeps them has a finite size
+        maxsize = _ring_constants.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        a, b = _ModRing((1, 2, 0, 1), 5), _ModRing((3, 0, 4, 1), 5)
+        assert all(getattr(a, k) is getattr(b, k) for k in ("low", "ones", "even", "lift"))
+        assert a.negf != b.negf
 
 
 def _ox_pow(e, f, p):

@@ -24,8 +24,11 @@ from berger_rank import (
     parse_poly,
     scan_A_h,
 )
+from berger_rank import galois_cert, morse_scan
+from berger_rank.errors import NotSquarefree
 from berger_rank.exact_poly import derivative, discriminant
-from berger_rank.morse_scan import _rational_root
+from berger_rank.galois_cert import _model_and_disc
+from berger_rank.morse_scan import _rational_root, _rows
 
 
 class TestCriticalValues:
@@ -225,6 +228,9 @@ class TestScan:
         assert [(r.c, r.in_A_h, r.quad_tag) for r in serial] == [
             (r.c, r.in_A_h, r.quad_tag) for r in parallel
         ]
+        # whole rows, with rows of content 2 and the memo the threads share
+        h = parse_poly("2x^5/3 - 2x")
+        assert scan_A_h(h, -8, 8, jobs=2) == scan_A_h(h, -8, 8)
 
     def test_scan_rejects_bad_range(self):
         with pytest.raises(InvalidInput):
@@ -261,6 +267,92 @@ class TestScan:
         rows = scan_A_h(parse_poly("x^2"), 0, 0)
         assert not rows[0].in_A_h
         assert "squarefree" in rows[0].reason
+
+
+def _seeded_rational_h(rng):
+    """h of degree 2-9 with denominators 1-6 and a numerator content of 2-4."""
+    m = rng.randint(2, 9)
+    content = rng.randint(2, 4)
+    coeffs = [Fraction(content * rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)]
+    coeffs.append(Fraction(content * rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 6)))
+    return UniPoly(coeffs)
+
+
+class TestSharedRowWork:
+    """A scan lifts h to Z once, takes every row's discriminant from one
+    batch of resultants and shares each reduction's pattern between rows."""
+
+    def test_row_facts_match_the_certifier_facts(self):
+        rng = random.Random(37)
+        cases = [(_seeded_rational_h(rng), -6, 6) for _ in range(40)]
+        cases.append((parse_poly("x^3 - 3x"), -3, 3))  # repeated roots at c = -2, 2
+        repeated = []
+        for h, lo, hi in cases:
+            for fc, c, facts in _rows(h, range(lo, hi + 1)):
+                assert fc == h - c and repr(fc) == repr(h - c), (h, c)
+                try:
+                    expected = _model_and_disc(h - c)
+                except NotSquarefree:
+                    assert facts is None, (h, c)
+                    repeated.append((str(h), c))
+                    continue
+                assert facts == expected and repr(facts) == repr(expected), (h, c)
+        assert ("x^3 - 3*x", -2) in repeated and ("x^3 - 3*x", 2) in repeated
+
+    @pytest.mark.parametrize(
+        "text, lo, hi",
+        [
+            ("x^5/2 - 3x^2 + x", -10, 10),  # 21 rows
+            ("x^8 - 3x^4 + 2x", -4, 4),
+            ("x^8 - 3x^4", -4, 4),  # G(x^4): decomposition witnesses
+            ("2x^5/3 - 2x", -5, 5),  # rows of even c have content 2
+        ],
+    )
+    def test_rows_match_the_per_row_certificates(self, text, lo, hi):
+        h = parse_poly(text)
+        rows = scan_A_h(h, lo, hi)
+        assert [r.c for r in rows] == list(range(lo, hi + 1))
+        for row in rows:
+            if row.certificate is None:
+                continue
+            alone = certify_galois(h - row.c)
+            cert = row.certificate
+            assert cert.verdict is alone.verdict, (text, row.c)
+            assert cert.observations == alone.observations, (text, row.c)
+            assert cert.rules_fired == alone.rules_fired, (text, row.c)
+            assert cert.witness == alone.witness, (text, row.c)
+            assert repr(cert) == repr(alone), (text, row.c)
+
+    def test_rows_share_patterns(self, monkeypatch):
+        calls = []
+        real = galois_cert.degree_pattern
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].p)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(galois_cert, "degree_pattern", counting)
+        rows = scan_A_h(parse_poly("x^5/2 - 3x^2 + x"), -10, 10)
+        observations = sum(len(r.certificate.observations) for r in rows if r.certificate)
+        assert len(calls) < observations
+
+    def test_memo_holds_only_primes_up_to_the_width(self, monkeypatch):
+        seen = []
+        real = morse_scan._certify
+
+        def spy(*args):
+            seen.append((args[-2], args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(morse_scan, "_certify", spy)
+        for lo, hi in ((-10, 10), (3, 7), (7, 7)):
+            seen.clear()
+            scan_A_h(parse_poly("x^5 - x"), lo, hi)
+            memo, bound = seen[0]
+            assert all(m is memo and b == hi - lo for m, b in seen)
+            assert all(p <= hi - lo for p, _ in memo)
+            # one row stores nothing; a wider range stores the small primes
+            assert bool(memo) is (hi > lo)
 
 
 class TestReducibleRows:
