@@ -38,7 +38,6 @@ commands, which is why a well-formed call never builds it.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from fractions import Fraction
@@ -52,8 +51,8 @@ from .errors import (
 )
 from .exact_poly import (
     UniPoly,
+    _squarefree_split,
     discriminant,
-    factor_int,
     parse_poly,
 )
 from .galois_cert import (
@@ -256,13 +255,9 @@ def _cmd_poly_disc(args) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     if disc != 0:
         try:
-            tag_input = disc.numerator * disc.denominator
-            factors = sorted(factor_int(tag_input).items())
-            # the sign times every prime to an odd power
-            result["squarefree_part"] = math.prod(
-                (p for p, e in factors if e % 2), start=-1 if tag_input < 0 else 1
-            )
-            result["factors"] = {str(p): e for p, e in factors}
+            tag, factors = _squarefree_split(disc.numerator * disc.denominator)
+            result["squarefree_part"] = tag
+            result["factors"] = {str(p): e for p, e in sorted(factors.items())}
         except FactorizationIncomplete:
             warnings.append(
                 "factoring budget exhausted; squarefree part and factors omitted"

@@ -844,19 +844,36 @@ def _derivative_resultants(A: list[int], shifts: Iterable[int]) -> list[int]:
     return values
 
 
-def discriminant(a: UniPoly) -> Fraction:
-    """disc(a) = (-1)^(m(m-1)/2) Res(a, a') / lc(a), m = deg a >= 1.
+def _shift_facts(a: UniPoly, shifts: Sequence[int]) -> Iterator[tuple | None]:
+    """For each integer c in shifts, (F, disc(F), disc(a - c)), F the
+    primitive integer model of a - c and disc(F) an int, or None when a - c
+    has a repeated root; deg a >= 1.
 
-    One integer resultant: with A = L a over Z, disc(A) = (-1)^(m(m-1)/2)
-    Res(A, A') / lc(A) is an integer, and disc(a) = disc(A) / L^(2m-2).
-    """
-    if a.degree is None or a.degree < 1:
-        raise ConstantPolynomialError("discriminant needs degree >= 1")
+    disc(b) = (-1)^(m(m-1)/2) Res(b, b') / lc(b), m = deg b.  With A = L a
+    over Z, L (a - c) = A - L c, so one batch of resultants Res(A - L c, A')
+    gives every disc(A - L c), an integer, and disc(u b) = u^(2m-2) disc(b)
+    rescales it to disc(F), F = (A - L c) / g for the content g, and to
+    disc(a - c)."""
     m = a.degree
+    if m is None or m < 1:
+        raise ConstantPolynomialError("discriminant needs degree >= 1")
     A, L = _cleared(a.coeffs)
-    (res,) = _derivative_resultants(A, (0,))
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return Fraction(sign * res // A[-1], L ** (2 * m - 2))
+    for c, res in zip(shifts, _derivative_resultants(A, [L * c for c in shifts])):
+        disc = sign * res // A[-1]  # disc(A - L c)
+        if not disc:
+            yield None
+            continue
+        model = integer_model(UniPoly([A[0] - L * c, *A[1:]], a.var))
+        g = A[-1] // model.coeffs[-1]
+        yield model, disc // g ** (2 * m - 2), Fraction(disc, L ** (2 * m - 2))
+
+
+def discriminant(a: UniPoly) -> Fraction:
+    """disc(a) = (-1)^(m(m-1)/2) Res(a, a') / lc(a), m = deg a >= 1, from one
+    integer resultant (``_shift_facts``)."""
+    (facts,) = _shift_facts(a, (0,))
+    return facts[2] if facts else Fraction(0)
 
 
 # -- integer utilities ---------------------------------------------------------
@@ -1057,16 +1074,18 @@ def _factor_int(n: int) -> dict[int, int]:
     return factors
 
 
-def int_squarefree_part(n: int) -> int:
-    """The squarefree integer d with n = d * (square), sign preserved."""
+def _squarefree_split(n: int) -> tuple[int, dict[int, int]]:
+    """(d, factors): the squarefree integer d with n = d * (square), sign
+    preserved, the sign times every prime to an odd power in ``factor_int(n)``."""
     if n == 0:
         raise ZeroInput("squarefree part of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in _factor_int(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
+    factors = factor_int(n)
+    return math.prod((p for p, e in factors.items() if e % 2), start=-1 if n < 0 else 1), factors
+
+
+def int_squarefree_part(n: int) -> int:
+    """The squarefree integer d with n = d * (square), sign preserved."""
+    return _squarefree_split(n)[0]
 
 
 def factor_int(n: int) -> dict[int, int]:

@@ -185,6 +185,7 @@ from .exact_poly import (
     _cleared,
     _kronecker_product,
     _rational_split,
+    _shift_facts,
     _taylor_shift,
     affine_dickson,
     discriminant,
@@ -282,14 +283,11 @@ def sample_cycle_types(
 
 def _model_and_disc(f: UniPoly) -> tuple[UniPoly, int, Fraction]:
     """The primitive integer model of f, its discriminant, an integer, and
-    disc(f) rescaled from it."""
-    model = integer_model(f)
-    model_disc = discriminant(model).numerator
-    if model_disc == 0:
+    disc(f) (``exact_poly._shift_facts``)."""
+    (facts,) = _shift_facts(f, (0,))
+    if facts is None:
         raise NotSquarefree(f"{f} has a repeated root")
-    # f = scale * model, and disc(c * F) = c^(2m - 2) * disc(F)
-    scale = Fraction(f.leading_coefficient, model.leading_coefficient)
-    return model, model_disc, model_disc * scale ** (2 * model.degree - 2)
+    return facts
 
 
 _FIRST_PRIMES = tuple(primes_up_to(DEFAULT_PRIME_BOUND))
@@ -1173,9 +1171,9 @@ class _Rules:
 
     Given f's integer model, the engine searches it once for a factor of a
     degree <= m/2 attainable at every prime, when a miss completes the
-    proof: no block size is open, a Jordan element is in hand, and
-    transitivity is unproved.  A miss proves f irreducible (R-irreducible);
-    a hit is a ``factor`` witness, and the verdict stays ``Inconclusive``.
+    proof: transitivity is the one fact missing (``_alt_if_transitive``).
+    A miss proves f irreducible (R-irreducible); a hit is a ``factor``
+    witness, and the verdict stays ``Inconclusive``.
     Certification and replay always give the model; without one (None) the
     engine never searches, which tests use to check the rules on their own.
     """
@@ -1230,12 +1228,7 @@ class _Rules:
                 self.transitivity = RuleFiring("R-trans", (obs.p,), f"irreducible mod {obs.p}")
             else:
                 self.common &= _subset_sums(pattern)
-                if (
-                    not self.transitive
-                    and self.model is not None
-                    and not self.open_sizes
-                    and self.element is not None
-                ):
+                if not self.transitive and self.model is not None and self._alt_if_transitive:
                     self._search_factor()
 
     @property
@@ -1243,15 +1236,19 @@ class _Rules:
         return self.transitivity is not None or self.common == 1 | 1 << self.m
 
     @property
-    def proven(self) -> bool:
-        """Whether the facts prove that Gal(f) contains Alt(m): transitive, and
-        either no block size open and a Jordan element, or (R-alt3) m = 3
-        and a square disc, since Alt(3) is the one transitive group inside
-        Alt(3)."""
-        return self.transitive and (
+    def _alt_if_transitive(self) -> bool:
+        """Whether Alt(m) is inside Gal(f) once it is transitive: no block
+        size open and a Jordan element, or (R-alt3) m = 3 and a square disc,
+        Alt(3) being the one transitive group inside Alt(3)."""
+        return (
             not self.open_sizes and self.element is not None
             or self.m == 3 and self.disc_is_square
         )
+
+    @property
+    def proven(self) -> bool:
+        """Whether the facts prove that Gal(f) contains Alt(m)."""
+        return self.transitive and self._alt_if_transitive
 
     def _search_factor(self) -> None:
         """Search the model, once, for a factor of a degree <= m/2 that every

@@ -34,12 +34,10 @@ certificate ends on an ``automorphism`` witness: the group then contains
 no Alt(m), so not Sym(m) either, but the reason stays "unproven".
 
 The rows share h, h' and, mod small primes, their reductions, so a scan
-does that work once.  It clears h's denominators once, H = L h, and takes
-every row's discriminant from one batch of resultants Res(H - L c, H')
-(``exact_poly._derivative_resultants``): disc(H - L c) is (-1)^(m(m-1)/2)
-Res / lc(H), the row's integer model is H - L c over its content g, the
-model's discriminant is disc(H - L c) / g^(2m-2), and disc(h - c) is
-disc(H - L c) / L^(2m-2).  The rows also share one memo of degree patterns
+does that work once.  Every row's integer model and discriminants come
+from one integer lift H = L h and one batch of resultants Res(H - L c, H')
+(``exact_poly._shift_facts``, the routine ``certify_galois`` runs on one
+polynomial).  The rows also share one memo of degree patterns
 (``galois_cert._certify``), keyed by the prime p and the row's model mod
 p, which holds each reduction's pattern and distinct-degree parts.  Rows
 whose models agree mod p have one reduction, so a hit is exact; it covers
@@ -69,10 +67,10 @@ from .exact_poly import (
     UniPoly,
     _cleared,
     _derivative_resultants,
+    _shift_facts,
     derivative,
     discriminant,
     int_squarefree_part,
-    integer_model,
     rational_is_square,
 )
 from .galois_cert import (
@@ -206,22 +204,11 @@ def _scan_one(
 
 def _rows(h: UniPoly, cs: range) -> Iterator[tuple[UniPoly, int, tuple | None]]:
     """(h - c, c, facts) for each c in cs, facts as ``_model_and_disc(h - c)``
-    gives them or None when h - c has a repeated root, from one integer lift
-    H = L h and one batch of resultants Res(H - L c, H')."""
-    m: int = h.degree  # type: ignore[assignment]
-    H, L = _cleared(h.coeffs)
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    scale = L ** (2 * m - 2)
-    for c, res in zip(cs, _derivative_resultants(H, [L * c for c in cs])):
-        # h - c is h with its constant term replaced, and L (h - c) = H - L c
-        fc = UniPoly([h.coeffs[0] - c, *h.coeffs[1:]], h.var)
-        disc = sign * res // H[-1]  # disc(H - L c), an integer
-        if not disc:
-            yield fc, c, None
-            continue
-        model = integer_model(fc)  # (H - L c) / g for its content g
-        g = H[-1] // model.coeffs[-1]
-        yield fc, c, (model, disc // g ** (2 * m - 2), Fraction(disc, scale))
+    gives them or None when h - c has a repeated root, all from one batch
+    (``exact_poly._shift_facts``)."""
+    for c, facts in zip(cs, _shift_facts(h, cs)):
+        # h - c is h with its constant term replaced
+        yield UniPoly([h.coeffs[0] - c, *h.coeffs[1:]], h.var), c, facts
 
 
 def scan_A_h(

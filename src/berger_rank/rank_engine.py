@@ -13,9 +13,9 @@ vanishes at a single layer d > c2(d).  Everything this module certifies is
 a sufficient condition for that Hom group to vanish (or stay bounded), and
 each condition is recorded as a ``HypothesisRecord`` so a verdict can be
 audited after the fact.  The pair is validated before a route is chosen:
-degrees, distinct variables, then f and g squarefree by
-``galois_cert._model_and_disc``, whose integer model and discriminants each
-side's certificate and condition (ii) below then reuse.
+degrees, distinct variables, then f and g squarefree by one integer
+resultant each (``galois_cert._model_and_disc``), whose integer model and
+discriminants each side's certificate and condition (ii) below then reuse.
 
 Both vanishing routes rest on one fact about a side of degree >= 4: each
 of its new factors is absolutely simple with cyclotomic endomorphism

@@ -605,9 +605,13 @@ class TestJordanRule:
 
     def test_reducible_cubic_with_square_disc_is_not_proven(self):
         # x^3 - x = (x + 1) x (x - 1) has disc 4, a square, but no pattern
-        # shows transitivity
+        # shows transitivity; with R-alt3 transitivity is the one fact
+        # missing, so the factor search runs at once and finds x at p = 3
         cert = certify_galois(parse_poly("x^3 - x"))
         assert cert.disc_is_square and cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert cert.observations == (CycleTypeObservation(3, (1, 1, 1)),)
+        assert cert.witness == Witness("factor", (parse_poly("x"),))
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
 
 
 # One polynomial for each transitive group of degree 2-6, with its group's
@@ -2436,13 +2440,13 @@ class TestWitnessTable:
     )
     def test_finders_reuse_the_model(self, text, kind, monkeypatch):
         # both exact checks run on the integer model certification already
-        # holds: one integer_model and one discriminant per certificate,
+        # holds: one integer_model and one _shift_facts per certificate,
         # counted through every module that binds them
         import sys
 
         from berger_rank import exact_poly
 
-        calls = {"integer_model": 0, "discriminant": 0}
+        calls = {"integer_model": 0, "_shift_facts": 0}
         for name in calls:
             real = getattr(exact_poly, name)
 
@@ -2455,4 +2459,4 @@ class TestWitnessTable:
                     monkeypatch.setattr(module, name, counting)
         cert = certify_galois(parse_poly(text))
         assert cert.witness.kind == kind
-        assert calls == {"integer_model": 1, "discriminant": 1}
+        assert calls == {"integer_model": 1, "_shift_facts": 1}

@@ -282,22 +282,39 @@ class TestSharedRowWork:
     """A scan lifts h to Z once, takes every row's discriminant from one
     batch of resultants and shares each reduction's pattern between rows."""
 
-    def test_row_facts_match_the_certifier_facts(self):
+    def test_row_facts_match_sympy(self):
+        # _rows and _model_and_disc share one routine, so each is checked
+        # against sympy's primitive part and discriminants instead
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
         rng = random.Random(37)
         cases = [(_seeded_rational_h(rng), -6, 6) for _ in range(40)]
         cases.append((parse_poly("x^3 - 3x"), -3, 3))  # repeated roots at c = -2, 2
+        cases.append((parse_poly("x^2/4 - x"), -2, 0))  # (x/2 - 1)^2 at c = -1
         repeated = []
         for h, lo, hi in cases:
             for fc, c, facts in _rows(h, range(lo, hi + 1)):
                 assert fc == h - c and repr(fc) == repr(h - c), (h, c)
-                try:
-                    expected = _model_and_disc(h - c)
-                except NotSquarefree:
+                poly = sum(
+                    sympy.Rational(a.numerator, a.denominator) * x**k
+                    for k, a in enumerate(fc.coeffs)
+                )
+                disc = sympy.discriminant(poly, x)
+                if disc == 0:
                     assert facts is None, (h, c)
+                    with pytest.raises(NotSquarefree):
+                        _model_and_disc(fc)
                     repeated.append((str(h), c))
                     continue
-                assert facts == expected and repr(facts) == repr(expected), (h, c)
+                _, prim = sympy.primitive(poly)
+                model = [int(v) for v in reversed(sympy.Poly(prim, x).all_coeffs())]
+                model_disc = int(sympy.discriminant(prim, x))
+                for got in (facts, _model_and_disc(fc)):
+                    assert got[0] == UniPoly(model) and type(got[1]) is int, (h, c)
+                    assert got[1:] == (model_disc, Fraction(int(disc.p), int(disc.q))), (h, c)
+                    assert type(got[2]) is Fraction, (h, c)
         assert ("x^3 - 3*x", -2) in repeated and ("x^3 - 3*x", 2) in repeated
+        assert ("1/4*x^2 - x", -1) in repeated
 
     @pytest.mark.parametrize(
         "text, lo, hi",

@@ -103,17 +103,17 @@ class TestSideConditions:
     def test_quartic_discriminant_not_recomputed(self, monkeypatch):
         # one discriminant per side, taken when the pair is checked
         # squarefree: the certificates and condition (ii) reuse it
-        real = exact_poly.discriminant
+        real = exact_poly._shift_facts
         calls = []
 
-        def counting(a):
+        def counting(a, shifts):
             calls.append(a)
-            return real(a)
+            return real(a, shifts)
 
         for name, module in list(sys.modules.items()):
-            bound = vars(module).get("discriminant")
+            bound = vars(module).get("_shift_facts")
             if name.startswith("berger_rank") and bound is real:
-                monkeypatch.setattr(module, "discriminant", counting)
+                monkeypatch.setattr(module, "_shift_facts", counting)
         rank_verdict(F4, G2, 3, 1)
         assert len(calls) == 2
         calls.clear()
