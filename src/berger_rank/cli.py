@@ -24,7 +24,9 @@ error text goes to stderr.
 
 Exit codes: 0 success, 1 rejected input (syntax errors, bad degrees, shared
 variables, composite tower prime, oversized input), 2 internal consistency
-failure (a bug, never expected on valid releases).
+failure (a bug, never expected on valid releases).  ``main()`` without an
+argv owns the process, so it freezes the garbage collector before it returns:
+the exit-time collections then have nothing to walk.
 
 Arguments are declared once, in the command table ``_COMMANDS``.  A
 well-formed argv (the command name first, exact flag names, values that do
@@ -38,6 +40,7 @@ commands, which is why a well-formed call never builds it.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -578,6 +581,8 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI on ``argv``, or own the process and run it on sys.argv:
+    the process exits once this returns, so the collector is frozen first."""
     # Computed discriminants and resultants outgrow any input cap, so while
     # the CLI runs it prints integers of any length: the interpreter's
     # int-to-str digit limit (Python >= 3.10.7) is lifted, then restored.
@@ -607,6 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import gc
 import importlib.util
 import io
 import json
@@ -685,6 +686,54 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "poly-disc", "x^2-2")
         assert code == 2
         assert "AssertionError" in err
+
+
+# a child process that registers an atexit hook, then runs the module entry
+# on its own argv, as ``python -m berger_rank.cli`` does
+ATEXIT_CHILD = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit hook ran", file=sys.stderr))
+runpy.run_module("berger_rank.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestExitPath:
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_only_a_call_without_argv_freezes_the_collector(self, capsys, monkeypatch, unfreeze):
+        # main() owns its process, which exits once it returns, so it freezes
+        # the collector; main(argv) is a library call and leaves it alone
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "genus", "3", "2")[0] == 0
+        assert gc.get_freeze_count() == before
+        monkeypatch.setattr(sys, "argv", ["berger-rank", "genus", "3", "2"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "1\n"
+        assert gc.get_freeze_count() > before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "-f", "x^5 - x - 1", "-g", "y^2 - 1", "-p", "7", "-r", "2"],
+            ["galois", "x^4 - 2", "--json"],
+            ["rank", "-f", "x^5 - x - 1", "-g", "(y-1)^2", "-p", "7", "-r", "1"],
+        ],
+    )
+    def test_module_entry_runs_atexit_hooks_and_matches_main(self, capsys, argv):
+        # the process still ends through the interpreter's own exit: atexit
+        # hooks run (coverage and profilers hang on them) and stdout is
+        # flushed, with the output and exit code of main(argv) in process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", ATEXIT_CHILD, *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "atexit hook ran\n")
 
 
 class TestRegressionSuite:

@@ -484,12 +484,14 @@ class TestEarlyStop:
 
 
 
+def _cycle_type(g):
+    """The cycle type of a sympy permutation, as a sorted pattern."""
+    return tuple(sorted(n for n, k in g.cycle_structure.items() for _ in range(k)))
+
+
 def _group_patterns(group):
     """The cycle type of every element of a sympy permutation group."""
-    return {
-        tuple(sorted(n for n, k in g.cycle_structure.items() for _ in range(k)))
-        for g in group.generate()
-    }
+    return {_cycle_type(g) for g in group.generate()}
 
 
 def _transitive_groups(m):
@@ -612,6 +614,87 @@ class TestJordanRule:
         assert cert.observations == (CycleTypeObservation(3, (1, 1, 1)),)
         assert cert.witness == Witness("factor", (parse_poly("x"),))
         assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+
+def _primitive_groups():
+    """(name, group, order, number of cycle types) for proper primitive
+    groups of degree 8-12, each built from generators: PSL(2, q) and
+    PGL(2, q) act on P^1(F_q) by Mobius maps, infinity numbered q."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perm, group = combinatorics.Permutation, combinatorics.PermutationGroup
+
+    def mobius(q, a, b, c, d):  # z -> (az + b) / (cz + d)
+        def image(z):
+            num, den = (a, c) if z == q else (a * z + b, c * z + d)
+            return q if den % q == 0 else num * pow(den, -1, q) % q
+
+        return perm([image(z) for z in range(q + 1)])
+
+    def line(q, nonsquare):  # z -> z + 1 and z -> -1/z, then z -> gz
+        psl = [mobius(q, 1, 1, 0, 1), mobius(q, 0, -1, 1, 0)]
+        return group(psl), group(psl + [mobius(q, nonsquare, 0, 0, 1)])
+
+    psl7, pgl7 = line(7, 3)
+    psl11, pgl11 = line(11, 2)
+    shift = perm([(z + 1) % 11 for z in range(11)])
+    return [
+        ("PSL(2,7)", psl7, 168, 5),
+        ("PGL(2,7)", pgl7, 336, 8),
+        ("AGL(1,11)", group(shift, perm([2 * z % 11 for z in range(11)])), 110, 5),
+        ("M11", group(shift, perm([[2, 6, 10, 7], [3, 9, 4, 5]], size=11)), 7920, 8),
+        ("PSL(2,11)", psl11, 660, 6),
+        ("PGL(2,11)", pgl11, 1320, 10),
+    ]
+
+
+class TestPrimitiveGroupsOfDegree8To12:
+    # no polynomial oracle reaches these degrees, so the rule engine is fed
+    # cycle types straight from the groups, with disc square iff G <= Alt(m)
+
+    def test_proper_groups_are_not_proven(self):
+        # every cycle type of each group, read off uniformly random elements
+        # (Schreier-Sims unranking) until the group's pinned count of types is
+        # reached, so a missed class fails; random draws seldom hit the
+        # identity, whose type is added at the start
+        import random
+
+        start = time.perf_counter()
+        rng = random.Random(8)
+        for name, group, order, count in _primitive_groups():
+            m = group.degree
+            assert group.order() == order and group.is_primitive(), name
+            patterns = {(1,) * m}
+            for _ in range(2000):
+                if len(patterns) == count:
+                    break
+                patterns.add(_cycle_type(group.coset_unrank(rng.randrange(order))))
+            assert len(patterns) == count, name
+            square = all(g.is_even for g in group.generators)
+            obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
+            verdict, fired = _evaluate_rules(m, square, obs)
+            assert verdict is GaloisVerdict.INCONCLUSIVE, (name, fired)
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("m", [8, 11, 12])
+    def test_full_groups_are_proven(self, m):
+        # 32 seeded random elements of Alt(m) or Sym(m) give cycle types
+        # enough for the rules to prove the group (at most 16 were needed
+        # over 200 seeds), so the rules are complete on the full groups
+        import random
+
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        start = time.perf_counter()
+        rng = random.Random(m)
+        for group, verdict in [
+            (combinatorics.AlternatingGroup(m), GaloisVerdict.PROVEN_ALTERNATING),
+            (combinatorics.SymmetricGroup(m), GaloisVerdict.PROVEN_SYMMETRIC),
+        ]:
+            order = group.order()
+            patterns = {_cycle_type(group.coset_unrank(rng.randrange(order))) for _ in range(32)}
+            obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
+            square = verdict is GaloisVerdict.PROVEN_ALTERNATING
+            assert _evaluate_rules(m, square, obs)[0] is verdict, (m, square)
+        assert time.perf_counter() - start < 30
 
 
 # One polynomial for each transitive group of degree 2-6, with its group's
