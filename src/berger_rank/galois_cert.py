@@ -202,6 +202,7 @@ from .modp_factor import (
     _irreducible_factors,
     _ModRing,
     _monic,
+    _roots,
     _trim,
     degree_pattern,
     reduce_mod_p,
@@ -858,11 +859,14 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     (``_rational``) finds a/b if the p-adic root is one, and one exact
     division by b x - a, once a | a_k and b | lc, keeps it.  So the search
     is complete: an empty list proves that model has no rational root.  The
-    roots mod p are read by evaluating at every residue, so p is capped.
-    p is tested here, not by ``_is_good``: the scan finds a repeated root
-    itself, and ``_is_good``'s gcd mod p would cost 9.2 ms over a
-    ``family-scan`` pass's 1,602 searches, which take 15.2 ms, against 0.3
-    ms for this test (min of 7 passes, one Xeon core, Python 3.11).
+    roots mod p come from ``modp_factor._roots``, the one root finder mod p
+    (a residue scan while p (deg + 1) <= ``_ROOT_SCAN_BOUND``, else
+    gcd(x^p - x, model) split into its linear factors), and the slope
+    model' is read at those roots only: a zero there is a repeated root.
+    p is tested here, not by ``_is_good``: the slopes find a repeated root,
+    and ``_is_good``'s gcd mod p would cost 9.8 ms over a ``family-scan``
+    pass's 1,602 searches, which take 17.7 ms, against under 1 ms for this
+    test (min of 15 passes, one Xeon core, Python 3.11).
     """
     cs = model.coeffs
     if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:
@@ -871,13 +875,12 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     q = p * p
     while q <= 2 * abs(low * lead):  # reconstruction is unique above it
         q *= q
+    residues = tuple(c % p for c in cs)
+    found = _roots(residues, p)
+    if any(not _value_and_slope(residues, r, p)[1] for r in found):
+        return None  # a repeated root mod p
     roots = []
-    for r in range(p):
-        value, slope = _value_and_slope(cs, r, p)
-        if value:
-            continue
-        if not slope:  # a repeated root mod p
-            return None
+    for r in found:
         *_, (const, _) = _factor_lifts(cs, (-r % p, 1), p, q)
         v = _rational(-const, q, abs(low), abs(lead))
         if v is None:
@@ -1167,7 +1170,9 @@ class _Rules:
     Jordan element (its first sighting).  The engine owns the proof state:
     ``proven`` says whether the facts so far prove the verdict, and
     ``conclude`` builds the verdict and the rules fired from them.  A cubic
-    with square disc needs transitivity alone (R-alt3).
+    with square disc needs transitivity alone (R-alt3); so does a quadratic
+    with one, which is reducible: its factor search runs at once and finds
+    the factor.
 
     Given f's integer model, the engine searches it once for a factor of a
     degree <= m/2 attainable at every prime, when a miss completes the
@@ -1239,10 +1244,12 @@ class _Rules:
     def _alt_if_transitive(self) -> bool:
         """Whether Alt(m) is inside Gal(f) once it is transitive: no block
         size open and a Jordan element, or (R-alt3) m = 3 and a square disc,
-        Alt(3) being the one transitive group inside Alt(3)."""
+        Alt(3) being the one transitive group inside Alt(3), or m = 2 and a
+        square disc, Alt(2) being trivial: such an f is reducible, so its
+        factor search, run at once, finds the factor."""
         return (
             not self.open_sizes and self.element is not None
-            or self.m == 3 and self.disc_is_square
+            or self.m <= 3 and self.disc_is_square
         )
 
     @property

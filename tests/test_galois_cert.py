@@ -615,6 +615,29 @@ class TestJordanRule:
         assert cert.witness == Witness("factor", (parse_poly("x"),))
         assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "text, factor",
+        [("x^2 - 4", "x - 2"), ("3x^2 - 12", "x - 2"), ("4x^2 - 1", "x - 1/2"),
+         ("x^2 - 1/4", "x - 1/2")],
+    )
+    def test_reducible_quadratic_with_square_disc_is_not_proven(self, text, factor):
+        # the quadratic twin: a square disc leaves Alt(2), the trivial group,
+        # so transitivity is again the one fact missing, and the factor
+        # search at the first prime ends the sampling on its hit, where every
+        # good prime below 200 was sampled for nothing
+        cert = certify_galois(parse_poly(text))
+        assert cert.disc_is_square and cert.verdict is GaloisVerdict.INCONCLUSIVE
+        assert len(cert.observations) == 1 and cert.observations[0].pattern == (1, 1)
+        assert cert.witness == Witness("factor", (parse_poly(factor),))
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    def test_irreducible_quadratics_are_unchanged(self):
+        for text in ("x^2 + 1", "x^2 - 2"):
+            cert = certify_galois(parse_poly(text))
+            assert not cert.disc_is_square and cert.witness is None
+            assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+            assert replay_certificate(cert, deep=True) is GaloisVerdict.PROVEN_SYMMETRIC
+
 
 def _primitive_groups():
     """(name, group, order, number of cycle types) for proper primitive

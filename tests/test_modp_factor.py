@@ -583,7 +583,8 @@ class TestStickelbergerExit:
 
 
 class TestFrobeniusRowsOnDemand:
-    """The Q-matrix rows beyond x^p are built only when a second step runs."""
+    """The ring is built only at the first gcd step, and the Q-matrix rows
+    beyond x^p only when a later gcd step needs them."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -597,17 +598,39 @@ class TestFrobeniusRowsOnDemand:
         monkeypatch.setattr(_ModRing, name, counting)
         return calls
 
+    def test_no_ring_under_the_root_scan_bound(self, monkeypatch):
+        # under the bound the first step reads the roots by a residue scan;
+        # a quintic then has at most 5 degrees left, in one or two factors
+        # of degree >= 2, and the parity of disc says which, so no ring is
+        # built whatever the pattern
+        f = parse_poly("x^5 - x - 1")
+        disc = discriminant(f).numerator
+        rings = self._count(monkeypatch, "__init__")
+        checked = 0
+        for p in _ODD_PRIMES:
+            if p * 6 > modp_factor._ROOT_SCAN_BOUND or not _good(f, disc, p):
+                continue
+            a = reduce_mod_p(f, p)
+            full = degree_pattern(a)
+            rings.clear()
+            assert degree_pattern(a, disc) == full
+            assert rings == [], p
+            checked += 1
+        assert checked >= 8
+
     def test_one_step_makes_only_x_pow_products(self, monkeypatch):
-        # a quintic with no root mod p has one or two factors left after
-        # step 1, and the parity of disc says which, so the loop ends there
+        # above the bound (p >= 43 for a quintic) a quintic with no root mod
+        # p has one or two factors left after step 1, and the parity of disc
+        # says which, so the loop ends there
         f = parse_poly("x^5 - x - 1")
         disc = discriminant(f).numerator
         muls = self._count(monkeypatch, "mul")
         rows = self._count(monkeypatch, "frobenius_rows")
         ended = 0
         for p in _ODD_PRIMES:
-            if p < 7 or not _good(f, disc, p):
+            if p * 6 <= modp_factor._ROOT_SCAN_BOUND or not _good(f, disc, p):
                 continue
+            assert p >= 43
             a = reduce_mod_p(f, p)
             if 1 in degree_pattern(a):
                 continue
@@ -621,6 +644,26 @@ class TestFrobeniusRowsOnDemand:
             assert (len(muls), rows) == (x_pow_muls, []), p
             ended += 1
         assert ended >= 10
+
+    def test_a_last_second_step_powers_x_and_builds_no_rows(self, monkeypatch):
+        # x^8 - x - 1 has no root mod 5, 7 or 13, all under the bound; the
+        # ring is built at step 2 on the octic, and after it at most 8
+        # degrees are left in factors of degree >= 3, so the parity of disc
+        # ends the loop: x^(p^2) is powered at once, and no row is made
+        f = parse_poly("x^8 - x - 1")
+        disc = discriminant(f).numerator
+        rows = self._count(monkeypatch, "frobenius_rows")
+        real = _ModRing.x_pow
+        exponents = []
+        monkeypatch.setattr(
+            _ModRing, "x_pow", lambda ring, e: exponents.append(e) or real(ring, e)
+        )
+        for p, pattern in ((5, (2, 6)), (7, (8,)), (13, (8,))):
+            assert p * 9 <= modp_factor._ROOT_SCAN_BOUND
+            exponents.clear()
+            rows.clear()
+            assert degree_pattern(reduce_mod_p(f, p), disc) == pattern
+            assert (exponents, rows) == ([p * p], []), p
 
     def test_later_steps_build_the_rows_once(self, monkeypatch):
         f = parse_poly("x^8 - x - 1")
@@ -703,3 +746,76 @@ class TestF2Path:
         assert time.perf_counter() - start < 2.0  # the packed loop takes minutes
         assert [(d, k) for d, k, _ in parts] == sorted(counts.items())
 
+
+# -- the root scan ------------------------------------------------------------------
+# While p (deg + 1) <= modp_factor._ROOT_SCAN_BOUND, the packed loop's first
+# step reads the roots by a residue scan and divides them out one at a time;
+# above it, it takes gcd(x^p - x, f).  On both sides the pattern, the parts
+# and the NotSquarefree text must be those of sympy's factorization.
+
+
+def _scan_primes(n):
+    """3, the last odd prime with p (n + 1) under the bound, the first past
+    it, and one far past it."""
+    bound = modp_factor._ROOT_SCAN_BOUND
+    under = [p for p in _ODD_PRIMES if p * (n + 1) <= bound]
+    over = [p for p in _ODD_PRIMES if p * (n + 1) > bound]
+    return sorted({3, under[-1], over[0], over[len(over) // 2]})
+
+
+def _sympy_outcome(coeffs, p):
+    """``_outcome`` as sympy's factors give it: the pattern and the
+    distinct-degree parts, or the NotSquarefree text, which names the least
+    degree of a repeated factor."""
+    factors = _sympy_factors(coeffs, p)
+    repeated = [len(fac) - 1 for fac, mult in factors if mult > 1]
+    if repeated:
+        text = f"{PrimePoly(p, coeffs)} has a repeated factor of degree {min(repeated)}"
+        return "NotSquarefree", text
+    parts = []
+    for d in sorted({len(fac) - 1 for fac, _ in factors}):
+        group = [fac for fac, _ in factors if len(fac) - 1 == d]
+        product = (1,)
+        for fac in group:
+            product = _omul(product, fac, p)
+        parts.append((d, len(group), product))
+    return tuple(d for d, k, _ in parts for _ in range(k)), parts
+
+
+class TestRootScan:
+    def _poly(self, rng, n, p, roots):
+        """A random polynomial of degree n mod p with the given roots planted,
+        and a leading coefficient that is not always 1."""
+        f = (rng.randrange(1, p),)
+        for r in roots:
+            f = _omul(f, (-r % p, 1), p)
+        rest = n - len(roots)
+        return _omul(f, tuple(rng.randrange(p) for _ in range(rest)) + (1,), p)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_against_sympy_on_both_sides_of_the_bound(self, n):
+        rng = random.Random(f"root-scan:{n}")
+        bound = modp_factor._ROOT_SCAN_BOUND
+        seen = {"under": 0, "over": 0, "repeated": 0}
+        for p in _scan_primes(n):
+            side = "under" if p * (n + 1) <= bound else "over"
+            for planted in range(min(n, 3) + 1):
+                coeffs = self._poly(rng, n, p, rng.sample(range(p), planted))
+                expected = _sympy_outcome(coeffs, p)
+                a = PrimePoly(p, coeffs)
+                assert _outcome(degree_pattern, a, None) == expected, (p, coeffs)
+                if expected[0] == "NotSquarefree":
+                    continue
+                disc = discriminant(UniPoly(coeffs)).numerator
+                assert disc % p
+                assert _outcome(degree_pattern, a, disc) == expected, (p, coeffs)
+                seen[side] += 1
+            # a forced repeated linear factor, alone or beside other roots
+            r = rng.randrange(p)
+            coeffs = self._poly(rng, n, p, [r, r] + rng.sample(range(p), min(n - 2, 2)))
+            expected = _sympy_outcome(coeffs, p)
+            assert expected == ("NotSquarefree", f"{PrimePoly(p, coeffs)} has a "
+                                "repeated factor of degree 1")
+            assert _outcome(degree_pattern, PrimePoly(p, coeffs), None) == expected
+            seen["repeated"] += 1
+        assert min(seen.values()) > 0, seen

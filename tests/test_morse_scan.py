@@ -477,6 +477,28 @@ class TestRationalRoot:
             else:
                 assert root is None, f
 
+    @pytest.mark.parametrize("p", [3, 199])
+    def test_both_sides_of_the_root_scan_bound(self, p):
+        # the roots mod p come from a residue scan at p = 3 and, for a
+        # quintic, from gcd(x^p - x, f) split into linear factors at p = 199;
+        # at a good prime either way finds the parent's first root
+        from berger_rank import modp_factor
+
+        assert (p * 6 <= modp_factor._ROOT_SCAN_BOUND) == (p == 3)
+        checked = found = 0
+        for f in _random_polys(count=2000, seed=23):
+            model = integer_model(f)
+            if model.degree != 5:
+                continue
+            roots = galois_cert._rational_roots(model, p)
+            if roots is None:  # p divides lc, or a root mod p is repeated
+                continue
+            want = _parent_rational_root(model)
+            assert (roots[0] if roots else None) == want, (f, p)
+            checked += 1
+            found += bool(roots)
+        assert checked >= 25 and 10 <= found < checked, (checked, found)
+
     def test_no_coefficient_is_factored(self):
         # N = (10^30 + 57)(10^30 + 99): enumerating the divisors of x^7 - x +
         # N's constant spent a second failing to factor it; the roots lifted
