@@ -859,14 +859,13 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     (``_rational``) finds a/b if the p-adic root is one, and one exact
     division by b x - a, once a | a_k and b | lc, keeps it.  So the search
     is complete: an empty list proves that model has no rational root.  The
-    roots mod p come from ``modp_factor._roots``, the one root finder mod p
-    (a residue scan while p (deg + 1) <= ``_ROOT_SCAN_BOUND``, else
-    gcd(x^p - x, model) split into its linear factors), and the slope
-    model' is read at those roots only: a zero there is a repeated root.
-    p is tested here, not by ``_is_good``: the slopes find a repeated root,
-    and ``_is_good``'s gcd mod p would cost 9.8 ms over a ``family-scan``
-    pass's 1,602 searches, which take 17.7 ms, against under 1 ms for this
-    test (min of 15 passes, one Xeon core, Python 3.11).
+    roots mod p come from ``modp_factor._roots``, which evaluates at every
+    residue, so p is capped, and the slope model' is read at those roots
+    only: a zero there is a repeated root.  p is tested here, not by
+    ``_is_good``: the slopes find a repeated root, and ``_is_good``'s gcd
+    mod p would cost 9.8 ms over a ``family-scan`` pass's 1,602 searches,
+    which take 17.7 ms, against under 1 ms for this test (min of 15
+    passes, one Xeon core, Python 3.11).
     """
     cs = model.coeffs
     if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:

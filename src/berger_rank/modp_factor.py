@@ -32,38 +32,34 @@ Legendre symbol carries no parity there, and the loop runs in full.
 
 For small fields the first step needs no x^p: while p (deg f + 1) <= 250
 (``_ROOT_SCAN_BOUND``), the roots of f are found by Horner's rule at every
-residue (``_roots``), the degree-1 part is their product, and they are
-divided out of f by synthetic division; a root that is still one of what
-is left is a repeated factor of degree 1.  That scan costs at most 250
-Horner steps, less than x^p and the gcd it stands in for, and often ends
-the loop, with the parity, before any product mod f is taken.  ``_roots``
-is also the rational-root search's root finder (``galois_cert``); above
-the bound it takes the linear factors of gcd(x^p - x, f) and splits them.
+residue (``_roots``), and the degree-1 part is their product, which is
+gcd(x^p - x, f) itself; it is divided out and checked for a repeated root
+as a gcd step's part is.  That scan costs at most 250 Horner steps, less
+than x^p and the gcd it stands in for, and often ends the loop, with the
+parity, before any product mod f is taken.  ``_roots`` is also the
+rational-root search's root finder (``galois_cert``).
 
 The powers x^(p^i) mod f come from the Frobenius matrix (Berlekamp's
 Q-matrix): its rows x^(p*j) mod f, j < deg f, are built at most once per
 (f, p), and since h^p = h(x^p) over F_p, each step h -> h^p is a linear
 combination of the rows (von zur Gathen and Shoup, Comput. Complexity 2,
-1992).  The ring, and with it the matrix, is built at the first gcd step,
-on what is left of f then, and the matrix only on demand: the first gcd
-step's h is x^p, which is also its second row, so a loop that stops after
-it, or before any, makes none of the other rows.  When the root scan has
-taken step 1 and step 2 is, all but always, the last (the cofactor's
-degree is below 6, or below 9 with the parity known), x^(p^2) is powered
-directly and no row is made; a step after it builds the rows from x^p.
-All products mod f go through one kernel, ``_ModRing``: an element is
-packed into a single int by Kronecker substitution with slots wide enough that
-sums of products never carry, so a product is one big-int multiplication
-plus a long division by f, one big-int multiply-add per high slot, and the
-low slots are reduced mod p all at once by Barrett's reduction over
-alternate slots, a fixed number of big-int operations with no per-slot
-loop.  The kernel's slot width and Barrett constants depend on (deg f, p)
-alone, so they are built once per process, in a cache of at most 256
-entries, and a new ring only packs f.  A scan certifies many polynomials
-of one degree at the same small primes, so most of its rings find their
-constants there.  x^p itself starts from a monomial, so for p < deg f it
-costs no product.  The gcds of Euclid's algorithm compute remainders only,
-on lists in place, and stop at the first nonzero constant remainder.
+1992).  The ring is built at the first gcd step, on what is left of f
+then, and the rows beyond x^p only at step 2: step 1's h is x^p, which
+is also the second row, so a loop that stops after step 1, or before any
+gcd step, makes none of the others.  All products mod f go through
+one kernel, ``_ModRing``: an element is packed into a single int by
+Kronecker substitution with slots wide enough that sums of products never
+carry, so a product is one big-int multiplication plus a long division by
+f, one big-int multiply-add per high slot, and the low slots are reduced
+mod p all at once by Barrett's reduction over alternate slots, a fixed
+number of big-int operations with no per-slot loop.  The kernel's slot
+width and Barrett constants depend on (deg f, p) alone, so they are built
+once per process, in a cache of at most 256 entries, and a new ring only
+packs f.  A scan certifies many polynomials of one degree at the same small
+primes, so most of its rings find their constants there.  x^p itself
+starts from a monomial, so for p < deg f it costs no product.  The gcds of
+Euclid's algorithm compute remainders only, on lists in place, and stop at
+the first nonzero constant remainder.
 
 At p = 2 the same loop runs on bitmasks, as distinct-degree factorization
 over F_2 classically is (von zur Gathen and Gerhard, Modern Computer
@@ -343,46 +339,23 @@ def degree_pattern(
     return (_pattern_f2 if a.p == 2 else _pattern)(a, disc, parts)
 
 
-# The root scan below costs p (deg f + 1) Horner steps; up to this many, it is
-# cheaper than the gcd with x^p - x that it stands in for, with x^p and the
-# ring that gcd needs (measured at deg f = 5-9).
+# While p (deg f + 1) Horner steps stay within this many, ``_pattern``'s first
+# step scans the residues for roots: cheaper than the gcd with x^p - x that it
+# stands in for, with x^p and the ring that gcd needs (measured at deg f = 5-9).
 _ROOT_SCAN_BOUND = 250
 
 
 def _roots(cs: tuple, p: int) -> list[int]:
     """The distinct roots in F_p, ascending, of the polynomial with ascending
-    residue coefficients cs, of degree >= 1 with its leading one nonzero.
-
-    While p (deg + 1) <= ``_ROOT_SCAN_BOUND``, by Horner's rule at every
-    residue; above it, as the linear factors of gcd(x^p - x, f), f the
-    polynomial made monic, split by ``_equal_degree_split``.
-    """
-    if p * len(cs) <= _ROOT_SCAN_BOUND:
-        rev, out = cs[::-1], []
-        for r in range(p):
-            v = 0
-            for c in rev:
-                v = v * r + c
-            if v % p == 0:
-                out.append(r)
-        return out
-    f = _monic(cs, p)
-    if len(f) == 2:
-        return [-f[0] % p]
-    ring = _ModRing(f, p)
-    h = ring.unpack(ring.x_pow(p), ring.n)
-    g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), f, p)
-    return sorted(-u[0] % p for u in _equal_degree_split(g, 1, p)) if len(g) > 1 else []
-
-
-def _deflate(cs: tuple, r: int, p: int) -> tuple[tuple, int]:
-    """(q, cs(r)) with cs = (x - r) q + cs(r) over F_p, by synthetic division."""
-    q = [0] * (len(cs) - 1)
-    acc = cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        q[i] = acc
-        acc = (acc * r + cs[i]) % p
-    return tuple(q), acc
+    residue coefficients cs, by Horner's rule at every residue."""
+    rev, out = cs[::-1], []
+    for r in range(p):
+        v = 0
+        for c in rev:
+            v = v * r + c
+        if v % p == 0:
+            out.append(r)
+    return out
 
 
 def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePattern:
@@ -395,12 +368,12 @@ def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePatter
     r_odd = None
     if disc is not None and p != 2:
         r_odd = (n % 2 == 1) == (pow(disc, (p - 1) // 2, p) == 1)
-    # h = x^(p^e) stays reduced mod the ring's f, rest at the first gcd step;
+    # h = x^(p^d) stays reduced mod the ring's f, rest at the first gcd step;
     # since every later rest divides it, gcd(h - x, rest) is the same as
     # with h reduced mod rest
     ring = None
     rows: list[int] = []  # the Q-matrix rows, made when a step first needs them
-    h, e = [0, 1], 0
+    h = [0, 1]
     pattern: list[int] = []
     d = 0
     while (m := len(rest) - 1) >= 2 * (d + 1):
@@ -419,37 +392,23 @@ def _pattern(a: PrimePoly, disc: int | None, parts: list | None) -> DegreePatter
             # step when the parts are asked for
         d += 1
         if d == 1 and p * (n + 1) <= _ROOT_SCAN_BOUND:
-            # the degree-1 part from the roots, divided out one at a time
-            roots = _roots(rest, p)
-            if not roots:
-                continue
+            # the degree-1 part, the product of x - r over the roots
             g = [1]
-            for r in roots:
+            for r in _roots(rest, p):
                 g = [0, *g]  # g * (x - r)
                 for j in range(len(g) - 1):
                     g[j] = (g[j] - r * g[j + 1]) % p
-                rest = _deflate(rest, r, p)[0]
-            pattern += [1] * len(roots)
-            if parts is not None:
-                parts.append((1, len(roots), tuple(g)))
-            # as for a gcd step below: a repeated root is still one of rest
-            if disc is None and any(not _deflate(rest, r, p)[1] for r in roots):
-                raise NotSquarefree(f"{a} has a repeated factor of degree 1")
-            continue
-        if ring is None:  # the first gcd step: step 1, or step 2 after the root scan
-            ring, k = _ModRing(rest, p), m
-            if d == 2 and (m < 6 or r_odd is not None and m < 9):
-                # step 2 is then the last, or all but always: x^(p^2) by
-                # powering, with no rows
-                h, e = ring.unpack(ring.x_pow(p * p), k), 2
-            else:  # x^p is the first step's h, and the second row
-                rows = [1, ring.x_pow(p)]
-                h, e = ring.unpack(rows[1], k), 1
-        if e < d:  # h -> h^p = sum_j h_j x^(p j), from the rows
-            if len(rows) < k:
-                rows = ring.frobenius_rows(rows[1] if rows else ring.x_pow(p))
-            h, e = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), k), d
-        g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
+            g = tuple(g)
+        else:
+            if ring is None:  # the first gcd step, on what is left of f
+                ring = _ModRing(rest, p)
+                rows = [1, ring.x_pow(p)]  # x^p, the second row
+                if d == 2:  # the root scan took step 1: h = x^p
+                    h = ring.unpack(rows[1], ring.n)
+            if d == 2:
+                rows = ring.frobenius_rows(rows[1])
+            h = ring.unpack(sum(c * row for c, row in zip(h, rows) if c), ring.n)
+            g = _gcd(_trim([h[0], (h[1] - 1) % p, *h[2:]]), rest, p)
         if len(g) > 1:
             deg = len(g) - 1
             assert deg % d == 0

@@ -584,7 +584,7 @@ class TestStickelbergerExit:
 
 class TestFrobeniusRowsOnDemand:
     """The ring is built only at the first gcd step, and the Q-matrix rows
-    beyond x^p only when a later gcd step needs them."""
+    beyond x^p only when step 2 runs."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -644,26 +644,6 @@ class TestFrobeniusRowsOnDemand:
             assert (len(muls), rows) == (x_pow_muls, []), p
             ended += 1
         assert ended >= 10
-
-    def test_a_last_second_step_powers_x_and_builds_no_rows(self, monkeypatch):
-        # x^8 - x - 1 has no root mod 5, 7 or 13, all under the bound; the
-        # ring is built at step 2 on the octic, and after it at most 8
-        # degrees are left in factors of degree >= 3, so the parity of disc
-        # ends the loop: x^(p^2) is powered at once, and no row is made
-        f = parse_poly("x^8 - x - 1")
-        disc = discriminant(f).numerator
-        rows = self._count(monkeypatch, "frobenius_rows")
-        real = _ModRing.x_pow
-        exponents = []
-        monkeypatch.setattr(
-            _ModRing, "x_pow", lambda ring, e: exponents.append(e) or real(ring, e)
-        )
-        for p, pattern in ((5, (2, 6)), (7, (8,)), (13, (8,))):
-            assert p * 9 <= modp_factor._ROOT_SCAN_BOUND
-            exponents.clear()
-            rows.clear()
-            assert degree_pattern(reduce_mod_p(f, p), disc) == pattern
-            assert (exponents, rows) == ([p * p], []), p
 
     def test_later_steps_build_the_rows_once(self, monkeypatch):
         f = parse_poly("x^8 - x - 1")
@@ -749,7 +729,7 @@ class TestF2Path:
 
 # -- the root scan ------------------------------------------------------------------
 # While p (deg + 1) <= modp_factor._ROOT_SCAN_BOUND, the packed loop's first
-# step reads the roots by a residue scan and divides them out one at a time;
+# step reads the roots by a residue scan and divides out their product;
 # above it, it takes gcd(x^p - x, f).  On both sides the pattern, the parts
 # and the NotSquarefree text must be those of sympy's factorization.
 

@@ -479,9 +479,9 @@ class TestRationalRoot:
 
     @pytest.mark.parametrize("p", [3, 199])
     def test_both_sides_of_the_root_scan_bound(self, p):
-        # the roots mod p come from a residue scan at p = 3 and, for a
-        # quintic, from gcd(x^p - x, f) split into linear factors at p = 199;
-        # at a good prime either way finds the parent's first root
+        # p = 3 and p = 199 lie on the two sides of the bound under which the
+        # degree-pattern loop scans residues for roots; the search scans
+        # every residue at both, and at a good prime finds the parent's root
         from berger_rank import modp_factor
 
         assert (p * 6 <= modp_factor._ROOT_SCAN_BOUND) == (p == 3)
