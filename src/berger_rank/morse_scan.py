@@ -46,7 +46,9 @@ c_min are stored, since a reduction mod a larger p repeats inside the range
 only when p divides L.  Rows of one content then hold at most p reductions
 mod p, so the memo, which lives for one call, holds at most the sum of the
 primes up to min(width, bound) per row content: 4,227 entries at the
-default bound when every row is primitive, none for a one-row scan.
+default bound when every row is primitive, none for a one-row scan.  The
+rows are certified one after another in the calling thread, so nothing else
+touches the memo; ``scan_A_h``'s ``jobs`` must be 1.
 
 ``disjointness_filter`` keeps the pairs (c, d) whose quadratic resolvent
 fields Q(sqrt(disc(h - c))) differ.  That is one square test: for nonzero
@@ -218,26 +220,23 @@ def scan_A_h(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     jobs: int = 1,
 ) -> list[ScanResult]:
-    """Certify Gal(h - c) = Sym(deg h) for each integer c in [c_min, c_max]."""
+    """Certify Gal(h - c) = Sym(deg h) for each integer c in [c_min, c_max].
+
+    The rows are certified in order, in the calling thread.  ``jobs`` must
+    be 1: it stays only because the benchmark passes ``jobs=1``, and it goes
+    when the benchmark drops those calls (ROADMAP item 3).
+    """
     if h.degree is None or h.degree < 2:
         raise InvalidInput("scan needs degree >= 2")
     if c_min > c_max:
         raise InvalidInput(f"empty range {c_min}..{c_max}")
     _check_prime_bound(prime_bound)
-    rows = list(_rows(h, range(c_min, c_max + 1)))
+    if jobs != 1:
+        raise InvalidInput(f"jobs must be 1, not {jobs}: a scan runs in the calling thread")
     # shared by the rows; only primes up to the width are stored (see above)
     memo: dict = {}
     width = c_max - c_min
-
-    def scan(row: tuple) -> ScanResult:
-        return _scan_one(*row, prime_bound, memo, width)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(scan, rows))
-    return [scan(row) for row in rows]
+    return [_scan_one(*row, prime_bound, memo, width) for row in _rows(h, range(c_min, c_max + 1))]
 
 
 def disjointness_filter(results: list[ScanResult]) -> list[tuple[int, int]]:

@@ -1,9 +1,11 @@
 """Galois-group certification: verdicts, rule soundness, replayability."""
 
+import itertools
 import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -641,28 +643,78 @@ class TestJordanRule:
 
 def _primitive_groups():
     """(name, group, order, number of cycle types) for proper primitive
-    groups of degree 8-12, each built from generators: PSL(2, q) and
-    PGL(2, q) act on P^1(F_q) by Mobius maps, infinity numbered q."""
+    groups of degree 8-12, each built from generators.  F_q = F_p[a]/(a^k -
+    low(a)) has the elements z = sum d_j a^j, numbered by their base-p digits
+    d_j (a = 0 when k = 1, so F_p is the residues).  PSL(2, q), PGL(2, q) and
+    PGammaL(2, q) act on P^1(F_q) by Mobius maps and z -> z^p, infinity
+    numbered q; AGL(k, p) acts on F_q = F_p^k by affine maps; S5 acts on the
+    ten 2-subsets of {0, ..., 4}."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     perm, group = combinatorics.Permutation, combinatorics.PermutationGroup
 
-    def mobius(q, a, b, c, d):  # z -> (az + b) / (cz + d)
+    def field(p, low):  # (p, q, add, mul) for F_q, q = p^k, k = len(low)
+        k = len(low)
+
+        def digits(z):
+            return [z // p**j % p for j in range(k)]
+
+        def add(x, y):
+            return sum((u + v) % p * p**j for j, (u, v) in enumerate(zip(digits(x), digits(y))))
+
+        def mul(x, y):
+            prod = [0] * (2 * k - 1)
+            for i, u in enumerate(digits(x)):
+                for j, v in enumerate(digits(y)):
+                    prod[i + j] += u * v
+            for d in range(2 * k - 2, k - 1, -1):  # a^d = a^(d - k) low(a)
+                for j, c in enumerate(low):
+                    prod[d - k + j] += prod[d] * c
+            return sum(c % p * p**j for j, c in enumerate(prod[:k]))
+
+        return p, p**k, add, mul
+
+    def mobius(F, a, b, c, d):  # z -> (az + b) / (cz + d)
+        _, q, add, mul = F
+        inverse = {x: y for x in range(1, q) for y in range(1, q) if mul(x, y) == 1}
+
         def image(z):
-            num, den = (a, c) if z == q else (a * z + b, c * z + d)
-            return q if den % q == 0 else num * pow(den, -1, q) % q
+            num, den = (a, c) if z == q else (add(mul(a, z), b), add(mul(c, z), d))
+            return q if den == 0 else mul(num, inverse[den])
 
         return perm([image(z) for z in range(q + 1)])
 
-    def line(q, nonsquare):  # z -> z + 1 and z -> -1/z, then z -> gz
-        psl = [mobius(q, 1, 1, 0, 1), mobius(q, 0, -1, 1, 0)]
-        return group(psl), group(psl + [mobius(q, nonsquare, 0, 0, 1)])
+    def line(F, minus_one, g):  # z -> z + 1 and z -> -1/z, then z -> gz
+        psl = [mobius(F, 1, 1, 0, 1), mobius(F, 0, minus_one, 1, 0)]
+        return psl, psl + [mobius(F, g, 0, 0, 1)]
 
-    psl7, pgl7 = line(7, 3)
-    psl11, pgl11 = line(11, 2)
+    def frobenius(F):  # z -> z^p
+        p, q, _, mul = F
+        return perm([*(reduce(mul, [z] * p) for z in range(q)), q])
+
+    def affine(F, g):  # z -> z + 1, z -> gz and (d0, d1, ...) -> (d0 + d1, d1, ...)
+        p, q, add, mul = F
+        maps = (lambda z: add(z, 1), lambda z: mul(g, z), lambda z: add(z, z // p % p))
+        return group([perm([f(z) for z in range(q)]) for f in maps])
+
+    f8, f9 = field(2, [1, 1, 0]), field(3, [2, 0])  # a^3 = a + 1; i^2 = -1
+    psl7, pgl7 = map(group, line(field(7, [0]), 6, 3))
+    psl11, pgl11 = map(group, line(field(11, [0]), 10, 2))
+    pgaml8 = group(line(f8, 1, 2)[1] + [frobenius(f8)])  # g = a
+    pgaml9 = group(line(f9, 2, 4)[1] + [frobenius(f9)])  # g = 1 + i
+    pairs = list(itertools.combinations(range(5), 2))
+
+    def on_pairs(s):  # the permutation s of {0, ..., 4} acting on pairs
+        return perm([pairs.index(tuple(sorted((s[a], s[b])))) for a, b in pairs])
+
     shift = perm([(z + 1) % 11 for z in range(11)])
     return [
         ("PSL(2,7)", psl7, 168, 5),
         ("PGL(2,7)", pgl7, 336, 8),
+        ("AGL(3,2)", affine(f8, 2), 1344, 8),  # g = a, a Singer cycle
+        ("AGL(2,3)", affine(f9, 4), 432, 9),  # g = 1 + i, a Singer cycle
+        ("PGammaL(2,8)", pgaml8, 1512, 7),
+        ("PGammaL(2,9)", pgaml9, 1440, 12),
+        ("S5 on pairs", group(on_pairs([1, 2, 3, 4, 0]), on_pairs([1, 0, 2, 3, 4])), 120, 7),
         ("AGL(1,11)", group(shift, perm([2 * z % 11 for z in range(11)])), 110, 5),
         ("M11", group(shift, perm([[2, 6, 10, 7], [3, 9, 4, 5]], size=11)), 7920, 8),
         ("PSL(2,11)", psl11, 660, 6),

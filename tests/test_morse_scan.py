@@ -222,15 +222,19 @@ class TestScan:
             (r.c, r.in_A_h, r.quad_tag, r.reason) for r in b
         ]
 
-    def test_scan_parallel_matches_serial(self):
-        serial = scan_A_h(parse_poly("x^5 - x"), -3, 3, jobs=1)
-        parallel = scan_A_h(parse_poly("x^5 - x"), -3, 3, jobs=4)
-        assert [(r.c, r.in_A_h, r.quad_tag) for r in serial] == [
-            (r.c, r.in_A_h, r.quad_tag) for r in parallel
-        ]
-        # whole rows, with rows of content 2 and the memo the threads share
-        h = parse_poly("2x^5/3 - 2x")
-        assert scan_A_h(h, -8, 8, jobs=2) == scan_A_h(h, -8, 8)
+    def test_scan_runs_in_the_calling_thread(self, monkeypatch):
+        # jobs=1 is the default, kept for the benchmark's calls; whole rows
+        # agree, also the rows of content 2 (3(h - c) = 2x^5 - 6x - 3c for
+        # even c) beside those of content 1 in one pattern memo
+        for text, lo, hi in (("x^5 - x", -3, 3), ("2x^5/3 - 2x", -8, 8)):
+            h = parse_poly(text)
+            one, default = scan_A_h(h, lo, hi, jobs=1), scan_A_h(h, lo, hi)
+            assert one == default and repr(one) == repr(default)
+        # any other value is refused before a row is built
+        monkeypatch.setattr(morse_scan, "_rows", None)
+        for jobs in (0, 2, 4):
+            with pytest.raises(InvalidInput, match="calling thread"):
+                scan_A_h(parse_poly("x^5 - x"), -3, 3, jobs=jobs)
 
     def test_scan_rejects_bad_range(self):
         with pytest.raises(InvalidInput):

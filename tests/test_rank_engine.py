@@ -19,6 +19,8 @@ from berger_rank import (
     VerdictKind,
     Witness,
     c2,
+    decomposition_table,
+    dim_new_part,
     discriminant,
     disjointness_filter,
     integer_model,
@@ -357,6 +359,38 @@ class TestTowerPrimeTestedOnce:
         calls = self._count(monkeypatch)
         assert rank_verdict(F5, G2, self.P, 1).layer.q == self.P
         assert len(calls) == 1
+
+
+class TestCompositeTowerPrime:
+    # Arnault's n = p1 (101 (p1 - 1) + 1) (113 (p1 - 1) + 1), 444 bits with
+    # three prime factors, is a strong probable prime to every base 2 ... 97
+    # ("Rabin-Miller primality test: composite numbers which pass it", Math.
+    # Comp. 64, 1995), and is_prime tests only those bases above 3.3 * 10^24
+    P1 = 14149897361150126260144642876417791971132923
+    N = P1 * (101 * (P1 - 1) + 1) * (113 * (P1 - 1) + 1)
+
+    @pytest.mark.xfail(strict=True, reason="a probable prime is taken as proved (ROADMAP item 2)")
+    @pytest.mark.parametrize(
+        "call", ["rank_verdict", "rank_table", "dim_new_part", "decomposition_table"]
+    )
+    def test_no_answer_rests_on_a_composite_prime(self, call):
+        if call == "dim_new_part":
+            with pytest.raises(InvalidInput):
+                dim_new_part(5, self.N)
+        elif call == "decomposition_table":
+            with pytest.raises(InvalidInput):
+                decomposition_table(5, self.N, 1)
+        else:
+            # an unproved p may be refused or leave the verdict Inconclusive;
+            # the rows above the base layer k(t) are the ones that rest on p
+            try:
+                if call == "rank_verdict":
+                    verdicts = [rank_verdict(F5, G2, self.N, 1)]
+                else:
+                    verdicts = [v for v in rank_table(F5, G2, self.N, 1) if v.layer.q != 1]
+            except InvalidInput:
+                return
+            assert verdicts and all(v.kind is VerdictKind.INCONCLUSIVE for v in verdicts)
 
 
 class TestOtherShapes:
