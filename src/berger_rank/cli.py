@@ -18,9 +18,11 @@ document with this envelope::
     {"schema_version": "1", "command": <name>, "result": <payload>,
      "warnings": [<string>, ...], "notes": [<string>, ...]}
 
-The payload under ``result`` is documented per command in the README.  The
-human-readable mode prints the same numeric content as aligned text.  All
-error text goes to stderr.
+The payload under ``result`` is documented per command in the README.
+``_json_text`` writes the envelope with the bytes of ``json.dumps(envelope,
+indent=2)``, without importing json: that import alone would add 2-3 ms to
+every call's start-up.  The human-readable mode prints the same numeric
+content as aligned text.  All error text goes to stderr.
 
 Exit codes: 0 success, 1 rejected input (syntax errors, bad degrees, shared
 variables, composite tower prime, oversized input), 2 internal consistency
@@ -102,6 +104,50 @@ def _json_value(obj):
     if isinstance(obj, dict):
         return {str(k): _json_value(v) for k, v in obj.items()}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Escapes(dict):
+    """The str.translate table of JSON's ASCII escapes: printable ASCII as
+    itself, the short escapes, \\uXXXX for every other character and a
+    surrogate pair for one beyond the BMP."""
+
+    def __missing__(self, code: int) -> str:
+        if code < 0x10000:
+            return f"\\u{code:04x}"
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+_ESCAPES = _Escapes({code: chr(code) for code in range(0x20, 0x7F)})
+_ESCAPES.update((ord(c), "\\" + e) for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt'))
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """The text ``json.dumps(obj, indent=2)`` writes, for the types an
+    envelope holds: dicts with str keys, lists, tuples, str, int, bool and
+    None; ``indent`` is that of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        return f'"{obj.translate(_ESCAPES)}"'
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)  # as json writes an int subclass too
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json_text(v, inner) for v in obj]
+    elif isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("cannot serialize a key that is not str")
+        brackets = "{}"
+        items = [f"{_json_text(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def _certificate_payload(cert: GaloisCertificate) -> dict:
@@ -567,9 +613,7 @@ def run(argv: list[str]) -> int:
             parser.error("an option value may not be '--'")
     envelope, human = args.func(args)
     if args.json:
-        import json
-
-        print(json.dumps(envelope, indent=2))
+        print(_json_text(envelope))
     else:
         for line in human:
             print(line)

@@ -1084,12 +1084,19 @@ def _squarefree_split(n: int) -> tuple[int, dict[int, int]]:
 
 
 def int_squarefree_part(n: int) -> int:
-    """The squarefree integer d with n = d * (square), sign preserved."""
+    """The squarefree integer d with n = d * (square), sign preserved.
+
+    It is read off ``factor_int(n)``, so above psi_13 ~ 3.3e24 a prime in
+    d is only a 25-base strong probable prime.  No verdict reads d."""
     return _squarefree_split(n)[0]
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+
+    A listed factor above psi_13 ~ 3.3e24 is only a strong probable prime
+    to 25 bases (see ``is_prime``), not a proved prime.  No verdict reads
+    these factors: only ``poly-disc`` and a scan row's ``quad_tag`` show them."""
     if n == 0:
         raise ZeroInput("factorization of 0 is undefined")
     return _factor_int(abs(n))

@@ -54,6 +54,17 @@ def _readme_examples():
 README_EXAMPLES = _readme_examples()
 
 
+# JSON values as an envelope holds them: text over every character, lone
+# surrogates too, and dicts keyed by text
+_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**4096), 2**4096) | _TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=30,
+)
+
+
 class TestEnvelope:
     def test_schema_and_roundtrip(self, capsys):
         env = run_json(capsys, "rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "2")
@@ -74,11 +85,28 @@ class TestEnvelope:
             ("rank-table", "-f", "x^5-x-1", "-g", "y^5-1", "-p", "5", "--max-r", "2"),
             ("morse", "x^5-x"),
             ("scan", "x^5-x", "--c-range=-2..2"),
+            ("galois", "𝔽^5 - 𝔽 - 1"),  # any letter is a variable
         ]
         for argv in invocations:
-            env = run_json(capsys, *argv)
+            code, out, err = run_cli(capsys, *argv, "--json")
+            assert code == 0, err
+            env = json.loads(out)
             assert env["command"] == argv[0]
             assert json.loads(json.dumps(env)) == env
+            # the bytes json.dumps writes, though the CLI does not import json
+            assert out == json.dumps(env, indent=2) + "\n"
+
+    @given(_JSON_VALUES)
+    @example('"\\\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\ud800\U0001d53d\U0010ffff')
+    @example({"": [], "a": {}, "b": (), "c": [{"d": (None, True, False, -(2**4096))}]})
+    @settings(max_examples=300, deadline=None)
+    def test_writer_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1}, {1: 2}, [{"a": {(): 0}}]])
+    def test_writer_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestPayloads:

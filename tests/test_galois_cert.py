@@ -719,6 +719,10 @@ def _primitive_groups():
         ("M11", group(shift, perm([[2, 6, 10, 7], [3, 9, 4, 5]], size=11)), 7920, 8),
         ("PSL(2,11)", psl11, 660, 6),
         ("PGL(2,11)", pgl11, 1320, 10),
+        # PSL(2, 11) and one more involution on P^1(F_11); the 15 ATLAS
+        # classes give 14 cycle types on 12 points, 11A and 11B both 1 11
+        ("M12", group(*line(field(11, [0]), 10, 2)[0],
+                      perm([[2, 10], [3, 4], [5, 9], [6, 7]], size=12)), 95040, 14),
     ]
 
 

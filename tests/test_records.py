@@ -227,5 +227,24 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
 
 def test_cold_import_loads_no_argparse_gettext_locale_or_json():
     # the CLI builds its argparse parser only for help and usage errors, and
-    # imports json only for --json
+    # never imports json
     assert _cold_import_loads(["argparse", "gettext", "locale", "json"]) == "[]\n"
+
+
+def test_json_output_loads_no_json_module():
+    # --json output is written by cli._json_text, so a python -S child that
+    # prints three envelopes has still not loaded json
+    code = (
+        "import sys, berger_rank.cli as cli\n"
+        "for argv in (['galois', 'x^5 - x - 1'], ['scan', 'x^5 - x', '--c-range=-2..2'],\n"
+        "             ['rank', '-f', 'x^5 - x - 1', '-g', 'y^2 - 1', '-p', '7', '-r', '2']):\n"
+        "    assert cli.main([*argv, '--json']) == 0\n"
+        "print('json' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert out.count('"schema_version": "1"') == 3
+    assert out.endswith("\nFalse\n")
