@@ -2,13 +2,12 @@
 
 A polynomial h of degree m >= 2 over Q is Morse when its critical points
 are simple (h' squarefree) and its critical values are pairwise distinct.
-Both halves reduce to exact squarefreeness checks, each one discriminant:
-
-* h' squarefree  iff  disc(h') != 0 (deg h' >= 1, and a linear h' has
-  discriminant 1);
-* the critical values are the roots of D(t) = Res_x(h(x) - t, h'(x)), a
-  polynomial of degree m - 1 in t, and they are pairwise distinct (given
-  simple critical points) iff D is squarefree, i.e. disc(D) != 0.
+The critical values are the roots of D(t) = Res_x(h(x) - t, h'(x)), of
+degree m - 1 in t, one root h(xi) per critical point xi with multiplicity.
+A repeated critical point and two equal critical values both repeat a root
+of D, so h is Morse iff disc(D) != 0: one discriminant.  Only when D has a
+repeated root is disc(h') taken, to report whether h' is squarefree (a
+linear h' has discriminant 1).
 
 D is computed by evaluation and interpolation, all over Z.  With H = L h,
 L the least positive integer that clears h's denominators, D(i) =
@@ -143,16 +142,16 @@ def is_morse(h: UniPoly) -> MorseReport:
     """Simple critical points and pairwise distinct critical values."""
     if h.degree is None or h.degree < 2:
         raise InvalidInput("Morse test needs degree >= 2")
-    hp = derivative(h)
-    deriv_squarefree = discriminant(hp) != 0
     D = critical_value_resultant(h)
     cv_squarefree = discriminant(D) != 0
+    # a repeated critical point is a repeated root of D
+    deriv_squarefree = cv_squarefree or discriminant(derivative(h)) != 0
     return MorseReport(
         h=h,
         derivative_squarefree=deriv_squarefree,
         critical_value_disc_squarefree=cv_squarefree,
         critical_values_poly=D,
-        is_morse=deriv_squarefree and cv_squarefree,
+        is_morse=cv_squarefree,
     )
 
 

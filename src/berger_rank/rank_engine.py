@@ -21,13 +21,13 @@ Both vanishing routes rest on one fact about a side of degree >= 4: each
 of its new factors is absolutely simple with cyclotomic endomorphism
 algebra and not CM.  One side check certifies it, for either route, when
 deg >= 5 and Gal provably contains Alt, or for a quartic when p is odd,
-Gal = Sym(4) is proven, and one of
-    (i)  Q(sqrt(disc f)) different from the quadratic field Q(sqrt(p*))
-         inside the p-th cyclotomic field, p* = (-1)^((p-1)/2) p, decided
-         by one square test: the fields agree iff disc(f) * p* is a
-         rational square, so no integer is factored, or
-    (ii) p unramified in the splitting field of f (p not dividing disc of
-         the integer model).
+Gal = Sym(4) is proven, and (i) Q(sqrt(disc f)) differs from the
+quadratic field Q(sqrt(p*)) inside the p-th cyclotomic field, p* =
+(-1)^((p-1)/2) p, decided by one square test: the fields agree iff
+disc(f) * p* is a rational square, so no integer is factored.  Condition
+(ii), p unramified in the splitting field of f (p prime to the disc of the
+integer model), implies (i) and is reported as evidence only: such a p is
+unramified in Q(sqrt(disc f)) but ramifies in Q(sqrt(p*)).
 A certificate holding a witness (``GaloisCertificate.witness``, e.g. f = G(H)
 or f = lc (D_m(x - b, alpha) - a)) makes the check fail outright: Gal(f)
 then contains no Alt(m), so it holds neither Alt nor Sym, and no prime
@@ -64,7 +64,7 @@ from .galois_cert import (
     _check_prime_bound,
     _model_and_disc,
 )
-from .jacobian_invariants import TowerLayer, _check_layer_bits, berger_genus, c2
+from .jacobian_invariants import TowerLayer, _check_layer_bits, c2
 
 __all__ = [
     "Status",
@@ -82,18 +82,13 @@ class Status(Enum):
     UNKNOWN = "Unknown"
 
 
-def _kleene(*statuses: Status, any_of: bool = False) -> Status:
-    """Three-valued AND of the statuses, or OR with any_of (Kleene logic).
-
-    One Fails (for OR, one Holds) decides; otherwise any Unknown leaves the
-    result Unknown.
-    """
-    decisive = Status.HOLDS if any_of else Status.FAILS
-    if decisive in statuses:
-        return decisive
+def _kleene(*statuses: Status) -> Status:
+    """Three-valued AND (Kleene): one Fails decides, else one Unknown does."""
+    if Status.FAILS in statuses:
+        return Status.FAILS
     if Status.UNKNOWN in statuses:
         return Status.UNKNOWN
-    return Status.FAILS if any_of else Status.HOLDS
+    return Status.HOLDS
 
 
 class VerdictKind(Enum):
@@ -153,12 +148,12 @@ def _side_hypotheses(
     with cyclotomic endomorphism algebra and not CM, the fact both routes
     rest on.
 
-    deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd, and (i)
-    or (ii).  Returns the certificate, the side's records in payload order,
-    their Kleene AND, and for a quartic the status of p odd and ((i) or
-    (ii)) alone.  ``facts`` is ``_model_and_disc(poly)`` from the squarefree
-    check in ``_analyze``; the certificate and (ii) reuse it.  Callers have
-    checked p (prime) and the prime bound.
+    deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd and (i),
+    which (ii) implies, so (ii) is evidence only.  Returns the certificate,
+    the side's records in payload order, the side's status, and for a
+    quartic that of p odd and (i) alone.  ``facts`` is ``_model_and_disc``
+    from ``_analyze``'s squarefree check; the certificate and (ii) reuse
+    it.  Callers have checked p (prime) and the prime bound.
     """
     cert = _certify(poly, prime_bound, *facts)
     quartic = poly.degree == 4
@@ -195,8 +190,8 @@ def _side_hypotheses(
                 "disc_times_p_star_is_square": same_field,
             },
         )
-        # (ii): p prime to disc of the integer model is unramified in the
-        # splitting field; p dividing it decides nothing, hence Unknown
+        # (ii), evidence only: p prime to disc of the integer model is
+        # unramified in the splitting field; p dividing it decides nothing
         d = facts[1]
         if d % p:
             rec_ii = HypothesisRecord(
@@ -207,7 +202,7 @@ def _side_hypotheses(
             rec_ii = HypothesisRecord(
                 "unramified", Status.UNKNOWN, {"disc": d, "p": p, "reason": reason}
             )
-    side = _kleene(rec_odd.status, _kleene(rec_i.status, rec_ii.status, any_of=True))
+    side = _kleene(rec_odd.status, rec_i.status)
     return cert, [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
 
 
@@ -224,7 +219,7 @@ class _Analysis(Record):
 
 
 def _c1_zero_record(m: int, n: int, p: int) -> HypothesisRecord:
-    threshold = (m - 1) * (n - 1) + gcd(m, n) - 1  # max of c2 over all layers
+    threshold = c2(m, n, gcd(m, n))  # max of c2 over all layers
     r_witness = 1
     while p ** r_witness <= threshold:
         r_witness += 1
@@ -419,8 +414,7 @@ def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
     c2_value = c2(m, n, layer.q)
     notes = list(analysis.base_notes)
     if n == 2 and m % 2 == 0:
-        g_x = berger_genus(m, 2)
-        alt = 2 * g_x + gcd(layer.q, 2) - 1
+        alt = c2_value - 1  # 2g_X = m - 2 at n = 2, so c2 = 2g_X + gcd(2, q)
         notes.append(
             f"even m with n = 2: the reported constant is c2 = 2g_X + "
             f"gcd(2, q) = {c2_value}; the alternative closed form "
@@ -434,14 +428,10 @@ def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
         notes.append(_EPSILON_NOTE)
     else:
         kind = VerdictKind.INCONCLUSIVE
+    # at n = 2 only the CM route can vanish fully: two-large needs n >= 4
     trace_geometric = (
         Status.HOLDS
-        if (
-            n == 2
-            and m >= 5
-            and analysis.route == "cm-binomial"
-            and analysis.full_vanishing
-        )
+        if n == 2 and m >= 5 and analysis.full_vanishing
         else Status.UNKNOWN
     )
     return RankVerdict(

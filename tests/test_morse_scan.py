@@ -165,6 +165,45 @@ class TestMorse:
             with pytest.raises(InvalidInput, match="degree >= 2"):
                 call(x)
 
+    @staticmethod
+    def _seeded_h():
+        rng = random.Random("morse-flags")
+        hs = [parse_poly("x^3"), parse_poly("x^4 - 2x^2")]  # h' repeated, values equal
+        while len(hs) < 62:
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9) + 1)]
+            if coeffs[-1]:
+                hs.append(UniPoly(coeffs))
+        return hs
+
+    def test_flags_match_their_discriminants(self):
+        for h in self._seeded_h():
+            report = is_morse(h)
+            D = critical_value_resultant(h)
+            simple_points = discriminant(derivative(h)) != 0
+            distinct_values = discriminant(D) != 0
+            assert report.derivative_squarefree == simple_points, h
+            assert report.critical_value_disc_squarefree == distinct_values, h
+            assert report.is_morse == report.critical_value_disc_squarefree, h
+            assert report.is_morse == (simple_points and distinct_values), h
+            assert report.critical_values_poly == D, h
+
+    def test_a_morse_h_takes_one_discriminant(self, monkeypatch):
+        # D(t) settles is_morse; disc(h') is taken only when D repeats a root
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return discriminant(f)
+
+        monkeypatch.setattr(morse_scan, "discriminant", counting)
+        morse = 0
+        for h in self._seeded_h():
+            calls.clear()
+            report = is_morse(h)
+            assert len(calls) == (1 if report.is_morse else 2), h
+            morse += report.is_morse
+        assert 0 < morse < 62
+
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
         st.integers(1, 5),

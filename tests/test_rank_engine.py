@@ -1,6 +1,9 @@
 """Rank verdicts: routing, hypothesis records, exactness, and error paths."""
 
+import functools
+import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -145,6 +148,61 @@ class TestSideConditions:
         assert took < 1.0, took
 
 
+@functools.cache
+def _excluded_quartics():
+    """(f, p) for each Sym(4) quartic f = x^4 + a x^2 + b x + c with a, b, c
+    in [-3, 3] and each odd prime p < 300 where disc(f) * p* is a square,
+    p* = (-1)^((p-1)/2) p: the one prime where (i) fails.  Found by sympy,
+    with no code of the package."""
+    from sympy import Poly, discriminant, primerange, symbols
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    x = symbols("x")
+    cases = []
+    for a, b, c in itertools.product(range(-3, 4), repeat=3):
+        poly = Poly(x**4 + a * x**2 + b * x + c, x)
+        disc = int(discriminant(poly))
+        for p in primerange(3, 300):
+            square = disc * (p if p % 4 == 1 else -p)
+            if square <= 0 or math.isqrt(square) ** 2 != square:
+                continue
+            if poly.is_irreducible and galois_group(poly, by_name=True)[0].name == "S4":
+                cases.append((exact_poly.UniPoly([c, b, a, 0, 1], "x"), p))
+    return cases
+
+
+class TestQuarticSideOracle:
+    """A quartic side is p odd and (i): it Fails exactly where the square
+    test of (i) does, whatever (ii) reads, since (ii) implies (i)."""
+
+    def test_side_fails_where_disc_times_p_star_is_square(self):
+        cases = _excluded_quartics()
+        assert len(cases) == 32
+        named = {(str(f), p) for f, p in cases}
+        assert {("x^4 - 3*x^2 - 2*x + 1", 83), ("x^4 - 2*x^2 - x + 1", 283)} <= named
+        for f, p in cases:
+            v = rank_verdict(f, G2, p, 1)
+            st = statuses(v)
+            assert st["galois-f"] is Status.HOLDS, f
+            assert st["quadratic-disjoint"] is Status.FAILS, (str(f), p)
+            assert st["unramified"] is Status.UNKNOWN, (str(f), p)
+            assert st["hom-vanishing-cm"] is Status.FAILS, (str(f), p)
+            evidence = record(v, "hom-vanishing-cm").evidence
+            assert evidence["side_conditions"] == "Fails", (str(f), p)
+            assert v.kind is VerdictKind.INCONCLUSIVE and v.rank is None
+
+    def test_side_reads_condition_i_at_odd_primes(self):
+        for f, _ in _excluded_quartics():
+            for p in (p for p in range(3, 100, 2) if exact_poly.is_prime(p)):
+                v = rank_verdict(f, G2, p, 1)
+                st = statuses(v)
+                if st["unramified"] is Status.HOLDS:
+                    assert st["quadratic-disjoint"] is Status.HOLDS, (str(f), p)
+                assert st["hom-vanishing-cm"] is st["quadratic-disjoint"], (str(f), p)
+                exact = st["hom-vanishing-cm"] is Status.HOLDS
+                assert (v.kind is VerdictKind.EXACT_RANK) == exact, (str(f), p)
+
+
 class TestBudgetIndependence:
     """No rank status and no disjoint pair may depend on integer factoring."""
 
@@ -178,11 +236,10 @@ class TestKleene:
         from berger_rank.rank_engine import _kleene
 
         H, F, U = Status.HOLDS, Status.FAILS, Status.UNKNOWN
-        rank = {F: 0, U: 1, H: 2}  # Kleene AND is min, OR is max
+        rank = {F: 0, U: 1, H: 2}  # Kleene AND is min
         for a in Status:
             for b in Status:
                 assert _kleene(a, b) is min(a, b, key=rank.get), (a, b)
-                assert _kleene(a, b, any_of=True) is max(a, b, key=rank.get), (a, b)
         assert _kleene(H, H, U) is U and _kleene(H, U, F) is F
 
 
@@ -227,7 +284,8 @@ class TestCmRoute:
         st = statuses(v)
         assert st["quadratic-disjoint"] is Status.FAILS
         assert st["unramified"] is Status.UNKNOWN
-        assert st["hom-vanishing-cm"] is Status.UNKNOWN
+        # (ii) implies (i), so a failed (i) fails the side
+        assert st["hom-vanishing-cm"] is Status.FAILS
 
     def test_quartic_even_prime(self):
         v = rank_verdict(F4, G2, 2, 1)
