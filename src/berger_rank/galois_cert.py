@@ -23,10 +23,17 @@ observations so far prove a verdict, so the bound is only a cap:
   R-jordan     an isolated prime part L = 2, 3 < m or L <= m - 3.  A part L
                is isolated when no other part is a multiple of it; raising
                the element to the lcm of the other parts leaves an L-cycle.
-  R-sign       transitive + primitive + Jordan element: the group contains
-               Alt(m) (Jordan; Wielandt, Finite Permutation Groups, Thms
-               13.3 and 13.9), so a nonsquare disc proves Sym(m) and a
-               square disc proves Alt(m).
+  R-maximal    5 <= m <= 12, and each maximal primitive group of degree m
+               without Alt(m), 13 in all (``_MAXIMAL_PRIMITIVE``; Sims
+               1970, Dixon and Mortimer, Permutation Groups, 1996,
+               Appendix B), lacks some observed pattern as a cycle type.
+               Every primitive group without Alt(m) lies in one of them,
+               so this stands in for a Jordan element; one seen first
+               fires R-jordan instead.
+  R-sign       transitive + primitive + Jordan element (or R-maximal): the
+               group contains Alt(m) (Jordan; Wielandt, Finite Permutation
+               Groups, Thms 13.3 and 13.9), so a nonsquare disc proves
+               Sym(m) and a square disc proves Alt(m).
   R-alt3       transitive, m = 3 and a square disc: the group lies in
                Alt(3), and Alt(3) is its only transitive subgroup, so the
                group is Alt(3).  No Jordan element exists at m = 3.
@@ -37,7 +44,8 @@ strengthen it.  The rules only ask whether a pattern has been observed, so
 the engine looks at each distinct pattern once and keeps the few facts the
 rules read: the firing that proves transitivity (R-trans2, whose primes are
 all the observations, is built at the end), the factor degrees every
-pattern allows as one bitmask, the open block sizes and a Jordan element.
+pattern allows as one bitmask, the open block sizes, the maximal groups
+not yet ruled out and a Jordan element or R-maximal.
 The verdict and the rules fired are built once, when the sampling ends.
 Stopping at the first proof is sound.  The good primes come from one stream
 (``_good_primes``) of primes sieved a segment at a time, so a certificate
@@ -51,25 +59,25 @@ certificate it covers the primes up to the proving prime, not the bound.
 
 A factor search.  A factor of f over Q of degree d shows as a subset sum d
 at every good prime, so f is irreducible exactly when it has no factor of a
-degree d <= m/2 among the subset sums common to every pattern.  The
-engine, given f's integer model, searches it once, and only when a miss
-completes the proof: no block size is open, a Jordan element is in hand,
-and transitivity is the one fact missing.  The search (``_small_factor``) is
-Zassenhaus's, at the first observed prime p.  It splits f mod p into its
-irreducible factors, reusing the distinct-degree parts ``degree_pattern``
-formed there and splitting a part only when it holds several factors.  It
-lifts each factor that a subset of the right degree sum holds by Newton's
-iteration to p^N (``_factor_lifts``), and rejects each such subset, as
-soon as the precision allows, by the sum of its roots (which lie within
-Cauchy's bound of an integer next to their mean), by its constant term
-(which divides lc f(0)) or by Mignotte's bound on its coefficients, before
-one exact division over Z.  The factors mod p are unique, so the search
-is complete: a miss proves f irreducible.  It runs only when p divides
-neither lc nor disc, which replay checks by one gcd mod p; it also
-answers "unknown", which proves nothing, at no prime, above
-``MAX_PRIME_BOUND``, or past ``_FACTOR_SEARCH_SUBSETS`` subsets, so it
-trusts no observation.  A miss proves transitivity (R-irreducible); a hit
-is a ``factor`` witness.  Certification, replay and the CLI reach it
+degree d <= m/2 among the subset sums common to every pattern.  The engine,
+given f's integer model, searches it once, and only when a miss completes
+the proof: no block size is open, a Jordan element (or R-maximal) is in
+hand, and transitivity is the one fact missing.  The search
+(``_small_factor``) is Zassenhaus's, at the first observed prime p.  It
+splits f mod p into its irreducible factors, reusing the distinct-degree
+parts ``degree_pattern`` formed there and splitting a part only when it
+holds several factors.  It lifts each factor that a subset of the right
+degree sum holds by Newton's iteration to p^N (``_factor_lifts``), and
+rejects each such subset, as soon as the precision allows, by the sum of
+its roots (which lie within Cauchy's bound of an integer next to their
+mean), by its constant term (which divides lc f(0)) or by Mignotte's bound
+on its coefficients, before one exact division over Z.  The factors mod p
+are unique, so the search is complete: a miss proves f irreducible.  It
+runs only when p divides neither lc nor disc, which replay checks by one
+gcd mod p; it also answers "unknown", which proves nothing, at no prime,
+above ``MAX_PRIME_BOUND``, or past ``_FACTOR_SEARCH_SUBSETS`` subsets, so
+it trusts no observation.  A miss proves transitivity (R-irreducible); a
+hit is a ``factor`` witness.  Certification, replay and the CLI reach it
 through the one engine, so a certificate cut short by R-irreducible
 re-derives on replay, also when rebuilt without its witness.  The scan's
 rational-root search (``_rational_roots``) lifts each root mod p by the
@@ -170,6 +178,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from enum import Enum
+from functools import cache
 from fractions import Fraction
 from itertools import compress, islice, takewhile
 
@@ -767,7 +776,9 @@ def _automorphism(
     ``screens`` and checked exactly, so a hit costs the lift to a p^N near
     twice theta's size squared.  (A cyclotomic theta is sparse, so one
     small screen prime passes a wrong rebuild often, and the exact check
-    of a wrong theta is the costly one.)
+    of a wrong theta is the costly one.)  A theta of degree below the
+    number of screens skips them: each costs m - 1 ring products, and
+    the exact check of a theta that low is cheaper than their sum.
 
     A miss is told by h = model' theta mod model.  For an automorphism
     theta, h = sum_i theta(r_i) c prod_(n != i) (x - r_n) over the roots
@@ -803,9 +814,12 @@ def _automorphism(
             e *= r[1]
         else:
             candidate = UniPoly(out, model.var)
-            if all(_vanishes_mod(model, candidate, b) for b in screens if b.p != p) and (
-                _is_automorphism(model, candidate)
-            ):
+            others = [b for b in screens if b.p != p]
+            # a theta of degree below the screens' count is checked at once
+            if (
+                (candidate.degree or 0) < len(others)
+                or all(_vanishes_mod(model, candidate, b) for b in others)
+            ) and _is_automorphism(model, candidate):
                 return Witness("automorphism", (candidate,))
         if 2 * q.bit_length() > _AUTOMORPHISM_MAX_BITS:
             return None
@@ -1156,6 +1170,61 @@ def _jordan_element(obs: CycleTypeObservation, m: int) -> RuleFiring | None:
     return None
 
 
+# For 5 <= m <= 12, the maximal primitive groups of degree m that do not
+# contain Alt(m), up to conjugacy, each with its cycle types (Sims 1970;
+# Dixon and Mortimer, Permutation Groups, 1996, Appendix B).  Every other
+# primitive group without Alt(m) lies in one of them, e.g. PSL(2, 7) in
+# PGL(2, 7), S5 on pairs in PGammaL(2, 9) and M11 on 12 points in M12, so
+# its cycle types are among that group's.
+_MAXIMAL_PRIMITIVE = {
+    5: {"AGL(1,5)": "1^5, 1 2^2, 1 4, 5"},
+    6: {"PGL(2,5)": "1^6, 1^2 2^2, 1^2 4, 1 5, 2^3, 3^2, 6"},
+    7: {
+        "AGL(1,7)": "1^7, 1 2^3, 1 3^2, 1 6, 7",
+        "PSL(3,2)": "1^7, 1^3 2^2, 1 2 4, 1 3^2, 7",
+    },
+    8: {
+        "AGL(3,2)": "1^8, 1^4 2^2, 1^2 2 4, 1^2 3^2, 1 7, 2^4, 2 6, 4^2",
+        "PGL(2,7)": "1^8, 1^2 2^3, 1^2 3^2, 1^2 6, 1 7, 2^4, 4^2, 8",
+    },
+    9: {
+        "AGL(2,3)": "1^9, 1^3 2^3, 1^3 3^2, 1 2^4, 1 2 6, 1 4^2, 1 8, 3^3, 3 6",
+        "PGammaL(2,8)": "1^9, 1^3 3^2, 1^2 7, 1 2^4, 1 2 6, 3^3, 9",
+    },
+    10: {
+        "PGammaL(2,9)": "1^10, 1^4 2^3, 1^2 2^4, 1^2 4^2, 1^2 8, 1 3^3, 1 3 6, "
+        "2^5, 2 4^2, 2 8, 5^2, 10",
+    },
+    11: {
+        "AGL(1,11)": "1^11, 1 2^5, 1 5^2, 1 10, 11",
+        "M11": "1^11, 1^3 2^4, 1^3 4^2, 1^2 3^3, 1 2 8, 1 5^2, 2 3 6, 11",
+    },
+    12: {
+        "PGL(2,11)": "1^12, 1^2 2^5, 1^2 5^2, 1^2 10, 1 11, 2^6, 3^4, 4^3, 6^2, 12",
+        "M12": "1^12, 1^4 2^4, 1^4 4^2, 1^3 3^3, 1^2 2 8, 1^2 5^2, 1 2 3 6, 1 11, "
+        "2^6, 2^2 4^2, 2 10, 3^4, 4 8, 6^2",
+    },
+}
+
+
+@cache
+def _maximal_groups(m: int) -> tuple[tuple[str, frozenset[DegreePattern]], ...]:
+    """(name, cycle types) for each group ``_MAXIMAL_PRIMITIVE`` lists at
+    degree m, read once from its text: the types comma-separated, each its
+    parts ascending with b^k for k parts b."""
+    groups = []
+    for name, text in _MAXIMAL_PRIMITIVE.get(m, {}).items():
+        types = set()
+        for written in text.split(","):
+            parts: list[int] = []
+            for token in written.split():
+                part, _, k = token.partition("^")
+                parts += [int(part)] * int(k or 1)
+            types.add(tuple(parts))
+        groups.append((name, frozenset(types)))
+    return tuple(groups)
+
+
 class _Rules:
     """The rule engine, fed one observation at a time.
 
@@ -1166,7 +1235,9 @@ class _Rules:
     when a factor search misses, or R-trans2 once the subset sums attainable
     at every prime, one bitmask, are {0, m}), primitivity (each block size
     ruled out by a pattern that no element keeping such blocks has) and a
-    Jordan element (its first sighting).  The engine owns the proof state:
+    Jordan element (its first sighting), or R-maximal once each maximal
+    group of ``_MAXIMAL_PRIMITIVE`` has been ruled out by a pattern it
+    lacks.  The engine owns the proof state:
     ``proven`` says whether the facts so far prove the verdict, and
     ``conclude`` builds the verdict and the rules fired from them.  A cubic
     with square disc needs transitivity alone (R-alt3); so does a quadratic
@@ -1199,6 +1270,11 @@ class _Rules:
         # a prime m
         self.open_sizes = {s for s in range(2, m // 2 + 1) if m % s == 0}
         self.ruled_out: list[tuple[CycleTypeObservation, list[int]]] = []
+        # the maximal primitive groups without Alt(m) that no pattern has
+        # ruled out yet, and the patterns that ruled out the others
+        self.open_groups = _maximal_groups(m)
+        self.struck: list[tuple[CycleTypeObservation, list[str]]] = []
+        # R-jordan, or R-maximal once no open group is left
         self.element: RuleFiring | None = None
 
     def add(self, obs: CycleTypeObservation, parts: list | None = None) -> None:
@@ -1226,7 +1302,7 @@ class _Rules:
             self.open_sizes.difference_update(gone)
             self.ruled_out.append((obs, gone))
         if self.element is None:
-            self.element = _jordan_element(obs, m)
+            self.element = _jordan_element(obs, m) or self._strike(obs)
         if not self.transitive:
             if pattern == (m,):
                 self.transitivity = RuleFiring("R-trans", (obs.p,), f"irreducible mod {obs.p}")
@@ -1235,6 +1311,25 @@ class _Rules:
                 if not self.transitive and self.model is not None and self._alt_if_transitive:
                     self._search_factor()
 
+    def _strike(self, obs: CycleTypeObservation) -> RuleFiring | None:
+        """Rule out each open group that has no element of cycle type
+        obs.pattern; R-maximal once none is left."""
+        struck = [name for name, types in self.open_groups if obs.pattern not in types]
+        if not struck:
+            return None
+        self.struck.append((obs, struck))
+        self.open_groups = tuple(g for g in self.open_groups if g[0] not in struck)
+        if self.open_groups:
+            return None
+        return RuleFiring(
+            "R-maximal",
+            tuple(o.p for o, _ in self.struck),
+            "; ".join(
+                f"pattern {o.pattern} at p = {o.p} rules out {', '.join(names)}"
+                for o, names in self.struck
+            ),
+        )
+
     @property
     def transitive(self) -> bool:
         return self.transitivity is not None or self.common == 1 | 1 << self.m
@@ -1242,10 +1337,10 @@ class _Rules:
     @property
     def _alt_if_transitive(self) -> bool:
         """Whether Alt(m) is inside Gal(f) once it is transitive: no block
-        size open and a Jordan element, or (R-alt3) m = 3 and a square disc,
-        Alt(3) being the one transitive group inside Alt(3), or m = 2 and a
-        square disc, Alt(2) being trivial: such an f is reducible, so its
-        factor search, run at once, finds the factor."""
+        size open and a Jordan element or R-maximal, or (R-alt3) m = 3 and
+        a square disc, Alt(3) being the one transitive group inside Alt(3),
+        or m = 2 and a square disc, Alt(2) being trivial: such an f is
+        reducible, so its factor search, run at once, finds the factor."""
         return (
             not self.open_sizes and self.element is not None
             or self.m <= 3 and self.disc_is_square

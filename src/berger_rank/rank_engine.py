@@ -211,7 +211,6 @@ class _Analysis(Record):
 
     m: int
     n: int
-    route: str
     records: tuple[HypothesisRecord, ...]
     full_vanishing: bool
     bounded: bool
@@ -297,7 +296,6 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
     # g = y^n - a exactly: a Dickson form with shift 0, alpha = 0, lc 1
     binomial = affine_dickson(g) if g.leading_coefficient == 1 else None
     if binomial is not None and binomial[:2] == (0, 0):
-        route = "cm-binomial"
         records.append(
             HypothesisRecord(
                 "binomial-cm-g",
@@ -329,24 +327,19 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             else:
                 evidence = {
                     "argument": (
-                        "deg f = 4 needs p odd, Gal(f) = Sym(4), and a quadratic "
-                        "or ramification disjointness condition"
+                        "deg f = 4 needs p odd, Gal(f) = Sym(4), and condition "
+                        "(i): Q(sqrt(disc f)) is not Q(sqrt(p*))"
                     ),
                     "galois": cert.verdict.value,
                     "side_conditions": side.value,
                 }
             records.append(HypothesisRecord("hom-vanishing-cm", status, evidence))
             full = status is Status.HOLDS
-        elif m == 3:
+        else:
             # a binomial g has no linear term, so f and g are never the
             # matched elliptic pair here
-            route = "cubic"
-            notes.append(_CUBIC_NOTE)
-        else:
-            route = "quadratic"
-            notes.append(_QUADRATIC_NOTE)
+            notes.append(_CUBIC_NOTE if m == 3 else _QUADRATIC_NOTE)
     elif m > n >= 4:
-        route = "two-large"
         cert_f, records_f, status_f, _ = _side_hypotheses(
             "galois-f", f, facts_f, p, prime_bound
         )
@@ -389,18 +382,12 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             records.append(HypothesisRecord("exact-zero", status, evidence))
             full = status is Status.HOLDS
     else:
-        if _is_elliptic_config(f, g):
-            route = "cubic"
-            notes.append(_ELLIPTIC_NOTE)
-        else:
-            route = "unsupported"
-            notes.append(_NO_ROUTE_NOTE)
+        notes.append(_ELLIPTIC_NOTE if _is_elliptic_config(f, g) else _NO_ROUTE_NOTE)
     if full:
         records.append(_c1_zero_record(m, n, p))
     return _Analysis(
         m=m,
         n=n,
-        route=route,
         records=tuple(records),
         full_vanishing=full,
         bounded=bounded,

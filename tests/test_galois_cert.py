@@ -5,7 +5,7 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -551,6 +551,7 @@ class TestJordanRule:
             ("x^5 + 20x + 16", GaloisVerdict.PROVEN_ALTERNATING, 7),  # A5
             ("x^6 + 24x - 20", GaloisVerdict.PROVEN_ALTERNATING, 23),  # A6
             ("x^7 - 154x + 99", GaloisVerdict.INCONCLUSIVE, 199),  # PSL(3,2)
+            ("x^7 - 7x + 3", GaloisVerdict.INCONCLUSIVE, 199),  # Trinks: PSL(2,7)
             ("x^5 - 5x + 12", GaloisVerdict.INCONCLUSIVE, 199),  # D5
         ],
     )
@@ -643,12 +644,13 @@ class TestJordanRule:
 
 def _primitive_groups():
     """(name, group, order, number of cycle types) for proper primitive
-    groups of degree 8-12, each built from generators.  F_q = F_p[a]/(a^k -
-    low(a)) has the elements z = sum d_j a^j, numbered by their base-p digits
-    d_j (a = 0 when k = 1, so F_p is the residues).  PSL(2, q), PGL(2, q) and
-    PGammaL(2, q) act on P^1(F_q) by Mobius maps and z -> z^p, infinity
-    numbered q; AGL(k, p) acts on F_q = F_p^k by affine maps; S5 acts on the
-    ten 2-subsets of {0, ..., 4}."""
+    groups of degree 5-12, each built from generators: the 13 maximal ones
+    that do not contain Alt(m), PSL(2, 7), S5 on pairs and PSL(2, 11).
+    F_q = F_p[a]/(a^k - low(a)) has the elements z = sum d_j a^j, numbered
+    by their base-p digits d_j (a = 0 when k = 1, so F_p is the residues).
+    PSL(2, q), PGL(2, q) and PGammaL(2, q) act on P^1(F_q) by Mobius maps
+    and z -> z^p, infinity numbered q; AGL(k, p) acts on F_q = F_p^k by
+    affine maps; S5 acts on the ten 2-subsets of {0, ..., 4}."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     perm, group = combinatorics.Permutation, combinatorics.PermutationGroup
 
@@ -706,8 +708,17 @@ def _primitive_groups():
     def on_pairs(s):  # the permutation s of {0, ..., 4} acting on pairs
         return perm([pairs.index(tuple(sorted((s[a], s[b])))) for a, b in pairs])
 
+    def affine_line(p, g):  # z -> z + 1 and z -> gz on F_p, g a generator
+        return group(perm([(z + 1) % p for z in range(p)]), perm([g * z % p for z in range(p)]))
+
     shift = perm([(z + 1) % 11 for z in range(11)])
     return [
+        ("AGL(1,5)", affine_line(5, 2), 20, 4),
+        ("PGL(2,5)", group(line(field(5, [0]), 4, 2)[1]), 120, 7),
+        ("AGL(1,7)", affine_line(7, 3), 42, 5),
+        # the Fano plane's collineations on its points, the lines {i, i+1, i+3}
+        ("PSL(3,2)", group(perm([(z + 1) % 7 for z in range(7)]),
+                           perm([[0, 1], [2, 5]], size=7)), 168, 5),
         ("PSL(2,7)", psl7, 168, 5),
         ("PGL(2,7)", pgl7, 336, 8),
         ("AGL(3,2)", affine(f8, 2), 1344, 8),  # g = a, a Singer cycle
@@ -726,29 +737,38 @@ def _primitive_groups():
     ]
 
 
+@cache
+def _primitive_cycle_types():
+    """(name, degree, whether the group lies in Alt(m), its cycle types) for
+    each group of ``_primitive_groups``: every cycle type, read off
+    uniformly random elements (Schreier-Sims unranking) until the group's
+    pinned count of types is reached, so a missed class fails; random draws
+    seldom hit the identity, whose type is added at the start."""
+    import random
+
+    rng = random.Random(8)
+    out = []
+    for name, group, order, count in _primitive_groups():
+        m = group.degree
+        assert group.order() == order and group.is_primitive(), name
+        patterns = {(1,) * m}
+        for _ in range(2000):
+            if len(patterns) == count:
+                break
+            patterns.add(_cycle_type(group.coset_unrank(rng.randrange(order))))
+        assert len(patterns) == count, name
+        out.append((name, m, all(g.is_even for g in group.generators), frozenset(patterns)))
+    return out
+
+
 class TestPrimitiveGroupsOfDegree8To12:
-    # no polynomial oracle reaches these degrees, so the rule engine is fed
-    # cycle types straight from the groups, with disc square iff G <= Alt(m)
+    # no polynomial oracle reaches degrees 8-12, so the rule engine is fed
+    # cycle types straight from the groups, with disc square iff G <= Alt(m);
+    # the groups of degree 5-7 that the R-maximal table lists are fed too
 
     def test_proper_groups_are_not_proven(self):
-        # every cycle type of each group, read off uniformly random elements
-        # (Schreier-Sims unranking) until the group's pinned count of types is
-        # reached, so a missed class fails; random draws seldom hit the
-        # identity, whose type is added at the start
-        import random
-
         start = time.perf_counter()
-        rng = random.Random(8)
-        for name, group, order, count in _primitive_groups():
-            m = group.degree
-            assert group.order() == order and group.is_primitive(), name
-            patterns = {(1,) * m}
-            for _ in range(2000):
-                if len(patterns) == count:
-                    break
-                patterns.add(_cycle_type(group.coset_unrank(rng.randrange(order))))
-            assert len(patterns) == count, name
-            square = all(g.is_even for g in group.generators)
+        for name, m, square, patterns in _primitive_cycle_types():
             obs = tuple(CycleTypeObservation(i, t) for i, t in enumerate(sorted(patterns)))
             verdict, fired = _evaluate_rules(m, square, obs)
             assert verdict is GaloisVerdict.INCONCLUSIVE, (name, fired)
@@ -774,6 +794,82 @@ class TestPrimitiveGroupsOfDegree8To12:
             square = verdict is GaloisVerdict.PROVEN_ALTERNATING
             assert _evaluate_rules(m, square, obs)[0] is verdict, (m, square)
         assert time.perf_counter() - start < 30
+
+
+class TestMaximalPrimitiveTable:
+    """R-maximal: the table of maximal primitive groups without Alt(m)."""
+
+    MAXIMAL = {
+        5: {"AGL(1,5)"}, 6: {"PGL(2,5)"}, 7: {"AGL(1,7)", "PSL(3,2)"},
+        8: {"AGL(3,2)", "PGL(2,7)"}, 9: {"AGL(2,3)", "PGammaL(2,8)"},
+        10: {"PGammaL(2,9)"}, 11: {"AGL(1,11)", "M11"}, 12: {"PGL(2,11)", "M12"},
+    }
+
+    def test_table_is_the_generated_cycle_types(self):
+        # group by group, the table's cycle types are those the generators
+        # give, up to each group's pinned class count: 102 in all
+        table = {m: galois_cert._maximal_groups(m) for m in galois_cert._MAXIMAL_PRIMITIVE}
+        assert {m: {name for name, _ in groups} for m, groups in table.items()} == self.MAXIMAL
+        generated = {name: (m, types) for name, m, _, types in _primitive_cycle_types()}
+        for m, groups in table.items():
+            for name, types in groups:
+                assert generated[name] == (m, types), name
+        assert sum(len(types) for groups in table.values() for _, types in groups) == 102
+
+    def test_every_primitive_group_lies_in_a_listed_one(self):
+        # every group the builder makes, the listed ones included: its
+        # cycle types are among those of a listed group of its degree
+        for name, m, _, types in _primitive_cycle_types():
+            assert any(types <= listed for _, listed in galois_cert._maximal_groups(m)), name
+
+    def test_rule_names_each_group_its_pattern_and_prime(self):
+        # at m = 7, (1, 2, 4) is no type of AGL(1,7) and (1, 2, 2, 2) none of
+        # PSL(3,2); neither pattern has a Jordan element
+        obs = tuple(CycleTypeObservation(p, t) for p, t in
+                    [(2, (7,)), (3, (1, 2, 4)), (5, (1, 2, 4)), (7, (1, 2, 2, 2))])
+        verdict, fired = _evaluate_rules(7, False, obs)
+        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert [r.rule for r in fired] == ["R-trans", "R-primitive", "R-maximal", "R-sign"]
+        assert fired[2] == galois_cert.RuleFiring(
+            "R-maximal", (3, 7),
+            "pattern (1, 2, 4) at p = 3 rules out AGL(1,7); "
+            "pattern (1, 2, 2, 2) at p = 7 rules out PSL(3,2)",
+        )
+        # one group left open proves nothing
+        assert _evaluate_rules(7, False, obs[:3])[0] is GaloisVerdict.INCONCLUSIVE
+
+    def test_jordan_fires_first(self):
+        # a transposition rules out both groups of degree 7 and is a Jordan
+        # element: R-jordan fires, and R-maximal not at all
+        obs = (CycleTypeObservation(2, (7,)), CycleTypeObservation(3, (1, 1, 1, 1, 1, 2)))
+        verdict, fired = _evaluate_rules(7, False, obs)
+        assert verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert [r.rule for r in fired] == ["R-trans", "R-primitive", "R-jordan", "R-sign"]
+
+    def test_no_table_outside_degrees_5_to_12(self):
+        # at m = 13 no pattern stands in for a Jordan element: a full cycle
+        # and the 13 cycle types of x -> ax on F_13 prove nothing
+        assert set(galois_cert._MAXIMAL_PRIMITIVE) == set(range(5, 13))
+        assert galois_cert._maximal_groups(13) == ()
+        types = [(13,)] + [(1,) + (k,) * (12 // k) for k in (2, 3, 4, 6, 12)]
+        obs = tuple(CycleTypeObservation(p, t) for p, t in zip((2, 3, 5, 7, 11, 17), types))
+        verdict, fired = _evaluate_rules(13, False, obs)
+        assert verdict is GaloisVerdict.INCONCLUSIVE
+        assert [r.rule for r in fired] == ["R-trans", "R-primitive"]
+
+    def test_sextic_ends_at_its_fourth_prime(self):
+        # (2, 4) at p = 7 is no cycle type of PGL(2,5); with the Jordan
+        # rule alone the certificate sampled 11 primes, to p = 37
+        cert = certify_galois(parse_poly("x^6 - 2x - 1"))
+        assert cert.verdict is GaloisVerdict.PROVEN_SYMMETRIC
+        assert [(o.p, o.pattern) for o in cert.observations] == [
+            (3, (6,)), (5, (3, 3)), (7, (2, 4)), (11, (1, 5))
+        ]
+        assert [r.rule for r in cert.rules_fired] == [
+            "R-trans", "R-primitive", "R-maximal", "R-sign"
+        ]
+        assert cert.rules_fired[2].primes == (7,)
+        assert replay_certificate(cert, deep=True) is GaloisVerdict.PROVEN_SYMMETRIC
 
 
 # One polynomial for each transitive group of degree 2-6, with its group's

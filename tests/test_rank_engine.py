@@ -61,7 +61,9 @@ class TestBinomialDetection:
     def test_accepts_exact_binomials(self):
         for text, a in (("y^2 - 1", 1), ("y^7 + 3", -3), ("y^4 - 2/3", Fraction(2, 3))):
             analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
-            assert analysis.route == "cm-binomial", text
+            # the CM route, whose quintic f side is certified
+            assert "hom-vanishing-cm" in {h.name for h in analysis.records}, text
+            assert analysis.base_notes == (), text
             rec = next(h for h in analysis.records if h.name == "binomial-cm-g")
             assert rec.status is Status.HOLDS
             assert rec.evidence["constant"] == a
@@ -71,8 +73,9 @@ class TestBinomialDetection:
         # binomials count only when written as y^n - a
         for text in ("y^3 - y - 1", "2y^2 - 1", "y^2 + y + 1", "(y + 1)^3 - 2", "2y^5 + 7"):
             analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
-            assert analysis.route != "cm-binomial", text
-            assert "binomial-cm-g" not in {h.name for h in analysis.records}, text
+            # no route: n < 4 or n = m, so neither side is certified
+            assert analysis.base_notes == (rank_engine._NO_ROUTE_NOTE,), text
+            assert analysis.records == (), text
 
 
 class TestSideConditions:
@@ -466,7 +469,8 @@ class TestOtherShapes:
             ("x^3 - x - 2", "y^3 - y - 3"),
         ):
             f, g = parse_poly(f), parse_poly(g)
-            assert rank_engine._analyze(f, g, 5, 200).route == "unsupported", (f, g)
+            analysis = rank_engine._analyze(f, g, 5, 200)
+            assert (analysis.records, analysis.base_notes) == ((), (rank_engine._NO_ROUTE_NOTE,))
             v = rank_verdict(f, g, 5, 1)
             assert v.kind is VerdictKind.INCONCLUSIVE
             assert v.notes == (rank_engine._NO_ROUTE_NOTE,), (f, g)
@@ -544,21 +548,23 @@ class TestValidation:
             assert message in str(info.value), (change, info.value)
         assert rank_verdict(parse_poly(f), parse_poly(g), 7, r, bound).rank == 4
 
+    # each route's pair, and the record or note that only that route gives
     ROUTES = {
-        "cm-binomial": ("x^5 - x - 1", "y^2 - 1"),
-        "two-large": ("x^6 - x - 1", "y^5 - y - 1"),
-        "cubic": ("x^3 - x - 1", "y^2 - 1"),
-        "quadratic": ("x^2 - 2", "y^3 - 1"),
-        "unsupported": ("x^5 - x - 1", "y^3 - y - 1"),
+        "cm-binomial": ("x^5 - x - 1", "y^2 - 1", "hom-vanishing-cm"),
+        "two-large": ("x^6 - x - 1", "y^5 - y - 1", "hom-bounded"),
+        "cubic": ("x^3 - x - 1", "y^2 - 1", rank_engine._CUBIC_NOTE),
+        "quadratic": ("x^2 - 2", "y^3 - 1", rank_engine._QUADRATIC_NOTE),
+        "unsupported": ("x^5 - x - 1", "y^3 - y - 1", rank_engine._NO_ROUTE_NOTE),
     }
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_prime_bound_on_every_route(self, route, capsys):
         # the bound is checked before routing, so a route that certifies no
         # side refuses it too
-        f, g = self.ROUTES[route]
+        f, g, mark = self.ROUTES[route]
         pair = (parse_poly(f), parse_poly(g))
-        assert rank_engine._analyze(*pair, 7, 200).route == route
+        analysis = rank_engine._analyze(*pair, 7, 200)
+        assert mark in {h.name for h in analysis.records} | set(analysis.base_notes)
         for bound, message in (
             (1, "prime_bound must be >= 2"),
             (MAX_PRIME_BOUND + 1, f"prime_bound must be <= {MAX_PRIME_BOUND}"),

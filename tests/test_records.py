@@ -88,8 +88,8 @@ RECORDS = {
     ),
     "_Analysis": (
         lambda: rank_engine._analyze(F, G, 7, 200),
-        ["m", "n", "route", "records", "full_vanishing", "bounded", "base_notes"],
-        {"route": "other"},
+        ["m", "n", "records", "full_vanishing", "bounded", "base_notes"],
+        {"base_notes": ("other",)},
     ),
 }
 
