@@ -1294,7 +1294,7 @@ class _Rules:
                 f"square discriminant but odd cycle type {pattern} at p = {obs.p}"
             )
         if sum(pattern) != m:
-            raise DiscSquareInconsistency(
+            raise PatternReplayMismatch(
                 f"cycle type {pattern} at p = {obs.p} does not sum to {m}"
             )
         gone = sorted(s for s in self.open_sizes if not _keeps_blocks(pattern, s))
@@ -1531,8 +1531,8 @@ def replay_certificate(cert: GaloisCertificate, deep: bool = False) -> GaloisVer
 
     The witness is checked by its kind's entry in ``WITNESSES``.  One that
     fails its check, one of an unknown kind, of the wrong arity or with
-    values the check cannot take, and a witness beside a proven verdict
-    raise ``PatternReplayMismatch``.  With
+    values the check cannot take, a witness beside a proven verdict and a
+    pattern that does not sum to deg f raise ``PatternReplayMismatch``.  With
     deep=True every stored pattern is also recomputed from the polynomial by
     the full degree loop (no discriminant, so no parity shortcut), turning
     the replay into a re-derivation; a stored prime that is not good (no

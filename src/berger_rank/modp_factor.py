@@ -53,13 +53,11 @@ carry, so a product is one big-int multiplication plus a long division by
 f, one big-int multiply-add per high slot, and the low slots are reduced
 mod p all at once by Barrett's reduction over alternate slots, a fixed
 number of big-int operations with no per-slot loop.  The kernel's slot
-width and Barrett constants depend on (deg f, p) alone, so they are built
-once per process, in a cache of at most 256 entries, and a new ring only
-packs f.  A scan certifies many polynomials of one degree at the same small
-primes, so most of its rings find their constants there.  x^p itself
-starts from a monomial, so for p < deg f it costs no product.  The gcds of
-Euclid's algorithm compute remainders only, on lists in place, and stop at
-the first nonzero constant remainder.
+width and Barrett constants depend on (deg f, p) alone and are built with
+each ring, in a few big-int operations, so the module keeps no state
+between calls.  x^p itself starts from a monomial, so for p < deg f it
+costs no product.  The gcds of Euclid's algorithm compute remainders only,
+on lists in place, and stop at the first nonzero constant remainder.
 
 At p = 2 the same loop runs on bitmasks, as distinct-degree factorization
 over F_2 classically is (von zur Gathen and Gerhard, Modern Computer
@@ -74,8 +72,6 @@ packed kernel keeps every odd p, and stays the tests' reference at p = 2.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ._record import Record
 from .errors import DenominatorDivisibleByP, NotSquarefree
@@ -210,36 +206,30 @@ def _gcd(a: tuple, b: tuple, p: int) -> tuple:
 # No window's value leaves [0, 2**(2w)), so the windows never interact.
 
 
-# The cache holds at most 256 entries; each is four ints of n*w bits, as
-# large as four packed elements of its ring.
-@lru_cache(maxsize=256)
-def _ring_constants(n: int, p: int) -> tuple[int, ...]:
-    """(w, mask, low, m, ones, even, lift) for a ``_ModRing`` of degree n mod p."""
-    w = (n * (p - 1) ** 2).bit_length() + 1
-    mask = (1 << w) - 1
-    # Barrett constants over the (n + 1) // 2 windows of 2w bits
-    ones = sum(1 << (2 * w * i) for i in range((n + 1) // 2))
-    return w, mask, (1 << (w * n)) - 1, (1 << w) // p, ones, ones * mask, ones * ((1 << w) - p)
-
-
 class _ModRing:
     """F_p[x]/(f) for monic f of degree n >= 1, elements packed into ints.
 
     Nothing here divides by a residue, so any modulus p >= 2 works: galois_cert
-    lifts a Frobenius in (Z/p^N)[x]/(f) with the same products."""
+    lifts a Frobenius in (Z/p^N)[x]/(f) with the same products.  The slot
+    width w and the Barrett constants are built here, for each ring: ``ones``
+    has bit 0 of each of the k = (n + 1) // 2 windows of 2w bits set, the
+    geometric sum (2**(2wk) - 1) / (2**(2w) - 1)."""
 
     __slots__ = ("p", "n", "w", "mask", "low", "negf", "m", "even", "ones", "lift")
 
     def __init__(self, f: tuple, p: int):
         n = len(f) - 1
         self.p, self.n = p, n
-        self.w, self.mask, self.low, self.m, self.ones, self.even, self.lift = (
-            _ring_constants(n, p)
-        )
+        self.w = w = (n * (p - 1) ** 2).bit_length() + 1
+        self.mask = mask = (1 << w) - 1
+        self.low = (1 << (w * n)) - 1
+        self.m = (1 << w) // p
+        self.ones = ones = ((1 << 2 * w * ((n + 1) // 2)) - 1) // ((1 << 2 * w) - 1)
+        self.even, self.lift = ones * mask, ones * ((1 << w) - p)
         # negf[j] = x^j * (x^n mod f): what x^(n+j) reduces to, for the slots
         # n .. 2n-2 of a product and slot n of an element shifted by x
         top = self.pack([-c % p for c in f[:-1]])
-        self.negf = [top << (self.w * j) for j in range(max(n - 1, 1))]
+        self.negf = [top << (w * j) for j in range(max(n - 1, 1))]
 
     def pack(self, cs) -> int:
         w, v = self.w, 0

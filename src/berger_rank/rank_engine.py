@@ -33,9 +33,12 @@ or f = lc (D_m(x - b, alpha) - a)) makes the check fail outright: Gal(f)
 then contains no Alt(m), so it holds neither Alt nor Sym, and no prime
 bound could prove the side.
 
-* CM route: g = y^n - a (a != 0).  The superelliptic side z^d = g(y) is
-  dominated by a Fermat curve, so J_{g,d} is of CM type for every d.  When
-  the side check holds for f, Hom vanishes for every layer at once.
+* CM route: g = y^n - a (a != 0), read off g's coefficients: leading
+  coefficient 1, every coefficient strictly between the constant term and
+  the top one zero, and a = -g(0), nonzero since g is squarefree.  The
+  superelliptic side z^d = g(y) is dominated by a Fermat curve, so J_{g,d}
+  is of CM type for every d.  When the side check holds for f, Hom
+  vanishes for every layer at once.
 * two-large route: m > n >= 4 with the side check holding for f and g.
   Hom is then bounded independently of p and q, and vanishes outright
   unless p divides m and n = m - 1, where matching sublayers can still
@@ -55,7 +58,7 @@ from math import gcd
 
 from ._record import Record
 from .errors import InvalidInput, MultiVariableError, NotSquarefree
-from .exact_poly import UniPoly, affine_dickson, is_prime, rational_is_square
+from .exact_poly import UniPoly, is_prime, rational_is_square
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
     GaloisCertificate,
@@ -293,15 +296,14 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
     notes: list[str] = []
     full = False
     bounded = False
-    # g = y^n - a exactly: a Dickson form with shift 0, alpha = 0, lc 1
-    binomial = affine_dickson(g) if g.leading_coefficient == 1 else None
-    if binomial is not None and binomial[:2] == (0, 0):
+    # g = y^n - a exactly (see the module docstring)
+    if g.leading_coefficient == 1 and not any(g.coeffs[1:-1]):
         records.append(
             HypothesisRecord(
                 "binomial-cm-g",
                 Status.HOLDS,
                 {
-                    "constant": binomial[2],
+                    "constant": -g.coeffs[0],
                     "argument": (
                         "z^d = g(y) with g = y^n - a is dominated by a Fermat "
                         "curve, so the g side is CM at every layer"

@@ -509,6 +509,8 @@ class TestExitCodes:
             ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "6", "-r", "1"),
             ("rank", "-f", "x^5-x-1", "-g", "y^2-1", "-p", "7", "-r", "-1"),
             ("dims", "1", "2"),
+            ("decomp", "1", "2", "1"),
+            ("galois", "x^-2"),
             ("scan", "x^5-x", "--c-range", "oops"),
             ("scan", "x^5-x", "--c-range=2..-2"),
             ("scan", "x^5-x", "--c-range=1.5..2"),

@@ -80,6 +80,9 @@ class TestParseRender:
             parse_poly("x^^2")
         with pytest.raises(PolySyntaxError, match="exponent must be an integer"):
             parse_poly("x^2.5")
+        for text in ("x^-2", "x^(-2)", "x^(+-2)"):
+            with pytest.raises(PolySyntaxError, match="negative exponents are not polynomial"):
+                parse_poly(text)
         with pytest.raises(MultiVariableError):
             parse_poly("x + y")
         with pytest.raises(NonRationalCoefficient):
@@ -330,6 +333,8 @@ class TestArithmetic:
             parse_poly("x") + parse_poly("y")
         with pytest.raises(ValueError, match="nonnegative"):
             X ** -1
+        with pytest.raises(TypeError):  # __add__ returns NotImplemented
+            UniPoly((1, 2)) + "a"
 
     def test_derivative(self):
         assert derivative(parse_poly("x^5 - x - 1")) == parse_poly("5x^4 - 1")

@@ -303,7 +303,7 @@ class TestReplay:
     def test_replay_rejects_a_pattern_of_the_wrong_degree(self):
         cert = certify_galois(parse_poly("x^5 - x - 1"))
         short = replace(cert, observations=(CycleTypeObservation(3, (1, 3)),))
-        with pytest.raises(DiscSquareInconsistency, match=r"\(1, 3\) at p = 3 does not sum to 5"):
+        with pytest.raises(PatternReplayMismatch, match=r"\(1, 3\) at p = 3 does not sum to 5"):
             replay_certificate(short)
 
 

@@ -177,6 +177,8 @@ class TestDecomposition:
             decomposition_table(4, 6, 2)
         with pytest.raises(InvalidInput):
             decomposition_table(4, 2, -1)
+        with pytest.raises(InvalidInput, match="decomposition_table needs m >= 2"):
+            decomposition_table(1, 2, 1)
 
     def test_table_factors_nothing(self, monkeypatch):
         # the table knows each layer's (p, i), so it takes no perfect-power

@@ -23,7 +23,7 @@ from berger_rank import (
     reduce_mod_p,
 )
 from berger_rank import modp_factor
-from berger_rank.modp_factor import _gcd, _ModRing, _ring_constants
+from berger_rank.modp_factor import _gcd, _ModRing
 
 # -- independent oracle ----------------------------------------------------------
 
@@ -337,11 +337,14 @@ class TestPackedKernel:
                 assert got == want, (p, n, a, b, f)
 
     @pytest.mark.parametrize(
-        "p, e, n", [(2, 2, 8), (2, 64, 16), (3, 40, 12), (5, 300, 6), (7, 3, 31), (2**31 - 1, 4, 8)]
+        "p, e, n",
+        [(2, 2, 8), (2, 64, 16), (3, 40, 12), (5, 300, 6), (7, 3, 31), (2**31 - 1, 4, 8),
+         (3, 1300, 5), (2, 2049, 12)],
     )
     def test_mul_matches_schoolbook_mod_a_prime_power(self, p, e, n):
-        # galois_cert lifts a Frobenius in (Z/p^e)[x]/(f) with this kernel:
-        # nothing in it needs a prime modulus, only a monic f
+        # galois_cert lifts a Frobenius in (Z/p^e)[x]/(f) with this kernel,
+        # up to p^e near 2^2048: nothing in it needs a prime modulus, only a
+        # monic f
         q = p**e
         rng = random.Random(f"kernel:{p}^{e}:{n}")
         for _ in range(3):
@@ -356,6 +359,9 @@ class TestPackedKernel:
             slots = [rng.choice([0, q - 1, q, (1 << ring.w) - 1]) for _ in range(n)]
             v = ring.reduce(ring.pack(slots))
             assert [(v >> (ring.w * i)) & ring.mask for i in range(n)] == [s % q for s in slots]
+            for exp in (0, 1, n - 1, n, n + 1, 2 * n + 3, p**2):
+                got = _trim(tuple(ring.unpack(ring.x_pow(exp), n)))
+                assert got == _ox_pow(exp, f, q), (p, e, n, exp)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 40])
     @pytest.mark.parametrize("p", [2, 3, 197, 2**31 - 1, 2**61 - 1])
@@ -385,14 +391,20 @@ class TestPackedKernel:
             got = _trim(tuple(ring.unpack(ring.x_pow(e), n)))
             assert got == _ox_pow(e, f, p), (p, n, e)
 
-    def test_constants_come_from_a_bounded_cache(self):
-        # rings of one degree mod one prime share their (n, p) constants, and
-        # the cache that keeps them has a finite size
-        maxsize = _ring_constants.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
-        a, b = _ModRing((1, 2, 0, 1), 5), _ModRing((3, 0, 4, 1), 5)
-        assert all(getattr(a, k) is getattr(b, k) for k in ("low", "ones", "even", "lift"))
-        assert a.negf != b.negf
+    def test_constants_are_the_window_sums(self):
+        # each ring builds its constants; ones, bit 0 of every 2w-bit
+        # window, is a geometric sum in closed form, here summed term by term
+        for p in primes_up_to(199):
+            for q in (p, p**2, p**8):
+                for n in range(1, 65):
+                    ring = _ModRing((1,) * (n + 1), q)
+                    w = (n * (q - 1) ** 2).bit_length() + 1
+                    mask = (1 << w) - 1
+                    ones = sum(1 << (2 * w * i) for i in range((n + 1) // 2))
+                    got = (ring.w, ring.mask, ring.low, ring.m, ring.ones, ring.even, ring.lift)
+                    want = (w, mask, (1 << (w * n)) - 1, (1 << w) // q, ones,
+                            ones * mask, ones * ((1 << w) - q))
+                    assert got == want, (q, n)
 
 
 def _ox_pow(e, f, p):

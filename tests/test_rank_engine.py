@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from berger_rank import (
     InvalidInput,
     MultiVariableError,
     Status,
+    UniPoly,
     VerdictKind,
     Witness,
     c2,
@@ -38,6 +40,7 @@ from berger_rank import rank_engine
 F5 = parse_poly("x^5 - x - 1")
 F4 = parse_poly("x^4 - x - 1")
 F6 = parse_poly("x^6 - x - 1")
+F3 = parse_poly("x^3 - x - 1")
 G2 = parse_poly("y^2 - 1")
 G3 = parse_poly("y^3 - 1")
 G5 = parse_poly("y^5 - 1")
@@ -76,6 +79,61 @@ class TestBinomialDetection:
             # no route: n < 4 or n = m, so neither side is certified
             assert analysis.base_notes == (rank_engine._NO_ROUTE_NOTE,), text
             assert analysis.records == (), text
+
+    def test_agrees_with_the_dickson_decision(self):
+        # the route used to be read off affine_dickson(g), a Dickson form with
+        # shift 0, alpha = 0 and lc 1; that decision is the oracle here.  The
+        # cubic f keeps every route free of Galois certificates.
+        def oracle(g):
+            form = exact_poly.affine_dickson(g) if g.leading_coefficient == 1 else None
+            return form[2] if form is not None and form[:2] == (0, 0) else None
+
+        rng = random.Random("binomial-cm-g")
+        y = UniPoly.variable("y")
+
+        def rational(nonzero=False):
+            while True:
+                v = Fraction(rng.randint(-9, 9), rng.choice([1, rng.randint(2, 6)]))
+                if v or not nonzero:
+                    return v
+
+        def shifted(g, beta):  # g(y - beta), by Horner
+            out = UniPoly((), "y")
+            for c in reversed(g.coeffs):
+                out = out * (y - beta) + c
+            return out
+
+        def dickson(n, alpha):  # D_n(y, alpha) = y D_(n-1) - alpha D_(n-2)
+            prev, cur = UniPoly((2,), "y"), y
+            for _ in range(n - 1):
+                prev, cur = cur, y * cur - alpha * prev
+            return cur
+
+        samples = []
+        for n in range(2, 10):
+            for _ in range(40):
+                binomial = y**n - rational()
+                samples += [
+                    binomial,
+                    shifted(binomial, rational(nonzero=True)),
+                    rational(nonzero=True) * binomial,
+                    dickson(n, rational(nonzero=True)) - rational(),
+                    shifted(dickson(n, rational(nonzero=True)), rational()) - rational(),
+                ]
+                lead = rng.choice([1, 1, 1, rational(nonzero=True)])
+                sparse = [rational() if rng.random() < 0.3 else 0 for _ in range(n)]
+                samples.append(UniPoly(sparse + [lead], "y"))
+        decided = {int: 0, Fraction: 0, type(None): 0}
+        for g in samples:
+            if discriminant(g) == 0:
+                continue
+            want = oracle(g)
+            analysis = rank_engine._analyze(F3, g, 7, 200)
+            got = [h.evidence["constant"] for h in analysis.records if h.name == "binomial-cm-g"]
+            expected = [] if want is None else [(want, type(want))]
+            assert [(v, type(v)) for v in got] == expected, g
+            decided[type(want)] += 1
+        assert min(decided.values()) >= 100, decided
 
 
 class TestSideConditions:
