@@ -30,10 +30,6 @@ parts.  ``resultant`` follows the convention
 
 so Res(x - 2, x - 3) = -1 and Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
 
-``affine_dickson`` decides whether f = lc (D_m(x - b, alpha) - a), D_m the
-Dickson polynomial, the form whose Galois group lies in AGL(1, Z/m); alpha = 0
-gives the binomials lc ((x - b)^m - a).
-
 Integer utilities (perfect squares, primality, squarefree parts) live here
 too; ``int_squarefree_part`` factors by trial division by the primes below
 2^10, screened by one gcd with their product, then, up to 2,048 bits,
@@ -88,7 +84,6 @@ __all__ = [
     "UniPoly",
     "parse_poly",
     "derivative",
-    "affine_dickson",
     "resultant",
     "discriminant",
     "integer_model",
@@ -656,86 +651,11 @@ def parse_poly(text: str) -> UniPoly:
     return UniPoly(_to_dense(poly), state.var or "x")
 
 
-# -- derivative, Dickson forms, resultant --------------------------------------
+# -- derivative, resultant -----------------------------------------------------
 
 
 def derivative(a: UniPoly) -> UniPoly:
     return UniPoly((k * a.coeffs[k] for k in range(1, len(a.coeffs))), a.var)
-
-
-def affine_dickson(
-    f: UniPoly,
-) -> tuple[int | Fraction, int | Fraction, int | Fraction] | None:
-    """(beta, alpha, a) with f = lc(f) * (D_m(x - beta, alpha) - a), m =
-    deg f >= 2 and f squarefree, or None when f has no such form.
-
-    D_m(x, alpha) is the Dickson polynomial, D_m(u + alpha/u, alpha) =
-    u^m + (alpha/u)^m, whose x^(m-2i) coefficient is d_i (-alpha)^i with
-    d_i = m/(m - i) C(m - i, i); its other coefficients vanish.  alpha = 0
-    gives the binomials lc ((x - beta)^m - a), and T_m = 2^(m-1) D_m(x, 1/4).
-    Matching x^(m-1) forces beta = -f_(m-1) / (m f_m) and x^(m-2) forces
-    alpha = -g_(m-2) / (m f_m), where g(x) = f(x + beta) (alpha = 0 for
-    m = 2, where the constant goes to a).  All is done in integers:
-    v^m f(x + u/v) has x^j coefficient v^j h_j, where h(y) =
-    sum f_k v^(m-k) (y + u)^k, beta = u/v.  For m >= 4 the x^(m-3)
-    coefficient of g must vanish, an O(1) test from f's top four
-    coefficients that turns away almost every input without the form; the
-    x^1 one must match the form's, an O(m) Horner pass on f'(beta) that
-    turns away the sparse ones, whose top coefficients all vanish.  Only
-    then is g found, by one Taylor shift, and compared with the form
-    exactly, a read off g_0.  The form has a repeated root exactly when
-    a^2 = 4 alpha^m, which is turned away too.
-    """
-    m = f.degree
-    if m is None or m < 2:
-        return None
-    cs, _ = _cleared(f.coeffs)  # den * f has the same beta, alpha and a
-    lead = cs[m]
-    beta = Fraction(-cs[m - 1], m * lead)
-    u, v = beta.numerator, beta.denominator
-    if m >= 4 and (
-        cs[m - 3] * v**3
-        + (m - 2) * cs[m - 2] * u * v**2
-        + math.comb(m - 1, 2) * cs[m - 1] * u**2 * v
-        + math.comb(m, 3) * lead * u**3
-    ):
-        return None
-    # g = lead (D_m(x, alpha) - a) reads h_(m-2i) = lead d_i rho^i with
-    # rho = -alpha v^2 = top / (m lead), and h_j = 0 at the other j >= 1
-    top = (  # h_(m-2)
-        cs[m - 2] * v**2 + (m - 1) * cs[m - 1] * u * v + math.comb(m, 2) * lead * u**2
-        if m > 2
-        else 0
-    )
-
-    def fits(j: int, h_j: int) -> bool:  # h_j is the form's, 1 <= j < m
-        i, odd = divmod(m - j, 2)
-        if odd or not top:
-            return not h_j
-        return h_j * (m * lead) ** i == lead * _dickson_d(m, i) * top**i
-
-    h_1, v_power = m * lead, 1  # v^(m-1) f'(beta), by Horner
-    for k in range(m - 1, 0, -1):
-        v_power *= v
-        h_1 = h_1 * u + k * cs[k] * v_power
-    if not fits(1, h_1):
-        return None
-    h = _taylor_shift([c * v ** (m - k) for k, c in enumerate(cs)], u)
-    if not all(fits(j, h[j]) for j in range(2, m - 1)):
-        return None
-    rho = Fraction(top, m * lead)
-    dickson_0 = 2 * rho ** (m // 2) if m % 2 == 0 else 0  # v^m D_m(0, alpha)
-    alpha = _exact(-rho / v**2)
-    a = _exact((dickson_0 - Fraction(h[0], lead)) / v**m)
-    if a * a == 4 * alpha**m:
-        return None
-    return _exact(beta), alpha, a
-
-
-def _dickson_d(m: int, i: int) -> int:
-    """m/(m - i) C(m - i, i), the magnitude of D_m's x^(m-2i) coefficient
-    over alpha^i."""
-    return math.comb(m - i, i) + (math.comb(m - i - 1, i - 1) if i else 0)
 
 
 def _cleared(coeffs: Collection) -> tuple[list[int], int]:

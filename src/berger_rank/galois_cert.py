@@ -87,8 +87,8 @@ The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
 
 A factor.  A monic g over Q with g | f and 1 <= deg g < m makes f
-reducible and Gal(f) intransitive; the check is the factor search's exact
-division over Z.
+reducible and Gal(f) intransitive; the check is one division f % g over
+Q.
 
 A decomposition.  If f = G(H) with deg G, deg H >= 2, the roots of f fall
 into the blocks {a : H(a) = b}, so Gal(f) is imprimitive or intransitive
@@ -105,8 +105,9 @@ miss mod p proves that no decomposition with that s exists (see
 ``_decomposition``).  For an s that passes, H is read off the root over Q,
 and the H-adic division of the integer model, run over Z after x -> x/D, D
 the common denominator of H, gives f = G(H) exactly; the certificate then
-holds it as its witness.  Nothing is screened once every size is ruled
-out, and never for a prime m.
+holds it as its witness, whose check composes G(H) by Horner's rule and
+compares it with f.  Nothing is screened once every size is ruled out, and
+never for a prime m.
 
 A Dickson form, the one witness a prime m can have.  D_m(x, alpha) is the
 Dickson polynomial, D_m(u + alpha/u, alpha) = u^m + (alpha/u)^m, so
@@ -117,7 +118,7 @@ the m-th roots of unity z, and every element of Gal(f) maps k to
 m >= 4, and contains no Alt(m).  (By Fried's proof of Schur's conjecture,
 Michigan Math. J. 17, 1970, x^m and D_m are exactly the prime-degree shapes
 with solvable monodromy.)  For a prime m >= 5, before any prime is sampled,
-``affine_dickson`` tests f for this form exactly; a hit is the witness,
+``_dickson_form`` tests f for this form exactly; a hit is the witness,
 and nothing is sampled.  A composite m is left to the
 decomposition screen: x^m = (x^s)^(m/s) and D_m = D_(m/s)(D_s(x, alpha),
 alpha^s).
@@ -193,10 +194,9 @@ from .exact_poly import (
     UniPoly,
     _cleared,
     _kronecker_product,
-    _rational_split,
+    _exact,
     _shift_facts,
     _taylor_shift,
-    affine_dickson,
     discriminant,
     integer_model,
     is_prime,
@@ -593,30 +593,92 @@ def _adic_digits(model: tuple, inner: tuple) -> list | None:
 
 
 def _is_decomposition(f: UniPoly, outer: UniPoly, inner: UniPoly) -> bool:
-    """f = outer(inner), with deg outer, deg inner >= 2, by the H-adic
-    division over Z of ``_adic_digits``: inner = c H + e, c its leading
-    and e its constant coefficient, so H is monic with H(0) = 0 and f =
-    G(H) with G(y) = outer(c y + e), and the H-adic digits of f, which are
-    unique, must be G's coefficients."""
+    """f = outer(inner), with deg outer, deg inner >= 2, by Horner's rule.
+    The degrees must multiply to deg f, so a witness too large for f is
+    refused before any product."""
     r, s = outer.degree or 0, inner.degree or 0
     if min(r, s) < 2 or r * s != f.degree or inner.var != f.var:
         return False
-    c, e = inner.leading_coefficient, inner.coefficient(0)
-    coeffs = list(outer.coeffs)
-    if (c, e) != (1, 0):  # G = outer(c y + e), by Horner's rule
-        coeffs = [coeffs[-1]]
-        for v in reversed(outer.coeffs[:-1]):
-            coeffs = [a * c + b * e for a, b in zip([0, *coeffs], [*coeffs, 0])]
-            coeffs[0] += v
-    model, den = _cleared(f.coeffs)
-    digits = _adic_digits(model, (0, *(Fraction(v, c) for v in inner.coeffs[1:])))
-    return digits is not None and [Fraction(d) / den for d in digits] == coeffs
+    composed = UniPoly((), f.var)
+    for c in reversed(outer.coeffs):
+        composed = composed * inner + c
+    return composed == f
+
+
+def _dickson_form(
+    f: UniPoly,
+) -> tuple[int | Fraction, int | Fraction, int | Fraction] | None:
+    """(beta, alpha, a) with f = lc(f) * (D_m(x - beta, alpha) - a), m =
+    deg f >= 2 and f squarefree, or None when f has no such form.
+
+    D_m(x, alpha) is the Dickson polynomial, D_m(u + alpha/u, alpha) =
+    u^m + (alpha/u)^m, whose x^(m-2i) coefficient is d_i (-alpha)^i with
+    d_i = m/(m - i) C(m - i, i); its other coefficients vanish.  alpha = 0
+    gives the binomials lc ((x - beta)^m - a), and T_m = 2^(m-1) D_m(x, 1/4).
+    Matching x^(m-1) forces beta = -f_(m-1) / (m f_m) and x^(m-2) forces
+    alpha = -g_(m-2) / (m f_m), where g(x) = f(x + beta) (alpha = 0 for
+    m = 2, where the constant goes to a).  All is done in integers:
+    v^m f(x + u/v) has x^j coefficient v^j h_j, where h(y) =
+    sum f_k v^(m-k) (y + u)^k, beta = u/v.  For m >= 4 the x^(m-3)
+    coefficient of g must vanish, an O(1) test from f's top four
+    coefficients that turns away almost every input without the form; the
+    x^1 one must match the form's, an O(m) Horner pass on f'(beta) that
+    turns away the sparse ones, whose top coefficients all vanish.  Only
+    then is g found, by one Taylor shift, and compared with the form
+    exactly, a read off g_0.  The form has a repeated root exactly when
+    a^2 = 4 alpha^m, which is turned away too.
+    """
+    m = f.degree
+    if m is None or m < 2:
+        return None
+    cs, _ = _cleared(f.coeffs)  # den * f has the same beta, alpha and a
+    lead = cs[m]
+    beta = Fraction(-cs[m - 1], m * lead)
+    u, v = beta.numerator, beta.denominator
+    if m >= 4 and (
+        cs[m - 3] * v**3
+        + (m - 2) * cs[m - 2] * u * v**2
+        + math.comb(m - 1, 2) * cs[m - 1] * u**2 * v
+        + math.comb(m, 3) * lead * u**3
+    ):
+        return None
+    # g = lead (D_m(x, alpha) - a) reads h_(m-2i) = lead d_i rho^i with
+    # rho = -alpha v^2 = top / (m lead), and h_j = 0 at the other j >= 1
+    top = (  # h_(m-2)
+        cs[m - 2] * v**2 + (m - 1) * cs[m - 1] * u * v + math.comb(m, 2) * lead * u**2
+        if m > 2
+        else 0
+    )
+
+    def fits(j: int, h_j: int) -> bool:  # h_j is the form's, 1 <= j < m
+        i, odd = divmod(m - j, 2)
+        if odd or not top:
+            return not h_j
+        d_i = math.comb(m - i, i) + math.comb(m - i - 1, i - 1)  # i >= 1
+        return h_j * (m * lead) ** i == lead * d_i * top**i
+
+    h_1, v_power = m * lead, 1  # v^(m-1) f'(beta), by Horner
+    for k in range(m - 1, 0, -1):
+        v_power *= v
+        h_1 = h_1 * u + k * cs[k] * v_power
+    if not fits(1, h_1):
+        return None
+    h = _taylor_shift([c * v ** (m - k) for k, c in enumerate(cs)], u)
+    if not all(fits(j, h[j]) for j in range(2, m - 1)):
+        return None
+    rho = Fraction(top, m * lead)
+    dickson_0 = 2 * rho ** (m // 2) if m % 2 == 0 else 0  # v^m D_m(0, alpha)
+    alpha = _exact(-rho / v**2)
+    a = _exact((dickson_0 - Fraction(h[0], lead)) / v**m)
+    if a * a == 4 * alpha**m:
+        return None
+    return _exact(beta), alpha, a
 
 
 def _is_dickson(f: UniPoly, beta, alpha, a) -> bool:
     """f = lc(f) (D_m(x - beta, alpha) - a), D_m the Dickson polynomial, m >=
-    4: the form is unique, and ``affine_dickson`` finds it exactly."""
-    return f.degree >= 4 and affine_dickson(f) == (beta, alpha, a)
+    4: the form is unique, and ``_dickson_form`` finds it exactly."""
+    return f.degree >= 4 and _dickson_form(f) == (beta, alpha, a)
 
 
 def _is_automorphism(f: UniPoly, theta: UniPoly) -> bool:
@@ -841,11 +903,10 @@ def _commutes_with_shift(pattern: DegreePattern, ell: int) -> bool:
 
 
 def _is_factor(f: UniPoly, g: UniPoly) -> bool:
-    """g | f with 1 <= deg g < m, by the factor search's division over Z of
-    f cleared of denominators by g's primitive integer model."""
+    """g | f with 1 <= deg g < m, by one division over Q."""
     if not 1 <= (g.degree or 0) < f.degree or g.var != f.var:
         return False
-    return _divides(_rational_split(g)[1], _cleared(f.coeffs)[0])
+    return (f % g).is_zero
 
 
 def _is_good(model: UniPoly, p: int) -> bool:
@@ -1452,7 +1513,7 @@ def _certify(
     rules = _Rules(m, disc_is_square, model)
     # a prime m has no block sizes, so no decomposition, but a Dickson
     # form's group is too small for Alt(m) all the same: nothing to sample
-    dickson = affine_dickson(model) if m >= 5 and is_prime(m) else None
+    dickson = _dickson_form(model) if m >= 5 and is_prime(m) else None
     witness = Witness("dickson", dickson) if dickson else None
     unscreened = set(rules.open_sizes)  # the sizes no screen has seen yet
     # the Frobenius lifts: at the first pattern (k, ..., k), k >= 2, when

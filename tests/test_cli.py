@@ -109,6 +109,11 @@ class TestEnvelope:
         with pytest.raises(TypeError):
             cli._json_text(value)
 
+    def test_converter_refuses_other_types(self):
+        # library values become JSON-native ones; anything else is a bug
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            cli._json_value(object())
+
 
 class TestPayloads:
     def test_poly_disc(self, capsys):
@@ -792,6 +797,27 @@ class TestRegressionSuite:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == expected
+
+    def test_readme_library_quick_start(self):
+        # the README's Python block runs, and each "print(...)  # text" line
+        # prints exactly text
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library quick start", 1)[1]
+        block = block.split("```python\n", 1)[1].split("```", 1)[0]
+        printed = {}
+
+        def record(*args):
+            line = sys._getframe(1).f_lineno
+            printed.setdefault(line, []).append(" ".join(map(str, args)))
+
+        exec(compile(block, "README.md", "exec"), {"print": record})
+        expected = {
+            i: [line.split("#", 1)[1].strip()]
+            for i, line in enumerate(block.splitlines(), 1)
+            if line.startswith("print(") and "#" in line
+        }
+        assert len(expected) == 3
+        assert {i: printed.get(i) for i in expected} == expected
 
 
 # -- the argument fast path against argparse -------------------------------------

@@ -31,7 +31,7 @@ from berger_rank import (
     sample_cycle_types,
 )
 from berger_rank import galois_cert
-from berger_rank.galois_cert import CycleTypeObservation, _evaluate_rules
+from berger_rank.galois_cert import CycleTypeObservation, _dickson_form, _evaluate_rules
 
 PROVEN = {GaloisVerdict.PROVEN_SYMMETRIC, GaloisVerdict.PROVEN_ALTERNATING}
 
@@ -1218,8 +1218,8 @@ class TestDecomposition:
             replay_certificate(tampered)
 
     def test_witness_with_an_affine_inner_part(self):
-        # the check rewrites G(2x^2 + 3) as G'(x^2), G'(y) = G(2y + 3),
-        # before its H-adic division: (2x^2 + 3)^2 + (2x^2 + 3) + 1
+        # an inner part that is neither monic nor zero at 0:
+        # (2x^2 + 3)^2 + (2x^2 + 3) + 1
         f = parse_poly("4x^4 + 14x^2 + 13")
         outer, inner = parse_poly("x^2 + x + 1"), parse_poly("2x^2 + 3")
         assert galois_cert._is_decomposition(f, outer, inner)
@@ -1513,6 +1513,146 @@ class TestBlockSizes:
                 assert cert.observations == sample_cycle_types(f, stop - 1), f
                 found += 1
         assert (found, dickson, automorphism) == (38, 12, 5)
+
+
+# ints, non-integral Fractions and integral Fractions such as Fraction(2)
+_COEF = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+
+
+@st.composite
+def mixed_polys(draw, min_deg=0, max_deg=4):
+    """Polynomials with int and Fraction coefficients, any nonzero leading one."""
+    deg = draw(st.integers(min_deg, max_deg))
+    low = draw(st.lists(_COEF, min_size=deg, max_size=deg))
+    lead = draw(_COEF.filter(lambda c: c != 0))
+    return UniPoly(low + [lead])
+
+
+def _dickson(m, alpha, y):
+    """D_m(y, alpha) for a polynomial y, by D_0 = 2, D_1 = y and
+    D_n = y D_(n-1) - alpha D_(n-2)."""
+    low, high = UniPoly((2,)), y
+    for _ in range(m - 1):
+        low, high = high, y * high - alpha * low
+    return high
+
+
+def _dickson_oracle(f):
+    """(beta, alpha, a) by Fraction arithmetic: f(x + beta) against
+    lc (D_m(x, alpha) - a), and squarefree by the discriminant."""
+    m = f.degree
+    if m is None or m < 2:
+        return None
+    lead = f.leading_coefficient
+    beta = Fraction(-f.coefficient(m - 1), m * lead)
+    g = sum((c * UniPoly((beta, 1)) ** k for k, c in enumerate(f.coeffs)), UniPoly(()))
+    alpha = -Fraction(g.coefficient(m - 2), m * lead) if m > 2 else Fraction(0)
+    d = _dickson(m, alpha, X)
+    a = d.coefficient(0) - Fraction(g.coefficient(0), lead)
+    if g != lead * (d - a) or discriminant(f) == 0:
+        return None
+    return beta, alpha, a
+
+
+@st.composite
+def affine_polys(draw):
+    """A random polynomial, an affine binomial lam ((x - beta)^m - a), or a
+    near miss: such a binomial plus c (x - beta)^j, 2 <= j < m, whose
+    derivative still vanishes at beta."""
+    kind = draw(st.sampled_from(["random", "binomial", "near"]))
+    if kind == "random":
+        return draw(mixed_polys(min_deg=1, max_deg=7))
+    m = draw(st.integers(2 if kind == "binomial" else 3, 7))
+    lam, a = draw(_COEF.filter(bool)), draw(_COEF)
+    shift = UniPoly((-draw(_COEF), 1))  # x - beta
+    f = lam * (shift**m - a)
+    if kind == "near":
+        f = f + draw(_COEF.filter(bool)) * shift ** draw(st.integers(2, m - 1))
+    return f
+
+
+@st.composite
+def dickson_polys(draw):
+    """A random polynomial, a Dickson form lam (D_m(x - beta, alpha) - a),
+    or a near miss: such a form plus c (x - beta)^j, 1 <= j <= m - 3, which
+    keeps the top four coefficients and so passes the O(1) screen."""
+    kind = draw(st.sampled_from(["random", "dickson", "near"]))
+    if kind == "random":
+        return draw(mixed_polys(min_deg=2, max_deg=8))
+    m = draw(st.integers(2 if kind == "dickson" else 4, 9))
+    lam, alpha, a = draw(_COEF.filter(bool)), draw(_COEF), draw(_COEF)
+    shift = UniPoly((-draw(_COEF), 1))  # x - beta
+    f = lam * (_dickson(m, alpha, shift) - a)
+    if kind == "near":
+        f = f + draw(_COEF.filter(bool)) * shift ** draw(st.integers(1, m - 3))
+    return f
+
+
+class TestAffineBinomial:
+    @given(affine_polys())
+    @settings(max_examples=200)
+    def test_matches_the_taylor_shift(self, f):
+        # a binomial is the Dickson form with alpha = 0; oracle: f(x + beta)
+        # by Fraction arithmetic, beta read off x^(m-1)
+        m = f.degree
+        hit = _dickson_form(f)
+        if m < 2:
+            assert hit is None
+            return
+        beta = Fraction(-f.coefficient(m - 1), m * f.leading_coefficient)
+        shifted = sum(
+            (c * UniPoly((beta, 1)) ** k for k, c in enumerate(f.coeffs)), UniPoly(())
+        )
+        if any(shifted.coefficient(k) for k in range(1, m)) or not shifted.coefficient(0):
+            assert hit is None or hit[1] != 0, f
+        else:
+            a = -Fraction(shifted.coefficient(0), f.leading_coefficient)
+            assert hit == (beta, 0, a), f
+        assert hit == _dickson_oracle(f), f
+        for c in hit or ():
+            assert type(c) is int or c.denominator > 1
+
+    def test_named_inputs(self):
+        assert _dickson_form(parse_poly("x^7 - 3")) == (0, 0, 3)
+        assert _dickson_form(parse_poly("(x + 2)^7 - 3")) == (-2, 0, 3)
+        assert _dickson_form(parse_poly("3(2x + 1/3)^5 - 7/2")) == (
+            Fraction(-1, 6), 0, Fraction(7, 192)
+        )
+        # for m = 2 the constant goes to a
+        assert _dickson_form(parse_poly("x^2 + x + 1")) == (
+            Fraction(-1, 2), 0, Fraction(-3, 4)
+        )
+        for text in ("x^7 - x - 1", "(x - 1)^4", "x^5 + x^3 - 2", "x - 1", "5"):
+            assert _dickson_form(parse_poly(text)) is None, text
+        assert _dickson_form(UniPoly(())) is None
+
+
+class TestAffineDickson:
+    @given(dickson_polys())
+    @settings(max_examples=300)
+    def test_matches_the_oracle(self, f):
+        hit = _dickson_form(f)
+        assert hit == _dickson_oracle(f), f
+        for c in hit or ():
+            assert type(c) is int or c.denominator > 1
+
+    def test_named_inputs(self):
+        t7 = parse_poly("64x^7 - 112x^5 + 56x^3 - 7x")  # T_7 = 2^6 D_7(x, 1/4)
+        assert _dickson_form(t7 - 5) == (0, Fraction(1, 4), Fraction(5, 64))
+        assert _dickson_form(t7) == (0, Fraction(1, 4), 0)
+        # T_7 - 1 has repeated roots: a^2 = 4 alpha^m
+        assert _dickson_form(t7 - 1) is None and discriminant(t7 - 1) == 0
+        assert _dickson_form(parse_poly("x^5 - 5x^3 + 5x - 3")) == (0, 1, 3)
+        assert _dickson_form(parse_poly("x^4 + x^2 + 1")) == (
+            0, Fraction(-1, 4), Fraction(-7, 8)
+        )
+        # every cubic is a Dickson form
+        assert _dickson_form(parse_poly("x^3 - x - 1")) == (0, Fraction(1, 3), 1)
+        for text in ("x^5 - 5x + 12", "x^7 - 7x^5 + 14x^3 - 7x + x^2", "x^2"):
+            assert _dickson_form(parse_poly(text)) is None, text
 
 
 def _planted_dickson(seed):
@@ -2621,6 +2761,16 @@ class TestConclusion:
         assert cert.verdict is fired[0]
 
 
+def _sympy_poly(sympy, f):
+    """f as a sympy Poly in x over QQ."""
+    coeffs = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in f.coeffs]
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(poly):
+    return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
 class TestWitnessTable:
     def test_every_kind_replays_through_its_check(self):
         for text, kind in (
@@ -2635,6 +2785,85 @@ class TestWitnessTable:
             assert len(cert.witness.values) == len(names)
             assert check(cert.polynomial, *cert.witness.values) is True
             assert replay_certificate(cert, deep=True) is GaloisVerdict.INCONCLUSIVE
+
+    def test_decomposition_check_agrees_with_sympy_compose(self):
+        # the check composes G(H) by Horner's rule; sympy's compose is the
+        # oracle on seeded G and H with denominators, H non-monic too, and
+        # on perturbed G, H and f, each of which must fail
+        import random
+
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(48)
+
+        def oracle(f, outer, inner):
+            r, s = outer.degree or 0, inner.degree or 0
+            if min(r, s) < 2 or r * s != f.degree:
+                return False
+            composed = _sympy_poly(sympy, outer).compose(_sympy_poly(sympy, inner))
+            return composed == _sympy_poly(sympy, f)
+
+        pairs = [(parse_poly("2x^3 - x + 7/2"), parse_poly("3/2x^2 - 1/3x + 5/4"))]
+        pairs += [
+            (_random_poly(rng, rng.randint(2, 4), True), _random_poly(rng, rng.randint(2, 4), True))
+            for _ in range(80)
+        ]
+        outcomes = {True: 0, False: 0}
+        for outer, inner in pairs:
+            f = _from_sympy(_sympy_poly(sympy, outer).compose(_sympy_poly(sympy, inner)))
+            nudge = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))
+            for case in (
+                (f, outer, inner),
+                (f, outer + nudge, inner),
+                (f, outer + nudge * X, inner),
+                (f, outer, inner + nudge * X),
+                (f, outer, inner * 2),
+                (f + nudge * X, outer, inner),
+                (f, inner, outer),
+            ):
+                expect = oracle(*case)
+                assert galois_cert._is_decomposition(*case) is expect, case
+                outcomes[expect] += 1
+        assert outcomes[True] >= 81 and outcomes[False] >= 400, outcomes
+
+    def test_factor_check_agrees_with_sympy_rem(self):
+        # g | f by one division over Q; sympy's rem is the oracle on seeded
+        # factors with denominators and on perturbed ones
+        import random
+
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(49)
+        outcomes = {True: 0, False: 0}
+        for _ in range(100):
+            g = _random_poly(rng, rng.randint(1, 3), True)
+            h = _random_poly(rng, rng.randint(1, 3), True)
+            f = _from_sympy(_sympy_poly(sympy, g) * _sympy_poly(sympy, h))
+            nudge = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))
+            for candidate in (g, nudge * g, g + nudge, g + nudge * X, h * X, f):
+                expect = 1 <= (candidate.degree or 0) < f.degree and (
+                    _sympy_poly(sympy, f).rem(_sympy_poly(sympy, candidate)).is_zero
+                )
+                assert galois_cert._is_factor(f, candidate) is expect, (f, candidate)
+                outcomes[expect] += 1
+        assert outcomes[True] >= 200 and outcomes[False] >= 300, outcomes
+
+    def test_checks_refuse_a_witness_in_another_variable(self):
+        # False, not MultiVariableError: the variable is checked first
+        y = UniPoly.variable("y")
+        assert galois_cert._is_decomposition(parse_poly("x^4 - 2"), X**2 - 2, y**2) is False
+        assert galois_cert._is_factor(parse_poly("x^2 - 1"), y - 1) is False
+
+    def test_an_oversized_outer_is_refused_before_composing(self):
+        # deg G deg H must be deg f, so a degree-10,000 G beside a quintic is
+        # refused by its degree, never composed
+        f = parse_poly("x^5 - x - 1")
+        outer = UniPoly([1] + [0] * 9999 + [3])
+        cert = replace(certify_galois(f), witness=Witness("decomposition", (outer, X**2)))
+        start = time.perf_counter()
+        for inner in (X**2, X**5, X**10000 + 1):
+            assert galois_cert._is_decomposition(f, outer, inner) is False
+        with pytest.raises(PatternReplayMismatch):
+            replay_certificate(cert)
+        assert time.perf_counter() - start < 0.5
 
     def test_factor_check_agrees_with_division_over_q(self):
         # the factor witness is checked by the factor search's division over

@@ -14,6 +14,7 @@ import pytest
 
 import berger_rank.cli as cli
 import berger_rank.exact_poly as exact_poly
+import berger_rank.galois_cert as galois_cert
 from berger_rank import (
     MAX_PRIME_BOUND,
     FactorizationIncomplete,
@@ -81,11 +82,12 @@ class TestBinomialDetection:
             assert analysis.records == (), text
 
     def test_agrees_with_the_dickson_decision(self):
-        # the route used to be read off affine_dickson(g), a Dickson form with
-        # shift 0, alpha = 0 and lc 1; that decision is the oracle here.  The
-        # cubic f keeps every route free of Galois certificates.
+        # the route reads g = y^n - a off g's coefficients; the Dickson
+        # finder's decision, a form with shift 0, alpha = 0 and lc 1, is the
+        # oracle here.  The cubic f keeps every route free of Galois
+        # certificates.
         def oracle(g):
-            form = exact_poly.affine_dickson(g) if g.leading_coefficient == 1 else None
+            form = galois_cert._dickson_form(g) if g.leading_coefficient == 1 else None
             return form[2] if form is not None and form[:2] == (0, 0) else None
 
         rng = random.Random("binomial-cm-g")
