@@ -71,9 +71,10 @@ degree sum holds by Newton's iteration to p^N (``_factor_lifts``), and
 rejects each such subset, as soon as the precision allows, by the sum of
 its roots (which lie within Cauchy's bound of an integer next to their
 mean), by its constant term (which divides lc f(0)) or by Mignotte's bound
-on its coefficients, before one exact division over Z.  The factors mod p
-are unique, so the search is complete: a miss proves f irreducible.  It
-runs only when p divides neither lc nor disc, which replay checks by one
+on its coefficients, before the ``factor`` witness's own check, one
+division over Q (``_is_factor``), accepts it.  The factors mod p are
+unique, so the search is complete: a miss proves f irreducible.  It runs
+only when p divides neither lc nor disc, which replay checks by one
 gcd mod p; it also answers "unknown", which proves nothing, at no prime,
 above ``MAX_PRIME_BOUND``, or past ``_FACTOR_SEARCH_SUBSETS`` subsets, so
 it trusts no observation.  A miss proves transitivity (R-irreducible); a
@@ -81,7 +82,8 @@ hit is a ``factor`` witness.  Certification, replay and the CLI reach it
 through the one engine, so a certificate cut short by R-irreducible
 re-derives on replay, also when rebuilt without its witness.  The scan's
 rational-root search (``_rational_roots``) lifts each root mod p by the
-same Newton step and keeps a root a/b by the same exact division.
+same Newton step and keeps a root a/b when one integer Horner pass finds
+b^m f(a/b) = sum c_k a^k b^(m-k) = 0.
 
 The negative side has four witnesses, each of which ends the sampling and
 leaves the verdict ``Inconclusive``.
@@ -337,7 +339,7 @@ def _good_reductions(
 
 
 # -- p-adic lifting ---------------------------------------------------------
-# One Newton step, inverse mod p and exact division over Z for every lift.
+# One Newton step, inverse mod p and rational reconstruction for every lift.
 
 
 def _value_and_slope(cs, r: int, q: int) -> tuple[int, int]:
@@ -445,21 +447,6 @@ def _factor_lifts(cs: tuple, g: tuple, p: int, top: int) -> Iterator[list[int]]:
         if q >= top:
             return
         q *= q
-
-
-def _divides(h: list[int], f: tuple) -> bool:
-    """Whether the primitive integer polynomial h divides f in Z[x], so in
-    Q[x] (Gauss's lemma), by long division with exact quotients."""
-    rest, s, lead = list(f), len(h) - 1, h[-1]
-    for k in range(len(rest) - 1, s - 1, -1):
-        top = rest[k]
-        if top:
-            quo, r = divmod(top, lead)
-            if r:
-                return False
-            for j, c in enumerate(h, k - s):
-                rest[j] -= quo * c
-    return not any(rest[:s])
 
 
 def _rational(u: int, q: int, bound: int, den_bound: int) -> tuple[int, int] | None:
@@ -931,16 +918,17 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
     divide b, so a/b reduces to a root mod p.  Each root mod p, being
     simple, is the image of one p-adic root, which ``_factor_lifts``
     carries to p^N > 2 |a_k lc|; there rational reconstruction
-    (``_rational``) finds a/b if the p-adic root is one, and one exact
-    division by b x - a, once a | a_k and b | lc, keeps it.  So the search
-    is complete: an empty list proves that model has no rational root.  The
-    roots mod p come from ``modp_factor._roots``, which evaluates at every
-    residue, so p is capped, and the slope model' is read at those roots
-    only: a zero there is a repeated root.  p is tested here, not by
-    ``_is_good``: the slopes find a repeated root, and ``_is_good``'s gcd
-    mod p would cost 9.8 ms over a ``family-scan`` pass's 1,602 searches,
-    which take 17.7 ms, against under 1 ms for this test (min of 15
-    passes, one Xeon core, Python 3.11).
+    (``_rational``) finds a/b if the p-adic root is one, and, once a | a_k
+    and b | lc, one integer Horner pass keeps it when b^m model(a/b) = sum
+    c_k a^k b^(m-k) is 0.  So the search is complete: an empty list proves
+    that model has no rational root.  The roots mod p come from
+    ``modp_factor._roots``, which evaluates at every residue, so p is
+    capped, and the slope model' is read at those roots only: a zero there
+    is a repeated root.  p is tested here, not by ``_is_good``: the slopes
+    find a repeated root, and ``_is_good``'s gcd mod p would cost 9.8 ms
+    over a ``family-scan`` pass's 1,602 searches, which take 17.7 ms,
+    against under 1 ms for this test (min of 15 passes, one Xeon core,
+    Python 3.11).
     """
     cs = model.coeffs
     if not is_prime(p) or p > MAX_PRIME_BOUND or cs[-1] % p == 0:
@@ -960,8 +948,12 @@ def _rational_roots(model: UniPoly, p: int) -> list[Fraction] | None:
         if v is None:
             continue
         num, den = v
-        if (not num or low % num == 0) and lead % den == 0 and _divides([-num, den], cs):
-            roots.append(Fraction(num, den))
+        if (not num or low % num == 0) and lead % den == 0:
+            value, power = 0, 1  # den^m model(num / den), by Horner's rule
+            for c in reversed(cs):
+                value, power = value * num + c * power, power * den
+            if not value:
+                roots.append(Fraction(num, den))
     roots.sort(key=lambda v: (abs(v.numerator), v.denominator, v < 0))
     return roots
 
@@ -1034,12 +1026,13 @@ def _small_factor(
     bound on model(x + s), s an integer next to the roots' mean); its
     constant term divides c model(0); and every coefficient is at most |c|
     B_d, B_d = C(d, d/2) ||model||_2 (Mignotte).  A subset that passes the
-    last is divided into model over Z.  The lifts run only as long as a
-    subset holds their factor, and the largest factor, when every factor
-    is in some subset, is not lifted at all: model / c is the product of
-    all of them, so its two screened coefficients and, for the division,
-    its whole come from the others'.  A search that rejects every subset
-    proves that model has no factor of a degree in ``degrees``.
+    last is accepted by ``_is_factor``, the ``factor`` witness's own check,
+    on its monic h.  The lifts run only as long as a subset holds their
+    factor, and the largest factor, when every factor is in some subset,
+    is not lifted at all: model / c is the product of all of them, so its
+    two screened coefficients and, for a candidate's product, its whole
+    come from the others'.  A search that rejects every subset proves that
+    model has no factor of a degree in ``degrees``.
     """
     cs, lead = model.coeffs, model.coeffs[-1]
     if parts is None and not _is_good(model, p):
@@ -1109,10 +1102,9 @@ def _small_factor(
                 g = [c % q for c in _kronecker_product(g, lifted[i])]
             g = [c - q if 2 * c > q else c for c in g]
             if all(abs(c) <= mignotte[d] for c in g):
-                content = math.gcd(*g)
-                h = [c // content for c in g]
-                if _divides(h, cs):
-                    return (UniPoly([Fraction(c, h[-1]) for c in h], model.var),)
+                h = UniPoly([Fraction(c, g[-1]) for c in g], model.var)
+                if _is_factor(model, h):
+                    return (h,)
         candidates = live
         used = {i for _, subset in live for i in subset}
         keep = used | set(lifts) if skip in used else used

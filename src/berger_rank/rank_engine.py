@@ -46,7 +46,9 @@ bound could prove the side.
 
 Verdict kinds: ``ExactRank`` (rank = c2(q), all hypotheses hold),
 ``UpperBoundPlusConstant`` (rank <= c2(q) + epsilon with epsilon bounded
-independently of p and q), or ``Inconclusive``.  The K_d/k-trace of the
+independently of p and q), or ``Inconclusive``; the kind is read off the
+records, ``ExactRank`` iff a ``c1-zero`` record is present, else the bound
+iff ``hom-bounded`` holds.  The K_d/k-trace of the
 Jacobian is zero for every validated pair, and the k(t)-geometric trace
 statement is only claimed for the n = 2, m >= 5 CM family.
 """
@@ -146,15 +148,16 @@ def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
 
 def _side_hypotheses(
     name: str, poly: UniPoly, facts: tuple, p: int, prime_bound: int
-) -> tuple[GaloisCertificate, list[HypothesisRecord], Status, Status | None]:
+) -> tuple[list[HypothesisRecord], Status, Status | None]:
     """Whether the new factors of one side (deg >= 4) are absolutely simple
     with cyclotomic endomorphism algebra and not CM, the fact both routes
     rest on.
 
     deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd and (i),
-    which (ii) implies, so (ii) is evidence only.  Returns the certificate,
-    the side's records in payload order, the side's status, and for a
-    quartic that of p odd and (i) alone.  ``facts`` is ``_model_and_disc``
+    which (ii) implies, so (ii) is evidence only.  Returns the side's
+    records in payload order, the Galois record (its certificate and
+    verdict in the evidence) first, the side's status, and for a quartic
+    that of p odd and (i) alone.  ``facts`` is ``_model_and_disc``
     from ``_analyze``'s squarefree check; the certificate and (ii) reuse
     it.  Callers have checked p (prime) and the prime bound.
     """
@@ -171,7 +174,7 @@ def _side_hypotheses(
         },
     )
     if not quartic:
-        return cert, [galois], galois.status, None
+        return [galois], galois.status, None
     rec_odd = HypothesisRecord(
         "p-odd", Status.HOLDS if p != 2 else Status.FAILS, {"p": p}
     )
@@ -206,18 +209,7 @@ def _side_hypotheses(
                 "unramified", Status.UNKNOWN, {"disc": d, "p": p, "reason": reason}
             )
     side = _kleene(rec_odd.status, rec_i.status)
-    return cert, [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
-
-
-class _Analysis(Record):
-    """Layer-independent part of a rank computation."""
-
-    m: int
-    n: int
-    records: tuple[HypothesisRecord, ...]
-    full_vanishing: bool
-    bounded: bool
-    base_notes: tuple[str, ...]
+    return [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
 
 
 def _c1_zero_record(m: int, n: int, p: int) -> HypothesisRecord:
@@ -270,11 +262,13 @@ def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
     return f.coeffs == g.coeffs and f.coeffs[1:] == (-1, 0, 1)
 
 
-def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
-    """What does not depend on the layer.  Callers have checked the layer
-    cap, which bounds p before it is tested for primality; this is the one
-    test, and the layers are then built from the proved p.  The pair is
-    validated first, each check on f before g."""
+def _analyze(
+    f: UniPoly, g: UniPoly, p: int, prime_bound: int
+) -> tuple[tuple[HypothesisRecord, ...], tuple[str, ...]]:
+    """The layer-independent records and notes.  Callers have checked the
+    layer cap, which bounds p before it is tested for primality; this is
+    the one test, and the layers are then built from the proved p.  The
+    pair is validated first, each check on f before g."""
     for name, poly in (("f", f), ("g", g)):
         if poly.degree is None or poly.degree < 2:
             raise InvalidInput(f"{name} must have degree >= 2")
@@ -294,8 +288,6 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
     m, n = f.degree, g.degree
     records: list[HypothesisRecord] = []
     notes: list[str] = []
-    full = False
-    bounded = False
     # g = y^n - a exactly (see the module docstring)
     if g.leading_coefficient == 1 and not any(g.coeffs[1:-1]):
         records.append(
@@ -312,40 +304,38 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
             )
         )
         if m >= 4:
-            cert, side_records, status, side = _side_hypotheses(
+            side_records, status, side = _side_hypotheses(
                 "galois-f", f, facts_f, p, prime_bound
             )
             records += side_records
-            if side is None:
-                evidence = {
-                    "argument": (
+            evidence = {
+                "argument": (
+                    (
                         "deg f >= 5 and Gal(f) contains Alt: every new factor "
                         "of the f side is absolutely simple with cyclotomic "
                         "endomorphism ring and not CM, so it admits no nonzero "
                         "map to a CM abelian variety"
-                    ),
-                    "galois": cert.verdict.value,
-                }
-            else:
-                evidence = {
-                    "argument": (
+                    )
+                    if side is None
+                    else (
                         "deg f = 4 needs p odd, Gal(f) = Sym(4), and condition "
                         "(i): Q(sqrt(disc f)) is not Q(sqrt(p*))"
-                    ),
-                    "galois": cert.verdict.value,
-                    "side_conditions": side.value,
-                }
+                    )
+                ),
+                "galois": side_records[0].evidence["verdict"],
+            }
+            if side is not None:
+                evidence["side_conditions"] = side.value
             records.append(HypothesisRecord("hom-vanishing-cm", status, evidence))
-            full = status is Status.HOLDS
         else:
             # a binomial g has no linear term, so f and g are never the
             # matched elliptic pair here
             notes.append(_CUBIC_NOTE if m == 3 else _QUADRATIC_NOTE)
     elif m > n >= 4:
-        cert_f, records_f, status_f, _ = _side_hypotheses(
+        records_f, status_f, _ = _side_hypotheses(
             "galois-f", f, facts_f, p, prime_bound
         )
-        cert_g, records_g, status_g, _ = _side_hypotheses(
+        records_g, status_g, _ = _side_hypotheses(
             "galois-g", g, facts_g, p, prime_bound
         )
         records += records_f + records_g
@@ -360,13 +350,12 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
                         "with distinct cyclotomic endomorphism data, so Hom is "
                         "bounded independently of p and the layer"
                     ),
-                    "galois_f": cert_f.verdict.value,
-                    "galois_g": cert_g.verdict.value,
+                    "galois_f": records_f[0].evidence["verdict"],
+                    "galois_g": records_g[0].evidence["verdict"],
                 },
             )
         )
-        bounded = status is Status.HOLDS
-        if bounded:
+        if status is Status.HOLDS:
             p_divides_m, adjacent = m % p == 0, n == m - 1
             if p_divides_m and adjacent:
                 status, key, text = Status.UNKNOWN, "reason", (
@@ -382,26 +371,24 @@ def _analyze(f: UniPoly, g: UniPoly, p: int, prime_bound: int) -> _Analysis:
                 key: text, "p_divides_m": p_divides_m, "n_equals_m_minus_1": adjacent
             }
             records.append(HypothesisRecord("exact-zero", status, evidence))
-            full = status is Status.HOLDS
     else:
         notes.append(_ELLIPTIC_NOTE if _is_elliptic_config(f, g) else _NO_ROUTE_NOTE)
-    if full:
+    # either record, when it holds, certifies Hom = 0 at every layer
+    if any(
+        h.status is Status.HOLDS and h.name in ("hom-vanishing-cm", "exact-zero")
+        for h in records
+    ):
         records.append(_c1_zero_record(m, n, p))
-    return _Analysis(
-        m=m,
-        n=n,
-        records=tuple(records),
-        full_vanishing=full,
-        bounded=bounded,
-        base_notes=tuple(notes),
-    )
+    return tuple(records), tuple(notes)
 
 
-def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
+def _assemble(
+    m: int, n: int, records: tuple, notes: tuple, p: int, r: int
+) -> RankVerdict:
+    """One layer's verdict from ``_analyze``'s records and notes."""
     layer = TowerLayer._of_prime(p, r)  # _analyze has proved p prime
-    m, n = analysis.m, analysis.n
     c2_value = c2(m, n, layer.q)
-    notes = list(analysis.base_notes)
+    notes = list(notes)
     if n == 2 and m % 2 == 0:
         alt = c2_value - 1  # 2g_X = m - 2 at n = 2, so c2 = 2g_X + gcd(2, q)
         notes.append(
@@ -410,18 +397,18 @@ def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
             f"2g_X+gcd(q,2)-1 = {alt} is one less at every layer and is "
             f"not the value certified here"
         )
-    if analysis.full_vanishing:
+    statuses = {h.name: h.status for h in records}
+    vanishing = "c1-zero" in statuses
+    if vanishing:
         kind = VerdictKind.EXACT_RANK
-    elif analysis.bounded:
+    elif statuses.get("hom-bounded") is Status.HOLDS:
         kind = VerdictKind.UPPER_BOUND_PLUS_CONSTANT
         notes.append(_EPSILON_NOTE)
     else:
         kind = VerdictKind.INCONCLUSIVE
     # at n = 2 only the CM route can vanish fully: two-large needs n >= 4
     trace_geometric = (
-        Status.HOLDS
-        if n == 2 and m >= 5 and analysis.full_vanishing
-        else Status.UNKNOWN
+        Status.HOLDS if n == 2 and m >= 5 and vanishing else Status.UNKNOWN
     )
     return RankVerdict(
         kind=kind,
@@ -429,7 +416,7 @@ def _assemble(analysis: _Analysis, p: int, r: int) -> RankVerdict:
         m=m,
         n=n,
         c2_value=c2_value,
-        hypotheses=analysis.records,
+        hypotheses=records,
         trace_Kd_zero=True,
         trace_geometric_zero=trace_geometric,
         notes=tuple(notes),
@@ -448,7 +435,8 @@ def rank_verdict(
         raise InvalidInput("tower exponent r must be >= 0")
     _check_layer_bits(p, r)
     _check_prime_bound(prime_bound)
-    return _assemble(_analyze(f, g, p, prime_bound), p, r)
+    records, notes = _analyze(f, g, p, prime_bound)
+    return _assemble(f.degree, g.degree, records, notes, p, r)
 
 
 def rank_table(
@@ -463,5 +451,6 @@ def rank_table(
         raise InvalidInput("r_max must be >= 0")
     _check_layer_bits(p, r_max)
     _check_prime_bound(prime_bound)
-    analysis = _analyze(f, g, p, prime_bound)
-    return [_assemble(analysis, p, r) for r in range(r_max + 1)]
+    records, notes = _analyze(f, g, p, prime_bound)
+    m, n = f.degree, g.degree
+    return [_assemble(m, n, records, notes, p, r) for r in range(r_max + 1)]

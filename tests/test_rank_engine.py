@@ -64,11 +64,11 @@ class TestBinomialDetection:
 
     def test_accepts_exact_binomials(self):
         for text, a in (("y^2 - 1", 1), ("y^7 + 3", -3), ("y^4 - 2/3", Fraction(2, 3))):
-            analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
+            records, notes = rank_engine._analyze(F5, parse_poly(text), 7, 200)
             # the CM route, whose quintic f side is certified
-            assert "hom-vanishing-cm" in {h.name for h in analysis.records}, text
-            assert analysis.base_notes == (), text
-            rec = next(h for h in analysis.records if h.name == "binomial-cm-g")
+            assert "hom-vanishing-cm" in {h.name for h in records}, text
+            assert notes == (), text
+            rec = next(h for h in records if h.name == "binomial-cm-g")
             assert rec.status is Status.HOLDS
             assert rec.evidence["constant"] == a
 
@@ -76,10 +76,10 @@ class TestBinomialDetection:
         # y^2 and y - 1 are refused as a pair (TestValidation); affine
         # binomials count only when written as y^n - a
         for text in ("y^3 - y - 1", "2y^2 - 1", "y^2 + y + 1", "(y + 1)^3 - 2", "2y^5 + 7"):
-            analysis = rank_engine._analyze(F5, parse_poly(text), 7, 200)
+            records, notes = rank_engine._analyze(F5, parse_poly(text), 7, 200)
             # no route: n < 4 or n = m, so neither side is certified
-            assert analysis.base_notes == (rank_engine._NO_ROUTE_NOTE,), text
-            assert analysis.records == (), text
+            assert notes == (rank_engine._NO_ROUTE_NOTE,), text
+            assert records == (), text
 
     def test_agrees_with_the_dickson_decision(self):
         # the route reads g = y^n - a off g's coefficients; the Dickson
@@ -130,8 +130,8 @@ class TestBinomialDetection:
             if discriminant(g) == 0:
                 continue
             want = oracle(g)
-            analysis = rank_engine._analyze(F3, g, 7, 200)
-            got = [h.evidence["constant"] for h in analysis.records if h.name == "binomial-cm-g"]
+            records, _ = rank_engine._analyze(F3, g, 7, 200)
+            got = [h.evidence["constant"] for h in records if h.name == "binomial-cm-g"]
             expected = [] if want is None else [(want, type(want))]
             assert [(v, type(v)) for v in got] == expected, g
             decided[type(want)] += 1
@@ -530,7 +530,7 @@ class TestOtherShapes:
         ):
             f, g = parse_poly(f), parse_poly(g)
             analysis = rank_engine._analyze(f, g, 5, 200)
-            assert (analysis.records, analysis.base_notes) == ((), (rank_engine._NO_ROUTE_NOTE,))
+            assert analysis == ((), (rank_engine._NO_ROUTE_NOTE,))
             v = rank_verdict(f, g, 5, 1)
             assert v.kind is VerdictKind.INCONCLUSIVE
             assert v.notes == (rank_engine._NO_ROUTE_NOTE,), (f, g)
@@ -623,8 +623,8 @@ class TestValidation:
         # side refuses it too
         f, g, mark = self.ROUTES[route]
         pair = (parse_poly(f), parse_poly(g))
-        analysis = rank_engine._analyze(*pair, 7, 200)
-        assert mark in {h.name for h in analysis.records} | set(analysis.base_notes)
+        records, notes = rank_engine._analyze(*pair, 7, 200)
+        assert mark in {h.name for h in records} | set(notes)
         for bound, message in (
             (1, "prime_bound must be >= 2"),
             (MAX_PRIME_BOUND + 1, f"prime_bound must be <= {MAX_PRIME_BOUND}"),
@@ -696,3 +696,14 @@ class TestGoldenPayloads:
         result = json.loads(capsys.readouterr().out)["result"]
         rows = result["rows"] if case["argv"][0] == "rank-table" else [result]
         assert [self._project(r) for r in rows] == case["rows"]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
+    def test_table_rows_equal_single_layers(self, case):
+        # a table analyses the pair once, yet each row must be the verdict
+        # its layer gets alone, certificates and notes included
+        args = dict(zip(case["argv"][1::2], case["argv"][2::2]))
+        f, g, p = parse_poly(args["-f"]), parse_poly(args["-g"]), int(args["-p"])
+        start = time.perf_counter()
+        table = rank_table(f, g, p, 3)
+        assert table == [rank_verdict(f, g, p, r) for r in range(4)]
+        assert time.perf_counter() - start < 10

@@ -29,7 +29,6 @@ from berger_rank import (
     rank_verdict,
     scan_A_h,
 )
-from berger_rank import rank_engine
 
 SRC = str(Path(berger_rank.__file__).resolve().parents[1])
 
@@ -85,11 +84,6 @@ RECORDS = {
         ["kind", "layer", "m", "n", "c2_value", "hypotheses", "trace_Kd_zero",
          "trace_geometric_zero", "notes"],
         {"m": 6},
-    ),
-    "_Analysis": (
-        lambda: rank_engine._analyze(F, G, 7, 200),
-        ["m", "n", "records", "full_vanishing", "bounded", "base_notes"],
-        {"base_notes": ("other",)},
     ),
 }
 
