@@ -21,8 +21,13 @@ Algorithms
 ----------
 Resultants, and through them discriminants, critical values and every
 squarefreeness test in the package, go through the one subresultant PRS
-over the integers, which keeps intermediate coefficients polynomially
-bounded; ``resultant``, and for discriminants and critical values
+over the integers (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM 18,
+1971), which keeps intermediate coefficients polynomially bounded.  Each
+step builds the next remainder already divided by the PRS's g h^delta:
+at a drop of one degree, nearly every step, in one pass over the
+coefficients, from the two-term pseudo-quotient read off the top
+coefficients; at any other drop, in the pass of the last quotient digit
+of a long division.  ``resultant``, and for discriminants and critical values
 ``_derivative_resultants``, split the contents off and hand it primitive
 parts.  ``resultant`` follows the convention
 
@@ -348,22 +353,6 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     ]
 
 
-def _taylor_shift(cs, s: int) -> list[int]:
-    """The ascending coefficients of F(x + s), F's being cs, read as the
-    balanced base-B digits of the integer F(B + s): each has size at most
-    ||F||_1 (1 + |s|)^m < B / 2."""
-    bits = sum(abs(c) for c in cs).bit_length() + (len(cs) - 1) * (abs(s) + 1).bit_length() + 1
-    value, mask, half = 0, (1 << bits) - 1, 1 << (bits - 1)
-    for c in reversed(cs):
-        value = (value << bits) + value * s + c  # value (B + s) + c
-    out = []
-    for _ in range(len(cs)):
-        digit = ((value + half) & mask) - half
-        out.append(digit)
-        value = (value - digit) >> bits
-    return out
-
-
 # -- parsing ------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
@@ -683,52 +672,51 @@ def integer_model(a: UniPoly) -> UniPoly:
     return UniPoly(ints, a.var)
 
 
-def _int_prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, deg A >= deg B."""
-    dB = len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    e = len(A) - dB
-    while len(R) > dB:
-        lr = R.pop()  # the top term cancels: lb * lr - lr * lb
-        shift = len(R) - dB
-        R = [lb * c for c in R]
-        for i in range(dB):
-            R[shift + i] -= lr * B[i]
-        while R and not R[-1]:
-            R.pop()
-        e -= 1
-    if e > 0:
-        scale = lb ** e
-        R = [scale * c for c in R]
-    return R
-
-
 def _subresultant_resultant(A: list[int], B: list[int]) -> int:
-    """Res(A, B) of nonzero primitive integer polynomials, subresultant PRS."""
+    """Res(A, B) of nonzero primitive integer polynomials, subresultant PRS.
+
+    A step, deg A = n >= deg B = m and delta = n - m, divides lb^(delta+1) A
+    by B, lb = lc(B), and takes the remainder divided by g h^delta as the
+    next B.  At delta = 1, nearly every step, the quotient is q1 x + q0 with
+    q1 = lb a_n and q0 = lb a_(n-1) - a_n b_(m-1), so each coefficient of
+    the next B is (lb^2 a_i - q0 b_i - q1 b_(i-1)) / (g h), built in one
+    list pass.  Any other delta runs long division on lb^(delta+1) A, whose
+    quotient digits are exact, and the pass of its last digit divides by
+    g h^delta."""
     s = 1
     dA, dB = len(A) - 1, len(B) - 1
     if dA < dB:
-        if dA % 2 == 1 and dB % 2 == 1:
+        if dA & dB & 1:
             s = -s
         A, B, dA, dB = B, A, dB, dA
     g = h = 1
     while dB > 0:
         delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
+        if dA & dB & 1:
             s = -s
-        R = _int_prem(A, B)
-        A, dA = B, dB
+        lb = B[-1]
+        if delta == 1:
+            an = A[-1]
+            q1, q0, scale, divisor = lb * an, lb * A[-2] - an * B[-2], lb * lb, g * h
+            R = [(scale * a - q0 * b - q1 * c) // divisor for a, b, c in zip(A, B[:-1], [0, *B])]
+            h = lb
+        else:
+            scale = lb ** (delta + 1)
+            W = [scale * a for a in A]
+            for k in range(delta, 0, -1):  # the quotient digit at x^k
+                q = W[dB + k] // lb
+                if q:
+                    for i in range(dB):
+                        W[k + i] -= q * B[i]
+            q, divisor = W[dB] // lb, g * h**delta
+            R = [(w - q * b) // divisor for w, b in zip(W, B[:-1])]
+            if delta:
+                h = lb**delta // h ** (delta - 1)
+        while R and not R[-1]:
+            R.pop()
         if not R:
             return 0
-        divisor = g * h ** delta
-        B = [c // divisor for c in R]
-        dB = len(B) - 1
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
+        A, dA, B, dB, g = B, dB, R, len(R) - 1, lb
     if dA == 0:
         return s  # two constants
     res = B[0] ** dA if h == 1 else B[0] ** dA // h ** (dA - 1)
@@ -912,10 +900,11 @@ def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(128, r - k)):
+            steps = min(128, r - k)
+            for _ in range(steps):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
-                count += 1
+                q = q * (x - y) % n  # the sign leaves gcd(q, n) unchanged
+            count += steps  # read only between batches
             g = math.gcd(q, n)
             k += 128
         r *= 2

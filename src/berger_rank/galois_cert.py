@@ -198,7 +198,6 @@ from .exact_poly import (
     _kronecker_product,
     _exact,
     _shift_facts,
-    _taylor_shift,
     discriminant,
     integer_model,
     is_prime,
@@ -590,6 +589,22 @@ def _is_decomposition(f: UniPoly, outer: UniPoly, inner: UniPoly) -> bool:
     for c in reversed(outer.coeffs):
         composed = composed * inner + c
     return composed == f
+
+
+def _taylor_shift(cs, s: int) -> list[int]:
+    """The ascending coefficients of F(x + s), F's being cs, read as the
+    balanced base-B digits of the integer F(B + s): each has size at most
+    ||F||_1 (1 + |s|)^m < B / 2."""
+    bits = sum(abs(c) for c in cs).bit_length() + (len(cs) - 1) * (abs(s) + 1).bit_length() + 1
+    value, mask, half = 0, (1 << bits) - 1, 1 << (bits - 1)
+    for c in reversed(cs):
+        value = (value << bits) + value * s + c  # value (B + s) + c
+    out = []
+    for _ in range(len(cs)):
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
 
 
 def _dickson_form(

@@ -17,7 +17,10 @@ differences are summed against the falling factorials t (t - 1) ... (t -
 k + 1) scaled by (m - 1)!/k!, and the sum is divided once, by (m - 1)!
 L^(2m-1).  This is exact because the leading x-coefficient of h(x) - t
 does not depend on t, so evaluating at t = i commutes with taking the
-resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.
+resultant (Collins, J. ACM 18, 1971), and D has degree m - 1.  The Morse
+test takes the discriminant of the integer sum N = (m - 1)! L^(2m-1) D
+before that division: N has D's roots, so the squarefree test is the
+same, and D's denominators are never cleared again.
 
 ``scan_A_h`` walks an integer range of constants c and reports, for each,
 whether Gal(h - c) is provably the full symmetric group.  True only ever
@@ -110,10 +113,9 @@ class ScanResult(Record):
     reason: str
 
 
-def critical_value_resultant(h: UniPoly) -> UniPoly:
-    """D(t) = Res_x(h(x) - t, h'(x)), whose roots are the critical values."""
-    if h.degree is None or h.degree < 2:
-        raise InvalidInput("critical values need degree >= 2")
+def _critical_values(h: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(D, N): D(t) = Res_x(h(x) - t, h'(x)) and the integer polynomial N =
+    (m-1)! L^(2m-1) D it is interpolated as, deg h = m >= 2."""
     tvar = "t" if h.var != "t" else "u"
     m = h.degree
     # H = L h over Z: Res_x(h - i, h') = Res_x(H - L i, H') / L^(2m-1)
@@ -135,15 +137,22 @@ def critical_value_resultant(h: UniPoly) -> UniPoly:
     D = UniPoly([Fraction(c, den) for c in coeffs], tvar)
     # one linear-in-t factor per critical point, counted with multiplicity
     assert D.degree == m - 1, "critical-value polynomial has wrong degree"
-    return D
+    return D, UniPoly(coeffs, tvar)
+
+
+def critical_value_resultant(h: UniPoly) -> UniPoly:
+    """D(t) = Res_x(h(x) - t, h'(x)), whose roots are the critical values."""
+    if h.degree is None or h.degree < 2:
+        raise InvalidInput("critical values need degree >= 2")
+    return _critical_values(h)[0]
 
 
 def is_morse(h: UniPoly) -> MorseReport:
     """Simple critical points and pairwise distinct critical values."""
     if h.degree is None or h.degree < 2:
         raise InvalidInput("Morse test needs degree >= 2")
-    D = critical_value_resultant(h)
-    cv_squarefree = discriminant(D) != 0
+    D, N = _critical_values(h)
+    cv_squarefree = discriminant(N) != 0  # N = (m-1)! L^(2m-1) D has D's roots
     # a repeated critical point is a repeated root of D
     deriv_squarefree = cv_squarefree or discriminant(derivative(h)) != 0
     return MorseReport(

@@ -34,7 +34,12 @@ from berger_rank import (
     rational_is_square,
     resultant,
 )
-from berger_rank.exact_poly import _int_root, _perfect_power
+from berger_rank.exact_poly import (
+    _derivative_resultants,
+    _int_root,
+    _perfect_power,
+    _subresultant_resultant,
+)
 
 X = UniPoly((0, 1))
 
@@ -866,3 +871,109 @@ class TestIntegerRepresentation:
         cert = certify_galois(parse_poly("2x^5 - 2x - 2"))
         assert type(cert.disc) is Fraction
         assert cert.disc == 2 ** 8 * discriminant(parse_poly("x^5 - x - 1"))
+
+
+def _primitive(cs):
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+@st.composite
+def primitive_ints(draw, min_deg=0, max_deg=8, coef=30):
+    """A primitive integer polynomial's ascending coefficients, its leading
+    coefficient of either sign."""
+    deg = draw(st.integers(min_deg, max_deg))
+    low = draw(st.lists(st.integers(-coef, coef), min_size=deg, max_size=deg))
+    lead = draw(st.integers(1, coef)) * draw(st.sampled_from([1, -1]))
+    return _primitive(low + [lead])
+
+
+@st.composite
+def sparse_ints(draw, max_deg=14):
+    """c x^k + b x^j + a with b != 0 and 1 <= j <= k - 3: against its
+    derivative the PRS drops one degree, to a remainder of degree j, then
+    k - 1 - j >= 2 degrees in one step."""
+    k = draw(st.integers(4, max_deg))
+    j = draw(st.integers(1, k - 3))
+    a = draw(st.integers(-9, 9))
+    b = draw(st.integers(-9, 9).filter(bool))
+    c = draw(st.sampled_from([1, -1, 2, -3]))
+    cs = [a] + [0] * k
+    cs[j], cs[k] = b, c
+    return _primitive(cs)
+
+
+def _kernel(A, B):
+    """_subresultant_resultant(A, B), checked against the Sylvester
+    determinant, each call under a wall bound."""
+    start = time.perf_counter()
+    res = _subresultant_resultant(list(A), list(B))
+    assert time.perf_counter() - start < 0.5, (A, B)
+    assert type(res) is int
+    assert res == _sylvester_resultant(UniPoly(A), UniPoly(B)), (A, B)
+    return res
+
+
+class TestSubresultantKernel:
+    """The integer subresultant PRS against the Sylvester determinant, on
+    the step shapes it distinguishes: a drop of one degree, a larger drop,
+    a zero remainder, deg A < deg B (the sign swap) and negative leading
+    coefficients."""
+
+    @given(primitive_ints(), primitive_ints())
+    @settings(max_examples=150, deadline=None)
+    def test_random_primitive_pairs(self, A, B):
+        _kernel(A, B)
+
+    @given(sparse_ints())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_pairs_with_large_drops(self, A):
+        dA = _primitive([k * A[k] for k in range(1, len(A))])
+        _kernel(A, dA)
+        _kernel(dA, A)
+
+    @given(primitive_ints(min_deg=1, max_deg=3), primitive_ints(max_deg=4),
+           primitive_ints(max_deg=4))
+    @settings(max_examples=100, deadline=None)
+    def test_common_factor_gives_zero(self, C, P, Q):
+        A = _primitive(list((UniPoly(C) * UniPoly(P)).coeffs))
+        B = _primitive(list((UniPoly(C) * UniPoly(Q)).coeffs))
+        assert _kernel(A, B) == 0
+
+    @given(primitive_ints(min_deg=1, max_deg=5), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lower_degree_first_swaps_with_its_sign(self, A, extra, data):
+        B = data.draw(primitive_ints(min_deg=len(A) - 1 + extra, max_deg=len(A) - 1 + extra))
+        sign = (-1) ** ((len(A) - 1) * (len(B) - 1))
+        assert _kernel(A, B) == sign * _kernel(B, A)
+
+    def test_negative_leading_coefficients(self):
+        # Res(-x + 2, -x^2 + 3) = (-1)^2 (-(2)^2 + 3) = -1; lc(a)^deg(b) is +1
+        assert _kernel([2, -1], [3, 0, -1]) == -1
+        assert _kernel([3, 0, -1], [2, -1]) == -1
+        # odd degrees both: the swap flips the sign
+        assert _kernel([1, 0, 0, -2], [5, -3]) == -_kernel([5, -3], [1, 0, 0, -2])
+
+    @given(primitive_ints(min_deg=2, max_deg=7), st.integers(2, 6),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_derivative_resultants_on_shifts_with_content(self, P, g, ks):
+        # A = g P + r: A - s has content g exactly when s = r + g k
+        r = P[0] % g + 1
+        A = [g * c for c in P]
+        A[0] += r
+        shifts = [r + g * k for k in ks]
+        values = _derivative_resultants(A, shifts)
+        for s, value in zip(shifts, values):
+            F = UniPoly([A[0] - s, *A[1:]])
+            assert value == _sylvester_resultant(F, derivative(F)), (A, s)
+
+    def test_x40_minus_x_minus_1(self):
+        # disc(x^n + a x + b) = (-1)^(n(n-1)/2) (n^n b^(n-1) + (-1)^(n-1)
+        # (n-1)^(n-1) a^n); against 40 x^39 - 1 the PRS drops to degree 1,
+        # then takes one step of delta = 38
+        f = parse_poly("x^40 - x - 1")
+        assert discriminant(f) == -(40**40) - 39**39
+        assert _subresultant_resultant([-1, -1] + [0] * 38 + [1], [-1] + [0] * 38 + [40]) == (
+            -(40**40) - 39**39
+        )

@@ -187,6 +187,29 @@ class TestMorse:
             assert report.is_morse == (simple_points and distinct_values), h
             assert report.critical_values_poly == D, h
 
+    _RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+    @given(st.lists(_RATIONAL, min_size=2, max_size=8), _RATIONAL.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_distinct_values_flag_is_disc_of_D(self, low, lead):
+        # is_morse takes the discriminant of an integer multiple of D; the
+        # flag must be that of D itself, on rational h and non-Morse h alike
+        hs = [UniPoly(low + [lead]), parse_poly("x^4 - 2x^2"), parse_poly("2x^5/3 - 2x")]
+        for h in hs:
+            report = is_morse(h)
+            assert report.critical_value_disc_squarefree == (
+                discriminant(critical_value_resultant(h)) != 0
+            ), h
+
+    def test_rational_h_scales_its_critical_values(self):
+        # L = 3 clears 2x^5/3 - 2x, so D is the interpolated sum over 4! 3^9
+        report = is_morse(parse_poly("2x^5/3 - 2x"))
+        assert report.is_morse
+        assert report.critical_values_poly == parse_poly("100000/243*t^4 - 131072/81")
+        report = is_morse(parse_poly("x^4 - 2x^2"))  # -1 and 1 share the value -1
+        assert report.derivative_squarefree
+        assert not report.critical_value_disc_squarefree
+
     def test_a_morse_h_takes_one_discriminant(self, monkeypatch):
         # D(t) settles is_morse; disc(h') is taken only when D repeats a root
         calls = []
