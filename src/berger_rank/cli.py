@@ -25,10 +25,10 @@ every call's start-up.  The human-readable mode prints the same numeric
 content as aligned text.  All error text goes to stderr.
 
 Exit codes: 0 success, 1 rejected input (syntax errors, bad degrees, shared
-variables, composite tower prime, oversized input), 2 internal consistency
-failure (a bug, never expected on valid releases).  ``main()`` without an
-argv owns the process, so it freezes the garbage collector before it returns:
-the exit-time collections then have nothing to walk.
+variables, composite or unproved tower prime, oversized input), 2 internal
+consistency failure (a bug, never expected on valid releases).  ``main()``
+without an argv owns the process, so it freezes the garbage collector
+before it returns: the exit-time collections then have nothing to walk.
 
 Arguments are declared once, in the command table ``_COMMANDS``.  A
 well-formed argv (the command name first, exact flag names, values that do

@@ -35,8 +35,8 @@ parts.  ``resultant`` follows the convention
 
 so Res(x - 2, x - 3) = -1 and Res(a, b) = (-1)^(deg a * deg b) Res(b, a).
 
-Integer utilities (perfect squares, primality, squarefree parts) live here
-too; ``int_squarefree_part`` factors by trial division by the primes below
+Integer utilities (perfect squares, primality and its proof for a tower
+prime, squarefree parts) live here too; ``int_squarefree_part`` factors by trial division by the primes below
 2^10, screened by one gcd with their product, then, up to 2,048 bits,
 Miller-Rabin (a proof below 3.3e24, with the fewest bases that are exact
 below n), a perfect-power test and Brent rho with a deterministic
@@ -78,6 +78,7 @@ from .errors import (
     ConstantPolynomialError,
     DivisionByZeroPoly,
     FactorizationIncomplete,
+    InvalidInput,
     MultiVariableError,
     NonRationalCoefficient,
     PolySyntaxError,
@@ -802,7 +803,8 @@ def rational_is_square(q: Fraction) -> bool:
 # 2014, psi_9 .. psi_11; Sorenson and Webster, Math. Comp. 86, 2017, psi_12
 # and psi_13), so n takes the shortest prefix of the thirteen bases 2 .. 41
 # that is exact below it.  At or above psi_13 = 3.317e24 the test is a
-# strong-probable-prime test to 25 fixed bases, not a proof.  Most n that
+# strong-probable-prime test to 25 fixed bases, not a proof; _proved_prime
+# proves such an n where a verdict rests on it.  Most n that
 # reach the rounds are the prime factors of 11 to 53 bits that Brent rho
 # splits off in _factor_int, which take one to nine bases instead of 13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -839,6 +841,43 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    return True
+
+
+def _proved_prime(n: int) -> bool:
+    """``is_prime(n)``, proved where a verdict rests on it.
+
+    Below psi_13 ~ 3.3e24 it is ``is_prime(n)``, which is exact there.
+    Above it a probable prime is proved by Pocklington's criterion with n - 1
+    fully factored by the budgeted ``_factor_int`` (Brillhart, Lehmer and
+    Selfridge, Math. Comp. 29, 1975): for each prime q | n - 1, one base a
+    with a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1, and each q
+    above psi_13 proved the same way.  When n - 1 or a q - 1 does not
+    factor within the budget, or no base of ``is_prime``'s 25 serves a q,
+    it raises InvalidInput naming n's bit length."""
+    if not is_prime(n):
+        return False
+    if n < _MR_PSI[-1]:
+        return True
+    unproved = (
+        f"a probable prime of {n.bit_length()} bits could not be proved "
+        f"prime within the factoring budget"
+    )
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        try:
+            factors = _factor_int(m - 1)
+        except FactorizationIncomplete:
+            raise InvalidInput(unproved) from None
+        for q in factors:
+            if not any(
+                pow(b, q, m) == 1 and math.gcd(b - 1, m) == 1
+                for b in (pow(a, (m - 1) // q, m) for a in _MR_BASES + _MR_EXTRA)
+            ):
+                raise InvalidInput(unproved)
+            if q >= _MR_PSI[-1]:
+                stack.append(q)
     return True
 
 

@@ -35,7 +35,7 @@ from math import gcd
 
 from ._record import DERIVED, Record
 from .errors import DimensionSumMismatch, InvalidInput, ParityBug
-from .exact_poly import _perfect_power, is_prime
+from .exact_poly import _perfect_power, _proved_prime
 
 __all__ = [
     "MAX_LAYER_BITS",
@@ -80,7 +80,7 @@ def _check_prime_power(q: int) -> tuple[int, int]:
     """Return (p, r) with q = p^r, r >= 1.  q is not factored: perfect-power
     roots are taken until the base is prime or is no perfect power."""
     p, r = q, 1
-    while not is_prime(p):
+    while not _proved_prime(p):
         power = _perfect_power(p, p.bit_length()) if p >= 2 else None
         if power is None:
             raise InvalidInput(f"{q} is not a prime power > 1")
@@ -139,7 +139,7 @@ class TowerLayer(Record):
         if self.r < 0:
             raise InvalidInput("tower exponent r must be >= 0")
         _check_layer_bits(self.p, self.r)
-        if not is_prime(self.p):
+        if not _proved_prime(self.p):
             raise InvalidInput(f"{self.p} is not prime")
         object.__setattr__(self, "q", self.p ** self.r)
 

@@ -91,7 +91,6 @@ __all__ = [
     "MorseReport",
     "ScanResult",
     "is_morse",
-    "critical_value_resultant",
     "scan_A_h",
     "disjointness_filter",
 ]
@@ -138,13 +137,6 @@ def _critical_values(h: UniPoly) -> tuple[UniPoly, UniPoly]:
     # one linear-in-t factor per critical point, counted with multiplicity
     assert D.degree == m - 1, "critical-value polynomial has wrong degree"
     return D, UniPoly(coeffs, tvar)
-
-
-def critical_value_resultant(h: UniPoly) -> UniPoly:
-    """D(t) = Res_x(h(x) - t, h'(x)), whose roots are the critical values."""
-    if h.degree is None or h.degree < 2:
-        raise InvalidInput("critical values need degree >= 2")
-    return _critical_values(h)[0]
 
 
 def is_morse(h: UniPoly) -> MorseReport:

@@ -44,6 +44,31 @@ bound could prove the side.
   unless p divides m and n = m - 1, where matching sublayers can still
   contribute.
 
+One table, ``_ROUTES``, picks the route from the pair's shape, first
+match wins; each entry names the sides it certifies and the record it
+concludes with:
+
+    route        shape                   sides          concludes
+    cm-binomial  g = y^n - a, m >= 4     binomial, f    hom-vanishing-cm
+    cubic        g = y^n - a, m = 3      binomial       (note)
+    quadratic    g = y^n - a, m = 2      binomial       (note)
+    two-large    m > n >= 4              f, g           hom-bounded
+    elliptic     f = g = x^3 - x - c     -              (note)
+    unsupported  anything else           -              (note)
+
+A side's records come first, in that order, then the concluding record.
+The conditions on p are a quartic side's p odd and (i), and on the
+two-large route, once hom-bounded holds, ``_exact_zero``: the record
+``exact-zero`` holds unless p divides m and n = m - 1.  ``c1-zero`` is
+appended last, when hom-vanishing-cm or exact-zero holds.
+
+The tower prime is proved before any route runs: below psi_13 ~ 3.3e24
+by ``is_prime``, which is exact there, and above it by a Pocklington
+proof over the factored p - 1 (``exact_poly._proved_prime``).  A
+composite p, or a probable prime whose proof does not finish within the
+factoring budget, raises ``InvalidInput``, so no verdict rests on an
+unproved prime.
+
 Verdict kinds: ``ExactRank`` (rank = c2(q), all hypotheses hold),
 ``UpperBoundPlusConstant`` (rank <= c2(q) + epsilon with epsilon bounded
 independently of p and q), or ``Inconclusive``; the kind is read off the
@@ -60,7 +85,7 @@ from math import gcd
 
 from ._record import Record
 from .errors import InvalidInput, MultiVariableError, NotSquarefree
-from .exact_poly import UniPoly, is_prime, rational_is_square
+from .exact_poly import UniPoly, _proved_prime, rational_is_square
 from .galois_cert import (
     DEFAULT_PRIME_BOUND,
     GaloisCertificate,
@@ -148,7 +173,7 @@ def _galois_status(cert: GaloisCertificate, need_symmetric: bool) -> Status:
 
 def _side_hypotheses(
     name: str, poly: UniPoly, facts: tuple, p: int, prime_bound: int
-) -> tuple[list[HypothesisRecord], Status, Status | None]:
+) -> tuple[list[HypothesisRecord], Status | None]:
     """Whether the new factors of one side (deg >= 4) are absolutely simple
     with cyclotomic endomorphism algebra and not CM, the fact both routes
     rest on.
@@ -156,10 +181,10 @@ def _side_hypotheses(
     deg >= 5 needs Gal ⊇ Alt; a quartic needs Gal = Sym(4), p odd and (i),
     which (ii) implies, so (ii) is evidence only.  Returns the side's
     records in payload order, the Galois record (its certificate and
-    verdict in the evidence) first, the side's status, and for a quartic
-    that of p odd and (i) alone.  ``facts`` is ``_model_and_disc``
-    from ``_analyze``'s squarefree check; the certificate and (ii) reuse
-    it.  Callers have checked p (prime) and the prime bound.
+    verdict in the evidence) first, and for a quartic the status of p odd
+    and (i) alone, else None.  ``facts`` is ``_model_and_disc`` from
+    ``_analyze``'s squarefree check; the certificate and (ii) reuse it.
+    Callers have checked p (prime) and the prime bound.
     """
     cert = _certify(poly, prime_bound, *facts)
     quartic = poly.degree == 4
@@ -174,7 +199,7 @@ def _side_hypotheses(
         },
     )
     if not quartic:
-        return [galois], galois.status, None
+        return [galois], None
     rec_odd = HypothesisRecord(
         "p-odd", Status.HOLDS if p != 2 else Status.FAILS, {"p": p}
     )
@@ -208,8 +233,25 @@ def _side_hypotheses(
             rec_ii = HypothesisRecord(
                 "unramified", Status.UNKNOWN, {"disc": d, "p": p, "reason": reason}
             )
-    side = _kleene(rec_odd.status, rec_i.status)
-    return [galois, rec_odd, rec_i, rec_ii], _kleene(galois.status, side), side
+    return [galois, rec_odd, rec_i, rec_ii], _kleene(rec_odd.status, rec_i.status)
+
+
+def _exact_zero(m: int, n: int, p: int) -> HypothesisRecord:
+    """The two-large route's condition on p: Hom vanishes outright unless p
+    divides m and n = m - 1."""
+    p_divides_m, adjacent = m % p == 0, n == m - 1
+    if p_divides_m and adjacent:
+        status, key, text = Status.UNKNOWN, "reason", (
+            "p divides m and n = m - 1, so matching sublayers may "
+            "carry nonzero maps"
+        )
+    else:
+        status, key, text = Status.HOLDS, "argument", (
+            "new factors at levels q1, q2 can only match when "
+            "q1 = q2 divides m and n = m - 1; that locus is empty here"
+        )
+    evidence = {key: text, "p_divides_m": p_divides_m, "n_equals_m_minus_1": adjacent}
+    return HypothesisRecord("exact-zero", status, evidence)
 
 
 def _c1_zero_record(m: int, n: int, p: int) -> HypothesisRecord:
@@ -258,8 +300,29 @@ _EPSILON_NOTE = (
 )
 
 
-def _is_elliptic_config(f: UniPoly, g: UniPoly) -> bool:
-    return f.coeffs == g.coeffs and f.coeffs[1:] == (-1, 0, 1)
+def _binomial(g: UniPoly) -> bool:
+    """g = y^n - a exactly (see the module docstring)."""
+    return g.leading_coefficient == 1 and not any(g.coeffs[1:-1])
+
+
+# The module docstring's table, first match wins: (name, shape test on
+# (f, g), sides, concluding record, note).  A side is "cm-g", recorded as
+# binomial-cm-g, or "f" or "g", certified by _side_hypotheses.
+_ROUTES = (
+    # the CM route of the module docstring
+    ("cm-binomial", lambda f, g: _binomial(g) and f.degree >= 4,
+     ("cm-g", "f"), "hom-vanishing-cm", None),
+    # a CM g side with deg f < 4: no vanishing argument is mechanized
+    ("cubic", lambda f, g: _binomial(g) and f.degree == 3, ("cm-g",), None, _CUBIC_NOTE),
+    ("quadratic", lambda f, g: _binomial(g) and f.degree == 2, ("cm-g",), None, _QUADRATIC_NOTE),
+    # the two-large route of the module docstring; its condition on p is
+    # _exact_zero
+    ("two-large", lambda f, g: f.degree > g.degree >= 4, ("f", "g"), "hom-bounded", None),
+    # a binomial g has no linear term, so the CM entries never take this pair
+    ("elliptic", lambda f, g: f.coeffs == g.coeffs and f.coeffs[1:] == (-1, 0, 1),
+     (), None, _ELLIPTIC_NOTE),
+    ("unsupported", lambda f, g: True, (), None, _NO_ROUTE_NOTE),
+)
 
 
 def _analyze(
@@ -268,7 +331,9 @@ def _analyze(
     """The layer-independent records and notes.  Callers have checked the
     layer cap, which bounds p before it is tested for primality; this is
     the one test, and the layers are then built from the proved p.  The
-    pair is validated first, each check on f before g."""
+    pair is validated first, each check on f before g; then the first
+    entry of ``_ROUTES`` whose shape test passes certifies its sides once
+    and appends its side records, then its concluding record."""
     for name, poly in (("f", f), ("g", g)):
         if poly.degree is None or poly.degree < 2:
             raise InvalidInput(f"{name} must have degree >= 2")
@@ -276,110 +341,69 @@ def _analyze(
         raise MultiVariableError(
             f"f and g must use distinct variables, both use {f.var!r}"
         )
-    facts = []
+    facts = {}
     for name, poly in (("f", f), ("g", g)):
         try:
-            facts.append(_model_and_disc(poly))
+            facts[name] = _model_and_disc(poly)
         except NotSquarefree:
             raise InvalidInput(f"{name} = {poly} is not squarefree") from None
-    facts_f, facts_g = facts
-    if not is_prime(p):
+    if not _proved_prime(p):
         raise InvalidInput(f"tower prime {p} is not prime")
     m, n = f.degree, g.degree
+    _, _, sides, concludes, note = next(r for r in _ROUTES if r[1](f, g))
     records: list[HypothesisRecord] = []
-    notes: list[str] = []
-    # g = y^n - a exactly (see the module docstring)
-    if g.leading_coefficient == 1 and not any(g.coeffs[1:-1]):
-        records.append(
-            HypothesisRecord(
-                "binomial-cm-g",
-                Status.HOLDS,
-                {
-                    "constant": -g.coeffs[0],
-                    "argument": (
-                        "z^d = g(y) with g = y^n - a is dominated by a Fermat "
-                        "curve, so the g side is CM at every layer"
-                    ),
-                },
+    statuses, verdicts, quartic = [], {}, None
+    for side in sides:
+        if side == "cm-g":
+            argument = (
+                "z^d = g(y) with g = y^n - a is dominated by a Fermat "
+                "curve, so the g side is CM at every layer"
             )
+            evidence = {"constant": -g.coeffs[0], "argument": argument}
+            records.append(HypothesisRecord("binomial-cm-g", Status.HOLDS, evidence))
+            continue
+        poly = f if side == "f" else g
+        side_records, quartic = _side_hypotheses(
+            f"galois-{side}", poly, facts[side], p, prime_bound
         )
-        if m >= 4:
-            side_records, status, side = _side_hypotheses(
-                "galois-f", f, facts_f, p, prime_bound
+        records += side_records
+        statuses.append(_kleene(side_records[0].status, quartic or Status.HOLDS))
+        verdicts[f"galois_{side}"] = side_records[0].evidence["verdict"]
+    status = _kleene(*statuses)
+    if concludes == "hom-vanishing-cm":  # one side, f
+        evidence = {
+            "argument": (
+                "deg f >= 5 and Gal(f) contains Alt: every new factor "
+                "of the f side is absolutely simple with cyclotomic "
+                "endomorphism ring and not CM, so it admits no nonzero "
+                "map to a CM abelian variety"
             )
-            records += side_records
-            evidence = {
-                "argument": (
-                    (
-                        "deg f >= 5 and Gal(f) contains Alt: every new factor "
-                        "of the f side is absolutely simple with cyclotomic "
-                        "endomorphism ring and not CM, so it admits no nonzero "
-                        "map to a CM abelian variety"
-                    )
-                    if side is None
-                    else (
-                        "deg f = 4 needs p odd, Gal(f) = Sym(4), and condition "
-                        "(i): Q(sqrt(disc f)) is not Q(sqrt(p*))"
-                    )
-                ),
-                "galois": side_records[0].evidence["verdict"],
-            }
-            if side is not None:
-                evidence["side_conditions"] = side.value
-            records.append(HypothesisRecord("hom-vanishing-cm", status, evidence))
-        else:
-            # a binomial g has no linear term, so f and g are never the
-            # matched elliptic pair here
-            notes.append(_CUBIC_NOTE if m == 3 else _QUADRATIC_NOTE)
-    elif m > n >= 4:
-        records_f, status_f, _ = _side_hypotheses(
-            "galois-f", f, facts_f, p, prime_bound
+            if quartic is None
+            else (
+                "deg f = 4 needs p odd, Gal(f) = Sym(4), and condition "
+                "(i): Q(sqrt(disc f)) is not Q(sqrt(p*))"
+            ),
+            "galois": verdicts["galois_f"],
+        }
+        if quartic is not None:
+            evidence["side_conditions"] = quartic.value
+        records.append(HypothesisRecord(concludes, status, evidence))
+    elif concludes == "hom-bounded":
+        argument = (
+            "both sides have new factors that are absolutely simple "
+            "with distinct cyclotomic endomorphism data, so Hom is "
+            "bounded independently of p and the layer"
         )
-        records_g, status_g, _ = _side_hypotheses(
-            "galois-g", g, facts_g, p, prime_bound
-        )
-        records += records_f + records_g
-        status = _kleene(status_f, status_g)
-        records.append(
-            HypothesisRecord(
-                "hom-bounded",
-                status,
-                {
-                    "argument": (
-                        "both sides have new factors that are absolutely simple "
-                        "with distinct cyclotomic endomorphism data, so Hom is "
-                        "bounded independently of p and the layer"
-                    ),
-                    "galois_f": records_f[0].evidence["verdict"],
-                    "galois_g": records_g[0].evidence["verdict"],
-                },
-            )
-        )
+        records.append(HypothesisRecord(concludes, status, {"argument": argument, **verdicts}))
         if status is Status.HOLDS:
-            p_divides_m, adjacent = m % p == 0, n == m - 1
-            if p_divides_m and adjacent:
-                status, key, text = Status.UNKNOWN, "reason", (
-                    "p divides m and n = m - 1, so matching sublayers may "
-                    "carry nonzero maps"
-                )
-            else:
-                status, key, text = Status.HOLDS, "argument", (
-                    "new factors at levels q1, q2 can only match when "
-                    "q1 = q2 divides m and n = m - 1; that locus is empty here"
-                )
-            evidence = {
-                key: text, "p_divides_m": p_divides_m, "n_equals_m_minus_1": adjacent
-            }
-            records.append(HypothesisRecord("exact-zero", status, evidence))
-    else:
-        notes.append(_ELLIPTIC_NOTE if _is_elliptic_config(f, g) else _NO_ROUTE_NOTE)
+            records.append(_exact_zero(m, n, p))
     # either record, when it holds, certifies Hom = 0 at every layer
     if any(
         h.status is Status.HOLDS and h.name in ("hom-vanishing-cm", "exact-zero")
         for h in records
     ):
         records.append(_c1_zero_record(m, n, p))
-    return tuple(records), tuple(notes)
+    return tuple(records), (note,) if note else ()
 
 
 def _assemble(

@@ -338,8 +338,9 @@ class TestPayloads:
         assert env["result"]["total"] == 3
 
     def test_dims_large_prime_layer(self, capsys):
-        # q = 10^30 + 57 is prime; its totient comes from is_prime, not from
-        # trial division up to sqrt(q), which did not finish
+        # q = 10^30 + 57 is prime; its totient comes from a Pocklington proof
+        # over the factored q - 1, not from trial division up to sqrt(q),
+        # which did not finish
         q = 10**30 + 57
         start = time.perf_counter()
         env = run_json(capsys, "dims", "5", str(q))
@@ -386,6 +387,28 @@ class TestPayloads:
         p = 2 ** 127 - 1
         env = run_json(capsys, "dims", "5", str(p ** 2))
         assert env["result"]["dim_new_part"] == 2 * (p - 1) * p
+
+    def test_unproved_tower_prime_exits_1(self, capsys):
+        # Arnault's composite n is a strong probable prime to every base
+        # 2 ... 97, and n - 1 does not factor within the budget, so no
+        # command takes it as prime (Math. Comp. 64, 1995)
+        p1 = 14149897361150126260144642876417791971132923
+        n = str(p1 * (101 * (p1 - 1) + 1) * (113 * (p1 - 1) + 1))
+        pair = ("-f", "x^5 - x - 1", "-g", "y^2 - 1", "-p", n)
+        for argv in (
+            ("rank", *pair, "-r", "1"),
+            ("rank-table", *pair, "--max-r", "1", "--json"),
+            ("dims", "5", n),
+            ("decomp", "5", n, "1"),
+        ):
+            start = time.process_time()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.process_time() - start < 2.0, argv[0]
+            assert (code, out) == (1, ""), argv[0]
+            assert err == (
+                "error: InvalidInput: a probable prime of 444 bits could not "
+                "be proved prime within the factoring budget\n"
+            ), argv[0]
 
 
 class TestLongIntegers:
@@ -666,13 +689,14 @@ class TestExitCodes:
     def test_layer_cap_precedes_the_primality_test(self, capsys, monkeypatch):
         # p = 2^4423 - 1 is prime, and too large for any layer, r = 0 included;
         # testing its primality first took seconds
-        from berger_rank import jacobian_invariants, rank_engine
+        from berger_rank import exact_poly, jacobian_invariants, rank_engine
 
         def refuse(n):
-            raise AssertionError("is_prime called before the layer cap")
+            raise AssertionError("primality tested before the layer cap")
 
         for module in (jacobian_invariants, rank_engine):
-            monkeypatch.setattr(module, "is_prime", refuse)
+            monkeypatch.setattr(module, "_proved_prime", refuse)
+        monkeypatch.setattr(exact_poly, "is_prime", refuse)
         p = str(2 ** 4423 - 1)
         pair = ("-f", "x^5-x-1", "-g", "y^2-1", "-p", p)
         for argv in (

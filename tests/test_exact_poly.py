@@ -16,6 +16,7 @@ from berger_rank import (
     DivisionByZeroPoly,
     FactorizationIncomplete,
     InputError,
+    InvalidInput,
     MultiVariableError,
     NonRationalCoefficient,
     PolySyntaxError,
@@ -38,6 +39,7 @@ from berger_rank.exact_poly import (
     _derivative_resultants,
     _int_root,
     _perfect_power,
+    _proved_prime,
     _subresultant_resultant,
 )
 
@@ -645,6 +647,44 @@ class TestIntegers:
                 primes += is_prime(n)
         assert checked == 11 * 164
         assert primes >= 11 * 10
+
+    def test_proved_prime_is_is_prime_below_psi13(self):
+        rng = random.Random("proved-prime-below-psi13")
+        for n in [rng.randrange(_PSI[-1]) for _ in range(300)] + list(_PSI) + [_PSI[-1] - 1]:
+            assert _proved_prime(n) is is_prime(n), n
+
+    def test_proved_prime_above_psi13_matches_sympy(self):
+        # above psi_13 a yes is a Pocklington proof: it never meets a
+        # composite, and a prime whose n - 1 does not factor within the
+        # budget is refused, never taken as proved
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("pocklington")
+        sample = [int(sympy.nextprime(rng.randrange(_PSI[-1], 1 << 100))) for _ in range(12)]
+        sample += [rng.randrange(_PSI[-1], 1 << 100) for _ in range(30)]
+        sample += [2**127 - 1, 10**30 + 57, (2**61 - 1) * (2**89 - 1)]
+        proved = 0
+        for n in sample:
+            start = time.process_time()
+            try:
+                answer = _proved_prime(n)
+            except InvalidInput as exc:
+                assert sympy.isprime(n) and str(exc).startswith(
+                    f"a probable prime of {n.bit_length()} bits"
+                ), n
+            else:
+                assert answer == sympy.isprime(n), n
+                proved += answer
+            assert time.process_time() - start < 2.0, n
+        assert proved >= 10
+
+    def test_proved_prime_refuses_arnaults_composite(self):
+        # a strong probable prime to every base 2 ... 97 (Arnault, Math. Comp.
+        # 64, 1995) whose n - 1 does not factor within the budget
+        p1 = 14149897361150126260144642876417791971132923
+        n = p1 * (101 * (p1 - 1) + 1) * (113 * (p1 - 1) + 1)
+        assert is_prime(n)
+        with pytest.raises(InvalidInput, match="^a probable prime of 444 bits"):
+            _proved_prime(n)
 
     def test_factor_int_matches_sympy(self):
         # the gcd screen must find every prime below 2^10, alone, squared

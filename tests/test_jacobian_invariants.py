@@ -17,7 +17,7 @@ from berger_rank import (
     dim_new_part,
     dim_superelliptic,
 )
-from berger_rank import jacobian_invariants
+from berger_rank import exact_poly, jacobian_invariants
 
 
 class TestGenus:
@@ -147,9 +147,10 @@ class TestTowerLayer:
 
     def test_cap_precedes_the_primality_test(self, monkeypatch):
         def refuse(n):
-            raise AssertionError("is_prime called before the layer cap")
+            raise AssertionError("primality tested before the layer cap")
 
-        monkeypatch.setattr(jacobian_invariants, "is_prime", refuse)
+        monkeypatch.setattr(jacobian_invariants, "_proved_prime", refuse)
+        monkeypatch.setattr(exact_poly, "is_prime", refuse)
         # too large even for r = 0; the second has more digits than the
         # interpreter converts to str, so the message must not print it
         for big, bits in ((2 ** 4096, 4097), (10 ** 5000 + 1, 16610)):

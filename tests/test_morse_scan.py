@@ -17,7 +17,6 @@ from berger_rank import (
     UniPoly,
     Witness,
     certify_galois,
-    critical_value_resultant,
     disjointness_filter,
     integer_model,
     is_morse,
@@ -35,28 +34,28 @@ class TestCriticalValues:
     def test_degree_is_m_minus_1(self):
         for m in range(2, 8):
             h = parse_poly(f"x^{m} - x")
-            d = critical_value_resultant(h)
+            d = is_morse(h).critical_values_poly
             assert d.degree == m - 1
             assert d.var == "t"
 
     def test_known_polynomials(self):
         # critical values of x^3: only 0, with multiplicity
-        assert critical_value_resultant(parse_poly("x^3")) == parse_poly("27t^2")
-        assert critical_value_resultant(parse_poly("x^5 - x")) == parse_poly(
+        assert is_morse(parse_poly("x^3")).critical_values_poly == parse_poly("27t^2")
+        assert is_morse(parse_poly("x^5 - x")).critical_values_poly == parse_poly(
             "3125t^4 - 256"
         )
         # x^4 - 2x^2 has critical values 0, -1, -1
-        d = critical_value_resultant(parse_poly("x^4 - 2x^2"))
+        d = is_morse(parse_poly("x^4 - 2x^2")).critical_values_poly
         assert d == parse_poly("-256t^3 - 512t^2 - 256t")
 
     def test_variable_collision_avoided(self):
         h = parse_poly("t^3 - t")
-        d = critical_value_resultant(h)
+        d = is_morse(h).critical_values_poly
         assert d.var == "u"
 
     def test_roots_are_critical_values(self):
         h = parse_poly("x^3 - 3x")  # h'(x) = 3x^2 - 3, critical points +-1
-        d = critical_value_resultant(h)
+        d = is_morse(h).critical_values_poly
         assert d(Fraction(2)) == 0  # h(1) = -2... sign convention below
         assert d(Fraction(-2)) == 0
 
@@ -76,7 +75,7 @@ class TestCriticalValues:
                 cases.append(UniPoly(low + [lead], "x"))
         cases.append(UniPoly([rng.randint(-9, 9) for _ in range(5)] + [-4], "t"))
         for h in cases:
-            d = critical_value_resultant(h)
+            d = is_morse(h).critical_values_poly
             x = sympy.Symbol(h.var)
             t = sympy.Symbol(d.var)
             hs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
@@ -96,7 +95,7 @@ class TestCriticalValues:
             coeffs = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 15])) for _ in range(m)]
             coeffs.append(Fraction(rng.choice([1, -1, 3, -6]), rng.choice([1, 2, 5])))
             h = UniPoly(coeffs, "x")
-            d = critical_value_resultant(h)
+            d = is_morse(h).critical_values_poly
             hs = sum(sympy.Rational(c.numerator, c.denominator) * x**k
                      for k, c in enumerate(h.coeffs))
             dhs = sympy.diff(hs, x)
@@ -129,7 +128,7 @@ class TestCriticalValues:
             coeffs = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 12])) for _ in range(m)]
             coeffs.append(Fraction(rng.choice([1, -1, 2, 5]), rng.choice([1, 3])))
             h = UniPoly(coeffs, "x")
-            d = critical_value_resultant(h)
+            d = is_morse(h).critical_values_poly
             assert d.coeffs == reference(h).coeffs, h
             fractional += any(isinstance(c, Fraction) for c in d.coeffs)
         assert fractional >= 10
@@ -161,7 +160,7 @@ class TestMorse:
 
     def test_linear_rejected(self):
         x = parse_poly("x")
-        for call in (critical_value_resultant, lambda h: scan_A_h(h, 0, 1)):
+        for call in (is_morse, lambda h: scan_A_h(h, 0, 1)):
             with pytest.raises(InvalidInput, match="degree >= 2"):
                 call(x)
 
@@ -178,14 +177,13 @@ class TestMorse:
     def test_flags_match_their_discriminants(self):
         for h in self._seeded_h():
             report = is_morse(h)
-            D = critical_value_resultant(h)
+            D = report.critical_values_poly
             simple_points = discriminant(derivative(h)) != 0
             distinct_values = discriminant(D) != 0
             assert report.derivative_squarefree == simple_points, h
             assert report.critical_value_disc_squarefree == distinct_values, h
             assert report.is_morse == report.critical_value_disc_squarefree, h
             assert report.is_morse == (simple_points and distinct_values), h
-            assert report.critical_values_poly == D, h
 
     _RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -198,7 +196,7 @@ class TestMorse:
         for h in hs:
             report = is_morse(h)
             assert report.critical_value_disc_squarefree == (
-                discriminant(critical_value_resultant(h)) != 0
+                discriminant(report.critical_values_poly) != 0
             ), h
 
     def test_rational_h_scales_its_critical_values(self):

@@ -1,5 +1,6 @@
 """Rank verdicts: routing, hypothesis records, exactness, and error paths."""
 
+import collections
 import functools
 import itertools
 import json
@@ -451,12 +452,12 @@ class TestDecomposableSides:
 
 
 class TestTowerPrimeTestedOnce:
-    # 2^3217 - 1 is a Mersenne prime; one Miller-Rabin test of it takes
-    # seconds, so the counting stub answers for it without testing
+    # 2^3217 - 1 is a Mersenne prime; proving it takes more than the
+    # factoring budget, so the counting stub answers for it without testing
     P = 2**3217 - 1
 
     def _count(self, monkeypatch):
-        real = exact_poly.is_prime
+        real = exact_poly._proved_prime
         calls = []
 
         def counting(n):
@@ -466,8 +467,8 @@ class TestTowerPrimeTestedOnce:
             return real(n)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("berger_rank") and vars(module).get("is_prime") is real:
-                monkeypatch.setattr(module, "is_prime", counting)
+            if name.startswith("berger_rank") and vars(module).get("_proved_prime") is real:
+                monkeypatch.setattr(module, "_proved_prime", counting)
         return calls
 
     def test_rank_table(self, monkeypatch):
@@ -486,32 +487,23 @@ class TestCompositeTowerPrime:
     # Arnault's n = p1 (101 (p1 - 1) + 1) (113 (p1 - 1) + 1), 444 bits with
     # three prime factors, is a strong probable prime to every base 2 ... 97
     # ("Rabin-Miller primality test: composite numbers which pass it", Math.
-    # Comp. 64, 1995), and is_prime tests only those bases above 3.3 * 10^24
+    # Comp. 64, 1995), and is_prime tests only those bases above 3.3 * 10^24;
+    # n - 1 does not factor within the budget, so no Pocklington proof exists
     P1 = 14149897361150126260144642876417791971132923
     N = P1 * (101 * (P1 - 1) + 1) * (113 * (P1 - 1) + 1)
 
-    @pytest.mark.xfail(strict=True, reason="a probable prime is taken as proved (ROADMAP item 2)")
     @pytest.mark.parametrize(
         "call", ["rank_verdict", "rank_table", "dim_new_part", "decomposition_table"]
     )
     def test_no_answer_rests_on_a_composite_prime(self, call):
-        if call == "dim_new_part":
-            with pytest.raises(InvalidInput):
-                dim_new_part(5, self.N)
-        elif call == "decomposition_table":
-            with pytest.raises(InvalidInput):
-                decomposition_table(5, self.N, 1)
-        else:
-            # an unproved p may be refused or leave the verdict Inconclusive;
-            # the rows above the base layer k(t) are the ones that rest on p
-            try:
-                if call == "rank_verdict":
-                    verdicts = [rank_verdict(F5, G2, self.N, 1)]
-                else:
-                    verdicts = [v for v in rank_table(F5, G2, self.N, 1) if v.layer.q != 1]
-            except InvalidInput:
-                return
-            assert verdicts and all(v.kind is VerdictKind.INCONCLUSIVE for v in verdicts)
+        calls = {
+            "rank_verdict": lambda: rank_verdict(F5, G2, self.N, 1),
+            "rank_table": lambda: rank_table(F5, G2, self.N, 1),
+            "dim_new_part": lambda: dim_new_part(5, self.N),
+            "decomposition_table": lambda: decomposition_table(5, self.N, 1),
+        }
+        with pytest.raises(InvalidInput, match="^a probable prime of 444 bits could not be"):
+            calls[call]()
 
 
 class TestOtherShapes:
@@ -547,6 +539,85 @@ class TestOtherShapes:
     def test_rank_property_only_for_exact(self):
         v = rank_verdict(F4, G2, 283, 1)
         assert v.rank is None
+
+
+class TestRouteTable:
+    """A seeded grid of shapes against the route table written out here.
+
+    f = x^m - x - 1 and g = y^n - y - 1 have Gal = Sym (Osada, J. Number
+    Theory 25, 1987), so each Galois record holds; a binomial g is y^n - a
+    with a seeded a, and p is seeded from 2, 3, 5, 7.  disc(x^4 - x - 1) =
+    -283, so a quartic side fails only at p = 2."""
+
+    H, F, U = Status.HOLDS, Status.FAILS, Status.UNKNOWN
+    NOTES = {
+        "cubic": rank_engine._CUBIC_NOTE,
+        "quadratic": rank_engine._QUADRATIC_NOTE,
+        "elliptic": rank_engine._ELLIPTIC_NOTE,
+        "unsupported": rank_engine._NO_ROUTE_NOTE,
+    }
+
+    def side(self, name, degree, p):
+        if degree != 4:
+            return [(name, self.H)]
+        if p == 2:
+            return [(name, self.H), ("p-odd", self.F), ("quadratic-disjoint", self.U),
+                    ("unramified", self.U)]
+        return [(name, self.H), ("p-odd", self.H), ("quadratic-disjoint", self.H),
+                ("unramified", self.H)]
+
+    def expected(self, m, n, binomial, elliptic, p):
+        """(route, [(record name, status)], notes)."""
+        H, F, U = self.H, self.F, self.U
+        if binomial and m >= 4:
+            ok = m != 4 or p != 2
+            records = [("binomial-cm-g", H), *self.side("galois-f", m, p),
+                       ("hom-vanishing-cm", H if ok else F)]
+            return "cm-binomial", records + [("c1-zero", H)] * ok, ()
+        if m > n >= 4 and not binomial:
+            ok = n != 4 or p != 2
+            records = [*self.side("galois-f", m, p), *self.side("galois-g", n, p),
+                       ("hom-bounded", H if ok else F)]
+            if ok:
+                exact = U if m % p == 0 and n == m - 1 else H
+                records += [("exact-zero", exact)] + [("c1-zero", H)] * (exact is H)
+            return "two-large", records, ()
+        route = ("cubic" if m == 3 else "quadratic") if binomial else (
+            "elliptic" if elliptic else "unsupported")
+        return route, [("binomial-cm-g", H)] * binomial, (self.NOTES[route],)
+
+    def grid(self):
+        rng = random.Random("route-table")
+        for m, n in itertools.product(range(2, 10), repeat=2):
+            for binomial in (True, False):
+                a = rng.choice([a for a in range(-9, 10) if a])
+                g = f"y^{n} - ({a})" if binomial else f"y^{n} - y - 1"
+                # at m = n = 3 the trinomials are the matched elliptic pair
+                elliptic = not binomial and m == n == 3
+                yield f"x^{m} - x - 1", g, m, n, binomial, elliptic, rng.choice((2, 3, 5, 7))
+        c = rng.randint(1, 9)
+        yield f"x^3 - x - {c}", f"y^3 - y - {c}", 3, 3, False, True, rng.choice((2, 3, 5, 7))
+        # the same cubic up to the constant, or up to lc, is no matched pair
+        yield f"x^3 - x - {c}", f"y^3 - y - {c + 1}", 3, 3, False, False, 5
+        yield f"2x^3 - 2x - {c}", f"2y^3 - 2y - {c}", 3, 3, False, False, 5
+
+    def test_seeded_grid(self):
+        seen = collections.Counter()
+        for f, g, m, n, binomial, elliptic, p in self.grid():
+            f, g = parse_poly(f), parse_poly(g)
+            route, want, notes = self.expected(m, n, binomial, elliptic, p)
+            assert next(r[0] for r in rank_engine._ROUTES if r[1](f, g)) == route, (f, g)
+            records, got_notes = rank_engine._analyze(f, g, p, 200)
+            assert [(h.name, h.status) for h in records] == want, (f, g, p)
+            assert got_notes == notes, (f, g, p)
+            seen[route] += 1
+            seen.update((h.name, h.status) for h in records if h.name == "exact-zero")
+            seen.update(("quartic", p == 2) for h in records if h.name == "p-odd")
+        # the seed reaches every route and both outcomes of each condition on p
+        assert set(self.NOTES) | {"cm-binomial", "two-large"} <= set(seen), seen
+        for key in (("exact-zero", self.H), ("exact-zero", self.U),
+                    ("quartic", True), ("quartic", False)):
+            assert seen[key], (key, seen)
 
 
 class TestValidation:
